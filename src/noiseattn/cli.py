@@ -95,6 +95,8 @@ def _cmd_recurse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if not args.data:
+        raise ConfigError("eval needs --data")
     snap = load_snapshot(args.snapshot)
     dataset = load_dataset(args.data)
     if dataset.true_labels is None:
@@ -149,9 +151,8 @@ def main(argv=None) -> int:
     add("train", _cmd_train, "run the full configured pipeline")
     add("recurse", _cmd_recurse, "resume recursion from a stage-0 snapshot",
         needs_snapshot=True)
-    eval_p = add("eval", _cmd_eval, "evaluate a snapshot on a test set",
-                 needs_snapshot=True, needs_data=True)
-    eval_p.set_defaults(fn=_cmd_eval)
+    add("eval", _cmd_eval, "evaluate a snapshot on a test set",
+        needs_snapshot=True, needs_data=True)
     add("export-q", _cmd_export_q, "export learned units as CSV + PGM",
         needs_snapshot=True)
 

@@ -187,20 +187,28 @@ def load_snapshot(path):
     if offset != len(raw):
         raise FormatError(f"{len(raw) - offset} unexpected trailing bytes at offset {offset}")
 
-    kind = meta.get("kind")
-    arch_specs = parse_arch(meta["arch"])
-    input_shape = parse_input_shape(meta["input_shape"])
-    unit_counts = [int(u) for u in meta["units"].split(";")]
-    decay_groups = [[float(d) for d in group.split(",")]
-                    for group in meta["decays"].split(";")]
+    def field(key, parse=str):
+        if key not in meta:
+            raise FormatError(f"snapshot metadata lacks the {key!r} key")
+        try:
+            return parse(meta[key])
+        except ValueError as exc:
+            raise FormatError(f"bad snapshot metadata {key} = {meta[key]!r}: {exc}") from exc
+
+    kind = field("kind")
+    arch_specs = field("arch", parse_arch)
+    input_shape = field("input_shape", parse_input_shape)
+    unit_counts = field("units", lambda v: [int(u) for u in v.split(";")])
+    decay_groups = field("decays", lambda v: [[float(d) for d in group.split(",")]
+                                              for group in v.split(";")])
 
     if kind == "single":
         net = Network(arch_specs, input_shape, seed=0)
-        models = [_rebuild_model(int(meta["classes"]), unit_counts[0], decay_groups[0])]
+        models = [_rebuild_model(field("classes", int), unit_counts[0], decay_groups[0])]
         attributes = None
     elif kind == "multi":
         from .config import _parse_attributes
-        attributes = _parse_attributes(meta["attributes"])
+        attributes = field("attributes", _parse_attributes)
         trunk = Network(arch_specs, input_shape, seed=0)
         net = MultiHeadNetwork(trunk, attributes, seed=0)
         models = [_rebuild_model(c_k, unit_counts[k], decay_groups[k])

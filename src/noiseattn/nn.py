@@ -127,7 +127,16 @@ class _DenseLayer:
 
 
 class _ConvLayer:
-    """Valid-padding convolution over NHWC batches via patch matrices."""
+    """Valid-padding convolution over NHWC batches via patch matrices.
+
+    Each patch row holds its window in (di, dj, c) order. The input
+    gradient is scattered one kernel offset at a time, with di and dj both
+    descending: each dx element then receives its terms in ascending
+    output-position order, the order of a loop over output positions, so
+    its rounding does not depend on this layout. The matmuls run on the
+    4-D arrays on purpose; reshaping them to 2-D changes result bits for
+    some channel counts.
+    """
 
     def __init__(self, spec: Conv2D, rng):
         k = spec.kernel
@@ -148,13 +157,13 @@ class _ConvLayer:
         k, s = self.kernel, self.stride
         ho = (h - k) // s + 1
         wo = (w - k) // s + 1
-        cols = np.empty((b, ho, wo, k * k * cin))
-        for i in range(ho):
-            for j in range(wo):
-                cols[:, i, j, :] = x[:, i * s:i * s + k, j * s:j * s + k, :].reshape(b, -1)
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
+        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, ho, wo, k * k * cin)
         self._cols = cols
         self._xshape = x.shape
-        return cols @ self.w.data + self.b.data
+        y = cols @ self.w.data
+        y += self.b.data
+        return y
 
     def backward(self, dy):
         if self._cols is None:
@@ -164,11 +173,12 @@ class _ConvLayer:
         ho, wo = dy.shape[1], dy.shape[2]
         self.b.grad += dy.sum(axis=(0, 1, 2))
         self.w.grad += self._cols.reshape(-1, k * k * cin).T @ dy.reshape(-1, dy.shape[3])
-        dcols = dy @ self.w.data.T
+        dcols = (dy @ self.w.data.T).reshape(b, ho, wo, k, k, cin)
         dx = np.zeros(self._xshape)
-        for i in range(ho):
-            for j in range(wo):
-                dx[:, i * s:i * s + k, j * s:j * s + k, :] += dcols[:, i, j, :].reshape(b, k, k, cin)
+        span_h, span_w = (ho - 1) * s + 1, (wo - 1) * s + 1
+        for di in reversed(range(k)):
+            for dj in reversed(range(k)):
+                dx[:, di:di + span_h:s, dj:dj + span_w:s, :] += dcols[:, :, :, di, dj, :]
         return dx
 
 
@@ -190,10 +200,18 @@ class _ReLULayer:
 
 
 class _MaxPoolLayer:
-    """2x2 max pooling, stride 2; gradient goes to the argmax cell only."""
+    """2x2 max pooling, stride 2; gradient goes to the argmax cell only.
+
+    The four window cells are compared in row-major order with the rule
+    ``argmax`` uses: the first maximum wins, a NaN beats any number and
+    the first NaN wins. The output and the gradient are then read from
+    and written to the winning cell through its flat index, so the output
+    keeps the winner's own bits (its signed zero, its NaN payload) and
+    every other input cell gets a gradient of +0.0.
+    """
 
     def __init__(self):
-        self._arg = None
+        self._idx = None
         self._xshape = None
 
     def params(self):
@@ -201,21 +219,30 @@ class _MaxPoolLayer:
 
     def forward(self, x):
         b, h, w, c = x.shape
-        windows = x.reshape(b, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-        flat = windows.reshape(b, h // 2, w // 2, 4, c)
-        arg = flat.argmax(axis=3)  # first max wins: deterministic tie-break
-        y = np.take_along_axis(flat, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-        self._arg = arg
+        # One contiguous row of length b*(h//2)*(w//2)*c per window cell.
+        cells = x.reshape(b, h // 2, 2, w // 2, 2, c).transpose(2, 4, 0, 1, 3, 5).reshape(4, -1)
+        # Flat index into x of each window's top-left cell.
+        row = (np.arange(w // 2)[:, None] * (2 * c) + np.arange(c)).ravel()
+        idx = (np.arange(b * (h // 2))[:, None] * (2 * w * c) + row).ravel()
+        # The winner's value, used only in comparisons: np.maximum may return the
+        # other signed zero or another NaN than the winner holds.
+        top = cells[0]
+        off = np.zeros(idx.shape, dtype=np.intp)
+        for q, step in enumerate((c, w * c, w * c + c), start=1):
+            gt = ~(cells[q] <= top) & (top == top)  # cell > winner, or the first NaN
+            np.maximum(off, gt * step, out=off)  # steps grow with q: the latest winner stays
+            top = np.maximum(top, cells[q])
+        idx += off
+        self._idx = idx
         self._xshape = x.shape
-        return y
+        return x.reshape(-1)[idx].reshape(b, h // 2, w // 2, c)
 
     def backward(self, dy):
-        if self._arg is None:
+        if self._idx is None:
             raise UsageError("MaxPool2x2.backward() before forward()")
-        b, h, w, c = self._xshape
-        dflat = np.zeros((b, h // 2, w // 2, 4, c))
-        np.put_along_axis(dflat, self._arg[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-        return dflat.reshape(b, h // 2, w // 2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(b, h, w, c)
+        dx = np.zeros(math.prod(self._xshape))
+        dx[self._idx] = dy.reshape(-1)
+        return dx.reshape(self._xshape)
 
 
 class _FlattenLayer:

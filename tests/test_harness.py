@@ -1,13 +1,15 @@
 """Config parsing, snapshots, exports, evaluation, and the experiment driver."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from noiseattn import (ConfigError, DataError, Dense, Conv2D, Flatten, FormatError,
-                       MaxPool2x2, NAModel, Network, ReLU, StageError, build_config,
-                       evaluate, export_q, load_config, load_q_csv, load_snapshot,
-                       parse_arch, parse_config_text, parse_input_shape, resolve_data,
-                       run_experiment, save_snapshot, serialize_arch)
+from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, Conv2D, Flatten,
+                       FormatError, MaxPool2x2, MultiHeadNetwork, NAModel, Network, ReLU,
+                       StageError, build_config, evaluate, export_q, load_config, load_q_csv,
+                       load_snapshot, parse_arch, parse_config_text, parse_input_shape,
+                       resolve_data, run_experiment, save_snapshot, serialize_arch)
 from noiseattn.attention import project_column_stochastic
 from noiseattn.cli import main as cli_main
 from noiseattn.harness import MetricsLog
@@ -33,6 +35,13 @@ na.stage_epochs = 6
 na.max_units = 2
 na.patience = 2
 """
+
+
+def write_single_snapshot(tmp_path):
+    path = tmp_path / "m.nam"
+    save_snapshot(path, Network([Dense(2, 3)], (2,), seed=0), [NAModel(3)], input_shape=(2,),
+                  arch_specs=[Dense(2, 3)])
+    return path
 
 
 def make_cfg(tmp_path, extra="", name="run"):
@@ -140,6 +149,56 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes()[:-8])  # drop one parameter
         with pytest.raises(FormatError):
             load_snapshot(path)
+
+    @staticmethod
+    def rewrite_meta_line(path, key, replacement=None):
+        """Drop the metadata line for ``key``, or put ``replacement`` in its place;
+        the rest of the snapshot stays valid."""
+        blob = path.read_bytes()
+        version, meta_len = struct.unpack("<II", blob[4:12])
+        lines = blob[12:12 + meta_len].decode().splitlines()
+        edited = [replacement if line.partition("=")[0].strip() == key else line
+                  for line in lines]
+        assert edited != lines
+        meta = "\n".join(line for line in edited if line is not None).encode()
+        path.write_bytes(blob[:4] + struct.pack("<II", version, len(meta)) + meta
+                         + blob[12 + meta_len:])
+
+    @pytest.mark.parametrize("key", ["kind", "input_shape", "arch", "classes", "units", "decays"])
+    def test_missing_single_metadata_key(self, tmp_path, key):
+        path = write_single_snapshot(tmp_path)
+        self.rewrite_meta_line(path, key)
+        with pytest.raises(FormatError, match=f"'{key}'"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("key", ["kind", "input_shape", "arch", "attributes", "units",
+                                     "decays"])
+    def test_missing_multi_metadata_key(self, tmp_path, key):
+        specs = [Dense(2, 4), ReLU()]
+        attrs = AttributeSpec([2, 3], ["a", "b"])
+        net = MultiHeadNetwork(Network(specs, (2,), seed=0), attrs, seed=0)
+        path = tmp_path / "m.nam"
+        save_snapshot(path, net, [NAModel(2), NAModel(3)], input_shape=(2,), arch_specs=specs,
+                      attributes=attrs)
+        assert load_snapshot(path)["kind"] == "multi"
+        self.rewrite_meta_line(path, key)
+        with pytest.raises(FormatError, match=f"'{key}'"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("key, value", [("units", "x"), ("decays", "0.0,y"),
+                                            ("classes", "three"), ("arch", "dense:2"),
+                                            ("input_shape", "0")])
+    def test_malformed_metadata_value(self, tmp_path, key, value):
+        path = write_single_snapshot(tmp_path)
+        self.rewrite_meta_line(path, key, replacement=f"{key} = {value}")
+        with pytest.raises(FormatError, match=f"metadata {key} = "):
+            load_snapshot(path)
+
+    def test_missing_metadata_key_exits_2(self, tmp_path, capsys):
+        path = write_single_snapshot(tmp_path)
+        self.rewrite_meta_line(path, "decays")
+        assert cli_main(["export-q", "--snapshot", str(path), "--out", str(tmp_path)]) == 2
+        assert "'decays'" in capsys.readouterr().err
 
 
 class TestExports:
@@ -253,6 +312,11 @@ class TestCLI:
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("definitely not = a valid key\n")
         assert cli_main(["train", "--config", str(cfg_path)]) == 2
+
+    def test_eval_without_data_exits_2(self, tmp_path, capsys):
+        path = write_single_snapshot(tmp_path)
+        assert cli_main(["eval", "--snapshot", str(path)]) == 2
+        assert "--data" in capsys.readouterr().err
 
     def test_missing_file_errors(self, tmp_path):
         assert cli_main(["eval", "--snapshot", str(tmp_path / "none.nam"),

@@ -15,14 +15,12 @@ from .nn import (EPS, Conv2D, Dense, Flatten, LayerSpec, MaxPool2x2, Network,
                  Parameter, ReLU, SGD, grad_check, grad_check_classifier,
                  nll_loss, nll_loss_grad, softmax, softmax_backward)
 from .attention import (Decision, NAModel, NoiseUnit, UnitSchedule, attention_outputs,
-                        decay_penalty, infer, na_backward, na_forward, na_loss,
-                        project_column_stochastic, schedule_step, select_unit)
-from .recursion import (StoppingRule, alpha_schedule, combine_supervision,
-                        combine_supervisions, run_recursion, run_recursion_multi,
-                        snapshot_probs, snapshot_probs_multi, soft_nll_loss)
-from .training import Trainer, TrainSettings, split_train_val
-from .multihead import (AttributeSpec, MultiHeadNetwork, MultiTrainer, all_metric,
-                        evaluate_all_metric, multi_attribute_loss, multi_forward)
+                        decay_penalty, infer, na_backward, na_loss,
+                        project_column_stochastic, schedule_step)
+from .recursion import (StoppingRule, alpha_schedule, combine_supervisions, run_recursion,
+                        snapshot_probs, soft_nll_loss)
+from .training import OneHead, Trainer, TrainSettings, split_train_val
+from .multihead import AttributeSpec, MultiHeadNetwork, all_metric, evaluate_all_metric
 from .data import (Dataset, NoiseSpec, SyntheticSpec, empirical_transition,
                    generate_synthetic, generate_synthetic_multi, import_csv,
                    inject_noise, inject_noise_multi, load_dataset, save_dataset,

@@ -167,28 +167,6 @@ def schedule_step(history, schedule: UnitSchedule, model: NAModel) -> Decision:
 # Forward / selection / loss
 
 
-def na_forward(p_base, unit: NoiseUnit):
-    """Map a base probability vector through one unit: returns Q @ p."""
-    p_base = np.asarray(p_base, dtype=np.float64)
-    if p_base.shape != (unit.n_classes,):
-        raise ConfigError(f"probability vector shape {p_base.shape} != ({unit.n_classes},)")
-    return unit.q.data @ p_base
-
-
-def select_unit(p_base, given_label: int, units) -> int:
-    """Index of the unit giving the observed label the highest probability.
-
-    Ties resolve to the lowest index, so the identity unit wins whenever
-    the base prediction is already one-hot at the given label.
-    """
-    best, best_conf = 0, -np.inf
-    for m, unit in enumerate(units):
-        conf = float(unit.q.data[given_label] @ np.asarray(p_base, dtype=np.float64))
-        if conf > best_conf:
-            best, best_conf = m, conf
-    return best
-
-
 def unit_outputs(probs, model: NAModel):
     """Stack every unit's routed batch: shape (M, B, C)."""
     return np.stack([probs @ unit.q.data.T for unit in model.units])

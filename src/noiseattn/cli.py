@@ -9,16 +9,16 @@ runtime failures; diagnostics carry the failing pipeline stage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .config import build_config, parse_config_text
 from .data import load_dataset, save_dataset
 from .errors import ConfigError, DataError, FormatError, NoiseAttnError, StageError
-from .harness import (MetricsLog, _noise_specs, evaluate, export_q, load_snapshot,
-                      resolve_data, resume_recursion, run_experiment, _write_flips)
+from .harness import (_export_models, _inject, _write_flips, evaluate, load_snapshot,
+                      resolve_data, resume_recursion, run_experiment)
 from .multihead import evaluate_all_metric
-from .data import inject_noise, inject_noise_multi
 
 
 def _load_config(args):
@@ -40,10 +40,9 @@ def _cmd_synth(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    saved_noise_mode = cfg.noise.mode
-    cfg.noise.mode = "none"  # synth writes clean data; inject adds noise
-    train, test, _ = resolve_data(cfg, out)
-    cfg.noise.mode = saved_noise_mode
+    # synth writes clean data; inject adds noise
+    clean = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, mode="none"))
+    train, test, _ = resolve_data(clean, out)
     print(f"wrote {out / 'train.nld'} ({train.n} samples) and "
           f"{out / 'test.nld'} ({test.n} samples)")
     return 0
@@ -59,14 +58,7 @@ def _cmd_inject(args) -> int:
     dataset = load_dataset(source)
     if cfg.noise.mode == "none":
         raise ConfigError("noise.mode is none; nothing to inject")
-    if dataset.k:
-        if cfg.attributes is None:
-            raise ConfigError("multi-attribute dataset needs an attributes config")
-        specs = _noise_specs(cfg, dataset.k)
-        noisy, flips = inject_noise_multi(dataset, specs, cfg.attributes.class_counts)
-    else:
-        (spec,) = _noise_specs(cfg, 0)
-        noisy, flips = inject_noise(dataset, spec)
+    noisy, flips = _inject(cfg, dataset)
     save_dataset(noisy, out / "noisy_train.nld")
     _write_flips(out / "flips.csv", flips)
     n_flipped = sum(len(f) for f in flips) if isinstance(flips, list) else len(flips)
@@ -74,24 +66,21 @@ def _cmd_inject(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_config(args)
-    report = run_experiment(cfg)
+def _finished(report, what) -> int:
+    print(f"{what} complete: artifacts in {report.out_dir}")
     final = report.test_errors.get("final")
-    print(f"run complete: artifacts in {report.out_dir}")
     if final is not None:
         print(f"final test error: {final}")
     return 0
+
+
+def _cmd_train(args) -> int:
+    return _finished(run_experiment(_load_config(args)), "run")
 
 
 def _cmd_recurse(args) -> int:
     cfg = _load_config(args)
-    report = resume_recursion(cfg, args.snapshot, args.out)
-    print(f"recursion complete: artifacts in {report.out_dir}")
-    final = report.test_errors.get("final")
-    if final is not None:
-        print(f"final test error: {final}")
-    return 0
+    return _finished(resume_recursion(cfg, args.snapshot, args.out), "recursion")
 
 
 def _cmd_eval(args) -> int:
@@ -115,13 +104,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_q(args) -> int:
     snap = load_snapshot(args.snapshot)
-    out = Path(args.out or ".")
-    if snap["kind"] == "single":
-        paths = export_q(snap["models"][0], out)
-    else:
-        paths = []
-        for name, model in zip(snap["attributes"].names, snap["models"]):
-            paths.extend(export_q(model, out, prefix=f"q_{name}_"))
+    paths = _export_models(snap["models"], snap["attributes"], Path(args.out or "."), "q_")
     for csv_path, pgm_path in paths:
         print(f"wrote {csv_path} and {pgm_path}")
     return 0

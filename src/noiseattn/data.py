@@ -74,10 +74,6 @@ class Dataset:
         """Number of attribute columns; 0 means single-label."""
         return 0 if self.given_labels.ndim == 1 else self.given_labels.shape[1]
 
-    def subset(self, idx) -> "Dataset":
-        true = None if self.true_labels is None else self.true_labels[idx]
-        return Dataset(self.features[idx], self.given_labels[idx], self.c, true)
-
 
 @dataclass
 class NoiseSpec:

@@ -3,7 +3,9 @@
 The pipeline is: resolve data (optionally synthesize and inject noise),
 pretrain the base network on the noisy labels, grow and train the noise
 units until the schedule stops, run the recursive self-distillation
-rounds, and evaluate through the base network only. Every artifact is a
+rounds, and evaluate through the base network only. A single-label run
+is the one-attribute case of the same code path; only metric names,
+report fields and export prefixes differ by kind. Every artifact is a
 pure function of (config, seed); wall-clock time is kept out of
 metrics.csv so reruns are byte-identical.
 """
@@ -21,15 +23,15 @@ import numpy as np
 
 from . import __version__
 from .attention import Decision, NAModel, UnitSchedule, infer, schedule_step
-from .config import (ExperimentConfig, load_noise_matrix, parse_arch, parse_input_shape,
-                     serialize_arch, serialize_input_shape, validate_paths)
-from .data import (Dataset, NoiseSpec, generate_synthetic, generate_synthetic_multi,
-                   inject_noise, inject_noise_multi, load_dataset, save_dataset)
+from .config import (ExperimentConfig, _parse_attributes, load_noise_matrix, parse_arch,
+                     parse_input_shape, serialize_arch, serialize_input_shape, validate_paths)
+from .data import (NoiseSpec, generate_synthetic, generate_synthetic_multi, inject_noise,
+                   inject_noise_multi, load_dataset, save_dataset)
 from .errors import ConfigError, DataError, FormatError, NoiseAttnError, StageError
-from .multihead import AttributeSpec, MultiHeadNetwork, MultiTrainer, evaluate_all_metric
+from .multihead import MultiHeadNetwork, evaluate_all_metric
 from .nn import Network
-from .recursion import StoppingRule, run_recursion, run_recursion_multi
-from .training import Trainer, split_train_val
+from .recursion import StoppingRule, run_recursion
+from .training import Trainer, _loss_total, split_train_val
 
 SNAPSHOT_MAGIC = b"NAM1"
 SNAPSHOT_VERSION = 1
@@ -102,6 +104,14 @@ def export_q(model: NAModel, out_dir, prefix: str = "q_"):
     return paths
 
 
+def _export_models(models, attributes, out_dir, prefix):
+    """export_q for every attribute's model; multi-label file names carry
+    the attribute name after ``prefix``."""
+    names = [""] if attributes is None else [f"{name}_" for name in attributes.names]
+    return [pair for name, model in zip(names, models)
+            for pair in export_q(model, out_dir, prefix=prefix + name)]
+
+
 def load_q_csv(path) -> np.ndarray:
     """Read a unit CSV back; %.17g output makes this bit-exact."""
     return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
@@ -111,15 +121,21 @@ def load_q_csv(path) -> np.ndarray:
 # Model snapshots
 
 
-def _meta_lines(kind, input_shape, arch_specs, models, attributes):
-    lines = [f"kind = {kind}",
+def _attribute_tokens(attributes):
+    """``name:classes,...`` as in the config; None for single-label."""
+    if attributes is None:
+        return None
+    return ",".join(f"{n}:{c}" for n, c in zip(attributes.names, attributes.class_counts))
+
+
+def _meta_lines(input_shape, arch_specs, models, attributes):
+    lines = [f"kind = {'single' if attributes is None else 'multi'}",
              f"input_shape = {serialize_input_shape(input_shape)}",
              f"arch = {serialize_arch(arch_specs)}"]
-    if kind == "single":
+    if attributes is None:
         lines.append(f"classes = {models[0].n_classes}")
     else:
-        tokens = ",".join(f"{n}:{c}" for n, c in zip(attributes.names, attributes.class_counts))
-        lines.append(f"attributes = {tokens}")
+        lines.append(f"attributes = {_attribute_tokens(attributes)}")
     lines.append("units = " + ";".join(str(m.active_count) for m in models))
     lines.append("decays = " + ";".join(
         ",".join(repr(u.decay) for u in m.units) for m in models))
@@ -134,11 +150,13 @@ def _param_chain(net_params, models):
 
 
 def save_snapshot(path, net, models, *, input_shape, arch_specs, attributes=None):
-    """Flat float64 parameter dump behind an architecture echo header."""
-    kind = "single" if attributes is None else "multi"
-    meta = _meta_lines(kind, input_shape, arch_specs, models, attributes).encode()
-    net_params = net.parameters() if kind == "single" else net.parameters()
-    chain = _param_chain(net_params, models)
+    """Flat float64 parameter dump behind an architecture echo header.
+
+    ``net`` is a ``Network`` with one model (single-label) or a
+    ``MultiHeadNetwork`` with one model per attribute of ``attributes``.
+    """
+    meta = _meta_lines(input_shape, arch_specs, models, attributes).encode()
+    chain = _param_chain(net.parameters(), models)
     vec = (np.concatenate([p.data.ravel() for p in chain])
            if chain else np.zeros(0))
     blob = bytearray()
@@ -159,8 +177,9 @@ def _parse_meta(meta_text):
 
 
 def load_snapshot(path):
-    """Rebuild the network and noise models; validates the parameter count
-    against the architecture echo."""
+    """Rebuild the network and noise models; validates the metadata (one
+    unit and one decay group per attribute, 1 for single-label) and the
+    parameter count against the architecture echo."""
     try:
         raw = Path(path).read_bytes()
     except FileNotFoundError as exc:
@@ -196,25 +215,29 @@ def load_snapshot(path):
             raise FormatError(f"bad snapshot metadata {key} = {meta[key]!r}: {exc}") from exc
 
     kind = field("kind")
+    if kind not in ("single", "multi"):
+        raise FormatError(f"unknown snapshot kind {kind!r}")
     arch_specs = field("arch", parse_arch)
     input_shape = field("input_shape", parse_input_shape)
     unit_counts = field("units", lambda v: [int(u) for u in v.split(";")])
     decay_groups = field("decays", lambda v: [[float(d) for d in group.split(",")]
                                               for group in v.split(";")])
+    attributes = field("attributes", _parse_attributes) if kind == "multi" else None
+    class_counts = ([field("classes", int)] if attributes is None
+                    else attributes.class_counts)
+    if not len(unit_counts) == len(decay_groups) == len(class_counts):
+        raise FormatError(f"snapshot metadata holds {len(unit_counts)} unit and "
+                          f"{len(decay_groups)} decay groups for {len(class_counts)} "
+                          f"attribute(s)")
 
-    if kind == "single":
-        net = Network(arch_specs, input_shape, seed=0)
-        models = [_rebuild_model(field("classes", int), unit_counts[0], decay_groups[0])]
-        attributes = None
-    elif kind == "multi":
-        from .config import _parse_attributes
-        attributes = field("attributes", _parse_attributes)
-        trunk = Network(arch_specs, input_shape, seed=0)
-        net = MultiHeadNetwork(trunk, attributes, seed=0)
-        models = [_rebuild_model(c_k, unit_counts[k], decay_groups[k])
-                  for k, c_k in enumerate(attributes.class_counts)]
-    else:
-        raise FormatError(f"unknown snapshot kind {kind!r}")
+    net = Network(arch_specs, input_shape, seed=0)
+    if attributes is not None:
+        net = MultiHeadNetwork(net, attributes, seed=0)
+    elif net.out_dim != class_counts[0]:
+        raise FormatError(f"snapshot network outputs {net.out_dim} classes, "
+                          f"metadata declares {class_counts[0]}")
+    models = [_rebuild_model(c, units, decays)
+              for c, units, decays in zip(class_counts, unit_counts, decay_groups)]
 
     chain = _param_chain(net.parameters(), models)
     expected = sum(p.size for p in chain)
@@ -261,6 +284,17 @@ def _noise_specs(cfg: ExperimentConfig, k: int):
     return specs
 
 
+def _inject(cfg: ExperimentConfig, dataset):
+    """Corrupt the given labels per ``cfg.noise``; returns (noisy dataset,
+    flipped indices), one index array per attribute for multi-label data."""
+    if dataset.k == 0:
+        (spec,) = _noise_specs(cfg, 0)
+        return inject_noise(dataset, spec)
+    if cfg.attributes is None:
+        raise ConfigError("multi-attribute dataset needs an attributes config")
+    return inject_noise_multi(dataset, _noise_specs(cfg, dataset.k), cfg.attributes.class_counts)
+
+
 def resolve_data(cfg: ExperimentConfig, out_dir=None):
     """Produce (train, test) datasets per config; optionally save artifacts.
 
@@ -287,14 +321,7 @@ def resolve_data(cfg: ExperimentConfig, out_dir=None):
 
     flips = None
     if cfg.noise.mode != "none":
-        if cfg.attributes is not None:
-            specs = _noise_specs(cfg, cfg.attributes.k)
-            train, flip_lists = inject_noise_multi(train, specs, cfg.attributes.class_counts)
-            flips = flip_lists
-        else:
-            (spec,) = _noise_specs(cfg, 0)
-            train, flip_idx = inject_noise(train, spec)
-            flips = flip_idx
+        train, flips = _inject(cfg, train)
         if out_dir is not None:
             save_dataset(train, Path(out_dir) / "noisy_train.nld")
             _write_flips(Path(out_dir) / "flips.csv", flips)
@@ -342,25 +369,16 @@ def _unit_schedule(cfg: ExperimentConfig) -> UnitSchedule:
                         max_units=na.max_units, init_jitter=na.init_jitter)
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Execute the full configured pipeline and write all artifacts."""
+def _drive(cfg: ExperimentConfig, out: Path, stage, body) -> RunReport:
+    """Run ``body(metrics, report)``, flushing metrics.csv even when it
+    fails; a failure is raised as a StageError naming ``stage[0]``."""
     started = time.perf_counter()
-    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics = MetricsLog()
     report = RunReport(config_echo=dict(cfg.echo), seed=cfg.seed,
                        version=__version__, out_dir=str(out))
-    stage = ["setup"]
     try:
-        validate_paths(cfg)
-        (out / "config_echo.cfg").write_text(
-            "".join(f"{k} = {v}\n" for k, v in cfg.echo.items()))
-        stage[0] = "data"
-        train_ds, test_ds, _ = resolve_data(cfg, out)
-        if cfg.attributes is None:
-            _run_single(cfg, train_ds, test_ds, metrics, out, report, stage)
-        else:
-            _run_multi(cfg, train_ds, test_ds, metrics, out, report, stage)
+        body(metrics, report)
     except NoiseAttnError as exc:
         metrics.write(out / "metrics.csv")  # flush partial artifacts before abort
         raise StageError(stage[0], exc) from exc
@@ -370,298 +388,211 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
+def run_experiment(cfg: ExperimentConfig) -> RunReport:
+    """Execute the full configured pipeline and write all artifacts."""
+    out = Path(cfg.out_dir)
+    stage = ["setup"]
+
+    def body(metrics, report):
+        validate_paths(cfg)
+        (out / "config_echo.cfg").write_text(
+            "".join(f"{k} = {v}\n" for k, v in cfg.echo.items()))
+        stage[0] = "data"
+        train_ds, test_ds, _ = resolve_data(cfg, out)
+        _run(cfg, train_ds, test_ds, metrics, out, report, stage)
+
+    return _drive(cfg, out, stage, body)
+
+
 def _check_arch(cfg: ExperimentConfig):
     if cfg.arch_specs is None or cfg.arch_input_shape is None:
         raise ConfigError("arch.layers and arch.input_shape are required for training")
 
 
-def _run_single(cfg, train_ds, test_ds, metrics, out, report, stage):
-    stage[0] = "build"
-    _check_arch(cfg)
-    if train_ds.k != 0:
-        raise ConfigError("config has no attributes but the dataset is multi-attribute")
-    c = train_ds.c
+def _split(cfg, train_ds, net):
+    """Check the dataset against the config and the network; returns the
+    fit and validation parts as (xt, yt, xv, yv, validation true labels or None)."""
+    k = 0 if cfg.attributes is None else cfg.attributes.k
+    if train_ds.k != k:
+        raise ConfigError(f"dataset has {train_ds.k} attribute columns, config declares {k}")
+    if k == 0 and net.out_dim != train_ds.c:
+        raise ConfigError(f"network outputs {net.out_dim} classes, dataset has {train_ds.c}")
     train_idx, val_idx = split_train_val(train_ds.n, cfg.na.val_fraction, cfg.seed)
-    xt, yt = train_ds.features[train_idx], train_ds.given_labels[train_idx]
-    xv, yv = train_ds.features[val_idx], train_ds.given_labels[val_idx]
-
-    net = Network(cfg.arch_specs, cfg.arch_input_shape, seed=(cfg.seed, 1))
-    if net.out_dim != c:
-        raise ConfigError(f"network outputs {net.out_dim} classes, dataset has {c}")
-    model = NAModel(c)
-    schedule = _unit_schedule(cfg)
-    trainer = Trainer(net, cfg.opt, model, seed=cfg.seed)
-
-    stage[0] = "pretrain"
-    pre_losses = []
-    for epoch in range(cfg.na.pretrain_epochs):
-        tr = trainer.train_epoch(xt, yt, use_na=False)
-        vl = trainer.val_loss(xv, yv, use_na=False)
-        pre_losses.append(tr)
-        metrics.add("pretrain", 0, epoch, "train", "loss", tr)
-        metrics.add("pretrain", 0, epoch, "val", "loss", vl)
-
-    stage[0] = "na"
-    history: list[float] = []
-    na_epochs = 0
-    for epoch in range(cfg.na.stage_epochs):
-        tr = trainer.train_epoch(xt, yt, use_na=True)
-        vl = trainer.val_loss(xv, yv, use_na=True)
-        na_epochs = epoch + 1
-        history.append(vl)
-        metrics.add("na", 0, epoch, "train", "loss", tr)
-        metrics.add("na", 0, epoch, "val", "loss", vl)
-        decision = schedule_step(history, schedule, model)
-        if decision is Decision.ADD_UNIT:
-            trainer.add_unit(schedule)
-            history.clear()
-            metrics.add("na", 0, epoch, "model", "active_units", model.active_count)
-        elif decision is Decision.STOP:
-            break
-
-    stage0_error = None
-    if test_ds.true_labels is not None:
-        stage0_error = evaluate(net, test_ds.features, test_ds.true_labels)
-        metrics.add("na", 0, max(na_epochs - 1, 0), "test", "error", stage0_error)
-    save_snapshot(out / "snapshot_stage0.nam", net, [model],
-                  input_shape=cfg.arch_input_shape, arch_specs=cfg.arch_specs)
-    export_q(model, out, prefix="q_stage0_")
-    report.stage0 = {"pretrain_epochs": cfg.na.pretrain_epochs,
-                     "na_epochs": na_epochs, "active_units": model.active_count,
-                     "test_error": stage0_error}
-    report.test_errors["stage0"] = stage0_error
-
-    stage[0] = "recursion"
-    records = []
-    if cfg.recursion.iterations > 0:
-        records = _recursion_single(cfg, trainer, net, model, train_ds, test_ds,
-                                    xt, yt, xv, yv, val_idx, train_idx, metrics)
-    report.iterations = records
-
-    stage[0] = "eval"
-    final_error = None
-    if test_ds.true_labels is not None:
-        final_error = evaluate(net, test_ds.features, test_ds.true_labels)
-        metrics.add("final", len(records), 0, "test", "error", final_error)
-    save_snapshot(out / "snapshot_final.nam", net, [model],
-                  input_shape=cfg.arch_input_shape, arch_specs=cfg.arch_specs)
-    export_q(model, out, prefix="q_final_")
-    report.test_errors["final"] = final_error
+    val_true = None if train_ds.true_labels is None else train_ds.true_labels[val_idx]
+    return (train_ds.features[train_idx], train_ds.given_labels[train_idx],
+            train_ds.features[val_idx], train_ds.given_labels[val_idx], val_true)
 
 
-def _recursion_single(cfg, trainer, net, model, train_ds, test_ds,
-                      xt, yt, xv, yv, val_idx, train_idx, metrics):
-    stopping = StoppingRule(cfg.recursion.min_improvement, cfg.recursion.iterations)
-    rec_epochs = cfg.recursion.epochs or cfg.na.stage_epochs
-
-    if train_ds.true_labels is not None:
-        val_true = train_ds.true_labels[val_idx]
-
-        def val_metric():
-            return evaluate(net, xv, val_true)
+def _test_rows(metrics, net, attrs, test_ds, stage_name, iteration, epoch):
+    """Test error through the base network, written to metrics: ``error``
+    for a single-label run; ``error.<name>`` per attribute and ``error.ALL``
+    for a multi-label run, which returns (per-attribute errors, joint error)."""
+    if attrs is None:
+        errors = evaluate(net, test_ds.features, test_ds.true_labels)
+        rows = [("error", errors)]
     else:
-        def val_metric():
-            return trainer.val_loss(xv, yv, use_na=True)
-
-    def on_iteration(record):
-        t = record["iteration"]
-        for epoch, loss in enumerate(record["train_losses"]):
-            metrics.add("recursion", t, epoch, "train", "loss", loss)
-        metrics.add("recursion", t, len(record["train_losses"]) - 1,
-                    "val", "metric", record["val_metric"])
-        if test_ds.true_labels is not None:
-            err = evaluate(net, test_ds.features, test_ds.true_labels)
-            record["test_error"] = err
-            metrics.add("recursion", t, len(record["train_losses"]) - 1,
-                        "test", "error", err)
-
-    return run_recursion(trainer, xt, yt, alpha_base=cfg.recursion.alpha_base,
-                         epochs_per_iteration=rec_epochs, stopping=stopping,
-                         val_metric=val_metric, on_iteration=on_iteration)
+        errors = evaluate_all_metric(net, test_ds.features, test_ds.true_labels)
+        rows = [*zip([f"error.{name}" for name in attrs.names], errors[0]),
+                ("error.ALL", errors[1])]
+    for metric, value in rows:
+        metrics.add(stage_name, iteration, epoch, "test", metric, value)
+    return errors
 
 
-def _run_multi(cfg, train_ds, test_ds, metrics, out, report, stage):
+def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
     stage[0] = "build"
     _check_arch(cfg)
     attrs = cfg.attributes
-    if train_ds.k != attrs.k:
-        raise ConfigError(f"dataset has {train_ds.k} attribute columns, config declares {attrs.k}")
-    train_idx, val_idx = split_train_val(train_ds.n, cfg.na.val_fraction, cfg.seed)
-    xt, yt = train_ds.features[train_idx], train_ds.given_labels[train_idx]
-    xv, yv = train_ds.features[val_idx], train_ds.given_labels[val_idx]
-
-    trunk = Network(cfg.arch_specs, cfg.arch_input_shape, seed=(cfg.seed, 1))
-    mh = MultiHeadNetwork(trunk, attrs, seed=cfg.seed)
+    net = Network(cfg.arch_specs, cfg.arch_input_shape, seed=(cfg.seed, 1))
+    if attrs is not None:
+        net = MultiHeadNetwork(net, attrs, seed=cfg.seed)
+    split = _split(cfg, train_ds, net)
+    xt, yt, xv, yv, _ = split
+    models = [NAModel(c) for c in ([train_ds.c] if attrs is None else attrs.class_counts)]
+    suffixes = [""] if attrs is None else [f".{name}" for name in attrs.names]
     schedule = _unit_schedule(cfg)
-    trainer = MultiTrainer(mh, cfg.opt, seed=cfg.seed)
-    models = trainer.na_models
+    trainer = Trainer(net, cfg.opt, models, seed=cfg.seed)
 
     stage[0] = "pretrain"
     for epoch in range(cfg.na.pretrain_epochs):
         tr = trainer.train_epoch(xt, yt, use_na=False)
-        vl = trainer.val_loss(xv, yv, use_na=False)
+        vl = _loss_total(trainer.val_loss(xv, yv, use_na=False))
         metrics.add("pretrain", 0, epoch, "train", "loss", tr)
         metrics.add("pretrain", 0, epoch, "val", "loss", vl)
 
     stage[0] = "na"
-    histories: list[list[float]] = [[] for _ in range(attrs.k)]
-    stopped = [False] * attrs.k
+    histories: list[list[float]] = [[] for _ in models]
+    stopped = [False] * len(models)
     na_epochs = 0
     for epoch in range(cfg.na.stage_epochs):
         tr = trainer.train_epoch(xt, yt, use_na=True)
-        per_attr = trainer.val_loss_per_attr(xv, yv, use_na=True)
+        per_attr = trainer.val_loss(xv, yv, use_na=True)
         na_epochs = epoch + 1
         metrics.add("na", 0, epoch, "train", "loss", tr)
-        for k, (name, vl) in enumerate(zip(attrs.names, per_attr)):
-            metrics.add("na", 0, epoch, "val", f"loss.{name}", vl)
+        for k, (suffix, vl) in enumerate(zip(suffixes, per_attr)):
+            metrics.add("na", 0, epoch, "val", "loss" + suffix, vl)
             if stopped[k]:
                 continue
             histories[k].append(vl)
             decision = schedule_step(histories[k], schedule, models[k])
             if decision is Decision.ADD_UNIT:
-                trainer.add_unit(k, schedule)
+                trainer.add_unit(schedule, k)
                 histories[k].clear()
-                metrics.add("na", 0, epoch, "model", f"active_units.{name}",
+                metrics.add("na", 0, epoch, "model", "active_units" + suffix,
                             models[k].active_count)
             elif decision is Decision.STOP:
                 stopped[k] = True
         if all(stopped):
             break
 
-    stage0_errors = None
-    if test_ds.true_labels is not None:
-        stage0_errors = _multi_test_rows(metrics, attrs, mh, test_ds,
-                                         "na", 0, max(na_epochs - 1, 0))
-    save_snapshot(out / "snapshot_stage0.nam", mh, models,
-                  input_shape=cfg.arch_input_shape, arch_specs=cfg.arch_specs,
-                  attributes=attrs)
-    for name, model in zip(attrs.names, models):
-        export_q(model, out, prefix=f"q_stage0_{name}_")
-    report.stage0 = {"na_epochs": na_epochs,
-                     "active_units": [m.active_count for m in models],
-                     "test_errors": stage0_errors}
+    stage0 = _save_stage(cfg, net, models, test_ds, metrics, out, "stage0",
+                         ("na", 0, max(na_epochs - 1, 0)))
+    if attrs is None:
+        report.stage0 = {"pretrain_epochs": cfg.na.pretrain_epochs, "na_epochs": na_epochs,
+                         "active_units": models[0].active_count, "test_error": stage0}
+        report.test_errors["stage0"] = stage0
+    else:
+        report.stage0 = {"na_epochs": na_epochs,
+                         "active_units": [m.active_count for m in models],
+                         "test_errors": stage0}
 
     stage[0] = "recursion"
     records = []
     if cfg.recursion.iterations > 0:
-        records = _recursion_multi(cfg, trainer, mh, attrs, train_ds, test_ds,
-                                   xt, yt, xv, yv, val_idx, metrics)
+        records = _recursion(cfg, trainer, net, split, test_ds, metrics)
     report.iterations = records
 
     stage[0] = "eval"
-    final_errors = None
-    if test_ds.true_labels is not None:
-        final_errors = _multi_test_rows(metrics, attrs, mh, test_ds,
-                                        "final", len(records), 0)
-    save_snapshot(out / "snapshot_final.nam", mh, models,
-                  input_shape=cfg.arch_input_shape, arch_specs=cfg.arch_specs,
-                  attributes=attrs)
-    for name, model in zip(attrs.names, models):
-        export_q(model, out, prefix=f"q_final_{name}_")
-    report.test_errors["final"] = final_errors
+    report.test_errors["final"] = _save_stage(cfg, net, models, test_ds, metrics, out, "final",
+                                              ("final", len(records), 0))
 
 
-def _multi_test_rows(metrics, attrs, mh, test_ds, stage_name, iteration, epoch):
-    per_attr, all_err = evaluate_all_metric(mh, test_ds.features, test_ds.true_labels)
-    for name, err in zip(attrs.names, per_attr):
-        metrics.add(stage_name, iteration, epoch, "test", f"error.{name}", err)
-    metrics.add(stage_name, iteration, epoch, "test", "error.ALL", all_err)
-    return per_attr, all_err
-
-
-def _recursion_multi(cfg, trainer, mh, attrs, train_ds, test_ds,
-                     xt, yt, xv, yv, val_idx, metrics):
+def _recursion(cfg, trainer, net, split, test_ds, metrics):
+    attrs = cfg.attributes
+    xt, yt, xv, yv, val_true = split
     stopping = StoppingRule(cfg.recursion.min_improvement, cfg.recursion.iterations)
     rec_epochs = cfg.recursion.epochs or cfg.na.stage_epochs
 
-    if train_ds.true_labels is not None:
-        val_true = train_ds.true_labels[val_idx]
-
+    if val_true is not None:
         def val_metric():
-            _, all_err = evaluate_all_metric(mh, xv, val_true)
-            return all_err
+            if attrs is None:
+                return evaluate(net, xv, val_true)
+            return evaluate_all_metric(net, xv, val_true)[1]
     else:
         def val_metric():
-            return trainer.val_loss(xv, yv, use_na=True)
+            return _loss_total(trainer.val_loss(xv, yv, use_na=True))
 
     def on_iteration(record):
         t = record["iteration"]
+        last_epoch = len(record["train_losses"]) - 1
         for epoch, loss in enumerate(record["train_losses"]):
             metrics.add("recursion", t, epoch, "train", "loss", loss)
-        metrics.add("recursion", t, len(record["train_losses"]) - 1,
-                    "val", "metric", record["val_metric"])
+        metrics.add("recursion", t, last_epoch, "val", "metric", record["val_metric"])
         if test_ds.true_labels is not None:
-            record["test_errors"] = _multi_test_rows(
-                metrics, attrs, mh, test_ds, "recursion", t,
-                len(record["train_losses"]) - 1)
+            key = "test_error" if attrs is None else "test_errors"
+            record[key] = _test_rows(metrics, net, attrs, test_ds, "recursion", t, last_epoch)
 
-    return run_recursion_multi(trainer, xt, yt,
-                               alpha_base=cfg.recursion.alpha_base,
-                               epochs_per_iteration=rec_epochs,
-                               stopping=stopping, val_metric=val_metric,
-                               on_iteration=on_iteration)
+    return run_recursion(trainer, xt, yt, alpha_base=cfg.recursion.alpha_base,
+                         epochs_per_iteration=rec_epochs, stopping=stopping,
+                         val_metric=val_metric, on_iteration=on_iteration)
+
+
+def _save_stage(cfg, net, models, test_ds, metrics, out, tag, row):
+    """Test error rows at ``row`` = (stage, iteration, epoch) when the test
+    set has true labels, then ``snapshot_<tag>.nam`` and the ``q_<tag>_*``
+    unit exports; returns the test errors or None."""
+    errors = None
+    if test_ds.true_labels is not None:
+        errors = _test_rows(metrics, net, cfg.attributes, test_ds, *row)
+    save_snapshot(out / f"snapshot_{tag}.nam", net, models, input_shape=cfg.arch_input_shape,
+                  arch_specs=cfg.arch_specs, attributes=cfg.attributes)
+    _export_models(models, cfg.attributes, out, f"q_{tag}_")
+    return errors
+
+
+def _check_snapshot(cfg: ExperimentConfig, snap):
+    """A resumed snapshot must hold the network the config describes."""
+    _check_arch(cfg)
+    echoes = [("arch", serialize_arch(snap["arch_specs"]), serialize_arch(cfg.arch_specs)),
+              ("input_shape", serialize_input_shape(snap["input_shape"]),
+               serialize_input_shape(cfg.arch_input_shape)),
+              ("attributes", _attribute_tokens(snap["attributes"]),
+               _attribute_tokens(cfg.attributes))]
+    for key, snapped, configured in echoes:
+        if snapped != configured:
+            raise ConfigError(f"snapshot {key} {snapped} does not match the config's "
+                              f"{configured}")
 
 
 def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunReport:
     """Resume from a stage-0 snapshot and run only the recursion rounds.
 
-    Data is re-derived from the config (generation and injection are pure
-    functions of the seeds), so the snapshot and config must describe the
-    same run. Optimizer velocities restart at zero.
+    Single- and multi-label snapshots take the same path as a full run's
+    recursion and eval stages. The snapshot's arch, input shape and
+    classes (attributes for multi-label) must equal what the config and
+    its data describe, else ``ConfigError``. Data is re-derived from the
+    config (generation and injection are pure functions of the seeds).
+    Optimizer velocities restart at zero.
     """
-    started = time.perf_counter()
     out = Path(out_dir or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    metrics = MetricsLog()
-    report = RunReport(config_echo=dict(cfg.echo), seed=cfg.seed,
-                       version=__version__, out_dir=str(out))
     stage = ["resume"]
-    try:
+
+    def body(metrics, report):
         validate_paths(cfg)
         snap = load_snapshot(snapshot_path)
-        if (snap["kind"] == "multi") != (cfg.attributes is not None):
-            raise ConfigError("snapshot kind does not match the config's attribute mode")
+        _check_snapshot(cfg, snap)
+        net, models = snap["net"], snap["models"]
         stage[0] = "data"
         train_ds, test_ds, _ = resolve_data(cfg, None)
-        train_idx, val_idx = split_train_val(train_ds.n, cfg.na.val_fraction, cfg.seed)
-        xt, yt = train_ds.features[train_idx], train_ds.given_labels[train_idx]
-        xv, yv = train_ds.features[val_idx], train_ds.given_labels[val_idx]
+        split = _split(cfg, train_ds, net)
 
         stage[0] = "recursion"
         if cfg.recursion.iterations < 1:
             raise ConfigError("recursion.iterations must be >= 1 to resume")
-        if snap["kind"] == "single":
-            net, model = snap["net"], snap["models"][0]
-            trainer = Trainer(net, cfg.opt, model, seed=cfg.seed)
-            records = _recursion_single(cfg, trainer, net, model, train_ds, test_ds,
-                                        xt, yt, xv, yv, val_idx, train_idx, metrics)
-            save_args = dict(input_shape=snap["input_shape"], arch_specs=snap["arch_specs"])
-            stage[0] = "eval"
-            if test_ds.true_labels is not None:
-                err = evaluate(net, test_ds.features, test_ds.true_labels)
-                metrics.add("final", len(records), 0, "test", "error", err)
-                report.test_errors["final"] = err
-            save_snapshot(out / "snapshot_final.nam", net, [model], **save_args)
-            export_q(model, out, prefix="q_final_")
-        else:
-            mh, models, attrs = snap["net"], snap["models"], snap["attributes"]
-            trainer = MultiTrainer(mh, cfg.opt, na_models=models, seed=cfg.seed)
-            records = _recursion_multi(cfg, trainer, mh, attrs, train_ds, test_ds,
-                                       xt, yt, xv, yv, val_idx, metrics)
-            stage[0] = "eval"
-            if test_ds.true_labels is not None:
-                report.test_errors["final"] = _multi_test_rows(
-                    metrics, attrs, mh, test_ds, "final", len(records), 0)
-            save_snapshot(out / "snapshot_final.nam", mh, models,
-                          input_shape=snap["input_shape"], arch_specs=snap["arch_specs"],
-                          attributes=attrs)
-            for name, model in zip(attrs.names, models):
-                export_q(model, out, prefix=f"q_final_{name}_")
-        report.iterations = records
-    except NoiseAttnError as exc:
-        metrics.write(out / "metrics.csv")
-        raise StageError(stage[0], exc) from exc
-    metrics.write(out / "metrics.csv")
-    report.wall_clock_s = time.perf_counter() - started
-    (out / "report.json").write_text(report.to_json())
-    return report
+        trainer = Trainer(net, cfg.opt, models, seed=cfg.seed)
+        report.iterations = _recursion(cfg, trainer, net, split, test_ds, metrics)
+        stage[0] = "eval"
+        report.test_errors["final"] = _save_stage(cfg, net, models, test_ds, metrics, out,
+                                                  "final", ("final", len(report.iterations), 0))
+
+    return _drive(cfg, out, stage, body)

@@ -1,11 +1,13 @@
 """Multi-attribute classification: K heads on a shared trunk.
 
-Each head is a Dense classifier over the trunk features, followed by its
-own noise-unit model sized to that attribute's class count. Losses are
-computed independently per attribute and summed (unweighted by default);
-the trunk accumulates gradients from every head. Evaluation reports
-per-attribute error plus the joint error, where a sample counts as
-correct only when every attribute is predicted correctly.
+Each head is a Dense classifier over the trunk features; ``forward``
+returns one probability batch per attribute, which is the network
+interface ``training.Trainer`` works with, and the trunk accumulates
+gradients from every head. Each attribute gets its own noise-unit model
+sized to its class count, and the trainer sums the per-attribute losses
+unweighted. Evaluation reports per-attribute error plus the joint error,
+where a sample counts as correct only when every attribute is predicted
+correctly.
 """
 
 from __future__ import annotations
@@ -14,11 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DivergenceError
-from .attention import NAModel, UnitSchedule, na_backward, na_loss, na_loss_terms, routed_backward
-from .nn import SGD, Dense, Network, entropy_tuple, nll_loss, nll_loss_grad, softmax, softmax_backward
-from .recursion import soft_attention_outputs, soft_nll_loss, soft_out_grad
-from .training import STREAM_JITTER, STREAM_SHUFFLE, TrainSettings
+from .errors import ConfigError, DataError
+from .nn import Dense, Network, entropy_tuple, softmax
 
 
 @dataclass
@@ -79,20 +78,6 @@ class MultiHeadNetwork:
         return np.stack([p.argmax(axis=1) for p in probs], axis=1)
 
 
-def multi_forward(net: MultiHeadNetwork, batch):
-    return net.forward(batch)
-
-
-def multi_attribute_loss(probs_list, labels, na_models) -> tuple[float, list[float]]:
-    """Unweighted sum of per-attribute routed NLLs, plus the per-attribute terms."""
-    labels = np.asarray(labels)
-    if labels.ndim != 2 or labels.shape[1] != len(probs_list):
-        raise ConfigError(f"labels shape {labels.shape} does not carry {len(probs_list)} attributes")
-    per_attr = [na_loss(probs_list[k], labels[:, k], na_models[k])
-                for k in range(len(probs_list))]
-    return float(sum(per_attr)), per_attr
-
-
 def all_metric(predictions, true_labels) -> tuple[list[float], float]:
     """Per-attribute error rates and the joint (every-attribute) error."""
     predictions = np.asarray(predictions)
@@ -112,116 +97,3 @@ def evaluate_all_metric(net: MultiHeadNetwork, features, true_labels,
     preds = [net.predict(features[start:start + chunk_size])
              for start in range(0, features.shape[0], chunk_size)]
     return all_metric(np.concatenate(preds, axis=0), true_labels)
-
-
-class MultiTrainer:
-    """Optimizer state and epoch loops for a multi-head network."""
-
-    def __init__(self, net: MultiHeadNetwork, settings: TrainSettings,
-                 na_models: list[NAModel] | None = None, seed=0):
-        self.net = net
-        self.settings = settings
-        if na_models is None:
-            na_models = [NAModel(c_k) for c_k in net.attributes.class_counts]
-        if len(na_models) != net.attributes.k:
-            raise ConfigError("one noise model per attribute is required")
-        self.na_models = na_models
-        self.opt = SGD(net.parameters(), settings.lr, settings.momentum,
-                       settings.weight_decay)
-        self.unit_opt = SGD([], settings.lr, settings.momentum, 0.0)
-        for model in na_models:
-            for p in model.learnable_params():
-                self.unit_opt.add_param(p)
-        self._shuffle_rng = np.random.default_rng(entropy_tuple(seed, STREAM_SHUFFLE))
-        self._jitter_rng = np.random.default_rng(entropy_tuple(seed, STREAM_JITTER))
-
-    def add_unit(self, attr_index: int, schedule: UnitSchedule):
-        model = self.na_models[attr_index]
-        unit = model.add_unit(decay=schedule.decay_for(model.active_count + 1),
-                              jitter=schedule.init_jitter, rng=self._jitter_rng)
-        self.unit_opt.add_param(unit.q)
-        return unit
-
-    def _batches(self, n: int):
-        order = self._shuffle_rng.permutation(n)
-        bs = self.settings.batch_size
-        for start in range(0, n, bs):
-            yield order[start:start + bs]
-
-    def _step(self, bx, by, use_na: bool) -> float:
-        probs_list = self.net.forward(bx)
-        dlogits_list = []
-        total = 0.0
-        for k, probs in enumerate(probs_list):
-            labels_k = by[:, k]
-            if use_na:
-                model = self.na_models[k]
-                sel, out, picked, loss_k = na_loss_terms(probs, labels_k, model)
-                gprobs = na_backward(probs, labels_k, model, terms=(sel, out, picked))
-            else:
-                loss_k = nll_loss(probs, labels_k)
-                gprobs = nll_loss_grad(probs, labels_k)
-            total += loss_k
-            dlogits_list.append(softmax_backward(probs, gprobs))
-        if not np.isfinite(total):
-            raise DivergenceError(f"non-finite multi-attribute loss {total!r}")
-        self.net.backward(dlogits_list)
-        self.opt.step()
-        if use_na:
-            self.unit_opt.step()
-            for model in self.na_models:
-                model.project()
-        return total
-
-    def _step_soft(self, bx, sup_list) -> float:
-        probs_list = self.net.forward(bx)
-        dlogits_list = []
-        total = 0.0
-        for k, probs in enumerate(probs_list):
-            model = self.na_models[k]
-            sel, out = soft_attention_outputs(probs, sup_list[k], model)
-            total += soft_nll_loss(out, sup_list[k])
-            gprobs = routed_backward(probs, sel, soft_out_grad(out, sup_list[k]), model)
-            dlogits_list.append(softmax_backward(probs, gprobs))
-        if not np.isfinite(total):
-            raise DivergenceError(f"non-finite multi-attribute soft loss {total!r}")
-        self.net.backward(dlogits_list)
-        self.opt.step()
-        self.unit_opt.step()
-        for model in self.na_models:
-            model.project()
-        return total
-
-    def train_epoch(self, features, labels, use_na: bool = False) -> float:
-        n = features.shape[0]
-        total = 0.0
-        for idx in self._batches(n):
-            total += self._step(features[idx], labels[idx], use_na) * idx.size
-        return total / n
-
-    def train_epoch_soft(self, features, sup_list) -> float:
-        n = features.shape[0]
-        total = 0.0
-        for idx in self._batches(n):
-            total += self._step_soft(features[idx], [s[idx] for s in sup_list]) * idx.size
-        return total / n
-
-    def val_loss(self, features, labels, use_na: bool = False) -> float:
-        probs_list = self.net.forward(features)
-        total = 0.0
-        for k, probs in enumerate(probs_list):
-            if use_na:
-                total += na_loss(probs, labels[:, k], self.na_models[k])
-            else:
-                total += nll_loss(probs, labels[:, k])
-        return total
-
-    def val_loss_per_attr(self, features, labels, use_na: bool = False) -> list[float]:
-        probs_list = self.net.forward(features)
-        out = []
-        for k, probs in enumerate(probs_list):
-            if use_na:
-                out.append(na_loss(probs, labels[:, k], self.na_models[k]))
-            else:
-                out.append(nll_loss(probs, labels[:, k]))
-        return out

@@ -365,16 +365,6 @@ class Network:
             return np.zeros(0)
         return np.concatenate([p.data.ravel() for p in self._params])
 
-    def load_param_vector(self, vec):
-        vec = np.asarray(vec, dtype=np.float64)
-        expected = self.n_params()
-        if vec.size != expected:
-            raise ConfigError(f"parameter vector has {vec.size} values, network needs {expected}")
-        pos = 0
-        for p in self._params:
-            p.data[...] = vec[pos:pos + p.size].reshape(p.data.shape)
-            pos += p.size
-
 
 # ---------------------------------------------------------------------------
 # Losses
@@ -400,6 +390,12 @@ def check_labels(labels, n_classes):
         raise DataError(f"labels must lie in [0, {n_classes}), got range "
                         f"[{labels.min()}, {labels.max()}]")
     return labels
+
+
+def label_columns(labels) -> list[np.ndarray]:
+    """One label array per attribute: (N,) labels are one column, (N, K) are K."""
+    labels = np.asarray(labels)
+    return [labels] if labels.ndim == 1 else list(labels.T)
 
 
 def log_grad_coef(picked, batch):

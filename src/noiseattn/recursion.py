@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .attention import NAModel, attention_outputs, unit_outputs
-from .nn import EPS, check_labels, softmax
+from .nn import EPS, check_labels, label_columns
 
 
 def alpha_schedule(t: int, alpha_base: float) -> float:
@@ -27,25 +27,12 @@ def alpha_schedule(t: int, alpha_base: float) -> float:
     return float(alpha_base) ** int(t)
 
 
-def combine_supervision(given_label: int, prev_probs, alpha: float):
-    """Add alpha to the given-label entry, then divide by (1 + alpha).
+def combine_supervisions(given_labels, prev_probs, alpha: float):
+    """Add alpha to each row's given-label entry, then divide by (1 + alpha).
 
-    With prev_probs on the simplex the result sums to 1 exactly in exact
+    With rows on the simplex the result sums to 1 exactly in exact
     arithmetic; alpha = 0 returns prev_probs unchanged.
     """
-    prev = np.asarray(prev_probs, dtype=np.float64)
-    if alpha < 0:
-        raise ConfigError(f"alpha must be non-negative, got {alpha}")
-    if not 0 <= given_label < prev.shape[-1]:
-        raise DataError(f"label {given_label} out of range [0, {prev.shape[-1]})")
-    s = prev.copy()
-    s[given_label] += alpha
-    s /= 1.0 + alpha
-    return s
-
-
-def combine_supervisions(given_labels, prev_probs, alpha: float):
-    """Batch form of combine_supervision."""
     prev = np.asarray(prev_probs, dtype=np.float64)
     labels = check_labels(given_labels, prev.shape[1])
     if alpha < 0:
@@ -93,21 +80,6 @@ def soft_attention_outputs(probs, supervisions, model: NAModel):
     return sel, out
 
 
-def snapshot_probs(net, model: NAModel, features, given_labels, chunk_size: int = 2048):
-    """Frozen teacher outputs: one pass through the base network plus each
-    sample's selected unit. Deterministic for a fixed model."""
-    n = features.shape[0]
-    if n == 0:
-        raise DataError("cannot snapshot an empty dataset")
-    rows = []
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        probs = softmax(net.forward(features[start:stop]))
-        _, out = attention_outputs(probs, given_labels[start:stop], model)
-        rows.append(out)
-    return np.concatenate(rows, axis=0)
-
-
 @dataclass
 class StoppingRule:
     """Stop when the per-round validation improvement drops below the bar.
@@ -125,53 +97,24 @@ class StoppingRule:
             raise ConfigError("max_iterations must be >= 0")
 
 
-def snapshot_probs_multi(net, models, features, given_labels, chunk_size: int = 2048):
-    """Per-attribute teacher outputs for a multi-head network.
+def snapshot_probs(net, models, features, given_labels, chunk_size: int = 2048):
+    """Frozen teacher outputs, one (N, C_k) array per attribute.
 
-    ``net.forward`` must return per-attribute probability batches (the
-    multi-head network applies softmax per head itself).
+    ``net.forward`` returns per-attribute probability batches; each sample
+    goes through its selected unit of that attribute's model. One pass,
+    deterministic for a fixed model.
     """
     n = features.shape[0]
     if n == 0:
         raise DataError("cannot snapshot an empty dataset")
+    columns = label_columns(given_labels)
     outs: list[list[np.ndarray]] = [[] for _ in models]
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
-        probs_list = net.forward(features[start:stop])
-        for k, (probs, model) in enumerate(zip(probs_list, models)):
-            _, out = attention_outputs(probs, given_labels[start:stop, k], model)
+        for k, probs in enumerate(net.forward(features[start:stop])):
+            _, out = attention_outputs(probs, columns[k][start:stop], models[k])
             outs[k].append(out)
     return [np.concatenate(chunks, axis=0) for chunks in outs]
-
-
-def run_recursion_multi(trainer, features, given_labels, *, alpha_base: float,
-                        epochs_per_iteration: int, stopping: StoppingRule,
-                        val_metric, on_iteration=None):
-    """Multi-attribute variant: supervisions are rebuilt attribute-wise."""
-    if features.shape[0] == 0:
-        raise DataError("empty dataset")
-    if epochs_per_iteration < 1:
-        raise ConfigError("epochs_per_iteration must be >= 1")
-    history = [float(val_metric())]
-    records = []
-    for t in range(1, stopping.max_iterations + 1):
-        alpha = alpha_schedule(t, alpha_base)
-        teachers = snapshot_probs_multi(trainer.net, trainer.na_models, features, given_labels)
-        sup_list = [combine_supervisions(given_labels[:, k], teachers[k], alpha)
-                    for k in range(len(teachers))]
-        losses = [trainer.train_epoch_soft(features, sup_list)
-                  for _ in range(epochs_per_iteration)]
-        metric = float(val_metric())
-        improvement = history[-1] - metric
-        history.append(metric)
-        record = {"iteration": t, "alpha": alpha, "train_losses": losses,
-                  "val_metric": metric, "improvement": improvement}
-        records.append(record)
-        if on_iteration is not None:
-            on_iteration(record)
-        if improvement < stopping.min_improvement:
-            break
-    return records
 
 
 def run_recursion(trainer, features, given_labels, *, alpha_base: float,
@@ -179,23 +122,25 @@ def run_recursion(trainer, features, given_labels, *, alpha_base: float,
                   val_metric, on_iteration=None):
     """Drive the outer self-distillation rounds.
 
-    ``trainer`` owns the network/units being refined in place;
-    ``val_metric()`` returns the stopping quantity (lower is better) and is
-    evaluated once at entry (round 0) and after every round. The model left
-    on the trainer after the last round is the final model. Returns a list
-    of per-round records.
+    ``trainer`` owns the network/units being refined in place; supervisions
+    are rebuilt attribute by attribute from ``given_labels`` ((N,) or
+    (N, K)). ``val_metric()`` returns the stopping quantity (lower is
+    better) and is evaluated once at entry (round 0) and after every round.
+    The model left on the trainer after the last round is the final model.
+    Returns a list of per-round records.
     """
     if features.shape[0] == 0:
         raise DataError("empty dataset")
     if epochs_per_iteration < 1:
         raise ConfigError("epochs_per_iteration must be >= 1")
-    baseline = float(val_metric())
-    history = [baseline]
+    columns = label_columns(given_labels)
+    history = [float(val_metric())]
     records = []
     for t in range(1, stopping.max_iterations + 1):
         alpha = alpha_schedule(t, alpha_base)
-        teacher = snapshot_probs(trainer.net, trainer.na_model, features, given_labels)
-        supervisions = combine_supervisions(given_labels, teacher, alpha)
+        teachers = snapshot_probs(trainer.net, trainer.na_models, features, given_labels)
+        supervisions = [combine_supervisions(y, teacher, alpha)
+                        for y, teacher in zip(columns, teachers)]
         losses = [trainer.train_epoch_soft(features, supervisions)
                   for _ in range(epochs_per_iteration)]
         metric = float(val_metric())

@@ -1,9 +1,14 @@
 """Epoch-level training loops shared by the pipeline stages.
 
-The plain path trains the base network on its own softmax NLL; the
-attention path routes every sample through its maximum-confidence unit.
-With a single (identity) unit the two paths perform bit-identical
-arithmetic, so attention training degrades exactly to plain training.
+A trainer owns a network whose ``forward`` returns one probability batch
+per attribute, one noise model per attribute, and their optimizers. A
+single-label network is the one-attribute case: ``OneHead`` gives it that
+interface. Per-attribute losses are summed and every head's gradient
+reaches the shared layers. The plain path trains each head on its own
+softmax NLL; the attention path routes every sample through its
+maximum-confidence unit. With a single (identity) unit the two paths
+perform bit-identical arithmetic, so attention training degrades exactly
+to plain training.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .attention import NAModel, UnitSchedule, na_backward, na_loss, na_loss_terms, routed_backward
-from .nn import SGD, Network, entropy_tuple, nll_loss, nll_loss_grad, softmax, softmax_backward
+from .nn import (SGD, Network, entropy_tuple, label_columns, nll_loss, nll_loss_grad, softmax,
+                 softmax_backward)
 from .recursion import soft_attention_outputs, soft_nll_loss, soft_out_grad
 
 # rng stream tags, combined with the run seed
@@ -57,70 +63,104 @@ def split_train_val(n: int, val_fraction: float, seed) -> tuple[np.ndarray, np.n
     return train, val
 
 
+class OneHead:
+    """A single-label network seen as a network with one attribute head."""
+
+    def __init__(self, base: Network):
+        self.base = base
+
+    def parameters(self):
+        return self.base.parameters()
+
+    def forward(self, batch):
+        return [softmax(self.base.forward(batch))]
+
+    def backward(self, dlogits_list):
+        return self.base.backward(dlogits_list[0])
+
+
+def _loss_total(losses) -> float:
+    """Sequential sum of per-attribute losses. A single loss is returned as
+    it is: ``0.0 + -0.0`` is ``+0.0``, so summing would change its sign."""
+    if len(losses) == 1:
+        return losses[0]
+    total = 0.0
+    for loss in losses:
+        total += loss
+    return total
+
+
+def _plain_head(probs, labels, model):
+    return nll_loss(probs, labels), nll_loss_grad(probs, labels)
+
+
+def _na_head(probs, labels, model):
+    sel, out, picked, loss = na_loss_terms(probs, labels, model)
+    return loss, na_backward(probs, labels, model, terms=(sel, out, picked))
+
+
+def _soft_head(probs, supervisions, model):
+    sel, out = soft_attention_outputs(probs, supervisions, model)
+    return (soft_nll_loss(out, supervisions),
+            routed_backward(probs, sel, soft_out_grad(out, supervisions), model))
+
+
 class Trainer:
     """Owns one network (plus optional noise units) and its optimizers.
 
+    ``net`` is a plain ``Network`` (wrapped in ``OneHead``) or a network
+    whose ``forward`` returns per-attribute probabilities, such as
+    ``MultiHeadNetwork``; ``na_models`` holds one noise model per
+    attribute. Labels are (N,) for one attribute or (N, K) for K.
     Mini-batch order comes from a dedicated shuffle stream seeded by the
     run seed, so two trainers built with the same seed walk the data in
     the same order regardless of which loss path they use.
     """
 
-    def __init__(self, net: Network, settings: TrainSettings,
-                 na_model: NAModel | None = None, seed=0):
-        self.net = net
-        self.na_model = na_model
+    def __init__(self, net, settings: TrainSettings, na_models=(), seed=0):
+        self.net = OneHead(net) if isinstance(net, Network) else net
+        self.na_models: list[NAModel] = list(na_models)
         self.settings = settings
-        self.net_opt = SGD(net.parameters(), settings.lr, settings.momentum,
+        self.net_opt = SGD(self.net.parameters(), settings.lr, settings.momentum,
                            settings.weight_decay)
         self.unit_opt = SGD([], settings.lr, settings.momentum, 0.0)
-        if na_model is not None:
-            for p in na_model.learnable_params():
+        for model in self.na_models:
+            for p in model.learnable_params():
                 self.unit_opt.add_param(p)
         self._shuffle_rng = np.random.default_rng(entropy_tuple(seed, STREAM_SHUFFLE))
         self._jitter_rng = np.random.default_rng(entropy_tuple(seed, STREAM_JITTER))
 
-    def add_unit(self, schedule: UnitSchedule):
-        unit = self.na_model.add_unit(
-            decay=schedule.decay_for(self.na_model.active_count + 1),
-            jitter=schedule.init_jitter, rng=self._jitter_rng)
+    def add_unit(self, schedule: UnitSchedule, attr_index: int = 0):
+        model = self.na_models[attr_index]
+        unit = model.add_unit(decay=schedule.decay_for(model.active_count + 1),
+                              jitter=schedule.init_jitter, rng=self._jitter_rng)
         self.unit_opt.add_param(unit.q)
         return unit
 
+    def _check_units(self):
+        if not self.na_models:
+            raise ConfigError("trainer has no attention model")
+
     # -- one optimization step -------------------------------------------
 
-    def _finish_step(self, probs, gprobs, use_units: bool):
-        self.net.backward(softmax_backward(probs, gprobs))
+    def _step(self, head, bx, targets, use_units: bool) -> float:
+        """``head(probs, targets[k], model)`` gives attribute k's loss and
+        its gradient wrt the probabilities."""
+        losses, dlogits = [], []
+        for k, probs in enumerate(self.net.forward(bx)):
+            loss, gprobs = head(probs, targets[k], self.na_models[k] if use_units else None)
+            losses.append(loss)
+            dlogits.append(softmax_backward(probs, gprobs))
+        total = _loss_total(losses)
+        if not np.isfinite(total):
+            raise DivergenceError(f"non-finite loss {total!r}")
+        self.net.backward(dlogits)
         self.net_opt.step()
         if use_units:
             self.unit_opt.step()
-            self.na_model.project()
-
-    def _step_plain(self, bx, by) -> float:
-        probs = softmax(self.net.forward(bx))
-        loss = nll_loss(probs, by)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite plain loss {loss!r}")
-        self._finish_step(probs, nll_loss_grad(probs, by), use_units=False)
-        return loss
-
-    def _step_na(self, bx, by) -> float:
-        probs = softmax(self.net.forward(bx))
-        sel, out, picked, loss = na_loss_terms(probs, by, self.na_model)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite attention loss {loss!r}")
-        gprobs = na_backward(probs, by, self.na_model, terms=(sel, out, picked))
-        self._finish_step(probs, gprobs, use_units=True)
-        return loss
-
-    def _step_soft(self, bx, bsup) -> float:
-        probs = softmax(self.net.forward(bx))
-        sel, out = soft_attention_outputs(probs, bsup, self.na_model)
-        loss = soft_nll_loss(out, bsup)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite soft loss {loss!r}")
-        gprobs = routed_backward(probs, sel, soft_out_grad(out, bsup), self.na_model)
-        self._finish_step(probs, gprobs, use_units=True)
-        return loss
+            for model in self.na_models:
+                model.project()
+        return total
 
     # -- epochs ------------------------------------------------------------
 
@@ -130,39 +170,39 @@ class Trainer:
         for start in range(0, n, bs):
             yield order[start:start + bs]
 
-    def train_epoch(self, features, labels, use_na: bool = False) -> float:
+    def _epoch(self, head, features, targets, use_units: bool) -> float:
         """One shuffled pass; returns the sample-weighted mean batch loss."""
-        if use_na and self.na_model is None:
-            raise ConfigError("trainer has no attention model")
         n = features.shape[0]
         total = 0.0
         for idx in self._batches(n):
-            if use_na:
-                loss = self._step_na(features[idx], labels[idx])
-            else:
-                loss = self._step_plain(features[idx], labels[idx])
-            total += loss * idx.size
+            batch_targets = [t[idx] for t in targets]
+            total += self._step(head, features[idx], batch_targets, use_units) * idx.size
         return total / n
 
+    def train_epoch(self, features, labels, use_na: bool = False) -> float:
+        """One shuffled pass on the given labels, through the units with ``use_na``."""
+        if use_na:
+            self._check_units()
+        return self._epoch(_na_head if use_na else _plain_head, features,
+                           label_columns(labels), use_na)
+
     def train_epoch_soft(self, features, supervisions) -> float:
-        """One shuffled pass against per-sample soft supervisions.
+        """One shuffled pass against per-sample soft supervisions, one
+        (N, C_k) array per attribute.
 
         Takes no labels: all supervision signal must already be baked into
         the supervision rows.
         """
-        if self.na_model is None:
-            raise ConfigError("trainer has no attention model")
-        n = features.shape[0]
-        total = 0.0
-        for idx in self._batches(n):
-            loss = self._step_soft(features[idx], supervisions[idx])
-            total += loss * idx.size
-        return total / n
+        self._check_units()
+        return self._epoch(_soft_head, features, supervisions, True)
 
     # -- evaluation-only helpers -------------------------------------------
 
-    def val_loss(self, features, labels, use_na: bool = False) -> float:
-        probs = softmax(self.net.forward(features))
+    def val_loss(self, features, labels, use_na: bool = False) -> list[float]:
+        """Per-attribute losses: plain NLL, or the routed NLL with ``use_na``."""
+        probs_list = self.net.forward(features)
+        columns = label_columns(labels)
         if use_na:
-            return na_loss(probs, labels, self.na_model)
-        return nll_loss(probs, labels)
+            return [na_loss(probs, y, model)
+                    for probs, y, model in zip(probs_list, columns, self.na_models)]
+        return [nll_loss(probs, y) for probs, y in zip(probs_list, columns)]

@@ -8,12 +8,12 @@ import pytest
 from noiseattn import (ConfigError, Dense, Decision, NAModel, Network, NoiseUnit, ReLU,
                        Trainer, TrainSettings, UnitSchedule, attention_outputs,
                        decay_penalty, generate_synthetic, grad_check, infer,
-                       inject_noise, na_backward, na_forward, na_loss, nll_loss,
-                       nll_loss_grad, project_column_stochastic, schedule_step,
-                       select_unit, softmax)
+                       inject_noise, na_backward, na_loss, nll_loss,
+                       nll_loss_grad, project_column_stochastic, schedule_step, softmax)
 from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms
 from noiseattn.nn import EPS
+from oracles import na_forward, select_unit
 
 
 def two_unit_model():
@@ -286,7 +286,7 @@ class TestTrainingInvariants:
         noisy, _ = inject_noise(train, NoiseSpec(rho=0.3, seed=seed + 1))
         net = Network([Dense(2, 12), ReLU(), Dense(12, 3)], (2,), seed=seed)
         model = NAModel(3)
-        trainer = Trainer(net, TrainSettings(lr=0.05, batch_size=32), model, seed=seed)
+        trainer = Trainer(net, TrainSettings(lr=0.05, batch_size=32), [model], seed=seed)
         schedule = UnitSchedule(pretrain_epochs=1, patience=1, improvement_threshold=1e-3,
                                 max_units=3, init_jitter=1e-3)
         trainer.add_unit(schedule)
@@ -322,8 +322,8 @@ class TestReduction:
         settings = TrainSettings(lr=0.05, momentum=0.9, batch_size=32)
         net_plain = Network([Dense(2, 10), ReLU(), Dense(10, 3)], (2,), seed=(33, 1))
         net_na = Network([Dense(2, 10), ReLU(), Dense(10, 3)], (2,), seed=(33, 1))
-        plain = Trainer(net_plain, settings, None, seed=34)
-        na = Trainer(net_na, settings, NAModel(3), seed=34)
+        plain = Trainer(net_plain, settings, seed=34)
+        na = Trainer(net_na, settings, [NAModel(3)], seed=34)
         plain_losses = [plain.train_epoch(noisy.features, noisy.given_labels, use_na=False)
                         for _ in range(5)]
         na_losses = [na.train_epoch(noisy.features, noisy.given_labels, use_na=True)

@@ -194,6 +194,41 @@ class TestSnapshots:
         with pytest.raises(FormatError, match=f"metadata {key} = "):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("attributes, units, decays", [
+        (["a:2", "b:3"], "2", "0.0,0.001"),
+        (["a:2", "b:3"], "1;1;1", "0.0;0.0;0.0"),
+        (None, "1;1", "0.0;0.0"),
+    ], ids=["multi-one-group", "multi-three-groups", "single-two-groups"])
+    def test_one_unit_and_decay_group_per_attribute(self, tmp_path, attributes, units, decays):
+        if attributes is None:
+            path = write_single_snapshot(tmp_path)
+        else:
+            attrs = AttributeSpec([2, 3], ["a", "b"])
+            specs = [Dense(2, 4), ReLU()]
+            path = tmp_path / "m.nam"
+            save_snapshot(path, MultiHeadNetwork(Network(specs, (2,), seed=0), attrs, seed=0),
+                          [NAModel(2), NAModel(3)], input_shape=(2,), arch_specs=specs,
+                          attributes=attrs)
+        self.rewrite_meta_line(path, "units", replacement=f"units = {units}")
+        self.rewrite_meta_line(path, "decays", replacement=f"decays = {decays}")
+        with pytest.raises(FormatError, match="decay groups"):
+            load_snapshot(path)
+        assert cli_main(["export-q", "--snapshot", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_classes_must_match_the_network_output(self, tmp_path):
+        # 4 units of 3x3 hold as many values as 1 unit of 6x6: the count check passes
+        model = NAModel(3)
+        for _ in range(3):
+            model.add_unit()
+        path = tmp_path / "m.nam"
+        save_snapshot(path, Network([Dense(2, 3)], (2,), seed=0), [model], input_shape=(2,),
+                      arch_specs=[Dense(2, 3)])
+        self.rewrite_meta_line(path, "classes", replacement="classes = 6")
+        self.rewrite_meta_line(path, "units", replacement="units = 1")
+        self.rewrite_meta_line(path, "decays", replacement="decays = 0.0")
+        with pytest.raises(FormatError, match="outputs 3 classes"):
+            load_snapshot(path)
+
     def test_missing_metadata_key_exits_2(self, tmp_path, capsys):
         path = write_single_snapshot(tmp_path)
         self.rewrite_meta_line(path, "decays")
@@ -321,6 +356,44 @@ class TestCLI:
     def test_missing_file_errors(self, tmp_path):
         assert cli_main(["eval", "--snapshot", str(tmp_path / "none.nam"),
                          "--data", str(tmp_path / "none.nld")]) in (1, 2)
+
+
+class TestResume:
+    ENTRIES = {
+        "seed": "3",
+        "data.source": "synthetic",
+        "data.synthetic.kind": "blobs",
+        "data.synthetic.classes": "4",
+        "data.synthetic.dim": "4",
+        "data.synthetic.n_train": "80",
+        "data.synthetic.n_test": "40",
+        "arch.input_shape": "4",
+        "arch.layers": "flatten,dense:4:16,relu,dense:16:4",
+        "recursion.iterations": "1",
+        "recursion.epochs": "1",
+    }
+
+    @pytest.mark.parametrize("key, value, named", [
+        (None, None, None),
+        ("data.synthetic.classes", "3", "classes"),
+        ("arch.layers", "flatten,dense:4:8,relu,dense:8:4", "arch"),
+        ("arch.input_shape", "2x2x1", "input_shape"),
+        ("attributes", "a:2,b:2", "attributes"),
+    ], ids=["matching", "classes", "arch", "input_shape", "attributes"])
+    def test_snapshot_must_match_the_config(self, tmp_path, capsys, key, value, named):
+        specs = parse_arch(self.ENTRIES["arch.layers"])
+        snapshot = tmp_path / "stage0.nam"
+        save_snapshot(snapshot, Network(specs, (4,), seed=0), [NAModel(4)], input_shape=(4,),
+                      arch_specs=specs)
+        entries = {**self.ENTRIES, "out": str(tmp_path / "resumed")}
+        if key is not None:
+            entries[key] = value
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        code = cli_main(["recurse", "--config", str(cfg_path), "--snapshot", str(snapshot)])
+        assert code == (0 if named is None else 2)
+        assert (named or "") in capsys.readouterr().err
+        assert (tmp_path / "resumed" / "snapshot_final.nam").exists() == (named is None)
 
 
 class TestMetricsLog:

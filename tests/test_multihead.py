@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, MultiHeadNetwork,
-                       MultiTrainer, NAModel, Network, ReLU, TrainSettings, all_metric,
+                       NAModel, Network, ReLU, Trainer, TrainSettings, all_metric,
                        evaluate_all_metric, generate_synthetic_multi, grad_check,
-                       multi_attribute_loss, multi_forward, na_loss, nll_loss,
-                       softmax, softmax_backward, nll_loss_grad)
+                       na_loss, nll_loss, softmax, softmax_backward, nll_loss_grad)
 from noiseattn import NoiseSpec, inject_noise_multi
-from noiseattn.recursion import run_recursion_multi, StoppingRule
+from noiseattn.recursion import run_recursion, StoppingRule
+from noiseattn.training import _loss_total
+from oracles import multi_attribute_loss, multi_forward
 
 
 def small_mh(seed=0, class_counts=(3, 4)):
@@ -85,6 +86,12 @@ class TestLoss:
             [probs1, probs2], labels, [NAModel(2), NAModel(2)])
         np.testing.assert_allclose(per_attr, [-math.log(0.5), -math.log(0.8)], rtol=1e-12)
         np.testing.assert_allclose(total, -math.log(0.5) - math.log(0.8), rtol=1e-12)
+
+    def test_trainer_total_passes_one_attribute_through(self):
+        # 0.0 + -0.0 is +0.0: a one-attribute total must not be summed from zero
+        assert math.copysign(1.0, _loss_total([-0.0])) == -1.0
+        assert math.copysign(1.0, _loss_total([-0.0, -0.0])) == 1.0
+        assert _loss_total([0.25, 0.5, 0.125]) == 0.875
 
     def test_label_shape_mismatch(self):
         with pytest.raises(ConfigError):
@@ -160,7 +167,7 @@ class TestTraining:
         trunk = Network([Dense(4, 24), ReLU()], (4,), seed=(21, 1))
         mh = MultiHeadNetwork(trunk, AttributeSpec([3, 4]), seed=21)
         # blob features are O(10); a gentler rate avoids softmax saturation
-        trainer = MultiTrainer(mh, TrainSettings(lr=0.02, batch_size=32), seed=22)
+        trainer = Trainer(mh, TrainSettings(lr=0.02, batch_size=32), seed=22)
         for _ in range(60):
             trainer.train_epoch(train.features, train.given_labels, use_na=False)
         per_attr, joint = evaluate_all_metric(mh, test.features, test.true_labels)
@@ -175,11 +182,12 @@ class TestTraining:
         assert all(len(f) == 60 for f in flips)
         trunk = Network([Dense(4, 12), ReLU()], (4,), seed=(25, 1))
         mh = MultiHeadNetwork(trunk, AttributeSpec([3, 3]), seed=25)
-        trainer = MultiTrainer(mh, TrainSettings(lr=0.05, batch_size=32), seed=26)
+        trainer = Trainer(mh, TrainSettings(lr=0.05, batch_size=32),
+                          [NAModel(3), NAModel(3)], seed=26)
         for _ in range(8):
             trainer.train_epoch(noisy.features, noisy.given_labels, use_na=True)
         metrics = iter([0.5, 0.4, 0.3])
-        records = run_recursion_multi(
+        records = run_recursion(
             trainer, noisy.features, noisy.given_labels, alpha_base=0.8,
             epochs_per_iteration=2, stopping=StoppingRule(0.01, 2),
             val_metric=lambda: next(metrics))

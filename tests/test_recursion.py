@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from noiseattn import (ConfigError, DataError, Dense, NAModel, Network, ReLU,
+from noiseattn import (ConfigError, DataError, Dense, NAModel, Network, OneHead, ReLU,
                        StoppingRule, Trainer, TrainSettings, alpha_schedule,
-                       attention_outputs, combine_supervision, combine_supervisions,
+                       attention_outputs, combine_supervisions,
                        generate_synthetic, grad_check, inject_noise, na_loss,
                        run_recursion, snapshot_probs, soft_nll_loss, softmax)
 from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms, project_column_stochastic, routed_backward
 from noiseattn.recursion import soft_attention_outputs, soft_out_grad
+from oracles import combine_supervision
 
 
 class TestAlphaSchedule:
@@ -119,27 +120,27 @@ class TestSnapshot:
 
     def test_snapshot_is_deterministic(self):
         net, model, x, y = self._setup()
-        np.testing.assert_array_equal(snapshot_probs(net, model, x, y),
-                                      snapshot_probs(net, model, x, y))
+        np.testing.assert_array_equal(snapshot_probs(OneHead(net), [model], x, y)[0],
+                                      snapshot_probs(OneHead(net), [model], x, y)[0])
 
     def test_single_unit_snapshot_equals_plain_softmax(self):
         net, _, x, y = self._setup(seed=51)
         model = NAModel(3)
-        out = snapshot_probs(net, model, x, y, chunk_size=16)
+        out = snapshot_probs(OneHead(net), [model], x, y, chunk_size=16)[0]
         expected = np.concatenate([softmax(net.forward(x[i:i + 16]))
                                    for i in range(0, 50, 16)])
         np.testing.assert_array_equal(out, expected)
 
     def test_rows_sum_to_one(self):
         net, model, x, y = self._setup(seed=52)
-        out = snapshot_probs(net, model, x, y)
+        out = snapshot_probs(OneHead(net), [model], x, y)[0]
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
     def test_chunked_equals_selection_on_full_batch(self):
         net, model, x, y = self._setup(seed=53)
         probs = softmax(net.forward(x))
         _, expected = attention_outputs(probs, y, model)
-        np.testing.assert_allclose(snapshot_probs(net, model, x, y, chunk_size=7),
+        np.testing.assert_allclose(snapshot_probs(OneHead(net), [model], x, y, chunk_size=7)[0],
                                    expected, rtol=1e-12, atol=1e-15)
 
 
@@ -154,7 +155,7 @@ class TestRunRecursion:
     def _trainer(self, noisy, seed=60):
         net = Network([Dense(2, 12), ReLU(), Dense(12, 3)], (2,), seed=seed)
         model = NAModel(3)
-        trainer = Trainer(net, TrainSettings(lr=0.05, batch_size=32), model, seed=seed)
+        trainer = Trainer(net, TrainSettings(lr=0.05, batch_size=32), [model], seed=seed)
         for _ in range(5):
             trainer.train_epoch(noisy.features, noisy.given_labels, use_na=True)
         return trainer
@@ -162,13 +163,13 @@ class TestRunRecursion:
     def test_zero_iterations_leaves_model_untouched(self):
         noisy, _ = _noisy_blobs(61)
         trainer = self._trainer(noisy)
-        before = trainer.net.param_vector()
+        before = trainer.net.base.param_vector()
         records = run_recursion(trainer, noisy.features, noisy.given_labels,
                                 alpha_base=0.8, epochs_per_iteration=3,
                                 stopping=StoppingRule(0.0, 0),
                                 val_metric=lambda: 1.0)
         assert records == []
-        np.testing.assert_array_equal(trainer.net.param_vector(), before)
+        np.testing.assert_array_equal(trainer.net.base.param_vector(), before)
 
     def test_empty_dataset_rejected(self):
         noisy, _ = _noisy_blobs(62)
@@ -207,9 +208,9 @@ class TestRunRecursion:
         noisy, _ = _noisy_blobs(65)
         t1 = self._trainer(noisy, seed=66)
         t2 = self._trainer(noisy, seed=66)
-        teacher = snapshot_probs(t1.net, t1.na_model, noisy.features, noisy.given_labels)
+        (teacher,) = snapshot_probs(t1.net, t1.na_models, noisy.features, noisy.given_labels)
         sup = combine_supervisions(noisy.given_labels, teacher, 0.8)
         noisy.given_labels[...] = 0  # would corrupt any hidden label access
-        l1 = [t1.train_epoch_soft(noisy.features, sup) for _ in range(3)]
-        l2 = [t2.train_epoch_soft(noisy.features, sup) for _ in range(3)]
+        l1 = [t1.train_epoch_soft(noisy.features, [sup]) for _ in range(3)]
+        l2 = [t2.train_epoch_soft(noisy.features, [sup]) for _ in range(3)]
         assert l1 == l2

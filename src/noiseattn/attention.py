@@ -102,23 +102,31 @@ class NAModel:
 
 @dataclass
 class UnitSchedule:
-    """When to grow the model and how strongly new units are anchored.
+    """The noise-attention stage (the config's ``na.*`` keys): epochs
+    without and with units, when to grow the model, and how strongly new
+    units are anchored.
 
     Unit m (1-based, m >= 2) gets decay decay_base * decay_growth**(m-2),
     so later units are pulled toward the identity more strongly.
     """
 
-    pretrain_epochs: int
-    patience: int
-    improvement_threshold: float
+    pretrain_epochs: int = 10
+    stage_epochs: int = 50
+    max_units: int = 1
+    patience: int = 4
+    improvement_threshold: float = 1e-3
     decay_base: float = 1e-3
     decay_growth: float = 2.0
-    max_units: int = 1
     init_jitter: float = 1e-3
+    val_fraction: float = 0.1
 
     def __post_init__(self):
         if self.pretrain_epochs < 1:
             raise ConfigError("pretrain_epochs must be a positive integer")
+        if self.stage_epochs < 0:
+            raise ConfigError("stage_epochs must be >= 0")
+        if self.max_units < 1:
+            raise ConfigError("max_units must be >= 1")
         if self.patience < 1:
             raise ConfigError("patience must be a positive integer")
         if self.improvement_threshold <= 0:
@@ -127,10 +135,10 @@ class UnitSchedule:
             raise ConfigError("decay_base must be non-negative")
         if self.decay_growth < 1:
             raise ConfigError("decay_growth must be >= 1")
-        if self.max_units < 1:
-            raise ConfigError("max_units must be >= 1")
         if self.init_jitter < 0:
             raise ConfigError("init_jitter must be non-negative")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError("val_fraction must lie in [0, 1)")
 
     def decay_for(self, unit_index: int) -> float:
         if unit_index < 2:
@@ -200,13 +208,13 @@ def na_loss(probs, labels, model: NAModel) -> float:
     return na_loss_terms(probs, labels, model)[3]
 
 
-def routed_backward(probs, sel, out_grad, model: NAModel, apply_decay: bool = True):
+def routed_backward(probs, sel, out_grad, model: NAModel):
     """Backpropagate a routed-output gradient through the selected units.
 
     Returns the gradient wrt the base probabilities. Learnable units
     accumulate their gradient contributions; frozen units receive none.
-    With ``apply_decay``, each learnable unit also gets the
-    identity-anchored term decay * (Q - I).
+    Each learnable unit also gets the identity-anchored term
+    decay * (Q - I).
     """
     gp = np.empty_like(probs)
     for m, unit in enumerate(model.units):
@@ -216,10 +224,9 @@ def routed_backward(probs, sel, out_grad, model: NAModel, apply_decay: bool = Tr
             gp[mask] = sub @ unit.q.data
             if not unit.frozen:
                 unit.q.grad += sub.T @ probs[mask]
-    if apply_decay:
-        for unit in model.units:
-            if not unit.frozen and unit.decay:
-                unit.q.grad += unit.decay * (unit.q.data - np.eye(unit.n_classes))
+    for unit in model.units:
+        if not unit.frozen and unit.decay:
+            unit.q.grad += unit.decay * (unit.q.data - np.eye(unit.n_classes))
     return gp
 
 
@@ -234,20 +241,6 @@ def na_backward(probs, labels, model: NAModel, terms=None):
     out_grad = np.zeros_like(out)
     out_grad[np.arange(b), labels] = log_grad_coef(picked, b)
     return routed_backward(probs, sel, out_grad, model)
-
-
-def decay_penalty(model: NAModel) -> float:
-    """Sum of 0.5 * decay * ||Q - I||_F^2 over learnable units.
-
-    This is the potential whose gradient routed_backward adds; it is kept
-    out of the reported NLL and only shapes updates.
-    """
-    total = 0.0
-    for unit in model.units:
-        if not unit.frozen and unit.decay:
-            diff = unit.q.data - np.eye(unit.n_classes)
-            total += 0.5 * unit.decay * float(np.sum(diff * diff))
-    return total
 
 
 def infer(net: Network, x):

@@ -13,33 +13,25 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import build_config, parse_config_text
+from .config import load_config
 from .data import load_dataset, save_dataset
 from .errors import ConfigError, DataError, FormatError, NoiseAttnError, StageError
-from .harness import (_export_models, _inject, _write_flips, evaluate, load_snapshot,
-                      resolve_data, resume_recursion, run_experiment)
+from .harness import (_export_models, _inject, _make_out_dir, _write_flips, evaluate,
+                      load_snapshot, resolve_data, resume_recursion, run_experiment)
 from .multihead import evaluate_all_metric
 
 
 def _load_config(args):
     if not args.config:
         raise ConfigError("this command needs --config")
-    try:
-        text = Path(args.config).read_text()
-    except FileNotFoundError as exc:
-        raise ConfigError(f"no such config file: {args.config}") from exc
-    entries = parse_config_text(text)
-    if args.seed is not None:
-        entries["seed"] = str(args.seed)
-    if args.out is not None:
-        entries["out"] = args.out
-    return build_config(entries)
+    overrides = {key: str(value) for key, value in (("seed", args.seed), ("out", args.out))
+                 if value is not None}
+    return load_config(args.config, overrides)
 
 
 def _cmd_synth(args) -> int:
     cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(cfg.out_dir)
     # synth writes clean data; inject adds noise
     clean = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, mode="none"))
     train, test, _ = resolve_data(clean, out)
@@ -50,8 +42,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_inject(args) -> int:
     cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(cfg.out_dir)
     source = args.data or cfg.data.train_path
     if not source:
         raise ConfigError("inject needs --data or data.train_path")

@@ -1,21 +1,28 @@
 """Line-based experiment configuration: ``section.key = value`` pairs.
 
 Blank lines and ``#`` comments are ignored; keys are dotted, values are
-scalars or comma-separated lists. Unknown or duplicate keys are errors so
-typos fail fast. The full key reference lives in the README.
+scalars or comma-separated lists. Unknown or duplicate keys and NaN values
+are errors, so typos fail fast. The keys of a section are the fields of
+its dataclass, which holds their defaults: ``opt.*`` TrainSettings,
+``na.*`` UnitSchedule, ``recursion.*`` RecursionSchedule and
+``data.synthetic.*`` SyntheticSpec, which also check their ranges, and
+``data.*`` DataConfig and ``noise.*`` NoiseConfig. build_config reads the
+rest (``seed``, ``out``, ``attributes`` and ``arch.*``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .attention import UnitSchedule
 from .errors import ConfigError
 from .multihead import AttributeSpec
 from .nn import Conv2D, Dense, Flatten, LayerSpec, MaxPool2x2, ReLU
 from .data import SyntheticSpec
+from .recursion import RecursionSchedule
 from .training import TrainSettings
 
 
@@ -125,27 +132,6 @@ class NoiseConfig:
 
 
 @dataclass
-class NAConfig:
-    pretrain_epochs: int = 10
-    stage_epochs: int = 50
-    max_units: int = 1
-    patience: int = 4
-    improvement_threshold: float = 1e-3
-    decay_base: float = 1e-3
-    decay_growth: float = 2.0
-    init_jitter: float = 1e-3
-    val_fraction: float = 0.1
-
-
-@dataclass
-class RecursionConfig:
-    iterations: int = 0
-    alpha_base: float = 0.8
-    epochs: int | None = None  # defaults to na.stage_epochs
-    min_improvement: float = 0.002  # 0.2 error points on the validation metric
-
-
-@dataclass
 class ExperimentConfig:
     seed: int = 0
     out_dir: str = "runs/experiment"
@@ -154,8 +140,8 @@ class ExperimentConfig:
     arch_input_shape: tuple[int, ...] | None = None
     arch_specs: list[LayerSpec] | None = None
     opt: TrainSettings = field(default_factory=TrainSettings)
-    na: NAConfig = field(default_factory=NAConfig)
-    recursion: RecursionConfig = field(default_factory=RecursionConfig)
+    na: UnitSchedule = field(default_factory=UnitSchedule)
+    recursion: RecursionSchedule = field(default_factory=RecursionSchedule)
     attributes: AttributeSpec | None = None
     echo: dict[str, str] = field(default_factory=dict)
 
@@ -187,18 +173,24 @@ class _Entries:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+        if np.isnan(value):
+            raise ConfigError(f"{key}: NaN is not a valid value")
+        return value
 
     def get_floats(self, key, default=None):
         raw = self.get(key)
         if raw is None:
             return default
         try:
-            return tuple(float(p) for p in raw.split(",") if p.strip())
+            values = tuple(float(p) for p in raw.split(",") if p.strip())
         except ValueError as exc:
             raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from exc
+        if np.isnan(values).any():
+            raise ConfigError(f"{key}: NaN is not a valid value")
+        return values
 
     def reject_unknown(self):
         unknown = sorted(set(self.entries) - self.used)
@@ -220,6 +212,22 @@ def _parse_attributes(raw: str) -> AttributeSpec:
             raise ConfigError(f"attribute token {token!r}: {exc}") from exc
         names.append(name.strip())
     return AttributeSpec(counts, names)
+
+
+def _section(e: _Entries, prefix: str, cls):
+    """Build the dataclass of one config section from its ``prefix.<field>``
+    keys, each read as its default's type (a float or else an integer);
+    a range error names the full key."""
+    defaults = cls()
+    values = {}
+    for f in fields(cls):
+        default = getattr(defaults, f.name)
+        get = e.get_float if isinstance(default, float) else e.get_int
+        values[f.name] = get(f"{prefix}.{f.name}", default)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}.{exc}") from exc
 
 
 def build_config(entries: dict[str, str]) -> ExperimentConfig:
@@ -277,51 +285,24 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
     if layers_raw is not None:
         cfg.arch_specs = parse_arch(layers_raw)
 
-    # optimizer
-    cfg.opt = TrainSettings(
-        lr=e.get_float("opt.lr", cfg.opt.lr),
-        momentum=e.get_float("opt.momentum", cfg.opt.momentum),
-        weight_decay=e.get_float("opt.weight_decay", cfg.opt.weight_decay),
-        batch_size=e.get_int("opt.batch_size", cfg.opt.batch_size),
-    )
-
-    # attention schedule
-    na = cfg.na
-    na.pretrain_epochs = e.get_int("na.pretrain_epochs", na.pretrain_epochs)
-    na.stage_epochs = e.get_int("na.stage_epochs", na.stage_epochs)
-    na.max_units = e.get_int("na.max_units", na.max_units)
-    na.patience = e.get_int("na.patience", na.patience)
-    na.improvement_threshold = e.get_float("na.improvement_threshold", na.improvement_threshold)
-    na.decay_base = e.get_float("na.decay_base", na.decay_base)
-    na.decay_growth = e.get_float("na.decay_growth", na.decay_growth)
-    na.init_jitter = e.get_float("na.init_jitter", na.init_jitter)
-    na.val_fraction = e.get_float("na.val_fraction", na.val_fraction)
-    if na.stage_epochs < 0:
-        raise ConfigError("na.stage_epochs must be >= 0")
-    if not 0.0 <= na.val_fraction < 1.0:
-        raise ConfigError("na.val_fraction must lie in [0, 1)")
-
-    # recursion
-    r = cfg.recursion
-    r.iterations = e.get_int("recursion.iterations", r.iterations)
-    if r.iterations < 0:
-        raise ConfigError("recursion.iterations must be >= 0")
-    r.alpha_base = e.get_float("recursion.alpha_base", r.alpha_base)
-    if not 0.0 < r.alpha_base <= 1.0:
-        raise ConfigError("recursion.alpha_base must lie in (0, 1]")
-    r.epochs = e.get_int("recursion.epochs", r.epochs)
-    r.min_improvement = e.get_float("recursion.min_improvement", r.min_improvement)
+    cfg.opt = _section(e, "opt", TrainSettings)
+    cfg.na = _section(e, "na", UnitSchedule)
+    cfg.recursion = _section(e, "recursion", RecursionSchedule)
+    if cfg.recursion.iterations and cfg.recursion.epochs is None and not cfg.na.stage_epochs:
+        raise ConfigError("recursion.epochs is needed when na.stage_epochs = 0")
 
     e.reject_unknown()
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides=None) -> ExperimentConfig:
+    """Read and build a config file; ``overrides`` entries (such as ``seed``
+    or ``out``) replace or add to the file's."""
     try:
         text = Path(path).read_text()
     except FileNotFoundError as exc:
         raise ConfigError(f"no such config file: {path}") from exc
-    return build_config(parse_config_text(text))
+    return build_config({**parse_config_text(text), **(overrides or {})})
 
 
 def validate_paths(cfg: ExperimentConfig):

@@ -112,17 +112,6 @@ class NoiseSpec:
                 raise ConfigError("per-class rates must lie in [0, 1)")
 
 
-def uniform_flip_matrix(c: int, rho: float) -> np.ndarray:
-    """Column-stochastic matrix: diagonal 1 - rho, off-diagonal rho/(c-1)."""
-    if c < 2:
-        raise ConfigError(f"need at least 2 classes, got {c}")
-    if not 0.0 <= rho < 1.0:
-        raise ConfigError(f"rho must lie in [0, 1), got {rho}")
-    m = np.full((c, c), rho / (c - 1))
-    np.fill_diagonal(m, 1.0 - rho)
-    return m
-
-
 def noisy_labels(true_labels, c: int, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """Corrupt one label column; returns (given labels, sorted flip indices)."""
     true = np.ascontiguousarray(true_labels, dtype=np.int64)

@@ -16,21 +16,21 @@ import csv
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .attention import Decision, NAModel, UnitSchedule, infer, schedule_step
+from .attention import Decision, NAModel, infer, schedule_step
 from .config import (ExperimentConfig, _parse_attributes, load_noise_matrix, parse_arch,
                      parse_input_shape, serialize_arch, serialize_input_shape, validate_paths)
 from .data import (NoiseSpec, generate_synthetic, generate_synthetic_multi, inject_noise,
                    inject_noise_multi, load_dataset, save_dataset)
 from .errors import ConfigError, DataError, FormatError, NoiseAttnError, StageError
 from .multihead import MultiHeadNetwork, evaluate_all_metric
-from .nn import Network
-from .recursion import StoppingRule, run_recursion
+from .nn import Network, label_columns
+from .recursion import run_recursion
 from .training import Trainer, _loss_total, split_train_val
 
 SNAPSHOT_MAGIC = b"NAM1"
@@ -64,10 +64,10 @@ class MetricsLog:
 # Evaluation
 
 
-def predict_probs(net: Network, features, chunk_size: int = 4096):
-    """Base-network probabilities over a whole set, evaluated in chunks."""
-    return np.concatenate([infer(net, features[start:start + chunk_size])
-                           for start in range(0, features.shape[0], chunk_size)])
+def predict_probs(net: Network, features):
+    """Base-network probabilities over a whole set, in 4096-row chunks."""
+    return np.concatenate([infer(net, features[start:start + 4096])
+                           for start in range(0, features.shape[0], 4096)])
 
 
 def evaluate(net: Network, features, true_labels) -> float:
@@ -90,10 +90,19 @@ def _write_pgm(path, q):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _make_out_dir(path) -> Path:
+    """Create an output directory; a file in its place is a ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output path {out} is not a directory") from exc
+    return out
+
+
 def export_q(model: NAModel, out_dir, prefix: str = "q_"):
     """Write one full-precision CSV and one PGM heatmap per unit."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out_dir)
     paths = []
     for m, q in enumerate(model.unit_matrices(), start=1):
         csv_path = out_dir / f"{prefix}unit{m:02d}.csv"
@@ -361,19 +370,11 @@ class RunReport:
         return json.dumps(self.__dict__, indent=2)
 
 
-def _unit_schedule(cfg: ExperimentConfig) -> UnitSchedule:
-    na = cfg.na
-    return UnitSchedule(pretrain_epochs=na.pretrain_epochs, patience=na.patience,
-                        improvement_threshold=na.improvement_threshold,
-                        decay_base=na.decay_base, decay_growth=na.decay_growth,
-                        max_units=na.max_units, init_jitter=na.init_jitter)
-
-
 def _drive(cfg: ExperimentConfig, out: Path, stage, body) -> RunReport:
     """Run ``body(metrics, report)``, flushing metrics.csv even when it
     fails; a failure is raised as a StageError naming ``stage[0]``."""
     started = time.perf_counter()
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     metrics = MetricsLog()
     report = RunReport(config_echo=dict(cfg.echo), seed=cfg.seed,
                        version=__version__, out_dir=str(out))
@@ -409,14 +410,27 @@ def _check_arch(cfg: ExperimentConfig):
         raise ConfigError("arch.layers and arch.input_shape are required for training")
 
 
-def _split(cfg, train_ds, net):
-    """Check the dataset against the config and the network; returns the
-    fit and validation parts as (xt, yt, xv, yv, validation true labels or None)."""
-    k = 0 if cfg.attributes is None else cfg.attributes.k
-    if train_ds.k != k:
-        raise ConfigError(f"dataset has {train_ds.k} attribute columns, config declares {k}")
+def _split(cfg, net, train_ds, test_ds):
+    """Check both datasets against the config and the network, each label
+    column against its own attribute's class count; returns the fit and
+    validation parts as (xt, yt, xv, yv, validation true labels or None)."""
+    attrs = cfg.attributes
+    k = 0 if attrs is None else attrs.k
+    for ds in (train_ds, test_ds):
+        if ds.k != k:
+            raise ConfigError(f"dataset has {ds.k} attribute columns, config declares {k}")
     if k == 0 and net.out_dim != train_ds.c:
         raise ConfigError(f"network outputs {net.out_dim} classes, dataset has {train_ds.c}")
+    names, counts = ([""], [train_ds.c]) if attrs is None else (attrs.names, attrs.class_counts)
+    for part, ds in (("train", train_ds), ("test", test_ds)):
+        for kind, labels in (("given", ds.given_labels), ("true", ds.true_labels)):
+            if labels is None:
+                continue
+            for name, c, column in zip(names, counts, label_columns(labels)):
+                if column.max(initial=0) >= c:
+                    of = f" of attribute {name}" if name else ""
+                    raise DataError(f"{part} {kind} labels{of} must lie in [0, {c}), "
+                                    f"got {column.max()}")
     train_idx, val_idx = split_train_val(train_ds.n, cfg.na.val_fraction, cfg.seed)
     val_true = None if train_ds.true_labels is None else train_ds.true_labels[val_idx]
     return (train_ds.features[train_idx], train_ds.given_labels[train_idx],
@@ -446,11 +460,10 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
     net = Network(cfg.arch_specs, cfg.arch_input_shape, seed=(cfg.seed, 1))
     if attrs is not None:
         net = MultiHeadNetwork(net, attrs, seed=cfg.seed)
-    split = _split(cfg, train_ds, net)
+    split = _split(cfg, net, train_ds, test_ds)
     xt, yt, xv, yv, _ = split
     models = [NAModel(c) for c in ([train_ds.c] if attrs is None else attrs.class_counts)]
     suffixes = [""] if attrs is None else [f".{name}" for name in attrs.names]
-    schedule = _unit_schedule(cfg)
     trainer = Trainer(net, cfg.opt, models, seed=cfg.seed)
 
     stage[0] = "pretrain"
@@ -474,9 +487,9 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
             if stopped[k]:
                 continue
             histories[k].append(vl)
-            decision = schedule_step(histories[k], schedule, models[k])
+            decision = schedule_step(histories[k], cfg.na, models[k])
             if decision is Decision.ADD_UNIT:
-                trainer.add_unit(schedule, k)
+                trainer.add_unit(cfg.na, k)
                 histories[k].clear()
                 metrics.add("na", 0, epoch, "model", "active_units" + suffix,
                             models[k].active_count)
@@ -510,8 +523,9 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
 def _recursion(cfg, trainer, net, split, test_ds, metrics):
     attrs = cfg.attributes
     xt, yt, xv, yv, val_true = split
-    stopping = StoppingRule(cfg.recursion.min_improvement, cfg.recursion.iterations)
-    rec_epochs = cfg.recursion.epochs or cfg.na.stage_epochs
+    schedule = cfg.recursion
+    if schedule.epochs is None:  # rounds as long as the NA stage
+        schedule = replace(schedule, epochs=cfg.na.stage_epochs)
 
     if val_true is not None:
         def val_metric():
@@ -532,9 +546,8 @@ def _recursion(cfg, trainer, net, split, test_ds, metrics):
             key = "test_error" if attrs is None else "test_errors"
             record[key] = _test_rows(metrics, net, attrs, test_ds, "recursion", t, last_epoch)
 
-    return run_recursion(trainer, xt, yt, alpha_base=cfg.recursion.alpha_base,
-                         epochs_per_iteration=rec_epochs, stopping=stopping,
-                         val_metric=val_metric, on_iteration=on_iteration)
+    return run_recursion(trainer, xt, yt, schedule, val_metric=val_metric,
+                         on_iteration=on_iteration)
 
 
 def _save_stage(cfg, net, models, test_ds, metrics, out, tag, row):
@@ -567,13 +580,17 @@ def _check_snapshot(cfg: ExperimentConfig, snap):
 def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunReport:
     """Resume from a stage-0 snapshot and run only the recursion rounds.
 
-    Single- and multi-label snapshots take the same path as a full run's
-    recursion and eval stages. The snapshot's arch, input shape and
-    classes (attributes for multi-label) must equal what the config and
-    its data describe, else ``ConfigError``. Data is re-derived from the
+    ``recursion.iterations`` must be at least 1; that is checked before
+    anything is read or written. Single- and multi-label snapshots take
+    the same path as a full run's recursion and eval stages. The
+    snapshot's arch, input shape and classes (attributes for multi-label)
+    must equal what the config and its data describe, else
+    ``ConfigError``. Data is re-derived from the
     config (generation and injection are pure functions of the seeds).
     Optimizer velocities restart at zero.
     """
+    if cfg.recursion.iterations < 1:
+        raise ConfigError("recursion.iterations must be >= 1 to resume")
     out = Path(out_dir or cfg.out_dir)
     stage = ["resume"]
 
@@ -584,11 +601,9 @@ def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunR
         net, models = snap["net"], snap["models"]
         stage[0] = "data"
         train_ds, test_ds, _ = resolve_data(cfg, None)
-        split = _split(cfg, train_ds, net)
+        split = _split(cfg, net, train_ds, test_ds)
 
         stage[0] = "recursion"
-        if cfg.recursion.iterations < 1:
-            raise ConfigError("recursion.iterations must be >= 1 to resume")
         trainer = Trainer(net, cfg.opt, models, seed=cfg.seed)
         report.iterations = _recursion(cfg, trainer, net, split, test_ds, metrics)
         stage[0] = "eval"

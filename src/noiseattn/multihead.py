@@ -89,11 +89,12 @@ def all_metric(predictions, true_labels) -> tuple[list[float], float]:
     return per_attr, float(np.mean(wrong.any(axis=1)))
 
 
-def evaluate_all_metric(net: MultiHeadNetwork, features, true_labels,
-                        chunk_size: int = 4096) -> tuple[list[float], float]:
-    """Per-attribute and joint test error on true labels."""
+def evaluate_all_metric(net: MultiHeadNetwork, features,
+                        true_labels) -> tuple[list[float], float]:
+    """Per-attribute and joint test error on true labels, predicted in
+    4096-row chunks."""
     if true_labels is None:
         raise DataError("evaluation needs true labels")
-    preds = [net.predict(features[start:start + chunk_size])
-             for start in range(0, features.shape[0], chunk_size)]
+    preds = [net.predict(features[start:start + 4096])
+             for start in range(0, features.shape[0], 4096)]
     return all_metric(np.concatenate(preds, axis=0), true_labels)

@@ -456,46 +456,3 @@ class SGD:
                 v += self.weight_decay * p.data
             p.data -= self.lr * v
             p.grad[...] = 0.0
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-
-def grad_check(params, loss_fn, h=1e-6) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    ``loss_fn()`` must return the scalar loss and leave freshly computed
-    gradients in every Parameter (zeroing them first). Relative error is
-    |a - n| / max(|a|, |n|, 1e-12), maximized over all parameter entries.
-    """
-    loss_fn()
-    analytic = np.concatenate([p.grad.ravel().copy() for p in params])
-    numeric = np.empty_like(analytic)
-    pos = 0
-    for p in params:
-        flat = p.data.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            lp = loss_fn()
-            flat[j] = orig - h
-            lm = loss_fn()
-            flat[j] = orig
-            numeric[pos] = (lp - lm) / (2.0 * h)
-            pos += 1
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def grad_check_classifier(net: Network, batch, labels, h=1e-6) -> float:
-    """Gradient check of the softmax + NLL classification loss."""
-
-    def loss_fn():
-        net.zero_grad()
-        probs = softmax(net.forward(batch))
-        loss = nll_loss(probs, labels)
-        net.backward(softmax_backward(probs, nll_loss_grad(probs, labels)))
-        return loss
-
-    return grad_check(net.parameters(), loss_fn, h)

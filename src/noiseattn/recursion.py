@@ -81,20 +81,29 @@ def soft_attention_outputs(probs, supervisions, model: NAModel):
 
 
 @dataclass
-class StoppingRule:
-    """Stop when the per-round validation improvement drops below the bar.
+class RecursionSchedule:
+    """The self-distillation rounds; the config's ``recursion.*`` keys.
 
-    ``min_improvement`` is in the units of the validation metric (an error
-    fraction for clean validation, a loss otherwise). ``max_iterations`` of
-    zero disables recursion entirely.
+    Up to ``iterations`` rounds (zero disables recursion) of ``epochs``
+    epochs each, with given-label weight ``alpha_base ** t`` in round t.
+    Rounds stop early once the per-round validation improvement drops
+    below ``min_improvement``, in the units of the validation metric (an
+    error fraction for clean validation, a loss otherwise). ``epochs`` of
+    None leaves the round length to the caller.
     """
 
-    min_improvement: float = 0.002
-    max_iterations: int = 4
+    iterations: int = 0
+    alpha_base: float = 0.8
+    epochs: int | None = None
+    min_improvement: float = 0.002  # 0.2 error points on the validation metric
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ConfigError("max_iterations must be >= 0")
+        if self.iterations < 0:
+            raise ConfigError("iterations must be >= 0")
+        if not 0.0 < self.alpha_base <= 1.0:
+            raise ConfigError(f"alpha_base must lie in (0, 1], got {self.alpha_base}")
+        if self.epochs is not None and self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def snapshot_probs(net, models, features, given_labels, chunk_size: int = 2048):
@@ -117,10 +126,10 @@ def snapshot_probs(net, models, features, given_labels, chunk_size: int = 2048):
     return [np.concatenate(chunks, axis=0) for chunks in outs]
 
 
-def run_recursion(trainer, features, given_labels, *, alpha_base: float,
-                  epochs_per_iteration: int, stopping: StoppingRule,
+def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, *,
                   val_metric, on_iteration=None):
-    """Drive the outer self-distillation rounds.
+    """Drive the outer self-distillation rounds that ``schedule`` sets out;
+    its ``epochs`` must be set.
 
     ``trainer`` owns the network/units being refined in place; supervisions
     are rebuilt attribute by attribute from ``given_labels`` ((N,) or
@@ -131,18 +140,18 @@ def run_recursion(trainer, features, given_labels, *, alpha_base: float,
     """
     if features.shape[0] == 0:
         raise DataError("empty dataset")
-    if epochs_per_iteration < 1:
-        raise ConfigError("epochs_per_iteration must be >= 1")
+    if schedule.epochs is None:
+        raise ConfigError("recursion rounds need a number of epochs")
     columns = label_columns(given_labels)
     history = [float(val_metric())]
     records = []
-    for t in range(1, stopping.max_iterations + 1):
-        alpha = alpha_schedule(t, alpha_base)
+    for t in range(1, schedule.iterations + 1):
+        alpha = alpha_schedule(t, schedule.alpha_base)
         teachers = snapshot_probs(trainer.net, trainer.na_models, features, given_labels)
         supervisions = [combine_supervisions(y, teacher, alpha)
                         for y, teacher in zip(columns, teachers)]
         losses = [trainer.train_epoch_soft(features, supervisions)
-                  for _ in range(epochs_per_iteration)]
+                  for _ in range(schedule.epochs)]
         metric = float(val_metric())
         improvement = history[-1] - metric
         history.append(metric)
@@ -151,6 +160,6 @@ def run_recursion(trainer, features, given_labels, *, alpha_base: float,
         records.append(record)
         if on_iteration is not None:
             on_iteration(record)
-        if improvement < stopping.min_improvement:
+        if improvement < schedule.min_improvement:
             break
     return records

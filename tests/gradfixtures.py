@@ -10,10 +10,50 @@ tolerance measures gradient correctness rather than oracle noise.
 import numpy as np
 
 from noiseattn import (Conv2D, Dense, Flatten, MaxPool2x2, NAModel, Network, ReLU,
-                       decay_penalty, na_backward, softmax, softmax_backward,
+                       na_backward, softmax, softmax_backward,
                        nll_loss, nll_loss_grad, soft_nll_loss)
 from noiseattn.attention import na_loss_terms, project_column_stochastic, routed_backward
 from noiseattn.recursion import soft_attention_outputs, soft_out_grad
+from oracles import decay_penalty
+
+
+def grad_check(params, loss_fn, h=1e-6) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    ``loss_fn()`` must return the scalar loss and leave freshly computed
+    gradients in every Parameter (zeroing them first). Relative error is
+    |a - n| / max(|a|, |n|, 1e-12), maximized over all parameter entries.
+    """
+    loss_fn()
+    analytic = np.concatenate([p.grad.ravel().copy() for p in params])
+    numeric = np.empty_like(analytic)
+    pos = 0
+    for p in params:
+        flat = p.data.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            lp = loss_fn()
+            flat[j] = orig - h
+            lm = loss_fn()
+            flat[j] = orig
+            numeric[pos] = (lp - lm) / (2.0 * h)
+            pos += 1
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def grad_check_classifier(net: Network, batch, labels, h=1e-6) -> float:
+    """Gradient check of the softmax + NLL classification loss."""
+
+    def loss_fn():
+        net.zero_grad()
+        probs = softmax(net.forward(batch))
+        loss = nll_loss(probs, labels)
+        net.backward(softmax_backward(probs, nll_loss_grad(probs, labels)))
+        return loss
+
+    return grad_check(net.parameters(), loss_fn, h)
 
 _ARCHS = [
     # (specs factory, input shape, class count)

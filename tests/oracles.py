@@ -7,7 +7,7 @@ batch form; the tests check that the two agree.
 
 import numpy as np
 
-from noiseattn import ConfigError, DataError, na_loss
+from noiseattn import ConfigError, DataError, NAModel, na_loss
 
 
 def na_forward(p_base, unit):
@@ -61,3 +61,28 @@ def multi_attribute_loss(probs_list, labels, na_models) -> tuple[float, list[flo
     per_attr = [na_loss(probs_list[k], labels[:, k], na_models[k])
                 for k in range(len(probs_list))]
     return float(sum(per_attr)), per_attr
+
+
+def decay_penalty(model: NAModel) -> float:
+    """Sum of 0.5 * decay * ||Q - I||_F^2 over learnable units.
+
+    This is the potential whose gradient routed_backward adds; it is kept
+    out of the reported NLL and only shapes updates.
+    """
+    total = 0.0
+    for unit in model.units:
+        if not unit.frozen and unit.decay:
+            diff = unit.q.data - np.eye(unit.n_classes)
+            total += 0.5 * unit.decay * float(np.sum(diff * diff))
+    return total
+
+
+def uniform_flip_matrix(c: int, rho: float) -> np.ndarray:
+    """Column-stochastic matrix: diagonal 1 - rho, off-diagonal rho/(c-1)."""
+    if c < 2:
+        raise ConfigError(f"need at least 2 classes, got {c}")
+    if not 0.0 <= rho < 1.0:
+        raise ConfigError(f"rho must lie in [0, 1), got {rho}")
+    m = np.full((c, c), rho / (c - 1))
+    np.fill_diagonal(m, 1.0 - rho)
+    return m

@@ -7,13 +7,14 @@ import pytest
 
 from noiseattn import (ConfigError, Dense, Decision, NAModel, Network, NoiseUnit, ReLU,
                        Trainer, TrainSettings, UnitSchedule, attention_outputs,
-                       decay_penalty, generate_synthetic, grad_check, infer,
+                       generate_synthetic, infer,
                        inject_noise, na_backward, na_loss, nll_loss,
                        nll_loss_grad, project_column_stochastic, schedule_step, softmax)
 from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms
 from noiseattn.nn import EPS
-from oracles import na_forward, select_unit
+from gradfixtures import grad_check
+from oracles import decay_penalty, na_forward, select_unit
 
 
 def two_unit_model():

@@ -1,8 +1,12 @@
 """The config key set and the checks made when a config is built."""
 
+import math
+from dataclasses import fields
+
 import pytest
 
-from noiseattn import build_config, config
+from noiseattn import ConfigError, RecursionSchedule, UnitSchedule, build_config, config
+from noiseattn.cli import main as cli_main
 
 # Every key build_config accepts, each with a valid value.
 KEYS = {
@@ -68,3 +72,96 @@ class TestKeySet:
     def test_every_pinned_key_is_accepted(self):
         cfg = build_config(KEYS)
         assert cfg.echo == KEYS
+
+    def test_na_and_recursion_keys_are_the_section_fields(self):
+        assert {f"na.{f.name}" for f in fields(UnitSchedule)} == {
+            key for key in KEYS if key.startswith("na.")}
+        assert {f"recursion.{f.name}" for f in fields(RecursionSchedule)} == {
+            key for key in KEYS if key.startswith("recursion.")}
+
+
+class TestNaN:
+    @pytest.mark.parametrize("key, value", [("opt.lr", "nan"),
+                                            ("na.improvement_threshold", "NaN"),
+                                            ("recursion.min_improvement", "-nan"),
+                                            ("noise.rho", "0.1,nan")])
+    def test_nan_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: NaN"):
+            build_config({key: value})
+
+    def test_infinity_allowed(self):
+        cfg = build_config({"na.improvement_threshold": "inf",
+                            "recursion.min_improvement": "-inf"})
+        assert cfg.na.improvement_threshold == math.inf
+        assert cfg.recursion.min_improvement == -math.inf
+
+
+class TestRecursionEpochs:
+    def test_absent_key_is_none(self):
+        assert build_config({}).recursion.epochs is None
+
+    def test_absent_key_needs_na_stage_epochs_for_rounds(self):
+        with pytest.raises(ConfigError, match="recursion.epochs"):
+            build_config({"recursion.iterations": "1", "na.stage_epochs": "0"})
+        cfg = build_config({"recursion.iterations": "1", "na.stage_epochs": "0",
+                            "recursion.epochs": "2"})
+        assert cfg.recursion.epochs == 2
+
+
+# a small run that trains, validates and recurses
+RUN = {
+    "seed": "7",
+    "data.source": "synthetic",
+    "data.synthetic.kind": "blobs",
+    "data.synthetic.classes": "3",
+    "data.synthetic.dim": "2",
+    "data.synthetic.n_train": "60",
+    "data.synthetic.n_test": "20",
+    "arch.input_shape": "2",
+    "arch.layers": "dense:2:8,relu,dense:8:3",
+    "na.pretrain_epochs": "1",
+    "na.stage_epochs": "2",
+    "recursion.iterations": "1",
+}
+
+
+def write_config(tmp_path, entries):
+    path = tmp_path / "c.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    return path
+
+
+class TestChecksAtLoad:
+    @pytest.mark.parametrize("key, value", [
+        (None, None),
+        ("na.patience", "0"),
+        ("na.max_units", "0"),
+        ("na.pretrain_epochs", "0"),
+        ("na.decay_growth", "0.5"),
+        ("na.improvement_threshold", "0"),
+        ("recursion.epochs", "0"),
+        ("recursion.epochs", "-1"),
+        ("recursion.alpha_base", "1.5"),
+        ("na.val_fraction", "1.0"),
+        ("opt.lr", "nan"),
+    ])
+    def test_train_exits_2_before_writing_anything(self, tmp_path, capsys, key, value):
+        entries = {**RUN, "out": str(tmp_path / "run")}
+        if key is not None:
+            entries[key] = value
+        code = cli_main(["train", "--config", str(write_config(tmp_path, entries))])
+        err = capsys.readouterr().err
+        if key is None:
+            assert code == 0 and (tmp_path / "run" / "snapshot_final.nam").exists()
+            return
+        assert code == 2
+        assert err.startswith("error [config] ") and key in err
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_needs_a_round_before_reading_anything(self, tmp_path, capsys):
+        entries = {**RUN, "recursion.iterations": "0", "out": str(tmp_path / "run")}
+        code = cli_main(["recurse", "--config", str(write_config(tmp_path, entries)),
+                         "--snapshot", str(tmp_path / "missing.nam")])
+        assert code == 2
+        assert "recursion.iterations must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

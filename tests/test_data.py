@@ -6,8 +6,8 @@ import pytest
 from noiseattn import (ConfigError, DataError, Dataset, FormatError, NoiseSpec,
                        SyntheticSpec, empirical_transition, generate_synthetic,
                        generate_synthetic_multi, import_csv, inject_noise,
-                       inject_noise_multi, load_dataset, save_dataset,
-                       uniform_flip_matrix)
+                       inject_noise_multi, load_dataset, save_dataset)
+from oracles import uniform_flip_matrix
 
 
 class TestFlipMatrix:

@@ -5,11 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, Conv2D, Flatten,
+from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Conv2D, Flatten,
                        FormatError, MaxPool2x2, MultiHeadNetwork, NAModel, Network, ReLU,
                        StageError, build_config, evaluate, export_q, load_config, load_q_csv,
                        load_snapshot, parse_arch, parse_config_text, parse_input_shape,
-                       resolve_data, run_experiment, save_snapshot, serialize_arch)
+                       resolve_data, run_experiment, save_dataset, save_snapshot,
+                       serialize_arch)
 from noiseattn.attention import project_column_stochastic
 from noiseattn.cli import main as cli_main
 from noiseattn.harness import MetricsLog
@@ -356,6 +357,79 @@ class TestCLI:
     def test_missing_file_errors(self, tmp_path):
         assert cli_main(["eval", "--snapshot", str(tmp_path / "none.nam"),
                          "--data", str(tmp_path / "none.nld")]) in (1, 2)
+
+
+    @pytest.mark.parametrize("command", ["train", "recurse", "synth", "inject", "export-q"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(BASE_CFG.format(out=tmp_path / "unused") + "recursion.iterations = 1\n")
+        data = tmp_path / "train.nld"
+        save_dataset(resolve_data(make_cfg(tmp_path), None)[0], data)
+        specs = parse_arch("dense:2:12,relu,dense:12:3")
+        snapshot = tmp_path / "m.nam"
+        save_snapshot(snapshot, Network(specs, (2,), seed=0), [NAModel(3)], input_shape=(2,),
+                      arch_specs=specs)
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        extra = {"recurse": ["--snapshot", str(snapshot)], "inject": ["--data", str(data)],
+                 "export-q": ["--snapshot", str(snapshot)]}.get(command, [])
+        argv = [command, "--config", str(cfg_path), "--out", str(afile), *extra]
+        assert cli_main(argv) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert afile.read_text() == "keep"
+
+
+class TestLabelBounds:
+    """Each label column is checked against its own attribute's class count
+    before any epoch; the dataset itself only bounds labels by the largest."""
+
+    @staticmethod
+    def write_sets(tmp_path, part, kind):
+        rng = np.random.default_rng(0)
+        paths = {}
+        for name, n in (("train", 40), ("test", 20)):
+            true = np.stack([rng.integers(0, 3, n), rng.integers(0, 4, n)], axis=1)
+            given = true.copy()
+            if name == part:
+                (given if kind == "given" else true)[0, 0] = 3  # attribute a has 3 classes
+            paths[name] = tmp_path / f"{name}.nld"
+            save_dataset(Dataset(rng.normal(size=(n, 2)), given, 4, true), paths[name])
+        return paths
+
+    @pytest.mark.parametrize("part, kind", [("train", "given"), ("train", "true"),
+                                            ("test", "given"), ("test", "true")])
+    def test_label_above_its_attribute_exits_2_before_pretraining(self, tmp_path, capsys,
+                                                                   part, kind):
+        paths = self.write_sets(tmp_path, part, kind)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"""
+out = {tmp_path / "run"}
+attributes = a:3,b:4
+data.source = nld
+data.train_path = {paths["train"]}
+data.test_path = {paths["test"]}
+arch.input_shape = 2
+arch.layers = dense:2:8,relu
+na.pretrain_epochs = 1
+na.stage_epochs = 1
+""")
+        assert cli_main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{part} {kind} labels of attribute a must lie in [0, 3), got 3" in err
+        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
+        assert not [row for row in rows if row.startswith("pretrain,")]
+
+    def test_single_label_test_set_is_checked_against_the_network(self, tmp_path):
+        train, test, _ = resolve_data(make_cfg(tmp_path), None)
+        true = test.true_labels.copy()
+        true[0] = 3  # the network has 3 outputs; the test file declares 4 classes
+        save_dataset(train, tmp_path / "train.nld")
+        save_dataset(Dataset(test.features, test.given_labels, 4, true), tmp_path / "test.nld")
+        entries = parse_config_text(BASE_CFG.format(out=tmp_path / "run"))
+        entries.update({"data.source": "nld", "data.train_path": str(tmp_path / "train.nld"),
+                        "data.test_path": str(tmp_path / "test.nld"), "noise.mode": "none"})
+        with pytest.raises(StageError, match=r"test true labels must lie in \[0, 3\)"):
+            run_experiment(build_config(entries))
 
 
 class TestResume:

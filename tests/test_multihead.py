@@ -7,11 +7,11 @@ import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, MultiHeadNetwork,
                        NAModel, Network, ReLU, Trainer, TrainSettings, all_metric,
-                       evaluate_all_metric, generate_synthetic_multi, grad_check,
-                       na_loss, nll_loss, softmax, softmax_backward, nll_loss_grad)
+                       evaluate_all_metric, generate_synthetic_multi, na_loss, nll_loss, softmax, softmax_backward, nll_loss_grad)
 from noiseattn import NoiseSpec, inject_noise_multi
-from noiseattn.recursion import run_recursion, StoppingRule
+from noiseattn.recursion import RecursionSchedule, run_recursion
 from noiseattn.training import _loss_total
+from gradfixtures import grad_check
 from oracles import multi_attribute_loss, multi_forward
 
 
@@ -188,8 +188,8 @@ class TestTraining:
             trainer.train_epoch(noisy.features, noisy.given_labels, use_na=True)
         metrics = iter([0.5, 0.4, 0.3])
         records = run_recursion(
-            trainer, noisy.features, noisy.given_labels, alpha_base=0.8,
-            epochs_per_iteration=2, stopping=StoppingRule(0.01, 2),
+            trainer, noisy.features, noisy.given_labels,
+            RecursionSchedule(iterations=2, alpha_base=0.8, epochs=2, min_improvement=0.01),
             val_metric=lambda: next(metrics))
         assert [r["iteration"] for r in records] == [1, 2]
 

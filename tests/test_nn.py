@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from noiseattn import (ConfigError, DataError, Dense, Conv2D, Flatten, MaxPool2x2,
-                       Network, Parameter, ReLU, SGD, UsageError, grad_check,
-                       grad_check_classifier, nll_loss, nll_loss_grad, softmax,
-                       softmax_backward)
+                       Network, Parameter, ReLU, SGD, UsageError, nll_loss, nll_loss_grad,
+                       softmax, softmax_backward)
 from noiseattn.nn import EPS
+from gradfixtures import grad_check, grad_check_classifier
 
 
 class TestForward:

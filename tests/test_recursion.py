@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from noiseattn import (ConfigError, DataError, Dense, NAModel, Network, OneHead, ReLU,
-                       StoppingRule, Trainer, TrainSettings, alpha_schedule,
+                       RecursionSchedule, Trainer, TrainSettings, alpha_schedule,
                        attention_outputs, combine_supervisions,
-                       generate_synthetic, grad_check, inject_noise, na_loss,
+                       generate_synthetic, inject_noise, na_loss,
                        run_recursion, snapshot_probs, soft_nll_loss, softmax)
 from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms, project_column_stochastic, routed_backward
 from noiseattn.recursion import soft_attention_outputs, soft_out_grad
+from gradfixtures import grad_check
 from oracles import combine_supervision
 
 
@@ -165,8 +166,8 @@ class TestRunRecursion:
         trainer = self._trainer(noisy)
         before = trainer.net.base.param_vector()
         records = run_recursion(trainer, noisy.features, noisy.given_labels,
-                                alpha_base=0.8, epochs_per_iteration=3,
-                                stopping=StoppingRule(0.0, 0),
+                                RecursionSchedule(iterations=0, alpha_base=0.8, epochs=3,
+                                                  min_improvement=0.0),
                                 val_metric=lambda: 1.0)
         assert records == []
         np.testing.assert_array_equal(trainer.net.base.param_vector(), before)
@@ -176,16 +177,15 @@ class TestRunRecursion:
         trainer = self._trainer(noisy)
         with pytest.raises(DataError):
             run_recursion(trainer, noisy.features[:0], noisy.given_labels[:0],
-                          alpha_base=0.8, epochs_per_iteration=1,
-                          stopping=StoppingRule(0.0, 1), val_metric=lambda: 1.0)
+                          RecursionSchedule(iterations=1, alpha_base=0.8, epochs=1,
+                                            min_improvement=0.0), val_metric=lambda: 1.0)
 
     def test_early_stop_on_limited_improvement(self):
         noisy, _ = _noisy_blobs(63)
         trainer = self._trainer(noisy)
         records = run_recursion(trainer, noisy.features, noisy.given_labels,
-                                alpha_base=0.8, epochs_per_iteration=1,
-                                stopping=StoppingRule(min_improvement=10.0,
-                                                      max_iterations=5),
+                                RecursionSchedule(iterations=5, alpha_base=0.8, epochs=1,
+                                                  min_improvement=10.0),
                                 val_metric=lambda: 0.5)
         assert len(records) == 1  # flat metric can never improve by 10
 
@@ -194,9 +194,8 @@ class TestRunRecursion:
         trainer = self._trainer(noisy)
         metric_values = iter([0.5, 0.4, 0.3, 0.2])
         records = run_recursion(trainer, noisy.features, noisy.given_labels,
-                                alpha_base=0.8, epochs_per_iteration=1,
-                                stopping=StoppingRule(min_improvement=0.05,
-                                                      max_iterations=3),
+                                RecursionSchedule(iterations=3, alpha_base=0.8, epochs=1,
+                                                  min_improvement=0.05),
                                 val_metric=lambda: next(metric_values))
         assert [r["iteration"] for r in records] == [1, 2, 3]
         assert records[0]["alpha"] == 0.8

@@ -53,6 +53,16 @@ CASES = {
         "arch.input_shape": "8",
         "arch.layers": "dense:8:16,relu",
     },
+    "single_mlp": {  # dense-only OneHead path, with weight decay on the network
+        "data.synthetic.kind": "blobs",
+        "data.synthetic.classes": "4",
+        "data.synthetic.dim": "6",
+        "data.synthetic.n_train": "240",
+        "data.synthetic.n_test": "120",
+        "arch.input_shape": "6",
+        "arch.layers": "dense:6:16,relu,dense:16:4",
+        "opt.weight_decay": "1e-4",
+    },
 }
 
 GOLDEN = {
@@ -65,6 +75,11 @@ GOLDEN = {
         "metrics.csv": "54eab5c336d3e7b691028f3406234bb69c08d87cf1511dc7ec3d97131da1e512",
         "snapshot_final.nam": "0262f57256fd57b8e3d5d0caedc7b95628e14508d771995bcb1c1853bd0e12c7",
         "snapshot_stage0.nam": "aa821cb9352d7ec7b8bce83c95ccb873c28fd192b325fb51f1e078182dbd0ecd",
+    },
+    "single_mlp": {
+        "metrics.csv": "29d544933bfad45a344d61df41d04d6f82914a308cde50426e518e73bfae4db7",
+        "snapshot_final.nam": "c3bb79084bb65c05b1e50a9d1028b946e9fbb40ddd22b43c8e5658e109d2b78c",
+        "snapshot_stage0.nam": "1a04315f6acf0c65de4a957be11ad96682393e4d86a955e77d7519dce69fb799",
     },
 }
 
@@ -83,6 +98,13 @@ CLI_GOLDEN = {
         "eval stdout": "988a33e9bacd7008a87cf7b52c837881cf3d751f29713dc7d2dd51e9618684a6",
         "export-q stdout": "38a66ad638e6e888f35e0b3edb3a12a3dc2e610f71bd4fdbf516d9615dabcb9c",
         "export-q files": "4087edd289abcd71849df1ed5c712a3daf783a29b60c0b0df73edf7063cca330",
+    },
+    "single_mlp": {
+        "recurse/metrics.csv": "de05d8e11beed47d7a7c9012e2e57f550701c60ae7d95a1b6d2836be3e85a4ae",
+        "recurse/snapshot_final.nam": "3c02390cc591633af58570e295d7766b68a2c2cf15a6bcd21cd15af88a04025e",
+        "eval stdout": "1d11e374fb81b3b77abe156587e696f0b1e8ed598dda7b59e0045818ca994aea",
+        "export-q stdout": "5dfad5f98d3af2396ac90d0644d424228aaec6dc218587bf2d376283bdf3c068",
+        "export-q files": "cbd8409fa583d71c3ead3625ad88be37e74b38d80310f7ad830e3ef0ecfbfb94",
     },
 }
 

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .nn import EPS, Network, Parameter, check_labels, log_grad_coef, softmax
+from .nn import Network, Parameter, _nll_grad, _picked_nll, check_labels, softmax
 
 
 def project_column_stochastic(q):
@@ -65,6 +65,8 @@ class NAModel:
             raise ConfigError(f"need at least 2 classes, got {n_classes}")
         self.n_classes = n_classes
         self.units: list[NoiseUnit] = [NoiseUnit(n_classes, frozen=True)]
+        self._eye = np.eye(n_classes)  # the decay anchor of routed_backward
+        self._eye.flags.writeable = False
 
     @property
     def active_count(self) -> int:
@@ -91,10 +93,22 @@ class NAModel:
         return [u.q for u in self.units if not u.frozen]
 
     def project(self):
-        """Restore column-stochasticity of every learnable unit in place."""
+        """Restore column-stochasticity of every learnable unit in place.
+
+        Clamps and normalizes each Q where it lies; a column that clamps
+        to all zeros, or whose sum is not positive (NaN), goes through
+        ``project_column_stochastic`` instead, which gives the same bits.
+        """
         for unit in self.units:
-            if not unit.frozen:
-                unit.q.data[...] = project_column_stochastic(unit.q.data)
+            if unit.frozen:
+                continue
+            q = unit.q.data
+            np.maximum(q, 0.0, out=q)
+            sums = np.add.reduce(q, axis=0)
+            if np.minimum.reduce(sums) > 0.0:  # False for a NaN sum
+                q /= sums
+            else:
+                q[...] = project_column_stochastic(q)
 
     def unit_matrices(self) -> list[np.ndarray]:
         return [unit.q.data.copy() for unit in self.units]
@@ -177,7 +191,18 @@ def schedule_step(history, schedule: UnitSchedule, model: NAModel) -> Decision:
 
 def unit_outputs(probs, model: NAModel):
     """Stack every unit's routed batch: shape (M, B, C)."""
-    return np.stack([probs @ unit.q.data.T for unit in model.units])
+    stacked = np.empty((len(model.units),) + probs.shape)
+    for m, unit in enumerate(model.units):
+        np.matmul(probs, unit.q.data.T, out=stacked[m])
+    return stacked
+
+
+def _route(probs, labels, model: NAModel):
+    """``attention_outputs`` for labels already known to lie in range."""
+    rows = np.arange(probs.shape[0])
+    stacked = unit_outputs(probs, model)
+    sel = stacked[:, rows, labels].argmax(axis=0)
+    return sel, stacked[sel, rows, :]
 
 
 def attention_outputs(probs, labels, model: NAModel):
@@ -186,61 +211,54 @@ def attention_outputs(probs, labels, model: NAModel):
     Returns (selected unit indices, routed probability rows). Argmax ties
     resolve to the lowest unit index.
     """
-    labels = check_labels(labels, model.n_classes)
-    b = probs.shape[0]
-    stacked = unit_outputs(probs, model)
-    conf = stacked[:, np.arange(b), labels]
-    sel = conf.argmax(axis=0)
-    out = stacked[sel, np.arange(b), :]
-    return sel, out
+    return _route(probs, check_labels(labels, model.n_classes), model)
 
 
 def na_loss_terms(probs, labels, model: NAModel):
-    """Selection, routed rows, picked confidences, and the scalar loss."""
-    sel, out = attention_outputs(probs, labels, model)
-    picked = out[np.arange(out.shape[0]), labels]
-    loss = float(-np.mean(np.log(np.maximum(picked, EPS))))
+    """Selection, routed rows, picked confidences, and the scalar loss.
+
+    The labels are not checked here: they must lie in [0, n_classes), as
+    ``na_loss``, ``na_backward`` and the trainer make sure.
+    """
+    sel, out = _route(probs, labels, model)
+    picked, loss = _picked_nll(out, labels)
     return sel, out, picked, loss
 
 
 def na_loss(probs, labels, model: NAModel) -> float:
     """Mean -log of each sample's selected-unit confidence at its label."""
-    return na_loss_terms(probs, labels, model)[3]
+    return na_loss_terms(probs, check_labels(labels, model.n_classes), model)[3]
 
 
 def routed_backward(probs, sel, out_grad, model: NAModel):
     """Backpropagate a routed-output gradient through the selected units.
 
     Returns the gradient wrt the base probabilities. Learnable units
-    accumulate their gradient contributions; frozen units receive none.
-    Each learnable unit also gets the identity-anchored term
-    decay * (Q - I).
+    accumulate their gradient contributions, then the identity-anchored
+    term decay * (Q - I); frozen units receive neither.
     """
     gp = np.empty_like(probs)
+    counts = np.bincount(sel, minlength=len(model.units))
     for m, unit in enumerate(model.units):
-        mask = sel == m
-        if mask.any():
+        if counts[m]:
+            mask = sel == m
             sub = out_grad[mask]
             gp[mask] = sub @ unit.q.data
             if not unit.frozen:
                 unit.q.grad += sub.T @ probs[mask]
-    for unit in model.units:
         if not unit.frozen and unit.decay:
-            unit.q.grad += unit.decay * (unit.q.data - np.eye(unit.n_classes))
+            unit.q.grad += unit.decay * (unit.q.data - model._eye)
     return gp
 
 
 def na_backward(probs, labels, model: NAModel, terms=None):
     """Gradient of the routed NLL wrt base probabilities (units accumulate)."""
+    labels = check_labels(labels, model.n_classes)
     if terms is None:
         sel, out, picked, _ = na_loss_terms(probs, labels, model)
     else:
         sel, out, picked = terms
-    labels = check_labels(labels, model.n_classes)
-    b = out.shape[0]
-    out_grad = np.zeros_like(out)
-    out_grad[np.arange(b), labels] = log_grad_coef(picked, b)
-    return routed_backward(probs, sel, out_grad, model)
+    return routed_backward(probs, sel, _nll_grad(out, labels, picked), model)
 
 
 def infer(net: Network, x):

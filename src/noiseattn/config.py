@@ -6,7 +6,8 @@ are errors, so typos fail fast. The keys of a section are the fields of
 its dataclass, which holds their defaults: ``opt.*`` TrainSettings,
 ``na.*`` UnitSchedule, ``recursion.*`` RecursionSchedule and
 ``data.synthetic.*`` SyntheticSpec, which also check their ranges, and
-``data.*`` DataConfig and ``noise.*`` NoiseConfig. build_config reads the
+``data.*`` DataConfig and ``noise.*`` NoiseConfig, whose ``rho`` count and
+range are checked here as the data stage would. build_config reads the
 rest (``seed``, ``out``, ``attributes`` and ``arch.*``).
 """
 
@@ -230,6 +231,20 @@ def _section(e: _Entries, prefix: str, cls):
         raise ConfigError(f"{prefix}.{exc}") from exc
 
 
+def _check_rho(noise: NoiseConfig, count: int):
+    """The checks the data stage makes of ``noise.rho``, made at load: one
+    value, or one per attribute, whenever noise is injected, each in
+    [0, 1) in uniform mode."""
+    if noise.mode == "none":
+        return
+    if len(noise.rho) not in (1, count):
+        raise ConfigError(f"noise.rho needs 1 or {count} values, got {len(noise.rho)}")
+    if noise.mode == "uniform":
+        for rho in noise.rho:
+            if not 0.0 <= rho < 1.0:
+                raise ConfigError(f"noise.rho must lie in [0, 1), got {rho}")
+
+
 def build_config(entries: dict[str, str]) -> ExperimentConfig:
     e = _Entries(entries)
     cfg = ExperimentConfig(echo=dict(entries))
@@ -251,10 +266,9 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
     d.train_path = e.get("data.train_path", d.train_path)
     d.test_path = e.get("data.test_path", d.test_path)
     syn = d.synthetic
-    kind = e.get("data.synthetic.kind", syn.kind)
     syn_seed = e.get_int("data.synthetic.seed")
-    d.synthetic = SyntheticSpec(
-        kind=kind,
+    syn_fields = dict(
+        kind=e.get("data.synthetic.kind", syn.kind),
         classes=e.get_int("data.synthetic.classes", syn.classes),
         dim=e.get_int("data.synthetic.dim", syn.dim),
         sigma=e.get_float("data.synthetic.sigma", syn.sigma),
@@ -265,6 +279,10 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
         n_test=e.get_int("data.synthetic.n_test", syn.n_test),
         seed=syn_seed if syn_seed is not None else (cfg.seed, 31),
     )
+    try:
+        d.synthetic = SyntheticSpec(**syn_fields)
+    except ConfigError as exc:  # SyntheticSpec messages start with the field name
+        raise ConfigError(f"data.synthetic.{exc}") from exc
 
     # noise
     n = cfg.noise
@@ -276,6 +294,7 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
     n.per_class = e.get_floats("noise.per_class", n.per_class)
     noise_seed = e.get_int("noise.seed")
     n.seed = noise_seed if noise_seed is not None else (cfg.seed, 37)
+    _check_rho(n, 1 if cfg.attributes is None else cfg.attributes.k)
 
     # architecture
     shape_raw = e.get("arch.input_shape")

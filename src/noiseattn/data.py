@@ -207,15 +207,19 @@ class SyntheticSpec:
     n_test: int = 200
     seed: int | tuple = 0
 
-    def __post_init__(self):
+    def __post_init__(self):  # each message starts with the field it checks
         if self.kind not in ("blobs", "moons", "patches"):
-            raise ConfigError(f"unknown synthetic kind {self.kind!r}")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ConfigError("n_train and n_test must be >= 1")
+            raise ConfigError(f"kind must be blobs, moons or patches, got {self.kind!r}")
+        if self.n_train < 1:
+            raise ConfigError(f"n_train must be >= 1, got {self.n_train}")
+        if self.n_test < 1:
+            raise ConfigError(f"n_test must be >= 1, got {self.n_test}")
         if self.kind == "moons" and self.classes != 2:
-            raise ConfigError("moons data is two-class")
+            raise ConfigError("classes must be 2 for moons data")
         if self.classes < 2:
-            raise ConfigError("need at least 2 classes")
+            raise ConfigError(f"classes must be >= 2, got {self.classes}")
+        if self.dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
 

@@ -53,6 +53,10 @@ class MultiHeadNetwork:
             for k, c_k in enumerate(attributes.class_counts)
         ]
 
+    @property
+    def class_counts(self) -> list[int]:
+        return list(self.attributes.class_counts)
+
     def parameters(self):
         params = self.trunk.parameters()
         for head in self.heads:

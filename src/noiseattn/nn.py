@@ -2,9 +2,14 @@
 
 Layers: Dense, Conv2D (valid padding, NHWC), ReLU, MaxPool2x2, Flatten.
 Losses: max-subtracted softmax and clamped negative log likelihood.
-Training: SGD with momentum and weight decay. Parameters are drawn
-Glorot-uniform from numpy's PCG64 generator (``np.random.default_rng``),
-so construction and training are bit-reproducible given the same seeds.
+Training: SGD with momentum and weight decay. An optimizer packs its
+parameters into one contiguous arena (data, grad and velocity buffers),
+and each ``Parameter``'s ``data`` and ``grad`` become views into it, so a
+step is a handful of whole-buffer operations. Code that updates a
+parameter must therefore write into ``data`` (``p.data[...] = ...``), never
+rebind it. Parameters are drawn Glorot-uniform from numpy's PCG64
+generator (``np.random.default_rng``), so construction and training are
+bit-reproducible given the same seeds.
 """
 
 from __future__ import annotations
@@ -31,7 +36,11 @@ def entropy_tuple(*parts) -> tuple[int, ...]:
 
 
 class Parameter:
-    """Learnable float64 array paired with a same-shaped gradient buffer."""
+    """Learnable float64 array paired with a same-shaped gradient buffer.
+
+    Once an optimizer holds the parameter, both arrays are views into its
+    arena: write into them in place, do not rebind them.
+    """
 
     __slots__ = ("data", "grad")
 
@@ -116,13 +125,15 @@ class _DenseLayer:
 
     def forward(self, x):
         self._x = x
-        return x @ self.w.data + self.b.data
+        y = x @ self.w.data
+        y += self.b.data
+        return y
 
     def backward(self, dy):
         if self._x is None:
             raise UsageError("Dense.backward() before forward()")
         self.w.grad += self._x.T @ dy
-        self.b.grad += dy.sum(axis=0)
+        self.b.grad += np.add.reduce(dy, axis=0)
         return dy @ self.w.data.T
 
 
@@ -290,7 +301,7 @@ def _materialize(spec, shape, net_seed, index):
             raise ConfigError(f"layer {index}: MaxPool2x2 needs even spatial dims, got {h}x{w}")
         return _MaxPoolLayer(), (h // 2, w // 2, ch)
     if isinstance(spec, Flatten):
-        return _FlattenLayer(), (int(np.prod(shape)),)
+        return _FlattenLayer(), (math.prod(shape),)
     raise ConfigError(f"layer {index}: unknown layer spec {spec!r}")
 
 
@@ -309,6 +320,7 @@ class Network:
         self.input_shape = tuple(int(s) for s in input_shape)
         if any(s < 1 for s in self.input_shape):
             raise ConfigError(f"input shape must be positive, got {self.input_shape}")
+        self._flat_width = math.prod(self.input_shape)
         self.seed = seed
         self.layers = []
         shape = self.input_shape
@@ -337,10 +349,9 @@ class Network:
 
     def forward(self, batch):
         batch = np.asarray(batch, dtype=np.float64)
-        flat_width = int(np.prod(self.input_shape))
         if batch.ndim == 2 and len(self.input_shape) > 1:
-            if batch.shape[1] != flat_width:
-                raise ConfigError(f"batch width {batch.shape[1]} != input size {flat_width}")
+            if batch.shape[1] != self._flat_width:
+                raise ConfigError(f"batch width {batch.shape[1]} != input size {self._flat_width}")
             batch = batch.reshape((batch.shape[0],) + self.input_shape)
         if batch.ndim != 1 + len(self.input_shape) or batch.shape[1:] != self.input_shape:
             raise ConfigError(f"batch shape {batch.shape} does not match input {self.input_shape}")
@@ -368,19 +379,23 @@ class Network:
 
 # ---------------------------------------------------------------------------
 # Losses
+#
+# The per-step functions reduce with ``np.add.reduce`` and
+# ``np.maximum.reduce``: the ufuncs that ``.sum()``, ``.max()`` and
+# ``np.mean`` call, with the same bits, minus their Python wrappers.
 
 
 def softmax(logits):
     """Row-wise softmax with max subtraction; rows sum to 1 within 1e-12."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
     return z
 
 
 def softmax_backward(probs, gprobs):
     """Apply the softmax Jacobian to a gradient in probability space."""
-    dot = np.sum(gprobs * probs, axis=1, keepdims=True)
+    dot = np.add.reduce(gprobs * probs, axis=1, keepdims=True)
     return probs * (gprobs - dot)
 
 
@@ -404,21 +419,29 @@ def log_grad_coef(picked, batch):
     return np.where(picked > EPS, coef, 0.0)
 
 
+def _picked_nll(probs, labels):
+    """``nll_loss`` for labels already known to lie in range; returns the
+    picked entries ``probs[i, labels[i]]`` too."""
+    picked = probs[np.arange(probs.shape[0]), labels]
+    return picked, float(-(np.add.reduce(np.log(np.maximum(picked, EPS))) / picked.size))
+
+
+def _nll_grad(probs, labels, picked):
+    """``nll_loss_grad`` for checked labels and their picked entries."""
+    b = probs.shape[0]
+    g = np.zeros(probs.shape)
+    g[np.arange(b), labels] = log_grad_coef(picked, b)
+    return g
+
+
 def nll_loss(probs, labels) -> float:
     """Mean negative log likelihood of the given labels, clamped at EPS."""
-    labels = check_labels(labels, probs.shape[1])
-    b = probs.shape[0]
-    picked = probs[np.arange(b), labels]
-    return float(-np.mean(np.log(np.maximum(picked, EPS))))
+    return _picked_nll(probs, check_labels(labels, probs.shape[1]))[1]
 
 
 def nll_loss_grad(probs, labels):
     labels = check_labels(labels, probs.shape[1])
-    b = probs.shape[0]
-    picked = probs[np.arange(b), labels]
-    g = np.zeros_like(probs)
-    g[np.arange(b), labels] = log_grad_coef(picked, b)
-    return g
+    return _nll_grad(probs, labels, probs[np.arange(probs.shape[0]), labels])
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +451,14 @@ def nll_loss_grad(probs, labels):
 class SGD:
     """Momentum SGD: v <- momentum*v + grad + weight_decay*theta; theta -= lr*v.
 
+    The parameters live in one contiguous arena: a float64 data buffer, a
+    grad buffer and a velocity buffer, each holding every parameter in
+    order. Each parameter's ``data`` and ``grad`` are rebound to views into
+    the arena when it joins, so a step updates all of them with a few
+    whole-buffer operations, elementwise and hence bit-identical to
+    stepping each parameter alone. ``add_param`` repacks the arena and
+    keeps the velocities built so far. A parameter follows the optimizer
+    it joined last: joining a second one detaches it from the first.
     Gradients are zeroed after each step. Velocity buffers start at zero.
     """
 
@@ -441,18 +472,38 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.params = list(params)
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.params: list[Parameter] = []
+        self._velocity = np.zeros(0)
+        self._pack(list(params))
 
     def add_param(self, param: Parameter):
-        self.params.append(param)
-        self.velocity.append(np.zeros_like(param.data))
+        self._pack(self.params + [param])
+
+    def _pack(self, params):
+        """Copy ``params`` into fresh buffers and point each at its slice.
+
+        The current parameters must come first, in order, so their
+        velocities keep their place.
+        """
+        n = sum(p.size for p in params)
+        data, grad, velocity = np.empty(n), np.empty(n), np.zeros(n)
+        velocity[:self._velocity.size] = self._velocity
+        pos = 0
+        for p in params:
+            stop = pos + p.size
+            data[pos:stop] = p.data.ravel()
+            grad[pos:stop] = p.grad.ravel()
+            p.data = data[pos:stop].reshape(p.data.shape)
+            p.grad = grad[pos:stop].reshape(p.grad.shape)
+            pos = stop
+        self.params = params
+        self._data, self._grad, self._velocity = data, grad, velocity
 
     def step(self):
-        for p, v in zip(self.params, self.velocity):
-            v *= self.momentum
-            v += p.grad
-            if self.weight_decay:
-                v += self.weight_decay * p.data
-            p.data -= self.lr * v
-            p.grad[...] = 0.0
+        v = self._velocity
+        v *= self.momentum
+        v += self._grad
+        if self.weight_decay:
+            v += self.weight_decay * self._data
+        self._data -= self.lr * v
+        self._grad[...] = 0.0

@@ -54,7 +54,7 @@ def soft_nll_loss(attention_probs, supervisions) -> float:
     if probs.shape != sup.shape:
         raise ConfigError(f"probs shape {probs.shape} != supervision shape {sup.shape}")
     logp = np.log(np.maximum(probs, EPS))
-    return float(-np.mean(np.sum(sup * logp, axis=1)))
+    return float(-(np.add.reduce(np.add.reduce(sup * logp, axis=1)) / probs.shape[0]))
 
 
 def soft_out_grad(out, supervisions):
@@ -74,7 +74,7 @@ def soft_attention_outputs(probs, supervisions, model: NAModel):
     """
     b = probs.shape[0]
     stacked = unit_outputs(probs, model)
-    scores = np.sum(supervisions[None, :, :] * np.log(np.maximum(stacked, EPS)), axis=2)
+    scores = np.add.reduce(supervisions[None, :, :] * np.log(np.maximum(stacked, EPS)), axis=2)
     sel = scores.argmax(axis=0)
     out = stacked[sel, np.arange(b), :]
     return sel, out

@@ -13,14 +13,15 @@ to plain training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
-from .attention import NAModel, UnitSchedule, na_backward, na_loss, na_loss_terms, routed_backward
-from .nn import (SGD, Network, entropy_tuple, label_columns, nll_loss, nll_loss_grad, softmax,
-                 softmax_backward)
+from .errors import ConfigError, DataError, DivergenceError
+from .attention import NAModel, UnitSchedule, na_loss, na_loss_terms, routed_backward
+from .nn import (SGD, Network, _nll_grad, _picked_nll, check_labels, entropy_tuple,
+                 label_columns, nll_loss, softmax, softmax_backward)
 from .recursion import soft_attention_outputs, soft_nll_loss, soft_out_grad
 
 # rng stream tags, combined with the run seed
@@ -69,6 +70,10 @@ class OneHead:
     def __init__(self, base: Network):
         self.base = base
 
+    @property
+    def class_counts(self) -> list[int]:
+        return [self.base.out_dim]
+
     def parameters(self):
         return self.base.parameters()
 
@@ -90,13 +95,17 @@ def _loss_total(losses) -> float:
     return total
 
 
+# The heads take labels that ``Trainer._columns`` has already checked.
+
+
 def _plain_head(probs, labels, model):
-    return nll_loss(probs, labels), nll_loss_grad(probs, labels)
+    picked, loss = _picked_nll(probs, labels)
+    return loss, _nll_grad(probs, labels, picked)
 
 
 def _na_head(probs, labels, model):
     sel, out, picked, loss = na_loss_terms(probs, labels, model)
-    return loss, na_backward(probs, labels, model, terms=(sel, out, picked))
+    return loss, routed_backward(probs, sel, _nll_grad(out, labels, picked), model)
 
 
 def _soft_head(probs, supervisions, model):
@@ -109,9 +118,11 @@ class Trainer:
     """Owns one network (plus optional noise units) and its optimizers.
 
     ``net`` is a plain ``Network`` (wrapped in ``OneHead``) or a network
-    whose ``forward`` returns per-attribute probabilities, such as
+    whose ``forward`` returns per-attribute probabilities and whose
+    ``class_counts`` lists each head's classes, such as
     ``MultiHeadNetwork``; ``na_models`` holds one noise model per
-    attribute. Labels are (N,) for one attribute or (N, K) for K.
+    attribute. Labels are (N,) for one attribute or (N, K) for K; each
+    epoch checks them against the heads once, before the first step.
     Mini-batch order comes from a dedicated shuffle stream seeded by the
     run seed, so two trainers built with the same seed walk the data in
     the same order regardless of which loss path they use.
@@ -120,6 +131,9 @@ class Trainer:
     def __init__(self, net, settings: TrainSettings, na_models=(), seed=0):
         self.net = OneHead(net) if isinstance(net, Network) else net
         self.na_models: list[NAModel] = list(na_models)
+        if self.na_models and [m.n_classes for m in self.na_models] != self.net.class_counts:
+            raise ConfigError(f"noise models for {[m.n_classes for m in self.na_models]} "
+                              f"classes do not match heads of {self.net.class_counts}")
         self.settings = settings
         self.net_opt = SGD(self.net.parameters(), settings.lr, settings.momentum,
                            settings.weight_decay)
@@ -141,6 +155,15 @@ class Trainer:
         if not self.na_models:
             raise ConfigError("trainer has no attention model")
 
+    def _columns(self, labels) -> list[np.ndarray]:
+        """One label column per head, each checked against its class count."""
+        columns = label_columns(labels)
+        counts = self.net.class_counts
+        if len(columns) != len(counts):
+            raise DataError(f"labels carry {len(columns)} attribute column(s), "
+                            f"the network has {len(counts)} head(s)")
+        return [check_labels(y, c) for y, c in zip(columns, counts)]
+
     # -- one optimization step -------------------------------------------
 
     def _step(self, head, bx, targets, use_units: bool) -> float:
@@ -152,8 +175,8 @@ class Trainer:
             losses.append(loss)
             dlogits.append(softmax_backward(probs, gprobs))
         total = _loss_total(losses)
-        if not np.isfinite(total):
-            raise DivergenceError(f"non-finite loss {total!r}")
+        if not math.isfinite(total):
+            raise DivergenceError(f"non-finite loss {total!r}")  # _epoch adds the batch
         self.net.backward(dlogits)
         self.net_opt.step()
         if use_units:
@@ -174,9 +197,14 @@ class Trainer:
         """One shuffled pass; returns the sample-weighted mean batch loss."""
         n = features.shape[0]
         total = 0.0
-        for idx in self._batches(n):
+        for i, idx in enumerate(self._batches(n), start=1):
             batch_targets = [t[idx] for t in targets]
-            total += self._step(head, features[idx], batch_targets, use_units) * idx.size
+            try:
+                loss = self._step(head, features[idx], batch_targets, use_units)
+            except DivergenceError as exc:
+                count = -(-n // self.settings.batch_size)
+                raise DivergenceError(f"{exc} at batch {i} of {count}") from None
+            total += loss * idx.size
         return total / n
 
     def train_epoch(self, features, labels, use_na: bool = False) -> float:
@@ -184,7 +212,7 @@ class Trainer:
         if use_na:
             self._check_units()
         return self._epoch(_na_head if use_na else _plain_head, features,
-                           label_columns(labels), use_na)
+                           self._columns(labels), use_na)
 
     def train_epoch_soft(self, features, supervisions) -> float:
         """One shuffled pass against per-sample soft supervisions, one
@@ -200,8 +228,8 @@ class Trainer:
 
     def val_loss(self, features, labels, use_na: bool = False) -> list[float]:
         """Per-attribute losses: plain NLL, or the routed NLL with ``use_na``."""
+        columns = self._columns(labels)
         probs_list = self.net.forward(features)
-        columns = label_columns(labels)
         if use_na:
             return [na_loss(probs, y, model)
                     for probs, y, model in zip(probs_list, columns, self.na_models)]

@@ -1,8 +1,10 @@
-"""Loop reference implementations of Conv2D and MaxPool2x2 forward/backward.
+"""Loop reference implementations of Conv2D and MaxPool2x2 forward/backward,
+and of the SGD step.
 
 These are the original per-output-position loops that ``noiseattn.nn``
-replaced with strided views. They define the exact arithmetic (values,
-summation order, tie-breaking, signed zeros) the vectorised layers must
+replaced with strided views, and the per-parameter SGD loop it replaced
+with one parameter arena. They define the exact arithmetic (values,
+summation order, tie-breaking, signed zeros) the vectorised code must
 reproduce byte for byte. Gradients accumulate into zero buffers with
 ``+=``, as ``Parameter.grad`` does after ``zero_grad``.
 """
@@ -53,3 +55,27 @@ def pool_backward(dy, arg, xshape):
     dflat = np.zeros((b, h // 2, w // 2, 4, c))
     np.put_along_axis(dflat, arg[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
     return dflat.reshape(b, h // 2, w // 2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(b, h, w, c)
+
+
+class LoopSGD:
+    """Momentum SGD stepping one parameter at a time, each with its own velocity."""
+
+    def __init__(self, params, lr, momentum=0.0, weight_decay=0.0):
+        self.lr = lr
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self.params = list(params)
+        self.velocity = [np.zeros_like(p.data) for p in self.params]
+
+    def add_param(self, param):
+        self.params.append(param)
+        self.velocity.append(np.zeros_like(param.data))
+
+    def step(self):
+        for p, v in zip(self.params, self.velocity):
+            v *= self.momentum
+            v += p.grad
+            if self.weight_decay:
+                v += self.weight_decay * p.data
+            p.data -= self.lr * v
+            p.grad[...] = 0.0

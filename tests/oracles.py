@@ -7,7 +7,7 @@ batch form; the tests check that the two agree.
 
 import numpy as np
 
-from noiseattn import ConfigError, DataError, NAModel, na_loss
+from noiseattn import ConfigError, DataError, NAModel, na_loss, project_column_stochastic
 
 
 def na_forward(p_base, unit):
@@ -86,3 +86,32 @@ def uniform_flip_matrix(c: int, rho: float) -> np.ndarray:
     m = np.full((c, c), rho / (c - 1))
     np.fill_diagonal(m, 1.0 - rho)
     return m
+
+
+def project_units(model: NAModel):
+    """Each learnable unit's Q replaced by ``project_column_stochastic`` of it."""
+    for unit in model.units:
+        if not unit.frozen:
+            unit.q.data[...] = project_column_stochastic(unit.q.data)
+
+
+def unit_outputs_stacked(probs, model: NAModel):
+    """Every unit's routed batch, one matrix product per unit, stacked: (M, B, C)."""
+    return np.stack([probs @ unit.q.data.T for unit in model.units])
+
+
+def routed_backward_masks(probs, sel, out_grad, model: NAModel):
+    """``routed_backward`` as one boolean mask per unit: every unit's
+    gradient term first, then every decay term against a fresh identity."""
+    gp = np.empty_like(probs)
+    for m, unit in enumerate(model.units):
+        mask = sel == m
+        if mask.any():
+            sub = out_grad[mask]
+            gp[mask] = sub @ unit.q.data
+            if not unit.frozen:
+                unit.q.grad += sub.T @ probs[mask]
+    for unit in model.units:
+        if not unit.frozen and unit.decay:
+            unit.q.grad += unit.decay * (unit.q.data - np.eye(unit.n_classes))
+    return gp

@@ -11,10 +11,30 @@ from noiseattn import (ConfigError, Dense, Decision, NAModel, Network, NoiseUnit
                        inject_noise, na_backward, na_loss, nll_loss,
                        nll_loss_grad, project_column_stochastic, schedule_step, softmax)
 from noiseattn import NoiseSpec, SyntheticSpec
-from noiseattn.attention import na_loss_terms
+from noiseattn.attention import na_loss_terms, routed_backward, unit_outputs
 from noiseattn.nn import EPS
 from gradfixtures import grad_check
-from oracles import decay_penalty, na_forward, select_unit
+from oracles import (decay_penalty, na_forward, project_units, routed_backward_masks,
+                     select_unit, unit_outputs_stacked)
+
+
+def model_pair(matrices, decays=None, frozen=()):
+    """Two equal models: the identity plus one unit per matrix."""
+    models = []
+    for _ in range(2):
+        model = NAModel(matrices[0].shape[0])
+        for i, q in enumerate(matrices):
+            unit = model.add_unit(decay=0.0 if decays is None else decays[i])
+            unit.q.data[...] = q
+        for m in frozen:
+            model.units[m].frozen = True
+        models.append(model)
+    return models
+
+
+def assert_units_equal(fast, ref, attr):
+    for a, b in zip(fast.units, ref.units):
+        assert getattr(a.q, attr).tobytes() == getattr(b.q, attr).tobytes()
 
 
 def two_unit_model():
@@ -221,6 +241,48 @@ class TestProjection:
             out = project_column_stochastic(q)
             np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-9)
             assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+class TestFastPathsMatchLoops:
+    """``project``, ``unit_outputs`` and ``routed_backward`` against the
+    per-unit loops in ``oracles``: byte equality."""
+
+    @pytest.mark.parametrize("case", ["random", "zero_columns", "nonfinite"])
+    def test_in_place_projection(self, case):
+        rng = np.random.default_rng(["random", "zero_columns", "nonfinite"].index(case))
+        for _ in range(20):
+            mats = [rng.normal(size=(4, 4)) for _ in range(3)]
+            for q in mats:
+                if case == "zero_columns":
+                    q[:, rng.integers(4)] = -np.abs(q[:, 0])
+                    q[:, rng.integers(4)] = rng.choice([0.0, -0.0], size=4)
+                elif case == "nonfinite":
+                    q[rng.uniform(size=q.shape) < 0.15] = rng.choice([np.nan, np.inf, -np.inf])
+            fast, ref = model_pair(mats, frozen=(2,) if case == "random" else ())
+            arrays = [u.q.data for u in fast.units]
+            with np.errstate(invalid="ignore"):
+                fast.project()
+                project_units(ref)
+            assert_units_equal(fast, ref, "data")
+            assert all(u.q.data is a for u, a in zip(fast.units, arrays))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_routing_and_routed_backward(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        mats = [project_column_stochastic(np.eye(5) + rng.uniform(size=(5, 5)))
+                for _ in range(4)]
+        fast, ref = model_pair(mats, decays=[0.0, 1e-3, 2e-3, 4e-3], frozen=(3,))
+        for a, b in zip(fast.units, ref.units):
+            a.q.grad[...] = b.q.grad[...] = rng.normal(size=(5, 5))
+        probs = softmax(rng.normal(size=(64, 5)))
+        assert unit_outputs(probs, fast).tobytes() == unit_outputs_stacked(probs, ref).tobytes()
+        out_grad = rng.normal(size=(64, 5))
+        out_grad[rng.uniform(size=out_grad.shape) < 0.3] = -0.0
+        sel = rng.integers(0, 5, size=64)
+        sel[sel == 2] = 1  # unit 2 receives no samples
+        gp = routed_backward(probs, sel, out_grad, fast)
+        assert gp.tobytes() == routed_backward_masks(probs, sel, out_grad, ref).tobytes()
+        assert_units_equal(fast, ref, "grad")
 
 
 class TestSchedule:

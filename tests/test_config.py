@@ -158,6 +158,26 @@ class TestChecksAtLoad:
         assert err.startswith("error [config] ") and key in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"noise.mode": "uniform", "noise.rho": "1.5"}, "noise.rho"),
+        ({"noise.mode": "uniform", "noise.rho": "-0.1"}, "noise.rho"),
+        ({"noise.mode": "uniform", "noise.rho": "0.1,0.2"}, "noise.rho"),
+        ({"data.synthetic.dim": "0"}, "data.synthetic.dim"),
+        ({"data.synthetic.classes": "1"}, "data.synthetic.classes"),
+    ])
+    def test_data_and_noise_checked_before_writing_anything(self, tmp_path, capsys, extra, key):
+        entries = {**RUN, **extra, "out": str(tmp_path / "run")}
+        code = cli_main(["train", "--config", str(write_config(tmp_path, entries))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error [config] ") and key in err
+        assert not (tmp_path / "run").exists()
+
+    def test_rho_per_attribute_accepted(self):
+        cfg = build_config({"attributes": "a:2,b:3", "noise.mode": "uniform",
+                            "noise.rho": "0.1,0.2"})
+        assert cfg.noise.rho == (0.1, 0.2)
+
     def test_resume_needs_a_round_before_reading_anything(self, tmp_path, capsys):
         entries = {**RUN, "recursion.iterations": "0", "out": str(tmp_path / "run")}
         code = cli_main(["recurse", "--config", str(write_config(tmp_path, entries)),

@@ -1,15 +1,17 @@
-"""Conv2D and MaxPool2x2 against the loop references in ``nnref``: byte equality.
+"""Conv2D, MaxPool2x2 and SGD against the loop references in ``nnref``:
+byte equality.
 
-The layers are vectorised with strided views; every output, input
-gradient and parameter gradient must keep the exact bytes of the loop
-code, including signed zeros, tie-breaking and NaN propagation.
+The layers are vectorised with strided views and SGD steps one parameter
+arena; every output, input gradient, parameter gradient and updated
+parameter must keep the exact bytes of the loop code, including signed
+zeros, tie-breaking and NaN propagation.
 """
 
 import numpy as np
 import pytest
 
-from nnref import conv_backward, conv_forward, pool_backward, pool_forward
-from noiseattn import Conv2D, MaxPool2x2, Network
+from nnref import LoopSGD, conv_backward, conv_forward, pool_backward, pool_forward
+from noiseattn import SGD, Conv2D, MaxPool2x2, Network, Parameter
 
 CONV_SHAPES = [
     # (batch, h, w, cin, cout, kernel, stride)
@@ -83,3 +85,30 @@ def test_pool_nan_and_inf_cells():
         x = rng.choice(values, size=(2, 4, 6, 2))
         dy = rng.normal(size=(2, 2, 3, 2))
         pool_case(x, dy)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_sgd_arena_matches_per_parameter_loop(weight_decay):
+    rng = np.random.default_rng(17)
+    inits = [rng.normal(size=shape) for shape in [(5, 3), (3,), (4, 4), (1,)]]
+    late = rng.normal(size=(3, 2))  # joins both optimizers mid-training
+    fast = [Parameter(a.copy()) for a in inits]
+    slow = [Parameter(a.copy()) for a in inits]
+    opt = SGD(fast, lr=0.05, momentum=0.9, weight_decay=weight_decay)
+    ref = LoopSGD(slow, lr=0.05, momentum=0.9, weight_decay=weight_decay)
+    for step in range(12):
+        if step == 5:
+            fast.append(Parameter(late.copy()))
+            slow.append(Parameter(late.copy()))
+            opt.add_param(fast[-1])
+            ref.add_param(slow[-1])
+        for p, q in zip(fast, slow):
+            g = rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-8, 3, size=p.data.shape)
+            g[rng.uniform(size=g.shape) < 0.2] = -0.0
+            p.grad[...] = g
+            q.grad[...] = g
+        opt.step()
+        ref.step()
+        for p, q in zip(fast, slow):
+            assert_bytes_equal(p.data, q.data)
+            assert_bytes_equal(p.grad, q.grad)

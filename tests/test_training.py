@@ -1,0 +1,123 @@
+"""Trainer bookkeeping: where labels are checked, divergence reports, and
+the parameter arena the optimizers keep."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, DivergenceError,
+                       MultiHeadNetwork, NAModel, Network, ReLU, Trainer, TrainSettings,
+                       UnitSchedule)
+from noiseattn.nn import entropy_tuple
+from noiseattn.training import STREAM_SHUFFLE
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "noiseattn"
+SETTINGS = TrainSettings(lr=0.05, batch_size=16)
+
+
+def plain_trainer():
+    net = Network([Dense(4, 8), ReLU(), Dense(8, 3)], (4,), seed=1)
+    return Trainer(net, SETTINGS, seed=2)
+
+
+def na_trainer():
+    net = Network([Dense(4, 8), ReLU(), Dense(8, 3)], (4,), seed=1)
+    trainer = Trainer(net, SETTINGS, [NAModel(3)], seed=2)
+    trainer.add_unit(UnitSchedule(init_jitter=1e-2))
+    return trainer
+
+
+def multi_trainer():
+    trunk = Network([Dense(4, 8), ReLU()], (4,), seed=1)
+    mh = MultiHeadNetwork(trunk, AttributeSpec([3, 4]), seed=1)
+    return Trainer(mh, SETTINGS, [NAModel(3), NAModel(4)], seed=2)
+
+
+def state(trainer):
+    """Every network and unit parameter, flattened."""
+    params = trainer.net.parameters() + [u.q for m in trainer.na_models for u in m.units]
+    return np.concatenate([p.data.ravel() for p in params])
+
+
+TRAINERS = {"plain": (plain_trainer, False), "na": (na_trainer, True),
+            "multi": (multi_trainer, True)}
+
+
+class TestLabelsCheckedPerEpoch:
+    @pytest.mark.parametrize("name", sorted(TRAINERS))
+    @pytest.mark.parametrize("row", [0, 37, 79])
+    @pytest.mark.parametrize("bad", [-1, "classes"])
+    def test_out_of_range_label_stops_before_any_step(self, name, row, bad):
+        make, use_na = TRAINERS[name]
+        trainer = make()
+        counts = trainer.net.class_counts
+        rng = np.random.default_rng(row)
+        x = rng.normal(size=(80, 4))
+        labels = np.stack([rng.integers(0, c, size=80) for c in counts], axis=1)
+        column = row % len(counts)
+        labels[row, column] = counts[column] if bad == "classes" else bad
+        if len(counts) == 1:
+            labels = labels[:, 0]
+        before = state(trainer)
+        with pytest.raises(DataError, match=r"labels must lie in \[0, "):
+            trainer.train_epoch(x, labels, use_na=use_na)
+        with pytest.raises(DataError, match=r"labels must lie in \[0, "):
+            trainer.val_loss(x, labels, use_na=use_na)
+        assert state(trainer).tobytes() == before.tobytes()
+
+    def test_noise_models_must_match_the_heads(self):
+        net = Network([Dense(4, 3)], (4,), seed=1)
+        with pytest.raises(ConfigError, match="do not match heads"):
+            Trainer(net, SETTINGS, [NAModel(4)])
+
+    def test_label_columns_must_match_the_heads(self):
+        trainer = multi_trainer()
+        with pytest.raises(DataError, match="2 head"):
+            trainer.train_epoch(np.zeros((8, 4)), np.zeros(8, dtype=int))
+
+
+class TestDivergence:
+    def test_nan_row_names_its_batch(self):
+        trainer = plain_trainer()
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(100, 4))
+        x[42] = np.nan
+        labels = rng.integers(0, 3, size=100)
+        # the position of row 42 in the epoch's shuffled order gives its batch
+        order = np.random.default_rng(entropy_tuple(2, STREAM_SHUFFLE)).permutation(100)
+        batch = int(np.flatnonzero(order == 42)[0]) // SETTINGS.batch_size + 1
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError,
+                               match=rf"^non-finite loss nan at batch {batch} of 7$"):
+                trainer.train_epoch(x, labels)
+        assert np.isfinite(state(trainer)).all()  # the NaN batch took no step
+
+
+class TestParameterArena:
+    def test_parameters_stay_views_into_the_arena(self):
+        trainer = na_trainer()
+        rng = np.random.default_rng(4)
+        x, labels = rng.normal(size=(48, 4)), rng.integers(0, 3, size=48)
+        trainer.train_epoch(x, labels, use_na=True)
+        trainer.add_unit(UnitSchedule(init_jitter=1e-2))
+        trainer.train_epoch(x, labels, use_na=True)
+        for opt in (trainer.net_opt, trainer.unit_opt):
+            assert opt.params
+            for p in opt.params:
+                assert np.shares_memory(p.data, opt._data)
+                assert np.shares_memory(p.grad, opt._grad)
+        assert [p.data.size for p in trainer.unit_opt.params] == [9, 9]
+
+    def test_only_the_arena_rebinds_parameter_arrays(self):
+        # p.data = ... outside nn.py would detach p from its optimizer's arena
+        rebind = re.compile(r"\.(data|grad)\s*=(?!=)")
+        hits = [(path.name, line.strip()) for path in sorted(SRC.glob("*.py"))
+                for line in path.read_text().splitlines() if rebind.search(line)]
+        assert hits == [
+            ("nn.py", "self.data = np.ascontiguousarray(data, dtype=np.float64)"),
+            ("nn.py", "self.grad = np.zeros_like(self.data)"),
+            ("nn.py", "p.data = data[pos:stop].reshape(p.data.shape)"),
+            ("nn.py", "p.grad = grad[pos:stop].reshape(p.grad.shape)"),
+        ]

@@ -6,8 +6,8 @@ are errors, so typos fail fast. The keys of a section are the fields of
 its dataclass, which holds their defaults: ``opt.*`` TrainSettings,
 ``na.*`` UnitSchedule, ``recursion.*`` RecursionSchedule and
 ``data.synthetic.*`` SyntheticSpec, which also check their ranges, and
-``data.*`` DataConfig and ``noise.*`` NoiseConfig, whose ``rho`` count and
-range are checked here as the data stage would. build_config reads the
+``data.*`` DataConfig and ``noise.*`` NoiseConfig, which build_config
+checks as the data stage would. build_config reads the
 rest (``seed``, ``out``, ``attributes`` and ``arch.*``).
 """
 
@@ -231,10 +231,11 @@ def _section(e: _Entries, prefix: str, cls):
         raise ConfigError(f"{prefix}.{exc}") from exc
 
 
-def _check_rho(noise: NoiseConfig, count: int):
-    """The checks the data stage makes of ``noise.rho``, made at load: one
-    value, or one per attribute, whenever noise is injected, each in
-    [0, 1) in uniform mode."""
+def _check_noise(noise: NoiseConfig, count: int):
+    """The checks the data stage makes of ``noise.*`` that need no data,
+    made at load: whenever noise is injected, one ``rho`` or one per
+    attribute, each in [0, 1) in uniform mode; rates in [0, 1) in
+    per_class mode; a matrix file in matrix mode."""
     if noise.mode == "none":
         return
     if len(noise.rho) not in (1, count):
@@ -243,6 +244,12 @@ def _check_rho(noise: NoiseConfig, count: int):
         for rho in noise.rho:
             if not 0.0 <= rho < 1.0:
                 raise ConfigError(f"noise.rho must lie in [0, 1), got {rho}")
+    if noise.mode == "per_class" and (
+            noise.per_class is None or not all(0.0 <= r < 1.0 for r in noise.per_class)):
+        raise ConfigError(f"noise.per_class needs rates in [0, 1) in per_class mode, "
+                          f"got {noise.per_class}")
+    if noise.mode == "matrix" and noise.matrix_path is None:
+        raise ConfigError("noise.matrix_path is needed in matrix mode")
 
 
 def build_config(entries: dict[str, str]) -> ExperimentConfig:
@@ -294,7 +301,7 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
     n.per_class = e.get_floats("noise.per_class", n.per_class)
     noise_seed = e.get_int("noise.seed")
     n.seed = noise_seed if noise_seed is not None else (cfg.seed, 37)
-    _check_rho(n, 1 if cfg.attributes is None else cfg.attributes.k)
+    _check_noise(n, 1 if cfg.attributes is None else cfg.attributes.k)
 
     # architecture
     shape_raw = e.get("arch.input_shape")

@@ -472,7 +472,6 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.params: list[Parameter] = []
         self._velocity = np.zeros(0)
         self._pack(list(params))
 
@@ -496,7 +495,7 @@ class SGD:
             p.data = data[pos:stop].reshape(p.data.shape)
             p.grad = grad[pos:stop].reshape(p.grad.shape)
             pos = stop
-        self.params = params
+        self.params: list[Parameter] = params
         self._data, self._grad, self._velocity = data, grad, velocity
 
     def step(self):

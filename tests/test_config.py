@@ -162,6 +162,9 @@ class TestChecksAtLoad:
         ({"noise.mode": "uniform", "noise.rho": "1.5"}, "noise.rho"),
         ({"noise.mode": "uniform", "noise.rho": "-0.1"}, "noise.rho"),
         ({"noise.mode": "uniform", "noise.rho": "0.1,0.2"}, "noise.rho"),
+        ({"noise.mode": "per_class"}, "noise.per_class"),
+        ({"noise.mode": "per_class", "noise.per_class": "0.1,1.5,0.2"}, "noise.per_class"),
+        ({"noise.mode": "matrix"}, "noise.matrix_path"),
         ({"data.synthetic.dim": "0"}, "data.synthetic.dim"),
         ({"data.synthetic.classes": "1"}, "data.synthetic.classes"),
     ])

@@ -12,6 +12,7 @@ computes, and say why there.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -154,3 +155,86 @@ def test_cli_resume_eval_export_match_golden_hashes(name, tmp_path, monkeypatch,
         p.name.encode() + b"\0" + sha256(p.read_bytes()).encode() + b"\n" for p in files))
 
     assert digests == CLI_GOLDEN[name]
+
+
+# The data, noise, report and export files of the run, and the outputs of
+# the CLI ``synth`` and ``inject`` commands. report.json is pinned without
+# its two run-dependent fields, ``wall_clock_s`` and ``out_dir``.
+FILE_GOLDEN = {
+    "single_conv": {
+        "report.json": "491d4e2f397c4ac501d4d410fe27285f1fb5806550d1f9d2f5f6307592ae6652",
+        "flips.csv": "f38e3089eeff5f73e31fc8ca23439212ee82e272da08f8f5def6d5eaf5fc6661",
+        "train.nld": "65d5c4e448f2165f055ad1e722be18446edf8ba190a8bc4ed67565ff7e71dd4a",
+        "test.nld": "30f86e611e00f838da7eefed45e648135640470d6faaf2435297a87847281a29",
+        "noisy_train.nld": "4b1fd9b939a70382a12ab069910e007ef1c9102986f0df68317c2d94c5ec7f40",
+        "q_stage0_*": "365c92a780a618da2d8480b3244d777abab40f3012f86de2c57273bf7b3734a5",
+        "q_final_*": "f99e2eb87e85b8077c54f8cac9efb6e54f8763a8514a79320c1c58be1bc900ab",
+        "synth stdout": "0148ec1cae344716a9279165ff392f97fb629784a707bea00d5127453f987610",
+        "synth files": "24fb17b343323a1445051ef0ee15d140cfec25b0bd97ee86947dc61cc4aa03b2",
+        "inject stdout": "603f7d3981fc1c8d90131dd4e197624bf3813763e912dbfb29f4be307641bd8b",
+        "inject files": "c5b53c10c0cac0ca0e9e2ab04274da788a4aa1ff0efe2187cebcfe97407a7839",
+    },
+    "multi_attr": {
+        "report.json": "7c45d621097e5ee0b8ac85ed6caa070347555070196f51f043c3f21fdf3f7bb7",
+        "flips.csv": "cded49ec545dd6c87a88ad5b2ac7b7e883fd3287439266b8eb4decb5369fa45b",
+        "train.nld": "f3e0521684f108c0c0980f7236950b35362430a3d7d0b46012224c1301d7cac5",
+        "test.nld": "53a46c39a80e37de45d1ecb45ba4811b556afb192ec54e0aa8e5fcd69601273f",
+        "noisy_train.nld": "cc07e3e622db3905b9145fe73b7809ba54386c2b84556a5c6af93560d014cffe",
+        "q_stage0_*": "654bd8b3486b31491e5153cdd968a77991d331698325ccdadf21db093fee597a",
+        "q_final_*": "e16298f2388b3503f16db5544e67aa731575dfcbf90b4ae9ed7cc9332996ebe4",
+        "synth stdout": "622d901ba1342312b275e3439d84fb92e1e94baf3daabb8c804bfb5b4e48d044",
+        "synth files": "8693634b4838a21da4701a390683ff7cb000451aa169a6f00babf83acd9ca1c2",
+        "inject stdout": "097a03e21f5d94a961b0c69b4f9bc1cc37a1bae4622ea8b7023816c436587035",
+        "inject files": "0904c5576311f480fd158c932fdba05b737932c823e0bf18320be117028335c6",
+    },
+    "single_mlp": {
+        "report.json": "378cd3ed75df0108c267a2d8d89f531b503aa3f4274596526088e2ec41591ee3",
+        "flips.csv": "3a8e1d438dec857372fd25eaef7200ce728802320c030d538893a998e502d5d3",
+        "train.nld": "287fe7a8794c461fde689d815b8ee92b16b13519d7fbaa6f2ef92693304acdc0",
+        "test.nld": "fc39748b665ee300272c4516a9592bd8fc1b198b22561dd1929464325520657c",
+        "noisy_train.nld": "a4e5ada3dbdfa0f3795594fa19a373ea2414c883c87184864cca4da3dabf256a",
+        "q_stage0_*": "e7d2ac529939d8c4e09dffee39ac5193a4c627ed3765ba0193d40cfca8d89a4c",
+        "q_final_*": "1c2835c63721f70ee0fa0cc6a16c07be5c6eb5dbe2dc9608289d692ffb4ef1d7",
+        "synth stdout": "622d901ba1342312b275e3439d84fb92e1e94baf3daabb8c804bfb5b4e48d044",
+        "synth files": "6f9c1930af057c489f0c296e07b317f037422e93779b0203bfb3bb884ddf082d",
+        "inject stdout": "54fb8726cd563742112671ad7b2dd9d45d5fff7af564cdefa138a82197b6e816",
+        "inject files": "792fbd02339d1cc631932bb5510f20e96cdc3c9557f5f33ff1fe0b1ead82f74b",
+    },
+}
+
+
+def files_digest(paths):
+    """One digest over the names and contents of ``paths``."""
+    return sha256(b"".join(p.name.encode() + b"\0" + sha256(p.read_bytes()).encode() + b"\n"
+                           for p in sorted(paths)))
+
+
+def report_digest(path):
+    report = json.loads(path.read_text())
+    del report["wall_clock_s"], report["out_dir"]
+    return sha256(json.dumps(report, indent=2).encode())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_files_and_cli_synth_inject_match_golden_hashes(name, tmp_path, monkeypatch,
+                                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(
+        "".join(f"{k} = {v}\n" for k, v in case_entries(name, "cli").items()))
+    run_experiment(build_config(case_entries(name, "run")))
+    run = tmp_path / "run"
+    digests = {"report.json": report_digest(run / "report.json")}
+    for file in ("flips.csv", "train.nld", "test.nld", "noisy_train.nld"):
+        digests[file] = sha256((run / file).read_bytes())
+    for tag in ("stage0", "final"):
+        digests[f"q_{tag}_*"] = files_digest(run.glob(f"q_{tag}_*"))
+
+    assert cli_main(["synth", "--config", "run.cfg", "--out", "synth"]) == 0
+    digests["synth stdout"] = sha256(capsys.readouterr().out.encode())
+    digests["synth files"] = files_digest((tmp_path / "synth").iterdir())
+    assert cli_main(["inject", "--config", "run.cfg", "--data", "synth/train.nld",
+                     "--out", "inject"]) == 0
+    digests["inject stdout"] = sha256(capsys.readouterr().out.encode())
+    digests["inject files"] = files_digest((tmp_path / "inject").iterdir())
+
+    assert digests == FILE_GOLDEN[name]

@@ -12,16 +12,16 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DataError, DivergenceError, FormatError,
                      NoiseAttnError, StageError, UsageError)
 from .nn import (EPS, Conv2D, Dense, Flatten, LayerSpec, MaxPool2x2, Network,
-                 Parameter, ReLU, SGD, nll_loss, nll_loss_grad, softmax, softmax_backward)
+                 Parameter, ReLU, SGD, nll_loss, softmax, softmax_backward)
 from .attention import (Decision, NAModel, NoiseUnit, UnitSchedule, attention_outputs,
-                        infer, na_backward, na_loss, project_column_stochastic, schedule_step)
+                        na_loss, project_column_stochastic, schedule_step)
 from .recursion import (RecursionSchedule, alpha_schedule, combine_supervisions,
                         run_recursion, snapshot_probs, soft_nll_loss)
 from .training import OneHead, Trainer, TrainSettings, split_train_val
 from .multihead import AttributeSpec, MultiHeadNetwork, all_metric, evaluate_all_metric
 from .data import (Dataset, NoiseSpec, SyntheticSpec, empirical_transition,
-                   generate_synthetic, generate_synthetic_multi, import_csv,
-                   inject_noise, inject_noise_multi, load_dataset, save_dataset)
+                   generate_synthetic, generate_synthetic_multi, inject_noise,
+                   inject_noise_multi, load_dataset, save_dataset)
 from .config import (ExperimentConfig, build_config, load_config, parse_arch,
                      parse_config_text, parse_input_shape, serialize_arch)
 from .harness import (MetricsLog, RunReport, evaluate, export_q, load_q_csv,

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .nn import Network, Parameter, _nll_grad, _picked_nll, check_labels, softmax
+from .nn import Parameter, _picked_nll, check_labels
 
 
 def project_column_stochastic(q):
@@ -218,7 +218,7 @@ def na_loss_terms(probs, labels, model: NAModel):
     """Selection, routed rows, picked confidences, and the scalar loss.
 
     The labels are not checked here: they must lie in [0, n_classes), as
-    ``na_loss``, ``na_backward`` and the trainer make sure.
+    ``na_loss`` and the trainer make sure.
     """
     sel, out = _route(probs, labels, model)
     picked, loss = _picked_nll(out, labels)
@@ -250,17 +250,3 @@ def routed_backward(probs, sel, out_grad, model: NAModel):
             unit.q.grad += unit.decay * (unit.q.data - model._eye)
     return gp
 
-
-def na_backward(probs, labels, model: NAModel, terms=None):
-    """Gradient of the routed NLL wrt base probabilities (units accumulate)."""
-    labels = check_labels(labels, model.n_classes)
-    if terms is None:
-        sel, out, picked, _ = na_loss_terms(probs, labels, model)
-    else:
-        sel, out, picked = terms
-    return routed_backward(probs, sel, _nll_grad(out, labels, picked), model)
-
-
-def infer(net: Network, x):
-    """Base-network probabilities; noise units are never applied here."""
-    return softmax(net.forward(x))

@@ -19,6 +19,7 @@ from .errors import ConfigError, DataError, FormatError, NoiseAttnError, StageEr
 from .harness import (_export_models, _inject, _make_out_dir, _write_flips, evaluate,
                       load_snapshot, resolve_data, resume_recursion, run_experiment)
 from .multihead import evaluate_all_metric
+from .training import as_heads
 
 
 def _load_config(args):
@@ -51,9 +52,8 @@ def _cmd_inject(args) -> int:
         raise ConfigError("noise.mode is none; nothing to inject")
     noisy, flips = _inject(cfg, dataset)
     save_dataset(noisy, out / "noisy_train.nld")
-    _write_flips(out / "flips.csv", flips)
-    n_flipped = sum(len(f) for f in flips) if isinstance(flips, list) else len(flips)
-    print(f"wrote {out / 'noisy_train.nld'} ({n_flipped} flipped labels)")
+    _write_flips(out / "flips.csv", dataset.k, flips)
+    print(f"wrote {out / 'noisy_train.nld'} ({sum(len(f) for f in flips)} flipped labels)")
     return 0
 
 
@@ -82,20 +82,18 @@ def _cmd_eval(args) -> int:
     if dataset.true_labels is None:
         raise DataError("evaluation needs a dataset with true labels")
     if snap["kind"] == "single":
-        err = evaluate(snap["net"], dataset.features, dataset.true_labels)
-        print(f"test error: {err}")
-    else:
-        per_attr, all_err = evaluate_all_metric(snap["net"], dataset.features,
-                                                dataset.true_labels)
-        for name, err in zip(snap["attributes"].names, per_attr):
-            print(f"test error [{name}]: {err}")
-        print(f"test error [ALL]: {all_err}")
+        print(f"test error: {evaluate(snap['net'], dataset.features, dataset.true_labels)}")
+        return 0
+    per_attr, all_err = evaluate_all_metric(snap["net"], dataset.features, dataset.true_labels)
+    for name, err in zip(snap["net"].names, per_attr):
+        print(f"test error [{name}]: {err}")
+    print(f"test error [ALL]: {all_err}")
     return 0
 
 
 def _cmd_export_q(args) -> int:
     snap = load_snapshot(args.snapshot)
-    paths = _export_models(snap["models"], snap["attributes"], Path(args.out or "."), "q_")
+    paths = _export_models(as_heads(snap["net"]), snap["models"], Path(args.out or "."), "q_")
     for csv_path, pgm_path in paths:
         print(f"wrote {csv_path} and {pgm_path}")
     return 0

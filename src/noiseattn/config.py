@@ -215,16 +215,18 @@ def _parse_attributes(raw: str) -> AttributeSpec:
     return AttributeSpec(counts, names)
 
 
-def _section(e: _Entries, prefix: str, cls):
+def _section(e: _Entries, prefix: str, cls, **defaults):
     """Build the dataclass of one config section from its ``prefix.<field>``
-    keys, each read as its default's type (a float or else an integer);
-    a range error names the full key."""
-    defaults = cls()
+    keys, each read as the type of the class default (a string, a float or
+    else an integer); ``defaults`` replace class defaults by field name.
+    A range error names the full key."""
+    base = cls()
     values = {}
     for f in fields(cls):
-        default = getattr(defaults, f.name)
-        get = e.get_float if isinstance(default, float) else e.get_int
-        values[f.name] = get(f"{prefix}.{f.name}", default)
+        default = getattr(base, f.name)
+        get = (e.get if isinstance(default, str)
+               else e.get_float if isinstance(default, float) else e.get_int)
+        values[f.name] = get(f"{prefix}.{f.name}", defaults.get(f.name, default))
     try:
         return cls(**values)
     except ConfigError as exc:
@@ -272,24 +274,7 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"data.source must be synthetic or nld, got {d.source!r}")
     d.train_path = e.get("data.train_path", d.train_path)
     d.test_path = e.get("data.test_path", d.test_path)
-    syn = d.synthetic
-    syn_seed = e.get_int("data.synthetic.seed")
-    syn_fields = dict(
-        kind=e.get("data.synthetic.kind", syn.kind),
-        classes=e.get_int("data.synthetic.classes", syn.classes),
-        dim=e.get_int("data.synthetic.dim", syn.dim),
-        sigma=e.get_float("data.synthetic.sigma", syn.sigma),
-        separation=e.get_float("data.synthetic.separation", syn.separation),
-        height=e.get_int("data.synthetic.height", syn.height),
-        width=e.get_int("data.synthetic.width", syn.width),
-        n_train=e.get_int("data.synthetic.n_train", syn.n_train),
-        n_test=e.get_int("data.synthetic.n_test", syn.n_test),
-        seed=syn_seed if syn_seed is not None else (cfg.seed, 31),
-    )
-    try:
-        d.synthetic = SyntheticSpec(**syn_fields)
-    except ConfigError as exc:  # SyntheticSpec messages start with the field name
-        raise ConfigError(f"data.synthetic.{exc}") from exc
+    d.synthetic = _section(e, "data.synthetic", SyntheticSpec, seed=(cfg.seed, 31))
 
     # noise
     n = cfg.noise
@@ -326,8 +311,8 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     or ``out``) replace or add to the file's."""
     try:
         text = Path(path).read_text()
-    except FileNotFoundError as exc:
-        raise ConfigError(f"no such config file: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return build_config({**parse_config_text(text), **(overrides or {})})
 
 
@@ -343,6 +328,6 @@ def validate_paths(cfg: ExperimentConfig):
 def load_noise_matrix(path) -> np.ndarray:
     try:
         m = np.loadtxt(path, delimiter=",", dtype=np.float64)
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"could not read noise matrix {path!r}: {exc}") from exc
     return np.atleast_2d(m)

@@ -8,7 +8,6 @@ so the noise level is the exact fraction of mislabeled samples.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,28 +153,24 @@ def noisy_labels(true_labels, c: int, spec: NoiseSpec) -> tuple[np.ndarray, np.n
 
 def inject_noise(dataset: Dataset, spec: NoiseSpec) -> tuple[Dataset, np.ndarray]:
     """Corrupt a clean single-label dataset; true labels are preserved."""
-    if dataset.true_labels is None:
-        raise DataError("noise injection needs a dataset with true labels")
     if dataset.k != 0:
         raise DataError("inject_noise handles single-label data; use inject_noise_multi")
-    given, flips = noisy_labels(dataset.true_labels, dataset.c, spec)
-    noisy = Dataset(dataset.features, given, dataset.c, dataset.true_labels.copy())
+    noisy, (flips,) = inject_noise_multi(dataset, [spec], [dataset.c])
     return noisy, flips
 
 
 def inject_noise_multi(dataset: Dataset, specs, class_counts) -> tuple[Dataset, list[np.ndarray]]:
-    """Corrupt each attribute column with its own noise spec."""
+    """Corrupt each label column with its own noise spec and class count;
+    single-label data is one column. Returns one flip index array per column."""
     if dataset.true_labels is None:
         raise DataError("noise injection needs a dataset with true labels")
-    if dataset.k == 0:
-        raise DataError("dataset is single-label")
-    if len(specs) != dataset.k or len(class_counts) != dataset.k:
-        raise ConfigError("one noise spec and class count per attribute required")
     given = dataset.true_labels.copy()
+    columns = given.T if dataset.k else [given]
+    if len(specs) != len(columns) or len(class_counts) != len(columns):
+        raise ConfigError("one noise spec and class count per attribute required")
     flip_lists = []
-    for k in range(dataset.k):
-        col, flips = noisy_labels(dataset.true_labels[:, k], class_counts[k], specs[k])
-        given[:, k] = col
+    for column, c, spec in zip(columns, class_counts, specs):
+        column[...], flips = noisy_labels(column, c, spec)
         flip_lists.append(flips)
     noisy = Dataset(dataset.features, given, dataset.c, dataset.true_labels.copy())
     return noisy, flip_lists
@@ -322,39 +317,51 @@ def save_dataset(dataset: Dataset, path):
     Path(path).write_bytes(bytes(blob))
 
 
+class _Reader:
+    """Reads a binary file front to back, for the NLD1 and NAM loaders. A
+    file that cannot be read, a read past the end (naming its offset) and
+    trailing bytes are all ``FormatError``s."""
+
+    def __init__(self, path, kind: str):
+        self.kind = kind
+        try:
+            self.raw = Path(path).read_bytes()
+        except OSError as exc:
+            raise FormatError(f"cannot read {kind} file {path}: {exc}") from exc
+        self.offset = 0
+
+    def take(self, count: int, what: str) -> bytes:
+        have = len(self.raw) - self.offset
+        if count > have:
+            raise FormatError(f"truncated {self.kind} file: needed {count} bytes for {what} "
+                              f"at offset {self.offset}, have {have}")
+        self.offset += count
+        return self.raw[self.offset - count:self.offset]
+
+    def done(self):
+        if self.offset != len(self.raw):
+            raise FormatError(f"{len(self.raw) - self.offset} unexpected trailing bytes "
+                              f"at offset {self.offset}")
+
+
 def load_dataset(path) -> Dataset:
     """Read an NLD1 file; any structural problem reports its byte offset."""
-    try:
-        raw = Path(path).read_bytes()
-    except FileNotFoundError as exc:
-        raise FormatError(f"no such dataset file: {path}") from exc
-    offset = 0
-
-    def take(count, what):
-        nonlocal offset
-        if offset + count > len(raw):
-            raise FormatError(f"truncated file: needed {count} bytes for {what} "
-                              f"at offset {offset}, have {len(raw) - offset}")
-        chunk = raw[offset:offset + count]
-        offset += count
-        return chunk
-
-    magic = take(4, "magic")
+    reader = _Reader(path, "dataset")
+    magic = reader.take(4, "magic")
     if magic != NLD1_MAGIC:
         raise FormatError(f"bad magic {magic!r} at offset 0 (expected {NLD1_MAGIC!r})")
-    version, n, d, c, k, has_true = _HEADER.unpack(take(_HEADER.size, "header"))
+    version, n, d, c, k, has_true = _HEADER.unpack(reader.take(_HEADER.size, "header"))
     if version != NLD1_VERSION:
         raise FormatError(f"unsupported version {version} at offset 4")
     if d == 0:
         raise FormatError("zero feature columns at offset 12")
-    features = np.frombuffer(take(n * d * 8, "features"), dtype="<f8").reshape(n, d)
+    features = np.frombuffer(reader.take(n * d * 8, "features"), dtype="<f8").reshape(n, d)
     label_count = n * k if k else n
-    given = np.frombuffer(take(label_count * 4, "given labels"), dtype="<u4")
+    given = np.frombuffer(reader.take(label_count * 4, "given labels"), dtype="<u4")
     true = None
     if has_true:
-        true = np.frombuffer(take(label_count * 4, "true labels"), dtype="<u4")
-    if offset != len(raw):
-        raise FormatError(f"{len(raw) - offset} unexpected trailing bytes at offset {offset}")
+        true = np.frombuffer(reader.take(label_count * 4, "true labels"), dtype="<u4")
+    reader.done()
     shape = (n, k) if k else (n,)
     given = given.astype(np.int64).reshape(shape)
     if true is not None:
@@ -363,39 +370,3 @@ def load_dataset(path) -> Dataset:
         return Dataset(features.astype(np.float64), given, int(c), true)
     except DataError as exc:
         raise FormatError(f"invalid dataset content: {exc}") from exc
-
-
-def import_csv(path, class_count: int | None = None) -> Dataset:
-    """Read a simple CSV: feature columns, then given_label, then an
-    optional true_label column. Class count defaults to max label + 1."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except FileNotFoundError as exc:
-        raise FormatError(f"no such CSV file: {path}") from exc
-    if not rows:
-        raise FormatError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if "given_label" not in header:
-        raise FormatError(f"{path}: no given_label column in header {header}")
-    gi = header.index("given_label")
-    ti = header.index("true_label") if "true_label" in header else None
-    if gi == 0:
-        raise FormatError(f"{path}: no feature columns before given_label")
-    feats, given, true = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            feats.append([float(v) for v in row[:gi]])
-            given.append(int(row[gi]))
-            if ti is not None:
-                true.append(int(row[ti]))
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-    given_arr = np.asarray(given, dtype=np.int64)
-    true_arr = np.asarray(true, dtype=np.int64) if ti is not None else None
-    if class_count is None:
-        upper = given_arr.max() if true_arr is None else max(given_arr.max(), true_arr.max())
-        class_count = int(upper) + 1
-    return Dataset(np.asarray(feats), given_arr, class_count, true_arr)

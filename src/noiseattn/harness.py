@@ -22,16 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import Decision, NAModel, infer, schedule_step
+from .attention import Decision, NAModel, schedule_step
 from .config import (ExperimentConfig, _parse_attributes, load_noise_matrix, parse_arch,
                      parse_input_shape, serialize_arch, serialize_input_shape, validate_paths)
-from .data import (NoiseSpec, generate_synthetic, generate_synthetic_multi, inject_noise,
+from .data import (NoiseSpec, _Reader, generate_synthetic, generate_synthetic_multi,
                    inject_noise_multi, load_dataset, save_dataset)
 from .errors import ConfigError, DataError, FormatError, NoiseAttnError, StageError
-from .multihead import MultiHeadNetwork, evaluate_all_metric
+from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
 from .nn import Network, label_columns
 from .recursion import run_recursion
-from .training import Trainer, _loss_total, split_train_val
+from .training import OneHead, Trainer, _loss_total, as_heads, split_train_val
 
 SNAPSHOT_MAGIC = b"NAM1"
 SNAPSHOT_VERSION = 1
@@ -64,18 +64,9 @@ class MetricsLog:
 # Evaluation
 
 
-def predict_probs(net: Network, features):
-    """Base-network probabilities over a whole set, in 4096-row chunks."""
-    return np.concatenate([infer(net, features[start:start + 4096])
-                           for start in range(0, features.shape[0], 4096)])
-
-
 def evaluate(net: Network, features, true_labels) -> float:
     """Top-1 error rate against true labels, through the base network only."""
-    if true_labels is None:
-        raise DataError("evaluation needs true labels")
-    preds = predict_probs(net, features).argmax(axis=1)
-    return float(np.mean(preds != np.asarray(true_labels)))
+    return _errors(OneHead(net), features, true_labels)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +104,11 @@ def export_q(model: NAModel, out_dir, prefix: str = "q_"):
     return paths
 
 
-def _export_models(models, attributes, out_dir, prefix):
-    """export_q for every attribute's model; multi-label file names carry
-    the attribute name after ``prefix``."""
-    names = [""] if attributes is None else [f"{name}_" for name in attributes.names]
-    return [pair for name, model in zip(names, models)
-            for pair in export_q(model, out_dir, prefix=prefix + name)]
+def _export_models(view, models, out_dir, prefix):
+    """export_q for the model of every head of ``view``; multi-label file
+    names carry the attribute name after ``prefix``."""
+    return [pair for name, model in zip(view.names, models)
+            for pair in export_q(model, out_dir, prefix=prefix + (f"{name}_" if name else ""))]
 
 
 def load_q_csv(path) -> np.ndarray:
@@ -161,8 +151,9 @@ def _param_chain(net_params, models):
 def save_snapshot(path, net, models, *, input_shape, arch_specs, attributes=None):
     """Flat float64 parameter dump behind an architecture echo header.
 
-    ``net`` is a ``Network`` with one model (single-label) or a
-    ``MultiHeadNetwork`` with one model per attribute of ``attributes``.
+    ``net`` is a ``Network`` (or its ``OneHead`` view) with one model
+    (single-label) or a ``MultiHeadNetwork`` with one model per attribute
+    of ``attributes``.
     """
     meta = _meta_lines(input_shape, arch_specs, models, attributes).encode()
     chain = _param_chain(net.parameters(), models)
@@ -189,31 +180,19 @@ def load_snapshot(path):
     """Rebuild the network and noise models; validates the metadata (one
     unit and one decay group per attribute, 1 for single-label) and the
     parameter count against the architecture echo."""
-    try:
-        raw = Path(path).read_bytes()
-    except FileNotFoundError as exc:
-        raise FormatError(f"no such snapshot file: {path}") from exc
-    offset = 0
-
-    def take(count, what):
-        nonlocal offset
-        if offset + count > len(raw):
-            raise FormatError(f"truncated snapshot: needed {count} bytes for {what} "
-                              f"at offset {offset}")
-        chunk = raw[offset:offset + count]
-        offset += count
-        return chunk
-
-    if take(4, "magic") != SNAPSHOT_MAGIC:
+    reader = _Reader(path, "snapshot")
+    if reader.take(4, "magic") != SNAPSHOT_MAGIC:
         raise FormatError(f"bad snapshot magic at offset 0 in {path}")
-    version, meta_len = struct.unpack("<II", take(8, "header"))
+    version, meta_len = struct.unpack("<II", reader.take(8, "header"))
     if version != SNAPSHOT_VERSION:
         raise FormatError(f"unsupported snapshot version {version}")
-    meta = _parse_meta(take(meta_len, "architecture echo").decode())
-    (n_params,) = struct.unpack("<Q", take(8, "parameter count"))
-    vec = np.frombuffer(take(n_params * 8, "parameters"), dtype="<f8").astype(np.float64)
-    if offset != len(raw):
-        raise FormatError(f"{len(raw) - offset} unexpected trailing bytes at offset {offset}")
+    try:
+        meta = _parse_meta(reader.take(meta_len, "architecture echo").decode())
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"snapshot architecture echo at offset 12 is not UTF-8: {exc}") from exc
+    (n_params,) = struct.unpack("<Q", reader.take(8, "parameter count"))
+    vec = np.frombuffer(reader.take(n_params * 8, "parameters"), dtype="<f8").astype(np.float64)
+    reader.done()
 
     def field(key, parse=str):
         if key not in meta:
@@ -295,21 +274,19 @@ def _noise_specs(cfg: ExperimentConfig, k: int):
 
 def _inject(cfg: ExperimentConfig, dataset):
     """Corrupt the given labels per ``cfg.noise``; returns (noisy dataset,
-    flipped indices), one index array per attribute for multi-label data."""
-    if dataset.k == 0:
-        (spec,) = _noise_specs(cfg, 0)
-        return inject_noise(dataset, spec)
-    if cfg.attributes is None:
+    flipped indices), one index array per label column."""
+    if dataset.k and cfg.attributes is None:
         raise ConfigError("multi-attribute dataset needs an attributes config")
-    return inject_noise_multi(dataset, _noise_specs(cfg, dataset.k), cfg.attributes.class_counts)
+    counts = cfg.attributes.class_counts if dataset.k else [dataset.c]
+    return inject_noise_multi(dataset, _noise_specs(cfg, dataset.k), counts)
 
 
 def resolve_data(cfg: ExperimentConfig, out_dir=None):
     """Produce (train, test) datasets per config; optionally save artifacts.
 
     Injection corrupts training labels only; test sets keep given = true.
-    Returns (train, test, flip_record) where flip_record is None when no
-    noise was injected.
+    Returns (train, test, flips) where flips holds one index array per
+    label column, or is None when no noise was injected.
     """
     if cfg.data.source == "synthetic":
         if cfg.attributes is not None:
@@ -333,22 +310,18 @@ def resolve_data(cfg: ExperimentConfig, out_dir=None):
         train, flips = _inject(cfg, train)
         if out_dir is not None:
             save_dataset(train, Path(out_dir) / "noisy_train.nld")
-            _write_flips(Path(out_dir) / "flips.csv", flips)
+            _write_flips(Path(out_dir) / "flips.csv", train.k, flips)
     return train, test, flips
 
 
-def _write_flips(path, flips):
+def _write_flips(path, k, flips):
+    """``index`` rows for single-label data (``k`` = 0), else ``attribute,index``
+    rows, one per flip of each of the ``k`` columns."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if isinstance(flips, list):  # multi-attribute: one column pair per attribute
-            writer.writerow(["attribute", "index"])
-            for k, idx in enumerate(flips):
-                for i in idx:
-                    writer.writerow([k, int(i)])
-        else:
-            writer.writerow(["index"])
-            for i in flips:
-                writer.writerow([int(i)])
+        writer.writerow(["attribute", "index"] if k else ["index"])
+        for column, idx in enumerate(flips):
+            writer.writerows([column, int(i)] if k else [int(i)] for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +383,22 @@ def _check_arch(cfg: ExperimentConfig):
         raise ConfigError("arch.layers and arch.input_shape are required for training")
 
 
-def _split(cfg, net, train_ds, test_ds):
-    """Check both datasets against the config and the network, each label
-    column against its own attribute's class count; returns the fit and
-    validation parts as (xt, yt, xv, yv, validation true labels or None)."""
-    attrs = cfg.attributes
-    k = 0 if attrs is None else attrs.k
+def _split(cfg, view, train_ds, test_ds):
+    """Check both datasets against the heads of ``view``, each label column
+    against its own head's class count; returns the fit and validation
+    parts as (xt, yt, xv, yv, validation true labels or None)."""
+    k = 0 if view.attributes is None else len(view.names)
     for ds in (train_ds, test_ds):
         if ds.k != k:
             raise ConfigError(f"dataset has {ds.k} attribute columns, config declares {k}")
-    if k == 0 and net.out_dim != train_ds.c:
-        raise ConfigError(f"network outputs {net.out_dim} classes, dataset has {train_ds.c}")
-    names, counts = ([""], [train_ds.c]) if attrs is None else (attrs.names, attrs.class_counts)
+    if k == 0 and view.class_counts != [train_ds.c]:
+        raise ConfigError(f"network outputs {view.class_counts[0]} classes, "
+                          f"dataset has {train_ds.c}")
     for part, ds in (("train", train_ds), ("test", test_ds)):
         for kind, labels in (("given", ds.given_labels), ("true", ds.true_labels)):
             if labels is None:
                 continue
-            for name, c, column in zip(names, counts, label_columns(labels)):
+            for name, c, column in zip(view.names, view.class_counts, label_columns(labels)):
                 if column.max(initial=0) >= c:
                     of = f" of attribute {name}" if name else ""
                     raise DataError(f"{part} {kind} labels{of} must lie in [0, {c}), "
@@ -437,16 +409,16 @@ def _split(cfg, net, train_ds, test_ds):
             train_ds.features[val_idx], train_ds.given_labels[val_idx], val_true)
 
 
-def _test_rows(metrics, net, attrs, test_ds, stage_name, iteration, epoch):
+def _test_rows(metrics, view, test_ds, stage_name, iteration, epoch):
     """Test error through the base network, written to metrics: ``error``
     for a single-label run; ``error.<name>`` per attribute and ``error.ALL``
     for a multi-label run, which returns (per-attribute errors, joint error)."""
-    if attrs is None:
-        errors = evaluate(net, test_ds.features, test_ds.true_labels)
+    if view.attributes is None:
+        errors = evaluate(view.base, test_ds.features, test_ds.true_labels)
         rows = [("error", errors)]
     else:
-        errors = evaluate_all_metric(net, test_ds.features, test_ds.true_labels)
-        rows = [*zip([f"error.{name}" for name in attrs.names], errors[0]),
+        errors = evaluate_all_metric(view, test_ds.features, test_ds.true_labels)
+        rows = [*zip([f"error.{name}" for name in view.names], errors[0]),
                 ("error.ALL", errors[1])]
     for metric, value in rows:
         metrics.add(stage_name, iteration, epoch, "test", metric, value)
@@ -456,15 +428,14 @@ def _test_rows(metrics, net, attrs, test_ds, stage_name, iteration, epoch):
 def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
     stage[0] = "build"
     _check_arch(cfg)
-    attrs = cfg.attributes
     net = Network(cfg.arch_specs, cfg.arch_input_shape, seed=(cfg.seed, 1))
-    if attrs is not None:
-        net = MultiHeadNetwork(net, attrs, seed=cfg.seed)
-    split = _split(cfg, net, train_ds, test_ds)
+    view = (OneHead(net) if cfg.attributes is None
+            else MultiHeadNetwork(net, cfg.attributes, seed=cfg.seed))
+    split = _split(cfg, view, train_ds, test_ds)
     xt, yt, xv, yv, _ = split
-    models = [NAModel(c) for c in ([train_ds.c] if attrs is None else attrs.class_counts)]
-    suffixes = [""] if attrs is None else [f".{name}" for name in attrs.names]
-    trainer = Trainer(net, cfg.opt, models, seed=cfg.seed)
+    models = [NAModel(c) for c in view.class_counts]
+    suffixes = [f".{name}" if name else "" for name in view.names]
+    trainer = Trainer(view, cfg.opt, models, seed=cfg.seed)
 
     stage[0] = "pretrain"
     for epoch in range(cfg.na.pretrain_epochs):
@@ -498,9 +469,9 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
         if all(stopped):
             break
 
-    stage0 = _save_stage(cfg, net, models, test_ds, metrics, out, "stage0",
+    stage0 = _save_stage(cfg, view, models, test_ds, metrics, out, "stage0",
                          ("na", 0, max(na_epochs - 1, 0)))
-    if attrs is None:
+    if view.attributes is None:
         report.stage0 = {"pretrain_epochs": cfg.na.pretrain_epochs, "na_epochs": na_epochs,
                          "active_units": models[0].active_count, "test_error": stage0}
         report.test_errors["stage0"] = stage0
@@ -512,16 +483,15 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
     stage[0] = "recursion"
     records = []
     if cfg.recursion.iterations > 0:
-        records = _recursion(cfg, trainer, net, split, test_ds, metrics)
+        records = _recursion(cfg, trainer, view, split, test_ds, metrics)
     report.iterations = records
 
     stage[0] = "eval"
-    report.test_errors["final"] = _save_stage(cfg, net, models, test_ds, metrics, out, "final",
+    report.test_errors["final"] = _save_stage(cfg, view, models, test_ds, metrics, out, "final",
                                               ("final", len(records), 0))
 
 
-def _recursion(cfg, trainer, net, split, test_ds, metrics):
-    attrs = cfg.attributes
+def _recursion(cfg, trainer, view, split, test_ds, metrics):
     xt, yt, xv, yv, val_true = split
     schedule = cfg.recursion
     if schedule.epochs is None:  # rounds as long as the NA stage
@@ -529,9 +499,7 @@ def _recursion(cfg, trainer, net, split, test_ds, metrics):
 
     if val_true is not None:
         def val_metric():
-            if attrs is None:
-                return evaluate(net, xv, val_true)
-            return evaluate_all_metric(net, xv, val_true)[1]
+            return _errors(view, xv, val_true)[1]
     else:
         def val_metric():
             return _loss_total(trainer.val_loss(xv, yv, use_na=True))
@@ -543,23 +511,23 @@ def _recursion(cfg, trainer, net, split, test_ds, metrics):
             metrics.add("recursion", t, epoch, "train", "loss", loss)
         metrics.add("recursion", t, last_epoch, "val", "metric", record["val_metric"])
         if test_ds.true_labels is not None:
-            key = "test_error" if attrs is None else "test_errors"
-            record[key] = _test_rows(metrics, net, attrs, test_ds, "recursion", t, last_epoch)
+            key = "test_error" if view.attributes is None else "test_errors"
+            record[key] = _test_rows(metrics, view, test_ds, "recursion", t, last_epoch)
 
     return run_recursion(trainer, xt, yt, schedule, val_metric=val_metric,
                          on_iteration=on_iteration)
 
 
-def _save_stage(cfg, net, models, test_ds, metrics, out, tag, row):
+def _save_stage(cfg, view, models, test_ds, metrics, out, tag, row):
     """Test error rows at ``row`` = (stage, iteration, epoch) when the test
     set has true labels, then ``snapshot_<tag>.nam`` and the ``q_<tag>_*``
     unit exports; returns the test errors or None."""
     errors = None
     if test_ds.true_labels is not None:
-        errors = _test_rows(metrics, net, cfg.attributes, test_ds, *row)
-    save_snapshot(out / f"snapshot_{tag}.nam", net, models, input_shape=cfg.arch_input_shape,
-                  arch_specs=cfg.arch_specs, attributes=cfg.attributes)
-    _export_models(models, cfg.attributes, out, f"q_{tag}_")
+        errors = _test_rows(metrics, view, test_ds, *row)
+    save_snapshot(out / f"snapshot_{tag}.nam", view, models, input_shape=cfg.arch_input_shape,
+                  arch_specs=cfg.arch_specs, attributes=view.attributes)
+    _export_models(view, models, out, f"q_{tag}_")
     return errors
 
 
@@ -598,16 +566,16 @@ def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunR
         validate_paths(cfg)
         snap = load_snapshot(snapshot_path)
         _check_snapshot(cfg, snap)
-        net, models = snap["net"], snap["models"]
+        view, models = as_heads(snap["net"]), snap["models"]
         stage[0] = "data"
         train_ds, test_ds, _ = resolve_data(cfg, None)
-        split = _split(cfg, net, train_ds, test_ds)
+        split = _split(cfg, view, train_ds, test_ds)
 
         stage[0] = "recursion"
-        trainer = Trainer(net, cfg.opt, models, seed=cfg.seed)
-        report.iterations = _recursion(cfg, trainer, net, split, test_ds, metrics)
+        trainer = Trainer(view, cfg.opt, models, seed=cfg.seed)
+        report.iterations = _recursion(cfg, trainer, view, split, test_ds, metrics)
         stage[0] = "eval"
-        report.test_errors["final"] = _save_stage(cfg, net, models, test_ds, metrics, out,
+        report.test_errors["final"] = _save_stage(cfg, view, models, test_ds, metrics, out,
                                                   "final", ("final", len(report.iterations), 0))
 
     return _drive(cfg, out, stage, body)

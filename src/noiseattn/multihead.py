@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .nn import Dense, Network, entropy_tuple, softmax
+from .nn import Dense, Network, entropy_tuple, label_columns, softmax
 
 
 @dataclass
@@ -57,6 +57,10 @@ class MultiHeadNetwork:
     def class_counts(self) -> list[int]:
         return list(self.attributes.class_counts)
 
+    @property
+    def names(self) -> list[str]:
+        return list(self.attributes.names)
+
     def parameters(self):
         params = self.trunk.parameters()
         for head in self.heads:
@@ -76,29 +80,37 @@ class MultiHeadNetwork:
             dfeats = d if dfeats is None else dfeats + d
         return self.trunk.backward(dfeats)
 
-    def predict(self, batch):
-        """Per-attribute argmax classes via trunk + heads only (no units)."""
-        probs = self.forward(batch)
-        return np.stack([p.argmax(axis=1) for p in probs], axis=1)
-
 
 def all_metric(predictions, true_labels) -> tuple[list[float], float]:
-    """Per-attribute error rates and the joint (every-attribute) error."""
+    """Per-attribute error rates and the joint (every-attribute) error,
+    compared column by column."""
     predictions = np.asarray(predictions)
     true_labels = np.asarray(true_labels)
     if predictions.shape != true_labels.shape:
         raise DataError(f"prediction shape {predictions.shape} != label shape {true_labels.shape}")
-    wrong = predictions != true_labels
-    per_attr = [float(np.mean(wrong[:, k])) for k in range(wrong.shape[1])]
-    return per_attr, float(np.mean(wrong.any(axis=1)))
+    wrong = [p != y for p, y in zip(label_columns(predictions), label_columns(true_labels))]
+    joint = wrong[0]
+    for column in wrong[1:]:
+        joint = joint | column
+    return [float(np.mean(column)) for column in wrong], float(np.mean(joint))
+
+
+def _errors(net, features, true_labels) -> tuple[list[float], float]:
+    """``all_metric`` of the heads of ``net`` (``OneHead`` or
+    ``MultiHeadNetwork``) against true labels, (N,) for one head: argmax
+    predictions of the base network alone, in 4096-row chunks."""
+    if true_labels is None:
+        raise DataError("evaluation needs true labels")
+    if features.shape[0] == 0:
+        raise DataError("evaluation needs at least one sample")
+    chunks = [[probs.argmax(axis=1) for probs in net.forward(features[start:start + 4096])]
+              for start in range(0, features.shape[0], 4096)]
+    preds = np.stack([np.concatenate(head) for head in zip(*chunks)], axis=1)
+    labels = np.asarray(true_labels)
+    return all_metric(preds, labels.reshape(labels.shape[0], -1))
 
 
 def evaluate_all_metric(net: MultiHeadNetwork, features,
                         true_labels) -> tuple[list[float], float]:
-    """Per-attribute and joint test error on true labels, predicted in
-    4096-row chunks."""
-    if true_labels is None:
-        raise DataError("evaluation needs true labels")
-    preds = [net.predict(features[start:start + 4096])
-             for start in range(0, features.shape[0], 4096)]
-    return all_metric(np.concatenate(preds, axis=0), true_labels)
+    """Per-attribute and joint test error on true labels."""
+    return _errors(net, features, true_labels)

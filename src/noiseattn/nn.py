@@ -340,13 +340,6 @@ class Network:
     def parameters(self) -> list[Parameter]:
         return list(self._params)
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self._params)
-
-    def zero_grad(self):
-        for p in self._params:
-            p.grad[...] = 0.0
-
     def forward(self, batch):
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim == 2 and len(self.input_shape) > 1:
@@ -427,7 +420,8 @@ def _picked_nll(probs, labels):
 
 
 def _nll_grad(probs, labels, picked):
-    """``nll_loss_grad`` for checked labels and their picked entries."""
+    """Gradient of ``nll_loss`` wrt the probabilities, for checked labels
+    and their picked entries ``probs[i, labels[i]]``."""
     b = probs.shape[0]
     g = np.zeros(probs.shape)
     g[np.arange(b), labels] = log_grad_coef(picked, b)
@@ -437,11 +431,6 @@ def _nll_grad(probs, labels, picked):
 def nll_loss(probs, labels) -> float:
     """Mean negative log likelihood of the given labels, clamped at EPS."""
     return _picked_nll(probs, check_labels(labels, probs.shape[1]))[1]
-
-
-def nll_loss_grad(probs, labels):
-    labels = check_labels(labels, probs.shape[1])
-    return _nll_grad(probs, labels, probs[np.arange(probs.shape[0]), labels])
 
 
 # ---------------------------------------------------------------------------

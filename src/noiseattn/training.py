@@ -65,7 +65,11 @@ def split_train_val(n: int, val_fraction: float, seed) -> tuple[np.ndarray, np.n
 
 
 class OneHead:
-    """A single-label network seen as a network with one attribute head."""
+    """A single-label network seen as a network with one attribute head,
+    which has no name and no attribute spec."""
+
+    names = ("",)
+    attributes = None
 
     def __init__(self, base: Network):
         self.base = base
@@ -82,6 +86,12 @@ class OneHead:
 
     def backward(self, dlogits_list):
         return self.base.backward(dlogits_list[0])
+
+
+def as_heads(net):
+    """``net`` as a network of attribute heads: a plain ``Network`` is
+    wrapped in ``OneHead``; a ``MultiHeadNetwork`` or a view already is one."""
+    return OneHead(net) if isinstance(net, Network) else net
 
 
 def _loss_total(losses) -> float:
@@ -129,7 +139,7 @@ class Trainer:
     """
 
     def __init__(self, net, settings: TrainSettings, na_models=(), seed=0):
-        self.net = OneHead(net) if isinstance(net, Network) else net
+        self.net = as_heads(net)
         self.na_models: list[NAModel] = list(na_models)
         if self.na_models and [m.n_classes for m in self.na_models] != self.net.class_counts:
             raise ConfigError(f"noise models for {[m.n_classes for m in self.na_models]} "

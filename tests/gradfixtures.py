@@ -10,11 +10,11 @@ tolerance measures gradient correctness rather than oracle noise.
 import numpy as np
 
 from noiseattn import (Conv2D, Dense, Flatten, MaxPool2x2, NAModel, Network, ReLU,
-                       na_backward, softmax, softmax_backward,
-                       nll_loss, nll_loss_grad, soft_nll_loss)
+                       softmax, softmax_backward,
+                       nll_loss, soft_nll_loss)
 from noiseattn.attention import na_loss_terms, project_column_stochastic, routed_backward
 from noiseattn.recursion import soft_attention_outputs, soft_out_grad
-from oracles import decay_penalty
+from oracles import decay_penalty, na_backward, nll_loss_grad, zero_grad
 
 
 def grad_check(params, loss_fn, h=1e-6) -> float:
@@ -47,7 +47,7 @@ def grad_check_classifier(net: Network, batch, labels, h=1e-6) -> float:
     """Gradient check of the softmax + NLL classification loss."""
 
     def loss_fn():
-        net.zero_grad()
+        zero_grad(net)
         probs = softmax(net.forward(batch))
         loss = nll_loss(probs, labels)
         net.backward(softmax_backward(probs, nll_loss_grad(probs, labels)))

@@ -7,7 +7,10 @@ batch form; the tests check that the two agree.
 
 import numpy as np
 
-from noiseattn import ConfigError, DataError, NAModel, na_loss, project_column_stochastic
+from noiseattn import (ConfigError, DataError, NAModel, na_loss, project_column_stochastic,
+                       softmax)
+from noiseattn.attention import na_loss_terms, routed_backward
+from noiseattn.nn import _nll_grad, check_labels
 
 
 def na_forward(p_base, unit):
@@ -115,3 +118,40 @@ def routed_backward_masks(probs, sel, out_grad, model: NAModel):
         if not unit.frozen and unit.decay:
             unit.q.grad += unit.decay * (unit.q.data - np.eye(unit.n_classes))
     return gp
+
+
+# Helpers only the tests call. The package computes these inline: the
+# trainer takes the NLL and routed gradients from the terms of its loss,
+# and evaluation takes argmax predictions from ``forward``.
+
+
+def nll_loss_grad(probs, labels):
+    """Gradient of ``nll_loss`` wrt the probabilities."""
+    labels = check_labels(labels, probs.shape[1])
+    return _nll_grad(probs, labels, probs[np.arange(probs.shape[0]), labels])
+
+
+def na_backward(probs, labels, model: NAModel, terms=None):
+    """Gradient of the routed NLL wrt base probabilities (units accumulate)."""
+    labels = check_labels(labels, model.n_classes)
+    if terms is None:
+        sel, out, picked, _ = na_loss_terms(probs, labels, model)
+    else:
+        sel, out, picked = terms
+    return routed_backward(probs, sel, _nll_grad(out, labels, picked), model)
+
+
+def infer(net, x):
+    """Base-network probabilities; noise units are never applied here."""
+    return softmax(net.forward(x))
+
+
+def n_params(net) -> int:
+    """Number of scalar parameters of a network."""
+    return sum(p.size for p in net.parameters())
+
+
+def zero_grad(net):
+    """Zero the gradient buffer of every parameter of a network."""
+    for p in net.parameters():
+        p.grad[...] = 0.0

@@ -7,13 +7,14 @@ import pytest
 
 from noiseattn import (ConfigError, Dense, Decision, NAModel, Network, NoiseUnit, ReLU,
                        Trainer, TrainSettings, UnitSchedule, attention_outputs,
-                       generate_synthetic, infer,
-                       inject_noise, na_backward, na_loss, nll_loss,
-                       nll_loss_grad, project_column_stochastic, schedule_step, softmax)
+                       generate_synthetic,
+                       inject_noise, na_loss, nll_loss,
+                       project_column_stochastic, schedule_step, softmax)
 from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms, routed_backward, unit_outputs
 from noiseattn.nn import EPS
 from gradfixtures import grad_check
+from oracles import infer, na_backward, nll_loss_grad
 from oracles import (decay_penalty, na_forward, project_units, routed_backward_masks,
                      select_unit, unit_outputs_stacked)
 

@@ -5,7 +5,7 @@ import pytest
 
 from noiseattn import (ConfigError, DataError, Dataset, FormatError, NoiseSpec,
                        SyntheticSpec, empirical_transition, generate_synthetic,
-                       generate_synthetic_multi, import_csv, inject_noise,
+                       generate_synthetic_multi, inject_noise,
                        inject_noise_multi, load_dataset, save_dataset)
 from oracles import uniform_flip_matrix
 
@@ -250,31 +250,6 @@ class TestNLD1:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="invalid dataset content"):
             load_dataset(path)
-
-
-class TestCSVImport:
-    def test_import_with_true_labels(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("f0,f1,given_label,true_label\n"
-                        "0.5,1.0,1,0\n"
-                        "-1.5,2.0,2,2\n")
-        ds = import_csv(path)
-        assert ds.n == 2 and ds.d == 2 and ds.c == 3
-        np.testing.assert_array_equal(ds.given_labels, [1, 2])
-        np.testing.assert_array_equal(ds.true_labels, [0, 2])
-        np.testing.assert_allclose(ds.features, [[0.5, 1.0], [-1.5, 2.0]])
-
-    def test_import_without_true_labels(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("a,b,given_label\n1,2,0\n3,4,1\n")
-        ds = import_csv(path, class_count=5)
-        assert ds.true_labels is None and ds.c == 5
-
-    def test_missing_label_column(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(FormatError):
-            import_csv(path)
 
 
 class TestMultiInjection:

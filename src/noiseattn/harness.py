@@ -4,8 +4,10 @@ The pipeline is: resolve data (optionally synthesize and inject noise),
 pretrain the base network on the noisy labels, grow and train the noise
 units until the schedule stops, run the recursive self-distillation
 rounds, and evaluate through the base network only. A single-label run
-is the one-attribute case of the same code path; only metric names,
-report fields and export prefixes differ by kind. Every artifact is a
+is the one-head case of the same code path: the network view (``OneHead``
+or ``MultiHeadNetwork``) gives head names and class counts, and only the
+snapshot metadata, the flips.csv header, metric names and report fields
+differ by kind. Every artifact is a
 pure function of (config, seed); wall-clock time is kept out of
 metrics.csv so reruns are byte-identical.
 """

@@ -86,13 +86,14 @@ def all_metric(predictions, true_labels) -> tuple[list[float], float]:
     compared column by column."""
     predictions = np.asarray(predictions)
     true_labels = np.asarray(true_labels)
-    if predictions.shape != true_labels.shape:
-        raise DataError(f"prediction shape {predictions.shape} != label shape {true_labels.shape}")
+    if predictions.shape != true_labels.shape or not true_labels.size:
+        raise DataError(f"shapes {predictions.shape} and {true_labels.shape} differ or are empty")
+    n = true_labels.shape[0]
     wrong = [p != y for p, y in zip(label_columns(predictions), label_columns(true_labels))]
     joint = wrong[0]
     for column in wrong[1:]:
         joint = joint | column
-    return [float(np.mean(column)) for column in wrong], float(np.mean(joint))
+    return [np.count_nonzero(column) / n for column in wrong], np.count_nonzero(joint) / n
 
 
 def _errors(net, features, true_labels) -> tuple[list[float], float]:

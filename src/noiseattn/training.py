@@ -65,8 +65,7 @@ def split_train_val(n: int, val_fraction: float, seed) -> tuple[np.ndarray, np.n
 
 
 class OneHead:
-    """A single-label network seen as a network with one attribute head,
-    which has no name and no attribute spec."""
+    """A single-label network seen as one unnamed head with no attribute spec."""
 
     names = ("",)
     attributes = None
@@ -89,8 +88,7 @@ class OneHead:
 
 
 def as_heads(net):
-    """``net`` as a network of attribute heads: a plain ``Network`` is
-    wrapped in ``OneHead``; a ``MultiHeadNetwork`` or a view already is one."""
+    """``net`` as attribute heads: a plain ``Network`` becomes ``OneHead(net)``."""
     return OneHead(net) if isinstance(net, Network) else net
 
 

@@ -109,9 +109,9 @@ def non_utf8_metadata(path):
     "train --config DIR",
     "train --config latin1.cfg",
     "export-q --snapshot latin1.nam",
+    "eval --snapshot single.nam --data empty.nld",
 ])
-def test_unreadable_inputs_exit_2_with_a_typed_error(artifacts, call, tmp_path, monkeypatch,
-                                                     capsys):
+def test_bad_inputs_exit_2_with_a_typed_error(artifacts, call, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "DIR").mkdir()
     (tmp_path / "single.nld").write_bytes((artifacts / "single.nld").read_bytes())
@@ -119,6 +119,8 @@ def test_unreadable_inputs_exit_2_with_a_typed_error(artifacts, call, tmp_path, 
     (tmp_path / "latin1.nam").write_bytes(non_utf8_metadata(artifacts / "single.nam"))
     (tmp_path / "inject.cfg").write_text("out = inject\nnoise.mode = uniform\nnoise.rho = 0.2\n")
     (tmp_path / "latin1.cfg").write_bytes("# café\nseed = 1\n".encode("latin-1"))
+    save_dataset(Dataset(np.zeros((0, 2)), np.zeros(0, int), 3, np.zeros(0, int)),
+                 tmp_path / "empty.nld")
     assert cli_main(call.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [") and "Traceback" not in err

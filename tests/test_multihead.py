@@ -160,6 +160,10 @@ class TestAllMetric:
         with pytest.raises(DataError):
             all_metric(np.zeros((3, 2), dtype=int), np.zeros((3, 3), dtype=int))
 
+    def test_empty_input(self):
+        with pytest.raises(DataError, match="empty"):
+            all_metric(np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int))
+
 
 class TestTraining:
     def test_multi_training_learns_separable_attributes(self):

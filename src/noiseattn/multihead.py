@@ -73,12 +73,14 @@ class MultiHeadNetwork:
         return [softmax(head.forward(feats)) for head in self.heads]
 
     def backward(self, dlogits_list):
-        """Heads backpropagate individually; the trunk sees their sum."""
+        """Heads backpropagate individually; the trunk sees the sum of their
+        input gradients. Parameter gradients only: the trunk computes no
+        input gradient."""
         dfeats = None
         for head, dlogits in zip(self.heads, dlogits_list):
             d = head.backward(dlogits)
             dfeats = d if dfeats is None else dfeats + d
-        return self.trunk.backward(dfeats)
+        self.trunk.backward(dfeats, input_grad=False)
 
 
 def all_metric(predictions, true_labels) -> tuple[list[float], float]:

@@ -129,12 +129,12 @@ class _DenseLayer:
         y += self.b.data
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         if self._x is None:
             raise UsageError("Dense.backward() before forward()")
         self.w.grad += self._x.T @ dy
         self.b.grad += np.add.reduce(dy, axis=0)
-        return dy @ self.w.data.T
+        return dy @ self.w.data.T if input_grad else None
 
 
 class _ConvLayer:
@@ -176,7 +176,7 @@ class _ConvLayer:
         y += self.b.data
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         if self._cols is None:
             raise UsageError("Conv2D.backward() before forward()")
         b, h, w, cin = self._xshape
@@ -184,6 +184,8 @@ class _ConvLayer:
         ho, wo = dy.shape[1], dy.shape[2]
         self.b.grad += dy.sum(axis=(0, 1, 2))
         self.w.grad += self._cols.reshape(-1, k * k * cin).T @ dy.reshape(-1, dy.shape[3])
+        if not input_grad:
+            return None
         dcols = (dy @ self.w.data.T).reshape(b, ho, wo, k, k, cin)
         dx = np.zeros(self._xshape)
         span_h, span_w = (ho - 1) * s + 1, (wo - 1) * s + 1
@@ -204,10 +206,10 @@ class _ReLULayer:
         self._mask = x > 0
         return x * self._mask
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         if self._mask is None:
             raise UsageError("ReLU.backward() before forward()")
-        return dy * self._mask
+        return dy * self._mask if input_grad else None
 
 
 class _MaxPoolLayer:
@@ -248,9 +250,11 @@ class _MaxPoolLayer:
         self._xshape = x.shape
         return x.reshape(-1)[idx].reshape(b, h // 2, w // 2, c)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         if self._idx is None:
             raise UsageError("MaxPool2x2.backward() before forward()")
+        if not input_grad:
+            return None
         dx = np.zeros(math.prod(self._xshape))
         dx[self._idx] = dy.reshape(-1)
         return dx.reshape(self._xshape)
@@ -267,10 +271,10 @@ class _FlattenLayer:
         self._xshape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         if self._xshape is None:
             raise UsageError("Flatten.backward() before forward()")
-        return dy.reshape(self._xshape)
+        return dy.reshape(self._xshape) if input_grad else None
 
 
 def _materialize(spec, shape, net_seed, index):
@@ -317,6 +321,8 @@ class Network:
         if isinstance(input_shape, int):
             input_shape = (input_shape,)
         self.specs = tuple(specs)
+        if not self.specs:
+            raise ConfigError("network has no layers")
         self.input_shape = tuple(int(s) for s in input_shape)
         if any(s < 1 for s in self.input_shape):
             raise ConfigError(f"input shape must be positive, got {self.input_shape}")
@@ -356,13 +362,17 @@ class Network:
         self._forward_done = True
         return out
 
-    def backward(self, dout):
-        """Propagate an output gradient; returns the input gradient."""
+    def backward(self, dout, input_grad=True):
+        """Propagate an output gradient into every parameter gradient.
+
+        Returns the input gradient; without ``input_grad`` the first layer
+        skips computing it and None is returned.
+        """
         if not self._forward_done:
             raise UsageError("Network.backward() before forward()")
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             dout = layer.backward(dout)
-        return dout
+        return self.layers[0].backward(dout, input_grad)
 
     def param_vector(self) -> np.ndarray:
         if not self._params:

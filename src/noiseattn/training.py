@@ -84,7 +84,8 @@ class OneHead:
         return [softmax(self.base.forward(batch))]
 
     def backward(self, dlogits_list):
-        return self.base.backward(dlogits_list[0])
+        """Parameter gradients only: the input gradient is not computed."""
+        self.base.backward(dlogits_list[0], input_grad=False)
 
 
 def as_heads(net):

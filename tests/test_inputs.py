@@ -5,18 +5,28 @@ single- and multi-label, cut them at every length or replace one byte,
 and feed the result to the loaders and to the CLI ``eval`` and
 ``export-q`` commands. Replacing bytes, rather than splicing, keeps every
 file at its length, so no example can grow a layer to a large size.
+Config text is fuzzed the same way through ``load_config``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noiseattn import (AttributeSpec, Dataset, Dense, MultiHeadNetwork, NAModel, Network,
-                       NoiseAttnError, ReLU, load_dataset, load_snapshot, save_dataset,
-                       save_snapshot)
+from noiseattn import (AttributeSpec, Dataset, Dense, ExperimentConfig, MultiHeadNetwork,
+                       NAModel, Network, NoiseAttnError, ReLU, load_config, load_dataset,
+                       load_snapshot, save_dataset, save_snapshot)
 from noiseattn.cli import main as cli_main
 
 FILES = ("single.nld", "multi.nld", "single.nam", "multi.nam")
+# An mlp_small_batch-style config, short enough that every prefix is a case:
+# integer, string, float, list, shape and architecture values.
+CONFIG = ("seed = 5\n"
+          "data.synthetic.kind = blobs\n"
+          "noise.rho = 0.4\n"
+          "arch.input_shape = 20\n"
+          "arch.layers = dense:20:64,relu,dense:64:10\n"
+          "opt.lr = 0.05\n"
+          "recursion.epochs = 1\n").encode()
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +103,33 @@ def test_a_replaced_byte_loads_or_is_a_typed_error(artifacts, name, position, ch
     position %= len(blob)
     blob[position] = (blob[position] + change) % 256
     check_fuzzed(artifacts, name, bytes(blob))
+
+
+def check_config(directory, blob):
+    """``blob`` as a config file builds an ExperimentConfig or raises a
+    NoiseAttnError; any other exception fails the test."""
+    path = directory / "fuzzed.cfg"
+    path.write_bytes(blob)
+    try:
+        assert isinstance(load_config(path), ExperimentConfig)
+    except NoiseAttnError:
+        pass
+
+
+def test_every_config_truncation_loads_or_is_a_typed_error(artifacts):
+    (artifacts / "fuzzed.cfg").write_bytes(CONFIG)
+    assert isinstance(load_config(artifacts / "fuzzed.cfg"), ExperimentConfig)
+    for length in range(len(CONFIG)):
+        check_config(artifacts, CONFIG[:length])
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(position=st.integers(min_value=0), change=st.integers(min_value=1, max_value=255))
+def test_a_replaced_config_byte_loads_or_is_a_typed_error(artifacts, position, change):
+    blob = bytearray(CONFIG)
+    position %= len(blob)
+    blob[position] = (blob[position] + change) % 256
+    check_config(artifacts, bytes(blob))
 
 
 def non_utf8_metadata(path):

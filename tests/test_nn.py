@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from noiseattn import (ConfigError, DataError, Dense, Conv2D, Flatten, MaxPool2x2,
-                       Network, Parameter, ReLU, SGD, UsageError, nll_loss,
-                       softmax, softmax_backward)
+from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, Conv2D, Flatten,
+                       MaxPool2x2, MultiHeadNetwork, Network, Parameter, ReLU, SGD, Trainer,
+                       TrainSettings, UsageError, nll_loss, softmax, softmax_backward)
 from noiseattn.nn import EPS
 from gradfixtures import grad_check, grad_check_classifier
 from oracles import n_params, nll_loss_grad, zero_grad
@@ -74,6 +74,62 @@ class TestForward:
         net = Network([Dense(2, 2)], (2,), seed=0)
         with pytest.raises(UsageError):
             net.backward(np.zeros((1, 2)))
+
+
+class TestInputGrad:
+    """``backward(dy, input_grad=False)``: no input gradient, the same
+    parameter gradients, and the trainer never asks for the discarded one."""
+
+    @pytest.mark.parametrize("specs, shape", [
+        ([Dense(3, 6), ReLU(), Dense(6, 2)], (3,)),
+        ([ReLU(), Dense(3, 2)], (3,)),
+        ([MaxPool2x2(), Flatten(), Dense(18, 2)], (6, 6, 2)),
+        ([Flatten(), Dense(12, 2)], (2, 3, 2)),
+    ], ids=["dense", "relu", "pool", "flatten"])
+    def test_first_layer_returns_none_and_keeps_parameter_grads(self, specs, shape):
+        net = Network(specs, shape, seed=8)
+        rng = np.random.default_rng(9)
+        dy = rng.normal(size=(5, 2))
+        net.forward(rng.normal(size=(5,) + shape))
+        assert net.backward(dy).shape == (5,) + shape
+        full = [p.grad.copy() for p in net.parameters()]
+        zero_grad(net)
+        assert net.backward(dy, input_grad=False) is None
+        for p, grad in zip(net.parameters(), full):
+            assert p.grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("multi", [False, True], ids=["network", "multihead"])
+    def test_trainer_skips_the_trunk_input_gradient(self, multi, monkeypatch):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(10, 3))
+        if multi:
+            trunk = Network([Dense(3, 4), ReLU()], (3,), seed=1)
+            net = MultiHeadNetwork(trunk, AttributeSpec([2, 3]), seed=1)
+            labels = np.stack([rng.integers(0, 2, 10), rng.integers(0, 3, 10)], axis=1)
+        else:
+            trunk = net = Network([Dense(3, 4), ReLU(), Dense(4, 2)], (3,), seed=1)
+            labels = rng.integers(0, 2, 10)
+        flags, dfeats = [], []
+        first_backward = trunk.layers[0].backward
+
+        def first_spy(dy, input_grad=True):
+            flags.append(input_grad)
+            return first_backward(dy, input_grad)
+
+        monkeypatch.setattr(trunk.layers[0], "backward", first_spy)
+        for head in getattr(net, "heads", []):
+            def head_spy(dout, input_grad=True, head_backward=head.backward):
+                dfeats.append(head_backward(dout, input_grad))
+                return dfeats[-1]
+
+            monkeypatch.setattr(head, "backward", head_spy)
+        Trainer(net, TrainSettings(batch_size=4), seed=2).train_epoch(x, labels)
+        assert flags == [False] * 3  # batches of 4, 4 and 2 rows
+        assert [d.shape for d in dfeats] == ([(4, 4)] * 4 + [(2, 4)] * 2 if multi else [])
+
+    def test_network_without_layers_is_rejected(self):
+        with pytest.raises(ConfigError, match="network has no layers"):
+            Network([], (3,))
 
 
 class TestSoftmax:
@@ -248,8 +304,8 @@ class TestGradCheck:
         layer = net.layers[0]
         original = layer.backward
 
-        def corrupted(dy):
-            dx = original(dy)
+        def corrupted(dy, input_grad=True):
+            dx = original(dy, input_grad)
             layer.w.grad *= 1.5
             return dx
 

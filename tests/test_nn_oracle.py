@@ -50,6 +50,30 @@ def test_conv_matches_loop_reference(shape):
     assert_bytes_equal(layer.b.grad, b_grad)
 
 
+@pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "b{}_{}x{}x{}_c{}_k{}_s{}".format(*s))
+def test_conv_without_input_grad_keeps_parameter_grads(shape):
+    """``input_grad=False`` returns None and accumulates the same bytes into
+    ``w.grad`` and ``b.grad`` as the full backward and the loop reference."""
+    b, h, w, cin, cout, k, s = shape
+    rng = np.random.default_rng(sum(shape))
+    net = Network([Conv2D(cin, cout, k, stride=s)], (h, w, cin), seed=1)
+    layer = net.layers[0]
+    x = rng.normal(size=(b, h, w, cin))
+    y = net.forward(x)
+    dy = rng.normal(size=y.shape)
+    net.backward(dy)
+    full = layer.w.grad.copy(), layer.b.grad.copy()
+    layer.w.grad[...] = 0.0
+    layer.b.grad[...] = 0.0
+    assert net.backward(dy, input_grad=False) is None
+
+    _, cols = conv_forward(x, layer.w.data, layer.b.data, k, s)
+    _, w_grad, b_grad = conv_backward(dy, cols, x.shape, layer.w.data, k, s)
+    for grad, full_grad, ref in zip((layer.w.grad, layer.b.grad), full, (w_grad, b_grad)):
+        assert_bytes_equal(grad, full_grad)
+        assert_bytes_equal(grad, ref)
+
+
 def pool_case(x, dy):
     net = Network([MaxPool2x2()], x.shape[1:], seed=0)
     y = net.forward(x)

@@ -238,3 +238,73 @@ def test_run_files_and_cli_synth_inject_match_golden_hashes(name, tmp_path, monk
     digests["inject files"] = files_digest((tmp_path / "inject").iterdir())
 
     assert digests == FILE_GOLDEN[name]
+
+
+# The noise modes the cases above leave out: a transition matrix read
+# from a CSV the test writes, per-class rates at an explicit noise.seed,
+# and one rho per attribute. Each pins the run's noise and metrics files
+# and the outputs of CLI ``inject`` on the run's clean train.nld.
+TRANSITION_CSV = "0.8,0.1,0.1\n0.2,0.7,0.1\n0.0,0.2,0.8\n"  # columns sum to 1
+
+BLOBS3 = {
+    "data.synthetic.kind": "blobs",
+    "data.synthetic.classes": "3",
+    "data.synthetic.dim": "4",
+    "data.synthetic.n_train": "240",
+    "data.synthetic.n_test": "120",
+    "arch.input_shape": "4",
+    "arch.layers": "dense:4:12,relu,dense:12:3",
+}
+
+NOISE_CASES = {
+    "matrix": {**BLOBS3, "noise.mode": "matrix", "noise.matrix_path": "transition.csv"},
+    "per_class": {**BLOBS3, "noise.mode": "per_class", "noise.per_class": "0.1,0.4,0.2",
+                  "noise.seed": "9"},
+    "multi_rho": {**CASES["multi_attr"], "noise.rho": "0.2,0.4"},
+}
+
+NOISE_GOLDEN = {
+    "matrix": {
+        "flips.csv": "86be0bc196c223afc5454d8bcbf3de8a9eb47d47b53b607d376a25986e99ef0d",
+        "noisy_train.nld": "11889795d7014cc8b394f532cb9349676785b4892ad82db7fd592f2a6a0d6c47",
+        "metrics.csv": "ad0303f4afc531a29b1e9c248690efacefb5c204df14a3eb4c4be0b92ffd0bf2",
+        "inject stdout": "c85e4c2ed6a350946e949af0caf45a3c3469545de97134722f8972f8ef29740a",
+        "inject files": "b528578b82fc7bea0c402c736e29edc0e963a9c2fb0aae5c7e779596bc5e34b5",
+    },
+    "per_class": {
+        "flips.csv": "ae5c44b0aced154de1f7e67929e064bcdc864876f5701de9762cf29f242b4f6e",
+        "noisy_train.nld": "f6d250e4460b657954df8e40f9bc1a65c024dd830606d50eae6c469733dbaf09",
+        "metrics.csv": "fe0d34ae1008052c42e6406f7a87c14d5b511ec0135007913e1428c9c168e060",
+        "inject stdout": "f21b9baaad7b73cdb129f906874fcb266482babf3bd1ce4b38e89beae2a1f9f2",
+        "inject files": "dbb1af94e10f0bd49351022a2151834b4f290c1c89a54a2e232af3d20e03cce9",
+    },
+    "multi_rho": {
+        "flips.csv": "d8bb5157b85eb9074123b9d5995e28c787d624fb55096056bebae721886e5abb",
+        "noisy_train.nld": "130bf81be6c0dcae15d8035efe6c3c02e5825fcc885bee237dcfc1aff7529608",
+        "metrics.csv": "67df572b9f045f2028ace33fd659558a6ca7518946aa74100373d18d4ccc0391",
+        "inject stdout": "097a03e21f5d94a961b0c69b4f9bc1cc37a1bae4622ea8b7023816c436587035",
+        "inject files": "ecab4e31fbab494db6d7046ddb7e8ed11c3ec566f9ff9264307d8b0bf9bd6b5a",
+    },
+}
+
+
+def noise_entries(name, out):
+    return {"seed": "7", "out": str(out), "data.source": "synthetic",
+            **SCHEDULE, **NOISE_CASES[name]}
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_CASES))
+def test_noise_modes_match_golden_hashes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "transition.csv").write_text(TRANSITION_CSV)
+    (tmp_path / "run.cfg").write_text(
+        "".join(f"{k} = {v}\n" for k, v in noise_entries(name, "cli").items()))
+    run_experiment(build_config(noise_entries(name, "run")))
+    digests = {file: sha256((tmp_path / "run" / file).read_bytes())
+               for file in ("flips.csv", "noisy_train.nld", "metrics.csv")}
+    assert cli_main(["inject", "--config", "run.cfg", "--data", "run/train.nld",
+                     "--out", "inject"]) == 0
+    digests["inject stdout"] = sha256(capsys.readouterr().out.encode())
+    digests["inject files"] = files_digest((tmp_path / "inject").iterdir())
+
+    assert digests == NOISE_GOLDEN[name]

@@ -21,7 +21,7 @@ from .training import OneHead, Trainer, TrainSettings, split_train_val
 from .multihead import AttributeSpec, MultiHeadNetwork, all_metric, evaluate_all_metric
 from .data import (Dataset, NoiseSpec, SyntheticSpec, empirical_transition,
                    generate_synthetic, generate_synthetic_multi, inject_noise,
-                   inject_noise_multi, load_dataset, save_dataset)
+                   load_dataset, save_dataset)
 from .config import (ExperimentConfig, build_config, load_config, parse_arch,
                      parse_config_text, parse_input_shape, serialize_arch)
 from .harness import (MetricsLog, RunReport, evaluate, export_q, load_q_csv,

@@ -48,8 +48,6 @@ def _cmd_inject(args) -> int:
     if not source:
         raise ConfigError("inject needs --data or data.train_path")
     dataset = load_dataset(source)
-    if cfg.noise.mode == "none":
-        raise ConfigError("noise.mode is none; nothing to inject")
     noisy, flips = _inject(cfg, dataset)
     save_dataset(noisy, out / "noisy_train.nld")
     _write_flips(out / "flips.csv", dataset.k, flips)

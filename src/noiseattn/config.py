@@ -4,11 +4,11 @@ Blank lines and ``#`` comments are ignored; keys are dotted, values are
 scalars or comma-separated lists. Unknown or duplicate keys and NaN values
 are errors, so typos fail fast. The keys of a section are the fields of
 its dataclass, which holds their defaults: ``opt.*`` TrainSettings,
-``na.*`` UnitSchedule, ``recursion.*`` RecursionSchedule and
-``data.synthetic.*`` SyntheticSpec, which also check their ranges, and
-``data.*`` DataConfig and ``noise.*`` NoiseConfig, which build_config
-checks as the data stage would. build_config reads the
-rest (``seed``, ``out``, ``attributes`` and ``arch.*``).
+``na.*`` UnitSchedule, ``recursion.*`` RecursionSchedule,
+``data.synthetic.*`` SyntheticSpec and ``noise.*`` NoiseSpec, which also
+check their ranges, and ``data.*`` DataConfig. build_config checks
+``data.source``, that ``noise.rho`` holds one value or one per attribute,
+and reads the rest (``seed``, ``out``, ``attributes`` and ``arch.*``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .attention import UnitSchedule
 from .errors import ConfigError
 from .multihead import AttributeSpec
 from .nn import Conv2D, Dense, Flatten, LayerSpec, MaxPool2x2, ReLU
-from .data import SyntheticSpec
+from .data import NoiseSpec, SyntheticSpec
 from .recursion import RecursionSchedule
 from .training import TrainSettings
 
@@ -124,20 +124,11 @@ class DataConfig:
 
 
 @dataclass
-class NoiseConfig:
-    mode: str = "none"  # none | uniform | matrix | per_class
-    rho: tuple[float, ...] = (0.0,)
-    matrix_path: str | None = None
-    per_class: tuple[float, ...] | None = None
-    seed: int | tuple | None = None  # defaults to (experiment seed, 37)
-
-
-@dataclass
 class ExperimentConfig:
     seed: int = 0
     out_dir: str = "runs/experiment"
     data: DataConfig = field(default_factory=DataConfig)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    noise: NoiseSpec = field(default_factory=NoiseSpec)
     arch_input_shape: tuple[int, ...] | None = None
     arch_specs: list[LayerSpec] | None = None
     opt: TrainSettings = field(default_factory=TrainSettings)
@@ -233,27 +224,6 @@ def _section(e: _Entries, prefix: str, cls, **defaults):
         raise ConfigError(f"{prefix}.{exc}") from exc
 
 
-def _check_noise(noise: NoiseConfig, count: int):
-    """The checks the data stage makes of ``noise.*`` that need no data,
-    made at load: whenever noise is injected, one ``rho`` or one per
-    attribute, each in [0, 1) in uniform mode; rates in [0, 1) in
-    per_class mode; a matrix file in matrix mode."""
-    if noise.mode == "none":
-        return
-    if len(noise.rho) not in (1, count):
-        raise ConfigError(f"noise.rho needs 1 or {count} values, got {len(noise.rho)}")
-    if noise.mode == "uniform":
-        for rho in noise.rho:
-            if not 0.0 <= rho < 1.0:
-                raise ConfigError(f"noise.rho must lie in [0, 1), got {rho}")
-    if noise.mode == "per_class" and (
-            noise.per_class is None or not all(0.0 <= r < 1.0 for r in noise.per_class)):
-        raise ConfigError(f"noise.per_class needs rates in [0, 1) in per_class mode, "
-                          f"got {noise.per_class}")
-    if noise.mode == "matrix" and noise.matrix_path is None:
-        raise ConfigError("noise.matrix_path is needed in matrix mode")
-
-
 def build_config(entries: dict[str, str]) -> ExperimentConfig:
     e = _Entries(entries)
     cfg = ExperimentConfig(echo=dict(entries))
@@ -276,17 +246,12 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
     d.test_path = e.get("data.test_path", d.test_path)
     d.synthetic = _section(e, "data.synthetic", SyntheticSpec, seed=(cfg.seed, 31))
 
-    # noise
-    n = cfg.noise
-    n.mode = e.get("noise.mode", n.mode)
-    if n.mode not in ("none", "uniform", "matrix", "per_class"):
-        raise ConfigError(f"unknown noise.mode {n.mode!r}")
-    n.rho = e.get_floats("noise.rho", n.rho)
-    n.matrix_path = e.get("noise.matrix_path", n.matrix_path)
-    n.per_class = e.get_floats("noise.per_class", n.per_class)
-    noise_seed = e.get_int("noise.seed")
-    n.seed = noise_seed if noise_seed is not None else (cfg.seed, 37)
-    _check_noise(n, 1 if cfg.attributes is None else cfg.attributes.k)
+    cfg.noise = NoiseSpec(
+        mode=e.get("noise.mode", "none"), rho=e.get_floats("noise.rho", (0.0,)),
+        matrix_path=e.get("noise.matrix_path"), per_class=e.get_floats("noise.per_class"),
+        seed=e.get_int("noise.seed", (cfg.seed, 37)))
+    if cfg.noise.mode != "none":
+        cfg.noise.rhos(1 if cfg.attributes is None else cfg.attributes.k)
 
     # architecture
     shape_raw = e.get("arch.input_shape")
@@ -323,11 +288,3 @@ def validate_paths(cfg: ExperimentConfig):
                      ("noise.matrix_path", cfg.noise.matrix_path)):
         if p is not None and not Path(p).exists():
             raise ConfigError(f"{label}: no such file {p!r}")
-
-
-def load_noise_matrix(path) -> np.ndarray:
-    try:
-        m = np.loadtxt(path, delimiter=",", dtype=np.float64)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"could not read noise matrix {path!r}: {exc}") from exc
-    return np.atleast_2d(m)

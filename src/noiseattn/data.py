@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
+from .nn import entropy_tuple
 
 NLD1_MAGIC = b"NLD1"
 NLD1_VERSION = 1
@@ -76,104 +77,116 @@ class Dataset:
 
 @dataclass
 class NoiseSpec:
-    """How to corrupt given labels: mode, level, and seed.
+    """The ``noise.*`` config section: how to corrupt the given labels.
 
-    Modes: "uniform" (exact-count flips, uniform wrong target), "matrix"
-    (sample each given label from the column of a column-stochastic
-    transition matrix indexed by the true class), "per_class" (uniform
-    flips at a per-class rate).
+    Modes: "none" (no injection), "uniform" (exact-count flips at rate
+    ``rho``, uniform wrong target), "matrix" (each given label drawn from
+    the column, indexed by the true class, of the column-stochastic
+    transition matrix in the CSV file ``matrix_path``) and "per_class"
+    (uniform flips at the rate ``per_class`` gives each true class).
+    ``rho`` holds one rate for every label column or one per column, and
+    column i draws from ``seed`` and i. Construction makes every check
+    that needs no data; each message starts with the key it checks.
     """
 
-    rho: float = 0.0
-    mode: str = "uniform"
-    matrix: np.ndarray | None = None
+    mode: str = "none"
+    rho: tuple[float, ...] = (0.0,)
+    matrix_path: str | None = None
     per_class: tuple[float, ...] | None = None
     seed: int | tuple = 0
 
     def __post_init__(self):
-        if self.mode not in ("uniform", "matrix", "per_class"):
-            raise ConfigError(f"unknown noise mode {self.mode!r}")
-        if self.mode == "uniform" and not 0.0 <= self.rho < 1.0:
-            raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.mode == "matrix":
-            if self.matrix is None:
-                raise ConfigError("matrix mode needs a transition matrix")
-            t = np.asarray(self.matrix, dtype=np.float64)
-            if t.ndim != 2 or t.shape[0] != t.shape[1]:
-                raise ConfigError(f"transition matrix must be square, got {t.shape}")
-            if (t < 0).any() or not np.allclose(t.sum(axis=0), 1.0, atol=1e-9):
-                raise ConfigError("transition matrix columns must be stochastic")
-            self.matrix = t
-        if self.mode == "per_class":
-            if self.per_class is None:
-                raise ConfigError("per_class mode needs per-class rates")
-            if any(not 0.0 <= r < 1.0 for r in self.per_class):
-                raise ConfigError("per-class rates must lie in [0, 1)")
+        if self.mode not in ("none", "uniform", "matrix", "per_class"):
+            raise ConfigError(f"noise.mode must be none, uniform, matrix or per_class, "
+                              f"got {self.mode!r}")
+        if self.mode == "per_class" and self.per_class is None:
+            raise ConfigError("noise.per_class is needed in per_class mode")
+        if self.mode == "matrix" and self.matrix_path is None:
+            raise ConfigError("noise.matrix_path is needed in matrix mode")
+        rates = {"uniform": ("rho", self.rho), "per_class": ("per_class", self.per_class)}
+        key, values = rates.get(self.mode, ("", ()))
+        for value in values:
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"noise.{key} must lie in [0, 1), got {value}")
+
+    def rhos(self, columns: int) -> tuple[float, ...]:
+        """One rho per label column; a single rho serves every column."""
+        if len(self.rho) not in (1, columns):
+            want = "1 value" if columns == 1 else f"1 or {columns} values"
+            raise ConfigError(f"noise.rho needs {want}, got {len(self.rho)}")
+        return self.rho * columns if len(self.rho) == 1 else self.rho
 
 
-def noisy_labels(true_labels, c: int, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt one label column; returns (given labels, sorted flip indices)."""
+def load_noise_matrix(path) -> np.ndarray:
+    """Read a transition matrix CSV; it must be square and column-stochastic."""
+    try:
+        t = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"could not read noise matrix {path!r}: {exc}") from exc
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ConfigError(f"transition matrix must be square, got {t.shape}")
+    if (t < 0).any() or not np.allclose(t.sum(axis=0), 1.0, atol=1e-9):
+        raise ConfigError("transition matrix columns must be stochastic")
+    return t
+
+
+def _flip_share(given, true, idx, rate, c, rng):
+    """Flip ``round(rate * len(idx))`` of the samples ``idx``, chosen
+    without replacement, each to a uniformly drawn other class (true + a
+    shift in [1, c), mod c); returns the chosen indices."""
+    chosen = idx[rng.permutation(idx.size)[:int(round(rate * idx.size))]]
+    given[chosen] = (true[chosen] + rng.integers(1, c, size=chosen.size)) % c
+    return chosen
+
+
+def noisy_labels(true_labels, c: int, spec: NoiseSpec, rho: float, matrix, rng):
+    """Corrupt one label column of ``c`` classes as ``spec.mode`` says: at
+    rate ``rho``, at the ``spec.per_class`` rates or through the loaded
+    ``matrix``; returns (given labels, sorted flip indices)."""
     true = np.ascontiguousarray(true_labels, dtype=np.int64)
     if true.size and (true.min() < 0 or true.max() >= c):
         raise DataError(f"true labels must lie in [0, {c})")
-    rng = np.random.default_rng(spec.seed)
-    n = true.shape[0]
     given = true.copy()
-
     if spec.mode == "uniform":
-        n_flip = int(round(spec.rho * n))
-        chosen = rng.permutation(n)[:n_flip]
-        # true + uniform shift in [1, c) mod c: uniform over the other classes
-        offsets = rng.integers(1, c, size=n_flip)
-        given[chosen] = (true[chosen] + offsets) % c
-        return given, np.sort(chosen)
-
+        return given, np.sort(_flip_share(given, true, np.arange(true.size), rho, c, rng))
     if spec.mode == "per_class":
-        rates = spec.per_class
-        if len(rates) != c:
-            raise ConfigError(f"need {c} per-class rates, got {len(rates)}")
-        flipped = []
-        for cls in range(c):
-            cls_idx = np.flatnonzero(true == cls)
-            n_flip = int(round(rates[cls] * cls_idx.size))
-            chosen = cls_idx[rng.permutation(cls_idx.size)[:n_flip]]
-            offsets = rng.integers(1, c, size=n_flip)
-            given[chosen] = (true[chosen] + offsets) % c
-            flipped.append(chosen)
-        return given, np.sort(np.concatenate(flipped)) if flipped else np.zeros(0, dtype=np.int64)
+        if len(spec.per_class) != c:
+            raise ConfigError(f"need {c} per-class rates, got {len(spec.per_class)}")
+        flipped = [_flip_share(given, true, np.flatnonzero(true == cls), rate, c, rng)
+                   for cls, rate in enumerate(spec.per_class)]
+        return given, np.sort(np.concatenate(flipped or [np.zeros(0, dtype=np.int64)]))
 
-    t = spec.matrix
-    if t.shape[0] != c:
-        raise ConfigError(f"transition matrix is {t.shape[0]}x{t.shape[0]}, data has {c} classes")
-    cdf_by_true = np.cumsum(t, axis=0).T  # row i: cdf of observed labels given true i
-    u = rng.random(n)
+    if matrix.shape[0] != c:
+        raise ConfigError(f"transition matrix is {matrix.shape[0]}x{matrix.shape[0]}, "
+                          f"data has {c} classes")
+    cdf_by_true = np.cumsum(matrix, axis=0).T  # row i: cdf of observed labels given true i
+    u = rng.random(true.size)
     given = np.minimum((u[:, None] >= cdf_by_true[true]).sum(axis=1), c - 1).astype(np.int64)
     return given, np.flatnonzero(given != true)
 
 
-def inject_noise(dataset: Dataset, spec: NoiseSpec) -> tuple[Dataset, np.ndarray]:
-    """Corrupt a clean single-label dataset; true labels are preserved."""
-    if dataset.k != 0:
-        raise DataError("inject_noise handles single-label data; use inject_noise_multi")
-    noisy, (flips,) = inject_noise_multi(dataset, [spec], [dataset.c])
-    return noisy, flips
-
-
-def inject_noise_multi(dataset: Dataset, specs, class_counts) -> tuple[Dataset, list[np.ndarray]]:
-    """Corrupt each label column with its own noise spec and class count;
-    single-label data is one column. Returns one flip index array per column."""
+def inject_noise(dataset: Dataset, spec: NoiseSpec, class_counts) -> tuple[Dataset, list]:
+    """Corrupt each label column of a dataset with true labels, which are
+    kept; single-label data is one column. Column i has ``class_counts[i]``
+    classes and draws from ``default_rng(entropy_tuple(spec.seed, i))``.
+    Returns the noisy dataset and one flip index array per column."""
+    if spec.mode == "none":
+        raise ConfigError("noise.mode is none; nothing to inject")
     if dataset.true_labels is None:
         raise DataError("noise injection needs a dataset with true labels")
     given = dataset.true_labels.copy()
     columns = given.T if dataset.k else [given]
-    if len(specs) != len(columns) or len(class_counts) != len(columns):
-        raise ConfigError("one noise spec and class count per attribute required")
+    if len(class_counts) != len(columns):
+        raise ConfigError(f"need one class count per label column, got {len(class_counts)} "
+                          f"for {len(columns)}")
+    rhos = spec.rhos(len(columns))
+    matrix = load_noise_matrix(spec.matrix_path) if spec.mode == "matrix" else None
     flip_lists = []
-    for column, c, spec in zip(columns, class_counts, specs):
-        column[...], flips = noisy_labels(column, c, spec)
+    for i, (column, c) in enumerate(zip(columns, class_counts)):
+        rng = np.random.default_rng(entropy_tuple(spec.seed, i))
+        column[...], flips = noisy_labels(column, c, spec, rhos[i], matrix, rng)
         flip_lists.append(flips)
-    noisy = Dataset(dataset.features, given, dataset.c, dataset.true_labels.copy())
-    return noisy, flip_lists
+    return Dataset(dataset.features, given, dataset.c, dataset.true_labels.copy()), flip_lists
 
 
 def empirical_transition(true_labels, given_labels, c: int) -> np.ndarray:

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .attention import Decision, NAModel, schedule_step
-from .config import (ExperimentConfig, _parse_attributes, load_noise_matrix, parse_arch,
-                     parse_input_shape, serialize_arch, serialize_input_shape, validate_paths)
-from .data import (NoiseSpec, _Reader, generate_synthetic, generate_synthetic_multi,
-                   inject_noise_multi, load_dataset, save_dataset)
+from .config import (ExperimentConfig, _parse_attributes, parse_arch, parse_input_shape,
+                     serialize_arch, serialize_input_shape, validate_paths)
+from .data import (_Reader, generate_synthetic, generate_synthetic_multi, inject_noise,
+                   load_dataset, save_dataset)
 from .errors import ConfigError, DataError, FormatError, NoiseAttnError, StageError
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
 from .nn import Network, label_columns
@@ -255,32 +255,13 @@ def _rebuild_model(n_classes, unit_count, decays):
 # Data resolution
 
 
-def _noise_specs(cfg: ExperimentConfig, k: int):
-    """One NoiseSpec per label column (k = 0 means one single-label spec)."""
-    noise = cfg.noise
-    count = max(k, 1)
-    rhos = noise.rho
-    if len(rhos) == 1:
-        rhos = rhos * count
-    if len(rhos) != count:
-        raise ConfigError(f"noise.rho needs 1 or {count} values, got {len(rhos)}")
-    matrix = load_noise_matrix(noise.matrix_path) if noise.mode == "matrix" else None
-    specs = []
-    for i in range(count):
-        specs.append(NoiseSpec(
-            rho=rhos[i], mode=noise.mode, matrix=matrix,
-            per_class=noise.per_class,
-            seed=(noise.seed, i) if isinstance(noise.seed, int) else tuple(noise.seed) + (i,)))
-    return specs
-
-
 def _inject(cfg: ExperimentConfig, dataset):
     """Corrupt the given labels per ``cfg.noise``; returns (noisy dataset,
     flipped indices), one index array per label column."""
     if dataset.k and cfg.attributes is None:
         raise ConfigError("multi-attribute dataset needs an attributes config")
     counts = cfg.attributes.class_counts if dataset.k else [dataset.c]
-    return inject_noise_multi(dataset, _noise_specs(cfg, dataset.k), counts)
+    return inject_noise(dataset, cfg.noise, counts)
 
 
 def resolve_data(cfg: ExperimentConfig, out_dir=None):

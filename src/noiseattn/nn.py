@@ -61,7 +61,6 @@ class Parameter:
 class Dense:
     in_dim: int
     out_dim: int
-    seed: int | None = None
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
@@ -74,7 +73,6 @@ class Conv2D:
     out_ch: int
     kernel: int
     stride: int = 1
-    seed: int | None = None
 
     def __post_init__(self):
         if min(self.in_ch, self.out_ch, self.kernel, self.stride) < 1:
@@ -102,12 +100,6 @@ LayerSpec = Dense | Conv2D | ReLU | MaxPool2x2 | Flatten
 def _glorot_uniform(rng, shape, fan_in, fan_out):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def _layer_rng(spec_seed, net_seed, index):
-    if spec_seed is not None:
-        return np.random.default_rng(spec_seed)
-    return np.random.default_rng(entropy_tuple(net_seed, index))
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +270,13 @@ class _FlattenLayer:
 
 
 def _materialize(spec, shape, net_seed, index):
+    rng = np.random.default_rng(entropy_tuple(net_seed, index))  # Dense and Conv2D weights
     if isinstance(spec, Dense):
         if len(shape) != 1:
             raise ConfigError(f"layer {index}: Dense needs a flat input, got {shape}; add Flatten first")
         if shape[0] != spec.in_dim:
             raise ConfigError(f"layer {index}: Dense in_dim {spec.in_dim} != incoming width {shape[0]}")
-        return _DenseLayer(spec, _layer_rng(spec.seed, net_seed, index)), (spec.out_dim,)
+        return _DenseLayer(spec, rng), (spec.out_dim,)
     if isinstance(spec, Conv2D):
         if len(shape) != 3:
             raise ConfigError(f"layer {index}: Conv2D needs an HxWxC input, got {shape}")
@@ -294,7 +287,7 @@ def _materialize(spec, shape, net_seed, index):
         wo = (w - spec.kernel) // spec.stride + 1
         if ho < 1 or wo < 1:
             raise ConfigError(f"layer {index}: kernel {spec.kernel} larger than input {h}x{w}")
-        return _ConvLayer(spec, _layer_rng(spec.seed, net_seed, index)), (ho, wo, spec.out_ch)
+        return _ConvLayer(spec, rng), (ho, wo, spec.out_ch)
     if isinstance(spec, ReLU):
         return _ReLULayer(), shape
     if isinstance(spec, MaxPool2x2):
@@ -327,7 +320,6 @@ class Network:
         if any(s < 1 for s in self.input_shape):
             raise ConfigError(f"input shape must be positive, got {self.input_shape}")
         self._flat_width = math.prod(self.input_shape)
-        self.seed = seed
         self.layers = []
         shape = self.input_shape
         for i, spec in enumerate(self.specs):
@@ -373,11 +365,6 @@ class Network:
         for layer in self.layers[:0:-1]:
             dout = layer.backward(dout)
         return self.layers[0].backward(dout, input_grad)
-
-    def param_vector(self) -> np.ndarray:
-        if not self._params:
-            return np.zeros(0)
-        return np.concatenate([p.data.ravel() for p in self._params])
 
 
 # ---------------------------------------------------------------------------

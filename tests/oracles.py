@@ -155,3 +155,8 @@ def zero_grad(net):
     """Zero the gradient buffer of every parameter of a network."""
     for p in net.parameters():
         p.grad[...] = 0.0
+
+
+def param_vector(net) -> np.ndarray:
+    """Every parameter of a network, flattened and concatenated in order."""
+    return np.concatenate([p.data.ravel() for p in net.parameters()] or [np.zeros(0)])

@@ -14,7 +14,7 @@ from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms, routed_backward, unit_outputs
 from noiseattn.nn import EPS
 from gradfixtures import grad_check
-from oracles import infer, na_backward, nll_loss_grad
+from oracles import infer, na_backward, nll_loss_grad, param_vector
 from oracles import (decay_penalty, na_forward, project_units, routed_backward_masks,
                      select_unit, unit_outputs_stacked)
 
@@ -347,7 +347,7 @@ class TestTrainingInvariants:
     def _trained_model(self, seed=0, epochs=12):
         train, _ = generate_synthetic(SyntheticSpec(
             kind="blobs", classes=3, dim=2, n_train=300, n_test=50, seed=seed))
-        noisy, _ = inject_noise(train, NoiseSpec(rho=0.3, seed=seed + 1))
+        noisy, _ = inject_noise(train, NoiseSpec(mode="uniform", rho=(0.3,), seed=seed + 1), [3])
         net = Network([Dense(2, 12), ReLU(), Dense(12, 3)], (2,), seed=seed)
         model = NAModel(3)
         trainer = Trainer(net, TrainSettings(lr=0.05, batch_size=32), [model], seed=seed)
@@ -382,7 +382,7 @@ class TestReduction:
     def test_single_unit_training_is_bit_identical_to_plain(self):
         train, _ = generate_synthetic(SyntheticSpec(
             kind="blobs", classes=3, dim=2, n_train=240, n_test=40, seed=31))
-        noisy, _ = inject_noise(train, NoiseSpec(rho=0.4, seed=32))
+        noisy, _ = inject_noise(train, NoiseSpec(mode="uniform", rho=(0.4,), seed=32), [3])
         settings = TrainSettings(lr=0.05, momentum=0.9, batch_size=32)
         net_plain = Network([Dense(2, 10), ReLU(), Dense(10, 3)], (2,), seed=(33, 1))
         net_na = Network([Dense(2, 10), ReLU(), Dense(10, 3)], (2,), seed=(33, 1))
@@ -393,4 +393,4 @@ class TestReduction:
         na_losses = [na.train_epoch(noisy.features, noisy.given_labels, use_na=True)
                      for _ in range(5)]
         assert plain_losses == na_losses
-        np.testing.assert_array_equal(net_plain.param_vector(), net_na.param_vector())
+        np.testing.assert_array_equal(param_vector(net_plain), param_vector(net_na))

@@ -176,6 +176,17 @@ class TestChecksAtLoad:
         assert err.startswith("error [config] ") and key in err
         assert not (tmp_path / "run").exists()
 
+    def test_rho_count_names_what_it_needs(self):
+        with pytest.raises(ConfigError, match="^noise.rho needs 1 value, got 2$"):
+            build_config({"noise.mode": "uniform", "noise.rho": "0.1,0.2"})
+        with pytest.raises(ConfigError, match="^noise.rho needs 1 or 2 values, got 3$"):
+            build_config({"attributes": "a:2,b:3", "noise.mode": "matrix",
+                          "noise.matrix_path": "m.csv", "noise.rho": "0.1,0.2,0.3"})
+
+    def test_noise_seed_defaults_to_the_run_seed_and_37(self):
+        assert build_config({"seed": "5"}).noise.seed == (5, 37)
+        assert build_config({"seed": "5", "noise.seed": "9"}).noise.seed == 9
+
     def test_rho_per_attribute_accepted(self):
         cfg = build_config({"attributes": "a:2,b:3", "noise.mode": "uniform",
                             "noise.rho": "0.1,0.2"})

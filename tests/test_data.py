@@ -5,8 +5,8 @@ import pytest
 
 from noiseattn import (ConfigError, DataError, Dataset, FormatError, NoiseSpec,
                        SyntheticSpec, empirical_transition, generate_synthetic,
-                       generate_synthetic_multi, inject_noise,
-                       inject_noise_multi, load_dataset, save_dataset)
+                       generate_synthetic_multi, inject_noise, load_dataset, save_dataset)
+from noiseattn.data import load_noise_matrix
 from oracles import uniform_flip_matrix
 
 
@@ -30,6 +30,10 @@ class TestFlipMatrix:
             uniform_flip_matrix(1, 0.2)
 
 
+def uniform(rho, seed):
+    return NoiseSpec(mode="uniform", rho=(rho,), seed=seed)
+
+
 def clean_dataset(n=100, c=4, d=3, seed=0):
     rng = np.random.default_rng(seed)
     y = rng.integers(0, c, size=n)
@@ -39,36 +43,38 @@ def clean_dataset(n=100, c=4, d=3, seed=0):
 class TestInjectNoise:
     def test_zero_rho_is_identity_with_empty_record(self):
         ds = clean_dataset()
-        noisy, flips = inject_noise(ds, NoiseSpec(rho=0.0, seed=1))
+        noisy, (flips,) = inject_noise(ds, uniform(0.0, 1), [ds.c])
         np.testing.assert_array_equal(noisy.given_labels, ds.true_labels)
         assert flips.size == 0
 
     def test_exact_flip_count_and_all_flipped_differ(self):
         ds = clean_dataset(n=1000, c=4, seed=2)
-        noisy, flips = inject_noise(ds, NoiseSpec(rho=0.5, seed=3))
+        noisy, (flips,) = inject_noise(ds, uniform(0.5, 3), [ds.c])
         assert flips.size == 500
         assert (noisy.given_labels[flips] != noisy.true_labels[flips]).all()
 
     def test_flip_record_is_exact(self):
         ds = clean_dataset(n=400, c=3, seed=4)
-        noisy, flips = inject_noise(ds, NoiseSpec(rho=0.25, seed=5))
+        noisy, (flips,) = inject_noise(ds, uniform(0.25, 5), [ds.c])
         differs = np.flatnonzero(noisy.given_labels != noisy.true_labels)
         np.testing.assert_array_equal(np.sort(flips), differs)
 
     def test_empirical_transition_matches_flip_matrix(self):
         # law of large numbers at a frozen seed
         ds = clean_dataset(n=30_000, c=3, seed=6)
-        noisy, _ = inject_noise(ds, NoiseSpec(rho=0.3, seed=7))
+        noisy, _ = inject_noise(ds, uniform(0.3, 7), [ds.c])
         emp = empirical_transition(noisy.true_labels, noisy.given_labels, 3)
         target = uniform_flip_matrix(3, 0.3)
         assert np.abs(emp - target).max() <= 0.01
 
-    def test_matrix_mode_follows_transition_columns(self):
+    def test_matrix_mode_follows_transition_columns(self, tmp_path):
         t = np.array([[0.6, 0.3, 0.0],
                       [0.4, 0.5, 0.2],
                       [0.0, 0.2, 0.8]])
+        np.savetxt(tmp_path / "t.csv", t, delimiter=",")
         ds = clean_dataset(n=30_000, c=3, seed=8)
-        noisy, flips = inject_noise(ds, NoiseSpec(mode="matrix", matrix=t, seed=9))
+        noisy, (flips,) = inject_noise(
+            ds, NoiseSpec(mode="matrix", matrix_path=str(tmp_path / "t.csv"), seed=9), [3])
         emp = empirical_transition(noisy.true_labels, noisy.given_labels, 3)
         assert np.abs(emp - t).max() <= 0.015
         differs = np.flatnonzero(noisy.given_labels != noisy.true_labels)
@@ -77,7 +83,8 @@ class TestInjectNoise:
     def test_per_class_mode_counts(self):
         ds = clean_dataset(n=3000, c=3, seed=10)
         rates = (0.0, 0.2, 0.5)
-        noisy, flips = inject_noise(ds, NoiseSpec(mode="per_class", per_class=rates, seed=11))
+        noisy, (flips,) = inject_noise(
+            ds, NoiseSpec(mode="per_class", per_class=rates, seed=11), [3])
         for cls, rate in enumerate(rates):
             cls_idx = np.flatnonzero(ds.true_labels == cls)
             flipped = np.intersect1d(cls_idx, flips)
@@ -87,7 +94,7 @@ class TestInjectNoise:
         ds = clean_dataset()
         bare = Dataset(ds.features, ds.given_labels, ds.c, None)
         with pytest.raises(DataError):
-            inject_noise(bare, NoiseSpec(rho=0.1, seed=0))
+            inject_noise(bare, uniform(0.1, 0), [ds.c])
 
     def test_statistical_fidelity_per_column(self):
         # empirical column L1 distance <= 3 / sqrt(N / C) on every tested seed
@@ -95,17 +102,67 @@ class TestInjectNoise:
         bound = 3.0 / np.sqrt(n / c)
         for seed in range(15):
             ds = clean_dataset(n=n, c=c, seed=seed)
-            noisy, _ = inject_noise(ds, NoiseSpec(rho=0.4, seed=seed + 100))
+            noisy, _ = inject_noise(ds, uniform(0.4, seed + 100), [ds.c])
             emp = empirical_transition(noisy.true_labels, noisy.given_labels, c)
             l1 = np.abs(emp - uniform_flip_matrix(c, 0.4)).sum(axis=0)
             assert l1.max() <= bound
 
     def test_injection_is_deterministic(self):
         ds = clean_dataset(n=500, c=5, seed=12)
-        a, fa = inject_noise(ds, NoiseSpec(rho=0.3, seed=13))
-        b, fb = inject_noise(ds, NoiseSpec(rho=0.3, seed=13))
+        a, (fa,) = inject_noise(ds, uniform(0.3, 13), [ds.c])
+        b, (fb,) = inject_noise(ds, uniform(0.3, 13), [ds.c])
         np.testing.assert_array_equal(a.given_labels, b.given_labels)
         np.testing.assert_array_equal(fa, fb)
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "bogus"}, "noise.mode must be none, uniform, matrix or per_class"),
+        ({"mode": "uniform", "rho": (0.1, 1.5)}, r"noise.rho must lie in \[0, 1\), got 1.5$"),
+        ({"mode": "uniform", "rho": (-0.1,)}, r"noise.rho must lie in \[0, 1\), got -0.1$"),
+        ({"mode": "per_class"}, "noise.per_class is needed"),
+        ({"mode": "per_class", "per_class": (0.1, 1.0)}, r"noise.per_class .* got 1.0$"),
+        ({"mode": "matrix"}, "noise.matrix_path is needed"),
+    ])
+    def test_data_free_checks_name_their_key(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            NoiseSpec(**kwargs)
+
+    def test_mode_none_checks_nothing_else(self):
+        assert NoiseSpec(rho=(5.0, 6.0, 7.0)).mode == "none"
+
+    def test_rho_count(self):
+        assert NoiseSpec(mode="uniform", rho=(0.2,)).rhos(3) == (0.2, 0.2, 0.2)
+        assert NoiseSpec(mode="uniform", rho=(0.2, 0.4)).rhos(2) == (0.2, 0.4)
+        with pytest.raises(ConfigError, match="^noise.rho needs 1 value, got 2$"):
+            NoiseSpec(mode="uniform", rho=(0.2, 0.4)).rhos(1)
+        with pytest.raises(ConfigError, match="^noise.rho needs 1 or 3 values, got 2$"):
+            NoiseSpec(mode="uniform", rho=(0.2, 0.4)).rhos(3)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.5,0.5\n0.5,0.5\n0.0,0.0\n", "must be square"),
+        ("0.9,0.5\n0.2,0.5\n", "columns must be stochastic"),
+        ("1.2,0.0\n-0.2,1.0\n", "columns must be stochastic"),
+        ("a,b\nc,d\n", "could not read noise matrix"),
+    ])
+    def test_matrix_file_checks(self, tmp_path, text, message):
+        (tmp_path / "t.csv").write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_noise_matrix(tmp_path / "t.csv")
+
+    def test_mode_none_injects_nothing(self):
+        with pytest.raises(ConfigError, match="nothing to inject"):
+            inject_noise(clean_dataset(), NoiseSpec(), [4])
+
+    def test_column_i_draws_from_seed_and_i(self):
+        ds = clean_dataset(n=200, c=4, seed=14)
+        _, (flips,) = inject_noise(ds, uniform(0.3, 15), [4])
+        rng = np.random.default_rng((15, 0))
+        np.testing.assert_array_equal(flips, np.sort(rng.permutation(200)[:60]))
+
+    def test_class_count_per_column(self):
+        with pytest.raises(ConfigError, match="need one class count per label column, got 2 for 1"):
+            inject_noise(clean_dataset(), uniform(0.1, 0), [4, 4])
 
 
 class TestSynthetic:
@@ -256,8 +313,8 @@ class TestMultiInjection:
     def test_per_attribute_specs(self):
         train, _ = generate_synthetic_multi([3, 4], dim=2, sigma=1.0, separation=6.0,
                                             n_train=1000, n_test=10, seed=30)
-        specs = [NoiseSpec(rho=0.2, seed=(31, 0)), NoiseSpec(rho=0.5, seed=(31, 1))]
-        noisy, flips = inject_noise_multi(train, specs, [3, 4])
+        noisy, flips = inject_noise(train, NoiseSpec(mode="uniform", rho=(0.2, 0.5), seed=31),
+                                    [3, 4])
         assert flips[0].size == 200 and flips[1].size == 500
         for k in range(2):
             col_differs = np.flatnonzero(noisy.given_labels[:, k] != noisy.true_labels[:, k])

@@ -14,6 +14,7 @@ from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Co
 from noiseattn.attention import project_column_stochastic
 from noiseattn.cli import main as cli_main
 from noiseattn.harness import MetricsLog
+from oracles import param_vector
 
 
 BASE_CFG = """
@@ -126,7 +127,7 @@ class TestSnapshots:
         save_snapshot(path, net, [model], input_shape=(2,), arch_specs=specs)
         snap = load_snapshot(path)
         assert snap["kind"] == "single"
-        np.testing.assert_array_equal(snap["net"].param_vector(), net.param_vector())
+        np.testing.assert_array_equal(param_vector(snap["net"]), param_vector(net))
         back = snap["models"][0]
         assert back.active_count == 2
         assert back.units[1].decay == 0.002

@@ -8,7 +8,7 @@ import pytest
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, MultiHeadNetwork,
                        NAModel, Network, ReLU, Trainer, TrainSettings, all_metric,
                        evaluate_all_metric, generate_synthetic_multi, na_loss, nll_loss, softmax, softmax_backward)
-from noiseattn import NoiseSpec, inject_noise_multi
+from noiseattn import NoiseSpec, inject_noise
 from noiseattn.recursion import RecursionSchedule, run_recursion
 from noiseattn.training import _loss_total
 from gradfixtures import grad_check
@@ -182,8 +182,8 @@ class TestTraining:
     def test_multi_recursion_keeps_supervisions_per_attribute(self):
         train, _ = generate_synthetic_multi([3, 3], dim=2, sigma=1.0, separation=6.0,
                                             n_train=300, n_test=60, seed=23)
-        specs = [NoiseSpec(rho=0.2, seed=(24, k)) for k in range(2)]
-        noisy, flips = inject_noise_multi(train, specs, [3, 3])
+        noisy, flips = inject_noise(train, NoiseSpec(mode="uniform", rho=(0.2,), seed=24),
+                                    [3, 3])
         assert all(len(f) == 60 for f in flips)
         trunk = Network([Dense(4, 12), ReLU()], (4,), seed=(25, 1))
         mh = MultiHeadNetwork(trunk, AttributeSpec([3, 3]), seed=25)

@@ -1,10 +1,14 @@
 """Every public name of the package has a caller outside the tests.
 
-A name in ``noiseattn.__all__`` counts as used when a module of the
-package other than ``__init__.py`` refers to it outside its own
-definition, or when ``perfbench/`` names it: the benchmark calls the
-package and keys its trace metrics on qualified names such as
-``data.inject_noise``. Helpers that only tests call live in the tests.
+The names checked are those in ``noiseattn.__all__`` and, in every module
+of the package, each public module-level function, each class and each
+public method or property of its classes. A name counts as used when a
+module of the package other than ``__init__.py`` refers to it outside
+its own definition, or when ``perfbench/`` names it: the benchmark calls
+the package and keys its trace metrics on qualified names such as
+``data.inject_noise``. A method counts as used when any such module
+refers to an attribute of its name. Helpers that only tests call live in
+the tests.
 """
 
 import ast
@@ -15,6 +19,7 @@ from pathlib import Path
 import noiseattn
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "noiseattn"
 
 # Public names kept without such a caller, each with its reason.
 ALLOWED = {
@@ -41,14 +46,38 @@ def references(tree) -> set[str]:
     return found
 
 
+def defined_names(tree) -> dict[str, str]:
+    """Qualified name -> the name a caller uses, for each public
+    module-level function, each class and each public method or property
+    of a module."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                names[node.name] = node.name
+        elif isinstance(node, ast.ClassDef):
+            names[node.name] = node.name
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    names[f"{node.name}.{item.name}"] = item.name
+    return names
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    used = set()
-    for path in (ROOT / "src" / "noiseattn").glob("*.py"):
+    used, checked = set(), {}
+    for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
-            used |= references(ast.parse(path.read_text()))
+            tree = ast.parse(path.read_text())
+            used |= references(tree)
+            checked.update({f"{path.stem}.{qual}": name
+                            for qual, name in defined_names(tree).items()})
     for path in (ROOT / "perfbench").rglob("*.py"):
         used |= set(re.findall(r"\w+", path.read_text()))
-    public = {name for name in noiseattn.__all__
-              if not inspect.ismodule(getattr(noiseattn, name))}
-    assert sorted(public - used - set(ALLOWED)) == []
-    assert set(ALLOWED) <= public - used  # an entry that gains a caller leaves the list
+    checked.update({name: name for name in noiseattn.__all__
+                    if not inspect.ismodule(getattr(noiseattn, name))})
+    unused = {qual for qual, name in checked.items() if name not in used}
+    allowed = {qual for qual, name in checked.items() if name in ALLOWED}
+    assert sorted(unused - allowed) == []
+    assert allowed <= unused  # an entry that gains a caller leaves the list
+    assert {checked[qual] for qual in allowed} == set(ALLOWED)

@@ -14,7 +14,7 @@ from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms, project_column_stochastic, routed_backward
 from noiseattn.recursion import soft_attention_outputs, soft_out_grad
 from gradfixtures import grad_check
-from oracles import combine_supervision
+from oracles import combine_supervision, param_vector
 
 
 class TestAlphaSchedule:
@@ -148,7 +148,7 @@ class TestSnapshot:
 def _noisy_blobs(seed, n_train=300):
     train, test = generate_synthetic(SyntheticSpec(
         kind="blobs", classes=3, dim=2, n_train=n_train, n_test=100, seed=seed))
-    noisy, _ = inject_noise(train, NoiseSpec(rho=0.3, seed=seed + 1))
+    noisy, _ = inject_noise(train, NoiseSpec(mode="uniform", rho=(0.3,), seed=seed + 1), [3])
     return noisy, test
 
 
@@ -164,13 +164,13 @@ class TestRunRecursion:
     def test_zero_iterations_leaves_model_untouched(self):
         noisy, _ = _noisy_blobs(61)
         trainer = self._trainer(noisy)
-        before = trainer.net.base.param_vector()
+        before = param_vector(trainer.net.base)
         records = run_recursion(trainer, noisy.features, noisy.given_labels,
                                 RecursionSchedule(iterations=0, alpha_base=0.8, epochs=3,
                                                   min_improvement=0.0),
                                 val_metric=lambda: 1.0)
         assert records == []
-        np.testing.assert_array_equal(trainer.net.base.param_vector(), before)
+        np.testing.assert_array_equal(param_vector(trainer.net.base), before)
 
     def test_empty_dataset_rejected(self):
         noisy, _ = _noisy_blobs(62)

@@ -270,12 +270,12 @@ class _FlattenLayer:
 
 
 def _materialize(spec, shape, net_seed, index):
-    rng = np.random.default_rng(entropy_tuple(net_seed, index))  # Dense and Conv2D weights
     if isinstance(spec, Dense):
         if len(shape) != 1:
             raise ConfigError(f"layer {index}: Dense needs a flat input, got {shape}; add Flatten first")
         if shape[0] != spec.in_dim:
             raise ConfigError(f"layer {index}: Dense in_dim {spec.in_dim} != incoming width {shape[0]}")
+        rng = np.random.default_rng(entropy_tuple(net_seed, index))
         return _DenseLayer(spec, rng), (spec.out_dim,)
     if isinstance(spec, Conv2D):
         if len(shape) != 3:
@@ -287,6 +287,7 @@ def _materialize(spec, shape, net_seed, index):
         wo = (w - spec.kernel) // spec.stride + 1
         if ho < 1 or wo < 1:
             raise ConfigError(f"layer {index}: kernel {spec.kernel} larger than input {h}x{w}")
+        rng = np.random.default_rng(entropy_tuple(net_seed, index))
         return _ConvLayer(spec, rng), (ho, wo, spec.out_ch)
     if isinstance(spec, ReLU):
         return _ReLULayer(), shape

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DataError, DivergenceError, FormatError,
                      NoiseAttnError, StageError, UsageError)
 from .nn import (EPS, Conv2D, Dense, Flatten, LayerSpec, MaxPool2x2, Network,
-                 Parameter, ReLU, SGD, nll_loss, softmax, softmax_backward)
+                 Parameter, ReLU, SGD, softmax, softmax_backward)
 from .attention import (Decision, NAModel, NoiseUnit, UnitSchedule, attention_outputs,
                         na_loss, project_column_stochastic, schedule_step)
 from .recursion import (RecursionSchedule, alpha_schedule, combine_supervisions,

@@ -7,8 +7,9 @@ its dataclass, which holds their defaults: ``opt.*`` TrainSettings,
 ``na.*`` UnitSchedule, ``recursion.*`` RecursionSchedule,
 ``data.synthetic.*`` SyntheticSpec and ``noise.*`` NoiseSpec, which also
 check their ranges, and ``data.*`` DataConfig. build_config checks
-``data.source``, that ``noise.rho`` holds one value or one per attribute,
-and reads the rest (``seed``, ``out``, ``attributes`` and ``arch.*``).
+``data.source`` and, against the attributes, ``noise.rho``,
+``noise.per_class`` and a synthetic ``kind``; it reads the rest
+(``seed``, ``out``, ``attributes`` and ``arch.*``).
 """
 
 from __future__ import annotations
@@ -245,6 +246,9 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
     d.train_path = e.get("data.train_path", d.train_path)
     d.test_path = e.get("data.test_path", d.test_path)
     d.synthetic = _section(e, "data.synthetic", SyntheticSpec, seed=(cfg.seed, 31))
+    if cfg.attributes is not None and d.source == "synthetic" and d.synthetic.kind != "blobs":
+        raise ConfigError(f"data.synthetic.kind must be blobs with attributes, "
+                          f"got {d.synthetic.kind!r}")
 
     cfg.noise = NoiseSpec(
         mode=e.get("noise.mode", "none"), rho=e.get_floats("noise.rho", (0.0,)),
@@ -252,6 +256,10 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
         seed=e.get_int("noise.seed", (cfg.seed, 37)))
     if cfg.noise.mode != "none":
         cfg.noise.rhos(1 if cfg.attributes is None else cfg.attributes.k)
+    if (cfg.noise.mode == "per_class" and cfg.attributes is not None
+            and set(cfg.attributes.class_counts) != {len(cfg.noise.per_class)}):
+        raise ConfigError(f"noise.per_class has {len(cfg.noise.per_class)} rates, the "
+                          f"attributes have {cfg.attributes.class_counts} classes")
 
     # architecture
     shape_raw = e.get("arch.input_shape")

@@ -286,23 +286,24 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     return make(spec.n_train), make(spec.n_test)
 
 
-def generate_synthetic_multi(class_counts, dim: int, sigma: float, separation: float,
-                             n_train: int, n_test: int, seed) -> tuple[Dataset, Dataset]:
-    """Multi-attribute blobs: independent labels, one feature block per attribute."""
+def generate_synthetic_multi(spec: SyntheticSpec, class_counts) -> tuple[Dataset, Dataset]:
+    """Multi-attribute blobs: independent labels, one feature block of
+    ``spec.dim`` columns per attribute; ``kind`` and ``classes`` are not read."""
     if len(class_counts) < 1 or any(c < 2 for c in class_counts):
         raise ConfigError(f"bad attribute class counts {class_counts}")
-    rng = np.random.default_rng(seed)
-    centers = [_blob_centers(rng, c_k, dim, sigma, separation) for c_k in class_counts]
+    rng = np.random.default_rng(spec.seed)
+    centers = [_blob_centers(rng, c_k, spec.dim, spec.sigma, spec.separation)
+               for c_k in class_counts]
     c_max = max(class_counts)
 
     def make(n):
         labels = np.stack(
             [rng.integers(0, c_k, size=n) for c_k in class_counts], axis=1).astype(np.int64)
-        blocks = [centers[k][labels[:, k]] + sigma * rng.normal(size=(n, dim))
+        blocks = [centers[k][labels[:, k]] + spec.sigma * rng.normal(size=(n, spec.dim))
                   for k in range(len(class_counts))]
         return Dataset(np.concatenate(blocks, axis=1), labels.copy(), c_max, labels.copy())
 
-    return make(n_train), make(n_test)
+    return make(spec.n_train), make(spec.n_test)
 
 
 # ---------------------------------------------------------------------------

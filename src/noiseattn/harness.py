@@ -273,10 +273,8 @@ def resolve_data(cfg: ExperimentConfig, out_dir=None):
     """
     if cfg.data.source == "synthetic":
         if cfg.attributes is not None:
-            syn = cfg.data.synthetic
-            train, test = generate_synthetic_multi(
-                cfg.attributes.class_counts, syn.dim, syn.sigma, syn.separation,
-                syn.n_train, syn.n_test, syn.seed)
+            train, test = generate_synthetic_multi(cfg.data.synthetic,
+                                                   cfg.attributes.class_counts)
         else:
             train, test = generate_synthetic(cfg.data.synthetic)
         if out_dir is not None:
@@ -416,14 +414,14 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
             else MultiHeadNetwork(net, cfg.attributes, seed=cfg.seed))
     split = _split(cfg, view, train_ds, test_ds)
     xt, yt, xv, yv, _ = split
-    models = [NAModel(c) for c in view.class_counts]
+    trainer = Trainer(view, cfg.opt, seed=cfg.seed)
+    models = trainer.na_models
     suffixes = [f".{name}" if name else "" for name in view.names]
-    trainer = Trainer(view, cfg.opt, models, seed=cfg.seed)
 
     stage[0] = "pretrain"
     for epoch in range(cfg.na.pretrain_epochs):
-        tr = trainer.train_epoch(xt, yt, use_na=False)
-        vl = _loss_total(trainer.val_loss(xv, yv, use_na=False))
+        tr = trainer.train_epoch(xt, yt)
+        vl = _loss_total(trainer.val_loss(xv, yv))
         metrics.add("pretrain", 0, epoch, "train", "loss", tr)
         metrics.add("pretrain", 0, epoch, "val", "loss", vl)
 
@@ -432,8 +430,8 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
     stopped = [False] * len(models)
     na_epochs = 0
     for epoch in range(cfg.na.stage_epochs):
-        tr = trainer.train_epoch(xt, yt, use_na=True)
-        per_attr = trainer.val_loss(xv, yv, use_na=True)
+        tr = trainer.train_epoch(xt, yt)
+        per_attr = trainer.val_loss(xv, yv)
         na_epochs = epoch + 1
         metrics.add("na", 0, epoch, "train", "loss", tr)
         for k, (suffix, vl) in enumerate(zip(suffixes, per_attr)):
@@ -485,7 +483,7 @@ def _recursion(cfg, trainer, view, split, test_ds, metrics):
             return _errors(view, xv, val_true)[1]
     else:
         def val_metric():
-            return _loss_total(trainer.val_loss(xv, yv, use_na=True))
+            return _loss_total(trainer.val_loss(xv, yv))
 
     def on_iteration(record):
         t = record["iteration"]

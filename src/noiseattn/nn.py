@@ -1,7 +1,8 @@
 """Deterministic float64 feed-forward networks with hand-derived backprop.
 
 Layers: Dense, Conv2D (valid padding, NHWC), ReLU, MaxPool2x2, Flatten.
-Losses: max-subtracted softmax and clamped negative log likelihood.
+Losses: max-subtracted softmax, and the terms and gradient of the
+clamped negative log likelihood that routed training takes.
 Training: SGD with momentum and weight decay. An optimizer packs its
 parameters into one contiguous arena (data, grad and velocity buffers),
 and each ``Parameter``'s ``data`` and ``grad`` become views into it, so a
@@ -411,24 +412,19 @@ def log_grad_coef(picked, batch):
 
 
 def _picked_nll(probs, labels):
-    """``nll_loss`` for labels already known to lie in range; returns the
-    picked entries ``probs[i, labels[i]]`` too."""
+    """Mean negative log likelihood, clamped at EPS, of labels already known
+    to lie in range; returns the picked entries ``probs[i, labels[i]]`` too."""
     picked = probs[np.arange(probs.shape[0]), labels]
     return picked, float(-(np.add.reduce(np.log(np.maximum(picked, EPS))) / picked.size))
 
 
 def _nll_grad(probs, labels, picked):
-    """Gradient of ``nll_loss`` wrt the probabilities, for checked labels
-    and their picked entries ``probs[i, labels[i]]``."""
+    """Gradient of the ``_picked_nll`` loss wrt the probabilities, for
+    checked labels and their picked entries ``probs[i, labels[i]]``."""
     b = probs.shape[0]
     g = np.zeros(probs.shape)
     g[np.arange(b), labels] = log_grad_coef(picked, b)
     return g
-
-
-def nll_loss(probs, labels) -> float:
-    """Mean negative log likelihood of the given labels, clamped at EPS."""
-    return _picked_nll(probs, check_labels(labels, probs.shape[1]))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ A trainer owns a network whose ``forward`` returns one probability batch
 per attribute, one noise model per attribute, and their optimizers. A
 single-label network is the one-attribute case: ``OneHead`` gives it that
 interface. Per-attribute losses are summed and every head's gradient
-reaches the shared layers. The plain path trains each head on its own
-softmax NLL; the attention path routes every sample through its
-maximum-confidence unit. With a single (identity) unit the two paths
-perform bit-identical arithmetic, so attention training degrades exactly
-to plain training.
+reaches the shared layers. There is one objective: the NLL of each
+label after routing its sample through the unit of the attribute's model
+that makes the label most likely. Pretraining is this objective while
+each model holds only the frozen identity: ``probs @ I`` is exact, so the
+routed loss and gradient are then the plain softmax NLL's, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
 from .attention import NAModel, UnitSchedule, na_loss, na_loss_terms, routed_backward
-from .nn import (SGD, Network, _nll_grad, _picked_nll, check_labels, entropy_tuple,
-                 label_columns, nll_loss, softmax, softmax_backward)
+from .nn import (SGD, Network, _nll_grad, check_labels, entropy_tuple, label_columns,
+                 softmax, softmax_backward)
 from .recursion import soft_attention_outputs, soft_nll_loss, soft_out_grad
 
 # rng stream tags, combined with the run seed
@@ -107,11 +107,6 @@ def _loss_total(losses) -> float:
 # The heads take labels that ``Trainer._columns`` has already checked.
 
 
-def _plain_head(probs, labels, model):
-    picked, loss = _picked_nll(probs, labels)
-    return loss, _nll_grad(probs, labels, picked)
-
-
 def _na_head(probs, labels, model):
     sel, out, picked, loss = na_loss_terms(probs, labels, model)
     return loss, routed_backward(probs, sel, _nll_grad(out, labels, picked), model)
@@ -124,23 +119,24 @@ def _soft_head(probs, supervisions, model):
 
 
 class Trainer:
-    """Owns one network (plus optional noise units) and its optimizers.
+    """Owns one network, one noise model per attribute, and their optimizers.
 
     ``net`` is a plain ``Network`` (wrapped in ``OneHead``) or a network
     whose ``forward`` returns per-attribute probabilities and whose
     ``class_counts`` lists each head's classes, such as
-    ``MultiHeadNetwork``; ``na_models`` holds one noise model per
-    attribute. Labels are (N,) for one attribute or (N, K) for K; each
-    epoch checks them against the heads once, before the first step.
+    ``MultiHeadNetwork``. ``na_models`` default to one identity-only
+    ``NAModel`` per attribute, so epochs before the first ``add_unit``
+    are pretraining. Labels are (N,) for one attribute or (N, K) for K;
+    each epoch checks them against the heads once, before the first step.
     Mini-batch order comes from a dedicated shuffle stream seeded by the
     run seed, so two trainers built with the same seed walk the data in
-    the same order regardless of which loss path they use.
+    the same order.
     """
 
     def __init__(self, net, settings: TrainSettings, na_models=(), seed=0):
         self.net = as_heads(net)
-        self.na_models: list[NAModel] = list(na_models)
-        if self.na_models and [m.n_classes for m in self.na_models] != self.net.class_counts:
+        self.na_models = list(na_models) or [NAModel(c) for c in self.net.class_counts]
+        if [m.n_classes for m in self.na_models] != self.net.class_counts:
             raise ConfigError(f"noise models for {[m.n_classes for m in self.na_models]} "
                               f"classes do not match heads of {self.net.class_counts}")
         self.settings = settings
@@ -160,10 +156,6 @@ class Trainer:
         self.unit_opt.add_param(unit.q)
         return unit
 
-    def _check_units(self):
-        if not self.na_models:
-            raise ConfigError("trainer has no attention model")
-
     def _columns(self, labels) -> list[np.ndarray]:
         """One label column per head, each checked against its class count."""
         columns = label_columns(labels)
@@ -175,12 +167,12 @@ class Trainer:
 
     # -- one optimization step -------------------------------------------
 
-    def _step(self, head, bx, targets, use_units: bool) -> float:
+    def _step(self, head, bx, targets) -> float:
         """``head(probs, targets[k], model)`` gives attribute k's loss and
         its gradient wrt the probabilities."""
         losses, dlogits = [], []
         for k, probs in enumerate(self.net.forward(bx)):
-            loss, gprobs = head(probs, targets[k], self.na_models[k] if use_units else None)
+            loss, gprobs = head(probs, targets[k], self.na_models[k])
             losses.append(loss)
             dlogits.append(softmax_backward(probs, gprobs))
         total = _loss_total(losses)
@@ -188,10 +180,9 @@ class Trainer:
             raise DivergenceError(f"non-finite loss {total!r}")  # _epoch adds the batch
         self.net.backward(dlogits)
         self.net_opt.step()
-        if use_units:
-            self.unit_opt.step()
-            for model in self.na_models:
-                model.project()
+        self.unit_opt.step()
+        for model in self.na_models:
+            model.project()
         return total
 
     # -- epochs ------------------------------------------------------------
@@ -202,26 +193,23 @@ class Trainer:
         for start in range(0, n, bs):
             yield order[start:start + bs]
 
-    def _epoch(self, head, features, targets, use_units: bool) -> float:
+    def _epoch(self, head, features, targets) -> float:
         """One shuffled pass; returns the sample-weighted mean batch loss."""
         n = features.shape[0]
         total = 0.0
         for i, idx in enumerate(self._batches(n), start=1):
             batch_targets = [t[idx] for t in targets]
             try:
-                loss = self._step(head, features[idx], batch_targets, use_units)
+                loss = self._step(head, features[idx], batch_targets)
             except DivergenceError as exc:
                 count = -(-n // self.settings.batch_size)
                 raise DivergenceError(f"{exc} at batch {i} of {count}") from None
             total += loss * idx.size
         return total / n
 
-    def train_epoch(self, features, labels, use_na: bool = False) -> float:
-        """One shuffled pass on the given labels, through the units with ``use_na``."""
-        if use_na:
-            self._check_units()
-        return self._epoch(_na_head if use_na else _plain_head, features,
-                           self._columns(labels), use_na)
+    def train_epoch(self, features, labels) -> float:
+        """One shuffled pass on the given labels, routed through the units."""
+        return self._epoch(_na_head, features, self._columns(labels))
 
     def train_epoch_soft(self, features, supervisions) -> float:
         """One shuffled pass against per-sample soft supervisions, one
@@ -230,16 +218,12 @@ class Trainer:
         Takes no labels: all supervision signal must already be baked into
         the supervision rows.
         """
-        self._check_units()
-        return self._epoch(_soft_head, features, supervisions, True)
+        return self._epoch(_soft_head, features, supervisions)
 
     # -- evaluation-only helpers -------------------------------------------
 
-    def val_loss(self, features, labels, use_na: bool = False) -> list[float]:
-        """Per-attribute losses: plain NLL, or the routed NLL with ``use_na``."""
+    def val_loss(self, features, labels) -> list[float]:
+        """Per-attribute routed NLL (``na_loss``)."""
         columns = self._columns(labels)
-        probs_list = self.net.forward(features)
-        if use_na:
-            return [na_loss(probs, y, model)
-                    for probs, y, model in zip(probs_list, columns, self.na_models)]
-        return [nll_loss(probs, y) for probs, y in zip(probs_list, columns)]
+        return [na_loss(probs, y, model) for probs, y, model
+                in zip(self.net.forward(features), columns, self.na_models)]

@@ -11,10 +11,10 @@ import numpy as np
 
 from noiseattn import (Conv2D, Dense, Flatten, MaxPool2x2, NAModel, Network, ReLU,
                        softmax, softmax_backward,
-                       nll_loss, soft_nll_loss)
+                       soft_nll_loss)
 from noiseattn.attention import na_loss_terms, project_column_stochastic, routed_backward
 from noiseattn.recursion import soft_attention_outputs, soft_out_grad
-from oracles import decay_penalty, na_backward, nll_loss_grad, zero_grad
+from oracles import decay_penalty, na_backward, nll_loss, nll_loss_grad, zero_grad
 
 
 def grad_check(params, loss_fn, h=1e-6) -> float:

@@ -8,9 +8,10 @@ batch form; the tests check that the two agree.
 import numpy as np
 
 from noiseattn import (ConfigError, DataError, NAModel, na_loss, project_column_stochastic,
-                       softmax)
+                       softmax, softmax_backward)
 from noiseattn.attention import na_loss_terms, routed_backward
-from noiseattn.nn import _nll_grad, check_labels
+from noiseattn.nn import _nll_grad, _picked_nll, check_labels, entropy_tuple
+from noiseattn.training import STREAM_SHUFFLE
 
 
 def na_forward(p_base, unit):
@@ -120,9 +121,43 @@ def routed_backward_masks(probs, sel, out_grad, model: NAModel):
     return gp
 
 
+def plain_epochs(net, settings, features, labels, seed, epochs: int) -> list[float]:
+    """Mean batch losses of ``epochs`` passes of plain softmax-NLL training
+    of a single-label network: no noise units. Batches follow the shuffle
+    stream of a ``Trainer`` built with ``seed``; each parameter takes
+    momentum SGD with its own velocity buffer."""
+    rng = np.random.default_rng(entropy_tuple(seed, STREAM_SHUFFLE))
+    params = net.parameters()
+    velocities = [np.zeros_like(p.data) for p in params]
+    n, bs = features.shape[0], settings.batch_size
+    losses = []
+    for _ in range(epochs):
+        order, total = rng.permutation(n), 0.0
+        for start in range(0, n, bs):
+            idx = order[start:start + bs]
+            probs = softmax(net.forward(features[idx]))
+            picked, loss = _picked_nll(probs, labels[idx])
+            net.backward(softmax_backward(probs, _nll_grad(probs, labels[idx], picked)))
+            for p, v in zip(params, velocities):
+                v *= settings.momentum
+                v += p.grad
+                if settings.weight_decay:
+                    v += settings.weight_decay * p.data
+                p.data -= settings.lr * v
+                p.grad[...] = 0.0
+            total += loss * idx.size
+        losses.append(total / n)
+    return losses
+
+
 # Helpers only the tests call. The package computes these inline: the
 # trainer takes the NLL and routed gradients from the terms of its loss,
 # and evaluation takes argmax predictions from ``forward``.
+
+
+def nll_loss(probs, labels) -> float:
+    """Mean negative log likelihood of the given labels, clamped at EPS."""
+    return _picked_nll(probs, check_labels(labels, probs.shape[1]))[1]
 
 
 def nll_loss_grad(probs, labels):

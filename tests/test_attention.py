@@ -8,13 +8,13 @@ import pytest
 from noiseattn import (ConfigError, Dense, Decision, NAModel, Network, NoiseUnit, ReLU,
                        Trainer, TrainSettings, UnitSchedule, attention_outputs,
                        generate_synthetic,
-                       inject_noise, na_loss, nll_loss,
+                       inject_noise, na_loss,
                        project_column_stochastic, schedule_step, softmax)
 from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms, routed_backward, unit_outputs
 from noiseattn.nn import EPS
 from gradfixtures import grad_check
-from oracles import infer, na_backward, nll_loss_grad, param_vector
+from oracles import infer, na_backward, nll_loss, nll_loss_grad, param_vector, plain_epochs
 from oracles import (decay_penalty, na_forward, project_units, routed_backward_masks,
                      select_unit, unit_outputs_stacked)
 
@@ -338,7 +338,7 @@ class TestInfer:
         net = Network([Dense(2, 16), ReLU(), Dense(16, 3)], (2,), seed=26)
         trainer = Trainer(net, TrainSettings(lr=0.05, batch_size=32), seed=27)
         for _ in range(40):
-            trainer.train_epoch(train.features, train.given_labels, use_na=False)
+            trainer.train_epoch(train.features, train.given_labels)
         preds = infer(net, test.features).argmax(axis=1)
         assert np.mean(preds == test.true_labels) >= 0.95
 
@@ -356,7 +356,7 @@ class TestTrainingInvariants:
         trainer.add_unit(schedule)
         trainer.add_unit(schedule)
         for _ in range(epochs):
-            trainer.train_epoch(noisy.features, noisy.given_labels, use_na=True)
+            trainer.train_epoch(noisy.features, noisy.given_labels)
         return model
 
     def test_columns_stay_stochastic_under_training(self):
@@ -383,14 +383,14 @@ class TestReduction:
         train, _ = generate_synthetic(SyntheticSpec(
             kind="blobs", classes=3, dim=2, n_train=240, n_test=40, seed=31))
         noisy, _ = inject_noise(train, NoiseSpec(mode="uniform", rho=(0.4,), seed=32), [3])
-        settings = TrainSettings(lr=0.05, momentum=0.9, batch_size=32)
+        # a trainer's models default to the identity alone: pretraining
+        settings = TrainSettings(lr=0.05, momentum=0.9, weight_decay=1e-4, batch_size=32)
         net_plain = Network([Dense(2, 10), ReLU(), Dense(10, 3)], (2,), seed=(33, 1))
         net_na = Network([Dense(2, 10), ReLU(), Dense(10, 3)], (2,), seed=(33, 1))
-        plain = Trainer(net_plain, settings, seed=34)
-        na = Trainer(net_na, settings, [NAModel(3)], seed=34)
-        plain_losses = [plain.train_epoch(noisy.features, noisy.given_labels, use_na=False)
-                        for _ in range(5)]
-        na_losses = [na.train_epoch(noisy.features, noisy.given_labels, use_na=True)
-                     for _ in range(5)]
-        assert plain_losses == na_losses
-        np.testing.assert_array_equal(param_vector(net_plain), param_vector(net_na))
+        plain_losses = plain_epochs(net_plain, settings, noisy.features, noisy.given_labels,
+                                    seed=34, epochs=5)
+        na = Trainer(net_na, settings, seed=34)
+        assert [m.active_count for m in na.na_models] == [1]
+        na_losses = [na.train_epoch(noisy.features, noisy.given_labels) for _ in range(5)]
+        assert np.array(na_losses).tobytes() == np.array(plain_losses).tobytes()
+        assert param_vector(net_na).tobytes() == param_vector(net_plain).tobytes()

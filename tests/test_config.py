@@ -167,6 +167,13 @@ class TestChecksAtLoad:
         ({"noise.mode": "matrix"}, "noise.matrix_path"),
         ({"data.synthetic.dim": "0"}, "data.synthetic.dim"),
         ({"data.synthetic.classes": "1"}, "data.synthetic.classes"),
+        ({"attributes": "a:3,b:4", "data.synthetic.kind": "patches"}, "data.synthetic.kind"),
+        ({"attributes": "a:3,b:4", "data.synthetic.kind": "moons",
+          "data.synthetic.classes": "2"}, "data.synthetic.kind"),
+        ({"attributes": "a:3,b:4", "noise.mode": "per_class",
+          "noise.per_class": "0.1,0.2,0.3"}, "noise.per_class"),
+        ({"attributes": "a:3,b:4", "noise.mode": "per_class",
+          "noise.per_class": "0.1,0.2,0.3,0.4"}, "noise.per_class"),
     ])
     def test_data_and_noise_checked_before_writing_anything(self, tmp_path, capsys, extra, key):
         entries = {**RUN, **extra, "out": str(tmp_path / "run")}
@@ -186,6 +193,25 @@ class TestChecksAtLoad:
     def test_noise_seed_defaults_to_the_run_seed_and_37(self):
         assert build_config({"seed": "5"}).noise.seed == (5, 37)
         assert build_config({"seed": "5", "noise.seed": "9"}).noise.seed == 9
+
+    def test_per_class_rates_name_the_attribute_class_counts(self):
+        with pytest.raises(ConfigError,
+                           match=r"^noise.per_class has 3 rates, the attributes have \[3, 4\]"):
+            build_config({"attributes": "a:3,b:4", "noise.mode": "per_class",
+                          "noise.per_class": "0.1,0.2,0.3"})
+
+    def test_per_class_rates_serve_attributes_of_one_class_count(self, tmp_path, capsys):
+        entries = {**RUN, "attributes": "a:3,b:3", "noise.mode": "per_class",
+                   "noise.per_class": "0.1,0.2,0.3", "arch.input_shape": "4",
+                   "arch.layers": "dense:4:8,relu", "out": str(tmp_path / "run")}
+        assert cli_main(["train", "--config", str(write_config(tmp_path, entries))]) == 0
+        flips = (tmp_path / "run" / "flips.csv").read_text().splitlines()
+        assert {row.split(",")[0] for row in flips[1:]} == {"0", "1"}
+
+    def test_multi_attribute_data_with_nld_source_ignores_the_synthetic_kind(self):
+        cfg = build_config({"attributes": "a:3,b:4", "data.source": "nld",
+                            "data.synthetic.kind": "patches"})
+        assert cfg.data.synthetic.kind == "patches"
 
     def test_rho_per_attribute_accepted(self):
         cfg = build_config({"attributes": "a:2,b:3", "noise.mode": "uniform",

@@ -211,8 +211,9 @@ class TestSynthetic:
         assert patches.d == 36
 
     def test_multi_blobs_independent_labels(self):
-        train, _ = generate_synthetic_multi([3, 4], dim=2, sigma=1.0, separation=6.0,
-                                            n_train=5000, n_test=10, seed=7)
+        train, _ = generate_synthetic_multi(
+            SyntheticSpec(dim=2, sigma=1.0, separation=6.0, n_train=5000, n_test=10, seed=7),
+            [3, 4])
         assert train.k == 2 and train.c == 4
         # independence: joint distribution close to the product of marginals
         joint = np.zeros((3, 4))
@@ -311,8 +312,9 @@ class TestNLD1:
 
 class TestMultiInjection:
     def test_per_attribute_specs(self):
-        train, _ = generate_synthetic_multi([3, 4], dim=2, sigma=1.0, separation=6.0,
-                                            n_train=1000, n_test=10, seed=30)
+        train, _ = generate_synthetic_multi(
+            SyntheticSpec(dim=2, sigma=1.0, separation=6.0, n_train=1000, n_test=10, seed=30),
+            [3, 4])
         noisy, flips = inject_noise(train, NoiseSpec(mode="uniform", rho=(0.2, 0.5), seed=31),
                                     [3, 4])
         assert flips[0].size == 200 and flips[1].size == 500

@@ -7,12 +7,12 @@ import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, MultiHeadNetwork,
                        NAModel, Network, ReLU, Trainer, TrainSettings, all_metric,
-                       evaluate_all_metric, generate_synthetic_multi, na_loss, nll_loss, softmax, softmax_backward)
-from noiseattn import NoiseSpec, inject_noise
+                       evaluate_all_metric, generate_synthetic_multi, na_loss, softmax, softmax_backward)
+from noiseattn import NoiseSpec, SyntheticSpec, inject_noise
 from noiseattn.recursion import RecursionSchedule, run_recursion
 from noiseattn.training import _loss_total
 from gradfixtures import grad_check
-from oracles import nll_loss_grad
+from oracles import nll_loss, nll_loss_grad
 from oracles import multi_attribute_loss, multi_forward
 
 
@@ -167,21 +167,23 @@ class TestAllMetric:
 
 class TestTraining:
     def test_multi_training_learns_separable_attributes(self):
-        train, test = generate_synthetic_multi([3, 4], dim=2, sigma=1.0, separation=6.0,
-                                               n_train=600, n_test=300, seed=20)
+        train, test = generate_synthetic_multi(
+            SyntheticSpec(dim=2, sigma=1.0, separation=6.0, n_train=600, n_test=300, seed=20),
+            [3, 4])
         trunk = Network([Dense(4, 24), ReLU()], (4,), seed=(21, 1))
         mh = MultiHeadNetwork(trunk, AttributeSpec([3, 4]), seed=21)
         # blob features are O(10); a gentler rate avoids softmax saturation
         trainer = Trainer(mh, TrainSettings(lr=0.02, batch_size=32), seed=22)
         for _ in range(60):
-            trainer.train_epoch(train.features, train.given_labels, use_na=False)
+            trainer.train_epoch(train.features, train.given_labels)
         per_attr, joint = evaluate_all_metric(mh, test.features, test.true_labels)
         assert max(per_attr) <= 0.05
         assert joint <= 0.1
 
     def test_multi_recursion_keeps_supervisions_per_attribute(self):
-        train, _ = generate_synthetic_multi([3, 3], dim=2, sigma=1.0, separation=6.0,
-                                            n_train=300, n_test=60, seed=23)
+        train, _ = generate_synthetic_multi(
+            SyntheticSpec(dim=2, sigma=1.0, separation=6.0, n_train=300, n_test=60, seed=23),
+            [3, 3])
         noisy, flips = inject_noise(train, NoiseSpec(mode="uniform", rho=(0.2,), seed=24),
                                     [3, 3])
         assert all(len(f) == 60 for f in flips)
@@ -190,7 +192,7 @@ class TestTraining:
         trainer = Trainer(mh, TrainSettings(lr=0.05, batch_size=32),
                           [NAModel(3), NAModel(3)], seed=26)
         for _ in range(8):
-            trainer.train_epoch(noisy.features, noisy.given_labels, use_na=True)
+            trainer.train_epoch(noisy.features, noisy.given_labels)
         metrics = iter([0.5, 0.4, 0.3])
         records = run_recursion(
             trainer, noisy.features, noisy.given_labels,

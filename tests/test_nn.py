@@ -7,10 +7,10 @@ import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, Conv2D, Flatten,
                        MaxPool2x2, MultiHeadNetwork, Network, Parameter, ReLU, SGD, Trainer,
-                       TrainSettings, UsageError, nll_loss, softmax, softmax_backward)
+                       TrainSettings, UsageError, softmax, softmax_backward)
 from noiseattn.nn import EPS
 from gradfixtures import grad_check, grad_check_classifier
-from oracles import n_params, nll_loss_grad, zero_grad
+from oracles import n_params, nll_loss, nll_loss_grad, zero_grad
 
 
 class TestForward:

@@ -158,7 +158,7 @@ class TestRunRecursion:
         model = NAModel(3)
         trainer = Trainer(net, TrainSettings(lr=0.05, batch_size=32), [model], seed=seed)
         for _ in range(5):
-            trainer.train_epoch(noisy.features, noisy.given_labels, use_na=True)
+            trainer.train_epoch(noisy.features, noisy.given_labels)
         return trainer
 
     def test_zero_iterations_leaves_model_untouched(self):

@@ -41,8 +41,7 @@ def state(trainer):
     return np.concatenate([p.data.ravel() for p in params])
 
 
-TRAINERS = {"plain": (plain_trainer, False), "na": (na_trainer, True),
-            "multi": (multi_trainer, True)}
+TRAINERS = {"plain": plain_trainer, "na": na_trainer, "multi": multi_trainer}
 
 
 class TestLabelsCheckedPerEpoch:
@@ -50,8 +49,7 @@ class TestLabelsCheckedPerEpoch:
     @pytest.mark.parametrize("row", [0, 37, 79])
     @pytest.mark.parametrize("bad", [-1, "classes"])
     def test_out_of_range_label_stops_before_any_step(self, name, row, bad):
-        make, use_na = TRAINERS[name]
-        trainer = make()
+        trainer = TRAINERS[name]()
         counts = trainer.net.class_counts
         rng = np.random.default_rng(row)
         x = rng.normal(size=(80, 4))
@@ -62,9 +60,9 @@ class TestLabelsCheckedPerEpoch:
             labels = labels[:, 0]
         before = state(trainer)
         with pytest.raises(DataError, match=r"labels must lie in \[0, "):
-            trainer.train_epoch(x, labels, use_na=use_na)
+            trainer.train_epoch(x, labels)
         with pytest.raises(DataError, match=r"labels must lie in \[0, "):
-            trainer.val_loss(x, labels, use_na=use_na)
+            trainer.val_loss(x, labels)
         assert state(trainer).tobytes() == before.tobytes()
 
     def test_noise_models_must_match_the_heads(self):
@@ -100,9 +98,9 @@ class TestParameterArena:
         trainer = na_trainer()
         rng = np.random.default_rng(4)
         x, labels = rng.normal(size=(48, 4)), rng.integers(0, 3, size=48)
-        trainer.train_epoch(x, labels, use_na=True)
+        trainer.train_epoch(x, labels)
         trainer.add_unit(UnitSchedule(init_jitter=1e-2))
-        trainer.train_epoch(x, labels, use_na=True)
+        trainer.train_epoch(x, labels)
         for opt in (trainer.net_opt, trainer.unit_opt):
             assert opt.params
             for p in opt.params:

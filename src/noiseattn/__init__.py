@@ -14,7 +14,7 @@ from .errors import (ConfigError, DataError, DivergenceError, FormatError,
 from .nn import (EPS, Conv2D, Dense, Flatten, LayerSpec, MaxPool2x2, Network,
                  Parameter, ReLU, SGD, softmax, softmax_backward)
 from .attention import (Decision, NAModel, NoiseUnit, UnitSchedule, attention_outputs,
-                        na_loss, project_column_stochastic, schedule_step)
+                        project_column_stochastic, schedule_step)
 from .recursion import (RecursionSchedule, alpha_schedule, combine_supervisions,
                         run_recursion, snapshot_probs, soft_nll_loss)
 from .training import OneHead, Trainer, TrainSettings, split_train_val

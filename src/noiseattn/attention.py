@@ -26,18 +26,21 @@ def project_column_stochastic(q):
     """Clamp entries to [0, inf) and renormalize each column to sum 1.
 
     A column that clamps to all zeros is reset to the identity column for
-    its index. Columns already on the simplex pass through unchanged.
+    its index; a column holding a NaN comes out all NaN. Columns already
+    on the simplex pass through unchanged.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {q.shape}")
     out = np.maximum(q, 0.0)
-    sums = out.sum(axis=0)
-    for i in np.flatnonzero(sums <= 0.0):
-        out[:, i] = 0.0
-        out[i, i] = 1.0
-        sums[i] = 1.0
-    return out / sums
+    sums = np.add.reduce(out, axis=0)
+    if not np.minimum.reduce(sums) > 0.0:  # a zero or NaN column sum
+        for i in np.flatnonzero(sums <= 0.0):
+            out[:, i] = 0.0
+            out[i, i] = 1.0
+            sums[i] = 1.0
+    out /= sums
+    return out
 
 
 class NoiseUnit:
@@ -61,8 +64,6 @@ class NAModel:
     """Ordered noise units; the first is always the frozen identity."""
 
     def __init__(self, n_classes: int):
-        if n_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {n_classes}")
         self.n_classes = n_classes
         self.units: list[NoiseUnit] = [NoiseUnit(n_classes, frozen=True)]
         self._eye = np.eye(n_classes)  # the decay anchor of routed_backward
@@ -93,22 +94,10 @@ class NAModel:
         return [u.q for u in self.units if not u.frozen]
 
     def project(self):
-        """Restore column-stochasticity of every learnable unit in place.
-
-        Clamps and normalizes each Q where it lies; a column that clamps
-        to all zeros, or whose sum is not positive (NaN), goes through
-        ``project_column_stochastic`` instead, which gives the same bits.
-        """
+        """``project_column_stochastic`` of each learnable Q, in place."""
         for unit in self.units:
-            if unit.frozen:
-                continue
-            q = unit.q.data
-            np.maximum(q, 0.0, out=q)
-            sums = np.add.reduce(q, axis=0)
-            if np.minimum.reduce(sums) > 0.0:  # False for a NaN sum
-                q /= sums
-            else:
-                q[...] = project_column_stochastic(q)
+            if not unit.frozen:
+                unit.q.data[...] = project_column_stochastic(unit.q.data)
 
     def unit_matrices(self) -> list[np.ndarray]:
         return [unit.q.data.copy() for unit in self.units]
@@ -215,19 +204,15 @@ def attention_outputs(probs, labels, model: NAModel):
 
 
 def na_loss_terms(probs, labels, model: NAModel):
-    """Selection, routed rows, picked confidences, and the scalar loss.
+    """Selection, routed rows, picked confidences, and the scalar loss:
+    the mean -log of each sample's selected-unit confidence at its label.
 
     The labels are not checked here: they must lie in [0, n_classes), as
-    ``na_loss`` and the trainer make sure.
+    the trainer makes sure.
     """
     sel, out = _route(probs, labels, model)
     picked, loss = _picked_nll(out, labels)
     return sel, out, picked, loss
-
-
-def na_loss(probs, labels, model: NAModel) -> float:
-    """Mean -log of each sample's selected-unit confidence at its label."""
-    return na_loss_terms(probs, check_labels(labels, model.n_classes), model)[3]
 
 
 def routed_backward(probs, sel, out_grad, model: NAModel):

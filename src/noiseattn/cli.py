@@ -32,6 +32,8 @@ def _load_config(args):
 
 def _cmd_synth(args) -> int:
     cfg = _load_config(args)
+    if cfg.data.source != "synthetic":
+        raise ConfigError(f"synth needs data.source = synthetic, got {cfg.data.source!r}")
     out = _make_out_dir(cfg.out_dir)
     # synth writes clean data; inject adds noise
     clean = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, mode="none"))
@@ -55,21 +57,33 @@ def _cmd_inject(args) -> int:
     return 0
 
 
-def _finished(report, what) -> int:
+def _print_errors(label, errors, attributes):
+    """``label: error`` without ``attributes``; else ``label [name]: error`` per
+    attribute and ``[ALL]``, from ``errors`` = (per-attribute errors, joint error)."""
+    if attributes is None:
+        print(f"{label}: {errors}")
+        return
+    per_attr, joint = errors
+    for name, err in zip([*attributes.names, "ALL"], [*per_attr, joint]):
+        print(f"{label} [{name}]: {err}")
+
+
+def _finished(report, cfg, what) -> int:
     print(f"{what} complete: artifacts in {report.out_dir}")
     final = report.test_errors.get("final")
     if final is not None:
-        print(f"final test error: {final}")
+        _print_errors("final test error", final, cfg.attributes)
     return 0
 
 
 def _cmd_train(args) -> int:
-    return _finished(run_experiment(_load_config(args)), "run")
+    cfg = _load_config(args)
+    return _finished(run_experiment(cfg), cfg, "run")
 
 
 def _cmd_recurse(args) -> int:
     cfg = _load_config(args)
-    return _finished(resume_recursion(cfg, args.snapshot, args.out), "recursion")
+    return _finished(resume_recursion(cfg, args.snapshot, args.out), cfg, "recursion")
 
 
 def _cmd_eval(args) -> int:
@@ -77,15 +91,9 @@ def _cmd_eval(args) -> int:
         raise ConfigError("eval needs --data")
     snap = load_snapshot(args.snapshot)
     dataset = load_dataset(args.data)
-    if dataset.true_labels is None:
-        raise DataError("evaluation needs a dataset with true labels")
-    if snap["kind"] == "single":
-        print(f"test error: {evaluate(snap['net'], dataset.features, dataset.true_labels)}")
-        return 0
-    per_attr, all_err = evaluate_all_metric(snap["net"], dataset.features, dataset.true_labels)
-    for name, err in zip(snap["net"].names, per_attr):
-        print(f"test error [{name}]: {err}")
-    print(f"test error [ALL]: {all_err}")
+    evaluator = evaluate if snap["attributes"] is None else evaluate_all_metric
+    errors = evaluator(snap["net"], dataset.features, dataset.true_labels)
+    _print_errors("test error", errors, snap["attributes"])
     return 0
 
 

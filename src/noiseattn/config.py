@@ -7,14 +7,15 @@ its dataclass, which holds their defaults: ``opt.*`` TrainSettings,
 ``na.*`` UnitSchedule, ``recursion.*`` RecursionSchedule,
 ``data.synthetic.*`` SyntheticSpec and ``noise.*`` NoiseSpec, which also
 check their ranges, and ``data.*`` DataConfig. build_config checks
-``data.source`` and, against the attributes, ``noise.rho``,
-``noise.per_class`` and a synthetic ``kind``; it reads the rest
-(``seed``, ``out``, ``attributes`` and ``arch.*``).
+``data.source`` (an nld source needs both data paths) and, against the
+attributes, ``noise.rho``, ``noise.per_class`` and a synthetic ``kind``;
+it reads the rest: ``seed``, ``out``, ``attributes`` (an AttributeSpec,
+which checks the names) and ``arch.*`` (tokens of the LAYER_KINDS).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,28 +66,25 @@ def serialize_input_shape(shape) -> str:
     return "x".join(str(s) for s in shape)
 
 
+LAYER_KINDS = {"dense": Dense, "conv": Conv2D, "relu": ReLU, "pool": MaxPool2x2,
+               "flatten": Flatten}
+
+
 def parse_arch(text: str) -> list[LayerSpec]:
-    """dense:IN:OUT | conv:INCH:OUTCH:KERNEL[:STRIDE] | relu | pool | flatten"""
+    """dense:IN:OUT | conv:INCH:OUTCH:KERNEL[:STRIDE] | relu | pool | flatten
+
+    A ``LAYER_KINDS`` key, then its fields as integers (defaults optional)."""
     specs: list[LayerSpec] = []
     for token in (t.strip() for t in text.split(",")):
         if not token:
             continue
-        parts = token.split(":")
-        kind = parts[0].lower()
+        kind, *args = token.split(":")
+        cls = LAYER_KINDS.get(kind.lower())
+        required = [f.default is MISSING for f in fields(cls)] if cls else None
+        if required is None or not sum(required) <= len(args) <= len(required):
+            raise ConfigError(f"bad layer token {token!r}")
         try:
-            if kind == "dense" and len(parts) == 3:
-                specs.append(Dense(int(parts[1]), int(parts[2])))
-            elif kind == "conv" and len(parts) in (4, 5):
-                stride = int(parts[4]) if len(parts) == 5 else 1
-                specs.append(Conv2D(int(parts[1]), int(parts[2]), int(parts[3]), stride))
-            elif kind == "relu" and len(parts) == 1:
-                specs.append(ReLU())
-            elif kind == "pool" and len(parts) == 1:
-                specs.append(MaxPool2x2())
-            elif kind == "flatten" and len(parts) == 1:
-                specs.append(Flatten())
-            else:
-                raise ConfigError(f"bad layer token {token!r}")
+            specs.append(cls(*(int(a) for a in args)))
         except ValueError as exc:
             raise ConfigError(f"bad layer token {token!r}: {exc}") from exc
     if not specs:
@@ -95,20 +93,13 @@ def parse_arch(text: str) -> list[LayerSpec]:
 
 
 def serialize_arch(specs) -> str:
+    """The ``parse_arch`` text of ``specs``, every field written out."""
+    kinds = {cls: kind for kind, cls in LAYER_KINDS.items()}
     tokens = []
     for spec in specs:
-        if isinstance(spec, Dense):
-            tokens.append(f"dense:{spec.in_dim}:{spec.out_dim}")
-        elif isinstance(spec, Conv2D):
-            tokens.append(f"conv:{spec.in_ch}:{spec.out_ch}:{spec.kernel}:{spec.stride}")
-        elif isinstance(spec, ReLU):
-            tokens.append("relu")
-        elif isinstance(spec, MaxPool2x2):
-            tokens.append("pool")
-        elif isinstance(spec, Flatten):
-            tokens.append("flatten")
-        else:
+        if type(spec) not in kinds:
             raise ConfigError(f"cannot serialize layer spec {spec!r}")
+        tokens.append(":".join([kinds[type(spec)], *map(str, astuple(spec))]))
     return ",".join(tokens)
 
 
@@ -245,6 +236,8 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"data.source must be synthetic or nld, got {d.source!r}")
     d.train_path = e.get("data.train_path", d.train_path)
     d.test_path = e.get("data.test_path", d.test_path)
+    if d.source == "nld" and not (d.train_path and d.test_path):
+        raise ConfigError("data.source = nld needs data.train_path and data.test_path")
     d.synthetic = _section(e, "data.synthetic", SyntheticSpec, seed=(cfg.seed, 31))
     if cfg.attributes is not None and d.source == "synthetic" and d.synthetic.kind != "blobs":
         raise ConfigError(f"data.synthetic.kind must be blobs with attributes, "

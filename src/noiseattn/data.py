@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .nn import entropy_tuple
+from .nn import check_labels, entropy_tuple
 
 NLD1_MAGIC = b"NLD1"
 NLD1_VERSION = 1
@@ -49,17 +49,13 @@ class Dataset:
             raise DataError("label count differs from sample count")
         if self.c < 2:
             raise DataError(f"need at least 2 classes, got {self.c}")
-        self._check_bounds(self.given_labels, "given labels")
+        check_labels(self.given_labels, self.c, "given labels")
         if self.true_labels is not None:
             if self.true_labels.shape != self.given_labels.shape:
                 raise DataError("true labels must match the given-label shape")
-            self._check_bounds(self.true_labels, "true labels")
+            check_labels(self.true_labels, self.c, "true labels")
         if not np.all(np.isfinite(self.features)):
             raise DataError("features contain non-finite values")
-
-    def _check_bounds(self, labels, what):
-        if labels.size and (labels.min() < 0 or labels.max() >= self.c):
-            raise DataError(f"{what} must lie in [0, {self.c})")
 
     @property
     def n(self) -> int:
@@ -143,9 +139,7 @@ def noisy_labels(true_labels, c: int, spec: NoiseSpec, rho: float, matrix, rng):
     """Corrupt one label column of ``c`` classes as ``spec.mode`` says: at
     rate ``rho``, at the ``spec.per_class`` rates or through the loaded
     ``matrix``; returns (given labels, sorted flip indices)."""
-    true = np.ascontiguousarray(true_labels, dtype=np.int64)
-    if true.size and (true.min() < 0 or true.max() >= c):
-        raise DataError(f"true labels must lie in [0, {c})")
+    true = check_labels(np.ascontiguousarray(true_labels, dtype=np.int64), c, "true labels")
     given = true.copy()
     if spec.mode == "uniform":
         return given, np.sort(_flip_share(given, true, np.arange(true.size), rho, c, rng))

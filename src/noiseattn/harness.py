@@ -29,9 +29,9 @@ from .config import (ExperimentConfig, _parse_attributes, parse_arch, parse_inpu
                      serialize_arch, serialize_input_shape, validate_paths)
 from .data import (_Reader, generate_synthetic, generate_synthetic_multi, inject_noise,
                    load_dataset, save_dataset)
-from .errors import ConfigError, DataError, FormatError, NoiseAttnError, StageError
+from .errors import ConfigError, FormatError, NoiseAttnError, StageError
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
-from .nn import Network, label_columns
+from .nn import Network, check_labels, label_columns
 from .recursion import run_recursion
 from .training import OneHead, Trainer, _loss_total, as_heads, split_train_val
 
@@ -281,8 +281,6 @@ def resolve_data(cfg: ExperimentConfig, out_dir=None):
             save_dataset(train, Path(out_dir) / "train.nld")
             save_dataset(test, Path(out_dir) / "test.nld")
     else:
-        if not cfg.data.train_path or not cfg.data.test_path:
-            raise ConfigError("data.source = nld needs data.train_path and data.test_path")
         train = load_dataset(cfg.data.train_path)
         test = load_dataset(cfg.data.test_path)
 
@@ -380,10 +378,8 @@ def _split(cfg, view, train_ds, test_ds):
             if labels is None:
                 continue
             for name, c, column in zip(view.names, view.class_counts, label_columns(labels)):
-                if column.max(initial=0) >= c:
-                    of = f" of attribute {name}" if name else ""
-                    raise DataError(f"{part} {kind} labels{of} must lie in [0, {c}), "
-                                    f"got {column.max()}")
+                of = f" of attribute {name}" if name else ""
+                check_labels(column, c, f"{part} {kind} labels{of}")
     train_idx, val_idx = split_train_val(train_ds.n, cfg.na.val_fraction, cfg.seed)
     val_true = None if train_ds.true_labels is None else train_ds.true_labels[val_idx]
     return (train_ds.features[train_idx], train_ds.given_labels[train_idx],
@@ -536,7 +532,9 @@ def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunR
     must equal what the config and its data describe, else
     ``ConfigError``. Data is re-derived from the
     config (generation and injection are pure functions of the seeds).
-    Optimizer velocities restart at zero.
+    Optimizer velocities restart at zero and the shuffle stream at its
+    first draw, which a full run spends on pretraining: the rounds see
+    other mini-batches, so the result differs from the full run's.
     """
     if cfg.recursion.iterations < 1:
         raise ConfigError("recursion.iterations must be >= 1 to resume")

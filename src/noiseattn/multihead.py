@@ -12,6 +12,7 @@ correctly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,10 @@ class AttributeSpec:
             self.names = [f"attr{k}" for k in range(len(self.class_counts))]
         if len(self.names) != len(self.class_counts):
             raise ConfigError("names and class_counts lengths differ")
+        if (len(set(self.names)) != len(self.names) or "ALL" in self.names
+                or not all(re.fullmatch(r"[A-Za-z0-9_-]+", name) for name in self.names)):
+            raise ConfigError(f"attribute names must be distinct, not ALL, and made of "
+                              f"letters, digits, _ and -; got {self.names}")
 
     @property
     def k(self) -> int:

@@ -111,7 +111,6 @@ class _DenseLayer:
     def __init__(self, spec: Dense, rng):
         self.w = Parameter(_glorot_uniform(rng, (spec.in_dim, spec.out_dim), spec.in_dim, spec.out_dim))
         self.b = Parameter(np.zeros(spec.out_dim))
-        self._x = None
 
     def params(self):
         return [self.w, self.b]
@@ -123,8 +122,6 @@ class _DenseLayer:
         return y
 
     def backward(self, dy, input_grad=True):
-        if self._x is None:
-            raise UsageError("Dense.backward() before forward()")
         self.w.grad += self._x.T @ dy
         self.b.grad += np.add.reduce(dy, axis=0)
         return dy @ self.w.data.T if input_grad else None
@@ -150,8 +147,6 @@ class _ConvLayer:
         self.b = Parameter(np.zeros(spec.out_ch))
         self.kernel = k
         self.stride = spec.stride
-        self._cols = None
-        self._xshape = None
 
     def params(self):
         return [self.w, self.b]
@@ -170,8 +165,6 @@ class _ConvLayer:
         return y
 
     def backward(self, dy, input_grad=True):
-        if self._cols is None:
-            raise UsageError("Conv2D.backward() before forward()")
         b, h, w, cin = self._xshape
         k, s = self.kernel, self.stride
         ho, wo = dy.shape[1], dy.shape[2]
@@ -189,9 +182,6 @@ class _ConvLayer:
 
 
 class _ReLULayer:
-    def __init__(self):
-        self._mask = None
-
     def params(self):
         return []
 
@@ -200,8 +190,6 @@ class _ReLULayer:
         return x * self._mask
 
     def backward(self, dy, input_grad=True):
-        if self._mask is None:
-            raise UsageError("ReLU.backward() before forward()")
         return dy * self._mask if input_grad else None
 
 
@@ -215,10 +203,6 @@ class _MaxPoolLayer:
     keeps the winner's own bits (its signed zero, its NaN payload) and
     every other input cell gets a gradient of +0.0.
     """
-
-    def __init__(self):
-        self._idx = None
-        self._xshape = None
 
     def params(self):
         return []
@@ -244,8 +228,6 @@ class _MaxPoolLayer:
         return x.reshape(-1)[idx].reshape(b, h // 2, w // 2, c)
 
     def backward(self, dy, input_grad=True):
-        if self._idx is None:
-            raise UsageError("MaxPool2x2.backward() before forward()")
         if not input_grad:
             return None
         dx = np.zeros(math.prod(self._xshape))
@@ -254,9 +236,6 @@ class _MaxPoolLayer:
 
 
 class _FlattenLayer:
-    def __init__(self):
-        self._xshape = None
-
     def params(self):
         return []
 
@@ -265,8 +244,6 @@ class _FlattenLayer:
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy, input_grad=True):
-        if self._xshape is None:
-            raise UsageError("Flatten.backward() before forward()")
         return dy.reshape(self._xshape) if input_grad else None
 
 
@@ -391,10 +368,11 @@ def softmax_backward(probs, gprobs):
     return probs * (gprobs - dot)
 
 
-def check_labels(labels, n_classes):
+def check_labels(labels, n_classes, what="labels"):
+    """``labels`` as an array, after checking that each lies in [0, n_classes)."""
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise DataError(f"labels must lie in [0, {n_classes}), got range "
+        raise DataError(f"{what} must lie in [0, {n_classes}), got range "
                         f"[{labels.min()}, {labels.max()}]")
     return labels
 

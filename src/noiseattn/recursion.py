@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .attention import NAModel, attention_outputs, unit_outputs
-from .nn import EPS, check_labels, label_columns
+from .nn import EPS, check_labels, label_columns, log_grad_coef
 
 
 def alpha_schedule(t: int, alpha_base: float) -> float:
@@ -59,9 +59,7 @@ def soft_nll_loss(attention_probs, supervisions) -> float:
 
 def soft_out_grad(out, supervisions):
     """Gradient of soft_nll_loss wrt the routed outputs."""
-    b = out.shape[0]
-    coef = -1.0 / (b * np.maximum(out, EPS))
-    return np.where(out > EPS, supervisions * coef, 0.0)
+    return supervisions * log_grad_coef(out, out.shape[0])
 
 
 def soft_attention_outputs(probs, supervisions, model: NAModel):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
-from .attention import NAModel, UnitSchedule, na_loss, na_loss_terms, routed_backward
+from .attention import NAModel, UnitSchedule, na_loss_terms, routed_backward
 from .nn import (SGD, Network, _nll_grad, check_labels, entropy_tuple, label_columns,
                  softmax, softmax_backward)
 from .recursion import soft_attention_outputs, soft_nll_loss, soft_out_grad
@@ -223,7 +223,7 @@ class Trainer:
     # -- evaluation-only helpers -------------------------------------------
 
     def val_loss(self, features, labels) -> list[float]:
-        """Per-attribute routed NLL (``na_loss``)."""
+        """Per-attribute routed NLL, the loss of ``na_loss_terms``."""
         columns = self._columns(labels)
-        return [na_loss(probs, y, model) for probs, y, model
+        return [na_loss_terms(probs, y, model)[3] for probs, y, model
                 in zip(self.net.forward(features), columns, self.na_models)]

@@ -7,7 +7,7 @@ batch form; the tests check that the two agree.
 
 import numpy as np
 
-from noiseattn import (ConfigError, DataError, NAModel, na_loss, project_column_stochastic,
+from noiseattn import (ConfigError, DataError, NAModel, project_column_stochastic,
                        softmax, softmax_backward)
 from noiseattn.attention import na_loss_terms, routed_backward
 from noiseattn.nn import _nll_grad, _picked_nll, check_labels, entropy_tuple
@@ -164,6 +164,11 @@ def nll_loss_grad(probs, labels):
     """Gradient of ``nll_loss`` wrt the probabilities."""
     labels = check_labels(labels, probs.shape[1])
     return _nll_grad(probs, labels, probs[np.arange(probs.shape[0]), labels])
+
+
+def na_loss(probs, labels, model: NAModel) -> float:
+    """Mean -log of each sample's selected-unit confidence at its label."""
+    return na_loss_terms(probs, check_labels(labels, model.n_classes), model)[3]
 
 
 def na_backward(probs, labels, model: NAModel, terms=None):

@@ -8,13 +8,14 @@ import pytest
 from noiseattn import (ConfigError, Dense, Decision, NAModel, Network, NoiseUnit, ReLU,
                        Trainer, TrainSettings, UnitSchedule, attention_outputs,
                        generate_synthetic,
-                       inject_noise, na_loss,
+                       inject_noise,
                        project_column_stochastic, schedule_step, softmax)
 from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms, routed_backward, unit_outputs
 from noiseattn.nn import EPS
 from gradfixtures import grad_check
-from oracles import infer, na_backward, nll_loss, nll_loss_grad, param_vector, plain_epochs
+from oracles import (infer, na_backward, na_loss, nll_loss, nll_loss_grad, param_vector,
+                     plain_epochs)
 from oracles import (decay_penalty, na_forward, project_units, routed_backward_masks,
                      select_unit, unit_outputs_stacked)
 
@@ -235,6 +236,19 @@ class TestProjection:
         np.testing.assert_array_equal(out, np.eye(3))
         np.testing.assert_array_equal(out[:, 2], [0.0, 0.0, 1.0])
 
+    def test_nan_column_comes_out_all_nan(self):
+        q = np.array([[0.5, np.nan, -1.0], [0.5, 0.2, -1.0], [0.0, 0.3, -1.0]])
+        out = project_column_stochastic(q)
+        assert np.isnan(out[:, 1]).all()
+        np.testing.assert_array_equal(out[:, [0, 2]], [[0.5, 0.0], [0.5, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_positive_columns_are_the_clamp_over_its_sums(self, seed):
+        q = np.random.default_rng(seed).normal(size=(5, 5)) + 0.5
+        q[:, q.sum(axis=0) <= 0] += 5.0  # no column clamps to all zeros
+        clamped = np.maximum(q, 0.0)
+        assert project_column_stochastic(q).tobytes() == (clamped / clamped.sum(axis=0)).tobytes()
+
     def test_projection_output_always_valid(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
@@ -246,11 +260,14 @@ class TestProjection:
 
 class TestFastPathsMatchLoops:
     """``project``, ``unit_outputs`` and ``routed_backward`` against the
-    per-unit loops in ``oracles``: byte equality."""
+    per-unit loops in ``oracles``: byte equality. ``project`` is compared
+    with ``project_column_stochastic`` of each learnable unit."""
 
-    @pytest.mark.parametrize("case", ["random", "zero_columns", "nonfinite"])
+    CASES = ["random", "zero_columns", "nonfinite", "nan_column"]
+
+    @pytest.mark.parametrize("case", CASES)
     def test_in_place_projection(self, case):
-        rng = np.random.default_rng(["random", "zero_columns", "nonfinite"].index(case))
+        rng = np.random.default_rng(self.CASES.index(case))
         for _ in range(20):
             mats = [rng.normal(size=(4, 4)) for _ in range(3)]
             for q in mats:
@@ -259,6 +276,8 @@ class TestFastPathsMatchLoops:
                     q[:, rng.integers(4)] = rng.choice([0.0, -0.0], size=4)
                 elif case == "nonfinite":
                     q[rng.uniform(size=q.shape) < 0.15] = rng.choice([np.nan, np.inf, -np.inf])
+                elif case == "nan_column":
+                    q[:, rng.integers(4)] = np.nan
             fast, ref = model_pair(mats, frozen=(2,) if case == "random" else ())
             arrays = [u.q.data for u in fast.units]
             with np.errstate(invalid="ignore"):

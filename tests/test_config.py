@@ -5,7 +5,8 @@ from dataclasses import fields
 
 import pytest
 
-from noiseattn import ConfigError, RecursionSchedule, UnitSchedule, build_config, config
+from noiseattn import (AttributeSpec, ConfigError, RecursionSchedule, UnitSchedule, build_config,
+                       config)
 from noiseattn.cli import main as cli_main
 
 # Every key build_config accepts, each with a valid value.
@@ -210,8 +211,45 @@ class TestChecksAtLoad:
 
     def test_multi_attribute_data_with_nld_source_ignores_the_synthetic_kind(self):
         cfg = build_config({"attributes": "a:3,b:4", "data.source": "nld",
+                            "data.train_path": "train.nld", "data.test_path": "test.nld",
                             "data.synthetic.kind": "patches"})
         assert cfg.data.synthetic.kind == "patches"
+
+    @pytest.mark.parametrize("attributes", ["a/x:3,b:3", "a:3,a:3", ":3,:3", "a:3,ALL:3"])
+    def test_bad_attribute_names_exit_2_before_anything_is_written(self, tmp_path, capsys,
+                                                                   attributes):
+        entries = {**RUN, "attributes": attributes, "arch.input_shape": "4",
+                   "arch.layers": "dense:4:8,relu", "out": str(tmp_path / "run")}
+        assert cli_main(["train", "--config", str(write_config(tmp_path, entries))]) == 2
+        assert capsys.readouterr().err.startswith("error [config] attribute names must be")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("names", [["a", "b", "c"], ["color", "shape"], ["x_1", "y-2"], []])
+    def test_attribute_names_in_use_pass(self, names):
+        spec = AttributeSpec([2] * max(len(names), 1), names)
+        assert spec.names == (names or ["attr0"])
+
+    @pytest.mark.parametrize("missing", ["data.train_path", "data.test_path"])
+    def test_nld_source_needs_both_paths_before_anything_is_written(self, tmp_path, capsys,
+                                                                     missing):
+        entries = {**RUN, "data.source": "nld", "data.train_path": "train.nld",
+                   "data.test_path": "test.nld", "out": str(tmp_path / "run")}
+        del entries[missing]
+        path = write_config(tmp_path, entries)
+        for command in (["train"], ["inject", "--data", "train.nld"]):
+            assert cli_main([*command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == ("error [config] data.source = nld needs "
+                                               "data.train_path and data.test_path\n")
+        assert not list((tmp_path / "run").glob("*"))
+
+    def test_synth_needs_a_synthetic_source(self, tmp_path, capsys):
+        entries = {**RUN, "data.source": "nld", "data.train_path": "train.nld",
+                   "data.test_path": "test.nld", "out": str(tmp_path / "s2")}
+        assert cli_main(["synth", "--config", str(write_config(tmp_path, entries))]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error [config] synth needs data.source = synthetic, got 'nld'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "s2").exists()
 
     def test_rho_per_attribute_accepted(self):
         cfg = build_config({"attributes": "a:2,b:3", "noise.mode": "uniform",

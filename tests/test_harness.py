@@ -1,18 +1,22 @@
 """Config parsing, snapshots, exports, evaluation, and the experiment driver."""
 
+import re
 import struct
+import typing
 
 import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Conv2D, Flatten,
-                       FormatError, MaxPool2x2, MultiHeadNetwork, NAModel, Network, ReLU,
+                       FormatError, LayerSpec, MaxPool2x2, MultiHeadNetwork, NAModel, Network,
+                       ReLU,
                        StageError, build_config, evaluate, export_q, load_config, load_q_csv,
                        load_snapshot, parse_arch, parse_config_text, parse_input_shape,
                        resolve_data, run_experiment, save_dataset, save_snapshot,
                        serialize_arch)
 from noiseattn.attention import project_column_stochastic
 from noiseattn.cli import main as cli_main
+from noiseattn.config import LAYER_KINDS
 from noiseattn.harness import MetricsLog
 from oracles import param_vector
 
@@ -104,9 +108,43 @@ class TestArchDSL:
         assert serialize_arch(specs) == "conv:1:4:3:1,relu,pool,flatten,dense:16:2"
 
     def test_bad_tokens(self):
-        for bad in ("dense:2", "conv:1:2", "swish", "dense:a:b"):
+        for bad in ("dense:2", "conv:1:2", "swish", "dense:a:b", "dense:1:2:3",
+                    "conv:1:2:3:1:1", "relu:1", "flatten:"):
             with pytest.raises(ConfigError):
                 parse_arch(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("swish", "bad layer token 'swish'"),
+        ("conv:1:2", "bad layer token 'conv:1:2'"),
+        ("dense:a:2", "bad layer token 'dense:a:2': invalid literal for int() with base 10: 'a'"),
+        ("dense:0:2", "bad layer token 'dense:0:2': Dense dims must be positive, got 0x2"),
+    ])
+    def test_bad_token_messages(self, bad, message):
+        with pytest.raises(ConfigError) as info:
+            parse_arch(bad)
+        assert str(info.value) == message
+
+    def test_every_layer_spec_has_one_kind(self):
+        kinds = list(LAYER_KINDS.values())
+        assert sorted(map(kinds.count, typing.get_args(LayerSpec))) == [1] * 5
+        assert set(kinds) == set(typing.get_args(LayerSpec))
+
+    @pytest.mark.parametrize("text, spec, written", [
+        ("dense:3:4", Dense(3, 4), "dense:3:4"),
+        ("conv:2:5:3", Conv2D(2, 5, 3), "conv:2:5:3:1"),
+        ("conv:2:5:3:2", Conv2D(2, 5, 3, 2), "conv:2:5:3:2"),
+        ("relu", ReLU(), "relu"),
+        ("pool", MaxPool2x2(), "pool"),
+        ("FLATTEN", Flatten(), "flatten"),
+    ])
+    def test_each_kind_round_trips(self, text, spec, written):
+        assert parse_arch(text) == [spec]
+        assert serialize_arch([spec]) == written
+        assert parse_arch(written) == [spec]
+
+    def test_unknown_spec_cannot_be_serialized(self):
+        with pytest.raises(ConfigError, match="cannot serialize layer spec"):
+            serialize_arch([Dense(2, 3), "relu"])
 
     def test_input_shape(self):
         assert parse_input_shape("2") == (2,)
@@ -231,6 +269,18 @@ class TestSnapshots:
         with pytest.raises(FormatError, match="outputs 3 classes"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("attributes", ["a:2,a:3", "a/:2,b:3", "a:2,ALL:3"])
+    def test_bad_attribute_names_are_a_format_error(self, tmp_path, attributes):
+        attrs = AttributeSpec([2, 3], ["a", "b"])
+        specs = [Dense(2, 4), ReLU()]
+        path = tmp_path / "m.nam"
+        save_snapshot(path, MultiHeadNetwork(Network(specs, (2,), seed=0), attrs, seed=0),
+                      [NAModel(2), NAModel(3)], input_shape=(2,), arch_specs=specs,
+                      attributes=attrs)
+        self.rewrite_meta_line(path, "attributes", replacement=f"attributes = {attributes}")
+        with pytest.raises(FormatError, match="metadata attributes = .*attribute names"):
+            load_snapshot(path)
+
     def test_missing_metadata_key_exits_2(self, tmp_path, capsys):
         path = write_single_snapshot(tmp_path)
         self.rewrite_meta_line(path, "decays")
@@ -350,6 +400,49 @@ class TestCLI:
         cfg_path.write_text("definitely not = a valid key\n")
         assert cli_main(["train", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("attributes", [None, ["a", "b"]])
+    def test_eval_without_true_labels_exits_2(self, tmp_path, capsys, attributes):
+        x = np.zeros((3, 2))
+        if attributes is None:
+            path = write_single_snapshot(tmp_path)
+            data = Dataset(x, [0, 1, 2], 3)
+        else:
+            attrs = AttributeSpec([2, 3], attributes)
+            specs = [Dense(2, 4), ReLU()]
+            path = tmp_path / "m.nam"
+            save_snapshot(path, MultiHeadNetwork(Network(specs, (2,), seed=0), attrs, seed=0),
+                          [NAModel(2), NAModel(3)], input_shape=(2,), arch_specs=specs,
+                          attributes=attrs)
+            data = Dataset(x, [[0, 1], [1, 2], [0, 0]], 3)
+        save_dataset(data, tmp_path / "d.nld")
+        assert cli_main(["eval", "--snapshot", str(path), "--data", str(tmp_path / "d.nld")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error [config] evaluation needs true labels\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("attributes", [None, "a:3,b:3"])
+    def test_train_and_recurse_print_one_error_line_per_attribute(self, tmp_path, capsys,
+                                                                  attributes):
+        cfg_path = tmp_path / "c.cfg"
+        text = BASE_CFG.format(out=tmp_path / "run") + "recursion.iterations = 1\n"
+        if attributes:
+            text = text.replace("arch.input_shape = 2", "arch.input_shape = 4")
+            text = text.replace("dense:2:12,relu,dense:12:3", "dense:4:12,relu")
+            text += f"attributes = {attributes}\n"
+        cfg_path.write_text(text)
+        assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        assert cli_main(["recurse", "--config", str(cfg_path), "--out", str(tmp_path / "again"),
+                         "--snapshot", str(tmp_path / "run" / "snapshot_stage0.nam")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [""] if attributes is None else [" [a]", " [b]", " [ALL]"]
+        for what, out, block in (("run", "run", lines[:len(names) + 1]),
+                                 ("recursion", "again", lines[len(names) + 1:])):
+            assert block[0] == f"{what} complete: artifacts in {tmp_path / out}"
+            assert [line.rpartition(":")[0] for line in block[1:]] == [
+                f"final test error{name}" for name in names]
+            assert all(re.fullmatch(r"[0-9.e-]+", line.rpartition(": ")[2])
+                       for line in block[1:])
+
     def test_eval_without_data_exits_2(self, tmp_path, capsys):
         path = write_single_snapshot(tmp_path)
         assert cli_main(["eval", "--snapshot", str(path)]) == 2
@@ -416,7 +509,7 @@ na.stage_epochs = 1
 """)
         assert cli_main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert f"{part} {kind} labels of attribute a must lie in [0, 3), got 3" in err
+        assert f"{part} {kind} labels of attribute a must lie in [0, 3), got range [0, 3]" in err
         rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
         assert not [row for row in rows if row.startswith("pretrain,")]
 

@@ -7,12 +7,12 @@ import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, MultiHeadNetwork,
                        NAModel, Network, ReLU, Trainer, TrainSettings, all_metric,
-                       evaluate_all_metric, generate_synthetic_multi, na_loss, softmax, softmax_backward)
+                       evaluate_all_metric, generate_synthetic_multi, softmax, softmax_backward)
 from noiseattn import NoiseSpec, SyntheticSpec, inject_noise
 from noiseattn.recursion import RecursionSchedule, run_recursion
 from noiseattn.training import _loss_total
 from gradfixtures import grad_check
-from oracles import nll_loss, nll_loss_grad
+from oracles import na_loss, nll_loss, nll_loss_grad
 from oracles import multi_attribute_loss, multi_forward
 
 

@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests, and
+every name a module imports is used in that module.
 
 The names checked are those in ``noiseattn.__all__`` and, in every module
 of the package, each public module-level function, each class and each
@@ -63,6 +64,28 @@ def defined_names(tree) -> dict[str, str]:
                         and not item.name.startswith("_")):
                     names[f"{node.name}.{item.name}"] = item.name
     return names
+
+
+def imported_names(tree) -> set[str]:
+    """Names a module binds by import; ``from __future__`` imports bind none."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def test_every_import_is_used():
+    unused = {}
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text())
+            loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused[path.name] = sorted(imported_names(tree) - loaded)
+    assert {name: left for name, left in unused.items() if left} == {}
+    assert len(unused) > 5  # the glob found the modules
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

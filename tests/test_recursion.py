@@ -8,13 +8,13 @@ import pytest
 from noiseattn import (ConfigError, DataError, Dense, NAModel, Network, OneHead, ReLU,
                        RecursionSchedule, Trainer, TrainSettings, alpha_schedule,
                        attention_outputs, combine_supervisions,
-                       generate_synthetic, inject_noise, na_loss,
+                       generate_synthetic, inject_noise,
                        run_recursion, snapshot_probs, soft_nll_loss, softmax)
 from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms, project_column_stochastic, routed_backward
 from noiseattn.recursion import soft_attention_outputs, soft_out_grad
 from gradfixtures import grad_check
-from oracles import combine_supervision, param_vector
+from oracles import combine_supervision, na_loss, param_vector
 
 
 class TestAlphaSchedule:

@@ -31,7 +31,7 @@ from .data import (_Reader, generate_synthetic, generate_synthetic_multi, inject
                    load_dataset, save_dataset)
 from .errors import ConfigError, FormatError, NoiseAttnError, StageError
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
-from .nn import Network, check_labels, label_columns
+from .nn import Dense, Network, check_labels, label_columns, param_count
 from .recursion import run_recursion
 from .training import OneHead, Trainer, _loss_total, as_heads, split_train_val
 
@@ -179,9 +179,11 @@ def _parse_meta(meta_text):
 
 
 def load_snapshot(path):
-    """Rebuild the network and noise models; validates the metadata (one
-    unit and one decay group per attribute, 1 for single-label) and the
-    parameter count against the architecture echo."""
+    """Rebuild the network and noise models. The metadata (one unit and
+    one decay group per attribute, 1 for single-label), the parameter count
+    it implies, the header's count and the bytes left are all checked
+    before anything is built, so a file cannot make the loader allocate
+    more than a few times its own size."""
     reader = _Reader(path, "snapshot")
     if reader.take(4, "magic") != SNAPSHOT_MAGIC:
         raise FormatError(f"bad snapshot magic at offset 0 in {path}")
@@ -193,8 +195,6 @@ def load_snapshot(path):
     except UnicodeDecodeError as exc:
         raise FormatError(f"snapshot architecture echo at offset 12 is not UTF-8: {exc}") from exc
     (n_params,) = struct.unpack("<Q", reader.take(8, "parameter count"))
-    vec = np.frombuffer(reader.take(n_params * 8, "parameters"), dtype="<f8").astype(np.float64)
-    reader.done()
 
     def field(key, parse=str):
         if key not in meta:
@@ -219,33 +219,40 @@ def load_snapshot(path):
         raise FormatError(f"snapshot metadata holds {len(unit_counts)} unit and "
                           f"{len(decay_groups)} decay groups for {len(class_counts)} "
                           f"attribute(s)")
+    if any(len(decays) != units for units, decays in zip(unit_counts, decay_groups)):
+        raise FormatError("unit/decay counts disagree in snapshot metadata")
+
+    expected, out_shape = param_count(arch_specs, input_shape)
+    if len(out_shape) != 1:
+        raise FormatError(f"snapshot network output {out_shape} is not flat")
+    if attributes is None:
+        if out_shape[0] != class_counts[0]:
+            raise FormatError(f"snapshot network outputs {out_shape[0]} classes, "
+                              f"metadata declares {class_counts[0]}")
+    else:  # one Dense head per attribute
+        expected += sum(param_count([Dense(out_shape[0], c)], out_shape)[0]
+                        for c in class_counts)
+    expected += sum(units * c * c for units, c in zip(unit_counts, class_counts))
+    if n_params != expected:
+        raise FormatError(f"snapshot holds {n_params} parameters, architecture echo "
+                          f"needs {expected}")
+    vec = np.frombuffer(reader.take(n_params * 8, "parameters"), dtype="<f8").astype(np.float64)
+    reader.done()
 
     net = Network(arch_specs, input_shape, seed=0)
     if attributes is not None:
         net = MultiHeadNetwork(net, attributes, seed=0)
-    elif net.out_dim != class_counts[0]:
-        raise FormatError(f"snapshot network outputs {net.out_dim} classes, "
-                          f"metadata declares {class_counts[0]}")
-    models = [_rebuild_model(c, units, decays)
-              for c, units, decays in zip(class_counts, unit_counts, decay_groups)]
-
-    chain = _param_chain(net.parameters(), models)
-    expected = sum(p.size for p in chain)
-    if vec.size != expected:
-        raise FormatError(f"snapshot holds {vec.size} parameters, architecture echo "
-                          f"needs {expected}")
+    models = [_rebuild_model(c, decays) for c, decays in zip(class_counts, decay_groups)]
     pos = 0
-    for p in chain:
+    for p in _param_chain(net.parameters(), models):
         p.data[...] = vec[pos:pos + p.size].reshape(p.data.shape)
         pos += p.size
     return {"kind": kind, "net": net, "models": models, "attributes": attributes,
             "input_shape": input_shape, "arch_specs": arch_specs}
 
 
-def _rebuild_model(n_classes, unit_count, decays):
+def _rebuild_model(n_classes, decays):
     model = NAModel(n_classes)
-    if len(decays) != unit_count:
-        raise FormatError("unit/decay counts disagree in snapshot metadata")
     for decay in decays[1:]:
         model.add_unit(decay=decay)
     return model
@@ -386,15 +393,19 @@ def _split(cfg, view, train_ds, test_ds):
             train_ds.features[val_idx], train_ds.given_labels[val_idx], val_true)
 
 
-def _test_rows(metrics, view, test_ds, stage_name, iteration, epoch):
+def _test_rows(metrics, view, test_ds, stage_name, iteration, epoch, errors=None):
     """Test error through the base network, written to metrics: ``error``
     for a single-label run; ``error.<name>`` per attribute and ``error.ALL``
-    for a multi-label run, which returns (per-attribute errors, joint error)."""
+    for a multi-label run, which returns (per-attribute errors, joint error).
+    ``errors`` already computed for the same parameters are written as they
+    are, not computed again."""
+    if errors is None:
+        errors = (evaluate(view.base, test_ds.features, test_ds.true_labels)
+                  if view.attributes is None
+                  else evaluate_all_metric(view, test_ds.features, test_ds.true_labels))
     if view.attributes is None:
-        errors = evaluate(view.base, test_ds.features, test_ds.true_labels)
         rows = [("error", errors)]
     else:
-        errors = evaluate_all_metric(view, test_ds.features, test_ds.true_labels)
         rows = [*zip([f"error.{name}" for name in view.names], errors[0]),
                 ("error.ALL", errors[1])]
     for metric, value in rows:
@@ -457,18 +468,27 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
                          "active_units": [m.active_count for m in models],
                          "test_errors": stage0}
 
+    _finish(cfg, trainer, view, split, test_ds, metrics, out, report, stage, stage0)
+
+
+def _finish(cfg, trainer, view, split, test_ds, metrics, out, report, stage, errors=None):
+    """The recursion rounds, if any, then the final test rows and save.
+    ``errors`` are the test errors of the model on ``trainer``; each round
+    replaces them with its own, so the final rows evaluate nothing again."""
     stage[0] = "recursion"
     records = []
     if cfg.recursion.iterations > 0:
-        records = _recursion(cfg, trainer, view, split, test_ds, metrics)
+        records, errors = _recursion(cfg, trainer, view, split, test_ds, metrics)
     report.iterations = records
 
     stage[0] = "eval"
-    report.test_errors["final"] = _save_stage(cfg, view, models, test_ds, metrics, out, "final",
-                                              ("final", len(records), 0))
+    report.test_errors["final"] = _save_stage(cfg, view, trainer.na_models, test_ds, metrics,
+                                              out, "final", ("final", len(records), 0), errors)
 
 
 def _recursion(cfg, trainer, view, split, test_ds, metrics):
+    """The rounds' records, and the test errors of the last round (None
+    when the test set has no true labels)."""
     xt, yt, xv, yv, val_true = split
     schedule = cfg.recursion
     if schedule.epochs is None:  # rounds as long as the NA stage
@@ -481,7 +501,10 @@ def _recursion(cfg, trainer, view, split, test_ds, metrics):
         def val_metric():
             return _loss_total(trainer.val_loss(xv, yv))
 
+    last_errors = None
+
     def on_iteration(record):
+        nonlocal last_errors
         t = record["iteration"]
         last_epoch = len(record["train_losses"]) - 1
         for epoch, loss in enumerate(record["train_losses"]):
@@ -489,19 +512,21 @@ def _recursion(cfg, trainer, view, split, test_ds, metrics):
         metrics.add("recursion", t, last_epoch, "val", "metric", record["val_metric"])
         if test_ds.true_labels is not None:
             key = "test_error" if view.attributes is None else "test_errors"
-            record[key] = _test_rows(metrics, view, test_ds, "recursion", t, last_epoch)
+            record[key] = last_errors = _test_rows(metrics, view, test_ds, "recursion", t,
+                                                   last_epoch)
 
-    return run_recursion(trainer, xt, yt, schedule, val_metric=val_metric,
-                         on_iteration=on_iteration)
+    records = run_recursion(trainer, xt, yt, schedule, val_metric=val_metric,
+                            on_iteration=on_iteration)
+    return records, last_errors
 
 
-def _save_stage(cfg, view, models, test_ds, metrics, out, tag, row):
+def _save_stage(cfg, view, models, test_ds, metrics, out, tag, row, errors=None):
     """Test error rows at ``row`` = (stage, iteration, epoch) when the test
     set has true labels, then ``snapshot_<tag>.nam`` and the ``q_<tag>_*``
-    unit exports; returns the test errors or None."""
-    errors = None
+    unit exports; returns the test errors or None. ``errors`` already
+    computed for these parameters are reused."""
     if test_ds.true_labels is not None:
-        errors = _test_rows(metrics, view, test_ds, *row)
+        errors = _test_rows(metrics, view, test_ds, *row, errors)
     save_snapshot(out / f"snapshot_{tag}.nam", view, models, input_shape=cfg.arch_input_shape,
                   arch_specs=cfg.arch_specs, attributes=view.attributes)
     _export_models(view, models, out, f"q_{tag}_")
@@ -550,11 +575,7 @@ def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunR
         train_ds, test_ds, _ = resolve_data(cfg, None)
         split = _split(cfg, view, train_ds, test_ds)
 
-        stage[0] = "recursion"
         trainer = Trainer(view, cfg.opt, models, seed=cfg.seed)
-        report.iterations = _recursion(cfg, trainer, view, split, test_ds, metrics)
-        stage[0] = "eval"
-        report.test_errors["final"] = _save_stage(cfg, view, models, test_ds, metrics, out,
-                                                  "final", ("final", len(report.iterations), 0))
+        _finish(cfg, trainer, view, split, test_ds, metrics, out, report, stage)
 
     return _drive(cfg, out, stage, body)

@@ -72,10 +72,11 @@ class MultiHeadNetwork:
             params.extend(head.parameters())
         return params
 
-    def forward(self, batch):
-        """One trunk pass, K head passes; returns per-attribute probabilities."""
-        feats = self.trunk.forward(batch)
-        return [softmax(head.forward(feats)) for head in self.heads]
+    def forward(self, batch, cache=True):
+        """One trunk pass, K head passes; returns per-attribute probabilities.
+        ``cache`` is passed to every pass (see ``Network.forward``)."""
+        feats = self.trunk.forward(batch, cache)
+        return [softmax(head.forward(feats, cache)) for head in self.heads]
 
     def backward(self, dlogits_list):
         """Heads backpropagate individually; the trunk sees the sum of their
@@ -106,12 +107,15 @@ def all_metric(predictions, true_labels) -> tuple[list[float], float]:
 def _errors(net, features, true_labels) -> tuple[list[float], float]:
     """``all_metric`` of the heads of ``net`` (``OneHead`` or
     ``MultiHeadNetwork``) against true labels, (N,) for one head: argmax
-    predictions of the base network alone, in 4096-row chunks."""
+    predictions of the base network alone. Each forward-only pass takes a
+    4096-row chunk: its Dense layers see the whole chunk, its conv layers
+    one row block at a time."""
     if true_labels is None:
         raise DataError("evaluation needs true labels")
     if features.shape[0] == 0:
         raise DataError("evaluation needs at least one sample")
-    chunks = [[probs.argmax(axis=1) for probs in net.forward(features[start:start + 4096])]
+    chunks = [[probs.argmax(axis=1)
+               for probs in net.forward(features[start:start + 4096], cache=False)]
               for start in range(0, features.shape[0], 4096)]
     preds = np.stack([np.concatenate(head) for head in zip(*chunks)], axis=1)
     labels = np.asarray(true_labels)

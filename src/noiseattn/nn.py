@@ -11,6 +11,14 @@ parameter must therefore write into ``data`` (``p.data[...] = ...``), never
 rebind it. Parameters are drawn Glorot-uniform from numpy's PCG64
 generator (``np.random.default_rng``), so construction and training are
 bit-reproducible given the same seeds.
+
+A training forward keeps each layer's backward cache. A forward-only pass
+(``Network.forward(batch, cache=False)``) keeps none, and runs the layers
+before the first Dense in blocks of ``ROW_BLOCK`` rows, so its conv patch
+matrices stay small whatever the batch. Those layers compute each row
+alone (the conv matmul runs one GEMM per image row), so blocking does not
+change a bit. Dense rows do depend on the number of rows in the matmul,
+so the first Dense and every layer after it see the whole batch.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import numpy as np
 from .errors import ConfigError, DataError, UsageError
 
 EPS = 1e-12  # probability clamp applied before any log
+ROW_BLOCK = 256  # rows per block of the layers before the first Dense, forward-only
 
 
 def entropy_tuple(*parts) -> tuple[int, ...]:
@@ -98,6 +107,15 @@ class Flatten:
 LayerSpec = Dense | Conv2D | ReLU | MaxPool2x2 | Flatten
 
 
+def _param_shapes(spec) -> list[tuple[int, ...]]:
+    """Weight and bias shapes of a Dense or Conv2D layer; none for the others."""
+    if isinstance(spec, Dense):
+        return [(spec.in_dim, spec.out_dim), (spec.out_dim,)]
+    if isinstance(spec, Conv2D):
+        return [(spec.kernel * spec.kernel * spec.in_ch, spec.out_ch), (spec.out_ch,)]
+    return []
+
+
 def _glorot_uniform(rng, shape, fan_in, fan_out):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -109,14 +127,16 @@ def _glorot_uniform(rng, shape, fan_in, fan_out):
 
 class _DenseLayer:
     def __init__(self, spec: Dense, rng):
-        self.w = Parameter(_glorot_uniform(rng, (spec.in_dim, spec.out_dim), spec.in_dim, spec.out_dim))
-        self.b = Parameter(np.zeros(spec.out_dim))
+        w_shape, b_shape = _param_shapes(spec)
+        self.w = Parameter(_glorot_uniform(rng, w_shape, spec.in_dim, spec.out_dim))
+        self.b = Parameter(np.zeros(b_shape))
 
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, cache=True):
+        if cache:
+            self._x = x
         y = x @ self.w.data
         y += self.b.data
         return y
@@ -141,25 +161,25 @@ class _ConvLayer:
 
     def __init__(self, spec: Conv2D, rng):
         k = spec.kernel
-        fan_in = spec.in_ch * k * k
-        fan_out = spec.out_ch * k * k
-        self.w = Parameter(_glorot_uniform(rng, (k * k * spec.in_ch, spec.out_ch), fan_in, fan_out))
-        self.b = Parameter(np.zeros(spec.out_ch))
+        w_shape, b_shape = _param_shapes(spec)
+        self.w = Parameter(_glorot_uniform(rng, w_shape, spec.in_ch * k * k, spec.out_ch * k * k))
+        self.b = Parameter(np.zeros(b_shape))
         self.kernel = k
         self.stride = spec.stride
 
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         b, h, w, cin = x.shape
         k, s = self.kernel, self.stride
         ho = (h - k) // s + 1
         wo = (w - k) // s + 1
         windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
         cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, ho, wo, k * k * cin)
-        self._cols = cols
-        self._xshape = x.shape
+        if cache:
+            self._cols = cols
+            self._xshape = x.shape
         y = cols @ self.w.data
         y += self.b.data
         return y
@@ -185,9 +205,11 @@ class _ReLULayer:
     def params(self):
         return []
 
-    def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+    def forward(self, x, cache=True):
+        mask = x > 0
+        if cache:
+            self._mask = mask
+        return x * mask
 
     def backward(self, dy, input_grad=True):
         return dy * self._mask if input_grad else None
@@ -207,7 +229,7 @@ class _MaxPoolLayer:
     def params(self):
         return []
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         b, h, w, c = x.shape
         # One contiguous row of length b*(h//2)*(w//2)*c per window cell.
         cells = x.reshape(b, h // 2, 2, w // 2, 2, c).transpose(2, 4, 0, 1, 3, 5).reshape(4, -1)
@@ -223,8 +245,9 @@ class _MaxPoolLayer:
             np.maximum(off, gt * step, out=off)  # steps grow with q: the latest winner stays
             top = np.maximum(top, cells[q])
         idx += off
-        self._idx = idx
-        self._xshape = x.shape
+        if cache:
+            self._idx = idx
+            self._xshape = x.shape
         return x.reshape(-1)[idx].reshape(b, h // 2, w // 2, c)
 
     def backward(self, dy, input_grad=True):
@@ -239,22 +262,24 @@ class _FlattenLayer:
     def params(self):
         return []
 
-    def forward(self, x):
-        self._xshape = x.shape
+    def forward(self, x, cache=True):
+        if cache:
+            self._xshape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy, input_grad=True):
         return dy.reshape(self._xshape) if input_grad else None
 
 
-def _materialize(spec, shape, net_seed, index):
+def _out_shape(spec, shape, index):
+    """Output shape of layer ``index`` on an input of ``shape``; ConfigError
+    when the two do not fit."""
     if isinstance(spec, Dense):
         if len(shape) != 1:
             raise ConfigError(f"layer {index}: Dense needs a flat input, got {shape}; add Flatten first")
         if shape[0] != spec.in_dim:
             raise ConfigError(f"layer {index}: Dense in_dim {spec.in_dim} != incoming width {shape[0]}")
-        rng = np.random.default_rng(entropy_tuple(net_seed, index))
-        return _DenseLayer(spec, rng), (spec.out_dim,)
+        return (spec.out_dim,)
     if isinstance(spec, Conv2D):
         if len(shape) != 3:
             raise ConfigError(f"layer {index}: Conv2D needs an HxWxC input, got {shape}")
@@ -265,20 +290,43 @@ def _materialize(spec, shape, net_seed, index):
         wo = (w - spec.kernel) // spec.stride + 1
         if ho < 1 or wo < 1:
             raise ConfigError(f"layer {index}: kernel {spec.kernel} larger than input {h}x{w}")
-        rng = np.random.default_rng(entropy_tuple(net_seed, index))
-        return _ConvLayer(spec, rng), (ho, wo, spec.out_ch)
+        return (ho, wo, spec.out_ch)
     if isinstance(spec, ReLU):
-        return _ReLULayer(), shape
+        return shape
     if isinstance(spec, MaxPool2x2):
         if len(shape) != 3:
             raise ConfigError(f"layer {index}: MaxPool2x2 needs an HxWxC input, got {shape}")
         h, w, ch = shape
         if h % 2 or w % 2:
             raise ConfigError(f"layer {index}: MaxPool2x2 needs even spatial dims, got {h}x{w}")
-        return _MaxPoolLayer(), (h // 2, w // 2, ch)
+        return (h // 2, w // 2, ch)
     if isinstance(spec, Flatten):
-        return _FlattenLayer(), (math.prod(shape),)
+        return (math.prod(shape),)
     raise ConfigError(f"layer {index}: unknown layer spec {spec!r}")
+
+
+def param_count(specs, input_shape) -> tuple[int, tuple[int, ...]]:
+    """Parameter count and output shape of ``Network(specs, input_shape)``,
+    with the same checks, worked out from the specs alone: nothing is
+    allocated."""
+    shape, count = tuple(input_shape), 0
+    for index, spec in enumerate(specs):
+        shape = _out_shape(spec, shape, index)
+        count += sum(math.prod(s) for s in _param_shapes(spec))
+    return count, shape
+
+
+def _materialize(spec, net_seed, index):
+    if isinstance(spec, (Dense, Conv2D)):
+        rng = np.random.default_rng(entropy_tuple(net_seed, index))
+        return (_DenseLayer if isinstance(spec, Dense) else _ConvLayer)(spec, rng)
+    return {ReLU: _ReLULayer, MaxPool2x2: _MaxPoolLayer, Flatten: _FlattenLayer}[type(spec)]()
+
+
+def _run(layers, x, cache):
+    for layer in layers:
+        x = layer.forward(x, cache)
+    return x
 
 
 class Network:
@@ -287,6 +335,9 @@ class Network:
     Shape compatibility between consecutive layers is validated at build
     time; the parameter set is fixed afterwards. ``forward`` accepts either
     a batch shaped (B, *input_shape) or flat rows (B, prod(input_shape)).
+    The layers before the first Dense (Conv2D, ReLU, MaxPool2x2, Flatten)
+    form the blocked prefix of a forward-only pass; a network that starts
+    with Dense has none.
     """
 
     def __init__(self, specs, input_shape, seed=0):
@@ -299,13 +350,11 @@ class Network:
         if any(s < 1 for s in self.input_shape):
             raise ConfigError(f"input shape must be positive, got {self.input_shape}")
         self._flat_width = math.prod(self.input_shape)
-        self.layers = []
-        shape = self.input_shape
-        for i, spec in enumerate(self.specs):
-            layer, shape = _materialize(spec, shape, seed, i)
-            self.layers.append(layer)
-        self.output_shape = shape
+        _, self.output_shape = param_count(self.specs, self.input_shape)
+        self.layers = [_materialize(spec, seed, i) for i, spec in enumerate(self.specs)]
         self._params = [p for layer in self.layers for p in layer.params()]
+        self._block_end = next((i for i, spec in enumerate(self.specs) if isinstance(spec, Dense)),
+                             len(self.specs))
         self._forward_done = False
 
     @property
@@ -317,7 +366,16 @@ class Network:
     def parameters(self) -> list[Parameter]:
         return list(self._params)
 
-    def forward(self, batch):
+    def forward(self, batch, cache=True):
+        """The network's output for ``batch``.
+
+        With ``cache`` every layer keeps what its backward needs. Without
+        it the pass is forward-only: no layer keeps anything, the blocked
+        prefix runs ``ROW_BLOCK`` rows at a time, and the first Dense and
+        the layers after it run on the whole batch, because a Dense row's
+        bits depend on how many rows its matmul holds. Both give the same
+        bits. A ``backward`` after a forward-only pass is a UsageError.
+        """
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim == 2 and len(self.input_shape) > 1:
             if batch.shape[1] != self._flat_width:
@@ -327,10 +385,15 @@ class Network:
             raise ConfigError(f"batch shape {batch.shape} does not match input {self.input_shape}")
         if batch.shape[0] < 1:
             raise ConfigError("empty batch")
-        out = batch
-        for layer in self.layers:
-            out = layer.forward(out)
-        self._forward_done = True
+        self._forward_done = False
+        if cache or not self._block_end:
+            out = _run(self.layers, batch, cache)
+        else:
+            prefix = self.layers[:self._block_end]
+            blocks = [_run(prefix, batch[start:start + ROW_BLOCK], False)
+                      for start in range(0, batch.shape[0], ROW_BLOCK)]
+            out = _run(self.layers[self._block_end:], np.concatenate(blocks), False)
+        self._forward_done = cache
         return out
 
     def backward(self, dout, input_grad=True):

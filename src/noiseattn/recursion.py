@@ -108,8 +108,10 @@ def snapshot_probs(net, models, features, given_labels, chunk_size: int = 2048):
     """Frozen teacher outputs, one (N, C_k) array per attribute.
 
     ``net.forward`` returns per-attribute probability batches; each sample
-    goes through its selected unit of that attribute's model. One pass,
-    deterministic for a fixed model.
+    goes through its selected unit of that attribute's model. One
+    forward-only pass per ``chunk_size`` rows: its Dense layers see the
+    whole chunk, its conv layers one row block at a time. Deterministic
+    for a fixed model.
     """
     n = features.shape[0]
     if n == 0:
@@ -118,7 +120,7 @@ def snapshot_probs(net, models, features, given_labels, chunk_size: int = 2048):
     outs: list[list[np.ndarray]] = [[] for _ in models]
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
-        for k, probs in enumerate(net.forward(features[start:stop])):
+        for k, probs in enumerate(net.forward(features[start:stop], cache=False)):
             _, out = attention_outputs(probs, columns[k][start:stop], models[k])
             outs[k].append(out)
     return [np.concatenate(chunks, axis=0) for chunks in outs]

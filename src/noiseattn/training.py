@@ -80,8 +80,8 @@ class OneHead:
     def parameters(self):
         return self.base.parameters()
 
-    def forward(self, batch):
-        return [softmax(self.base.forward(batch))]
+    def forward(self, batch, cache=True):
+        return [softmax(self.base.forward(batch, cache))]
 
     def backward(self, dlogits_list):
         """Parameter gradients only: the input gradient is not computed."""
@@ -223,7 +223,8 @@ class Trainer:
     # -- evaluation-only helpers -------------------------------------------
 
     def val_loss(self, features, labels) -> list[float]:
-        """Per-attribute routed NLL, the loss of ``na_loss_terms``."""
+        """Per-attribute routed NLL, the loss of ``na_loss_terms``, from one
+        forward-only pass over the whole set."""
         columns = self._columns(labels)
         return [na_loss_terms(probs, y, model)[3] for probs, y, model
-                in zip(self.net.forward(features), columns, self.na_models)]
+                in zip(self.net.forward(features, cache=False), columns, self.na_models)]

@@ -65,6 +65,11 @@ CASES = {
         "opt.weight_decay": "1e-4",
     },
 }
+# The single_conv network on 630 fit, 70 validation and 600 test rows: the
+# fit and test passes span several 256-row blocks of the forward-only conv
+# path, each with a ragged last block.
+CASES["conv_blocks"] = {**CASES["single_conv"], "data.synthetic.n_train": "700",
+                        "data.synthetic.n_test": "600"}
 
 GOLDEN = {
     "single_conv": {
@@ -81,6 +86,11 @@ GOLDEN = {
         "metrics.csv": "29d544933bfad45a344d61df41d04d6f82914a308cde50426e518e73bfae4db7",
         "snapshot_final.nam": "c3bb79084bb65c05b1e50a9d1028b946e9fbb40ddd22b43c8e5658e109d2b78c",
         "snapshot_stage0.nam": "1a04315f6acf0c65de4a957be11ad96682393e4d86a955e77d7519dce69fb799",
+    },
+    "conv_blocks": {
+        "metrics.csv": "94ec7ef891b1fcc7ab3ad70dd33aa7427a85914613b3f97fea7ebc15590af932",
+        "snapshot_final.nam": "a33142b5243517601f6f7f1eca6e0ecac472f9c74de9378905785615bb2da7dc",
+        "snapshot_stage0.nam": "7a19ae49d8bd3172ec3b33ddca7809658d198f31c3da93d6faae1ec707167148",
     },
 }
 
@@ -106,6 +116,13 @@ CLI_GOLDEN = {
         "eval stdout": "1d11e374fb81b3b77abe156587e696f0b1e8ed598dda7b59e0045818ca994aea",
         "export-q stdout": "5dfad5f98d3af2396ac90d0644d424228aaec6dc218587bf2d376283bdf3c068",
         "export-q files": "cbd8409fa583d71c3ead3625ad88be37e74b38d80310f7ad830e3ef0ecfbfb94",
+    },
+    "conv_blocks": {
+        "recurse/metrics.csv": "12336021ad37b0abd802dc5ef677affc8472c322e6640f6e13ba2a06e7578895",
+        "recurse/snapshot_final.nam": "a27ecb028129bae4fa93cc37ef1514554ab462f84ffcf18e6c78e14392923de4",
+        "eval stdout": "e3fb8de1a6b6263207ee853637eeed4dc3762fb34c042ed389c65e631ec4c196",
+        "export-q stdout": "5dfad5f98d3af2396ac90d0644d424228aaec6dc218587bf2d376283bdf3c068",
+        "export-q files": "76bdf63caf974a8f6baa71abcc25ec0eaffff495ce2bb3bf167bc51f9f839ef9",
     },
 }
 
@@ -199,6 +216,19 @@ FILE_GOLDEN = {
         "synth files": "6f9c1930af057c489f0c296e07b317f037422e93779b0203bfb3bb884ddf082d",
         "inject stdout": "54fb8726cd563742112671ad7b2dd9d45d5fff7af564cdefa138a82197b6e816",
         "inject files": "792fbd02339d1cc631932bb5510f20e96cdc3c9557f5f33ff1fe0b1ead82f74b",
+    },
+    "conv_blocks": {
+        "report.json": "72bb3eb3385538b92807b094d2ac0232b58636837deb3b7cbec62379b58ba955",
+        "flips.csv": "c81a230f90867ad15244b677dc106f27d775572fc4f1b569811af7a076b4d5c7",
+        "train.nld": "d83dae0847f9fe1176d6216cd2d56b71dab25e31d5ad129f4214dc69bef6e6b2",
+        "test.nld": "36c52636eeea2b142049c37b00d29c0b30e1860bfefbd460fc749c29a3c19a89",
+        "noisy_train.nld": "b7427965318a6e64c884eeece684808deb3d793fda8c2c815bd0c70ae5082cdd",
+        "q_stage0_*": "be91eb339d522db12be178388bc32a5c74631ea9ae275f7d00b2cdc68d61478a",
+        "q_final_*": "cdb7c440378c275b3699a4c9ae9ba4edc313c02ca00ead61a419bb0fa7cf4c1c",
+        "synth stdout": "9e90a3af5ee5d7d371ebcfcdfd0bc68e8d5ddaaf2aab84c434136c9c2afdab54",
+        "synth files": "0831115cfa5cb8de694ed1d81d913a907ce9712bd21bc4c717be8d8ab050c50d",
+        "inject stdout": "b553c115f599ead2fb4dbe246c5472d3c604d68b4c93de63f136a84811b637e9",
+        "inject files": "93445e4c5e630d06e619ecd68ad5bfc9ad996bf67c4c4829ed30324a8ce98749",
     },
 }
 

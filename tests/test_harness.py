@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 import typing
 
 import numpy as np
@@ -12,8 +13,9 @@ from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Co
                        ReLU,
                        StageError, build_config, evaluate, export_q, load_config, load_q_csv,
                        load_snapshot, parse_arch, parse_config_text, parse_input_shape,
-                       resolve_data, run_experiment, save_dataset, save_snapshot,
-                       serialize_arch)
+                       resolve_data, resume_recursion, run_experiment, save_dataset,
+                       save_snapshot, serialize_arch)
+from noiseattn import harness
 from noiseattn.attention import project_column_stochastic
 from noiseattn.cli import main as cli_main
 from noiseattn.config import LAYER_KINDS
@@ -281,6 +283,32 @@ class TestSnapshots:
         with pytest.raises(FormatError, match="metadata attributes = .*attribute names"):
             load_snapshot(path)
 
+    def test_parameter_count_is_checked_before_anything_is_built(self, tmp_path):
+        # A 1500-wide Dense layer and 1500 classes declared, no parameters
+        # stored: building them first would take about 87 MB.
+        meta = (b"kind = single\ninput_shape = 1500\narch = dense:1500:1500\n"
+                b"classes = 1500\nunits = 1\ndecays = 0.0")
+        path = tmp_path / "m.nam"
+        path.write_bytes(b"NAM1" + struct.pack("<II", 1, len(meta)) + meta
+                         + struct.pack("<Q", 0))
+        assert path.stat().st_size < 120
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="holds 0 parameters"):
+                load_snapshot(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert cli_main(["eval", "--snapshot", str(path), "--data", str(tmp_path / "t.nld")]) == 2
+
+    def test_unflat_network_output_is_a_format_error(self, tmp_path):
+        path = write_single_snapshot(tmp_path)
+        self.rewrite_meta_line(path, "input_shape", replacement="input_shape = 4x4x1")
+        self.rewrite_meta_line(path, "arch", replacement="arch = conv:1:2:3")
+        with pytest.raises(FormatError, match=r"output \(2, 2, 2\) is not flat"):
+            load_snapshot(path)
+
     def test_missing_metadata_key_exits_2(self, tmp_path, capsys):
         path = write_single_snapshot(tmp_path)
         self.rewrite_meta_line(path, "decays")
@@ -373,6 +401,29 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert err.value.stage == "build"
         assert (tmp_path / "bad" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("iterations", [0, 2])
+    def test_each_model_is_evaluated_once(self, tmp_path, monkeypatch, iterations):
+        errors, evaluate_test_set = [], harness.evaluate
+
+        def counted(*args):
+            errors.append(evaluate_test_set(*args))
+            return errors[-1]
+
+        monkeypatch.setattr(harness, "evaluate", counted)
+        cfg = make_cfg(tmp_path, extra=f"recursion.iterations = {iterations}\n"
+                                       "recursion.epochs = 1\nrecursion.min_improvement = -1\n")
+        report = run_experiment(cfg)
+        assert len(errors) == 1 + iterations  # stage 0, then each round; not the final rows
+        assert report.test_errors["final"] == errors[-1]
+        rows = [line.split(",") for line in (tmp_path / "run" / "metrics.csv").read_text()
+                .splitlines()]
+        assert [row[5] for row in rows if row[0] == "final"] == [repr(float(errors[-1]))]
+        if iterations:
+            resumed = resume_recursion(cfg, tmp_path / "run" / "snapshot_stage0.nam",
+                                       tmp_path / "resumed")
+            assert len(errors) == 1 + 2 * iterations
+            assert resumed.test_errors["final"] == errors[-1]
 
     def test_evaluation_ignores_test_given_labels(self, tmp_path):
         cfg = make_cfg(tmp_path, name="ev")

@@ -1,13 +1,15 @@
 """Network core: forward passes, losses, SGD, and gradient checking."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, Conv2D, Flatten,
                        MaxPool2x2, MultiHeadNetwork, Network, Parameter, ReLU, SGD, Trainer,
-                       TrainSettings, UsageError, softmax, softmax_backward)
+                       TrainSettings, UsageError, snapshot_probs, softmax, softmax_backward)
+from noiseattn.multihead import _errors
 from noiseattn.nn import EPS
 from gradfixtures import grad_check, grad_check_classifier
 from oracles import n_params, nll_loss, nll_loss_grad, zero_grad
@@ -130,6 +132,93 @@ class TestInputGrad:
     def test_network_without_layers_is_rejected(self):
         with pytest.raises(ConfigError, match="network has no layers"):
             Network([], (3,))
+
+
+# Conv networks with stride 2, 1-4 input channels, kernels 2-5 and stacked convs.
+CONV_NETS = {
+    "conv_patches": ([Conv2D(1, 8, 3), ReLU(), MaxPool2x2(), Flatten(), Dense(200, 32), ReLU(),
+                      Dense(32, 4)], (12, 12, 1)),
+    "stride2": ([Conv2D(2, 4, 2, stride=2), ReLU(), Flatten(), Dense(64, 3)], (9, 9, 2)),
+    "k5_pool": ([Conv2D(3, 5, 5), ReLU(), MaxPool2x2(), Flatten(), Dense(20, 3)], (8, 8, 3)),
+    "stacked": ([Conv2D(4, 6, 3), ReLU(), Conv2D(6, 4, 2, stride=2), ReLU(), Flatten(),
+                 Dense(64, 5), ReLU(), Dense(5, 2)], (11, 11, 4)),
+    "k4_no_dense": ([Conv2D(1, 3, 4), ReLU(), MaxPool2x2(), Flatten()], (9, 11, 1)),
+}
+BACKWARD_CACHES = ("_x", "_cols", "_xshape", "_mask", "_idx")
+
+
+class TestForwardOnly:
+    """``forward(batch, cache=False)``: the caching forward's bits, with no
+    backward cache kept and the layers before the first Dense in row blocks."""
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513, 2049])
+    @pytest.mark.parametrize("name", sorted(CONV_NETS))
+    def test_equals_the_caching_forward_and_keeps_no_cache(self, name, rows):
+        specs, shape = CONV_NETS[name]
+        x = np.random.default_rng(rows).normal(size=(rows,) + shape)
+        fresh = Network(specs, shape, seed=4)
+        out = fresh.forward(x, cache=False)
+        assert [a for layer in fresh.layers for a in BACKWARD_CACHES if hasattr(layer, a)] == []
+        assert out.tobytes() == Network(specs, shape, seed=4).forward(x).tobytes()
+
+    @pytest.mark.parametrize("rows", [255, 513])
+    def test_multihead_over_a_conv_trunk(self, rows):
+        specs, shape = CONV_NETS["stacked"]
+        x = np.random.default_rng(rows).normal(size=(rows,) + shape)
+        net = MultiHeadNetwork(Network(specs[:-2], shape, seed=5), AttributeSpec([3, 4]), seed=6)
+        cached = net.forward(x)
+        blocked = net.forward(x, cache=False)
+        assert [p.tobytes() for p in blocked] == [p.tobytes() for p in cached]
+
+    def test_backward_after_a_forward_only_pass_is_usage_error(self):
+        specs, shape = CONV_NETS["conv_patches"]
+        net = Network(specs, shape, seed=0)
+        x = np.zeros((3,) + shape)
+        net.forward(x)
+        net.forward(x, cache=False)
+        with pytest.raises(UsageError):
+            net.backward(np.zeros((3, 4)))
+        multi = MultiHeadNetwork(Network(specs, shape, seed=0), AttributeSpec([2, 3]))
+        multi.forward(x)
+        multi.forward(x, cache=False)
+        with pytest.raises(UsageError):
+            multi.backward([np.zeros((3, 2)), np.zeros((3, 3))])
+
+
+class TestForwardOnlyMemory:
+    """The forward-only callers over 2000 rows of the conv_patches network
+    stay far below the 52 MB that one caching pass over the rows takes."""
+
+    LIMIT = 16 * 2**20
+
+    @pytest.fixture
+    def setup(self):
+        specs, shape = CONV_NETS["conv_patches"]
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2000, math.prod(shape)))
+        y = rng.integers(0, 4, 2000)
+        trainer = Trainer(Network(specs, shape, seed=1), TrainSettings(), seed=2)
+        return trainer, x, y
+
+    def peak(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_errors(self, setup):
+        trainer, x, y = setup
+        assert self.peak(lambda: _errors(trainer.net, x, y)) < self.LIMIT
+
+    def test_val_loss(self, setup):
+        trainer, x, y = setup
+        assert self.peak(lambda: trainer.val_loss(x, y)) < self.LIMIT
+
+    def test_snapshot_probs(self, setup):
+        trainer, x, y = setup
+        assert self.peak(lambda: snapshot_probs(trainer.net, trainer.na_models, x, y)) < self.LIMIT
 
 
 class TestSoftmax:

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .nn import Parameter, _picked_nll, check_labels
+from .nn import Parameter, _picked_nll
 
 
 def project_column_stochastic(q):
@@ -186,31 +186,25 @@ def unit_outputs(probs, model: NAModel):
     return stacked
 
 
-def _route(probs, labels, model: NAModel):
-    """``attention_outputs`` for labels already known to lie in range."""
+def attention_outputs(probs, labels, model: NAModel):
+    """Route each sample through its maximum-confidence unit.
+
+    Returns (selected unit indices, routed probability rows). Argmax ties
+    resolve to the lowest unit index. Labels must lie in [0, n_classes):
+    ``Trainer._columns`` checks them where they enter.
+    """
     rows = np.arange(probs.shape[0])
     stacked = unit_outputs(probs, model)
     sel = stacked[:, rows, labels].argmax(axis=0)
     return sel, stacked[sel, rows, :]
 
 
-def attention_outputs(probs, labels, model: NAModel):
-    """Route each sample through its maximum-confidence unit.
-
-    Returns (selected unit indices, routed probability rows). Argmax ties
-    resolve to the lowest unit index.
-    """
-    return _route(probs, check_labels(labels, model.n_classes), model)
-
-
 def na_loss_terms(probs, labels, model: NAModel):
     """Selection, routed rows, picked confidences, and the scalar loss:
     the mean -log of each sample's selected-unit confidence at its label.
-
-    The labels are not checked here: they must lie in [0, n_classes), as
-    the trainer makes sure.
+    As for ``attention_outputs``, ``Trainer._columns`` has checked the labels.
     """
-    sel, out = _route(probs, labels, model)
+    sel, out = attention_outputs(probs, labels, model)
     picked, loss = _picked_nll(out, labels)
     return sel, out, picked, loss
 

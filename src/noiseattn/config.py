@@ -1,12 +1,14 @@
 """Line-based experiment configuration: ``section.key = value`` pairs.
 
 Blank lines and ``#`` comments are ignored; keys are dotted, values are
-scalars or comma-separated lists. Unknown or duplicate keys and NaN values
-are errors, so typos fail fast. The keys of a section are the fields of
-its dataclass, which holds their defaults: ``opt.*`` TrainSettings,
-``na.*`` UnitSchedule, ``recursion.*`` RecursionSchedule,
+scalars or comma-separated lists. Unknown or duplicate keys are errors,
+so typos fail fast; so is a value that does not parse as its key's type,
+or a NaN (one rule, ``_Entries._parse``). The keys of a section are the
+fields of its dataclass, which holds their defaults: ``opt.*``
+TrainSettings, ``na.*`` UnitSchedule, ``recursion.*`` RecursionSchedule,
 ``data.synthetic.*`` SyntheticSpec and ``noise.*`` NoiseSpec, which also
-check their ranges, and ``data.*`` DataConfig. build_config checks
+check their ranges and seeds, so code past the config takes them as given;
+and ``data.*`` DataConfig. build_config checks
 ``data.source`` (an nld source needs both data paths) and, against the
 attributes, ``noise.rho``, ``noise.per_class`` and a synthetic ``kind``;
 it reads the rest: ``seed``, ``out``, ``attributes`` (an AttributeSpec,
@@ -143,38 +145,31 @@ class _Entries:
             return self.entries[key]
         return default
 
-    def get_int(self, key, default=None):
+    def _parse(self, key, default, parse, expected):
+        """``parse`` of the value of ``key``, or ``default`` when it is absent.
+        A value that does not parse, or a float value holding a NaN, is a
+        ConfigError naming the key."""
         raw = self.get(key)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-
-    def get_float(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-        if np.isnan(value):
+            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
+        if parse is not int and np.isnan(value).any():
             raise ConfigError(f"{key}: NaN is not a valid value")
         return value
 
+    def get_int(self, key, default=None):
+        return self._parse(key, default, int, "an integer")
+
+    def get_float(self, key, default=None):
+        return self._parse(key, default, float, "a number")
+
     def get_floats(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            values = tuple(float(p) for p in raw.split(",") if p.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from exc
-        if np.isnan(values).any():
-            raise ConfigError(f"{key}: NaN is not a valid value")
-        return values
+        def parse(raw):
+            return tuple(float(p) for p in raw.split(",") if p.strip())
+        return self._parse(key, default, parse, "comma-separated numbers")
 
     def reject_unknown(self):
         unknown = sorted(set(self.entries) - self.used)

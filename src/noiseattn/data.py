@@ -104,6 +104,8 @@ class NoiseSpec:
         for value in values:
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"noise.{key} must lie in [0, 1), got {value}")
+        if min(entropy_tuple(self.seed)) < 0:
+            raise ConfigError(f"noise.seed must be non-negative, got {self.seed}")
 
     def rhos(self, columns: int) -> tuple[float, ...]:
         """One rho per label column; a single rho serves every column."""
@@ -212,18 +214,17 @@ class SyntheticSpec:
     def __post_init__(self):  # each message starts with the field it checks
         if self.kind not in ("blobs", "moons", "patches"):
             raise ConfigError(f"kind must be blobs, moons or patches, got {self.kind!r}")
-        if self.n_train < 1:
-            raise ConfigError(f"n_train must be >= 1, got {self.n_train}")
-        if self.n_test < 1:
-            raise ConfigError(f"n_test must be >= 1, got {self.n_test}")
+        for name in ("n_train", "n_test", "dim", "height", "width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.kind == "moons" and self.classes != 2:
             raise ConfigError("classes must be 2 for moons data")
         if self.classes < 2:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
+        if min(entropy_tuple(self.seed)) < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def _blob_centers(rng, classes, dim, sigma, separation):
@@ -282,9 +283,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
 
 def generate_synthetic_multi(spec: SyntheticSpec, class_counts) -> tuple[Dataset, Dataset]:
     """Multi-attribute blobs: independent labels, one feature block of
-    ``spec.dim`` columns per attribute; ``kind`` and ``classes`` are not read."""
-    if len(class_counts) < 1 or any(c < 2 for c in class_counts):
-        raise ConfigError(f"bad attribute class counts {class_counts}")
+    ``spec.dim`` columns per attribute; ``kind`` and ``classes`` are not read.
+    ``class_counts`` (one or more, each >= 2) come from ``AttributeSpec``."""
     rng = np.random.default_rng(spec.seed)
     centers = [_blob_centers(rng, c_k, spec.dim, spec.sigma, spec.separation)
                for c_k in class_counts]

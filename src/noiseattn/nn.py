@@ -484,15 +484,11 @@ class SGD:
     keeps the velocities built so far. A parameter follows the optimizer
     it joined last: joining a second one detaches it from the first.
     Gradients are zeroed after each step. Velocity buffers start at zero.
+    The hyperparameters are not checked here but in ``TrainSettings``:
+    lr > 0, momentum in [0, 1) and weight_decay >= 0.
     """
 
     def __init__(self, params, lr, momentum=0.0, weight_decay=0.0):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ConfigError(f"weight decay must be non-negative, got {weight_decay}")
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay

@@ -15,15 +15,14 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .attention import NAModel, attention_outputs, unit_outputs
-from .nn import EPS, check_labels, label_columns, log_grad_coef
+from .nn import EPS, label_columns, log_grad_coef
 
 
 def alpha_schedule(t: int, alpha_base: float) -> float:
-    """Given-label weight at round t: alpha_base ** t (t starts at 1)."""
+    """Given-label weight at round t: alpha_base ** t (t starts at 1).
+    ``alpha_base`` lies in (0, 1], as ``RecursionSchedule`` checks."""
     if t < 1:
         raise ConfigError(f"recursion rounds start at 1, got {t}")
-    if not 0.0 < alpha_base <= 1.0:
-        raise ConfigError(f"alpha_base must lie in (0, 1], got {alpha_base}")
     return float(alpha_base) ** int(t)
 
 
@@ -31,14 +30,11 @@ def combine_supervisions(given_labels, prev_probs, alpha: float):
     """Add alpha to each row's given-label entry, then divide by (1 + alpha).
 
     With rows on the simplex the result sums to 1 exactly in exact
-    arithmetic; alpha = 0 returns prev_probs unchanged.
+    arithmetic; alpha = 0 returns prev_probs unchanged. ``alpha_schedule``
+    gives alpha >= 0, and ``run_recursion`` checks the labels.
     """
-    prev = np.asarray(prev_probs, dtype=np.float64)
-    labels = check_labels(given_labels, prev.shape[1])
-    if alpha < 0:
-        raise ConfigError(f"alpha must be non-negative, got {alpha}")
-    s = prev.copy()
-    s[np.arange(s.shape[0]), labels] += alpha
+    s = np.array(prev_probs, dtype=np.float64)
+    s[np.arange(s.shape[0]), given_labels] += alpha
     s /= 1.0 + alpha
     return s
 
@@ -111,11 +107,10 @@ def snapshot_probs(net, models, features, given_labels, chunk_size: int = 2048):
     goes through its selected unit of that attribute's model. One
     forward-only pass per ``chunk_size`` rows: its Dense layers see the
     whole chunk, its conv layers one row block at a time. Deterministic
-    for a fixed model.
+    for a fixed model. The set must be non-empty and its labels in range,
+    as ``run_recursion`` checks.
     """
     n = features.shape[0]
-    if n == 0:
-        raise DataError("cannot snapshot an empty dataset")
     columns = label_columns(given_labels)
     outs: list[list[np.ndarray]] = [[] for _ in models]
     for start in range(0, n, chunk_size):
@@ -136,13 +131,14 @@ def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, 
     (N, K)). ``val_metric()`` returns the stopping quantity (lower is
     better) and is evaluated once at entry (round 0) and after every round.
     The model left on the trainer after the last round is the final model.
-    Returns a list of per-round records.
+    Returns a list of per-round records. The set and its labels are
+    checked here, once, before anything is evaluated or trained.
     """
     if features.shape[0] == 0:
         raise DataError("empty dataset")
     if schedule.epochs is None:
         raise ConfigError("recursion rounds need a number of epochs")
-    columns = label_columns(given_labels)
+    columns = trainer._columns(given_labels)
     history = [float(val_metric())]
     records = []
     for t in range(1, schedule.iterations + 1):

@@ -49,9 +49,8 @@ class TrainSettings:
 
 
 def split_train_val(n: int, val_fraction: float, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic index split; validation indices never see gradients."""
-    if not 0.0 <= val_fraction < 1.0:
-        raise ConfigError(f"val_fraction must lie in [0, 1), got {val_fraction}")
+    """Deterministic index split; validation indices never see gradients.
+    ``val_fraction`` lies in [0, 1), as ``UnitSchedule`` checks."""
     rng = np.random.default_rng(entropy_tuple(seed, STREAM_SPLIT))
     order = rng.permutation(n)
     n_val = int(round(val_fraction * n))
@@ -104,7 +103,7 @@ def _loss_total(losses) -> float:
     return total
 
 
-# The heads take labels that ``Trainer._columns`` has already checked.
+# The heads take labels that ``Trainer._columns`` has checked; their routing checks none.
 
 
 def _na_head(probs, labels, model):

@@ -145,6 +145,13 @@ class TestChecksAtLoad:
         ("recursion.alpha_base", "1.5"),
         ("na.val_fraction", "1.0"),
         ("opt.lr", "nan"),
+        ("opt.lr", "0"),
+        ("opt.momentum", "1.0"),
+        ("opt.weight_decay", "-1"),
+        ("noise.seed", "-1"),
+        ("data.synthetic.seed", "-1"),
+        ("data.synthetic.height", "-2"),
+        ("data.synthetic.width", "0"),
     ])
     def test_train_exits_2_before_writing_anything(self, tmp_path, capsys, key, value):
         entries = {**RUN, "out": str(tmp_path / "run")}
@@ -160,6 +167,8 @@ class TestChecksAtLoad:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("extra, key", [
+        ({"data.synthetic.kind": "patches", "data.synthetic.height": "-2"},
+         "data.synthetic.height"),
         ({"noise.mode": "uniform", "noise.rho": "1.5"}, "noise.rho"),
         ({"noise.mode": "uniform", "noise.rho": "-0.1"}, "noise.rho"),
         ({"noise.mode": "uniform", "noise.rho": "0.1,0.2"}, "noise.rho"),
@@ -183,6 +192,20 @@ class TestChecksAtLoad:
         assert code == 2
         assert err.startswith("error [config] ") and key in err
         assert not (tmp_path / "run").exists()
+
+    def test_inject_exits_2_on_a_negative_noise_seed(self, tmp_path, capsys):
+        entries = {**RUN, "noise.mode": "uniform", "noise.rho": "0.2", "noise.seed": "-1",
+                   "out": str(tmp_path / "run")}
+        code = cli_main(["inject", "--config", str(write_config(tmp_path, entries)),
+                         "--data", str(tmp_path / "train.nld")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error [config] noise.seed must be non-negative, "
+                                           "got -1\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_a_long_integer_parses_as_one(self):
+        # ints take no NaN test, which would overflow converting this to a float
+        assert build_config({"seed": "1" + "0" * 400}).seed == 10 ** 400
 
     def test_rho_count_names_what_it_needs(self):
         with pytest.raises(ConfigError, match="^noise.rho needs 1 value, got 2$"):

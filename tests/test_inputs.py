@@ -1,12 +1,17 @@
 """Malformed inputs end in a typed error with exit code 2, never a traceback.
 
 The fuzz cases start from small valid NLD1 datasets and NAM snapshots,
-single- and multi-label, cut them at every length or replace one byte,
-and feed the result to the loaders and to the CLI ``eval`` and
-``export-q`` commands. Replacing bytes, rather than splicing, keeps every
-file at its length, so no example can grow a layer to a large size.
-Config text is fuzzed the same way through ``load_config``.
+single- and multi-label. They cut a file at every length, replace one
+byte, join a prefix of one file to a suffix of another of its format, or
+insert a run of bytes, and feed the result to the loaders and to the CLI
+``eval`` and ``export-q`` commands. A spliced file may declare a much
+larger network than it holds; ``load_snapshot`` checks the parameter
+count against the bytes before it builds anything, so loading one stays
+under 1 MB of traced memory. Config text is fuzzed through
+``load_config`` by truncation and byte replacement.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +108,49 @@ def test_a_replaced_byte_loads_or_is_a_typed_error(artifacts, name, position, ch
     position %= len(blob)
     blob[position] = (blob[position] + change) % 256
     check_fuzzed(artifacts, name, bytes(blob))
+
+
+def load_peak(path) -> int:
+    """The tracemalloc peak, in bytes, of loading the snapshot at ``path``."""
+    tracemalloc.start()
+    try:
+        load_snapshot(path)
+    except NoiseAttnError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def check_spliced(artifacts, name, blob):
+    """``check_fuzzed``, and for a snapshot a load that stays under 1 MB."""
+    check_fuzzed(artifacts, name, blob)
+    if name.endswith(".nam"):
+        assert load_peak(artifacts / "fuzzed.nam") < 2**20
+
+
+LABELS = st.sampled_from(["single", "multi"])
+
+
+@pytest.mark.parametrize("kind", ["nld", "nam"])
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(first=LABELS, second=LABELS, cut=st.integers(min_value=0),
+       resume=st.integers(min_value=0))
+def test_a_spliced_file_loads_or_is_a_typed_error(artifacts, kind, first, second, cut, resume):
+    head = (artifacts / f"{first}.{kind}").read_bytes()
+    tail = (artifacts / f"{second}.{kind}").read_bytes()
+    blob = head[:cut % (len(head) + 1)] + tail[resume % (len(tail) + 1):]
+    check_spliced(artifacts, f"{first}.{kind}", blob)
+
+
+@pytest.mark.parametrize("name", FILES)
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(position=st.integers(min_value=0), run=st.binary(min_size=1, max_size=64))
+def test_an_inserted_run_of_bytes_loads_or_is_a_typed_error(artifacts, name, position, run):
+    blob = (artifacts / name).read_bytes()
+    position %= len(blob) + 1
+    check_spliced(artifacts, name, blob[:position] + run + blob[position:])
 
 
 def check_config(directory, blob):

@@ -346,15 +346,6 @@ class TestSGD:
         opt.step()  # v = 0.5 * 2 = 1; theta = 2 - 0.1
         np.testing.assert_allclose(p.data, [1.9], atol=1e-15)
 
-    def test_bad_hyperparameters_rejected(self):
-        p = Parameter(np.zeros(1))
-        with pytest.raises(ConfigError):
-            SGD([p], lr=0.0)
-        with pytest.raises(ConfigError):
-            SGD([p], lr=0.1, momentum=1.0)
-        with pytest.raises(ConfigError):
-            SGD([p], lr=0.1, weight_decay=-1.0)
-
 
 class TestGradCheck:
     def test_dense_relu_dense(self):

@@ -1,5 +1,6 @@
-"""Every public name of the package has a caller outside the tests, and
-every name a module imports is used in that module.
+"""Every public name of the package has a caller outside the tests,
+every name a module imports is used in that module, and labels are
+checked only where they enter.
 
 The names checked are those in ``noiseattn.__all__`` and, in every module
 of the package, each public module-level function, each class and each
@@ -86,6 +87,36 @@ def test_every_import_is_used():
             unused[path.name] = sorted(imported_names(tree) - loaded)
     assert {name: left for name, left in unused.items() if left} == {}
     assert len(unused) > 5  # the glob found the modules
+
+
+def callers(name) -> set[str]:
+    """``module.qualified.function`` of every function in the package that
+    calls ``name``, by its bare name or as an attribute."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        elif isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                    getattr(node.func, "attr", None)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_labels_are_checked_only_where_they_enter():
+    """Datasets, injected noise, a run's split and each trainer epoch
+    (through ``Trainer._columns``, which ``run_recursion`` uses too) check
+    their labels; the routing and supervision code inside takes them as
+    they are."""
+    assert callers("check_labels") == {"data.Dataset.__post_init__", "data.noisy_labels",
+                                       "harness._split", "training.Trainer._columns"}
+    assert callers("_columns") == {"recursion.run_recursion", "training.Trainer.train_epoch",
+                                   "training.Trainer.val_loss"}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

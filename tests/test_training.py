@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, DivergenceError,
-                       MultiHeadNetwork, NAModel, Network, ReLU, Trainer, TrainSettings,
-                       UnitSchedule)
+                       MultiHeadNetwork, NAModel, Network, RecursionSchedule, ReLU, Trainer,
+                       TrainSettings, UnitSchedule, run_recursion)
 from noiseattn.nn import entropy_tuple
 from noiseattn.training import STREAM_SHUFFLE
 
@@ -44,25 +44,43 @@ def state(trainer):
 TRAINERS = {"plain": plain_trainer, "na": na_trainer, "multi": multi_trainer}
 
 
+def with_bad_label(name, row, bad):
+    """A trainer of ``TRAINERS[name]``, 80 feature rows, and labels whose
+    ``row`` holds ``bad`` (-1, or "classes" for the head's class count)."""
+    trainer = TRAINERS[name]()
+    counts = trainer.net.class_counts
+    rng = np.random.default_rng(row)
+    x = rng.normal(size=(80, 4))
+    labels = np.stack([rng.integers(0, c, size=80) for c in counts], axis=1)
+    column = row % len(counts)
+    labels[row, column] = counts[column] if bad == "classes" else bad
+    return trainer, x, labels[:, 0] if len(counts) == 1 else labels
+
+
 class TestLabelsCheckedPerEpoch:
     @pytest.mark.parametrize("name", sorted(TRAINERS))
     @pytest.mark.parametrize("row", [0, 37, 79])
     @pytest.mark.parametrize("bad", [-1, "classes"])
     def test_out_of_range_label_stops_before_any_step(self, name, row, bad):
-        trainer = TRAINERS[name]()
-        counts = trainer.net.class_counts
-        rng = np.random.default_rng(row)
-        x = rng.normal(size=(80, 4))
-        labels = np.stack([rng.integers(0, c, size=80) for c in counts], axis=1)
-        column = row % len(counts)
-        labels[row, column] = counts[column] if bad == "classes" else bad
-        if len(counts) == 1:
-            labels = labels[:, 0]
+        trainer, x, labels = with_bad_label(name, row, bad)
         before = state(trainer)
         with pytest.raises(DataError, match=r"labels must lie in \[0, "):
             trainer.train_epoch(x, labels)
         with pytest.raises(DataError, match=r"labels must lie in \[0, "):
             trainer.val_loss(x, labels)
+        assert state(trainer).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(TRAINERS))
+    @pytest.mark.parametrize("row", [0, 37, 79])
+    @pytest.mark.parametrize("bad", [-1, "classes"])
+    def test_out_of_range_label_stops_recursion_before_any_step(self, name, row, bad):
+        trainer, x, labels = with_bad_label(name, row, bad)
+        before = state(trainer)
+        metric_calls = []
+        with pytest.raises(DataError, match=r"labels must lie in \[0, "):
+            run_recursion(trainer, x, labels, RecursionSchedule(iterations=2, epochs=1),
+                          val_metric=lambda: metric_calls.append(1) or 0.0)
+        assert metric_calls == []
         assert state(trainer).tobytes() == before.tobytes()
 
     def test_noise_models_must_match_the_heads(self):
@@ -74,6 +92,21 @@ class TestLabelsCheckedPerEpoch:
         trainer = multi_trainer()
         with pytest.raises(DataError, match="2 head"):
             trainer.train_epoch(np.zeros((8, 4)), np.zeros(8, dtype=int))
+
+
+class TestTrainSettings:
+    """``TrainSettings`` is where the optimizer hyperparameters are checked;
+    ``SGD`` takes them as they are."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lr", 0.0, r"^lr must be positive, got 0.0$"),
+        ("momentum", 1.0, r"^momentum must lie in \[0, 1\), got 1.0$"),
+        ("weight_decay", -1.0, r"^weight_decay must be non-negative, got -1.0$"),
+        ("batch_size", 0, r"^batch_size must be >= 1, got 0$"),
+    ], ids=["lr", "momentum", "weight_decay", "batch_size"])
+    def test_bad_hyperparameters_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainSettings(**{field: value})
 
 
 class TestDivergence:

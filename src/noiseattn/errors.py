@@ -1,5 +1,7 @@
 """Exception taxonomy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class NoiseAttnError(Exception):
     """Base class for all package errors."""
@@ -23,6 +25,17 @@ class UsageError(NoiseAttnError, RuntimeError):
 
 class DivergenceError(NoiseAttnError, RuntimeError):
     """Training produced a non-finite loss."""
+
+
+@contextmanager
+def in_epoch(epoch: int, of_round: int | None = None):
+    """Prefix a DivergenceError raised inside with where it happened in its
+    stage: ``epoch 3: ...``, or ``round 1 epoch 3: ...`` (both 1-based)."""
+    try:
+        yield
+    except DivergenceError as exc:
+        where = f"epoch {epoch}" if of_round is None else f"round {of_round} epoch {epoch}"
+        raise DivergenceError(f"{where}: {exc}") from None
 
 
 class StageError(NoiseAttnError, RuntimeError):

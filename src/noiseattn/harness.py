@@ -29,7 +29,7 @@ from .config import (ExperimentConfig, _parse_attributes, parse_arch, parse_inpu
                      serialize_arch, serialize_input_shape, validate_paths)
 from .data import (_Reader, generate_synthetic, generate_synthetic_multi, inject_noise,
                    load_dataset, save_dataset)
-from .errors import ConfigError, FormatError, NoiseAttnError, StageError
+from .errors import ConfigError, FormatError, NoiseAttnError, StageError, in_epoch
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
 from .nn import Dense, Network, check_labels, label_columns, param_count
 from .recursion import run_recursion
@@ -427,7 +427,8 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
 
     stage[0] = "pretrain"
     for epoch in range(cfg.na.pretrain_epochs):
-        tr = trainer.train_epoch(xt, yt)
+        with in_epoch(epoch + 1):
+            tr = trainer.train_epoch(xt, yt)
         vl = _loss_total(trainer.val_loss(xv, yv))
         metrics.add("pretrain", 0, epoch, "train", "loss", tr)
         metrics.add("pretrain", 0, epoch, "val", "loss", vl)
@@ -437,7 +438,8 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
     stopped = [False] * len(models)
     na_epochs = 0
     for epoch in range(cfg.na.stage_epochs):
-        tr = trainer.train_epoch(xt, yt)
+        with in_epoch(epoch + 1):
+            tr = trainer.train_epoch(xt, yt)
         per_attr = trainer.val_loss(xv, yv)
         na_epochs = epoch + 1
         metrics.add("na", 0, epoch, "train", "loss", tr)

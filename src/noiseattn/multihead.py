@@ -67,10 +67,14 @@ class MultiHeadNetwork:
         return list(self.attributes.names)
 
     def parameters(self):
-        params = self.trunk.parameters()
-        for head in self.heads:
-            params.extend(head.parameters())
-        return params
+        return [p for _, p in self.named_parameters()]
+
+    def named_parameters(self):
+        """The trunk's named parameters, then ``head <name> w`` and ``b`` of each head."""
+        named = self.trunk.named_parameters()
+        for name, head in zip(self.names, self.heads):
+            named += [(f"head {name} {which}", p) for which, p in zip("wb", head.parameters())]
+        return named
 
     def forward(self, batch, cache=True):
         """One trunk pass, K head passes; returns per-attribute probabilities.

@@ -19,6 +19,17 @@ matrices stay small whatever the batch. Those layers compute each row
 alone (the conv matmul runs one GEMM per image row), so blocking does not
 change a bit. Dense rows do depend on the number of rows in the matmul,
 so the first Dense and every layer after it see the whole batch.
+
+At small channel counts Conv2D's patch copy and bias gradient spend
+their time in numpy's per-inner-loop overhead, not in arithmetic, so each
+takes a form with longer inner loops and the same bits. The patch
+matrix (im2col) is one ``np.take`` through a table of input-pixel indices
+that the layer builds from its input shape when the network is built,
+once; a gather only copies. Its bias gradient adds the (b * ho * wo,
+cout) rows of the output gradient in order with ``einsum``, which is the
+order numpy's sum takes when there is more than one column. A single
+output channel is one contiguous column, which numpy sums pairwise, so
+there the layer keeps numpy's sum.
 """
 
 from __future__ import annotations
@@ -150,50 +161,69 @@ class _DenseLayer:
 class _ConvLayer:
     """Valid-padding convolution over NHWC batches via patch matrices.
 
-    Each patch row holds its window in (di, dj, c) order. The input
-    gradient is scattered one kernel offset at a time, with di and dj both
-    descending: each dx element then receives its terms in ascending
-    output-position order, the order of a loop over output positions, so
-    its rounding does not depend on this layout. The matmuls run on the
-    4-D arrays on purpose; reshaping them to 2-D changes result bits for
-    some channel counts.
+    im2col is one gather: ``np.take`` along the flattened pixel axis
+    through ``_pix``, a table of the input pixel under each (i, j, di, dj)
+    output position and kernel offset, so each patch row holds its window
+    in (di, dj, c) order. The table depends only on the input shape, which
+    ``Network`` walks when it builds the layer; it is built once, never
+    written, and shared by every batch size, training step and forward-only
+    block. A gather copies values, so it cannot change a bit.
+
+    The bias gradient sums ``dy`` over its (b * ho * wo, cout) rows. For
+    cout > 1 numpy's sum adds whole rows one after another, and
+    ``einsum("ij->j")`` adds them in the same order with a cheaper inner
+    loop, so both give the same bits. For cout = 1 numpy sums the one
+    contiguous column pairwise, which einsum does not, so that case keeps
+    numpy's sum.
+
+    The input gradient is scattered one kernel offset at a time, with di
+    and dj both descending: each dx element then receives its terms in
+    ascending output-position order, the order of a loop over output
+    positions, so its rounding does not depend on this layout. The matmuls
+    run on the 4-D arrays on purpose; reshaping them to 2-D changes result
+    bits for some channel counts.
     """
 
-    def __init__(self, spec: Conv2D, rng):
-        k = spec.kernel
+    def __init__(self, spec: Conv2D, rng, in_shape):
+        k, s = spec.kernel, spec.stride
         w_shape, b_shape = _param_shapes(spec)
         self.w = Parameter(_glorot_uniform(rng, w_shape, spec.in_ch * k * k, spec.out_ch * k * k))
         self.b = Parameter(np.zeros(b_shape))
         self.kernel = k
-        self.stride = spec.stride
+        self.stride = s
+        self.in_shape = in_shape
+        h, w, cin = in_shape
+        ho, wo = (h - k) // s + 1, (w - k) // s + 1
+        self._cols_shape = (ho, wo, k * k * cin)
+        corner = (np.arange(ho)[:, None] * w + np.arange(wo)) * s
+        offset = np.arange(k)[:, None] * w + np.arange(k)
+        self._pix = (corner[:, :, None, None] + offset).ravel()
+        self._pix.flags.writeable = False
 
     def params(self):
         return [self.w, self.b]
 
     def forward(self, x, cache=True):
-        b, h, w, cin = x.shape
-        k, s = self.kernel, self.stride
-        ho = (h - k) // s + 1
-        wo = (w - k) // s + 1
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
-        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, ho, wo, k * k * cin)
+        b = x.shape[0]
+        cols = np.take(x.reshape(b, -1, x.shape[3]), self._pix, axis=1)
+        cols = cols.reshape((b,) + self._cols_shape)
         if cache:
             self._cols = cols
-            self._xshape = x.shape
         y = cols @ self.w.data
         y += self.b.data
         return y
 
     def backward(self, dy, input_grad=True):
-        b, h, w, cin = self._xshape
+        b, ho, wo, cout = dy.shape
         k, s = self.kernel, self.stride
-        ho, wo = dy.shape[1], dy.shape[2]
-        self.b.grad += dy.sum(axis=(0, 1, 2))
-        self.w.grad += self._cols.reshape(-1, k * k * cin).T @ dy.reshape(-1, dy.shape[3])
+        rows = dy.reshape(-1, cout)
+        self.b.grad += rows.sum(axis=0) if cout == 1 else np.einsum("ij->j", rows)
+        self.w.grad += self._cols.reshape(-1, self._cols_shape[2]).T @ rows
         if not input_grad:
             return None
+        h, w, cin = self.in_shape
         dcols = (dy @ self.w.data.T).reshape(b, ho, wo, k, k, cin)
-        dx = np.zeros(self._xshape)
+        dx = np.zeros((b, h, w, cin))
         span_h, span_w = (ho - 1) * s + 1, (wo - 1) * s + 1
         for di in reversed(range(k)):
             for dj in reversed(range(k)):
@@ -316,10 +346,13 @@ def param_count(specs, input_shape) -> tuple[int, tuple[int, ...]]:
     return count, shape
 
 
-def _materialize(spec, net_seed, index):
+def _materialize(spec, net_seed, index, in_shape):
+    """Layer ``index`` of a network seeded ``net_seed``, on inputs of ``in_shape``."""
     if isinstance(spec, (Dense, Conv2D)):
         rng = np.random.default_rng(entropy_tuple(net_seed, index))
-        return (_DenseLayer if isinstance(spec, Dense) else _ConvLayer)(spec, rng)
+        if isinstance(spec, Dense):
+            return _DenseLayer(spec, rng)
+        return _ConvLayer(spec, rng, in_shape)
     return {ReLU: _ReLULayer, MaxPool2x2: _MaxPoolLayer, Flatten: _FlattenLayer}[type(spec)]()
 
 
@@ -350,8 +383,12 @@ class Network:
         if any(s < 1 for s in self.input_shape):
             raise ConfigError(f"input shape must be positive, got {self.input_shape}")
         self._flat_width = math.prod(self.input_shape)
-        _, self.output_shape = param_count(self.specs, self.input_shape)
-        self.layers = [_materialize(spec, seed, i) for i, spec in enumerate(self.specs)]
+        shape, self.layers = self.input_shape, []
+        for i, spec in enumerate(self.specs):
+            out_shape = _out_shape(spec, shape, i)
+            self.layers.append(_materialize(spec, seed, i, shape))
+            shape = out_shape
+        self.output_shape = shape
         self._params = [p for layer in self.layers for p in layer.params()]
         self._block_end = next((i for i, spec in enumerate(self.specs) if isinstance(spec, Dense)),
                              len(self.specs))
@@ -365,6 +402,11 @@ class Network:
 
     def parameters(self) -> list[Parameter]:
         return list(self._params)
+
+    def named_parameters(self) -> list[tuple[str, Parameter]]:
+        """``parameters()`` with their names, ``layer <index> w`` or ``b``."""
+        return [(f"layer {i} {name}", p) for i, layer in enumerate(self.layers)
+                for name, p in zip("wb", layer.params())]
 
     def forward(self, batch, cache=True):
         """The network's output for ``batch``.

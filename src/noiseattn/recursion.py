@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, in_epoch
 from .attention import NAModel, attention_outputs, unit_outputs
 from .nn import EPS, label_columns, log_grad_coef
 
@@ -146,8 +146,10 @@ def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, 
         teachers = snapshot_probs(trainer.net, trainer.na_models, features, given_labels)
         supervisions = [combine_supervisions(y, teacher, alpha)
                         for y, teacher in zip(columns, teachers)]
-        losses = [trainer.train_epoch_soft(features, supervisions)
-                  for _ in range(schedule.epochs)]
+        losses = []
+        for epoch in range(1, schedule.epochs + 1):
+            with in_epoch(epoch, of_round=t):
+                losses.append(trainer.train_epoch_soft(features, supervisions))
         metric = float(val_metric())
         improvement = history[-1] - metric
         history.append(metric)

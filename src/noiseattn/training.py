@@ -79,6 +79,9 @@ class OneHead:
     def parameters(self):
         return self.base.parameters()
 
+    def named_parameters(self):
+        return self.base.named_parameters()
+
     def forward(self, batch, cache=True):
         return [softmax(self.base.forward(batch, cache))]
 
@@ -192,6 +195,19 @@ class Trainer:
         for start in range(0, n, bs):
             yield order[start:start + bs]
 
+    def _non_finite_parameter(self) -> str:
+        """Names the first parameter holding a NaN or an infinity: a network
+        parameter (``layer 2 w``), else a noise unit (``unit 1 q``, prefixed
+        by its attribute's name on a multi-head network). Error path only."""
+        named = self.net.named_parameters()
+        for attr, model in zip(self.net.names, self.na_models):
+            of = f"{attr} " if attr else ""
+            named += [(f"{of}unit {m} q", unit.q) for m, unit in enumerate(model.units)]
+        for name, p in named:
+            if not np.isfinite(p.data).all():
+                return f"first non-finite parameter: {name}"
+        return "every parameter is finite"
+
     def _epoch(self, head, features, targets) -> float:
         """One shuffled pass; returns the sample-weighted mean batch loss."""
         n = features.shape[0]
@@ -202,7 +218,8 @@ class Trainer:
                 loss = self._step(head, features[idx], batch_targets)
             except DivergenceError as exc:
                 count = -(-n // self.settings.batch_size)
-                raise DivergenceError(f"{exc} at batch {i} of {count}") from None
+                raise DivergenceError(f"{exc} at batch {i} of {count}; "
+                                      f"{self._non_finite_parameter()}") from None
             total += loss * idx.size
         return total / n
 

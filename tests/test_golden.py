@@ -71,6 +71,12 @@ CASES = {
 CASES["conv_blocks"] = {**CASES["single_conv"], "data.synthetic.n_train": "700",
                         "data.synthetic.n_test": "600"}
 
+# The single_conv data through a one-channel conv. At out_ch = 1 the bias
+# gradient reduces one contiguous column, pairwise, where wider layers add
+# their rows in order; this case pins that rounding.
+CASES["conv_one_channel"] = {**CASES["single_conv"],
+                             "arch.layers": "conv:1:1:3,relu,pool,flatten,dense:25:4"}
+
 GOLDEN = {
     "single_conv": {
         "metrics.csv": "93980008407273045c39ff0260b35903b6b237559258b392a17e6e1e8b889297",
@@ -91,6 +97,11 @@ GOLDEN = {
         "metrics.csv": "94ec7ef891b1fcc7ab3ad70dd33aa7427a85914613b3f97fea7ebc15590af932",
         "snapshot_final.nam": "a33142b5243517601f6f7f1eca6e0ecac472f9c74de9378905785615bb2da7dc",
         "snapshot_stage0.nam": "7a19ae49d8bd3172ec3b33ddca7809658d198f31c3da93d6faae1ec707167148",
+    },
+    "conv_one_channel": {
+        "metrics.csv": "e897aec86ee824f4b8d0e9b13c3da5675694c3f2e12585b7385cca4ad1ba39e1",
+        "snapshot_final.nam": "04ea03fcee54df4b228e75d774c91aee9a28ffac0cdc067b8ae534818f0f79d1",
+        "snapshot_stage0.nam": "3d06071f9da9378fc3563a8cdee7f8018def64f85441f71b86c18d98833d6ab8",
     },
 }
 
@@ -123,6 +134,13 @@ CLI_GOLDEN = {
         "eval stdout": "e3fb8de1a6b6263207ee853637eeed4dc3762fb34c042ed389c65e631ec4c196",
         "export-q stdout": "5dfad5f98d3af2396ac90d0644d424228aaec6dc218587bf2d376283bdf3c068",
         "export-q files": "76bdf63caf974a8f6baa71abcc25ec0eaffff495ce2bb3bf167bc51f9f839ef9",
+    },
+    "conv_one_channel": {
+        "recurse/metrics.csv": "29a02c101090511701f1b17709ad41194ebe85ebc8b268db970ec4ea1a409b69",
+        "recurse/snapshot_final.nam": "707c4105ab0f9f725b8b019edf593e1a39918e05ffbfe9d04b83b5a0ba82ed3b",
+        "eval stdout": "699377512c263a1d7acb6f6c49f21be931f33d1157a485aa3c6bcb3ea1cd1d7f",
+        "export-q stdout": "5dfad5f98d3af2396ac90d0644d424228aaec6dc218587bf2d376283bdf3c068",
+        "export-q files": "f8e5117ba500820ede6866ddd1b3a9672ffc5a7193d8f4f3d53c18a9b60dc468",
     },
 }
 
@@ -229,6 +247,19 @@ FILE_GOLDEN = {
         "synth files": "0831115cfa5cb8de694ed1d81d913a907ce9712bd21bc4c717be8d8ab050c50d",
         "inject stdout": "b553c115f599ead2fb4dbe246c5472d3c604d68b4c93de63f136a84811b637e9",
         "inject files": "93445e4c5e630d06e619ecd68ad5bfc9ad996bf67c4c4829ed30324a8ce98749",
+    },
+    "conv_one_channel": {
+        "report.json": "aa0a9e0f95f5eaa16717eb901e481f65e4ed473745a002ad0234f28b882fa418",
+        "flips.csv": "f38e3089eeff5f73e31fc8ca23439212ee82e272da08f8f5def6d5eaf5fc6661",
+        "train.nld": "65d5c4e448f2165f055ad1e722be18446edf8ba190a8bc4ed67565ff7e71dd4a",
+        "test.nld": "30f86e611e00f838da7eefed45e648135640470d6faaf2435297a87847281a29",
+        "noisy_train.nld": "4b1fd9b939a70382a12ab069910e007ef1c9102986f0df68317c2d94c5ec7f40",
+        "q_stage0_*": "b05a4c6f25fe57ce0a4002057a27e8007b0b9d295ce122ec3f7ae5b6c73831a3",
+        "q_final_*": "8823f03270c71acd950af489e5044950e531ff3e479a95426bfa9bdc327d71a7",
+        "synth stdout": "0148ec1cae344716a9279165ff392f97fb629784a707bea00d5127453f987610",
+        "synth files": "24fb17b343323a1445051ef0ee15d140cfec25b0bd97ee86947dc61cc4aa03b2",
+        "inject stdout": "603f7d3981fc1c8d90131dd4e197624bf3813763e912dbfb29f4be307641bd8b",
+        "inject files": "c5b53c10c0cac0ca0e9e2ab04274da788a4aa1ff0efe2187cebcfe97407a7839",
     },
 }
 

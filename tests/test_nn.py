@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, Conv2D, Flatten,
-                       MaxPool2x2, MultiHeadNetwork, Network, Parameter, ReLU, SGD, Trainer,
-                       TrainSettings, UsageError, snapshot_probs, softmax, softmax_backward)
+                       MaxPool2x2, MultiHeadNetwork, NAModel, Network, Parameter, ReLU, SGD,
+                       Trainer, TrainSettings, UsageError, load_snapshot, save_snapshot,
+                       snapshot_probs, softmax, softmax_backward)
 from noiseattn.multihead import _errors
 from noiseattn.nn import EPS
 from gradfixtures import grad_check, grad_check_classifier
@@ -144,6 +145,9 @@ CONV_NETS = {
                  Dense(64, 5), ReLU(), Dense(5, 2)], (11, 11, 4)),
     "k4_no_dense": ([Conv2D(1, 3, 4), ReLU(), MaxPool2x2(), Flatten()], (9, 11, 1)),
 }
+# A conv layer's pixel table (``_pix``) is not among these: it is built from
+# the input shape when the layer is, no pass writes it, and forward-only
+# passes read it as training steps do.
 BACKWARD_CACHES = ("_x", "_cols", "_xshape", "_mask", "_idx")
 
 
@@ -183,6 +187,42 @@ class TestForwardOnly:
         multi.forward(x, cache=False)
         with pytest.raises(UsageError):
             multi.backward([np.zeros((3, 2)), np.zeros((3, 3))])
+
+
+class TestPixelTable:
+    """Each conv layer's one pixel table serves every batch size, caching
+    and forward-only passes alike, and the network ``load_snapshot``
+    rebuilds: every output and gradient has the bytes of a fresh network."""
+
+    PASSES = [(64, True), (8, False), (257, True), (64, False), (8, True), (257, False)]
+
+    @pytest.mark.parametrize("name", ["conv_patches", "stacked"])
+    def test_reused_tables_give_the_bytes_of_a_fresh_network(self, name, tmp_path):
+        specs, shape = CONV_NETS[name]
+        rng = np.random.default_rng(12)
+        net = Network(specs, shape, seed=4)
+        classes = net.out_dim
+        save_snapshot(tmp_path / "net.nam", net, [NAModel(classes)], input_shape=shape,
+                      arch_specs=specs)
+        loaded = load_snapshot(tmp_path / "net.nam")["net"]
+        tables = [(layer._pix, layer._pix.copy()) for used in (net, loaded)
+                  for layer in used.layers if hasattr(layer, "_pix")]
+        assert len(tables) == 2 * sum(isinstance(spec, Conv2D) for spec in specs)
+        for used in (net, loaded):
+            for rows, cache in self.PASSES:
+                x = rng.normal(size=(rows,) + shape)
+                fresh = Network(specs, shape, seed=4)
+                out = used.forward(x, cache)
+                assert out.tobytes() == fresh.forward(x, cache).tobytes()
+                if cache:
+                    dy = rng.normal(size=out.shape)
+                    zero_grad(used)
+                    assert used.backward(dy).tobytes() == fresh.backward(dy).tobytes()
+                    assert ([p.grad.tobytes() for p in used.parameters()]
+                            == [p.grad.tobytes() for p in fresh.parameters()])
+        for table, first in tables:
+            assert not table.flags.writeable
+            assert table.tobytes() == first.tobytes()
 
 
 class TestForwardOnlyMemory:

@@ -7,6 +7,8 @@ parameter must keep the exact bytes of the loop code, including signed
 zeros, tie-breaking and NaN propagation.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,16 @@ CONV_SHAPES = [
     (4, 6, 10, 2, 5, 2, 1),
     (1, 10, 13, 3, 2, 4, 2),
     (2, 7, 7, 1, 3, 2, 3),
+    (64, 12, 12, 1, 1, 3, 1),  # one output channel: the bias gradient sums one column
+    (64, 12, 12, 1, 8, 3, 1),  # the conv_patches benchmark layer
+]
+
+# 100 shapes: every (cin, cout, kernel) of the grid below, with stride,
+# batch and a non-square input cycling through their values.
+CONV_GRID = [
+    ((1, 7, 64)[i % 3], k + 2 + i % 5, k + 1 + i % 7, cin, cout, k, 1 + i % 2)
+    for i, (cin, cout, k) in enumerate(itertools.product((1, 2, 3, 4, 8), (1, 2, 3, 8, 32),
+                                                         (1, 2, 3, 5)))
 ]
 
 
@@ -30,8 +42,11 @@ def assert_bytes_equal(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "b{}_{}x{}x{}_c{}_k{}_s{}".format(*s))
-def test_conv_matches_loop_reference(shape):
+def conv_outputs(shape, spread=False):
+    """``y``, ``dx``, ``w.grad`` and ``b.grad`` of a Conv2D layer of
+    ``shape``, each paired with the loop reference's. With ``spread`` the
+    output gradient's magnitudes span 16 decades and hold signed zeros, so
+    a sum taken in another order rounds differently."""
     b, h, w, cin, cout, k, s = shape
     rng = np.random.default_rng(sum(shape))
     net = Network([Conv2D(cin, cout, k, stride=s)], (h, w, cin), seed=1)
@@ -40,14 +55,29 @@ def test_conv_matches_loop_reference(shape):
     x = rng.normal(size=(b, h, w, cin))
     y = net.forward(x)
     dy = rng.normal(size=y.shape)
+    if spread:
+        dy *= 10.0 ** rng.integers(-8, 8, size=y.shape)
+        dy[rng.uniform(size=y.shape) < 0.05] = -0.0
     dx = net.backward(dy)
 
     y_ref, cols = conv_forward(x, layer.w.data, layer.b.data, k, s)
     dx_ref, w_grad, b_grad = conv_backward(dy, cols, x.shape, layer.w.data, k, s)
-    assert_bytes_equal(y, y_ref)
-    assert_bytes_equal(dx, dx_ref)
-    assert_bytes_equal(layer.w.grad, w_grad)
-    assert_bytes_equal(layer.b.grad, b_grad)
+    return {"y": (y, y_ref), "dx": (dx, dx_ref), "w.grad": (layer.w.grad, w_grad),
+            "b.grad": (layer.b.grad, b_grad)}
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "b{}_{}x{}x{}_c{}_k{}_s{}".format(*s))
+def test_conv_matches_loop_reference(shape):
+    for actual, expected in conv_outputs(shape).values():
+        assert_bytes_equal(actual, expected)
+
+
+def test_conv_grid_matches_loop_reference():
+    """Every output of every ``CONV_GRID`` shape, one channel out included."""
+    differ = [(shape, name) for shape in CONV_GRID
+              for name, (actual, expected) in conv_outputs(shape, spread=True).items()
+              if actual.shape != expected.shape or actual.tobytes() != expected.tobytes()]
+    assert differ == []
 
 
 @pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "b{}_{}x{}x{}_c{}_k{}_s{}".format(*s))

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, DivergenceError,
-                       MultiHeadNetwork, NAModel, Network, RecursionSchedule, ReLU, Trainer,
-                       TrainSettings, UnitSchedule, run_recursion)
+                       MultiHeadNetwork, NAModel, Network, RecursionSchedule, ReLU, StageError,
+                       Trainer, TrainSettings, UnitSchedule, build_config, run_experiment,
+                       run_recursion)
 from noiseattn.nn import entropy_tuple
 from noiseattn.training import STREAM_SHUFFLE
 
@@ -120,10 +121,82 @@ class TestDivergence:
         order = np.random.default_rng(entropy_tuple(2, STREAM_SHUFFLE)).permutation(100)
         batch = int(np.flatnonzero(order == 42)[0]) // SETTINGS.batch_size + 1
         with np.errstate(all="ignore"):
-            with pytest.raises(DivergenceError,
-                               match=rf"^non-finite loss nan at batch {batch} of 7$"):
+            with pytest.raises(DivergenceError, match=rf"^non-finite loss nan at batch {batch} "
+                                                      r"of 7; every parameter is finite$"):
                 trainer.train_epoch(x, labels)
         assert np.isfinite(state(trainer)).all()  # the NaN batch took no step
+
+    # Each parameter by the name the error gives it, reached through the trainer.
+    PARAMETERS = {
+        "layer 0 b": lambda t: t.net.base.layers[0].b,
+        "layer 2 w": lambda t: t.net.base.layers[2].w,
+        "layer 2 b": lambda t: t.net.base.layers[2].b,
+        "unit 1 q": lambda t: t.na_models[0].units[1].q,
+        "head attr1 w": lambda t: t.net.heads[1].layers[0].w,
+        "attr0 unit 0 q": lambda t: t.na_models[0].units[0].q,
+        "attr1 unit 0 q": lambda t: t.na_models[1].units[0].q,
+    }
+
+    @pytest.mark.parametrize("name, poisoned, first", [
+        ("plain", ["layer 2 b"], "layer 2 b"),
+        ("plain", ["layer 2 w", "layer 0 b"], "layer 0 b"),
+        ("na", ["unit 1 q"], "unit 1 q"),
+        ("na", ["unit 1 q", "layer 2 w"], "layer 2 w"),
+        ("multi", ["head attr1 w"], "head attr1 w"),
+        ("multi", ["attr1 unit 0 q", "attr0 unit 0 q"], "attr0 unit 0 q"),
+        ("multi", ["attr1 unit 0 q", "head attr1 w"], "head attr1 w"),
+    ])
+    def test_names_the_first_non_finite_parameter(self, name, poisoned, first):
+        """Network parameters come in layer order, then each attribute's
+        units; the one named is the first that holds a NaN or an infinity."""
+        trainer = TRAINERS[name]()
+        for k, target in enumerate(poisoned):
+            self.PARAMETERS[target](trainer).data.flat[k] = (np.nan, np.inf)[k % 2]
+        x = np.full((100, 4), np.nan)  # the first batch diverges whatever the parameters
+        labels = np.zeros((100, len(trainer.na_models)), dtype=int)
+        before = state(trainer)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match=rf"^non-finite loss nan at batch 1 of 7; "
+                                                      rf"first non-finite parameter: {first}$"):
+                trainer.train_epoch(x, labels[:, 0] if name != "multi" else labels)
+        assert state(trainer).tobytes() == before.tobytes()
+
+    def test_recursion_names_round_and_epoch(self):
+        trainer = plain_trainer()
+        rng = np.random.default_rng(5)
+        x, labels = rng.normal(size=(40, 4)), rng.integers(0, 3, size=40)
+        rounds = []
+
+        def val_metric():
+            rounds.append(len(rounds))
+            if len(rounds) == 2:  # after round 1: poison the network for round 2
+                trainer.net.base.layers[2].w.data[0, 0] = np.inf
+            return 1.0 - len(rounds)
+
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match=r"^round 2 epoch 1: non-finite loss nan at "
+                                                      r"batch 1 of 3; first non-finite parameter: "
+                                                      r"layer 2 w$"):
+                run_recursion(trainer, x, labels, RecursionSchedule(iterations=3, epochs=2),
+                              val_metric=val_metric)
+
+    @pytest.mark.parametrize("pretrain, stage, epoch", [(2, "pretrain", 2), (1, "na", 1)])
+    def test_run_names_stage_and_epoch(self, tmp_path, pretrain, stage, epoch):
+        """A learning rate of 1e300 overflows the second forward pass of a
+        6x6 conv net; its parameters stay finite."""
+        entries = {"seed": "3", "out": str(tmp_path / "run"), "data.source": "synthetic",
+                   "data.synthetic.kind": "patches", "data.synthetic.classes": "3",
+                   "data.synthetic.height": "6", "data.synthetic.width": "6",
+                   "data.synthetic.n_train": "40", "data.synthetic.n_test": "20",
+                   "arch.input_shape": "6x6x1",
+                   "arch.layers": "conv:1:2:3,relu,pool,flatten,dense:8:3",
+                   "opt.lr": "1e300", "na.pretrain_epochs": str(pretrain),
+                   "na.stage_epochs": "3"}
+        with np.errstate(all="ignore"):
+            with pytest.raises(StageError, match=rf"^\[{stage}\] epoch {epoch}: "
+                                                 r"non-finite loss nan at batch 1 of 1; "
+                                                 r"every parameter is finite$"):
+                run_experiment(build_config(entries))
 
 
 class TestParameterArena:

@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Subcommands: synth, inject, train, recurse, eval, export-q. Every run is
-driven by a line-based config file; --seed and --out override the config.
+Subcommands: synth, inject, train, recurse, eval, export-q. The first four
+are driven by a line-based config file, which --seed and --out override;
+eval and export-q read a snapshot. Each takes only the flags it reads.
 Exit code 0 on success, 2 for configuration/data/format problems, 1 for
 runtime failures; diagnostics carry the failing pipeline stage.
 """
@@ -18,8 +19,6 @@ from .data import load_dataset, save_dataset
 from .errors import ConfigError, DataError, FormatError, NoiseAttnError, StageError
 from .harness import (_export_models, _inject, _make_out_dir, _write_flips, evaluate,
                       load_snapshot, resolve_data, resume_recursion, run_experiment)
-from .multihead import evaluate_all_metric
-from .training import as_heads
 
 
 def _load_config(args):
@@ -89,17 +88,15 @@ def _cmd_recurse(args) -> int:
 def _cmd_eval(args) -> int:
     if not args.data:
         raise ConfigError("eval needs --data")
-    snap = load_snapshot(args.snapshot)
+    view, _ = load_snapshot(args.snapshot)
     dataset = load_dataset(args.data)
-    evaluator = evaluate if snap["attributes"] is None else evaluate_all_metric
-    errors = evaluator(snap["net"], dataset.features, dataset.true_labels)
-    _print_errors("test error", errors, snap["attributes"])
+    _print_errors("test error", evaluate(view, dataset.features, dataset.true_labels),
+                  view.attributes)
     return 0
 
 
 def _cmd_export_q(args) -> int:
-    snap = load_snapshot(args.snapshot)
-    paths = _export_models(as_heads(snap["net"]), snap["models"], Path(args.out or "."), "q_")
+    paths = _export_models(*load_snapshot(args.snapshot), Path(args.out or "."), "q_")
     for csv_path, pgm_path in paths:
         print(f"wrote {csv_path} and {pgm_path}")
     return 0
@@ -112,27 +109,25 @@ def main(argv=None) -> int:
                     "per-sample noise units and recursive self-distillation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, needs_snapshot=False, needs_data=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="experiment config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="override the output directory")
-        if needs_snapshot:
-            p.add_argument("--snapshot", required=True, help="model snapshot (.nam)")
-        if needs_data:
-            p.add_argument("--data", help="dataset path (.nld)")
-        p.set_defaults(fn=fn)
-        return p
+    flags = {"config": {"help": "experiment config file"},
+             "seed": {"type": int, "help": "override the config seed"},
+             "out": {"help": "output directory"},
+             "snapshot": {"required": True, "help": "model snapshot (.nam)"},
+             "data": {"help": "dataset path (.nld)"}}
 
-    add("synth", _cmd_synth, "generate synthetic datasets")
-    add("inject", _cmd_inject, "inject label noise into a dataset", needs_data=True)
-    add("train", _cmd_train, "run the full configured pipeline")
-    add("recurse", _cmd_recurse, "resume recursion from a stage-0 snapshot",
-        needs_snapshot=True)
-    add("eval", _cmd_eval, "evaluate a snapshot on a test set",
-        needs_snapshot=True, needs_data=True)
-    add("export-q", _cmd_export_q, "export learned units as CSV + PGM",
-        needs_snapshot=True)
+    def add(name, fn, help_text, *names):
+        p = sub.add_parser(name, help=help_text)
+        for flag in names:
+            p.add_argument(f"--{flag}", **flags[flag])
+        p.set_defaults(fn=fn)
+
+    run = ("config", "seed", "out")
+    add("synth", _cmd_synth, "generate synthetic datasets", *run)
+    add("inject", _cmd_inject, "inject label noise into a dataset", *run, "data")
+    add("train", _cmd_train, "run the full configured pipeline", *run)
+    add("recurse", _cmd_recurse, "resume recursion from a stage-0 snapshot", *run, "snapshot")
+    add("eval", _cmd_eval, "evaluate a snapshot on a test set", "snapshot", "data")
+    add("export-q", _cmd_export_q, "export learned units as CSV + PGM", "snapshot", "out")
 
     args = parser.parse_args(argv)
     try:

@@ -259,9 +259,7 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
 
     cfg.opt = _section(e, "opt", TrainSettings)
     cfg.na = _section(e, "na", UnitSchedule)
-    cfg.recursion = _section(e, "recursion", RecursionSchedule)
-    if cfg.recursion.iterations and cfg.recursion.epochs is None and not cfg.na.stage_epochs:
-        raise ConfigError("recursion.epochs is needed when na.stage_epochs = 0")
+    cfg.recursion = _section(e, "recursion", RecursionSchedule, epochs=cfg.na.stage_epochs)
 
     e.reject_unknown()
     return cfg

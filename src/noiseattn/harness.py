@@ -4,12 +4,12 @@ The pipeline is: resolve data (optionally synthesize and inject noise),
 pretrain the base network on the noisy labels, grow and train the noise
 units until the schedule stops, run the recursive self-distillation
 rounds, and evaluate through the base network only. A single-label run
-is the one-head case of the same code path: the network view (``OneHead``
-or ``MultiHeadNetwork``) gives head names and class counts, and only the
-snapshot metadata, the flips.csv header, metric names and report fields
-differ by kind. Every artifact is a
-pure function of (config, seed); wall-clock time is kept out of
-metrics.csv so reruns are byte-identical.
+is the one-head case of the same code path: the heads view (``OneHead``
+or ``MultiHeadNetwork``) is the model that ``evaluate`` scores, that a
+snapshot is written from and read back as; only the snapshot metadata,
+the flips.csv header, metric names and report fields differ by kind.
+Every artifact is a pure function of (config, seed); wall-clock time is
+kept out of metrics.csv so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import csv
 import json
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +66,14 @@ class MetricsLog:
 # Evaluation
 
 
-def evaluate(net: Network, features, true_labels) -> float:
-    """Top-1 error rate against true labels, through the base network only."""
-    return _errors(OneHead(net), features, true_labels)[1]
+def evaluate(net, features, true_labels):
+    """Test error of a ``Network`` or heads view, through the base network
+    only: the top-1 error of a ``OneHead``, or (per-attribute errors, joint
+    error) of a ``MultiHeadNetwork``."""
+    view = as_heads(net)
+    if view.attributes is None:
+        return _errors(view, features, true_labels)[1]
+    return evaluate_all_metric(view, features, true_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +134,14 @@ def _attribute_tokens(attributes):
     return ",".join(f"{n}:{c}" for n, c in zip(attributes.names, attributes.class_counts))
 
 
-def _meta_lines(input_shape, arch_specs, models, attributes):
-    lines = [f"kind = {'single' if attributes is None else 'multi'}",
-             f"input_shape = {serialize_input_shape(input_shape)}",
-             f"arch = {serialize_arch(arch_specs)}"]
-    if attributes is None:
-        lines.append(f"classes = {models[0].n_classes}")
+def _meta_lines(view, models):
+    lines = [f"kind = {'single' if view.attributes is None else 'multi'}",
+             f"input_shape = {serialize_input_shape(view.trunk.input_shape)}",
+             f"arch = {serialize_arch(view.trunk.specs)}"]
+    if view.attributes is None:
+        lines.append(f"classes = {view.class_counts[0]}")
     else:
-        lines.append(f"attributes = {_attribute_tokens(attributes)}")
+        lines.append(f"attributes = {_attribute_tokens(view.attributes)}")
     lines.append("units = " + ";".join(str(m.active_count) for m in models))
     lines.append("decays = " + ";".join(
         ",".join(repr(u.decay) for u in m.units) for m in models))
@@ -150,15 +155,16 @@ def _param_chain(net_params, models):
     return params
 
 
-def save_snapshot(path, net, models, *, input_shape, arch_specs, attributes=None):
+def save_snapshot(path, net, models):
     """Flat float64 parameter dump behind an architecture echo header.
 
-    ``net`` is a ``Network`` (or its ``OneHead`` view) with one model
-    (single-label) or a ``MultiHeadNetwork`` with one model per attribute
-    of ``attributes``.
+    ``net`` is a ``Network`` or a heads view with one model per head; the
+    header's kind, input shape, arch and classes (or attributes) are read
+    from the view, so they describe the parameters written.
     """
-    meta = _meta_lines(input_shape, arch_specs, models, attributes).encode()
-    chain = _param_chain(net.parameters(), models)
+    view = as_heads(net)
+    meta = _meta_lines(view, models).encode()
+    chain = _param_chain(view.parameters(), models)
     vec = (np.concatenate([p.data.ravel() for p in chain])
            if chain else np.zeros(0))
     blob = bytearray()
@@ -179,7 +185,8 @@ def _parse_meta(meta_text):
 
 
 def load_snapshot(path):
-    """Rebuild the network and noise models. The metadata (one unit and
+    """Rebuild (heads view, noise models), a ``OneHead`` or a
+    ``MultiHeadNetwork`` with one model per head. The metadata (one unit and
     one decay group per attribute, 1 for single-label), the parameter count
     it implies, the header's count and the bytes left are all checked
     before anything is built, so a file cannot make the loader allocate
@@ -239,16 +246,14 @@ def load_snapshot(path):
     vec = np.frombuffer(reader.take(n_params * 8, "parameters"), dtype="<f8").astype(np.float64)
     reader.done()
 
-    net = Network(arch_specs, input_shape, seed=0)
-    if attributes is not None:
-        net = MultiHeadNetwork(net, attributes, seed=0)
+    trunk = Network(arch_specs, input_shape, seed=0)
+    view = OneHead(trunk) if attributes is None else MultiHeadNetwork(trunk, attributes)
     models = [_rebuild_model(c, decays) for c, decays in zip(class_counts, decay_groups)]
     pos = 0
-    for p in _param_chain(net.parameters(), models):
+    for p in _param_chain(view.parameters(), models):
         p.data[...] = vec[pos:pos + p.size].reshape(p.data.shape)
         pos += p.size
-    return {"kind": kind, "net": net, "models": models, "attributes": attributes,
-            "input_shape": input_shape, "arch_specs": arch_specs}
+    return view, models
 
 
 def _rebuild_model(n_classes, decays):
@@ -400,9 +405,7 @@ def _test_rows(metrics, view, test_ds, stage_name, iteration, epoch, errors=None
     ``errors`` already computed for the same parameters are written as they
     are, not computed again."""
     if errors is None:
-        errors = (evaluate(view.base, test_ds.features, test_ds.true_labels)
-                  if view.attributes is None
-                  else evaluate_all_metric(view, test_ds.features, test_ds.true_labels))
+        errors = evaluate(view, test_ds.features, test_ds.true_labels)
     if view.attributes is None:
         rows = [("error", errors)]
     else:
@@ -429,7 +432,7 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
     for epoch in range(cfg.na.pretrain_epochs):
         with in_epoch(epoch + 1):
             tr = trainer.train_epoch(xt, yt)
-        vl = _loss_total(trainer.val_loss(xv, yv))
+            vl = _loss_total(trainer.val_loss(xv, yv))
         metrics.add("pretrain", 0, epoch, "train", "loss", tr)
         metrics.add("pretrain", 0, epoch, "val", "loss", vl)
 
@@ -440,7 +443,7 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
     for epoch in range(cfg.na.stage_epochs):
         with in_epoch(epoch + 1):
             tr = trainer.train_epoch(xt, yt)
-        per_attr = trainer.val_loss(xv, yv)
+            per_attr = trainer.val_loss(xv, yv)
         na_epochs = epoch + 1
         metrics.add("na", 0, epoch, "train", "loss", tr)
         for k, (suffix, vl) in enumerate(zip(suffixes, per_attr)):
@@ -459,7 +462,7 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
         if all(stopped):
             break
 
-    stage0 = _save_stage(cfg, view, models, test_ds, metrics, out, "stage0",
+    stage0 = _save_stage(view, models, test_ds, metrics, out, "stage0",
                          ("na", 0, max(na_epochs - 1, 0)))
     if view.attributes is None:
         report.stage0 = {"pretrain_epochs": cfg.na.pretrain_epochs, "na_epochs": na_epochs,
@@ -484,7 +487,7 @@ def _finish(cfg, trainer, view, split, test_ds, metrics, out, report, stage, err
     report.iterations = records
 
     stage[0] = "eval"
-    report.test_errors["final"] = _save_stage(cfg, view, trainer.na_models, test_ds, metrics,
+    report.test_errors["final"] = _save_stage(view, trainer.na_models, test_ds, metrics,
                                               out, "final", ("final", len(records), 0), errors)
 
 
@@ -492,10 +495,6 @@ def _recursion(cfg, trainer, view, split, test_ds, metrics):
     """The rounds' records, and the test errors of the last round (None
     when the test set has no true labels)."""
     xt, yt, xv, yv, val_true = split
-    schedule = cfg.recursion
-    if schedule.epochs is None:  # rounds as long as the NA stage
-        schedule = replace(schedule, epochs=cfg.na.stage_epochs)
-
     if val_true is not None:
         def val_metric():
             return _errors(view, xv, val_true)[1]
@@ -517,31 +516,30 @@ def _recursion(cfg, trainer, view, split, test_ds, metrics):
             record[key] = last_errors = _test_rows(metrics, view, test_ds, "recursion", t,
                                                    last_epoch)
 
-    records = run_recursion(trainer, xt, yt, schedule, val_metric=val_metric,
+    records = run_recursion(trainer, xt, yt, cfg.recursion, val_metric=val_metric,
                             on_iteration=on_iteration)
     return records, last_errors
 
 
-def _save_stage(cfg, view, models, test_ds, metrics, out, tag, row, errors=None):
+def _save_stage(view, models, test_ds, metrics, out, tag, row, errors=None):
     """Test error rows at ``row`` = (stage, iteration, epoch) when the test
     set has true labels, then ``snapshot_<tag>.nam`` and the ``q_<tag>_*``
     unit exports; returns the test errors or None. ``errors`` already
     computed for these parameters are reused."""
     if test_ds.true_labels is not None:
         errors = _test_rows(metrics, view, test_ds, *row, errors)
-    save_snapshot(out / f"snapshot_{tag}.nam", view, models, input_shape=cfg.arch_input_shape,
-                  arch_specs=cfg.arch_specs, attributes=view.attributes)
+    save_snapshot(out / f"snapshot_{tag}.nam", view, models)
     _export_models(view, models, out, f"q_{tag}_")
     return errors
 
 
-def _check_snapshot(cfg: ExperimentConfig, snap):
-    """A resumed snapshot must hold the network the config describes."""
+def _check_snapshot(cfg: ExperimentConfig, view):
+    """A resumed snapshot's view must hold the network the config describes."""
     _check_arch(cfg)
-    echoes = [("arch", serialize_arch(snap["arch_specs"]), serialize_arch(cfg.arch_specs)),
-              ("input_shape", serialize_input_shape(snap["input_shape"]),
+    echoes = [("arch", serialize_arch(view.trunk.specs), serialize_arch(cfg.arch_specs)),
+              ("input_shape", serialize_input_shape(view.trunk.input_shape),
                serialize_input_shape(cfg.arch_input_shape)),
-              ("attributes", _attribute_tokens(snap["attributes"]),
+              ("attributes", _attribute_tokens(view.attributes),
                _attribute_tokens(cfg.attributes))]
     for key, snapped, configured in echoes:
         if snapped != configured:
@@ -570,9 +568,8 @@ def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunR
 
     def body(metrics, report):
         validate_paths(cfg)
-        snap = load_snapshot(snapshot_path)
-        _check_snapshot(cfg, snap)
-        view, models = as_heads(snap["net"]), snap["models"]
+        view, models = load_snapshot(snapshot_path)
+        _check_snapshot(cfg, view)
         stage[0] = "data"
         train_ds, test_ds, _ = resolve_data(cfg, None)
         split = _split(cfg, view, train_ds, test_ds)

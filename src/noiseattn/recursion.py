@@ -43,14 +43,12 @@ def soft_nll_loss(attention_probs, supervisions) -> float:
     """Cross-entropy of soft supervisions against routed outputs.
 
     Reduces exactly to the hard routed NLL when every supervision row is
-    one-hot. Probabilities are clamped at EPS before the log.
+    one-hot. Probabilities are clamped at EPS before the log. Both are
+    float64 arrays of one shape, as ``Trainer.train_epoch_soft`` checks.
     """
-    probs = np.asarray(attention_probs, dtype=np.float64)
-    sup = np.asarray(supervisions, dtype=np.float64)
-    if probs.shape != sup.shape:
-        raise ConfigError(f"probs shape {probs.shape} != supervision shape {sup.shape}")
-    logp = np.log(np.maximum(probs, EPS))
-    return float(-(np.add.reduce(np.add.reduce(sup * logp, axis=1)) / probs.shape[0]))
+    logp = np.log(np.maximum(attention_probs, EPS))
+    return float(-(np.add.reduce(np.add.reduce(supervisions * logp, axis=1))
+                   / attention_probs.shape[0]))
 
 
 def soft_out_grad(out, supervisions):
@@ -82,13 +80,13 @@ class RecursionSchedule:
     epochs each, with given-label weight ``alpha_base ** t`` in round t.
     Rounds stop early once the per-round validation improvement drops
     below ``min_improvement``, in the units of the validation metric (an
-    error fraction for clean validation, a loss otherwise). ``epochs`` of
-    None leaves the round length to the caller.
+    error fraction for clean validation, a loss otherwise). A config
+    without ``recursion.epochs`` gives the rounds ``na.stage_epochs``.
     """
 
     iterations: int = 0
     alpha_base: float = 0.8
-    epochs: int | None = None
+    epochs: int = 1
     min_improvement: float = 0.002  # 0.2 error points on the validation metric
 
     def __post_init__(self):
@@ -96,8 +94,8 @@ class RecursionSchedule:
             raise ConfigError("iterations must be >= 0")
         if not 0.0 < self.alpha_base <= 1.0:
             raise ConfigError(f"alpha_base must lie in (0, 1], got {self.alpha_base}")
-        if self.epochs is not None and self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.iterations and self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1 when iterations > 0, got {self.epochs}")
 
 
 def snapshot_probs(net, models, features, given_labels, chunk_size: int = 2048):
@@ -123,8 +121,7 @@ def snapshot_probs(net, models, features, given_labels, chunk_size: int = 2048):
 
 def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, *,
                   val_metric, on_iteration=None):
-    """Drive the outer self-distillation rounds that ``schedule`` sets out;
-    its ``epochs`` must be set.
+    """Drive the outer self-distillation rounds that ``schedule`` sets out.
 
     ``trainer`` owns the network/units being refined in place; supervisions
     are rebuilt attribute by attribute from ``given_labels`` ((N,) or
@@ -136,8 +133,6 @@ def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, 
     """
     if features.shape[0] == 0:
         raise DataError("empty dataset")
-    if schedule.epochs is None:
-        raise ConfigError("recursion rounds need a number of epochs")
     columns = trainer._columns(given_labels)
     history = [float(val_metric())]
     records = []

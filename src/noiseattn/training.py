@@ -64,30 +64,30 @@ def split_train_val(n: int, val_fraction: float, seed) -> tuple[np.ndarray, np.n
 
 
 class OneHead:
-    """A single-label network seen as one unnamed head with no attribute spec."""
+    """A single-label network, its ``trunk``, seen as one unnamed head."""
 
     names = ("",)
     attributes = None
 
-    def __init__(self, base: Network):
-        self.base = base
+    def __init__(self, trunk: Network):
+        self.trunk = trunk
 
     @property
     def class_counts(self) -> list[int]:
-        return [self.base.out_dim]
+        return [self.trunk.out_dim]
 
     def parameters(self):
-        return self.base.parameters()
+        return self.trunk.parameters()
 
     def named_parameters(self):
-        return self.base.named_parameters()
+        return self.trunk.named_parameters()
 
     def forward(self, batch, cache=True):
-        return [softmax(self.base.forward(batch, cache))]
+        return [softmax(self.trunk.forward(batch, cache))]
 
     def backward(self, dlogits_list):
         """Parameter gradients only: the input gradient is not computed."""
-        self.base.backward(dlogits_list[0], input_grad=False)
+        self.trunk.backward(dlogits_list[0], input_grad=False)
 
 
 def as_heads(net):
@@ -123,10 +123,9 @@ def _soft_head(probs, supervisions, model):
 class Trainer:
     """Owns one network, one noise model per attribute, and their optimizers.
 
-    ``net`` is a plain ``Network`` (wrapped in ``OneHead``) or a network
-    whose ``forward`` returns per-attribute probabilities and whose
-    ``class_counts`` lists each head's classes, such as
-    ``MultiHeadNetwork``. ``na_models`` default to one identity-only
+    ``net`` is a plain ``Network`` (wrapped in ``OneHead``) or a heads
+    view such as ``MultiHeadNetwork``, whose ``forward`` returns one
+    probability batch per head. ``na_models`` default to one identity-only
     ``NAModel`` per attribute, so epochs before the first ``add_unit``
     are pretraining. Labels are (N,) for one attribute or (N, K) for K;
     each epoch checks them against the heads once, before the first step.
@@ -232,15 +231,25 @@ class Trainer:
         (N, C_k) array per attribute.
 
         Takes no labels: all supervision signal must already be baked into
-        the supervision rows.
+        the supervision rows. Their shapes are checked here, once.
         """
+        supervisions = [np.asarray(s, dtype=np.float64) for s in supervisions]
+        shapes = [(features.shape[0], c) for c in self.net.class_counts]
+        if [s.shape for s in supervisions] != shapes:
+            raise DataError(f"supervisions must be one array per head, shaped {shapes}")
         return self._epoch(_soft_head, features, supervisions)
 
     # -- evaluation-only helpers -------------------------------------------
 
     def val_loss(self, features, labels) -> list[float]:
         """Per-attribute routed NLL, the loss of ``na_loss_terms``, from one
-        forward-only pass over the whole set."""
+        forward-only pass over the whole set. A non-finite total is a
+        ``DivergenceError`` that names the first non-finite parameter."""
         columns = self._columns(labels)
-        return [na_loss_terms(probs, y, model)[3] for probs, y, model
-                in zip(self.net.forward(features, cache=False), columns, self.na_models)]
+        losses = [na_loss_terms(probs, y, model)[3] for probs, y, model
+                  in zip(self.net.forward(features, cache=False), columns, self.na_models)]
+        total = _loss_total(losses)
+        if not math.isfinite(total):
+            raise DivergenceError(f"non-finite validation loss {total!r}; "
+                                  f"{self._non_finite_parameter()}")
+        return losses

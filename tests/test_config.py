@@ -98,11 +98,14 @@ class TestNaN:
 
 
 class TestRecursionEpochs:
-    def test_absent_key_is_none(self):
-        assert build_config({}).recursion.epochs is None
+    def test_absent_key_is_the_na_stage_length(self):
+        assert build_config({}).recursion.epochs == build_config({}).na.stage_epochs
+        assert build_config({"na.stage_epochs": "4"}).recursion.epochs == 4
+        assert build_config({"na.stage_epochs": "0"}).recursion.epochs == 0  # no rounds
 
     def test_absent_key_needs_na_stage_epochs_for_rounds(self):
-        with pytest.raises(ConfigError, match="recursion.epochs"):
+        with pytest.raises(ConfigError, match=r"^recursion\.epochs must be >= 1 when "
+                                              r"iterations > 0, got 0$"):
             build_config({"recursion.iterations": "1", "na.stage_epochs": "0"})
         cfg = build_config({"recursion.iterations": "1", "na.stage_epochs": "0",
                             "recursion.epochs": "2"})

@@ -15,11 +15,12 @@ from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Co
                        load_snapshot, parse_arch, parse_config_text, parse_input_shape,
                        resolve_data, resume_recursion, run_experiment, save_dataset,
                        save_snapshot, serialize_arch)
-from noiseattn import harness
+from noiseattn import OneHead, harness
 from noiseattn.attention import project_column_stochastic
 from noiseattn.cli import main as cli_main
 from noiseattn.config import LAYER_KINDS
 from noiseattn.harness import MetricsLog
+from noiseattn.multihead import _errors
 from oracles import param_vector
 
 
@@ -47,8 +48,7 @@ na.patience = 2
 
 def write_single_snapshot(tmp_path):
     path = tmp_path / "m.nam"
-    save_snapshot(path, Network([Dense(2, 3)], (2,), seed=0), [NAModel(3)], input_shape=(2,),
-                  arch_specs=[Dense(2, 3)])
+    save_snapshot(path, Network([Dense(2, 3)], (2,), seed=0), [NAModel(3)])
     return path
 
 
@@ -164,20 +164,42 @@ class TestSnapshots:
         unit = model.add_unit(decay=0.002)
         unit.q.data[...] = project_column_stochastic(rng.uniform(size=(3, 3)))
         path = tmp_path / "m.nam"
-        save_snapshot(path, net, [model], input_shape=(2,), arch_specs=specs)
-        snap = load_snapshot(path)
-        assert snap["kind"] == "single"
-        np.testing.assert_array_equal(param_vector(snap["net"]), param_vector(net))
-        back = snap["models"][0]
+        save_snapshot(path, net, [model])
+        view, (back,) = load_snapshot(path)
+        assert view.attributes is None
+        np.testing.assert_array_equal(param_vector(view.trunk), param_vector(net))
         assert back.active_count == 2
         assert back.units[1].decay == 0.002
         np.testing.assert_array_equal(back.units[1].q.data, unit.q.data)
         assert back.units[0].frozen and not back.units[1].frozen
 
+    @pytest.mark.parametrize("attributes", [None, "a:2,b:3"])
+    def test_header_is_written_from_the_view_and_read_back_as_it(self, tmp_path, attributes):
+        trunk = Network([Dense(2, 4), ReLU(), *([Dense(4, 3)] if attributes is None else [])],
+                        (2,), seed=2)
+        view = (OneHead(trunk) if attributes is None
+                else MultiHeadNetwork(trunk, AttributeSpec([2, 3], ["a", "b"]), seed=2))
+        path = tmp_path / "m.nam"
+        save_snapshot(path, view, [NAModel(c) for c in view.class_counts])
+        _, meta_len = struct.unpack("<II", path.read_bytes()[4:12])
+        meta = dict(line.split(" = ") for line in
+                    path.read_bytes()[12:12 + meta_len].decode().splitlines())
+        assert meta["arch"] == serialize_arch(view.trunk.specs) == "dense:2:4,relu" + (
+            ",dense:4:3" if attributes is None else "")
+        assert meta["input_shape"] == "2"
+        assert meta.get("attributes") == attributes
+        assert meta.get("classes") == ("3" if attributes is None else None)
+        back, models = load_snapshot(path)
+        assert type(back) is type(view)
+        assert (back.trunk.specs, back.trunk.input_shape) == (view.trunk.specs, (2,))
+        assert back.attributes == view.attributes
+        assert [m.n_classes for m in models] == view.class_counts
+        np.testing.assert_array_equal(param_vector(back), param_vector(view))
+
     def test_corrupt_magic(self, tmp_path):
         net = Network([Dense(2, 3)], (2,), seed=0)
         path = tmp_path / "m.nam"
-        save_snapshot(path, net, [NAModel(3)], input_shape=(2,), arch_specs=[Dense(2, 3)])
+        save_snapshot(path, net, [NAModel(3)])
         blob = bytearray(path.read_bytes())
         blob[0] = 0
         path.write_bytes(bytes(blob))
@@ -187,7 +209,7 @@ class TestSnapshots:
     def test_parameter_count_validated(self, tmp_path):
         net = Network([Dense(2, 3)], (2,), seed=0)
         path = tmp_path / "m.nam"
-        save_snapshot(path, net, [NAModel(3)], input_shape=(2,), arch_specs=[Dense(2, 3)])
+        save_snapshot(path, net, [NAModel(3)])
         path.write_bytes(path.read_bytes()[:-8])  # drop one parameter
         with pytest.raises(FormatError):
             load_snapshot(path)
@@ -220,9 +242,8 @@ class TestSnapshots:
         attrs = AttributeSpec([2, 3], ["a", "b"])
         net = MultiHeadNetwork(Network(specs, (2,), seed=0), attrs, seed=0)
         path = tmp_path / "m.nam"
-        save_snapshot(path, net, [NAModel(2), NAModel(3)], input_shape=(2,), arch_specs=specs,
-                      attributes=attrs)
-        assert load_snapshot(path)["kind"] == "multi"
+        save_snapshot(path, net, [NAModel(2), NAModel(3)])
+        assert load_snapshot(path)[0].attributes == attrs
         self.rewrite_meta_line(path, key)
         with pytest.raises(FormatError, match=f"'{key}'"):
             load_snapshot(path)
@@ -249,8 +270,7 @@ class TestSnapshots:
             specs = [Dense(2, 4), ReLU()]
             path = tmp_path / "m.nam"
             save_snapshot(path, MultiHeadNetwork(Network(specs, (2,), seed=0), attrs, seed=0),
-                          [NAModel(2), NAModel(3)], input_shape=(2,), arch_specs=specs,
-                          attributes=attrs)
+                          [NAModel(2), NAModel(3)])
         self.rewrite_meta_line(path, "units", replacement=f"units = {units}")
         self.rewrite_meta_line(path, "decays", replacement=f"decays = {decays}")
         with pytest.raises(FormatError, match="decay groups"):
@@ -263,8 +283,7 @@ class TestSnapshots:
         for _ in range(3):
             model.add_unit()
         path = tmp_path / "m.nam"
-        save_snapshot(path, Network([Dense(2, 3)], (2,), seed=0), [model], input_shape=(2,),
-                      arch_specs=[Dense(2, 3)])
+        save_snapshot(path, Network([Dense(2, 3)], (2,), seed=0), [model])
         self.rewrite_meta_line(path, "classes", replacement="classes = 6")
         self.rewrite_meta_line(path, "units", replacement="units = 1")
         self.rewrite_meta_line(path, "decays", replacement="decays = 0.0")
@@ -277,8 +296,7 @@ class TestSnapshots:
         specs = [Dense(2, 4), ReLU()]
         path = tmp_path / "m.nam"
         save_snapshot(path, MultiHeadNetwork(Network(specs, (2,), seed=0), attrs, seed=0),
-                      [NAModel(2), NAModel(3)], input_shape=(2,), arch_specs=specs,
-                      attributes=attrs)
+                      [NAModel(2), NAModel(3)])
         self.rewrite_meta_line(path, "attributes", replacement=f"attributes = {attributes}")
         with pytest.raises(FormatError, match="metadata attributes = .*attribute names"):
             load_snapshot(path)
@@ -367,6 +385,21 @@ class TestEvaluate:
         net.layers[0].w.data[...] = np.array([[5.0, -5.0], [-5.0, 5.0]])
         x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
         assert evaluate(net, x, np.array([0, 1, 0])) == 0.0
+
+    def test_one_evaluator_for_every_view(self):
+        """A ``Network`` and its ``OneHead`` give the top-1 error, a
+        ``MultiHeadNetwork`` (per-attribute errors, joint error)."""
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(300, 2))
+        net = Network([Dense(2, 6), ReLU(), Dense(6, 3)], (2,), seed=3)
+        y = rng.integers(0, 3, size=300)
+        single = _errors(OneHead(net), x, y)[1]
+        assert evaluate(net, x, y) == evaluate(OneHead(net), x, y) == single
+        assert 0.0 < single < 1.0
+        mh = MultiHeadNetwork(Network([Dense(2, 6), ReLU()], (2,), seed=3),
+                              AttributeSpec([3, 4]), seed=3)
+        ys = np.stack([rng.integers(0, 3, size=300), rng.integers(0, 4, size=300)], axis=1)
+        assert evaluate(mh, x, ys) == _errors(mh, x, ys)
 
 
 class TestRunExperiment:
@@ -462,8 +495,7 @@ class TestCLI:
             specs = [Dense(2, 4), ReLU()]
             path = tmp_path / "m.nam"
             save_snapshot(path, MultiHeadNetwork(Network(specs, (2,), seed=0), attrs, seed=0),
-                          [NAModel(2), NAModel(3)], input_shape=(2,), arch_specs=specs,
-                          attributes=attrs)
+                          [NAModel(2), NAModel(3)])
             data = Dataset(x, [[0, 1], [1, 2], [0, 0]], 3)
         save_dataset(data, tmp_path / "d.nld")
         assert cli_main(["eval", "--snapshot", str(path), "--data", str(tmp_path / "d.nld")]) == 2
@@ -499,6 +531,17 @@ class TestCLI:
         assert cli_main(["eval", "--snapshot", str(path)]) == 2
         assert "--data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [("eval", "--seed"), ("eval", "--config"),
+                                               ("eval", "--out"), ("export-q", "--config"),
+                                               ("export-q", "--seed")])
+    def test_flags_a_subcommand_does_not_read_exit_2(self, tmp_path, capsys, command, flag):
+        """eval reads only --snapshot and --data, export-q only --snapshot and --out."""
+        path = write_single_snapshot(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--snapshot", str(path), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     def test_missing_file_errors(self, tmp_path):
         assert cli_main(["eval", "--snapshot", str(tmp_path / "none.nam"),
                          "--data", str(tmp_path / "none.nld")]) in (1, 2)
@@ -512,14 +555,13 @@ class TestCLI:
         save_dataset(resolve_data(make_cfg(tmp_path), None)[0], data)
         specs = parse_arch("dense:2:12,relu,dense:12:3")
         snapshot = tmp_path / "m.nam"
-        save_snapshot(snapshot, Network(specs, (2,), seed=0), [NAModel(3)], input_shape=(2,),
-                      arch_specs=specs)
+        save_snapshot(snapshot, Network(specs, (2,), seed=0), [NAModel(3)])
         afile = tmp_path / "afile"
         afile.write_text("keep")
         extra = {"recurse": ["--snapshot", str(snapshot)], "inject": ["--data", str(data)],
                  "export-q": ["--snapshot", str(snapshot)]}.get(command, [])
-        argv = [command, "--config", str(cfg_path), "--out", str(afile), *extra]
-        assert cli_main(argv) == 2
+        config = [] if command == "export-q" else ["--config", str(cfg_path)]
+        assert cli_main([command, *config, "--out", str(afile), *extra]) == 2
         assert "is not a directory" in capsys.readouterr().err
         assert afile.read_text() == "keep"
 
@@ -602,8 +644,7 @@ class TestResume:
     def test_snapshot_must_match_the_config(self, tmp_path, capsys, key, value, named):
         specs = parse_arch(self.ENTRIES["arch.layers"])
         snapshot = tmp_path / "stage0.nam"
-        save_snapshot(snapshot, Network(specs, (4,), seed=0), [NAModel(4)], input_shape=(4,),
-                      arch_specs=specs)
+        save_snapshot(snapshot, Network(specs, (4,), seed=0), [NAModel(4)])
         entries = {**self.ENTRIES, "out": str(tmp_path / "resumed")}
         if key is not None:
             entries[key] = value

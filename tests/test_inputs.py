@@ -46,13 +46,11 @@ def artifacts(tmp_path_factory):
                          [[0, 1], [1, 2], [1, 0], [1, 1]]), out / "multi.nld")
     model = NAModel(3)
     model.add_unit(decay=0.002, jitter=0.1, rng=rng)
-    save_snapshot(out / "single.nam", Network([Dense(2, 3)], (2,), seed=0), [model],
-                  input_shape=(2,), arch_specs=[Dense(2, 3)])
+    save_snapshot(out / "single.nam", Network([Dense(2, 3)], (2,), seed=0), [model])
     attrs = AttributeSpec([2, 3], ["a", "b"])
     specs = [Dense(2, 4), ReLU()]
     save_snapshot(out / "multi.nam", MultiHeadNetwork(Network(specs, (2,), seed=0), attrs),
-                  [NAModel(2), NAModel(3)], input_shape=(2,), arch_specs=specs,
-                  attributes=attrs)
+                  [NAModel(2), NAModel(3)])
     return out
 
 

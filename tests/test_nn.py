@@ -202,9 +202,8 @@ class TestPixelTable:
         rng = np.random.default_rng(12)
         net = Network(specs, shape, seed=4)
         classes = net.out_dim
-        save_snapshot(tmp_path / "net.nam", net, [NAModel(classes)], input_shape=shape,
-                      arch_specs=specs)
-        loaded = load_snapshot(tmp_path / "net.nam")["net"]
+        save_snapshot(tmp_path / "net.nam", net, [NAModel(classes)])
+        loaded = load_snapshot(tmp_path / "net.nam")[0].trunk
         tables = [(layer._pix, layer._pix.copy()) for used in (net, loaded)
                   for layer in used.layers if hasattr(layer, "_pix")]
         assert len(tables) == 2 * sum(isinstance(spec, Conv2D) for spec in specs)

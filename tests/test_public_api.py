@@ -89,16 +89,15 @@ def test_every_import_is_used():
     assert len(unused) > 5  # the glob found the modules
 
 
-def callers(name) -> set[str]:
+def functions_where(match) -> set[str]:
     """``module.qualified.function`` of every function in the package that
-    calls ``name``, by its bare name or as an attribute."""
+    holds a node for which ``match(node)`` is true."""
     found = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
-        elif isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
-                                                    getattr(node.func, "attr", None)):
+        elif match(node):
             found.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -106,6 +105,22 @@ def callers(name) -> set[str]:
     for path in PACKAGE.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem)
     return found
+
+
+def names(node, name) -> bool:
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def callers(name) -> set[str]:
+    """Every function that calls ``name``, by its bare name or as an attribute."""
+    return functions_where(lambda node: isinstance(node, ast.Call) and names(node.func, name))
+
+
+def referrers(name) -> set[str]:
+    """Every function that names ``name`` in an expression, so a function
+    picked by a conditional and called later counts too."""
+    return functions_where(lambda node: isinstance(node, (ast.Name, ast.Attribute))
+                           and names(node, name))
 
 
 def test_labels_are_checked_only_where_they_enter():
@@ -117,6 +132,13 @@ def test_labels_are_checked_only_where_they_enter():
                                        "harness._split", "training.Trainer._columns"}
     assert callers("_columns") == {"recursion.run_recursion", "training.Trainer.train_epoch",
                                    "training.Trainer.val_loss"}
+
+
+def test_one_evaluator_branches_on_the_kind():
+    """Callers evaluate a model through ``harness.evaluate``, which takes any
+    network or heads view; it alone picks the multi-attribute metric."""
+    assert callers("evaluate_all_metric") == referrers("evaluate_all_metric") == {
+        "harness.evaluate"}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

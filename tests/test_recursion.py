@@ -96,9 +96,20 @@ class TestSoftLoss:
             q = rng.dirichlet(np.ones(5), size=6)
             assert soft_nll_loss(p, p) <= soft_nll_loss(q, p) + 1e-12
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            soft_nll_loss(np.ones((2, 3)) / 3, np.ones((2, 4)) / 4)
+    @pytest.mark.parametrize("supervisions", [
+        [np.full((20, 4), 0.25)],
+        [np.full((19, 3), 1 / 3)],
+        [np.full((20, 3), 1 / 3)] * 2,
+        np.full((20, 3), 1 / 3),
+    ], ids=["classes", "rows", "two-for-one-head", "bare-array"])
+    def test_malformed_supervisions_rejected_before_any_step(self, supervisions):
+        """The trainer takes one (N, C_k) array per head, checked once at entry."""
+        net = Network([Dense(2, 3)], (2,), seed=0)
+        trainer = Trainer(net, TrainSettings(batch_size=8), [NAModel(3)], seed=0)
+        before = param_vector(net)
+        with pytest.raises(DataError, match=r"one array per head, shaped \[\(20, 3\)\]"):
+            trainer.train_epoch_soft(np.zeros((20, 2)), supervisions)
+        np.testing.assert_array_equal(param_vector(net), before)
 
     def test_soft_gradient_against_finite_differences(self):
         # screened fixture: entries sit above the h=1e-6 rounding-noise floor
@@ -164,13 +175,13 @@ class TestRunRecursion:
     def test_zero_iterations_leaves_model_untouched(self):
         noisy, _ = _noisy_blobs(61)
         trainer = self._trainer(noisy)
-        before = param_vector(trainer.net.base)
+        before = param_vector(trainer.net.trunk)
         records = run_recursion(trainer, noisy.features, noisy.given_labels,
                                 RecursionSchedule(iterations=0, alpha_base=0.8, epochs=3,
                                                   min_improvement=0.0),
                                 val_metric=lambda: 1.0)
         assert records == []
-        np.testing.assert_array_equal(param_vector(trainer.net.base), before)
+        np.testing.assert_array_equal(param_vector(trainer.net.trunk), before)
 
     def test_empty_dataset_rejected(self):
         noisy, _ = _noisy_blobs(62)

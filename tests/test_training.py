@@ -128,9 +128,9 @@ class TestDivergence:
 
     # Each parameter by the name the error gives it, reached through the trainer.
     PARAMETERS = {
-        "layer 0 b": lambda t: t.net.base.layers[0].b,
-        "layer 2 w": lambda t: t.net.base.layers[2].w,
-        "layer 2 b": lambda t: t.net.base.layers[2].b,
+        "layer 0 b": lambda t: t.net.trunk.layers[0].b,
+        "layer 2 w": lambda t: t.net.trunk.layers[2].w,
+        "layer 2 b": lambda t: t.net.trunk.layers[2].b,
         "unit 1 q": lambda t: t.na_models[0].units[1].q,
         "head attr1 w": lambda t: t.net.heads[1].layers[0].w,
         "attr0 unit 0 q": lambda t: t.na_models[0].units[0].q,
@@ -148,17 +148,22 @@ class TestDivergence:
     ])
     def test_names_the_first_non_finite_parameter(self, name, poisoned, first):
         """Network parameters come in layer order, then each attribute's
-        units; the one named is the first that holds a NaN or an infinity."""
+        units; the one named, by a training step or by the validation loss,
+        is the first that holds a NaN or an infinity."""
         trainer = TRAINERS[name]()
         for k, target in enumerate(poisoned):
             self.PARAMETERS[target](trainer).data.flat[k] = (np.nan, np.inf)[k % 2]
         x = np.full((100, 4), np.nan)  # the first batch diverges whatever the parameters
         labels = np.zeros((100, len(trainer.na_models)), dtype=int)
+        labels = labels[:, 0] if name != "multi" else labels
         before = state(trainer)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError, match=rf"^non-finite loss nan at batch 1 of 7; "
                                                       rf"first non-finite parameter: {first}$"):
-                trainer.train_epoch(x, labels[:, 0] if name != "multi" else labels)
+                trainer.train_epoch(x, labels)
+            with pytest.raises(DivergenceError, match=rf"^non-finite validation loss nan; "
+                                                      rf"first non-finite parameter: {first}$"):
+                trainer.val_loss(x, labels)
         assert state(trainer).tobytes() == before.tobytes()
 
     def test_recursion_names_round_and_epoch(self):
@@ -170,7 +175,7 @@ class TestDivergence:
         def val_metric():
             rounds.append(len(rounds))
             if len(rounds) == 2:  # after round 1: poison the network for round 2
-                trainer.net.base.layers[2].w.data[0, 0] = np.inf
+                trainer.net.trunk.layers[2].w.data[0, 0] = np.inf
             return 1.0 - len(rounds)
 
         with np.errstate(all="ignore"):
@@ -180,23 +185,27 @@ class TestDivergence:
                 run_recursion(trainer, x, labels, RecursionSchedule(iterations=3, epochs=2),
                               val_metric=val_metric)
 
-    @pytest.mark.parametrize("pretrain, stage, epoch", [(2, "pretrain", 2), (1, "na", 1)])
-    def test_run_names_stage_and_epoch(self, tmp_path, pretrain, stage, epoch):
-        """A learning rate of 1e300 overflows the second forward pass of a
-        6x6 conv net; its parameters stay finite."""
+    def test_run_names_stage_and_epoch(self, tmp_path):
+        """A learning rate of 1e300 makes the validation pass after the first
+        pretraining epoch of a 6x6 conv net overflow; its parameters stay
+        finite. The run stops there, before the epoch's rows are written.
+        Pretraining takes at least one epoch, so no later stage is reached."""
         entries = {"seed": "3", "out": str(tmp_path / "run"), "data.source": "synthetic",
                    "data.synthetic.kind": "patches", "data.synthetic.classes": "3",
                    "data.synthetic.height": "6", "data.synthetic.width": "6",
                    "data.synthetic.n_train": "40", "data.synthetic.n_test": "20",
                    "arch.input_shape": "6x6x1",
                    "arch.layers": "conv:1:2:3,relu,pool,flatten,dense:8:3",
-                   "opt.lr": "1e300", "na.pretrain_epochs": str(pretrain),
+                   "opt.lr": "1e300", "na.pretrain_epochs": "2",
                    "na.stage_epochs": "3"}
         with np.errstate(all="ignore"):
-            with pytest.raises(StageError, match=rf"^\[{stage}\] epoch {epoch}: "
-                                                 r"non-finite loss nan at batch 1 of 1; "
+            with pytest.raises(StageError, match=r"^\[pretrain\] epoch 1: non-finite "
+                                                 r"validation loss nan; "
                                                  r"every parameter is finite$"):
                 run_experiment(build_config(entries))
+        metrics = (tmp_path / "run" / "metrics.csv").read_text()
+        assert "nan" not in metrics
+        assert metrics.splitlines() == ["stage,iteration,epoch,split,metric,value"]
 
 
 class TestParameterArena:

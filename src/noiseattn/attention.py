@@ -110,7 +110,9 @@ class UnitSchedule:
     units are anchored.
 
     Unit m (1-based, m >= 2) gets decay decay_base * decay_growth**(m-2),
-    so later units are pulled toward the identity more strongly.
+    so later units are pulled toward the identity more strongly. The
+    share ``val_fraction`` of the training set, in (0, 1), is held out
+    for the validation losses that the plateau rule reads.
     """
 
     pretrain_epochs: int = 10
@@ -140,8 +142,8 @@ class UnitSchedule:
             raise ConfigError("decay_growth must be >= 1")
         if self.init_jitter < 0:
             raise ConfigError("init_jitter must be non-negative")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must lie in [0, 1)")
+        if not 0.0 < self.val_fraction < 1.0:  # the plateau rule needs validation losses
+            raise ConfigError("val_fraction must lie in (0, 1)")
 
     def decay_for(self, unit_index: int) -> float:
         if unit_index < 2:

@@ -309,36 +309,39 @@ def save_dataset(dataset: Dataset, path):
 
     magic "NLD1"; u32 version; u32 N; u32 D; u32 C; u32 K (0 = single
     label); u8 has_true_labels; N*D float64 features row-major; N (or N*K)
-    u32 given labels; the same block of true labels when flagged.
+    u32 given labels; the same block of true labels when flagged. Each
+    array's buffer goes straight to the file, so nothing holds a copy of
+    the whole file.
     """
     if dataset.d == 0:
         raise DataError("refusing to save a dataset with zero feature columns")
     has_true = dataset.true_labels is not None
-    blob = bytearray()
-    blob += NLD1_MAGIC
-    blob += _HEADER.pack(NLD1_VERSION, dataset.n, dataset.d, dataset.c,
-                         dataset.k, 1 if has_true else 0)
-    blob += np.ascontiguousarray(dataset.features, dtype="<f8").tobytes()
-    blob += np.ascontiguousarray(dataset.given_labels, dtype="<u4").tobytes()
-    if has_true:
-        blob += np.ascontiguousarray(dataset.true_labels, dtype="<u4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with open(path, "wb") as fh:
+        fh.write(NLD1_MAGIC)
+        fh.write(_HEADER.pack(NLD1_VERSION, dataset.n, dataset.d, dataset.c,
+                              dataset.k, 1 if has_true else 0))
+        fh.write(np.ascontiguousarray(dataset.features, dtype="<f8"))
+        fh.write(np.ascontiguousarray(dataset.given_labels, dtype="<u4"))
+        if has_true:
+            fh.write(np.ascontiguousarray(dataset.true_labels, dtype="<u4"))
 
 
 class _Reader:
     """Reads a binary file front to back, for the NLD1 and NAM loaders. A
     file that cannot be read, a read past the end (naming its offset) and
-    trailing bytes are all ``FormatError``s."""
+    trailing bytes are all ``FormatError``s. ``take`` returns a view of the
+    file's bytes, not a copy: ``bytes()`` it before comparing, printing or
+    decoding it, and copy what ``np.frombuffer`` reads from it."""
 
     def __init__(self, path, kind: str):
         self.kind = kind
         try:
-            self.raw = Path(path).read_bytes()
+            self.raw = memoryview(Path(path).read_bytes())
         except OSError as exc:
             raise FormatError(f"cannot read {kind} file {path}: {exc}") from exc
         self.offset = 0
 
-    def take(self, count: int, what: str) -> bytes:
+    def take(self, count: int, what: str) -> memoryview:
         have = len(self.raw) - self.offset
         if count > have:
             raise FormatError(f"truncated {self.kind} file: needed {count} bytes for {what} "
@@ -355,7 +358,7 @@ class _Reader:
 def load_dataset(path) -> Dataset:
     """Read an NLD1 file; any structural problem reports its byte offset."""
     reader = _Reader(path, "dataset")
-    magic = reader.take(4, "magic")
+    magic = bytes(reader.take(4, "magic"))
     if magic != NLD1_MAGIC:
         raise FormatError(f"bad magic {magic!r} at offset 0 (expected {NLD1_MAGIC!r})")
     version, n, d, c, k, has_true = _HEADER.unpack(reader.take(_HEADER.size, "header"))

@@ -160,20 +160,19 @@ def save_snapshot(path, net, models):
 
     ``net`` is a ``Network`` or a heads view with one model per head; the
     header's kind, input shape, arch and classes (or attributes) are read
-    from the view, so they describe the parameters written.
+    from the view, so they describe the parameters written. Each
+    parameter's buffer goes straight to the file, in chain order.
     """
     view = as_heads(net)
     meta = _meta_lines(view, models).encode()
     chain = _param_chain(view.parameters(), models)
-    vec = (np.concatenate([p.data.ravel() for p in chain])
-           if chain else np.zeros(0))
-    blob = bytearray()
-    blob += SNAPSHOT_MAGIC
-    blob += struct.pack("<II", SNAPSHOT_VERSION, len(meta))
-    blob += meta
-    blob += struct.pack("<Q", vec.size)
-    blob += np.ascontiguousarray(vec, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with open(path, "wb") as fh:
+        fh.write(SNAPSHOT_MAGIC)
+        fh.write(struct.pack("<II", SNAPSHOT_VERSION, len(meta)))
+        fh.write(meta)
+        fh.write(struct.pack("<Q", sum(p.size for p in chain)))
+        for p in chain:
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
 
 
 def _parse_meta(meta_text):
@@ -192,13 +191,13 @@ def load_snapshot(path):
     before anything is built, so a file cannot make the loader allocate
     more than a few times its own size."""
     reader = _Reader(path, "snapshot")
-    if reader.take(4, "magic") != SNAPSHOT_MAGIC:
+    if bytes(reader.take(4, "magic")) != SNAPSHOT_MAGIC:
         raise FormatError(f"bad snapshot magic at offset 0 in {path}")
     version, meta_len = struct.unpack("<II", reader.take(8, "header"))
     if version != SNAPSHOT_VERSION:
         raise FormatError(f"unsupported snapshot version {version}")
     try:
-        meta = _parse_meta(reader.take(meta_len, "architecture echo").decode())
+        meta = _parse_meta(bytes(reader.take(meta_len, "architecture echo")).decode())
     except UnicodeDecodeError as exc:
         raise FormatError(f"snapshot architecture echo at offset 12 is not UTF-8: {exc}") from exc
     (n_params,) = struct.unpack("<Q", reader.take(8, "parameter count"))
@@ -473,27 +472,28 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
                          "active_units": [m.active_count for m in models],
                          "test_errors": stage0}
 
-    _finish(cfg, trainer, view, split, test_ds, metrics, out, report, stage, stage0)
+    _finish(cfg, trainer, split, test_ds, metrics, out, report, stage, stage0)
 
 
-def _finish(cfg, trainer, view, split, test_ds, metrics, out, report, stage, errors=None):
-    """The recursion rounds, if any, then the final test rows and save.
-    ``errors`` are the test errors of the model on ``trainer``; each round
+def _finish(cfg, trainer, split, test_ds, metrics, out, report, stage, errors=None):
+    """The recursion rounds, if any, then the final test rows and save of
+    the model on ``trainer``. ``errors`` are its test errors; each round
     replaces them with its own, so the final rows evaluate nothing again."""
     stage[0] = "recursion"
     records = []
     if cfg.recursion.iterations > 0:
-        records, errors = _recursion(cfg, trainer, view, split, test_ds, metrics)
+        records, errors = _recursion(cfg, trainer, split, test_ds, metrics)
     report.iterations = records
 
     stage[0] = "eval"
-    report.test_errors["final"] = _save_stage(view, trainer.na_models, test_ds, metrics,
+    report.test_errors["final"] = _save_stage(trainer.net, trainer.na_models, test_ds, metrics,
                                               out, "final", ("final", len(records), 0), errors)
 
 
-def _recursion(cfg, trainer, view, split, test_ds, metrics):
+def _recursion(cfg, trainer, split, test_ds, metrics):
     """The rounds' records, and the test errors of the last round (None
     when the test set has no true labels)."""
+    view = trainer.net
     xt, yt, xv, yv, val_true = split
     if val_true is not None:
         def val_metric():
@@ -575,6 +575,6 @@ def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunR
         split = _split(cfg, view, train_ds, test_ds)
 
         trainer = Trainer(view, cfg.opt, models, seed=cfg.seed)
-        _finish(cfg, trainer, view, split, test_ds, metrics, out, report, stage)
+        _finish(cfg, trainer, split, test_ds, metrics, out, report, stage)
 
     return _drive(cfg, out, stage, body)

@@ -30,6 +30,12 @@ cout) rows of the output gradient in order with ``einsum``, which is the
 order numpy's sum takes when there is more than one column. A single
 output channel is one contiguous column, which numpy sums pairwise, so
 there the layer keeps numpy's sum.
+
+The class-axis sums of the losses take such a form too. Numpy sums a row
+of fewer than eight values as the running sum ((+0.0 + x0) + x1) + ...,
+one inner-loop call per row; ``row_sum`` adds the columns over the whole
+batch in that order, from +0.0 (a row of -0.0 sums to +0.0). From eight
+values on numpy adds in pairwise blocks, and ``row_sum`` calls its reduce.
 """
 
 from __future__ import annotations
@@ -454,23 +460,43 @@ class Network:
 # ---------------------------------------------------------------------------
 # Losses
 #
-# The per-step functions reduce with ``np.add.reduce`` and
-# ``np.maximum.reduce``: the ufuncs that ``.sum()``, ``.max()`` and
-# ``np.mean`` call, with the same bits, minus their Python wrappers.
+# The per-step functions reduce with the ufuncs that ``.sum()``, ``.max()``
+# and ``np.mean`` call, minus their Python wrappers. Numpy sums a row
+# narrower than ``PAIRWISE`` as the running sum from +0.0, which ``row_sum``
+# takes one column at a time, with the same bits; wider rows keep numpy's
+# pairwise reduce. A row max takes no order (a NaN propagates either way),
+# so ``softmax`` sweeps it over class-major rows.
+
+PAIRWISE = 8
+
+
+def row_sum(x):
+    """``np.add.reduce(x, axis=-1)``, bit for bit, as a C-ordered array."""
+    if x.shape[-1] >= PAIRWISE:
+        return np.add.reduce(x, axis=-1)
+    total = x[..., 0] + 0.0
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
 
 
 def softmax(logits):
     """Row-wise softmax with max subtraction; rows sum to 1 within 1e-12."""
-    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    if logits.shape[1] >= PAIRWISE:
+        z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= np.add.reduce(z, axis=1, keepdims=True)
+        return z
+    z = logits.T.copy()  # one contiguous row per class
+    z -= np.maximum.reduce(z, axis=0)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=1, keepdims=True)
-    return z
+    z /= row_sum(z.T)
+    return np.ascontiguousarray(z.T)
 
 
 def softmax_backward(probs, gprobs):
     """Apply the softmax Jacobian to a gradient in probability space."""
-    dot = np.add.reduce(gprobs * probs, axis=1, keepdims=True)
-    return probs * (gprobs - dot)
+    return probs * (gprobs - row_sum(gprobs * probs)[:, None])
 
 
 def check_labels(labels, n_classes, what="labels"):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, in_epoch
 from .attention import NAModel, attention_outputs, unit_outputs
-from .nn import EPS, label_columns, log_grad_coef
+from .nn import EPS, label_columns, log_grad_coef, row_sum
 
 
 def alpha_schedule(t: int, alpha_base: float) -> float:
@@ -47,8 +47,7 @@ def soft_nll_loss(attention_probs, supervisions) -> float:
     float64 arrays of one shape, as ``Trainer.train_epoch_soft`` checks.
     """
     logp = np.log(np.maximum(attention_probs, EPS))
-    return float(-(np.add.reduce(np.add.reduce(supervisions * logp, axis=1))
-                   / attention_probs.shape[0]))
+    return float(-(np.add.reduce(row_sum(supervisions * logp)) / attention_probs.shape[0]))
 
 
 def soft_out_grad(out, supervisions):
@@ -66,7 +65,7 @@ def soft_attention_outputs(probs, supervisions, model: NAModel):
     """
     b = probs.shape[0]
     stacked = unit_outputs(probs, model)
-    scores = np.add.reduce(supervisions[None, :, :] * np.log(np.maximum(stacked, EPS)), axis=2)
+    scores = row_sum(supervisions[None, :, :] * np.log(np.maximum(stacked, EPS)))
     sel = scores.argmax(axis=0)
     out = stacked[sel, np.arange(b), :]
     return sel, out

@@ -50,12 +50,11 @@ class TrainSettings:
 
 def split_train_val(n: int, val_fraction: float, seed) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic index split; validation indices never see gradients.
-    ``val_fraction`` lies in [0, 1), as ``UnitSchedule`` checks."""
+    ``val_fraction`` lies in (0, 1), as ``UnitSchedule`` checks, and the
+    validation part holds at least one index."""
     rng = np.random.default_rng(entropy_tuple(seed, STREAM_SPLIT))
     order = rng.permutation(n)
-    n_val = int(round(val_fraction * n))
-    if val_fraction > 0 and n_val == 0:
-        n_val = 1
+    n_val = max(int(round(val_fraction * n)), 1)
     if n_val >= n:
         raise ConfigError(f"val_fraction {val_fraction} leaves no training data (n={n})")
     val = np.sort(order[:n_val])

@@ -1,15 +1,19 @@
 """Loop reference implementations of Conv2D and MaxPool2x2 forward/backward,
-and of the SGD step.
+of the SGD step, and of the class-axis reductions of the losses.
 
 These are the original per-output-position loops that ``noiseattn.nn``
-replaced with strided views, and the per-parameter SGD loop it replaced
-with one parameter arena. They define the exact arithmetic (values,
-summation order, tie-breaking, signed zeros) the vectorised code must
-reproduce byte for byte. Gradients accumulate into zero buffers with
+replaced with strided views, the per-parameter SGD loop it replaced
+with one parameter arena, and the per-row reduces (``np.add.reduce`` and
+``np.maximum.reduce`` along the last axis) that ``nn.row_sum`` and
+``softmax`` replaced with column sweeps. They define the exact arithmetic
+(values, summation order, tie-breaking, signed zeros) the vectorised code
+must reproduce byte for byte. Gradients accumulate into zero buffers with
 ``+=``, as ``Parameter.grad`` does after ``zero_grad``.
 """
 
 import numpy as np
+
+from noiseattn import EPS
 
 
 def conv_forward(x, w, bias, k, s):
@@ -79,3 +83,26 @@ class LoopSGD:
                 v += self.weight_decay * p.data
             p.data -= self.lr * v
             p.grad[...] = 0.0
+
+
+def softmax(logits):
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
+
+
+def softmax_backward(probs, gprobs):
+    dot = np.add.reduce(gprobs * probs, axis=1, keepdims=True)
+    return probs * (gprobs - dot)
+
+
+def soft_nll_loss(attention_probs, supervisions):
+    logp = np.log(np.maximum(attention_probs, EPS))
+    return float(-(np.add.reduce(np.add.reduce(supervisions * logp, axis=1))
+                   / attention_probs.shape[0]))
+
+
+def soft_route_scores(stacked, supervisions):
+    """The (M, B) scores of the soft routing rule over (M, B, C) unit outputs."""
+    return np.add.reduce(supervisions[None, :, :] * np.log(np.maximum(stacked, EPS)), axis=2)

@@ -147,6 +147,7 @@ class TestChecksAtLoad:
         ("recursion.epochs", "-1"),
         ("recursion.alpha_base", "1.5"),
         ("na.val_fraction", "1.0"),
+        ("na.val_fraction", "0"),
         ("opt.lr", "nan"),
         ("opt.lr", "0"),
         ("opt.momentum", "1.0"),

@@ -84,6 +84,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_config({"na.val_fraction": "1.0"})
 
+    def test_zero_val_fraction_is_rejected_at_load(self):
+        """The plateau rule reads validation losses, so an empty validation
+        split is a config error, not a failed run."""
+        with pytest.raises(ConfigError, match=r"val_fraction must lie in \(0, 1\)"):
+            build_config({"na.val_fraction": "0"})
+
     def test_attribute_list(self):
         cfg = build_config({"attributes": "color:3, shape:4"})
         assert cfg.attributes.names == ["color", "shape"]

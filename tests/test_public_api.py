@@ -1,6 +1,6 @@
 """Every public name of the package has a caller outside the tests,
-every name a module imports is used in that module, and labels are
-checked only where they enter.
+every name a module imports is used in that module, labels are checked
+only where they enter, and class-axis sums go through ``nn.row_sum``.
 
 The names checked are those in ``noiseattn.__all__`` and, in every module
 of the package, each public module-level function, each class and each
@@ -132,6 +132,33 @@ def test_labels_are_checked_only_where_they_enter():
                                        "harness._split", "training.Trainer._columns"}
     assert callers("_columns") == {"recursion.run_recursion", "training.Trainer.train_epoch",
                                    "training.Trainer.val_loss"}
+
+
+def per_row_reduce(node) -> bool:
+    """``np.add.reduce`` along axis 1, -1 or 2, or ``np.maximum.reduce``
+    along axis 1 or -1, by keyword or by position; an axis that is not a
+    literal counts too."""
+    func = getattr(node, "func", None)
+    kind = getattr(getattr(func, "value", None), "attr", None)
+    if not (isinstance(node, ast.Call) and getattr(func, "attr", None) == "reduce"
+            and kind in ("add", "maximum")):
+        return False
+    rows = {1, -1, 2} if kind == "add" else {1, -1}
+    for axis in [kw.value for kw in node.keywords if kw.arg == "axis"] + node.args[1:2]:
+        try:
+            if ast.literal_eval(axis) in rows:
+                return True
+        except ValueError:
+            return True
+    return False
+
+
+def test_class_axis_sums_go_through_row_sum():
+    """A per-row reduce along a narrow class axis pays one inner-loop call
+    per row; ``nn.row_sum`` sums such rows column by column with the same
+    bits. Only it and ``nn.softmax`` (which keeps numpy's reduce for wide
+    rows) may reduce along a row."""
+    assert functions_where(per_row_reduce) == {"nn.row_sum", "nn.softmax"}
 
 
 def test_one_evaluator_branches_on_the_kind():

@@ -10,7 +10,7 @@ import pytest
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, DivergenceError,
                        MultiHeadNetwork, NAModel, Network, RecursionSchedule, ReLU, StageError,
                        Trainer, TrainSettings, UnitSchedule, build_config, run_experiment,
-                       run_recursion)
+                       run_recursion, split_train_val)
 from noiseattn.nn import entropy_tuple
 from noiseattn.training import STREAM_SHUFFLE
 
@@ -108,6 +108,20 @@ class TestTrainSettings:
     def test_bad_hyperparameters_rejected(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
             TrainSettings(**{field: value})
+
+
+class TestValidationSplit:
+    """``UnitSchedule`` keeps ``val_fraction`` in (0, 1); the split then
+    never leaves the validation part empty."""
+
+    def test_a_small_share_still_holds_one_index(self):
+        train, val = split_train_val(10, 0.01, 3)
+        assert val.size == 1
+        assert np.array_equal(np.sort(np.concatenate([train, val])), np.arange(10))
+
+    def test_a_split_that_leaves_no_training_data(self):
+        with pytest.raises(ConfigError, match="leaves no training data"):
+            split_train_val(1, 0.01, 0)
 
 
 class TestDivergence:

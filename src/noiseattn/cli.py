@@ -3,8 +3,9 @@
 Subcommands: synth, inject, train, recurse, eval, export-q. The first four
 are driven by a line-based config file, which --seed and --out override;
 eval and export-q read a snapshot. Each takes only the flags it reads.
-Exit code 0 on success, 2 for configuration/data/format problems, 1 for
-runtime failures; diagnostics carry the failing pipeline stage.
+Exit code 0 on success, 2 for configuration/data/format problems and for
+runs too large for memory, 1 for runtime failures; diagnostics carry the
+failing pipeline stage.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .data import load_dataset, save_dataset
-from .errors import ConfigError, DataError, FormatError, NoiseAttnError, StageError
-from .harness import (_export_models, _inject, _make_out_dir, _write_flips, evaluate,
-                      load_snapshot, resolve_data, resume_recursion, run_experiment)
+from .data import load_dataset
+from .errors import (ConfigError, DataError, FormatError, NoiseAttnError, StageError,
+                     out_of_memory)
+from .harness import (_export_models, _inject_and_save, _make_out_dir, evaluate, load_snapshot,
+                      resolve_data, resume_recursion, run_experiment)
 
 
 def _load_config(args):
@@ -36,7 +38,10 @@ def _cmd_synth(args) -> int:
     out = _make_out_dir(cfg.out_dir)
     # synth writes clean data; inject adds noise
     clean = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, mode="none"))
-    train, test, _ = resolve_data(clean, out)
+    try:
+        train, test, _ = resolve_data(clean, out)
+    except MemoryError as exc:  # a train run meets this inside harness._drive
+        raise StageError("data", out_of_memory(exc)) from exc
     print(f"wrote {out / 'train.nld'} ({train.n} samples) and "
           f"{out / 'test.nld'} ({test.n} samples)")
     return 0
@@ -48,10 +53,7 @@ def _cmd_inject(args) -> int:
     source = args.data or cfg.data.train_path
     if not source:
         raise ConfigError("inject needs --data or data.train_path")
-    dataset = load_dataset(source)
-    noisy, flips = _inject(cfg, dataset)
-    save_dataset(noisy, out / "noisy_train.nld")
-    _write_flips(out / "flips.csv", dataset.k, flips)
+    _, flips = _inject_and_save(cfg, load_dataset(source), out)
     print(f"wrote {out / 'noisy_train.nld'} ({sum(len(f) for f in flips)} flipped labels)")
     return 0
 

@@ -8,14 +8,15 @@ so the noise level is the exact fraction of mislabeled samples.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .nn import check_labels, entropy_tuple
+from .nn import check_labels, entropy_tuple, label_columns
 
 NLD1_MAGIC = b"NLD1"
 NLD1_VERSION = 1
@@ -171,7 +172,7 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec, class_counts) -> tuple[Datas
     if dataset.true_labels is None:
         raise DataError("noise injection needs a dataset with true labels")
     given = dataset.true_labels.copy()
-    columns = given.T if dataset.k else [given]
+    columns = label_columns(given)
     if len(class_counts) != len(columns):
         raise ConfigError(f"need one class count per label column, got {len(class_counts)} "
                           f"for {len(columns)}")
@@ -238,44 +239,27 @@ def _blob_centers(rng, classes, dim, sigma, separation):
     return centers
 
 
-def _round_robin_labels(n, classes):
-    # balanced within +-1 by construction
-    return np.arange(n, dtype=np.int64) % classes
-
-
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
-    """Deterministically generate (train, test) datasets with true labels."""
+    """Deterministically generate (train, test) datasets with true labels,
+    which go round-robin over the classes, so they are balanced within 1.
+    Patches are one template image per class plus pixel noise."""
     rng = np.random.default_rng(spec.seed)
-
     if spec.kind == "blobs":
         centers = _blob_centers(rng, spec.classes, spec.dim, spec.sigma, spec.separation)
+    elif spec.kind == "patches":
+        templates = rng.normal(size=(spec.classes, spec.height, spec.width))
 
-        def make(n):
-            y = _round_robin_labels(n, spec.classes)
+    def make(n):
+        y = np.arange(n, dtype=np.int64) % spec.classes
+        if spec.kind == "blobs":
             x = centers[y] + spec.sigma * rng.normal(size=(n, spec.dim))
-            return Dataset(x, y.copy(), spec.classes, y.copy())
-
-        return make(spec.n_train), make(spec.n_test)
-
-    if spec.kind == "moons":
-
-        def make(n):
-            y = _round_robin_labels(n, 2)
+        elif spec.kind == "moons":
             t = rng.uniform(0.0, np.pi, size=n)
             upper = np.stack([np.cos(t), np.sin(t)], axis=1)
             lower = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)
-            x = np.where(y[:, None] == 1, lower, upper)
-            x = x + spec.sigma * rng.normal(size=(n, 2))
-            return Dataset(x, y.copy(), 2, y.copy())
-
-        return make(spec.n_train), make(spec.n_test)
-
-    # patches: one template image per class plus pixel noise
-    templates = rng.normal(size=(spec.classes, spec.height, spec.width))
-
-    def make(n):
-        y = _round_robin_labels(n, spec.classes)
-        x = templates[y] + spec.sigma * rng.normal(size=(n, spec.height, spec.width))
+            x = np.where(y[:, None] == 1, lower, upper) + spec.sigma * rng.normal(size=(n, 2))
+        else:
+            x = templates[y] + spec.sigma * rng.normal(size=(n, spec.height, spec.width))
         return Dataset(x.reshape(n, -1), y.copy(), spec.classes, y.copy())
 
     return make(spec.n_train), make(spec.n_test)
@@ -301,83 +285,104 @@ def generate_synthetic_multi(spec: SyntheticSpec, class_counts) -> tuple[Dataset
 
 
 # ---------------------------------------------------------------------------
-# NLD1 on-disk format
+# Binary files: NLD1 datasets here, NAM snapshots in the harness
 
 
-def save_dataset(dataset: Dataset, path):
-    """Write the little-endian NLD1 binary layout.
-
-    magic "NLD1"; u32 version; u32 N; u32 D; u32 C; u32 K (0 = single
-    label); u8 has_true_labels; N*D float64 features row-major; N (or N*K)
-    u32 given labels; the same block of true labels when flagged. Each
-    array's buffer goes straight to the file, so nothing holds a copy of
-    the whole file.
-    """
-    if dataset.d == 0:
-        raise DataError("refusing to save a dataset with zero feature columns")
-    has_true = dataset.true_labels is not None
+def _write(path, head: bytes, arrays):
+    """Write ``head`` (the magic, the u32 version and the rest of the
+    header), then the buffer of each (array, disk dtype) pair straight to
+    the file, so nothing holds a copy of the whole file."""
     with open(path, "wb") as fh:
-        fh.write(NLD1_MAGIC)
-        fh.write(_HEADER.pack(NLD1_VERSION, dataset.n, dataset.d, dataset.c,
-                              dataset.k, 1 if has_true else 0))
-        fh.write(np.ascontiguousarray(dataset.features, dtype="<f8"))
-        fh.write(np.ascontiguousarray(dataset.given_labels, dtype="<u4"))
-        if has_true:
-            fh.write(np.ascontiguousarray(dataset.true_labels, dtype="<u4"))
+        fh.write(head)
+        for array, dtype in arrays:
+            fh.write(np.ascontiguousarray(array, dtype=dtype))
 
 
 class _Reader:
-    """Reads a binary file front to back, for the NLD1 and NAM loaders. A
-    file that cannot be read, a read past the end (naming its offset) and
-    trailing bytes are all ``FormatError``s. ``take`` returns a view of the
-    file's bytes, not a copy: ``bytes()`` it before comparing, printing or
-    decoding it, and copy what ``np.frombuffer`` reads from it."""
+    """Reads a binary file front to back and closes it on every path.
+    Opening checks the magic and the u32 version. Each read is checked
+    against the bytes left (from ``os.fstat``) before anything is
+    allocated, then lands by ``readinto`` in an array that owns its
+    memory. A file that cannot be read, a read past the end or a short
+    read (naming the offset) and trailing bytes are ``FormatError``s."""
 
-    def __init__(self, path, kind: str):
-        self.kind = kind
+    def __init__(self, path, kind: str, magic: bytes, version: int):
+        self.kind, self.offset = kind, 0
         try:
-            self.raw = memoryview(Path(path).read_bytes())
+            self.fh = open(path, "rb")
         except OSError as exc:
             raise FormatError(f"cannot read {kind} file {path}: {exc}") from exc
-        self.offset = 0
+        try:
+            self.size = os.fstat(self.fh.fileno()).st_size
+            found = self.take(len(magic), "magic")
+            if found != magic:
+                raise FormatError(f"bad magic {found!r} at offset 0 (expected {magic!r})")
+            (found,) = self.unpack("<I", "version")
+            if found != version:
+                raise FormatError(f"unsupported {kind} version {found} at offset 4")
+        except BaseException:
+            self.fh.close()
+            raise
 
-    def take(self, count: int, what: str) -> memoryview:
-        have = len(self.raw) - self.offset
-        if count > have:
-            raise FormatError(f"truncated {self.kind} file: needed {count} bytes for {what} "
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def array(self, count: int, disk: str, keep, what: str) -> np.ndarray:
+        """``count`` values of dtype ``disk``, converted where ``keep`` differs."""
+        nbytes, have = count * np.dtype(disk).itemsize, self.size - self.offset
+        if nbytes > have:
+            raise FormatError(f"truncated {self.kind} file: needed {nbytes} bytes for {what} "
                               f"at offset {self.offset}, have {have}")
-        self.offset += count
-        return self.raw[self.offset - count:self.offset]
+        out = np.empty(count, dtype=disk)
+        if self.fh.readinto(out) != nbytes:
+            raise FormatError(f"short read of {what} at offset {self.offset}")
+        self.offset += nbytes
+        return out.astype(keep, copy=False)
+
+    def take(self, count: int, what: str) -> bytes:
+        return self.array(count, "u1", np.uint8, what).tobytes()
+
+    def unpack(self, layout: str, what: str) -> tuple:
+        return struct.unpack(layout, self.take(struct.calcsize(layout), what))
 
     def done(self):
-        if self.offset != len(self.raw):
-            raise FormatError(f"{len(self.raw) - self.offset} unexpected trailing bytes "
+        if self.offset != self.size:
+            raise FormatError(f"{self.size - self.offset} unexpected trailing bytes "
                               f"at offset {self.offset}")
+
+
+def save_dataset(dataset: Dataset, path):
+    """Write the little-endian NLD1 binary layout through ``_write``.
+
+    magic "NLD1"; u32 version; u32 N; u32 D; u32 C; u32 K (0 = single
+    label); u8 has_true_labels; N*D float64 features row-major; N (or N*K)
+    u32 given labels; the same block of true labels when flagged.
+    """
+    if dataset.d == 0:
+        raise DataError("refusing to save a dataset with zero feature columns")
+    labels = [y for y in (dataset.given_labels, dataset.true_labels) if y is not None]
+    head = NLD1_MAGIC + _HEADER.pack(NLD1_VERSION, dataset.n, dataset.d, dataset.c,
+                                     dataset.k, dataset.true_labels is not None)
+    _write(path, head, [(dataset.features, "<f8")] + [(y, "<u4") for y in labels])
 
 
 def load_dataset(path) -> Dataset:
     """Read an NLD1 file; any structural problem reports its byte offset."""
-    reader = _Reader(path, "dataset")
-    magic = bytes(reader.take(4, "magic"))
-    if magic != NLD1_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at offset 0 (expected {NLD1_MAGIC!r})")
-    version, n, d, c, k, has_true = _HEADER.unpack(reader.take(_HEADER.size, "header"))
-    if version != NLD1_VERSION:
-        raise FormatError(f"unsupported version {version} at offset 4")
-    if d == 0:
-        raise FormatError("zero feature columns at offset 12")
-    features = np.frombuffer(reader.take(n * d * 8, "features"), dtype="<f8").reshape(n, d)
-    label_count = n * k if k else n
-    given = np.frombuffer(reader.take(label_count * 4, "given labels"), dtype="<u4")
-    true = None
-    if has_true:
-        true = np.frombuffer(reader.take(label_count * 4, "true labels"), dtype="<u4")
-    reader.done()
-    shape = (n, k) if k else (n,)
-    given = given.astype(np.int64).reshape(shape)
-    if true is not None:
-        true = true.astype(np.int64).reshape(shape)
+    with _Reader(path, "dataset", NLD1_MAGIC, NLD1_VERSION) as reader:
+        n, d, c, k, has_true = reader.unpack("<IIIIB", "header")
+        if d == 0:
+            raise FormatError("zero feature columns at offset 12")
+        shape = (n, k) if k else (n,)
+        features = reader.array(n * d, "<f8", np.float64, "features").reshape(n, d)
+        given = reader.array(math.prod(shape), "<u4", np.int64, "given labels").reshape(shape)
+        true = None
+        if has_true:
+            true = reader.array(math.prod(shape), "<u4", np.int64, "true labels").reshape(shape)
+        reader.done()
     try:
-        return Dataset(features.astype(np.float64), given, int(c), true)
+        return Dataset(features, given, int(c), true)
     except DataError as exc:
         raise FormatError(f"invalid dataset content: {exc}") from exc

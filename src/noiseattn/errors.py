@@ -27,6 +27,12 @@ class DivergenceError(NoiseAttnError, RuntimeError):
     """Training produced a non-finite loss."""
 
 
+def out_of_memory(exc: MemoryError) -> ConfigError:
+    """The typed error for arrays that do not fit in memory; numpy's
+    message names the size it asked for."""
+    return ConfigError(f"not enough memory: {exc}")
+
+
 @contextmanager
 def in_epoch(epoch: int, of_round: int | None = None):
     """Prefix a DivergenceError raised inside with where it happened in its

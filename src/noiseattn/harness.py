@@ -25,11 +25,12 @@ import numpy as np
 
 from . import __version__
 from .attention import Decision, NAModel, schedule_step
-from .config import (ExperimentConfig, _parse_attributes, parse_arch, parse_input_shape,
-                     serialize_arch, serialize_input_shape, validate_paths)
-from .data import (_Reader, generate_synthetic, generate_synthetic_multi, inject_noise,
+from .config import (ExperimentConfig, _parse_attributes, parse_arch, parse_config_text,
+                     parse_input_shape, serialize_arch, serialize_input_shape, validate_paths)
+from .data import (_Reader, _write, generate_synthetic, generate_synthetic_multi, inject_noise,
                    load_dataset, save_dataset)
-from .errors import ConfigError, FormatError, NoiseAttnError, StageError, in_epoch
+from .errors import (ConfigError, FormatError, NoiseAttnError, StageError, in_epoch,
+                     out_of_memory)
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
 from .nn import Dense, Network, check_labels, label_columns, param_count
 from .recursion import run_recursion
@@ -156,98 +157,86 @@ def _param_chain(net_params, models):
 
 
 def save_snapshot(path, net, models):
-    """Flat float64 parameter dump behind an architecture echo header.
-
-    ``net`` is a ``Network`` or a heads view with one model per head; the
-    header's kind, input shape, arch and classes (or attributes) are read
-    from the view, so they describe the parameters written. Each
-    parameter's buffer goes straight to the file, in chain order.
-    """
+    """Write a NAM snapshot through ``data._write``: magic "NAM1", u32
+    version, u32 metadata length, the metadata lines, u64 parameter count,
+    then each parameter as float64 in chain order. ``net`` is a ``Network``
+    or a heads view with one model per head; the header's kind, input
+    shape, arch and classes (or attributes) are read from the view, so
+    they describe the parameters written."""
     view = as_heads(net)
     meta = _meta_lines(view, models).encode()
     chain = _param_chain(view.parameters(), models)
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<II", SNAPSHOT_VERSION, len(meta)))
-        fh.write(meta)
-        fh.write(struct.pack("<Q", sum(p.size for p in chain)))
-        for p in chain:
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
-
-
-def _parse_meta(meta_text):
-    meta = {}
-    for line in meta_text.splitlines():
-        key, _, value = line.partition("=")
-        meta[key.strip()] = value.strip()
-    return meta
+    head = (SNAPSHOT_MAGIC + struct.pack("<II", SNAPSHOT_VERSION, len(meta)) + meta
+            + struct.pack("<Q", sum(p.size for p in chain)))
+    _write(path, head, [(p.data, "<f8") for p in chain])
 
 
 def load_snapshot(path):
     """Rebuild (heads view, noise models), a ``OneHead`` or a
-    ``MultiHeadNetwork`` with one model per head. The metadata (one unit and
-    one decay group per attribute, 1 for single-label), the parameter count
-    it implies, the header's count and the bytes left are all checked
-    before anything is built, so a file cannot make the loader allocate
-    more than a few times its own size."""
-    reader = _Reader(path, "snapshot")
-    if bytes(reader.take(4, "magic")) != SNAPSHOT_MAGIC:
-        raise FormatError(f"bad snapshot magic at offset 0 in {path}")
-    version, meta_len = struct.unpack("<II", reader.take(8, "header"))
-    if version != SNAPSHOT_VERSION:
-        raise FormatError(f"unsupported snapshot version {version}")
-    try:
-        meta = _parse_meta(bytes(reader.take(meta_len, "architecture echo")).decode())
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"snapshot architecture echo at offset 12 is not UTF-8: {exc}") from exc
-    (n_params,) = struct.unpack("<Q", reader.take(8, "parameter count"))
-
-    def field(key, parse=str):
-        if key not in meta:
-            raise FormatError(f"snapshot metadata lacks the {key!r} key")
+    ``MultiHeadNetwork`` with one model per head, through ``data._Reader``.
+    The metadata is config text: a duplicated key or a line without ``=``
+    is a ``FormatError``. It must hold one unit and one decay group per
+    attribute (1 for single-label). The parameter count it implies, the
+    header's count and the bytes left are checked before anything is
+    built, so a file cannot make the loader allocate more than a few
+    times its own size."""
+    with _Reader(path, "snapshot", SNAPSHOT_MAGIC, SNAPSHOT_VERSION) as reader:
+        (meta_len,) = reader.unpack("<I", "header")
         try:
-            return parse(meta[key])
-        except ValueError as exc:
-            raise FormatError(f"bad snapshot metadata {key} = {meta[key]!r}: {exc}") from exc
+            meta = parse_config_text(reader.take(meta_len, "architecture echo").decode())
+        except (UnicodeDecodeError, ConfigError) as exc:
+            raise FormatError(f"bad snapshot architecture echo at offset 12: {exc}") from exc
+        (n_params,) = reader.unpack("<Q", "parameter count")
 
-    kind = field("kind")
-    if kind not in ("single", "multi"):
-        raise FormatError(f"unknown snapshot kind {kind!r}")
-    arch_specs = field("arch", parse_arch)
-    input_shape = field("input_shape", parse_input_shape)
-    unit_counts = field("units", lambda v: [int(u) for u in v.split(";")])
-    decay_groups = field("decays", lambda v: [[float(d) for d in group.split(",")]
-                                              for group in v.split(";")])
-    attributes = field("attributes", _parse_attributes) if kind == "multi" else None
-    class_counts = ([field("classes", int)] if attributes is None
-                    else attributes.class_counts)
-    if not len(unit_counts) == len(decay_groups) == len(class_counts):
-        raise FormatError(f"snapshot metadata holds {len(unit_counts)} unit and "
-                          f"{len(decay_groups)} decay groups for {len(class_counts)} "
-                          f"attribute(s)")
-    if any(len(decays) != units for units, decays in zip(unit_counts, decay_groups)):
-        raise FormatError("unit/decay counts disagree in snapshot metadata")
+        def field(key, parse=str):
+            if key not in meta:
+                raise FormatError(f"snapshot metadata lacks the {key!r} key")
+            try:
+                return parse(meta[key])
+            except ValueError as exc:
+                raise FormatError(f"bad snapshot metadata {key} = {meta[key]!r}: {exc}") from exc
 
-    expected, out_shape = param_count(arch_specs, input_shape)
-    if len(out_shape) != 1:
-        raise FormatError(f"snapshot network output {out_shape} is not flat")
-    if attributes is None:
-        if out_shape[0] != class_counts[0]:
-            raise FormatError(f"snapshot network outputs {out_shape[0]} classes, "
-                              f"metadata declares {class_counts[0]}")
-    else:  # one Dense head per attribute
-        expected += sum(param_count([Dense(out_shape[0], c)], out_shape)[0]
-                        for c in class_counts)
-    expected += sum(units * c * c for units, c in zip(unit_counts, class_counts))
-    if n_params != expected:
-        raise FormatError(f"snapshot holds {n_params} parameters, architecture echo "
-                          f"needs {expected}")
-    vec = np.frombuffer(reader.take(n_params * 8, "parameters"), dtype="<f8").astype(np.float64)
-    reader.done()
+        kind = field("kind")
+        if kind not in ("single", "multi"):
+            raise FormatError(f"unknown snapshot kind {kind!r}")
+        arch_specs = field("arch", parse_arch)
+        input_shape = field("input_shape", parse_input_shape)
+        unit_counts = field("units", lambda v: [int(u) for u in v.split(";")])
+        decay_groups = field("decays", lambda v: [[float(d) for d in group.split(",")]
+                                                  for group in v.split(";")])
+        attributes = field("attributes", _parse_attributes) if kind == "multi" else None
+        class_counts = ([field("classes", int)] if attributes is None
+                        else attributes.class_counts)
+        if not len(unit_counts) == len(decay_groups) == len(class_counts):
+            raise FormatError(f"snapshot metadata holds {len(unit_counts)} unit and "
+                              f"{len(decay_groups)} decay groups for {len(class_counts)} "
+                              f"attribute(s)")
+        if any(len(decays) != units for units, decays in zip(unit_counts, decay_groups)):
+            raise FormatError("unit/decay counts disagree in snapshot metadata")
+
+        expected, out_shape = param_count(arch_specs, input_shape)
+        if len(out_shape) != 1:
+            raise FormatError(f"snapshot network output {out_shape} is not flat")
+        if attributes is None:
+            if out_shape[0] != class_counts[0]:
+                raise FormatError(f"snapshot network outputs {out_shape[0]} classes, "
+                                  f"metadata declares {class_counts[0]}")
+        else:  # one Dense head per attribute
+            expected += sum(param_count([Dense(out_shape[0], c)], out_shape)[0]
+                            for c in class_counts)
+        expected += sum(units * c * c for units, c in zip(unit_counts, class_counts))
+        if n_params != expected:
+            raise FormatError(f"snapshot holds {n_params} parameters, architecture echo "
+                              f"needs {expected}")
+        vec = reader.array(n_params, "<f8", np.float64, "parameters")
+        reader.done()
 
     trunk = Network(arch_specs, input_shape, seed=0)
     view = OneHead(trunk) if attributes is None else MultiHeadNetwork(trunk, attributes)
-    models = [_rebuild_model(c, decays) for c, decays in zip(class_counts, decay_groups)]
+    models = [NAModel(c) for c in class_counts]
+    for model, decays in zip(models, decay_groups):
+        for decay in decays[1:]:
+            model.add_unit(decay=decay)
     pos = 0
     for p in _param_chain(view.parameters(), models):
         p.data[...] = vec[pos:pos + p.size].reshape(p.data.shape)
@@ -255,24 +244,28 @@ def load_snapshot(path):
     return view, models
 
 
-def _rebuild_model(n_classes, decays):
-    model = NAModel(n_classes)
-    for decay in decays[1:]:
-        model.add_unit(decay=decay)
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Data resolution
 
 
-def _inject(cfg: ExperimentConfig, dataset):
+def _inject_and_save(cfg: ExperimentConfig, dataset, out_dir):
     """Corrupt the given labels per ``cfg.noise``; returns (noisy dataset,
-    flipped indices), one index array per label column."""
+    flipped indices), one index array per label column. With ``out_dir``,
+    write noisy_train.nld and flips.csv there: ``index`` rows for
+    single-label data, else ``attribute,index`` rows, one per flip of each
+    column."""
     if dataset.k and cfg.attributes is None:
         raise ConfigError("multi-attribute dataset needs an attributes config")
     counts = cfg.attributes.class_counts if dataset.k else [dataset.c]
-    return inject_noise(dataset, cfg.noise, counts)
+    noisy, flips = inject_noise(dataset, cfg.noise, counts)
+    if out_dir is not None:
+        save_dataset(noisy, Path(out_dir) / "noisy_train.nld")
+        with open(Path(out_dir) / "flips.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["attribute", "index"] if noisy.k else ["index"])
+            for column, idx in enumerate(flips):
+                writer.writerows([column, int(i)] if noisy.k else [int(i)] for i in idx)
+    return noisy, flips
 
 
 def resolve_data(cfg: ExperimentConfig, out_dir=None):
@@ -297,21 +290,8 @@ def resolve_data(cfg: ExperimentConfig, out_dir=None):
 
     flips = None
     if cfg.noise.mode != "none":
-        train, flips = _inject(cfg, train)
-        if out_dir is not None:
-            save_dataset(train, Path(out_dir) / "noisy_train.nld")
-            _write_flips(Path(out_dir) / "flips.csv", train.k, flips)
+        train, flips = _inject_and_save(cfg, train, out_dir)
     return train, test, flips
-
-
-def _write_flips(path, k, flips):
-    """``index`` rows for single-label data (``k`` = 0), else ``attribute,index``
-    rows, one per flip of each of the ``k`` columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attribute", "index"] if k else ["index"])
-        for column, idx in enumerate(flips):
-            writer.writerows([column, int(i)] if k else [int(i)] for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +315,8 @@ class RunReport:
 
 def _drive(cfg: ExperimentConfig, out: Path, stage, body) -> RunReport:
     """Run ``body(metrics, report)``, flushing metrics.csv even when it
-    fails; a failure is raised as a StageError naming ``stage[0]``."""
+    fails; a failure, running out of memory included, is raised as a
+    StageError naming ``stage[0]``."""
     started = time.perf_counter()
     _make_out_dir(out)
     metrics = MetricsLog()
@@ -343,9 +324,10 @@ def _drive(cfg: ExperimentConfig, out: Path, stage, body) -> RunReport:
                        version=__version__, out_dir=str(out))
     try:
         body(metrics, report)
-    except NoiseAttnError as exc:
+    except (NoiseAttnError, MemoryError) as exc:
         metrics.write(out / "metrics.csv")  # flush partial artifacts before abort
-        raise StageError(stage[0], exc) from exc
+        cause = exc if isinstance(exc, NoiseAttnError) else out_of_memory(exc)
+        raise StageError(stage[0], cause) from exc
     metrics.write(out / "metrics.csv")
     report.wall_clock_s = time.perf_counter() - started
     (out / "report.json").write_text(report.to_json())

@@ -1,20 +1,26 @@
-"""The NLD1 and NAM writers and their reader, beside the whole-file forms
-they replaced.
+"""The one binary layer of NLD1 and NAM files, ``data._write`` and
+``data._Reader``, beside the whole-file forms it replaced.
 
-The writers send each array's buffer straight to the file, and the reader
-hands out views of the file's bytes. The files must keep the bytes of the
-old writers, which built one ``bytearray`` of ``.tobytes()`` pieces, and a
-loaded dataset must own writeable arrays, as the old copies did.
+The writer sends each array's buffer straight to the file. The reader
+checks each read against the bytes left, then reads it with ``readinto``
+into an array that owns its memory, so a load holds no copy of the file.
+The files must keep the bytes of the old writers, which built one
+``bytearray`` of ``.tobytes()`` pieces, and a loaded dataset must own
+writeable arrays, as the old copies did. A load peaks near what it keeps,
+and the reader closes its file on every path.
 """
 
+import builtins
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, Dataset, Dense, FormatError, MultiHeadNetwork, NAModel,
                        Network, ReLU, load_dataset, load_snapshot, save_dataset, save_snapshot)
-from noiseattn.data import _HEADER, NLD1_MAGIC, NLD1_VERSION
+from noiseattn.data import _HEADER, NLD1_MAGIC, NLD1_VERSION, _Reader
 from noiseattn.harness import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _meta_lines, _param_chain
 from noiseattn.training import as_heads
 
@@ -115,3 +121,83 @@ def test_a_bad_magic_is_reported_as_bytes(tmp_path):
     with pytest.raises(FormatError, match=r"^bad magic b'XY\\x00Z' at offset 0 "
                                           r"\(expected b'NLD1'\)$"):
         load_dataset(tmp_path / "d.nld")
+
+
+def test_a_load_peaks_near_what_it_keeps(tmp_path):
+    """100k rows of 24 features and 3 label columns, with true labels
+    (21.6 MB on disk): the arrays kept are 24.0 MB. Reading the whole file
+    and copying the arrays out of it peaked at 2.00x that."""
+    rng = np.random.default_rng(11)
+    labels = rng.integers(0, 5, size=(100_000, 3))
+    save_dataset(Dataset(rng.normal(size=(100_000, 24)), labels, 5, labels), tmp_path / "d.nld")
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(tmp_path / "d.nld")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (loaded.features, loaded.given_labels, loaded.true_labels))
+    assert kept == 24_000_000
+    assert peak <= 1.15 * kept
+
+
+def test_declared_counts_are_checked_before_anything_is_allocated(tmp_path):
+    """A 25-byte header that declares 2**32 - 1 rows of 2**32 - 1 features."""
+    path = tmp_path / "d.nld"
+    path.write_bytes(NLD1_MAGIC + _HEADER.pack(NLD1_VERSION, 2**32 - 1, 2**32 - 1, 3, 0, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"needed {(2**32 - 1) ** 2 * 8} bytes for "
+                                              f"features at offset 25, have 0$"):
+            load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_file_cut_while_it_is_read_is_a_short_read(tmp_path):
+    """The size is taken when the file is opened; fewer bytes arriving
+    than it promised is a FormatError, not a partly filled array."""
+    rng = np.random.default_rng(12)
+    save_dataset(Dataset(rng.normal(size=(2000, 6)), np.zeros(2000, int), 2), tmp_path / "d.nld")
+    with _Reader(tmp_path / "d.nld", "dataset", NLD1_MAGIC, NLD1_VERSION) as reader:
+        reader.unpack("<IIIIB", "header")
+        os.truncate(tmp_path / "d.nld", 20_000)
+        with pytest.raises(FormatError, match="^short read of features at offset 25$"):
+            reader.array(2000 * 6, "<f8", np.float64, "features")
+
+
+def broken_files(tmp_path):
+    """A valid NLD1 and NAM file, then each with a bad magic, a bad version,
+    a cut, a trailing byte and, for the dataset, an out-of-range label."""
+    save_dataset(datasets()["single"], tmp_path / "d.nld")
+    save_snapshot(tmp_path / "s.nam", *views()["single"])
+    for name in ("d.nld", "s.nam"):
+        blob = (tmp_path / name).read_bytes()
+        yield name, blob
+        yield name, b"XY\x00Z" + blob[4:]
+        yield name, blob[:4] + b"\x09" + blob[5:]
+        yield name, blob[:-3]
+        yield name, blob + b"\x00"
+    blob = bytearray((tmp_path / "d.nld").read_bytes())
+    blob[25 + 50 * 6 * 8] = 200
+    yield "d.nld", bytes(blob)
+
+
+def test_the_reader_closes_its_file_on_every_path(tmp_path, monkeypatch):
+    files, opened, real_open = list(broken_files(tmp_path)), [], builtins.open
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    for name, blob in files:
+        (tmp_path / "fuzzed").write_bytes(blob)
+        try:
+            (load_dataset if name.endswith(".nld") else load_snapshot)(tmp_path / "fuzzed")
+        except FormatError:
+            pass
+    readers = [fh for fh in opened if fh.mode == "rb"]
+    assert len(readers) == len(files) == 11 and all(fh.closed for fh in readers)

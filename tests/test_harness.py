@@ -333,6 +333,20 @@ class TestSnapshots:
         with pytest.raises(FormatError, match=r"output \(2, 2, 2\) is not flat"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("replacement, message", [
+        ("classes = 3\nclasses = 3", "duplicate key 'classes'"),
+        ("arch = dense:2:3\narch = dense:2:3", "duplicate key 'arch'"),
+        ("classes 3", "expected 'key = value'"),
+    ], ids=["duplicated-classes", "duplicated-arch", "no-equals"])
+    def test_metadata_is_config_text(self, tmp_path, replacement, message):
+        """A duplicated key no longer silently wins, and a line without
+        ``=`` is no longer read as a key with an empty value."""
+        path = write_single_snapshot(tmp_path)
+        self.rewrite_meta_line(path, replacement.partition(" ")[0], replacement=replacement)
+        with pytest.raises(FormatError, match=f"architecture echo at offset 12: .*{message}"):
+            load_snapshot(path)
+        assert cli_main(["export-q", "--snapshot", str(path), "--out", str(tmp_path)]) == 2
+
     def test_missing_metadata_key_exits_2(self, tmp_path, capsys):
         path = write_single_snapshot(tmp_path)
         self.rewrite_meta_line(path, "decays")
@@ -547,6 +561,26 @@ class TestCLI:
             cli_main([command, "--snapshot", str(path), flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    # Each size exceeds the 128 TiB of a 47-bit user address space, so
+    # numpy's first allocation is refused at once, whatever the memory
+    # overcommit setting of the host.
+    @pytest.mark.parametrize("command, edit, stage, size", [
+        ("train", ("n_train = 240", "n_train = 100000000000000"), "data", "728. TiB"),
+        ("synth", ("n_train = 240", "n_train = 100000000000000"), "data", "728. TiB"),
+        ("train", ("dense:2:12,relu,dense:12:3", "dense:2:10000000000000,relu,"
+                   "dense:10000000000000:3"), "build", "146. TiB"),
+    ], ids=["train-data", "synth-data", "train-build"])
+    def test_a_run_too_large_for_memory_exits_2(self, tmp_path, capsys, command, edit, stage,
+                                                size):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(BASE_CFG.format(out=tmp_path / "run").replace(*edit))
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{stage}] not enough memory: Unable to allocate {size} ")
+        assert "Traceback" not in err
+        if command == "train":
+            assert (tmp_path / "run" / "metrics.csv").exists()
 
     def test_missing_file_errors(self, tmp_path):
         assert cli_main(["eval", "--snapshot", str(tmp_path / "none.nam"),

@@ -1,6 +1,7 @@
 """Every public name of the package has a caller outside the tests,
 every name a module imports is used in that module, labels are checked
-only where they enter, and class-axis sums go through ``nn.row_sum``.
+only where they enter, class-axis sums go through ``nn.row_sum``, and
+binary files go through one writer and one reader.
 
 The names checked are those in ``noiseattn.__all__`` and, in every module
 of the package, each public module-level function, each class and each
@@ -26,7 +27,7 @@ PACKAGE = ROOT / "src" / "noiseattn"
 
 # Public names kept without such a caller, each with its reason.
 ALLOWED = {
-    "empirical_transition": "ROADMAP item 3 compares each learned unit with it",
+    "empirical_transition": "ROADMAP item 2 compares each learned unit with it",
 }
 
 
@@ -166,6 +167,24 @@ def test_one_evaluator_branches_on_the_kind():
     network or heads view; it alone picks the multi-attribute metric."""
     assert callers("evaluate_all_metric") == referrers("evaluate_all_metric") == {
         "harness.evaluate"}
+
+
+def binary_file_io(node) -> bool:
+    """A call of ``open`` with a literal mode that holds ``b``, or of
+    ``read_bytes`` or ``write_bytes``."""
+    if not isinstance(node, ast.Call):
+        return False
+    if names(node.func, "read_bytes") or names(node.func, "write_bytes"):
+        return True
+    modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return names(node.func, "open") and any(
+        isinstance(mode, ast.Constant) and "b" in str(mode.value) for mode in modes)
+
+
+def test_one_binary_layer():
+    """NLD1 and NAM files are written by ``data._write`` and read by
+    ``data._Reader``; no other code opens a file in binary mode."""
+    assert functions_where(binary_file_io) == {"data._write", "data._Reader.__init__"}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

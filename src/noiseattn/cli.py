@@ -39,7 +39,7 @@ def _cmd_synth(args) -> int:
     # synth writes clean data; inject adds noise
     clean = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, mode="none"))
     try:
-        train, test, _ = resolve_data(clean, out)
+        train, test = resolve_data(clean, out)
     except MemoryError as exc:  # a train run meets this inside harness._drive
         raise StageError("data", out_of_memory(exc)) from exc
     print(f"wrote {out / 'train.nld'} ({train.n} samples) and "

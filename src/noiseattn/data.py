@@ -55,7 +55,9 @@ class Dataset:
             if self.true_labels.shape != self.given_labels.shape:
                 raise DataError("true labels must match the given-label shape")
             check_labels(self.true_labels, self.c, "true labels")
-        if not np.all(np.isfinite(self.features)):
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite sum has no NaN or inf
+            finite = np.isfinite(np.add.reduce(self.features, axis=None))
+        if not (finite or np.isfinite(self.features).all()):  # the sum may have overflowed
             raise DataError("features contain non-finite values")
 
     @property

@@ -34,7 +34,7 @@ from .errors import (ConfigError, FormatError, NoiseAttnError, StageError, in_ep
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
 from .nn import Dense, Network, check_labels, label_columns, param_count
 from .recursion import run_recursion
-from .training import OneHead, Trainer, _loss_total, as_heads, split_train_val
+from .training import OneHead, Trainer, _loss_total, _param_chain, as_heads, split_train_val
 
 SNAPSHOT_MAGIC = b"NAM1"
 SNAPSHOT_VERSION = 1
@@ -149,23 +149,16 @@ def _meta_lines(view, models):
     return "\n".join(lines)
 
 
-def _param_chain(net_params, models):
-    params = list(net_params)
-    for model in models:
-        params.extend(u.q for u in model.units)
-    return params
-
-
 def save_snapshot(path, net, models):
     """Write a NAM snapshot through ``data._write``: magic "NAM1", u32
     version, u32 metadata length, the metadata lines, u64 parameter count,
-    then each parameter as float64 in chain order. ``net`` is a ``Network``
-    or a heads view with one model per head; the header's kind, input
-    shape, arch and classes (or attributes) are read from the view, so
-    they describe the parameters written."""
+    then each parameter as float64 in ``_param_chain`` order. ``net`` is a
+    ``Network`` or a heads view with one model per head; the header's kind,
+    input shape, arch and classes (or attributes) are read from the view,
+    so they describe the parameters written."""
     view = as_heads(net)
     meta = _meta_lines(view, models).encode()
-    chain = _param_chain(view.parameters(), models)
+    chain = [p for _, p in _param_chain(view, models)]
     head = (SNAPSHOT_MAGIC + struct.pack("<II", SNAPSHOT_VERSION, len(meta)) + meta
             + struct.pack("<Q", sum(p.size for p in chain)))
     _write(path, head, [(p.data, "<f8") for p in chain])
@@ -176,10 +169,11 @@ def load_snapshot(path):
     ``MultiHeadNetwork`` with one model per head, through ``data._Reader``.
     The metadata is config text: a duplicated key or a line without ``=``
     is a ``FormatError``. It must hold one unit and one decay group per
-    attribute (1 for single-label). The parameter count it implies, the
-    header's count and the bytes left are checked before anything is
-    built, so a file cannot make the loader allocate more than a few
-    times its own size."""
+    attribute (1 for single-label), at least 2 classes, and finite decays
+    >= 0, each group's first (the identity's) 0.0. The parameter count it
+    implies, the header's count and the bytes left are checked before
+    anything is built, so a file cannot make the loader allocate more than
+    a few times its own size."""
     with _Reader(path, "snapshot", SNAPSHOT_MAGIC, SNAPSHOT_VERSION) as reader:
         (meta_len,) = reader.unpack("<I", "header")
         try:
@@ -205,8 +199,13 @@ def load_snapshot(path):
         decay_groups = field("decays", lambda v: [[float(d) for d in group.split(",")]
                                                   for group in v.split(";")])
         attributes = field("attributes", _parse_attributes) if kind == "multi" else None
-        class_counts = ([field("classes", int)] if attributes is None
-                        else attributes.class_counts)
+        class_counts = [field("classes", int)] if attributes is None else attributes.class_counts
+        if class_counts[0] < 2:  # a multi-label AttributeSpec checks its own
+            raise FormatError(f"bad snapshot metadata classes = {meta['classes']!r}: "
+                              f"a noise unit needs at least 2 classes")
+        if not all(g[0] == 0.0 and all(0.0 <= d < np.inf for d in g) for g in decay_groups):
+            raise FormatError(f"bad snapshot metadata decays = {meta['decays']!r}: decays must "
+                              f"be finite and >= 0, each group's first (the identity's) 0.0")
         if not len(unit_counts) == len(decay_groups) == len(class_counts):
             raise FormatError(f"snapshot metadata holds {len(unit_counts)} unit and "
                               f"{len(decay_groups)} decay groups for {len(class_counts)} "
@@ -238,7 +237,7 @@ def load_snapshot(path):
         for decay in decays[1:]:
             model.add_unit(decay=decay)
     pos = 0
-    for p in _param_chain(view.parameters(), models):
+    for _, p in _param_chain(view, models):
         p.data[...] = vec[pos:pos + p.size].reshape(p.data.shape)
         pos += p.size
     return view, models
@@ -270,11 +269,7 @@ def _inject_and_save(cfg: ExperimentConfig, dataset, out_dir):
 
 def resolve_data(cfg: ExperimentConfig, out_dir=None):
     """Produce (train, test) datasets per config; optionally save artifacts.
-
-    Injection corrupts training labels only; test sets keep given = true.
-    Returns (train, test, flips) where flips holds one index array per
-    label column, or is None when no noise was injected.
-    """
+    Injection corrupts training labels only; test sets keep given = true."""
     if cfg.data.source == "synthetic":
         if cfg.attributes is not None:
             train, test = generate_synthetic_multi(cfg.data.synthetic,
@@ -288,10 +283,9 @@ def resolve_data(cfg: ExperimentConfig, out_dir=None):
         train = load_dataset(cfg.data.train_path)
         test = load_dataset(cfg.data.test_path)
 
-    flips = None
     if cfg.noise.mode != "none":
-        train, flips = _inject_and_save(cfg, train, out_dir)
-    return train, test, flips
+        train = _inject_and_save(cfg, train, out_dir)[0]
+    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +338,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         (out / "config_echo.cfg").write_text(
             "".join(f"{k} = {v}\n" for k, v in cfg.echo.items()))
         stage[0] = "data"
-        train_ds, test_ds, _ = resolve_data(cfg, out)
+        train_ds, test_ds = resolve_data(cfg, out)
         _run(cfg, train_ds, test_ds, metrics, out, report, stage)
 
     return _drive(cfg, out, stage, body)
@@ -532,16 +526,16 @@ def _check_snapshot(cfg: ExperimentConfig, view):
 def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunReport:
     """Resume from a stage-0 snapshot and run only the recursion rounds.
 
-    ``recursion.iterations`` must be at least 1; that is checked before
-    anything is read or written. Single- and multi-label snapshots take
-    the same path as a full run's recursion and eval stages. The
-    snapshot's arch, input shape and classes (attributes for multi-label)
-    must equal what the config and its data describe, else
-    ``ConfigError``. Data is re-derived from the
-    config (generation and injection are pure functions of the seeds).
-    Optimizer velocities restart at zero and the shuffle stream at its
-    first draw, which a full run spends on pretraining: the rounds see
-    other mini-batches, so the result differs from the full run's.
+    ``recursion.iterations`` must be at least 1, checked before anything
+    is read or written. Single- and multi-label snapshots take the path of
+    a full run's recursion and eval stages. The snapshot's arch, input
+    shape and classes (attributes) must equal what the config and its data
+    describe, else ``ConfigError``; data is re-derived from the config's
+    seeds. The trainer built over the snapshot's models holds the full
+    run's unit arenas, in ``_param_chain`` order, but their velocities
+    restart at zero and the shuffle stream at its first draw, which a full
+    run spends on pretraining: the rounds see other mini-batches, so the
+    result differs from the full run's.
     """
     if cfg.recursion.iterations < 1:
         raise ConfigError("recursion.iterations must be >= 1 to resume")
@@ -553,7 +547,7 @@ def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunR
         view, models = load_snapshot(snapshot_path)
         _check_snapshot(cfg, view)
         stage[0] = "data"
-        train_ds, test_ds, _ = resolve_data(cfg, None)
+        train_ds, test_ds = resolve_data(cfg, None)
         split = _split(cfg, view, train_ds, test_ds)
 
         trainer = Trainer(view, cfg.opt, models, seed=cfg.seed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .nn import Dense, Network, entropy_tuple, label_columns, softmax
+from .nn import EVAL_CHUNK, Dense, Network, entropy_tuple, label_columns, softmax
 
 
 @dataclass
@@ -111,16 +111,15 @@ def all_metric(predictions, true_labels) -> tuple[list[float], float]:
 def _errors(net, features, true_labels) -> tuple[list[float], float]:
     """``all_metric`` of the heads of ``net`` (``OneHead`` or
     ``MultiHeadNetwork``) against true labels, (N,) for one head: argmax
-    predictions of the base network alone. Each forward-only pass takes a
-    4096-row chunk: its Dense layers see the whole chunk, its conv layers
-    one row block at a time."""
+    predictions of the base network alone, from one forward-only pass per
+    ``EVAL_CHUNK`` rows (see ``Network.forward``)."""
     if true_labels is None:
         raise DataError("evaluation needs true labels")
     if features.shape[0] == 0:
         raise DataError("evaluation needs at least one sample")
     chunks = [[probs.argmax(axis=1)
-               for probs in net.forward(features[start:start + 4096], cache=False)]
-              for start in range(0, features.shape[0], 4096)]
+               for probs in net.forward(features[start:start + EVAL_CHUNK], cache=False)]
+              for start in range(0, features.shape[0], EVAL_CHUNK)]
     preds = np.stack([np.concatenate(head) for head in zip(*chunks)], axis=1)
     labels = np.asarray(true_labels)
     return all_metric(preds, labels.reshape(labels.shape[0], -1))

@@ -49,6 +49,8 @@ from .errors import ConfigError, DataError, UsageError
 
 EPS = 1e-12  # probability clamp applied before any log
 ROW_BLOCK = 256  # rows per block of the layers before the first Dense, forward-only
+TEACHER_CHUNK = 2048  # rows per forward-only pass of recursion.snapshot_probs
+EVAL_CHUNK = 4096  # rows per forward-only pass of multihead._errors
 
 
 def entropy_tuple(*parts) -> tuple[int, ...]:

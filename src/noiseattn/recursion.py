@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, in_epoch
 from .attention import NAModel, attention_outputs, unit_outputs
-from .nn import EPS, label_columns, log_grad_coef, row_sum
+from .nn import EPS, TEACHER_CHUNK, label_columns, log_grad_coef, row_sum
 
 
 def alpha_schedule(t: int, alpha_base: float) -> float:
@@ -97,23 +97,22 @@ class RecursionSchedule:
             raise ConfigError(f"epochs must be >= 1 when iterations > 0, got {self.epochs}")
 
 
-def snapshot_probs(net, models, features, given_labels, chunk_size: int = 2048):
+def snapshot_probs(net, models, features, given_labels):
     """Frozen teacher outputs, one (N, C_k) array per attribute.
 
     ``net.forward`` returns per-attribute probability batches; each sample
     goes through its selected unit of that attribute's model. One
-    forward-only pass per ``chunk_size`` rows: its Dense layers see the
+    forward-only pass per ``TEACHER_CHUNK`` rows: its Dense layers see the
     whole chunk, its conv layers one row block at a time. Deterministic
     for a fixed model. The set must be non-empty and its labels in range,
     as ``run_recursion`` checks.
     """
-    n = features.shape[0]
     columns = label_columns(given_labels)
     outs: list[list[np.ndarray]] = [[] for _ in models]
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        for k, probs in enumerate(net.forward(features[start:stop], cache=False)):
-            _, out = attention_outputs(probs, columns[k][start:stop], models[k])
+    for start in range(0, features.shape[0], TEACHER_CHUNK):
+        rows = slice(start, start + TEACHER_CHUNK)
+        for k, probs in enumerate(net.forward(features[rows], cache=False)):
+            _, out = attention_outputs(probs, columns[k][rows], models[k])
             outs[k].append(out)
     return [np.concatenate(chunks, axis=0) for chunks in outs]
 

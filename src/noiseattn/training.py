@@ -105,6 +105,16 @@ def _loss_total(losses) -> float:
     return total
 
 
+def _param_chain(view, models):
+    """The parameter order: the view's ``named_parameters()``, then each
+    model's units, attribute by attribute (``unit 1 q``, or ``a unit 1 q``)."""
+    yield from view.named_parameters()
+    for attr, model in zip(view.names, models):
+        of = f"{attr} " if attr else ""
+        for m, unit in enumerate(model.units):
+            yield f"{of}unit {m} q", unit.q
+
+
 # The heads take labels that ``Trainer._columns`` has checked; their routing checks none.
 
 
@@ -126,7 +136,8 @@ class Trainer:
     view such as ``MultiHeadNetwork``, whose ``forward`` returns one
     probability batch per head. ``na_models`` default to one identity-only
     ``NAModel`` per attribute, so epochs before the first ``add_unit``
-    are pretraining. Labels are (N,) for one attribute or (N, K) for K;
+    are pretraining. ``unit_opts[k]`` steps model k's learnable units, in
+    ``_param_chain`` order. Labels are (N,) for one attribute or (N, K) for K;
     each epoch checks them against the heads once, before the first step.
     Mini-batch order comes from a dedicated shuffle stream seeded by the
     run seed, so two trainers built with the same seed walk the data in
@@ -142,10 +153,8 @@ class Trainer:
         self.settings = settings
         self.net_opt = SGD(self.net.parameters(), settings.lr, settings.momentum,
                            settings.weight_decay)
-        self.unit_opt = SGD([], settings.lr, settings.momentum, 0.0)
-        for model in self.na_models:
-            for p in model.learnable_params():
-                self.unit_opt.add_param(p)
+        self.unit_opts = [SGD(model.learnable_params(), settings.lr, settings.momentum, 0.0)
+                          for model in self.na_models]
         self._shuffle_rng = np.random.default_rng(entropy_tuple(seed, STREAM_SHUFFLE))
         self._jitter_rng = np.random.default_rng(entropy_tuple(seed, STREAM_JITTER))
 
@@ -153,7 +162,7 @@ class Trainer:
         model = self.na_models[attr_index]
         unit = model.add_unit(decay=schedule.decay_for(model.active_count + 1),
                               jitter=schedule.init_jitter, rng=self._jitter_rng)
-        self.unit_opt.add_param(unit.q)
+        self.unit_opts[attr_index].add_param(unit.q)
         return unit
 
     def _columns(self, labels) -> list[np.ndarray]:
@@ -180,8 +189,8 @@ class Trainer:
             raise DivergenceError(f"non-finite loss {total!r}")  # _epoch adds the batch
         self.net.backward(dlogits)
         self.net_opt.step()
-        self.unit_opt.step()
-        for model in self.na_models:
+        for opt, model in zip(self.unit_opts, self.na_models):
+            opt.step()
             model.project()
         return total
 
@@ -194,14 +203,8 @@ class Trainer:
             yield order[start:start + bs]
 
     def _non_finite_parameter(self) -> str:
-        """Names the first parameter holding a NaN or an infinity: a network
-        parameter (``layer 2 w``), else a noise unit (``unit 1 q``, prefixed
-        by its attribute's name on a multi-head network). Error path only."""
-        named = self.net.named_parameters()
-        for attr, model in zip(self.net.names, self.na_models):
-            of = f"{attr} " if attr else ""
-            named += [(f"{of}unit {m} q", unit.q) for m, unit in enumerate(model.units)]
-        for name, p in named:
+        """Names the first parameter of ``_param_chain`` holding a NaN or an inf."""
+        for name, p in _param_chain(self.net, self.na_models):
             if not np.isfinite(p.data).all():
                 return f"first non-finite parameter: {name}"
         return "every parameter is finite"

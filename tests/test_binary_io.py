@@ -21,8 +21,8 @@ import pytest
 from noiseattn import (AttributeSpec, Dataset, Dense, FormatError, MultiHeadNetwork, NAModel,
                        Network, ReLU, load_dataset, load_snapshot, save_dataset, save_snapshot)
 from noiseattn.data import _HEADER, NLD1_MAGIC, NLD1_VERSION, _Reader
-from noiseattn.harness import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _meta_lines, _param_chain
-from noiseattn.training import as_heads
+from noiseattn.harness import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _meta_lines
+from noiseattn.training import _param_chain, as_heads
 
 
 def bytearray_nld(dataset):
@@ -41,7 +41,7 @@ def bytearray_nld(dataset):
 def bytearray_nam(net, models):
     view = as_heads(net)
     meta = _meta_lines(view, models).encode()
-    chain = _param_chain(view.parameters(), models)
+    chain = [p for _, p in _param_chain(view, models)]
     vec = np.concatenate([p.data.ravel() for p in chain]) if chain else np.zeros(0)
     blob = bytearray()
     blob += SNAPSHOT_MAGIC
@@ -89,8 +89,8 @@ def test_save_snapshot_writes_the_bytearray_bytes(tmp_path, kind):
     save_snapshot(tmp_path / "s.nam", net, models)
     assert (tmp_path / "s.nam").read_bytes() == bytearray_nam(net, models)
     view, loaded = load_snapshot(tmp_path / "s.nam")
-    assert [p.data.tobytes() for p in _param_chain(view.parameters(), loaded)] == [
-        p.data.tobytes() for p in _param_chain(as_heads(net).parameters(), models)]
+    assert [(name, p.data.tobytes()) for name, p in _param_chain(view, loaded)] == [
+        (name, p.data.tobytes()) for name, p in _param_chain(as_heads(net), models)]
 
 
 def owner(array):

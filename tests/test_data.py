@@ -1,5 +1,7 @@
 """Datasets, noise injection, synthetic generators, and the NLD1 format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,44 @@ class TestSynthetic:
             SyntheticSpec(kind="moons", classes=3)
         with pytest.raises(ConfigError):
             SyntheticSpec(n_train=0)
+
+
+class TestFiniteFeatures:
+    """Features are checked through their sum, with the element-wise check
+    only when the sum is not finite: finite values may sum to an infinity."""
+
+    def test_features_whose_sum_overflows_still_load(self):
+        x = np.full((4, 3), 1e308)
+        x[:, 1] = -1e308
+        ds = Dataset(x, [0, 1, 0, 1], 2)
+        assert ds.features.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_feature_is_rejected(self, bad):
+        x = np.zeros((5, 2))
+        x[3, 1] = bad
+        with pytest.raises(DataError, match="^features contain non-finite values$"):
+            Dataset(x, [0, 1, 0, 1, 0], 2)
+
+    def test_an_infinity_hidden_behind_an_overflow_is_rejected(self):
+        x = np.full((3, 2), 1e308)
+        x[2, 1] = -np.inf
+        with pytest.raises(DataError, match="non-finite"):
+            Dataset(x, [0, 1, 0], 2)
+
+    def test_the_check_allocates_no_feature_sized_temporary(self):
+        """A bool array of the 100000 x 24 features alone would be 2.4 MB."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(100_000, 24))
+        labels = rng.integers(0, 5, size=100_000)
+        tracemalloc.start()
+        try:
+            ds = Dataset(x, labels, 5, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features is x
+        assert peak < 2**20
 
 
 class TestNLD1:

@@ -77,6 +77,11 @@ CASES["conv_blocks"] = {**CASES["single_conv"], "data.synthetic.n_train": "700",
 CASES["conv_one_channel"] = {**CASES["single_conv"],
                              "arch.layers": "conv:1:1:3,relu,pool,flatten,dense:25:4"}
 
+# multi_attr with three units per attribute: each attribute adds two, and the
+# run adds them interleaved (a, b, a, b), not model by model as a snapshot
+# holds them.
+CASES["multi_three_units"] = {**CASES["multi_attr"], "na.max_units": "3"}
+
 GOLDEN = {
     "single_conv": {
         "metrics.csv": "93980008407273045c39ff0260b35903b6b237559258b392a17e6e1e8b889297",
@@ -102,6 +107,11 @@ GOLDEN = {
         "metrics.csv": "e897aec86ee824f4b8d0e9b13c3da5675694c3f2e12585b7385cca4ad1ba39e1",
         "snapshot_final.nam": "04ea03fcee54df4b228e75d774c91aee9a28ffac0cdc067b8ae534818f0f79d1",
         "snapshot_stage0.nam": "3d06071f9da9378fc3563a8cdee7f8018def64f85441f71b86c18d98833d6ab8",
+    },
+    "multi_three_units": {
+        "metrics.csv": "e28f894c0a86559fde8a239731c39f1626330a12b2a0835b2e2cedcb131217a7",
+        "snapshot_final.nam": "2b5165a567b98d2961e76ec37ebe4049ddc82cca4866fa14a5c26b8e0eae749c",
+        "snapshot_stage0.nam": "6ef2bb9944cf24f51956e8f2480ff5e9ad8c4cc3b871c546d4000a45ceba8d46",
     },
 }
 
@@ -141,6 +151,13 @@ CLI_GOLDEN = {
         "eval stdout": "699377512c263a1d7acb6f6c49f21be931f33d1157a485aa3c6bcb3ea1cd1d7f",
         "export-q stdout": "5dfad5f98d3af2396ac90d0644d424228aaec6dc218587bf2d376283bdf3c068",
         "export-q files": "f8e5117ba500820ede6866ddd1b3a9672ffc5a7193d8f4f3d53c18a9b60dc468",
+    },
+    "multi_three_units": {
+        "recurse/metrics.csv": "755d37a7a0ee9ed48de230468a906f85e6f87f8e5591aa9ba39bda0f14a99dac",
+        "recurse/snapshot_final.nam": "3254085e2fb08e45dcfaf7ea108b70369b140fb030266d7b84db5d7f02eb13e9",
+        "eval stdout": "5a43a2be06c2292141668d2179b1382ce66aa3f29f988936c0a7eda468428c8c",
+        "export-q stdout": "ceb7a6f55b75dcfbb658f01674384a163efc7f3030dd7e11d05cb4eb32faa74d",
+        "export-q files": "7fd3c2ccf3e0eb448c6f69fec2503c37ffbcf01df6dc28cb1f68d5d2ca6d32de",
     },
 }
 
@@ -260,6 +277,19 @@ FILE_GOLDEN = {
         "synth files": "24fb17b343323a1445051ef0ee15d140cfec25b0bd97ee86947dc61cc4aa03b2",
         "inject stdout": "603f7d3981fc1c8d90131dd4e197624bf3813763e912dbfb29f4be307641bd8b",
         "inject files": "c5b53c10c0cac0ca0e9e2ab04274da788a4aa1ff0efe2187cebcfe97407a7839",
+    },
+    "multi_three_units": {
+        "report.json": "33dd3b6f0b984059b5df4984130783887401663599a4e42ba54a3d3a87435d3e",
+        "flips.csv": "cded49ec545dd6c87a88ad5b2ac7b7e883fd3287439266b8eb4decb5369fa45b",
+        "train.nld": "f3e0521684f108c0c0980f7236950b35362430a3d7d0b46012224c1301d7cac5",
+        "test.nld": "53a46c39a80e37de45d1ecb45ba4811b556afb192ec54e0aa8e5fcd69601273f",
+        "noisy_train.nld": "cc07e3e622db3905b9145fe73b7809ba54386c2b84556a5c6af93560d014cffe",
+        "q_stage0_*": "6a4b5d7c42bed1403558e7714e4712599382113093b15e9314804b640d21fa66",
+        "q_final_*": "1b8249e151a658c0cce49f5612118e52e583a2d0be7742fe810c88f43b64c5b8",
+        "synth stdout": "622d901ba1342312b275e3439d84fb92e1e94baf3daabb8c804bfb5b4e48d044",
+        "synth files": "8693634b4838a21da4701a390683ff7cb000451aa169a6f00babf83acd9ca1c2",
+        "inject stdout": "097a03e21f5d94a961b0c69b4f9bc1cc37a1bae4622ea8b7023816c436587035",
+        "inject files": "0904c5576311f480fd158c932fdba05b737932c823e0bf18320be117028335c6",
     },
 }
 

@@ -347,6 +347,35 @@ class TestSnapshots:
             load_snapshot(path)
         assert cli_main(["export-q", "--snapshot", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("attributes, key, value, message", [
+        (None, "classes", "1", "a noise unit needs at least 2 classes"),
+        (None, "decays", "0.0,-1.0", "finite and >= 0"),
+        (None, "decays", "0.0,nan", "finite and >= 0"),
+        (None, "decays", "0.0,inf", "finite and >= 0"),
+        (None, "decays", "5.0,0.002", r"first \(the identity's\) 0.0"),
+        ("a:2,b:3", "decays", "0.0,0.002;0.0,-inf", "finite and >= 0"),
+        ("a:2,b:3", "decays", "0.0,0.002;1e-3,0.002", r"first \(the identity's\) 0.0"),
+    ], ids=["one-class", "negative", "nan", "inf", "first-not-zero", "multi-minus-inf",
+            "multi-first-not-zero"])
+    def test_metadata_values_are_checked_where_they_enter(self, tmp_path, attributes, key,
+                                                          value, message):
+        """Each bad value is a FormatError naming its key, raised before
+        anything is built; a decay of NaN or inf used to load."""
+        models = [NAModel(c) for c in ([3] if attributes is None else [2, 3])]
+        for model in models:
+            model.add_unit(decay=0.002)
+        trunk = Network([Dense(2, 4), ReLU(), *([Dense(4, 3)] if attributes is None else [])],
+                        (2,), seed=0)
+        view = (OneHead(trunk) if attributes is None
+                else MultiHeadNetwork(trunk, AttributeSpec([2, 3], ["a", "b"]), seed=0))
+        path = tmp_path / "m.nam"
+        save_snapshot(path, view, models)
+        self.rewrite_meta_line(path, key, replacement=f"{key} = {value}")
+        with pytest.raises(FormatError, match=f"^bad snapshot metadata {key} = '{value}': "
+                                              f".*{message}"):
+            load_snapshot(path)
+        assert cli_main(["export-q", "--snapshot", str(path), "--out", str(tmp_path)]) == 2
+
     def test_missing_metadata_key_exits_2(self, tmp_path, capsys):
         path = write_single_snapshot(tmp_path)
         self.rewrite_meta_line(path, "decays")
@@ -480,7 +509,7 @@ class TestRunExperiment:
 
     def test_evaluation_ignores_test_given_labels(self, tmp_path):
         cfg = make_cfg(tmp_path, name="ev")
-        train_ds, test_ds, _ = resolve_data(cfg, None)
+        train_ds, test_ds = resolve_data(cfg, None)
         net = Network(cfg.arch_specs, cfg.arch_input_shape, seed=1)
         base = evaluate(net, test_ds.features, test_ds.true_labels)
         scrambled = test_ds.given_labels.copy()
@@ -647,7 +676,7 @@ na.stage_epochs = 1
         assert not [row for row in rows if row.startswith("pretrain,")]
 
     def test_single_label_test_set_is_checked_against_the_network(self, tmp_path):
-        train, test, _ = resolve_data(make_cfg(tmp_path), None)
+        train, test = resolve_data(make_cfg(tmp_path), None)
         true = test.true_labels.copy()
         true[0] = 3  # the network has 3 outputs; the test file declares 4 classes
         save_dataset(train, tmp_path / "train.nld")
@@ -694,6 +723,22 @@ class TestResume:
         assert code == (0 if named is None else 2)
         assert (named or "") in capsys.readouterr().err
         assert (tmp_path / "resumed" / "snapshot_final.nam").exists() == (named is None)
+
+    def test_a_non_finite_decay_exits_2_before_the_rounds(self, tmp_path, capsys):
+        """Such a snapshot used to load, and the first round then diverged
+        with exit 1."""
+        model = NAModel(4)
+        model.add_unit(decay=0.002)
+        snapshot = tmp_path / "stage0.nam"
+        save_snapshot(snapshot, Network(parse_arch(self.ENTRIES["arch.layers"]), (4,), seed=0),
+                      [model])
+        TestSnapshots.rewrite_meta_line(snapshot, "decays", replacement="decays = 0.0,nan")
+        entries = {**self.ENTRIES, "out": str(tmp_path / "resumed")}
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        assert cli_main(["recurse", "--config", str(cfg_path), "--snapshot", str(snapshot)]) == 2
+        assert "bad snapshot metadata decays = '0.0,nan'" in capsys.readouterr().err
+        assert not (tmp_path / "resumed" / "snapshot_final.nam").exists()
 
 
 class TestMetricsLog:

@@ -1,7 +1,8 @@
 """Every public name of the package has a caller outside the tests,
 every name a module imports is used in that module, labels are checked
-only where they enter, class-axis sums go through ``nn.row_sum``, and
-binary files go through one writer and one reader.
+only where they enter, class-axis sums go through ``nn.row_sum``,
+binary files go through one writer and one reader, and one function
+gives the order of a model's parameters.
 
 The names checked are those in ``noiseattn.__all__`` and, in every module
 of the package, each public module-level function, each class and each
@@ -205,3 +206,12 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(unused - allowed) == []
     assert allowed <= unused  # an entry that gains a caller leaves the list
     assert {checked[qual] for qual in allowed} == set(ALLOWED)
+
+
+def test_one_parameter_order():
+    """The order of a model's parameters is said once, by
+    ``training._param_chain``: snapshots are written and read in it, and a
+    divergence names the first non-finite parameter by it."""
+    assert callers("_param_chain") == referrers("_param_chain") == {
+        "harness.save_snapshot", "harness.load_snapshot",
+        "training.Trainer._non_finite_parameter"}

@@ -10,7 +10,7 @@ from noiseattn import (ConfigError, DataError, Dense, NAModel, Network, OneHead,
                        attention_outputs, combine_supervisions,
                        generate_synthetic, inject_noise,
                        run_recursion, snapshot_probs, soft_nll_loss, softmax)
-from noiseattn import NoiseSpec, SyntheticSpec
+from noiseattn import NoiseSpec, SyntheticSpec, recursion
 from noiseattn.attention import na_loss_terms, project_column_stochastic, routed_backward
 from noiseattn.recursion import soft_attention_outputs, soft_out_grad
 from gradfixtures import grad_check
@@ -135,10 +135,11 @@ class TestSnapshot:
         np.testing.assert_array_equal(snapshot_probs(OneHead(net), [model], x, y)[0],
                                       snapshot_probs(OneHead(net), [model], x, y)[0])
 
-    def test_single_unit_snapshot_equals_plain_softmax(self):
+    def test_single_unit_snapshot_equals_plain_softmax(self, monkeypatch):
         net, _, x, y = self._setup(seed=51)
         model = NAModel(3)
-        out = snapshot_probs(OneHead(net), [model], x, y, chunk_size=16)[0]
+        monkeypatch.setattr(recursion, "TEACHER_CHUNK", 16)
+        out = snapshot_probs(OneHead(net), [model], x, y)[0]
         expected = np.concatenate([softmax(net.forward(x[i:i + 16]))
                                    for i in range(0, 50, 16)])
         np.testing.assert_array_equal(out, expected)
@@ -148,11 +149,12 @@ class TestSnapshot:
         out = snapshot_probs(OneHead(net), [model], x, y)[0]
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_chunked_equals_selection_on_full_batch(self):
+    def test_chunked_equals_selection_on_full_batch(self, monkeypatch):
         net, model, x, y = self._setup(seed=53)
         probs = softmax(net.forward(x))
         _, expected = attention_outputs(probs, y, model)
-        np.testing.assert_allclose(snapshot_probs(OneHead(net), [model], x, y, chunk_size=7)[0],
+        monkeypatch.setattr(recursion, "TEACHER_CHUNK", 7)
+        np.testing.assert_allclose(snapshot_probs(OneHead(net), [model], x, y)[0],
                                    expected, rtol=1e-12, atol=1e-15)
 
 

@@ -12,7 +12,7 @@ from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, DivergenceE
                        Trainer, TrainSettings, UnitSchedule, build_config, run_experiment,
                        run_recursion, split_train_val)
 from noiseattn.nn import entropy_tuple
-from noiseattn.training import STREAM_SHUFFLE
+from noiseattn.training import STREAM_SHUFFLE, _param_chain
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "noiseattn"
 SETTINGS = TrainSettings(lr=0.05, batch_size=16)
@@ -230,12 +230,29 @@ class TestParameterArena:
         trainer.train_epoch(x, labels)
         trainer.add_unit(UnitSchedule(init_jitter=1e-2))
         trainer.train_epoch(x, labels)
-        for opt in (trainer.net_opt, trainer.unit_opt):
+        for opt in (trainer.net_opt, *trainer.unit_opts):
             assert opt.params
             for p in opt.params:
                 assert np.shares_memory(p.data, opt._data)
                 assert np.shares_memory(p.grad, opt._grad)
-        assert [p.data.size for p in trainer.unit_opt.params] == [9, 9]
+        assert [[p.data.size for p in opt.params] for opt in trainer.unit_opts] == [[9, 9]]
+
+    def test_unit_arenas_follow_the_chain_however_units_were_added(self):
+        """Units added a1, b1, a2, b2, as a run adds them epoch by epoch, and
+        a trainer built over the same models, as a resume builds it, hold
+        the same arenas: one per model (3 and 4 classes), in chain order."""
+        trainer = multi_trainer()
+        for _ in range(2):
+            for k in range(2):
+                trainer.add_unit(UnitSchedule(init_jitter=1e-2), k)
+        rebuilt = Trainer(trainer.net, SETTINGS, trainer.na_models, seed=2)
+        chain = [p for _, p in _param_chain(trainer.net, trainer.na_models)]
+        for t in (trainer, rebuilt):
+            held = [chain.index(p) for opt in t.unit_opts for p in opt.params]
+            assert held == sorted(held)
+            assert [[p.data.size for p in opt.params] for opt in t.unit_opts] == [[9, 9], [16, 16]]
+        assert [list(map(id, opt.params)) for opt in trainer.unit_opts] == [
+            list(map(id, opt.params)) for opt in rebuilt.unit_opts]
 
     def test_only_the_arena_rebinds_parameter_arrays(self):
         # p.data = ... outside nn.py would detach p from its optimizer's arena

@@ -2,7 +2,7 @@
 
 Builds classifiers on datasets with incorrect labels by routing every
 training sample through one of several learnable class-confusion units
-(the first frozen at the identity), then refining the network over
+(unit 0 is the fixed identity), then refining the network over
 recursive self-distillation rounds that blend given labels with the
 previous round's predictions. Inference uses the base network alone.
 """

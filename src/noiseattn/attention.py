@@ -2,8 +2,8 @@
 
 A noise unit is a column-stochastic class-confusion matrix Q whose entry
 (j, i) is the probability that a sample of true class i was observed with
-label j. A model keeps an ordered list of units; the first is frozen at
-the identity (the clean-label channel) and the rest are learnable. Every
+label j. A model keeps an ordered list of units: unit 0 is the identity
+(the clean-label channel), and every later unit is learnable. Every
 sample routes through whichever unit makes its observed label most
 likely, so different units specialize to different noise patterns while
 the base network is pushed toward the latent true labels.
@@ -44,15 +44,14 @@ def project_column_stochastic(q):
 
 
 class NoiseUnit:
-    """One confusion matrix with a frozen flag and a decay coefficient."""
+    """One confusion matrix and its decay; learnable unless it is unit 0 of a model."""
 
-    def __init__(self, n_classes: int, frozen: bool = False, decay: float = 0.0):
+    def __init__(self, n_classes: int, decay: float = 0.0):
         if n_classes < 2:
             raise ConfigError(f"a noise unit needs at least 2 classes, got {n_classes}")
-        if decay < 0:
-            raise ConfigError(f"decay must be non-negative, got {decay}")
+        if not 0 <= decay < np.inf:
+            raise ConfigError(f"decay must be finite and non-negative, got {decay}")
         self.q = Parameter(np.eye(n_classes))
-        self.frozen = frozen
         self.decay = float(decay)
 
     @property
@@ -61,13 +60,11 @@ class NoiseUnit:
 
 
 class NAModel:
-    """Ordered noise units; the first is always the frozen identity."""
+    """Ordered noise units; unit 0 is the identity, never stepped nor projected."""
 
     def __init__(self, n_classes: int):
         self.n_classes = n_classes
-        self.units: list[NoiseUnit] = [NoiseUnit(n_classes, frozen=True)]
-        self._eye = np.eye(n_classes)  # the decay anchor of routed_backward
-        self._eye.flags.writeable = False
+        self.units: list[NoiseUnit] = [NoiseUnit(n_classes)]
 
     @property
     def active_count(self) -> int:
@@ -76,12 +73,12 @@ class NAModel:
     def add_unit(self, decay: float = 0.0, jitter: float = 0.0, rng=None) -> NoiseUnit:
         """Append a learnable unit initialized at (jittered) identity.
 
-        A strictly identity-valued new unit ties with the frozen identity
+        A strictly identity-valued new unit ties with the identity unit 0
         on every sample and, with ties resolved to the lowest index, would
         never be selected and never receive gradient; the jitter breaks
         those ties while keeping the unit within O(jitter) of the identity.
         """
-        unit = NoiseUnit(self.n_classes, frozen=False, decay=decay)
+        unit = NoiseUnit(self.n_classes, decay=decay)
         if jitter:
             if rng is None:
                 raise ConfigError("jittered unit initialization needs an rng")
@@ -91,13 +88,12 @@ class NAModel:
         return unit
 
     def learnable_params(self) -> list[Parameter]:
-        return [u.q for u in self.units if not u.frozen]
+        return [u.q for u in self.units[1:]]
 
     def project(self):
         """``project_column_stochastic`` of each learnable Q, in place."""
-        for unit in self.units:
-            if not unit.frozen:
-                unit.q.data[...] = project_column_stochastic(unit.q.data)
+        for unit in self.units[1:]:
+            unit.q.data[...] = project_column_stochastic(unit.q.data)
 
     def unit_matrices(self) -> list[np.ndarray]:
         return [unit.q.data.copy() for unit in self.units]
@@ -136,14 +132,20 @@ class UnitSchedule:
             raise ConfigError("patience must be a positive integer")
         if self.improvement_threshold <= 0:
             raise ConfigError("improvement_threshold must be positive")
-        if self.decay_base < 0:
-            raise ConfigError("decay_base must be non-negative")
-        if self.decay_growth < 1:
-            raise ConfigError("decay_growth must be >= 1")
-        if self.init_jitter < 0:
-            raise ConfigError("init_jitter must be non-negative")
+        if not 0 <= self.decay_base < np.inf:
+            raise ConfigError("decay_base must be finite and non-negative")
+        if not 1 <= self.decay_growth < np.inf:
+            raise ConfigError("decay_growth must be finite and >= 1")
+        if not 0 <= self.init_jitter < np.inf:
+            raise ConfigError("init_jitter must be finite and non-negative")
         if not 0.0 < self.val_fraction < 1.0:  # the plateau rule needs validation losses
             raise ConfigError("val_fraction must lie in (0, 1)")
+        try:
+            last = self.decay_for(self.max_units)
+        except OverflowError:
+            last = np.inf
+        if last == np.inf:
+            raise ConfigError(f"max_units = {self.max_units} overflows the last unit's decay")
 
     def decay_for(self, unit_index: int) -> float:
         if unit_index < 2:
@@ -214,9 +216,9 @@ def na_loss_terms(probs, labels, model: NAModel):
 def routed_backward(probs, sel, out_grad, model: NAModel):
     """Backpropagate a routed-output gradient through the selected units.
 
-    Returns the gradient wrt the base probabilities. Learnable units
-    accumulate their gradient contributions, then the identity-anchored
-    term decay * (Q - I); frozen units receive neither.
+    Returns the gradient wrt the base probabilities. Each unit m > 0
+    accumulates its gradient contribution, then the term decay * (Q - I)
+    anchored on unit 0's identity; unit 0 receives neither.
     """
     gp = np.empty_like(probs)
     counts = np.bincount(sel, minlength=len(model.units))
@@ -225,9 +227,9 @@ def routed_backward(probs, sel, out_grad, model: NAModel):
             mask = sel == m
             sub = out_grad[mask]
             gp[mask] = sub @ unit.q.data
-            if not unit.frozen:
+            if m > 0:
                 unit.q.grad += sub.T @ probs[mask]
-        if not unit.frozen and unit.decay:
-            unit.q.grad += unit.decay * (unit.q.data - model._eye)
+        if unit.decay:  # 0.0 for unit 0
+            unit.q.grad += unit.decay * (unit.q.data - model.units[0].q.data)
     return gp
 

@@ -167,13 +167,13 @@ def save_snapshot(path, net, models):
 def load_snapshot(path):
     """Rebuild (heads view, noise models), a ``OneHead`` or a
     ``MultiHeadNetwork`` with one model per head, through ``data._Reader``.
-    The metadata is config text: a duplicated key or a line without ``=``
-    is a ``FormatError``. It must hold one unit and one decay group per
-    attribute (1 for single-label), at least 2 classes, and finite decays
-    >= 0, each group's first (the identity's) 0.0. The parameter count it
-    implies, the header's count and the bytes left are checked before
-    anything is built, so a file cannot make the loader allocate more than
-    a few times its own size."""
+    The metadata is config text (a duplicated key or a line without ``=``
+    is a ``FormatError``) holding one unit and one decay group per attribute,
+    at least 2 classes, and finite decays >= 0, each group's first 0.0. The
+    parameter count it implies, the header's count and the bytes left are
+    checked before anything is built, so a file cannot make the loader
+    allocate more than a few times its size. Every parameter must be finite
+    and each model's unit 0, the identity, byte-equal to ``np.eye``."""
     with _Reader(path, "snapshot", SNAPSHOT_MAGIC, SNAPSHOT_VERSION) as reader:
         (meta_len,) = reader.unpack("<I", "header")
         try:
@@ -229,6 +229,8 @@ def load_snapshot(path):
                               f"needs {expected}")
         vec = reader.array(n_params, "<f8", np.float64, "parameters")
         reader.done()
+    if not np.isfinite(vec).all():
+        raise FormatError("snapshot holds a non-finite parameter")
 
     trunk = Network(arch_specs, input_shape, seed=0)
     view = OneHead(trunk) if attributes is None else MultiHeadNetwork(trunk, attributes)
@@ -240,6 +242,8 @@ def load_snapshot(path):
     for _, p in _param_chain(view, models):
         p.data[...] = vec[pos:pos + p.size].reshape(p.data.shape)
         pos += p.size
+    if any(m.units[0].q.data.tobytes() != np.eye(m.n_classes).tobytes() for m in models):
+        raise FormatError("snapshot unit 0 is not the identity")
     return view, models
 
 

@@ -7,7 +7,7 @@ interface. Per-attribute losses are summed and every head's gradient
 reaches the shared layers. There is one objective: the NLL of each
 label after routing its sample through the unit of the attribute's model
 that makes the label most likely. Pretraining is this objective while
-each model holds only the frozen identity: ``probs @ I`` is exact, so the
+each model holds only unit 0, the identity: ``probs @ I`` is exact, so the
 routed loss and gradient are then the plain softmax NLL's, bit for bit.
 """
 
@@ -38,12 +38,12 @@ class TrainSettings:
     batch_size: int = 64
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -136,7 +136,7 @@ class Trainer:
     view such as ``MultiHeadNetwork``, whose ``forward`` returns one
     probability batch per head. ``na_models`` default to one identity-only
     ``NAModel`` per attribute, so epochs before the first ``add_unit``
-    are pretraining. ``unit_opts[k]`` steps model k's learnable units, in
+    are pretraining. ``unit_opts[k]`` steps model k's units after unit 0, in
     ``_param_chain`` order. Labels are (N,) for one attribute or (N, K) for K;
     each epoch checks them against the heads once, before the first step.
     Mini-batch order comes from a dedicated shuffle stream seeded by the

@@ -68,14 +68,14 @@ def multi_attribute_loss(probs_list, labels, na_models) -> tuple[float, list[flo
 
 
 def decay_penalty(model: NAModel) -> float:
-    """Sum of 0.5 * decay * ||Q - I||_F^2 over learnable units.
+    """Sum of 0.5 * decay * ||Q - I||_F^2 over the learnable units, those after unit 0.
 
     This is the potential whose gradient routed_backward adds; it is kept
     out of the reported NLL and only shapes updates.
     """
     total = 0.0
-    for unit in model.units:
-        if not unit.frozen and unit.decay:
+    for unit in model.units[1:]:
+        if unit.decay:
             diff = unit.q.data - np.eye(unit.n_classes)
             total += 0.5 * unit.decay * float(np.sum(diff * diff))
     return total
@@ -93,10 +93,10 @@ def uniform_flip_matrix(c: int, rho: float) -> np.ndarray:
 
 
 def project_units(model: NAModel):
-    """Each learnable unit's Q replaced by ``project_column_stochastic`` of it."""
-    for unit in model.units:
-        if not unit.frozen:
-            unit.q.data[...] = project_column_stochastic(unit.q.data)
+    """Each learnable unit's Q (every unit after unit 0) replaced by
+    ``project_column_stochastic`` of it."""
+    for unit in model.units[1:]:
+        unit.q.data[...] = project_column_stochastic(unit.q.data)
 
 
 def unit_outputs_stacked(probs, model: NAModel):
@@ -106,17 +106,18 @@ def unit_outputs_stacked(probs, model: NAModel):
 
 def routed_backward_masks(probs, sel, out_grad, model: NAModel):
     """``routed_backward`` as one boolean mask per unit: every unit's
-    gradient term first, then every decay term against a fresh identity."""
+    gradient term first, then every decay term against a fresh identity.
+    Only the units after unit 0 take either."""
     gp = np.empty_like(probs)
     for m, unit in enumerate(model.units):
         mask = sel == m
         if mask.any():
             sub = out_grad[mask]
             gp[mask] = sub @ unit.q.data
-            if not unit.frozen:
+            if m > 0:
                 unit.q.grad += sub.T @ probs[mask]
-    for unit in model.units:
-        if not unit.frozen and unit.decay:
+    for unit in model.units[1:]:
+        if unit.decay:
             unit.q.grad += unit.decay * (unit.q.data - np.eye(unit.n_classes))
     return gp
 

@@ -20,7 +20,7 @@ from oracles import (decay_penalty, na_forward, project_units, routed_backward_m
                      select_unit, unit_outputs_stacked)
 
 
-def model_pair(matrices, decays=None, frozen=()):
+def model_pair(matrices, decays=None):
     """Two equal models: the identity plus one unit per matrix."""
     models = []
     for _ in range(2):
@@ -28,8 +28,6 @@ def model_pair(matrices, decays=None, frozen=()):
         for i, q in enumerate(matrices):
             unit = model.add_unit(decay=0.0 if decays is None else decays[i])
             unit.q.data[...] = q
-        for m in frozen:
-            model.units[m].frozen = True
         models.append(model)
     return models
 
@@ -49,7 +47,7 @@ def two_unit_model():
 
 class TestForwardAndSelection:
     def test_identity_unit_passthrough(self):
-        unit = NoiseUnit(2, frozen=True)
+        unit = NAModel(2).units[0]
         np.testing.assert_array_equal(na_forward([0.3, 0.7], unit), [0.3, 0.7])
 
     def test_hand_matrix_vector_product(self):
@@ -144,6 +142,26 @@ class TestBackward:
         gp = na_backward(probs, labels, model, terms=(sel, out, picked))
         np.testing.assert_array_equal(unit.q.grad, 0.0)
         np.testing.assert_allclose(gp, nll_loss_grad(probs, labels), rtol=1e-12, atol=0)
+
+    def test_unit_zero_takes_no_gradient(self):
+        """Unit 0, the identity, takes neither the routed gradient of its
+        samples nor a decay term, while a later unit takes both; the
+        identity's decay is 0.0 by construction."""
+        rng = np.random.default_rng(3)
+        model = NAModel(3)
+        unit = model.add_unit(decay=0.5, jitter=0.1, rng=rng)
+        assert model.units[0].decay == 0.0
+        probs = softmax(rng.normal(size=(8, 3)))
+        sel = np.array([0, 0, 0, 1, 0, 1, 0, 0])
+        routed_backward(probs, sel, rng.normal(size=(8, 3)), model)
+        assert model.units[0].q.grad.tobytes() == np.zeros((3, 3)).tobytes()
+        assert model.units[0].q.data.tobytes() == np.eye(3).tobytes()
+        routed = unit.q.grad.copy()
+        unit.q.grad[...] = 0.0
+        routed_backward(probs, np.zeros(8, dtype=int), np.ones((8, 3)), model)
+        assert model.units[0].q.grad.tobytes() == np.zeros((3, 3)).tobytes()
+        np.testing.assert_array_equal(unit.q.grad, 0.5 * (unit.q.data - np.eye(3)))
+        assert not np.array_equal(routed, unit.q.grad)
 
     def test_unit_gradient_formula_single_sample(self):
         # d(-log((Q p)[y]))/dq[y, i] = -p_i / (Q p)[y]
@@ -278,7 +296,7 @@ class TestFastPathsMatchLoops:
                     q[rng.uniform(size=q.shape) < 0.15] = rng.choice([np.nan, np.inf, -np.inf])
                 elif case == "nan_column":
                     q[:, rng.integers(4)] = np.nan
-            fast, ref = model_pair(mats, frozen=(2,) if case == "random" else ())
+            fast, ref = model_pair(mats)
             arrays = [u.q.data for u in fast.units]
             with np.errstate(invalid="ignore"):
                 fast.project()
@@ -291,7 +309,7 @@ class TestFastPathsMatchLoops:
         rng = np.random.default_rng(100 + seed)
         mats = [project_column_stochastic(np.eye(5) + rng.uniform(size=(5, 5)))
                 for _ in range(4)]
-        fast, ref = model_pair(mats, decays=[0.0, 1e-3, 2e-3, 4e-3], frozen=(3,))
+        fast, ref = model_pair(mats, decays=[0.0, 1e-3, 2e-3, 4e-3])
         for a, b in zip(fast.units, ref.units):
             a.q.grad[...] = b.q.grad[...] = rng.normal(size=(5, 5))
         probs = softmax(rng.normal(size=(64, 5)))

@@ -97,6 +97,44 @@ class TestNaN:
         assert cfg.recursion.min_improvement == -math.inf
 
 
+class TestUnusableValues:
+    """A hyperparameter the training code cannot use is a ConfigError at
+    load. Such values used to run: an infinite ``init_jitter`` gave NaN
+    units, an infinite ``decay_base`` wrote snapshots that ``load_snapshot``
+    rejects, an overflowing last decay raised a bare OverflowError, and an
+    infinite ``lr`` or ``weight_decay`` diverged."""
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"opt.lr": "inf"}, r"opt\.lr must be positive and finite, got inf"),
+        ({"opt.weight_decay": "inf"}, r"opt\.weight_decay must be finite and >= 0, got inf"),
+        ({"na.decay_base": "inf"}, r"na\.decay_base must be finite and non-negative"),
+        ({"na.decay_growth": "inf"}, r"na\.decay_growth must be finite and >= 1"),
+        ({"na.init_jitter": "inf"}, r"na\.init_jitter must be finite and non-negative"),
+        ({"na.decay_growth": "1e300", "na.max_units": "4"},
+         r"na\.max_units = 4 overflows the last unit's decay"),
+        ({"na.decay_base": "1e300", "na.decay_growth": "1e10", "na.max_units": "3"},
+         r"na\.max_units = 3 overflows the last unit's decay"),
+    ], ids=["lr", "weight_decay", "decay_base", "decay_growth", "init_jitter",
+            "growth-overflows", "product-overflows"])
+    def test_rejected_at_load(self, entries, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build_config(entries)
+
+    def test_the_last_decay_is_what_is_checked(self):
+        """``decay_for`` grows with the unit index, so a finite last decay
+        bounds them all; the same growth with one unit fewer is legal."""
+        na = build_config({"na.decay_growth": "1e300", "na.max_units": "3"}).na
+        assert na.decay_for(3) == 1e-3 * 1e300
+
+    def test_train_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"out = {tmp_path / 'run'}\nna.init_jitter = inf\n")
+        assert cli_main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error [config] na.init_jitter must be finite and non-negative\n")
+        assert not (tmp_path / "run").exists()
+
+
 class TestRecursionEpochs:
     def test_absent_key_is_the_na_stage_length(self):
         assert build_config({}).recursion.epochs == build_config({}).na.stage_epochs

@@ -8,7 +8,8 @@ import typing
 import numpy as np
 import pytest
 
-from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Conv2D, Flatten,
+from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Conv2D,
+                       DivergenceError, Flatten,
                        FormatError, LayerSpec, MaxPool2x2, MultiHeadNetwork, NAModel, Network,
                        ReLU,
                        StageError, build_config, evaluate, export_q, load_config, load_q_csv,
@@ -177,7 +178,7 @@ class TestSnapshots:
         assert back.active_count == 2
         assert back.units[1].decay == 0.002
         np.testing.assert_array_equal(back.units[1].q.data, unit.q.data)
-        assert back.units[0].frozen and not back.units[1].frozen
+        assert back.learnable_params() == [back.units[1].q]
 
     @pytest.mark.parametrize("attributes", [None, "a:2,b:3"])
     def test_header_is_written_from_the_view_and_read_back_as_it(self, tmp_path, attributes):
@@ -376,6 +377,58 @@ class TestSnapshots:
             load_snapshot(path)
         assert cli_main(["export-q", "--snapshot", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("attributes", [None, "a:2,b:3"])
+    @pytest.mark.parametrize("unit0", ["permutation", "one-ulp-off"])
+    def test_unit_zero_must_be_the_identity(self, tmp_path, attributes, unit0):
+        """Unit 0 is the identity by its position: a snapshot storing any
+        other matrix there, even one ulp away, is a FormatError."""
+        models = [NAModel(c) for c in ([3] if attributes is None else [2, 3])]
+        for model in models:
+            model.add_unit(decay=0.002)
+        q = models[-1].units[0].q.data
+        if unit0 == "permutation":
+            q[...] = q[::-1].copy()
+        else:
+            q[0, 0] = np.nextafter(1.0, 0.0)
+        trunk = Network([Dense(2, 4), ReLU(), *([Dense(4, 3)] if attributes is None else [])],
+                        (2,), seed=0)
+        view = (OneHead(trunk) if attributes is None
+                else MultiHeadNetwork(trunk, AttributeSpec([2, 3], ["a", "b"]), seed=0))
+        path = tmp_path / "m.nam"
+        save_snapshot(path, view, models)
+        with pytest.raises(FormatError, match="^snapshot unit 0 is not the identity$"):
+            load_snapshot(path)
+
+    @staticmethod
+    def set_parameter(path, index, value):
+        """Overwrite parameter ``index`` (negative counts from the end) of a snapshot."""
+        blob = bytearray(path.read_bytes())
+        _, meta_len = struct.unpack("<II", blob[4:12])
+        start = 12 + meta_len + 8
+        n = (len(blob) - start) // 8
+        offset = start + 8 * (index % n)
+        blob[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, -1], ids=["first-weight", "last-unit-entry"])
+    def test_parameters_must_be_finite(self, tmp_path, capsys, index, value):
+        """Such a snapshot used to load, and eval scored it with exit 0."""
+        model = NAModel(3)
+        model.add_unit(decay=0.002)
+        path = tmp_path / "m.nam"
+        save_snapshot(path, Network([Dense(2, 3)], (2,), seed=0), [model])
+        save_dataset(Dataset(np.zeros((3, 2)), [0, 1, 2], 3, [0, 1, 2]), tmp_path / "d.nld")
+        assert cli_main(["eval", "--snapshot", str(path), "--data", str(tmp_path / "d.nld")]) == 0
+        capsys.readouterr()
+        self.set_parameter(path, index, value)
+        with pytest.raises(FormatError, match="^snapshot holds a non-finite parameter$"):
+            load_snapshot(path)
+        assert cli_main(["eval", "--snapshot", str(path), "--data", str(tmp_path / "d.nld")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error [config] snapshot holds a non-finite parameter\n"
+        assert captured.out == ""
+
     def test_missing_metadata_key_exits_2(self, tmp_path, capsys):
         path = write_single_snapshot(tmp_path)
         self.rewrite_meta_line(path, "decays")
@@ -449,6 +502,58 @@ class TestEvaluate:
                               AttributeSpec([3, 4]), seed=3)
         ys = np.stack([rng.integers(0, 3, size=300), rng.integers(0, 4, size=300)], axis=1)
         assert evaluate(mh, x, ys) == _errors(mh, x, ys)
+
+
+class TestExtremeValues:
+    """The writer never writes what the reader rejects. A value at the edge
+    of what ``build_config`` accepts ends in a ConfigError, in a StageError,
+    or in snapshots that each load back and that CLI ``eval`` scores. The
+    patience and threshold add a unit every 2 stage epochs up to
+    ``max_units``, so each new unit's decay is used. Numpy's overflow and
+    invalid-value warnings of a diverging run are silenced around the run:
+    the run's own checks are what is under test."""
+
+    ENTRIES = {
+        "data.synthetic.kind": "blobs",
+        "data.synthetic.n_train": "60",
+        "data.synthetic.n_test": "30",
+        "noise.mode": "uniform",
+        "noise.rho": "0.3",
+        "arch.input_shape": "2",
+        "arch.layers": "dense:2:8,relu,dense:8:3",
+        "na.pretrain_epochs": "1",
+        "na.stage_epochs": "6",
+        "na.patience": "1",
+        "na.improvement_threshold": "inf",
+        "recursion.iterations": "1",
+        "recursion.epochs": "2",
+    }
+
+    @pytest.mark.parametrize("max_units", ["3", "4"])
+    @pytest.mark.parametrize("key", ["opt.lr", "opt.weight_decay", "na.decay_base",
+                                     "na.decay_growth", "na.init_jitter"])
+    def test_a_run_writes_only_loadable_snapshots(self, tmp_path, capsys, key, max_units):
+        out = tmp_path / "run"
+        entries = {**self.ENTRIES, key: "1e300", "na.max_units": max_units, "out": str(out)}
+        try:
+            cfg = build_config(entries)
+        except ConfigError:
+            return
+        finished = ["snapshot_final.nam", "snapshot_stage0.nam"]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                run_experiment(cfg)
+        except StageError as exc:
+            assert isinstance(exc.cause, DivergenceError)
+            finished = None
+        snapshots = sorted(out.glob("snapshot_*.nam"))
+        assert finished is None or [p.name for p in snapshots] == finished
+        for path in snapshots:
+            _, models = load_snapshot(path)
+            assert [m.active_count for m in models] == [int(max_units)]
+            assert cli_main(["eval", "--snapshot", str(path),
+                             "--data", str(out / "test.nld")]) == 0
+            assert "test error" in capsys.readouterr().out
 
 
 class TestRunExperiment:
@@ -738,6 +843,27 @@ class TestResume:
         cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
         assert cli_main(["recurse", "--config", str(cfg_path), "--snapshot", str(snapshot)]) == 2
         assert "bad snapshot metadata decays = '0.0,nan'" in capsys.readouterr().err
+        assert not (tmp_path / "resumed" / "snapshot_final.nam").exists()
+
+    def test_unit_zero_not_the_identity_exits_2(self, tmp_path, capsys):
+        """``eval``, ``export-q`` and ``recurse`` all load through
+        ``load_snapshot``; ``export-q`` used to write such a unit 0 out as
+        ``q_unit01.csv``."""
+        model = NAModel(4)
+        model.units[0].q.data[...] = np.eye(4)[[1, 0, 3, 2]]
+        snapshot = tmp_path / "stage0.nam"
+        save_snapshot(snapshot, Network(parse_arch(self.ENTRIES["arch.layers"]), (4,), seed=0),
+                      [model])
+        entries = {**self.ENTRIES, "out": str(tmp_path / "resumed")}
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        save_dataset(Dataset(np.zeros((2, 4)), [0, 1], 4, [0, 1]), tmp_path / "d.nld")
+        for argv in (["eval", "--snapshot", str(snapshot), "--data", str(tmp_path / "d.nld")],
+                     ["export-q", "--snapshot", str(snapshot), "--out", str(tmp_path / "q")],
+                     ["recurse", "--config", str(cfg_path), "--snapshot", str(snapshot)]):
+            assert cli_main(argv) == 2
+            assert "snapshot unit 0 is not the identity" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
         assert not (tmp_path / "resumed" / "snapshot_final.nam").exists()
 
 

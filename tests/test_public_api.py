@@ -1,8 +1,9 @@
 """Every public name of the package has a caller outside the tests,
 every name a module imports is used in that module, labels are checked
 only where they enter, class-axis sums go through ``nn.row_sum``,
-binary files go through one writer and one reader, and one function
-gives the order of a model's parameters.
+binary files go through one writer and one reader, one function gives
+the order of a model's parameters, and unit 0 is the identity by its
+position alone.
 
 The names checked are those in ``noiseattn.__all__`` and, in every module
 of the package, each public module-level function, each class and each
@@ -215,3 +216,11 @@ def test_one_parameter_order():
     assert callers("_param_chain") == referrers("_param_chain") == {
         "harness.save_snapshot", "harness.load_snapshot",
         "training.Trainer._non_finite_parameter"}
+
+
+def test_the_identity_is_unit_zero():
+    """Which unit is the identity is said by position: the learnable units
+    are ``units[1:]`` and the decay anchor is ``units[0]``. No module keeps
+    a per-unit ``frozen`` flag or a second identity matrix ``_eye``; the
+    ``frozen`` keyword of ``@dataclass`` is neither a name nor an attribute."""
+    assert functions_where(lambda node: names(node, "frozen") or names(node, "_eye")) == set()

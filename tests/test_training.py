@@ -100,9 +100,9 @@ class TestTrainSettings:
     ``SGD`` takes them as they are."""
 
     @pytest.mark.parametrize("field, value, message", [
-        ("lr", 0.0, r"^lr must be positive, got 0.0$"),
+        ("lr", 0.0, r"^lr must be positive and finite, got 0.0$"),
         ("momentum", 1.0, r"^momentum must lie in \[0, 1\), got 1.0$"),
-        ("weight_decay", -1.0, r"^weight_decay must be non-negative, got -1.0$"),
+        ("weight_decay", -1.0, r"^weight_decay must be finite and >= 0, got -1.0$"),
         ("batch_size", 0, r"^batch_size must be >= 1, got 0$"),
     ], ids=["lr", "momentum", "weight_decay", "batch_size"])
     def test_bad_hyperparameters_rejected(self, field, value, message):

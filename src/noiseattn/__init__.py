@@ -13,8 +13,8 @@ from .errors import (ConfigError, DataError, DivergenceError, FormatError,
                      NoiseAttnError, StageError, UsageError)
 from .nn import (EPS, Conv2D, Dense, Flatten, LayerSpec, MaxPool2x2, Network,
                  Parameter, ReLU, SGD, softmax, softmax_backward)
-from .attention import (Decision, NAModel, NoiseUnit, UnitSchedule, attention_outputs,
-                        project_column_stochastic, schedule_step)
+from .attention import (NAModel, NoiseUnit, UnitSchedule, attention_outputs,
+                        project_column_stochastic)
 from .recursion import (RecursionSchedule, alpha_schedule, combine_supervisions,
                         run_recursion, snapshot_probs, soft_nll_loss)
 from .training import OneHead, Trainer, TrainSettings, split_train_val

@@ -6,7 +6,9 @@ label j. A model keeps an ordered list of units: unit 0 is the identity
 (the clean-label channel), and every later unit is learnable. Every
 sample routes through whichever unit makes its observed label most
 likely, so different units specialize to different noise patterns while
-the base network is pushed toward the latent true labels.
+the base network is pushed toward the latent true labels. A model grows
+by one unit whenever ``UnitSchedule.plateaued`` finds that its
+validation loss has stopped improving, up to ``max_units``.
 
 Inference never applies the units: only the base network is evaluated.
 """
@@ -14,7 +16,6 @@ Inference never applies the units: only the base network is evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -102,8 +103,8 @@ class NAModel:
 @dataclass
 class UnitSchedule:
     """The noise-attention stage (the config's ``na.*`` keys): epochs
-    without and with units, when to grow the model, and how strongly new
-    units are anchored.
+    without and with units, when to grow the model (``plateaued``, up to
+    ``max_units``), and how strongly new units are anchored.
 
     Unit m (1-based, m >= 2) gets decay decay_base * decay_growth**(m-2),
     so later units are pulled toward the identity more strongly. The
@@ -152,30 +153,14 @@ class UnitSchedule:
             return 0.0
         return self.decay_base * self.decay_growth ** (unit_index - 2)
 
-
-class Decision(Enum):
-    CONTINUE = "continue"
-    ADD_UNIT = "add_unit"
-    STOP = "stop"
-
-
-def schedule_step(history, schedule: UnitSchedule, model: NAModel) -> Decision:
-    """Plateau rule over validation losses gathered since the last change.
-
-    Compares the best loss of the last `patience` epochs against the best
-    of the `patience` epochs before; improvement below the threshold adds
-    a unit, or stops once the model is at its unit cap.
-    """
-    e = schedule.patience
-    if len(history) < 2 * e:
-        return Decision.CONTINUE
-    recent = min(history[-e:])
-    previous = min(history[-2 * e:-e])
-    if previous - recent < schedule.improvement_threshold:
-        if model.active_count < schedule.max_units:
-            return Decision.ADD_UNIT
-        return Decision.STOP
-    return Decision.CONTINUE
+    def plateaued(self, history) -> bool:
+        """Whether the validation losses gathered since the model last
+        changed have plateaued: the best of the last ``patience`` epochs
+        improves on the best of the ``patience`` epochs before by less than
+        ``improvement_threshold``. Never before ``2 * patience`` losses."""
+        e = self.patience
+        return len(history) >= 2 * e and (
+            min(history[-2 * e:-e]) - min(history[-e:]) < self.improvement_threshold)
 
 
 # ---------------------------------------------------------------------------

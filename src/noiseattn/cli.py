@@ -2,7 +2,8 @@
 
 Subcommands: synth, inject, train, recurse, eval, export-q. The first four
 are driven by a line-based config file, which --seed and --out override;
-eval and export-q read a snapshot. Each takes only the flags it reads.
+eval and export-q read a snapshot, and eval checks its test set against
+the snapshot's heads before scoring. Each takes only the flags it reads.
 Exit code 0 on success, 2 for configuration/data/format problems and for
 runs too large for memory, 1 for runtime failures; diagnostics carry the
 failing pipeline stage.
@@ -19,8 +20,8 @@ from .config import load_config
 from .data import load_dataset
 from .errors import (ConfigError, DataError, FormatError, NoiseAttnError, StageError,
                      out_of_memory)
-from .harness import (_export_models, _inject_and_save, _make_out_dir, evaluate, load_snapshot,
-                      resolve_data, resume_recursion, run_experiment)
+from .harness import (_check_fit, _export_models, _inject_and_save, _make_out_dir, evaluate,
+                      load_snapshot, resolve_data, resume_recursion, run_experiment)
 
 
 def _load_config(args):
@@ -40,7 +41,7 @@ def _cmd_synth(args) -> int:
     clean = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, mode="none"))
     try:
         train, test = resolve_data(clean, out)
-    except MemoryError as exc:  # a train run meets this inside harness._drive
+    except MemoryError as exc:  # a train run meets this inside harness._Run
         raise StageError("data", out_of_memory(exc)) from exc
     print(f"wrote {out / 'train.nld'} ({train.n} samples) and "
           f"{out / 'test.nld'} ({test.n} samples)")
@@ -92,6 +93,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError("eval needs --data")
     view, _ = load_snapshot(args.snapshot)
     dataset = load_dataset(args.data)
+    _check_fit(view, dataset, "test")
     _print_errors("test error", evaluate(view, dataset.features, dataset.true_labels),
                   view.attributes)
     return 0

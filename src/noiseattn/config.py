@@ -193,6 +193,13 @@ def _parse_attributes(raw: str) -> AttributeSpec:
     return AttributeSpec(counts, names)
 
 
+def serialize_attributes(attributes) -> str | None:
+    """The ``_parse_attributes`` text of ``attributes``; None for single-label."""
+    if attributes is None:
+        return None
+    return ",".join(f"{n}:{c}" for n, c in zip(attributes.names, attributes.class_counts))
+
+
 def _section(e: _Entries, prefix: str, cls, **defaults):
     """Build the dataclass of one config section from its ``prefix.<field>``
     keys, each read as the type of the class default (a string, a float or

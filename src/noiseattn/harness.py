@@ -3,19 +3,23 @@
 The pipeline is: resolve data (optionally synthesize and inject noise),
 pretrain the base network on the noisy labels, grow and train the noise
 units until the schedule stops, run the recursive self-distillation
-rounds, and evaluate through the base network only. A single-label run
-is the one-head case of the same code path: the heads view (``OneHead``
-or ``MultiHeadNetwork``) is the model that ``evaluate`` scores, that a
-snapshot is written from and read back as; only the snapshot metadata,
-the flips.csv header, metric names and report fields differ by kind.
-Every artifact is a pure function of (config, seed); wall-clock time is
-kept out of metrics.csv so reruns are byte-identical.
+rounds, and evaluate through the base network only. Both pipelines run
+in one ``_Run`` record; the final test rows repeat its latest test
+errors, as no step runs after that evaluation. A single-label run is the
+one-head case of the same code path: the heads view (``OneHead`` or
+``MultiHeadNetwork``) is the model that each dataset must fit, that
+``evaluate`` scores, that a snapshot is written from and read back as;
+only the snapshot metadata, the flips.csv header, metric names and
+report fields differ by kind. Every artifact is a pure function of
+(config, seed); wall-clock time is kept out of metrics.csv so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -24,9 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import Decision, NAModel, schedule_step
+from .attention import NAModel
 from .config import (ExperimentConfig, _parse_attributes, parse_arch, parse_config_text,
-                     parse_input_shape, serialize_arch, serialize_input_shape, validate_paths)
+                     parse_input_shape, serialize_arch, serialize_attributes,
+                     serialize_input_shape, validate_paths)
 from .data import (_Reader, _write, generate_synthetic, generate_synthetic_multi, inject_noise,
                    load_dataset, save_dataset)
 from .errors import (ConfigError, FormatError, NoiseAttnError, StageError, in_epoch,
@@ -128,13 +133,6 @@ def load_q_csv(path) -> np.ndarray:
 # Model snapshots
 
 
-def _attribute_tokens(attributes):
-    """``name:classes,...`` as in the config; None for single-label."""
-    if attributes is None:
-        return None
-    return ",".join(f"{n}:{c}" for n, c in zip(attributes.names, attributes.class_counts))
-
-
 def _meta_lines(view, models):
     lines = [f"kind = {'single' if view.attributes is None else 'multi'}",
              f"input_shape = {serialize_input_shape(view.trunk.input_shape)}",
@@ -142,7 +140,7 @@ def _meta_lines(view, models):
     if view.attributes is None:
         lines.append(f"classes = {view.class_counts[0]}")
     else:
-        lines.append(f"attributes = {_attribute_tokens(view.attributes)}")
+        lines.append(f"attributes = {serialize_attributes(view.attributes)}")
     lines.append("units = " + ";".join(str(m.active_count) for m in models))
     lines.append("decays = " + ";".join(
         ",".join(repr(u.decay) for u in m.units) for m in models))
@@ -311,41 +309,47 @@ class RunReport:
         return json.dumps(self.__dict__, indent=2)
 
 
-def _drive(cfg: ExperimentConfig, out: Path, stage, body) -> RunReport:
-    """Run ``body(metrics, report)``, flushing metrics.csv even when it
-    fails; a failure, running out of memory included, is raised as a
-    StageError naming ``stage[0]``."""
-    started = time.perf_counter()
-    _make_out_dir(out)
-    metrics = MetricsLog()
-    report = RunReport(config_echo=dict(cfg.echo), seed=cfg.seed,
-                       version=__version__, out_dir=str(out))
-    try:
-        body(metrics, report)
-    except (NoiseAttnError, MemoryError) as exc:
-        metrics.write(out / "metrics.csv")  # flush partial artifacts before abort
-        cause = exc if isinstance(exc, NoiseAttnError) else out_of_memory(exc)
-        raise StageError(stage[0], cause) from exc
-    metrics.write(out / "metrics.csv")
-    report.wall_clock_s = time.perf_counter() - started
-    (out / "report.json").write_text(report.to_json())
-    return report
+class _Run:
+    """One run of a pipeline: its config, output directory, metrics and
+    report, the stage it is in and the test errors of its latest
+    evaluation. Leaving the ``with`` block writes metrics.csv, then on
+    success report.json with the wall-clock time; a package error or a
+    MemoryError, after metrics.csv, is raised as a StageError naming the
+    stage. Any other exception passes through and writes nothing."""
+
+    def __init__(self, cfg: ExperimentConfig, out, stage: str):
+        self.cfg, self.out, self.stage, self.errors = cfg, Path(out), stage, None
+        self.metrics = MetricsLog()
+        self.report = RunReport(config_echo=dict(cfg.echo), seed=cfg.seed,
+                                version=__version__, out_dir=str(self.out))
+
+    def __enter__(self):
+        self.started = time.perf_counter()
+        _make_out_dir(self.out)
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if exc is not None and not isinstance(exc, (NoiseAttnError, MemoryError)):
+            return False
+        self.metrics.write(self.out / "metrics.csv")
+        if exc is not None:
+            cause = exc if isinstance(exc, NoiseAttnError) else out_of_memory(exc)
+            raise StageError(self.stage, cause) from exc
+        self.report.wall_clock_s = time.perf_counter() - self.started
+        (self.out / "report.json").write_text(self.report.to_json())
+        return False
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Execute the full configured pipeline and write all artifacts."""
-    out = Path(cfg.out_dir)
-    stage = ["setup"]
-
-    def body(metrics, report):
+    with _Run(cfg, cfg.out_dir, "setup") as run:
         validate_paths(cfg)
-        (out / "config_echo.cfg").write_text(
+        (run.out / "config_echo.cfg").write_text(
             "".join(f"{k} = {v}\n" for k, v in cfg.echo.items()))
-        stage[0] = "data"
-        train_ds, test_ds = resolve_data(cfg, out)
-        _run(cfg, train_ds, test_ds, metrics, out, report, stage)
-
-    return _drive(cfg, out, stage, body)
+        run.stage = "data"
+        train_ds, test_ds = resolve_data(cfg, run.out)
+        _run(run, train_ds, test_ds)
+    return run.report
 
 
 def _check_arch(cfg: ExperimentConfig):
@@ -353,50 +357,60 @@ def _check_arch(cfg: ExperimentConfig):
         raise ConfigError("arch.layers and arch.input_shape are required for training")
 
 
-def _split(cfg, view, train_ds, test_ds):
-    """Check both datasets against the heads of ``view``, each label column
-    against its own head's class count; returns the fit and validation
-    parts as (xt, yt, xv, yv, validation true labels or None)."""
+def _check_fit(view, ds, part):
+    """The ``part`` set ``ds`` must fit the heads of ``view``: one feature
+    column per network input, one label column per attribute (none for a
+    single-label model), and each label column, given and true, within its
+    own head's class count."""
+    width = math.prod(view.trunk.input_shape)
+    if ds.d != width:
+        raise ConfigError(f"{part} set has {ds.d} feature columns, network input "
+                          f"{serialize_input_shape(view.trunk.input_shape)} takes {width}")
     k = 0 if view.attributes is None else len(view.names)
-    for ds in (train_ds, test_ds):
-        if ds.k != k:
-            raise ConfigError(f"dataset has {ds.k} attribute columns, config declares {k}")
-    if k == 0 and view.class_counts != [train_ds.c]:
-        raise ConfigError(f"network outputs {view.class_counts[0]} classes, "
-                          f"dataset has {train_ds.c}")
-    for part, ds in (("train", train_ds), ("test", test_ds)):
-        for kind, labels in (("given", ds.given_labels), ("true", ds.true_labels)):
-            if labels is None:
-                continue
+    if ds.k != k:
+        raise ConfigError(f"{part} set has {ds.k} attribute columns, the model has {k}")
+    for kind, labels in (("given", ds.given_labels), ("true", ds.true_labels)):
+        if labels is not None:
             for name, c, column in zip(view.names, view.class_counts, label_columns(labels)):
                 of = f" of attribute {name}" if name else ""
                 check_labels(column, c, f"{part} {kind} labels{of}")
+
+
+def _split(cfg, view, train_ds, test_ds):
+    """Check both datasets against the heads of ``view``; returns the fit
+    and validation parts as (xt, yt, xv, yv, validation true labels or
+    None)."""
+    for part, ds in (("train", train_ds), ("test", test_ds)):
+        _check_fit(view, ds, part)
+    if view.attributes is None and view.class_counts != [train_ds.c]:
+        raise ConfigError(f"network outputs {view.class_counts[0]} classes, "
+                          f"dataset has {train_ds.c}")
     train_idx, val_idx = split_train_val(train_ds.n, cfg.na.val_fraction, cfg.seed)
     val_true = None if train_ds.true_labels is None else train_ds.true_labels[val_idx]
     return (train_ds.features[train_idx], train_ds.given_labels[train_idx],
             train_ds.features[val_idx], train_ds.given_labels[val_idx], val_true)
 
 
-def _test_rows(metrics, view, test_ds, stage_name, iteration, epoch, errors=None):
-    """Test error through the base network, written to metrics: ``error``
-    for a single-label run; ``error.<name>`` per attribute and ``error.ALL``
-    for a multi-label run, which returns (per-attribute errors, joint error).
-    ``errors`` already computed for the same parameters are written as they
-    are, not computed again."""
-    if errors is None:
-        errors = evaluate(view, test_ds.features, test_ds.true_labels)
+def _test_rows(run, view, test_ds, stage_name, iteration, epoch):
+    """Test error through the base network, kept on ``run`` as its latest
+    evaluation and written to its metrics: ``error`` for a single-label
+    run; ``error.<name>`` per attribute and ``error.ALL`` for a multi-label
+    run, whose errors are (per-attribute errors, joint error). Without
+    ``test_ds`` the rows repeat the latest evaluation."""
+    if test_ds is not None:
+        run.errors = evaluate(view, test_ds.features, test_ds.true_labels)
     if view.attributes is None:
-        rows = [("error", errors)]
+        rows = [("error", run.errors)]
     else:
-        rows = [*zip([f"error.{name}" for name in view.names], errors[0]),
-                ("error.ALL", errors[1])]
+        rows = [*zip([f"error.{name}" for name in view.names], run.errors[0]),
+                ("error.ALL", run.errors[1])]
     for metric, value in rows:
-        metrics.add(stage_name, iteration, epoch, "test", metric, value)
-    return errors
+        run.metrics.add(stage_name, iteration, epoch, "test", metric, value)
 
 
-def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
-    stage[0] = "build"
+def _run(run, train_ds, test_ds):
+    cfg = run.cfg
+    run.stage = "build"
     _check_arch(cfg)
     net = Network(cfg.arch_specs, cfg.arch_input_shape, seed=(cfg.seed, 1))
     view = (OneHead(net) if cfg.attributes is None
@@ -407,15 +421,15 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
     models = trainer.na_models
     suffixes = [f".{name}" if name else "" for name in view.names]
 
-    stage[0] = "pretrain"
+    run.stage = "pretrain"
     for epoch in range(cfg.na.pretrain_epochs):
         with in_epoch(epoch + 1):
             tr = trainer.train_epoch(xt, yt)
             vl = _loss_total(trainer.val_loss(xv, yv))
-        metrics.add("pretrain", 0, epoch, "train", "loss", tr)
-        metrics.add("pretrain", 0, epoch, "val", "loss", vl)
+        run.metrics.add("pretrain", 0, epoch, "train", "loss", tr)
+        run.metrics.add("pretrain", 0, epoch, "val", "loss", vl)
 
-    stage[0] = "na"
+    run.stage = "na"
     histories: list[list[float]] = [[] for _ in models]
     stopped = [False] * len(models)
     na_epochs = 0
@@ -424,55 +438,44 @@ def _run(cfg, train_ds, test_ds, metrics, out, report, stage):
             tr = trainer.train_epoch(xt, yt)
             per_attr = trainer.val_loss(xv, yv)
         na_epochs = epoch + 1
-        metrics.add("na", 0, epoch, "train", "loss", tr)
+        run.metrics.add("na", 0, epoch, "train", "loss", tr)
         for k, (suffix, vl) in enumerate(zip(suffixes, per_attr)):
-            metrics.add("na", 0, epoch, "val", "loss" + suffix, vl)
+            run.metrics.add("na", 0, epoch, "val", "loss" + suffix, vl)
             if stopped[k]:
                 continue
             histories[k].append(vl)
-            decision = schedule_step(histories[k], cfg.na, models[k])
-            if decision is Decision.ADD_UNIT:
+            if not cfg.na.plateaued(histories[k]):
+                continue
+            stopped[k] = models[k].active_count >= cfg.na.max_units
+            if not stopped[k]:
                 trainer.add_unit(cfg.na, k)
                 histories[k].clear()
-                metrics.add("na", 0, epoch, "model", "active_units" + suffix,
-                            models[k].active_count)
-            elif decision is Decision.STOP:
-                stopped[k] = True
+                run.metrics.add("na", 0, epoch, "model", "active_units" + suffix,
+                                models[k].active_count)
         if all(stopped):
             break
 
-    stage0 = _save_stage(view, models, test_ds, metrics, out, "stage0",
-                         ("na", 0, max(na_epochs - 1, 0)))
+    if test_ds.true_labels is not None:
+        _test_rows(run, view, test_ds, "na", 0, max(na_epochs - 1, 0))
+    _save_stage(run, view, models, "stage0")
     if view.attributes is None:
-        report.stage0 = {"pretrain_epochs": cfg.na.pretrain_epochs, "na_epochs": na_epochs,
-                         "active_units": models[0].active_count, "test_error": stage0}
-        report.test_errors["stage0"] = stage0
+        run.report.stage0 = {"pretrain_epochs": cfg.na.pretrain_epochs, "na_epochs": na_epochs,
+                             "active_units": models[0].active_count, "test_error": run.errors}
+        run.report.test_errors["stage0"] = run.errors
     else:
-        report.stage0 = {"na_epochs": na_epochs,
-                         "active_units": [m.active_count for m in models],
-                         "test_errors": stage0}
+        run.report.stage0 = {"na_epochs": na_epochs,
+                             "active_units": [m.active_count for m in models],
+                             "test_errors": run.errors}
 
-    _finish(cfg, trainer, split, test_ds, metrics, out, report, stage, stage0)
-
-
-def _finish(cfg, trainer, split, test_ds, metrics, out, report, stage, errors=None):
-    """The recursion rounds, if any, then the final test rows and save of
-    the model on ``trainer``. ``errors`` are its test errors; each round
-    replaces them with its own, so the final rows evaluate nothing again."""
-    stage[0] = "recursion"
-    records = []
-    if cfg.recursion.iterations > 0:
-        records, errors = _recursion(cfg, trainer, split, test_ds, metrics)
-    report.iterations = records
-
-    stage[0] = "eval"
-    report.test_errors["final"] = _save_stage(trainer.net, trainer.na_models, test_ds, metrics,
-                                              out, "final", ("final", len(records), 0), errors)
+    _finish(run, trainer, split, test_ds)
 
 
-def _recursion(cfg, trainer, split, test_ds, metrics):
-    """The rounds' records, and the test errors of the last round (None
-    when the test set has no true labels)."""
+def _finish(run, trainer, split, test_ds):
+    """The recursion rounds, if any, each evaluated when the test set has
+    true labels, then the final test rows and save of the model on
+    ``trainer``. No step runs after the latest evaluation, of stage 0 or
+    of the last round, so the final rows repeat it."""
+    run.stage = "recursion"
     view = trainer.net
     xt, yt, xv, yv, val_true = split
     if val_true is not None:
@@ -482,35 +485,31 @@ def _recursion(cfg, trainer, split, test_ds, metrics):
         def val_metric():
             return _loss_total(trainer.val_loss(xv, yv))
 
-    last_errors = None
-
     def on_iteration(record):
-        nonlocal last_errors
         t = record["iteration"]
         last_epoch = len(record["train_losses"]) - 1
         for epoch, loss in enumerate(record["train_losses"]):
-            metrics.add("recursion", t, epoch, "train", "loss", loss)
-        metrics.add("recursion", t, last_epoch, "val", "metric", record["val_metric"])
+            run.metrics.add("recursion", t, epoch, "train", "loss", loss)
+        run.metrics.add("recursion", t, last_epoch, "val", "metric", record["val_metric"])
         if test_ds.true_labels is not None:
-            key = "test_error" if view.attributes is None else "test_errors"
-            record[key] = last_errors = _test_rows(metrics, view, test_ds, "recursion", t,
-                                                   last_epoch)
+            _test_rows(run, view, test_ds, "recursion", t, last_epoch)
+            record["test_error" if view.attributes is None else "test_errors"] = run.errors
 
-    records = run_recursion(trainer, xt, yt, cfg.recursion, val_metric=val_metric,
-                            on_iteration=on_iteration)
-    return records, last_errors
+    if run.cfg.recursion.iterations > 0:
+        run.report.iterations = run_recursion(trainer, xt, yt, run.cfg.recursion,
+                                              val_metric=val_metric, on_iteration=on_iteration)
+
+    run.stage = "eval"
+    if run.errors is not None:
+        _test_rows(run, view, None, "final", len(run.report.iterations), 0)
+    _save_stage(run, view, trainer.na_models, "final")
+    run.report.test_errors["final"] = run.errors
 
 
-def _save_stage(view, models, test_ds, metrics, out, tag, row, errors=None):
-    """Test error rows at ``row`` = (stage, iteration, epoch) when the test
-    set has true labels, then ``snapshot_<tag>.nam`` and the ``q_<tag>_*``
-    unit exports; returns the test errors or None. ``errors`` already
-    computed for these parameters are reused."""
-    if test_ds.true_labels is not None:
-        errors = _test_rows(metrics, view, test_ds, *row, errors)
-    save_snapshot(out / f"snapshot_{tag}.nam", view, models)
-    _export_models(view, models, out, f"q_{tag}_")
-    return errors
+def _save_stage(run, view, models, tag):
+    """``snapshot_<tag>.nam`` and the ``q_<tag>_*`` unit exports."""
+    save_snapshot(run.out / f"snapshot_{tag}.nam", view, models)
+    _export_models(view, models, run.out, f"q_{tag}_")
 
 
 def _check_snapshot(cfg: ExperimentConfig, view):
@@ -519,8 +518,8 @@ def _check_snapshot(cfg: ExperimentConfig, view):
     echoes = [("arch", serialize_arch(view.trunk.specs), serialize_arch(cfg.arch_specs)),
               ("input_shape", serialize_input_shape(view.trunk.input_shape),
                serialize_input_shape(cfg.arch_input_shape)),
-              ("attributes", _attribute_tokens(view.attributes),
-               _attribute_tokens(cfg.attributes))]
+              ("attributes", serialize_attributes(view.attributes),
+               serialize_attributes(cfg.attributes))]
     for key, snapped, configured in echoes:
         if snapped != configured:
             raise ConfigError(f"snapshot {key} {snapped} does not match the config's "
@@ -543,18 +542,12 @@ def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunR
     """
     if cfg.recursion.iterations < 1:
         raise ConfigError("recursion.iterations must be >= 1 to resume")
-    out = Path(out_dir or cfg.out_dir)
-    stage = ["resume"]
-
-    def body(metrics, report):
+    with _Run(cfg, out_dir or cfg.out_dir, "resume") as run:
         validate_paths(cfg)
         view, models = load_snapshot(snapshot_path)
         _check_snapshot(cfg, view)
-        stage[0] = "data"
+        run.stage = "data"
         train_ds, test_ds = resolve_data(cfg, None)
         split = _split(cfg, view, train_ds, test_ds)
-
-        trainer = Trainer(view, cfg.opt, models, seed=cfg.seed)
-        _finish(cfg, trainer, split, test_ds, metrics, out, report, stage)
-
-    return _drive(cfg, out, stage, body)
+        _finish(run, Trainer(view, cfg.opt, models, seed=cfg.seed), split, test_ds)
+    return run.report

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from noiseattn import (ConfigError, Dense, Decision, NAModel, Network, NoiseUnit, ReLU,
+from noiseattn import (ConfigError, Dense, NAModel, Network, NoiseUnit, ReLU,
                        Trainer, TrainSettings, UnitSchedule, attention_outputs,
                        generate_synthetic,
                        inject_noise,
-                       project_column_stochastic, schedule_step, softmax)
+                       project_column_stochastic, softmax)
 from noiseattn import NoiseSpec, SyntheticSpec
 from noiseattn.attention import na_loss_terms, routed_backward, unit_outputs
 from noiseattn.nn import EPS
@@ -329,25 +329,19 @@ class TestSchedule:
                             max_units=max_units)
 
     def test_decreasing_history_continues(self):
-        model = NAModel(3)
         history = [1.0 - 0.05 * i for i in range(8)]
-        assert schedule_step(history, self.schedule(), model) is Decision.CONTINUE
+        assert self.schedule().plateaued(history) is False
 
     def test_flat_history_adds_unit(self):
-        model = NAModel(3)
-        model.add_unit()
-        assert model.active_count == 2
         history = [0.5] * 6
-        assert schedule_step(history, self.schedule(5), model) is Decision.ADD_UNIT
+        assert self.schedule(5).plateaued(history) is True
 
     def test_flat_history_at_cap_stops(self):
-        model = NAModel(3)
         history = [0.5] * 6
-        assert schedule_step(history, self.schedule(max_units=1), model) is Decision.STOP
+        assert self.schedule(max_units=1).plateaued(history) is True
 
     def test_short_history_continues(self):
-        model = NAModel(3)
-        assert schedule_step([0.5] * 5, self.schedule(), model) is Decision.CONTINUE
+        assert self.schedule().plateaued([0.5] * 5) is False
 
     def test_decay_growth_per_unit(self):
         sched = UnitSchedule(pretrain_epochs=1, patience=1, improvement_threshold=1e-3,

@@ -589,6 +589,19 @@ class TestRunExperiment:
         assert err.value.stage == "build"
         assert (tmp_path / "bad" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("max_units, na_epochs, added_at", [(1, 4, []), (2, 8, [3])])
+    def test_a_plateau_adds_a_unit_below_the_cap_and_stops_at_it(self, tmp_path, max_units,
+                                                                  na_epochs, added_at):
+        entries = parse_config_text(BASE_CFG.format(out=tmp_path / "run"))
+        entries.update({"na.max_units": str(max_units), "na.stage_epochs": "20",
+                        "na.improvement_threshold": "1e9"})  # every full history plateaus
+        report = run_experiment(build_config(entries))
+        assert report.stage0["na_epochs"] == na_epochs  # 2 * na.patience epochs per unit
+        assert report.stage0["active_units"] == max_units
+        rows = [line.split(",") for line in (tmp_path / "run" / "metrics.csv").read_text()
+                .splitlines()]
+        assert [int(row[2]) for row in rows if row[3] == "model"] == added_at
+
     @pytest.mark.parametrize("iterations", [0, 2])
     def test_each_model_is_evaluated_once(self, tmp_path, monkeypatch, iterations):
         errors, evaluate_test_set = [], harness.evaluate
@@ -793,6 +806,53 @@ na.stage_epochs = 1
             run_experiment(build_config(entries))
 
 
+class TestFit:
+    """A dataset is checked against the heads of the model it meets, before
+    any epoch or score: both sets in a run's build stage, and the test set
+    of CLI ``eval``."""
+
+    def test_eval_rejects_labels_beyond_a_single_label_snapshot(self, tmp_path, capsys):
+        snapshot = write_single_snapshot(tmp_path)  # 3 classes
+        labels = np.arange(10) % 5
+        save_dataset(Dataset(np.zeros((10, 2)), labels, 5, labels), tmp_path / "t.nld")
+        assert cli_main(["eval", "--snapshot", str(snapshot), "--data",
+                         str(tmp_path / "t.nld")]) == 2
+        assert "test given labels must lie in [0, 3), got range [0, 4]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("columns, message", [
+        ([3, 6], "test given labels of attribute b must lie in [0, 4), got range [0, 5]"),
+        ([6], "test set has 1 attribute columns, the model has 2"),
+    ], ids=["a:3,b:6", "b:6"])
+    def test_eval_rejects_a_set_beyond_a_multi_label_snapshot(self, tmp_path, capsys, columns,
+                                                              message):
+        view = MultiHeadNetwork(Network([Dense(2, 4), ReLU()], (2,), seed=0),
+                                AttributeSpec([3, 4], ["a", "b"]), seed=0)
+        save_snapshot(tmp_path / "m.nam", view, [NAModel(3), NAModel(4)])
+        labels = np.stack([np.arange(20) % c for c in columns], axis=1)
+        save_dataset(Dataset(np.zeros((20, 2)), labels, 6, labels), tmp_path / "t.nld")
+        assert cli_main(["eval", "--snapshot", str(tmp_path / "m.nam"), "--data",
+                         str(tmp_path / "t.nld")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_train_rejects_a_set_of_another_width_in_build(self, tmp_path, capsys, part):
+        sets = dict(zip(("train", "test"), resolve_data(make_cfg(tmp_path), None)))
+        ds = sets[part]
+        sets[part] = Dataset(np.hstack([ds.features, ds.features[:, :1]]), ds.given_labels,
+                             ds.c, ds.true_labels)
+        entries = parse_config_text(BASE_CFG.format(out=tmp_path / "run"))
+        entries.update({"data.source": "nld", "noise.mode": "none"})
+        for name, ds in sets.items():
+            save_dataset(ds, tmp_path / f"{name}.nld")
+            entries[f"data.{name}_path"] = str(tmp_path / f"{name}.nld")
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (f"error [build] {part} set has 3 feature columns, "
+                                           f"network input 2 takes 2\n")
+        assert (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:] == []
+
+
 class TestResume:
     ENTRIES = {
         "seed": "3",
@@ -865,6 +925,89 @@ class TestResume:
             assert "snapshot unit 0 is not the identity" in capsys.readouterr().err
         assert not (tmp_path / "q").exists()
         assert not (tmp_path / "resumed" / "snapshot_final.nam").exists()
+
+
+def _final_snapshot(path, *_):
+    return str(path).endswith("snapshot_final.nam")
+
+
+# stage -> (owner, attribute, which call fails), for each pipeline
+TRAIN_STAGES = {
+    "setup": (harness, "validate_paths", None),
+    "data": (harness, "resolve_data", None),
+    "build": (harness, "_split", None),
+    "pretrain": (harness.Trainer, "train_epoch", 1),
+    "na": (harness.Trainer, "train_epoch", 3),  # after na.pretrain_epochs = 2
+    "recursion": (harness, "run_recursion", None),
+    "eval": (harness, "save_snapshot", _final_snapshot),
+}
+RESUME_STAGES = {
+    "resume": (harness, "load_snapshot", None),
+    "data": (harness, "resolve_data", None),
+    "recursion": (harness, "run_recursion", None),
+    "eval": (harness, "save_snapshot", _final_snapshot),
+}
+
+
+class TestStageFailures:
+    """A package error or a MemoryError raised in any stage of ``train`` or
+    ``recurse`` ends as a StageError naming that stage, with metrics.csv
+    written and no report.json; any other exception passes through as it is
+    and writes neither."""
+
+    EXTRA = "recursion.iterations = 1\nrecursion.epochs = 1\n"
+
+    @staticmethod
+    def fail_in(monkeypatch, stage_of, stage, exc):
+        owner, attr, when = stage_of[stage]
+        original, calls = getattr(owner, attr), []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if when is None or when == len(calls) or callable(when) and when(*args):
+                raise exc
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, failing)
+
+    @staticmethod
+    def check(run, out, stage, exc):
+        if isinstance(exc, (DataError, MemoryError)):
+            with pytest.raises(StageError) as err:
+                run()
+            assert err.value.stage == stage
+            if isinstance(exc, DataError):
+                assert err.value.cause is exc
+            else:
+                assert isinstance(err.value.cause, ConfigError)
+                assert str(err.value.cause).startswith("not enough memory")
+            assert (out / "metrics.csv").read_text().startswith("stage,iteration,")
+        else:
+            with pytest.raises(type(exc)) as err:
+                run()
+            assert err.value is exc
+            assert not (out / "metrics.csv").exists()
+        assert not (out / "report.json").exists()
+
+    @pytest.fixture(params=["DataError", "MemoryError", "KeyError"])
+    def exc(self, request):
+        return {"DataError": DataError("injected"), "MemoryError": MemoryError("injected"),
+                "KeyError": KeyError("injected")}[request.param]
+
+    @pytest.mark.parametrize("stage", list(TRAIN_STAGES))
+    def test_train(self, tmp_path, monkeypatch, stage, exc):
+        cfg = make_cfg(tmp_path, extra=self.EXTRA)
+        self.fail_in(monkeypatch, TRAIN_STAGES, stage, exc)
+        self.check(lambda: run_experiment(cfg), tmp_path / "run", stage, exc)
+
+    @pytest.mark.parametrize("stage", list(RESUME_STAGES))
+    def test_recurse(self, tmp_path, monkeypatch, stage, exc):
+        cfg = make_cfg(tmp_path, extra=self.EXTRA)
+        run_experiment(cfg)
+        self.fail_in(monkeypatch, RESUME_STAGES, stage, exc)
+        self.check(lambda: resume_recursion(cfg, tmp_path / "run" / "snapshot_stage0.nam",
+                                            tmp_path / "resumed"),
+                   tmp_path / "resumed", stage, exc)
 
 
 class TestMetricsLog:

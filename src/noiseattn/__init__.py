@@ -18,11 +18,11 @@ from .attention import (NAModel, NoiseUnit, UnitSchedule, attention_outputs,
 from .recursion import (RecursionSchedule, alpha_schedule, combine_supervisions,
                         run_recursion, snapshot_probs, soft_nll_loss)
 from .training import OneHead, Trainer, TrainSettings, split_train_val
-from .multihead import AttributeSpec, MultiHeadNetwork, all_metric, evaluate_all_metric
+from .multihead import MultiHeadNetwork, evaluate_all_metric
 from .data import (Dataset, NoiseSpec, SyntheticSpec, empirical_transition,
                    generate_synthetic, generate_synthetic_multi, inject_noise,
                    load_dataset, save_dataset)
-from .config import (ExperimentConfig, build_config, load_config, parse_arch,
+from .config import (AttributeSpec, ExperimentConfig, build_config, load_config, parse_arch,
                      parse_config_text, parse_input_shape, serialize_arch)
 from .harness import (MetricsLog, RunReport, evaluate, export_q, load_q_csv,
                       load_snapshot, resolve_data, resume_recursion,

@@ -55,10 +55,6 @@ class NoiseUnit:
         self.q = Parameter(np.eye(n_classes))
         self.decay = float(decay)
 
-    @property
-    def n_classes(self) -> int:
-        return self.q.data.shape[0]
-
 
 class NAModel:
     """Ordered noise units; unit 0 is the identity, never stepped nor projected."""

@@ -142,6 +142,9 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, FormatError) as exc:
         print(f"error [config] {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # outside a run: a load, an injection or an export
+        print(f"error [config] {out_of_memory(exc)}", file=sys.stderr)
+        return 2
     except NoiseAttnError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 1

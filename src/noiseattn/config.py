@@ -12,11 +12,13 @@ and ``data.*`` DataConfig. build_config checks
 ``data.source`` (an nld source needs both data paths) and, against the
 attributes, ``noise.rho``, ``noise.per_class`` and a synthetic ``kind``;
 it reads the rest: ``seed``, ``out``, ``attributes`` (an AttributeSpec,
-which checks the names) and ``arch.*`` (tokens of the LAYER_KINDS).
+defined here, which checks names and class counts) and ``arch.*``
+(tokens of the LAYER_KINDS).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -24,7 +26,6 @@ import numpy as np
 
 from .attention import UnitSchedule
 from .errors import ConfigError
-from .multihead import AttributeSpec
 from .nn import Conv2D, Dense, Flatten, LayerSpec, MaxPool2x2, ReLU
 from .data import NoiseSpec, SyntheticSpec
 from .recursion import RecursionSchedule
@@ -177,6 +178,28 @@ class _Entries:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
+@dataclass
+class AttributeSpec:
+    """The ``attributes`` key; unnamed attributes are ``attr0``, ``attr1``, ..."""
+
+    class_counts: list[int]
+    names: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        if len(self.class_counts) < 1:
+            raise ConfigError("need at least one attribute")
+        if any(c < 2 for c in self.class_counts):
+            raise ConfigError(f"every attribute needs >= 2 classes, got {self.class_counts}")
+        if not self.names:
+            self.names = [f"attr{k}" for k in range(len(self.class_counts))]
+        if len(self.names) != len(self.class_counts):
+            raise ConfigError("names and class_counts lengths differ")
+        if (len(set(self.names)) != len(self.names) or "ALL" in self.names
+                or not all(re.fullmatch(r"[A-Za-z0-9_-]+", name) for name in self.names)):
+            raise ConfigError(f"attribute names must be distinct, not ALL, and made of "
+                              f"letters, digits, _ and -; got {self.names}")
+
+
 def _parse_attributes(raw: str) -> AttributeSpec:
     names, counts = [], []
     for token in (t.strip() for t in raw.split(",")):
@@ -250,7 +273,7 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
         matrix_path=e.get("noise.matrix_path"), per_class=e.get_floats("noise.per_class"),
         seed=e.get_int("noise.seed", (cfg.seed, 37)))
     if cfg.noise.mode != "none":
-        cfg.noise.rhos(1 if cfg.attributes is None else cfg.attributes.k)
+        cfg.noise.rhos(1 if cfg.attributes is None else len(cfg.attributes.class_counts))
     if (cfg.noise.mode == "per_class" and cfg.attributes is not None
             and set(cfg.attributes.class_counts) != {len(cfg.noise.per_class)}):
         raise ConfigError(f"noise.per_class has {len(cfg.noise.per_class)} rates, the "

@@ -1,48 +1,22 @@
-"""Multi-attribute classification: K heads on a shared trunk.
+"""What the bench tracer pins, kept here until ``perfbench/tracer.py`` is
+re-keyed (ROADMAP item 3): the multi-attribute heads view and the one
+error computation of every heads view.
 
-Each head is a Dense classifier over the trunk features; ``forward``
-returns one probability batch per attribute, which is the network
-interface ``training.Trainer`` works with, and the trunk accumulates
-gradients from every head. Each attribute gets its own noise-unit model
-sized to its class count, and the trainer sums the per-attribute losses
-unweighted. Evaluation reports per-attribute error plus the joint error,
-where a sample counts as correct only when every attribute is predicted
-correctly.
+``MultiHeadNetwork`` is one Dense head per attribute on a shared trunk.
+Its ``forward`` returns one probability batch per attribute, the network
+interface of ``training.Trainer``, and the trunk sums every head's
+gradient. ``_errors`` scores any heads view, ``OneHead`` included: the
+per-attribute errors and the joint error, where a sample counts as
+correct only when every attribute is predicted correctly.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .config import AttributeSpec
+from .errors import DataError
 from .nn import EVAL_CHUNK, Dense, Network, entropy_tuple, label_columns, softmax
-
-
-@dataclass
-class AttributeSpec:
-    class_counts: list[int]
-    names: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.class_counts) < 1:
-            raise ConfigError("need at least one attribute")
-        if any(c < 2 for c in self.class_counts):
-            raise ConfigError(f"every attribute needs >= 2 classes, got {self.class_counts}")
-        if not self.names:
-            self.names = [f"attr{k}" for k in range(len(self.class_counts))]
-        if len(self.names) != len(self.class_counts):
-            raise ConfigError("names and class_counts lengths differ")
-        if (len(set(self.names)) != len(self.names) or "ALL" in self.names
-                or not all(re.fullmatch(r"[A-Za-z0-9_-]+", name) for name in self.names)):
-            raise ConfigError(f"attribute names must be distinct, not ALL, and made of "
-                              f"letters, digits, _ and -; got {self.names}")
-
-    @property
-    def k(self) -> int:
-        return len(self.class_counts)
 
 
 class MultiHeadNetwork:
@@ -93,36 +67,26 @@ class MultiHeadNetwork:
         self.trunk.backward(dfeats, input_grad=False)
 
 
-def all_metric(predictions, true_labels) -> tuple[list[float], float]:
-    """Per-attribute error rates and the joint (every-attribute) error,
-    compared column by column."""
-    predictions = np.asarray(predictions)
-    true_labels = np.asarray(true_labels)
-    if predictions.shape != true_labels.shape or not true_labels.size:
-        raise DataError(f"shapes {predictions.shape} and {true_labels.shape} differ or are empty")
-    n = true_labels.shape[0]
-    wrong = [p != y for p, y in zip(label_columns(predictions), label_columns(true_labels))]
+def _errors(net, features, true_labels) -> tuple[list[float], float]:
+    """Per-attribute error rates and the joint (every-attribute) error of the
+    heads of ``net`` (``OneHead`` or ``MultiHeadNetwork``) against true
+    labels, (N,) for one head: each head's argmax predictions of the base
+    network alone, from one forward-only pass per ``EVAL_CHUNK`` rows (see
+    ``Network.forward``), compared with its label column."""
+    n = features.shape[0]
+    columns = [] if true_labels is None else label_columns(true_labels)
+    if not n or len(columns) != len(net.names) or any(y.shape != (n,) for y in columns):
+        got = ("" if true_labels is None else f": one column per head ({len(net.names)}) of "
+               f"the {n} feature rows, none empty; got shape {np.shape(true_labels)}")
+        raise DataError(f"evaluation needs true labels{got}")
+    chunks = [[probs.argmax(axis=1)
+               for probs in net.forward(features[start:start + EVAL_CHUNK], cache=False)]
+              for start in range(0, n, EVAL_CHUNK)]
+    wrong = [np.concatenate(head) != y for head, y in zip(zip(*chunks), columns)]
     joint = wrong[0]
     for column in wrong[1:]:
         joint = joint | column
     return [np.count_nonzero(column) / n for column in wrong], np.count_nonzero(joint) / n
-
-
-def _errors(net, features, true_labels) -> tuple[list[float], float]:
-    """``all_metric`` of the heads of ``net`` (``OneHead`` or
-    ``MultiHeadNetwork``) against true labels, (N,) for one head: argmax
-    predictions of the base network alone, from one forward-only pass per
-    ``EVAL_CHUNK`` rows (see ``Network.forward``)."""
-    if true_labels is None:
-        raise DataError("evaluation needs true labels")
-    if features.shape[0] == 0:
-        raise DataError("evaluation needs at least one sample")
-    chunks = [[probs.argmax(axis=1)
-               for probs in net.forward(features[start:start + EVAL_CHUNK], cache=False)]
-              for start in range(0, features.shape[0], EVAL_CHUNK)]
-    preds = np.stack([np.concatenate(head) for head in zip(*chunks)], axis=1)
-    labels = np.asarray(true_labels)
-    return all_metric(preds, labels.reshape(labels.shape[0], -1))
 
 
 def evaluate_all_metric(net: MultiHeadNetwork, features,

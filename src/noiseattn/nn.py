@@ -50,7 +50,7 @@ from .errors import ConfigError, DataError, UsageError
 EPS = 1e-12  # probability clamp applied before any log
 ROW_BLOCK = 256  # rows per block of the layers before the first Dense, forward-only
 TEACHER_CHUNK = 2048  # rows per forward-only pass of recursion.snapshot_probs
-EVAL_CHUNK = 4096  # rows per forward-only pass of multihead._errors
+EVAL_CHUNK = 4096  # rows per forward-only pass of multihead._errors, for every heads view
 
 
 def entropy_tuple(*parts) -> tuple[int, ...]:
@@ -415,6 +415,20 @@ class Network:
         """``parameters()`` with their names, ``layer <index> w`` or ``b``."""
         return [(f"layer {i} {name}", p) for i, layer in enumerate(self.layers)
                 for name, p in zip("wb", layer.params())]
+
+    def first_non_finite(self, batch):
+        """A forward-only pass over the whole of ``batch``, a batch that
+        ``forward`` accepts, one layer at a time; it stops at the first layer
+        whose output holds a NaN or an inf. Returns that layer, as ``layer
+        <index> (<kind>), largest |parameter| <value>``, or None, and the
+        last output."""
+        x = np.asarray(batch, dtype=np.float64).reshape((-1,) + self.input_shape)
+        for i, (spec, layer) in enumerate(zip(self.specs, self.layers)):
+            x = layer.forward(x, False)
+            if not np.isfinite(x).all():
+                largest = max((np.abs(p.data).max() for p in layer.params()), default=0.0)
+                return f"layer {i} ({type(spec).__name__}), largest |parameter| {largest:.3g}", x
+        return None, x
 
     def forward(self, batch, cache=True):
         """The network's output for ``batch``.

@@ -115,6 +115,21 @@ def _param_chain(view, models):
             yield f"{of}unit {m} q", unit.q
 
 
+def _non_finite_output(view, batch) -> str:
+    """Where a forward-only pass over ``batch`` first holds a NaN or an inf:
+    the input, or else the first such layer output (``first_non_finite``),
+    the trunk's layers before each head's; empty if there is none. The
+    pass's own overflow warnings are silenced."""
+    if not np.isfinite(batch).all():
+        return "; the input holds a non-finite value"
+    with np.errstate(all="ignore"):
+        where, feats = view.trunk.first_non_finite(batch)
+        for name, head in zip(view.names, getattr(view, "heads", ())):
+            if where is None and (found := head.first_non_finite(feats)[0]):
+                where = f"head {name} {found}"
+    return "" if where is None else f"; first non-finite output: {where}"
+
+
 # The heads take labels that ``Trainer._columns`` has checked; their routing checks none.
 
 
@@ -202,12 +217,14 @@ class Trainer:
         for start in range(0, n, bs):
             yield order[start:start + bs]
 
-    def _non_finite_parameter(self) -> str:
-        """Names the first parameter of ``_param_chain`` holding a NaN or an inf."""
+    def _non_finite_parameter(self, batch) -> str:
+        """Names the first parameter of ``_param_chain`` holding a NaN or an
+        inf; if every one is finite, then where a forward pass over the
+        failing ``batch`` first holds one (``_non_finite_output``)."""
         for name, p in _param_chain(self.net, self.na_models):
             if not np.isfinite(p.data).all():
                 return f"first non-finite parameter: {name}"
-        return "every parameter is finite"
+        return "every parameter is finite" + _non_finite_output(self.net, batch)
 
     def _epoch(self, head, features, targets) -> float:
         """One shuffled pass; returns the sample-weighted mean batch loss."""
@@ -220,7 +237,7 @@ class Trainer:
             except DivergenceError as exc:
                 count = -(-n // self.settings.batch_size)
                 raise DivergenceError(f"{exc} at batch {i} of {count}; "
-                                      f"{self._non_finite_parameter()}") from None
+                                      f"{self._non_finite_parameter(features[idx])}") from None
             total += loss * idx.size
         return total / n
 
@@ -253,5 +270,5 @@ class Trainer:
         total = _loss_total(losses)
         if not math.isfinite(total):
             raise DivergenceError(f"non-finite validation loss {total!r}; "
-                                  f"{self._non_finite_parameter()}")
+                                  f"{self._non_finite_parameter(features)}")
         return losses

@@ -17,8 +17,8 @@ from noiseattn.training import STREAM_SHUFFLE
 def na_forward(p_base, unit):
     """Map a base probability vector through one unit: returns Q @ p."""
     p_base = np.asarray(p_base, dtype=np.float64)
-    if p_base.shape != (unit.n_classes,):
-        raise ConfigError(f"probability vector shape {p_base.shape} != ({unit.n_classes},)")
+    if p_base.shape != (unit.q.data.shape[0],):
+        raise ConfigError(f"probability vector shape {p_base.shape} != ({unit.q.data.shape[0]},)")
     return unit.q.data @ p_base
 
 
@@ -76,7 +76,7 @@ def decay_penalty(model: NAModel) -> float:
     total = 0.0
     for unit in model.units[1:]:
         if unit.decay:
-            diff = unit.q.data - np.eye(unit.n_classes)
+            diff = unit.q.data - np.eye(unit.q.data.shape[0])
             total += 0.5 * unit.decay * float(np.sum(diff * diff))
     return total
 
@@ -118,7 +118,7 @@ def routed_backward_masks(probs, sel, out_grad, model: NAModel):
                 unit.q.grad += sub.T @ probs[mask]
     for unit in model.units[1:]:
         if unit.decay:
-            unit.q.grad += unit.decay * (unit.q.data - np.eye(unit.n_classes))
+            unit.q.grad += unit.decay * (unit.q.data - np.eye(unit.q.data.shape[0]))
     return gp
 
 

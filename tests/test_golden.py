@@ -9,11 +9,25 @@ pinned the same way. A change that alters any computed value (summation
 order, tie-breaking, signed zeros, rng draws) changes these digests.
 Update a digest only in a change that means to alter what the program
 computes, and say why there.
+
+The digests hold only for the code paths of the host they were recorded
+on: another OpenBLAS kernel or numpy SIMD dispatch gives other bits in
+``exp``, ``log`` and the matmuls (ROADMAP item 7). ``RECORDED_ON`` names
+that host, and a mismatch prints it beside the host that ran the test.
+Across processes and BLAS thread counts on one host the bytes hold; the
+last test checks that, with no digest, on any host.
 """
 
+import ctypes
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noiseattn import build_config, run_experiment
@@ -162,6 +176,45 @@ CLI_GOLDEN = {
 }
 
 
+RECORDED_ON = {
+    "numpy": "2.4.6",
+    "OpenBLAS": "0.3.31",
+    "OpenBLAS core": "SkylakeX",
+    "numpy dispatch": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+}
+
+
+def this_machine() -> dict[str, str]:
+    """The ``RECORDED_ON`` fields of this process. OpenBLAS is read through
+    ``ctypes`` from the library that numpy ships; a value that cannot be read
+    is ``unknown``."""
+    found = dict.fromkeys(RECORDED_ON, "unknown")
+    found["numpy"] = np.__version__
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        found["numpy dispatch"] = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    except ImportError:
+        pass
+    try:
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+        config, core = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
+        for read in (config, core):
+            read.argtypes, read.restype = [], ctypes.c_char_p
+        found["OpenBLAS core"] = core().decode()
+        found["OpenBLAS"] = "".join(re.findall(r"^OpenBLAS (\d+\.\d+\.\d+)",
+                                               config().decode())) or "unknown"
+    except (StopIteration, OSError, AttributeError):
+        pass
+    return found
+
+
+def machines() -> str:
+    """The message of a digest mismatch: the host the digests were recorded
+    on and the one that ran the test."""
+    return f"digests recorded on {RECORDED_ON}; this host is {this_machine()}"
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -179,7 +232,7 @@ def case_entries(name, out):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_golden_hashes(name, tmp_path):
     run_experiment(build_config(case_entries(name, tmp_path / name)))
-    assert artifact_digests(tmp_path / name) == GOLDEN[name]
+    assert artifact_digests(tmp_path / name) == GOLDEN[name], machines()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -206,7 +259,7 @@ def test_cli_resume_eval_export_match_golden_hashes(name, tmp_path, monkeypatch,
     digests["export-q files"] = sha256(b"".join(
         p.name.encode() + b"\0" + sha256(p.read_bytes()).encode() + b"\n" for p in files))
 
-    assert digests == CLI_GOLDEN[name]
+    assert digests == CLI_GOLDEN[name], machines()
 
 
 # The data, noise, report and export files of the run, and the outputs of
@@ -328,7 +381,7 @@ def test_run_files_and_cli_synth_inject_match_golden_hashes(name, tmp_path, monk
     digests["inject stdout"] = sha256(capsys.readouterr().out.encode())
     digests["inject files"] = files_digest((tmp_path / "inject").iterdir())
 
-    assert digests == FILE_GOLDEN[name]
+    assert digests == FILE_GOLDEN[name], machines()
 
 
 # The noise modes the cases above leave out: a transition matrix read
@@ -398,4 +451,59 @@ def test_noise_modes_match_golden_hashes(name, tmp_path, monkeypatch, capsys):
     digests["inject stdout"] = sha256(capsys.readouterr().out.encode())
     digests["inject files"] = files_digest((tmp_path / "inject").iterdir())
 
-    assert digests == NOISE_GOLDEN[name]
+    assert digests == NOISE_GOLDEN[name], machines()
+
+
+def test_this_machine_reads_or_says_unknown(monkeypatch):
+    """Every field is read here, and one that cannot be read is ``unknown``."""
+    assert set(this_machine()) == set(RECORDED_ON)
+    assert all(this_machine().values())
+
+    def refuse(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    found = this_machine()
+    assert found["OpenBLAS"] == found["OpenBLAS core"] == "unknown"
+    assert "unknown" in machines()
+
+
+# Each golden case in a fresh process, into the working directory.
+RUN_CASES = """
+from noiseattn import build_config, run_experiment
+from test_golden import CASES, case_entries
+for name in sorted(CASES):
+    run_experiment(build_config(case_entries(name, name)))
+"""
+
+
+def run_artifacts(root):
+    """The digest of every file under ``root``; report.json is taken
+    without its wall time (``report_digest``)."""
+    return {str(p.relative_to(root)): report_digest(p) if p.name == "report.json"
+            else sha256(p.read_bytes()) for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_artifacts_hold_across_processes_and_blas_threads(tmp_path):
+    """The contract itself, which holds on any host: two fresh processes,
+    one at 1 BLAS thread and one at 2, write the same bytes for every golden
+    case. Each writes under its own directory with the same relative output
+    paths, so ``config_echo.cfg`` and the paths in report.json match too."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    roots = {n: tmp_path / f"threads{n}" for n in (1, 2)}
+    runs = []
+    for n, root in roots.items():
+        root.mkdir()
+        runs.append(subprocess.Popen([sys.executable, "-c", RUN_CASES], cwd=root,
+                                     env={**os.environ, "OPENBLAS_NUM_THREADS": str(n),
+                                          "PYTHONPATH": path}))
+    try:
+        assert [run.wait(timeout=600) for run in runs] == [0, 0]
+    finally:
+        for run in runs:
+            run.kill()
+    one, two = (run_artifacts(root) for root in roots.values())
+    assert {Path(name).parts[0] for name in one} == set(CASES)
+    assert one == two

@@ -555,6 +555,21 @@ class TestExtremeValues:
                              "--data", str(out / "test.nld")]) == 0
             assert "test error" in capsys.readouterr().out
 
+    def test_an_overflow_with_finite_parameters_names_its_layer(self, tmp_path, capsys):
+        """With ``opt.weight_decay = 1e300`` the first pretraining step leaves
+        every parameter finite but huge, so the validation pass overflows in
+        a matmul; the error names the layer where that first shows."""
+        entries = {**self.ENTRIES, "na.pretrain_epochs": "2", "na.max_units": "3",
+                   "opt.weight_decay": "1e300", "seed": "7", "out": str(tmp_path / "run")}
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error \[pretrain\] epoch 1: non-finite validation loss nan; "
+                            r"every parameter is finite; first non-finite output: layer 2 "
+                            r"\(Dense\), largest \|parameter\| [0-9.]+e\+29[0-9]\n", err)
+
 
 class TestRunExperiment:
     def test_pipeline_writes_all_artifacts(self, tmp_path):
@@ -728,6 +743,28 @@ class TestCLI:
         assert "Traceback" not in err
         if command == "train":
             assert (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command, loader", [
+        ("eval", "load_dataset"), ("inject", "load_dataset"), ("export-q", "load_snapshot")])
+    def test_memory_error_outside_a_run_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                                loader):
+        """A subcommand that runs no pipeline stage reports a refused
+        allocation as one config error line."""
+        def refuse(*_):
+            raise MemoryError("Unable to allocate 22.9 MiB for an array with shape (3000000, 1)")
+
+        monkeypatch.setattr(f"noiseattn.cli.{loader}", refuse)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(BASE_CFG.format(out=tmp_path / "run"))
+        snapshot = str(write_single_snapshot(tmp_path))
+        args = {"eval": ["--snapshot", snapshot, "--data", "d.nld"],
+                "inject": ["--config", str(cfg_path), "--data", "d.nld"],
+                "export-q": ["--snapshot", snapshot, "--out", str(tmp_path / "q")]}[command]
+        assert cli_main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error [config] not enough memory: Unable to allocate "
+                                    "22.9 MiB for an array with shape (3000000, 1)"]
+        assert "Traceback" not in err
 
     def test_missing_file_errors(self, tmp_path):
         assert cli_main(["eval", "--snapshot", str(tmp_path / "none.nam"),

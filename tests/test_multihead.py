@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, MultiHeadNetwork,
-                       NAModel, Network, ReLU, Trainer, TrainSettings, all_metric,
+                       NAModel, Network, ReLU, Trainer, TrainSettings,
                        evaluate_all_metric, generate_synthetic_multi, softmax, softmax_backward)
 from noiseattn import NoiseSpec, SyntheticSpec, inject_noise
+from noiseattn.multihead import _errors
 from noiseattn.recursion import RecursionSchedule, run_recursion
 from noiseattn.training import _loss_total
 from gradfixtures import grad_check
@@ -125,10 +126,30 @@ class TestLoss:
             np.testing.assert_array_equal(a, b)
 
 
+class PredictingHeads:
+    """A heads view that predicts the columns of ``preds``: each feature
+    row holds its own row index, and each head's output is the one-hot row
+    of its prediction."""
+
+    def __init__(self, preds):
+        self.preds = np.asarray(preds)
+        self.names = [f"attr{k}" for k in range(self.preds.shape[1])]
+
+    def forward(self, rows, cache=True):
+        one_hot = np.eye(int(self.preds.max()) + 1)
+        return [one_hot[column] for column in self.preds[rows[:, 0].astype(int)].T]
+
+
+def metric(preds, true):
+    """``_errors`` of heads that predict ``preds``, against ``true``."""
+    rows = np.arange(len(preds), dtype=np.float64)[:, None]
+    return _errors(PredictingHeads(preds), rows, true)
+
+
 class TestAllMetric:
     def test_perfect_predictor(self):
         true = np.array([[0, 1], [2, 0], [1, 1]])
-        per_attr, joint = all_metric(true.copy(), true)
+        per_attr, joint = metric(true.copy(), true)
         assert per_attr == [0.0, 0.0] and joint == 0.0
 
     def test_intersection_bound_always_holds(self):
@@ -136,7 +157,7 @@ class TestAllMetric:
             rng = np.random.default_rng(seed)
             true = rng.integers(0, 4, size=(50, 3))
             preds = rng.integers(0, 4, size=(50, 3))
-            per_attr, joint = all_metric(preds, true)
+            per_attr, joint = metric(preds, true)
             # ALL accuracy <= min per-attribute accuracy
             assert 1.0 - joint <= min(1.0 - e for e in per_attr) + 1e-12
 
@@ -151,18 +172,18 @@ class TestAllMetric:
             wrong = rng.random(n) < 0.1
             offsets = rng.integers(1, c, size=n)
             preds[wrong, k] = (true[wrong, k] + offsets[wrong]) % c
-        per_attr, joint = all_metric(preds, true)
+        per_attr, joint = metric(preds, true)
         for err in per_attr:
             assert abs(err - 0.1) < 0.02
         assert abs((1.0 - joint) - 0.81) < 0.02
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
-            all_metric(np.zeros((3, 2), dtype=int), np.zeros((3, 3), dtype=int))
+            metric(np.zeros((3, 2), dtype=int), np.zeros((3, 3), dtype=int))
 
     def test_empty_input(self):
         with pytest.raises(DataError, match="empty"):
-            all_metric(np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int))
+            metric(np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int))
 
 
 class TestTraining:

@@ -136,7 +136,8 @@ class TestDivergence:
         batch = int(np.flatnonzero(order == 42)[0]) // SETTINGS.batch_size + 1
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError, match=rf"^non-finite loss nan at batch {batch} "
-                                                      r"of 7; every parameter is finite$"):
+                                                      r"of 7; every parameter is finite; "
+                                                      r"the input holds a non-finite value$"):
                 trainer.train_epoch(x, labels)
         assert np.isfinite(state(trainer)).all()  # the NaN batch took no step
 
@@ -180,6 +181,30 @@ class TestDivergence:
                 trainer.val_loss(x, labels)
         assert state(trainer).tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("name, layer, where", [
+        ("plain", lambda t: t.net.trunk.layers[2], "layer 2"),
+        ("multi", lambda t: t.net.heads[1].layers[0], "head attr1 layer 0"),
+    ])
+    def test_names_the_first_non_finite_output(self, name, layer, where):
+        """With every parameter finite, a training step and the validation
+        loss name the first layer whose output overflows, the trunk's before
+        the heads', with its kind and largest |parameter|."""
+        trainer = TRAINERS[name]()
+        layer(trainer).w.data[...] = 1e308
+        x = np.random.default_rng(4).normal(size=(100, 4))
+        labels = np.zeros((100, len(trainer.na_models)), dtype=int)
+        labels = labels[:, 0] if name != "multi" else labels
+        culprit = (rf"every parameter is finite; first non-finite output: {where} \(Dense\), "
+                   r"largest \|parameter\| 1e\+308$")
+        before = state(trainer)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError,
+                               match=rf"^non-finite loss nan at batch 1 of 7; {culprit}"):
+                trainer.train_epoch(x, labels)
+            with pytest.raises(DivergenceError, match=rf"^non-finite validation loss nan; {culprit}"):
+                trainer.val_loss(x, labels)
+        assert state(trainer).tobytes() == before.tobytes()
+
     def test_recursion_names_round_and_epoch(self):
         trainer = plain_trainer()
         rng = np.random.default_rng(5)
@@ -215,7 +240,9 @@ class TestDivergence:
         with np.errstate(all="ignore"):
             with pytest.raises(StageError, match=r"^\[pretrain\] epoch 1: non-finite "
                                                  r"validation loss nan; "
-                                                 r"every parameter is finite$"):
+                                                 r"every parameter is finite; "
+                                                 r"first non-finite output: layer 4 \(Dense\), "
+                                                 r"largest \|parameter\| 3\.69e\+299$"):
                 run_experiment(build_config(entries))
         metrics = (tmp_path / "run" / "metrics.csv").read_text()
         assert "nan" not in metrics

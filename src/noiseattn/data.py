@@ -4,6 +4,10 @@ All generation and injection is a pure function of (inputs, seed). The
 uniform injector flips an exact rounded fraction of samples, chosen
 without replacement, and a flipped sample never keeps its true label,
 so the noise level is the exact fraction of mislabeled samples.
+Synthetic features are written in place, one block of rows at a time, so
+generation peaks near the bytes it keeps. That changes no draw: a
+Generator's normal stream does not depend on how a draw is split, the
+sum is elementwise, and moons draws all its angles before any noise.
 """
 
 from __future__ import annotations
@@ -224,8 +228,10 @@ class SyntheticSpec:
             raise ConfigError("classes must be 2 for moons data")
         if self.classes < 2:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}")
+        if not math.isfinite(self.separation):
+            raise ConfigError(f"separation must be finite, got {self.separation}")
         if min(entropy_tuple(self.seed)) < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -241,28 +247,44 @@ def _blob_centers(rng, classes, dim, sigma, separation):
     return centers
 
 
+_BLOCK_VALUES = 1 << 16  # float64 values per block: its draw and its means hold 1 MB
+
+
+def _fill(x, means, sigma, rng):
+    """Write ``means(rows) + sigma * z`` into ``x`` (an array or a column
+    slice of one), one block of rows at a time, with z drawn row-major from
+    ``rng``; ``x`` gets the bits of one full-size draw and sum."""
+    n, width = x.shape
+    step = max(1, _BLOCK_VALUES // width)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        z = rng.normal(size=x[rows].shape)
+        z *= sigma
+        np.add(means(rows), z, out=x[rows])
+
+
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     """Deterministically generate (train, test) datasets with true labels,
     which go round-robin over the classes, so they are balanced within 1.
-    Patches are one template image per class plus pixel noise."""
+    Patches are one template image per class plus pixel noise. Features
+    are written in place by ``_fill``."""
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "blobs":
-        centers = _blob_centers(rng, spec.classes, spec.dim, spec.sigma, spec.separation)
+        table = _blob_centers(rng, spec.classes, spec.dim, spec.sigma, spec.separation)
     elif spec.kind == "patches":
-        templates = rng.normal(size=(spec.classes, spec.height, spec.width))
+        table = rng.normal(size=(spec.classes, spec.height * spec.width))
 
     def make(n):
         y = np.arange(n, dtype=np.int64) % spec.classes
-        if spec.kind == "blobs":
-            x = centers[y] + spec.sigma * rng.normal(size=(n, spec.dim))
-        elif spec.kind == "moons":
+        if spec.kind == "moons":  # every angle is drawn before any noise
             t = rng.uniform(0.0, np.pi, size=n)
-            upper = np.stack([np.cos(t), np.sin(t)], axis=1)
-            lower = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)
-            x = np.where(y[:, None] == 1, lower, upper) + spec.sigma * rng.normal(size=(n, 2))
+            x = np.stack([np.cos(t), np.sin(t)], axis=1)  # the upper moon; class 1 is lower
+            x[y == 1] = (1.0, 0.5) - x[y == 1]
+            _fill(x, x.__getitem__, spec.sigma, rng)
         else:
-            x = templates[y] + spec.sigma * rng.normal(size=(n, spec.height, spec.width))
-        return Dataset(x.reshape(n, -1), y.copy(), spec.classes, y.copy())
+            x = np.empty((n, table.shape[1]))
+            _fill(x, lambda rows: table[y[rows]], spec.sigma, rng)
+        return Dataset(x, y, spec.classes, y.copy())
 
     return make(spec.n_train), make(spec.n_test)
 
@@ -270,18 +292,20 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
 def generate_synthetic_multi(spec: SyntheticSpec, class_counts) -> tuple[Dataset, Dataset]:
     """Multi-attribute blobs: independent labels, one feature block of
     ``spec.dim`` columns per attribute; ``kind`` and ``classes`` are not read.
-    ``class_counts`` (one or more, each >= 2) come from ``AttributeSpec``."""
+    ``class_counts`` (one or more, each >= 2) come from ``AttributeSpec``.
+    All labels are drawn, then each block is written in place by ``_fill``."""
     rng = np.random.default_rng(spec.seed)
     centers = [_blob_centers(rng, c_k, spec.dim, spec.sigma, spec.separation)
                for c_k in class_counts]
-    c_max = max(class_counts)
 
     def make(n):
-        labels = np.stack(
-            [rng.integers(0, c_k, size=n) for c_k in class_counts], axis=1).astype(np.int64)
-        blocks = [centers[k][labels[:, k]] + spec.sigma * rng.normal(size=(n, spec.dim))
-                  for k in range(len(class_counts))]
-        return Dataset(np.concatenate(blocks, axis=1), labels.copy(), c_max, labels.copy())
+        labels = np.stack([rng.integers(0, c_k, size=n, dtype=np.int64)
+                           for c_k in class_counts], axis=1)
+        x = np.empty((n, len(centers) * spec.dim))
+        for k, table in enumerate(centers):
+            _fill(x[:, k * spec.dim:(k + 1) * spec.dim],
+                  lambda rows: table[labels[rows, k]], spec.sigma, rng)
+        return Dataset(x, labels, max(class_counts), labels.copy())
 
     return make(spec.n_train), make(spec.n_test)
 

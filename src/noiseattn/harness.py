@@ -265,7 +265,8 @@ def _inject_and_save(cfg: ExperimentConfig, dataset, out_dir):
             writer = csv.writer(fh)
             writer.writerow(["attribute", "index"] if noisy.k else ["index"])
             for column, idx in enumerate(flips):
-                writer.writerows([column, int(i)] if noisy.k else [int(i)] for i in idx)
+                rows = idx.tolist()
+                writer.writerows(zip([column] * len(rows), rows) if noisy.k else zip(rows))
     return noisy, flips
 
 

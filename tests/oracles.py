@@ -2,7 +2,9 @@
 
 Each oracle states one formula in its plainest form: one sample, one unit
 or one attribute at a time. The package computes the same quantities in
-batch form; the tests check that the two agree.
+batch form; the tests check that the two agree. The synthetic-data
+oracles go the other way: they make all values at once, where the
+package writes them block by block.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ import numpy as np
 from noiseattn import (ConfigError, DataError, NAModel, project_column_stochastic,
                        softmax, softmax_backward)
 from noiseattn.attention import na_loss_terms, routed_backward
+from noiseattn.data import Dataset, _blob_centers
 from noiseattn.nn import _nll_grad, _picked_nll, check_labels, entropy_tuple
 from noiseattn.training import STREAM_SHUFFLE
 
@@ -201,3 +204,46 @@ def zero_grad(net):
 def param_vector(net) -> np.ndarray:
     """Every parameter of a network, flattened and concatenated in order."""
     return np.concatenate([p.data.ravel() for p in net.parameters()] or [np.zeros(0)])
+
+
+def synthetic_one_shot(spec):
+    """``generate_synthetic`` with every mean, every draw and their sum made
+    at full size, one expression per kind."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.kind == "blobs":
+        centers = _blob_centers(rng, spec.classes, spec.dim, spec.sigma, spec.separation)
+    elif spec.kind == "patches":
+        templates = rng.normal(size=(spec.classes, spec.height, spec.width))
+
+    def make(n):
+        y = np.arange(n, dtype=np.int64) % spec.classes
+        if spec.kind == "blobs":
+            x = centers[y] + spec.sigma * rng.normal(size=(n, spec.dim))
+        elif spec.kind == "moons":
+            t = rng.uniform(0.0, np.pi, size=n)
+            upper = np.stack([np.cos(t), np.sin(t)], axis=1)
+            lower = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)
+            x = np.where(y[:, None] == 1, lower, upper) + spec.sigma * rng.normal(size=(n, 2))
+        else:
+            x = templates[y] + spec.sigma * rng.normal(size=(n, spec.height, spec.width))
+        return Dataset(x.reshape(n, -1), y.copy(), spec.classes, y.copy())
+
+    return make(spec.n_train), make(spec.n_test)
+
+
+def synthetic_multi_one_shot(spec, class_counts):
+    """``generate_synthetic_multi`` with each attribute's labels, then each
+    attribute's whole feature block, drawn at once and joined at the end."""
+    rng = np.random.default_rng(spec.seed)
+    centers = [_blob_centers(rng, c_k, spec.dim, spec.sigma, spec.separation)
+               for c_k in class_counts]
+
+    def make(n):
+        labels = np.stack(
+            [rng.integers(0, c_k, size=n) for c_k in class_counts], axis=1).astype(np.int64)
+        blocks = [centers[k][labels[:, k]] + spec.sigma * rng.normal(size=(n, spec.dim))
+                  for k in range(len(class_counts))]
+        return Dataset(np.concatenate(blocks, axis=1), labels.copy(), max(class_counts),
+                       labels.copy())
+
+    return make(spec.n_train), make(spec.n_test)

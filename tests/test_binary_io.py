@@ -13,7 +13,6 @@ and the reader closes its file on every path.
 import builtins
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from noiseattn import (AttributeSpec, Dataset, Dense, FormatError, MultiHeadNetw
 from noiseattn.data import _HEADER, NLD1_MAGIC, NLD1_VERSION, _Reader
 from noiseattn.harness import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _meta_lines
 from noiseattn.training import _param_chain, as_heads
+from peaks import traced_peak
 
 
 def bytearray_nld(dataset):
@@ -130,12 +130,7 @@ def test_a_load_peaks_near_what_it_keeps(tmp_path):
     rng = np.random.default_rng(11)
     labels = rng.integers(0, 5, size=(100_000, 3))
     save_dataset(Dataset(rng.normal(size=(100_000, 24)), labels, 5, labels), tmp_path / "d.nld")
-    tracemalloc.start()
-    try:
-        loaded = load_dataset(tmp_path / "d.nld")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(lambda: load_dataset(tmp_path / "d.nld"))
     kept = sum(a.nbytes for a in (loaded.features, loaded.given_labels, loaded.true_labels))
     assert kept == 24_000_000
     assert peak <= 1.15 * kept
@@ -145,15 +140,13 @@ def test_declared_counts_are_checked_before_anything_is_allocated(tmp_path):
     """A 25-byte header that declares 2**32 - 1 rows of 2**32 - 1 features."""
     path = tmp_path / "d.nld"
     path.write_bytes(NLD1_MAGIC + _HEADER.pack(NLD1_VERSION, 2**32 - 1, 2**32 - 1, 3, 0, 1))
-    tracemalloc.start()
-    try:
+
+    def load():
         with pytest.raises(FormatError, match=f"needed {(2**32 - 1) ** 2 * 8} bytes for "
                                               f"features at offset 25, have 0$"):
             load_dataset(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+
+    assert traced_peak(load)[1] < 2**20
 
 
 def test_a_file_cut_while_it_is_read_is_a_short_read(tmp_path):

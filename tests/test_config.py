@@ -135,6 +135,31 @@ class TestUnusableValues:
         assert not (tmp_path / "run").exists()
 
 
+# An infinite sigma or separation used to pass the config and end, after a
+# numpy RuntimeWarning, in "features contain non-finite values", naming no key.
+SYNTHETIC_NON_FINITE = [
+    ("sigma", "inf", "data.synthetic.sigma must be finite and positive, got inf"),
+    ("sigma", "-inf", "data.synthetic.sigma must be finite and positive, got -inf"),
+    ("separation", "inf", "data.synthetic.separation must be finite, got inf"),
+    ("separation", "-inf", "data.synthetic.separation must be finite, got -inf"),
+]
+
+
+class TestSyntheticSpecIsFinite:
+    @pytest.mark.parametrize("name, value, message", SYNTHETIC_NON_FINITE)
+    def test_rejected_at_load(self, name, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build_config({f"data.synthetic.{name}": value})
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    @pytest.mark.parametrize("name, value, message", SYNTHETIC_NON_FINITE)
+    def test_synth_and_train_exit_2(self, tmp_path, capsys, command, name, value, message):
+        entries = {**RUN, f"data.synthetic.{name}": value, "out": str(tmp_path / "run")}
+        assert cli_main([command, "--config", str(write_config(tmp_path, entries))]) == 2
+        assert capsys.readouterr().err == f"error [config] {message}\n"
+        assert not (tmp_path / "run").exists()
+
+
 class TestRecursionEpochs:
     def test_absent_key_is_the_na_stage_length(self):
         assert build_config({}).recursion.epochs == build_config({}).na.stage_epochs

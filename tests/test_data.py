@@ -1,15 +1,15 @@
 """Datasets, noise injection, synthetic generators, and the NLD1 format."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from noiseattn import (ConfigError, DataError, Dataset, FormatError, NoiseSpec,
                        SyntheticSpec, empirical_transition, generate_synthetic,
                        generate_synthetic_multi, inject_noise, load_dataset, save_dataset)
+from noiseattn import data
 from noiseattn.data import load_noise_matrix
-from oracles import uniform_flip_matrix
+from oracles import synthetic_multi_one_shot, synthetic_one_shot, uniform_flip_matrix
+from peaks import traced_peak
 
 
 class TestFlipMatrix:
@@ -233,6 +233,80 @@ class TestSynthetic:
             SyntheticSpec(n_train=0)
 
 
+# (kind, feature width); "multi" is three 3-wide attribute blocks.
+KINDS = [("blobs", 3), ("moons", 2), ("patches", 6), ("multi", 3)]
+
+
+def generate_both(kind, **fields):
+    """(block-by-block, one-shot) outputs of the generator of ``kind``."""
+    if kind == "multi":
+        spec = SyntheticSpec(dim=3, **fields)
+        return (generate_synthetic_multi(spec, [3, 2, 5]),
+                synthetic_multi_one_shot(spec, [3, 2, 5]))
+    spec = SyntheticSpec(kind=kind, classes=2 if kind == "moons" else 4, dim=3, height=2,
+                         width=3, **fields)
+    return generate_synthetic(spec), synthetic_one_shot(spec)
+
+
+def assert_same_bytes(got, want):
+    for ds, ref in zip(got, want):
+        assert ds.c == ref.c
+        for name in ("features", "given_labels", "true_labels"):
+            a, b = getattr(ds, name), getattr(ref, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), name
+
+
+class TestBlockByBlock:
+    """The generators write features one block of rows at a time; the
+    one-shot oracles make them whole. Both give the same bytes: a split
+    draw gives the same normals, moons draws all angles first, and the sum
+    is elementwise."""
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("kind, width", KINDS)
+    def test_small_blocks_match_the_one_shot_oracle(self, monkeypatch, kind, width, sigma):
+        monkeypatch.setattr(data, "_BLOCK_VALUES", 12)
+        rows = 12 // width  # rows per block
+        for n in sorted({1, rows - 1, rows, rows + 1, 3 * rows + 2} - {0}):
+            for seed in range(3):
+                assert_same_bytes(*generate_both(kind, sigma=sigma, n_train=n, n_test=n + 1,
+                                                 seed=seed))
+
+    @pytest.mark.parametrize("kind, width", KINDS)
+    def test_the_default_block_matches_the_one_shot_oracle(self, kind, width):
+        n = 2 * (data._BLOCK_VALUES // width) + 1
+        assert_same_bytes(*generate_both(kind, n_train=n, n_test=5, seed=9))
+
+
+def kept_bytes(datasets) -> int:
+    return sum(a.nbytes for ds in datasets for a in (ds.features, ds.given_labels,
+                                                     ds.true_labels))
+
+
+class TestGenerationMemory:
+    """Writing features in place keeps a generator's traced peak near what
+    it returns. The one-shot generators peaked at 1.78x (multi), 1.89x
+    (blobs) and 1.98x (patches) of it."""
+
+    def test_multi_peaks_near_what_it_returns(self):
+        spec = SyntheticSpec(dim=8, n_train=20_000, n_test=100_000, seed=3)
+        out, peak = traced_peak(lambda: generate_synthetic_multi(spec, [3, 4, 6]))
+        assert kept_bytes(out) == 28_800_000
+        assert peak <= 1.1 * kept_bytes(out)
+
+    def test_blobs_peak_near_what_they_return(self):
+        spec = SyntheticSpec(classes=5, dim=24, n_train=100_000, n_test=10, seed=3)
+        out, peak = traced_peak(lambda: generate_synthetic(spec))
+        assert peak <= 1.1 * kept_bytes(out)
+
+    def test_patches_peak_within_one_block_of_what_they_return(self):
+        """A block holds its draw and its means, _BLOCK_VALUES floats each."""
+        spec = SyntheticSpec(kind="patches", classes=4, height=12, width=12,
+                             n_train=20_000, n_test=10, seed=3)
+        out, peak = traced_peak(lambda: generate_synthetic(spec))
+        assert peak <= kept_bytes(out) + 2 * 8 * data._BLOCK_VALUES
+
+
 class TestFiniteFeatures:
     """Features are checked through their sum, with the element-wise check
     only when the sum is not finite: finite values may sum to an infinity."""
@@ -261,12 +335,7 @@ class TestFiniteFeatures:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(100_000, 24))
         labels = rng.integers(0, 5, size=100_000)
-        tracemalloc.start()
-        try:
-            ds = Dataset(x, labels, 5, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ds, peak = traced_peak(lambda: Dataset(x, labels, 5, labels))
         assert ds.features is x
         assert peak < 2**20
 

@@ -2,7 +2,6 @@
 
 import re
 import struct
-import tracemalloc
 import typing
 
 import numpy as np
@@ -23,6 +22,7 @@ from noiseattn.config import LAYER_KINDS
 from noiseattn.harness import MetricsLog
 from noiseattn.multihead import _errors
 from oracles import param_vector
+from peaks import traced_peak
 
 
 BASE_CFG = """
@@ -317,14 +317,12 @@ class TestSnapshots:
         path.write_bytes(b"NAM1" + struct.pack("<II", 1, len(meta)) + meta
                          + struct.pack("<Q", 0))
         assert path.stat().st_size < 120
-        tracemalloc.start()
-        try:
+
+        def load():
             with pytest.raises(FormatError, match="holds 0 parameters"):
                 load_snapshot(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert traced_peak(load)[1] < 2**20
         assert cli_main(["eval", "--snapshot", str(path), "--data", str(tmp_path / "t.nld")]) == 2
 
     def test_unflat_network_output_is_a_format_error(self, tmp_path):

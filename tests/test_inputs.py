@@ -11,8 +11,6 @@ under 1 MB of traced memory. Config text is fuzzed through
 ``load_config`` by truncation and byte replacement.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +19,7 @@ from noiseattn import (AttributeSpec, Dataset, Dense, ExperimentConfig, MultiHea
                        NAModel, Network, NoiseAttnError, ReLU, load_config, load_dataset,
                        load_snapshot, save_dataset, save_snapshot)
 from noiseattn.cli import main as cli_main
+from peaks import traced_peak
 
 FILES = ("single.nld", "multi.nld", "single.nam", "multi.nam")
 # An mlp_small_batch-style config, short enough that every prefix is a case:
@@ -110,15 +109,13 @@ def test_a_replaced_byte_loads_or_is_a_typed_error(artifacts, name, position, ch
 
 def load_peak(path) -> int:
     """The tracemalloc peak, in bytes, of loading the snapshot at ``path``."""
-    tracemalloc.start()
-    try:
-        load_snapshot(path)
-    except NoiseAttnError:
-        pass
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
+    def load():
+        try:
+            load_snapshot(path)
+        except NoiseAttnError:
+            pass
+
+    return traced_peak(load)[1]
 
 
 def check_spliced(artifacts, name, blob):

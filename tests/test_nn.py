@@ -1,7 +1,6 @@
 """Network core: forward passes, losses, SGD, and gradient checking."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from noiseattn.multihead import _errors
 from noiseattn.nn import EPS
 from gradfixtures import grad_check, grad_check_classifier
 from oracles import n_params, nll_loss, nll_loss_grad, zero_grad
+from peaks import traced_peak
 
 
 class TestForward:
@@ -239,25 +239,18 @@ class TestForwardOnlyMemory:
         trainer = Trainer(Network(specs, shape, seed=1), TrainSettings(), seed=2)
         return trainer, x, y
 
-    def peak(self, call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_errors(self, setup):
         trainer, x, y = setup
-        assert self.peak(lambda: _errors(trainer.net, x, y)) < self.LIMIT
+        assert traced_peak(lambda: _errors(trainer.net, x, y))[1] < self.LIMIT
 
     def test_val_loss(self, setup):
         trainer, x, y = setup
-        assert self.peak(lambda: trainer.val_loss(x, y)) < self.LIMIT
+        assert traced_peak(lambda: trainer.val_loss(x, y))[1] < self.LIMIT
 
     def test_snapshot_probs(self, setup):
         trainer, x, y = setup
-        assert self.peak(lambda: snapshot_probs(trainer.net, trainer.na_models, x, y)) < self.LIMIT
+        peak = traced_peak(lambda: snapshot_probs(trainer.net, trainer.na_models, x, y))[1]
+        assert peak < self.LIMIT
 
 
 class TestSoftmax:

@@ -6,8 +6,9 @@ without replacement, and a flipped sample never keeps its true label,
 so the noise level is the exact fraction of mislabeled samples.
 Synthetic features are written in place, one block of rows at a time, so
 generation peaks near the bytes it keeps. That changes no draw: a
-Generator's normal stream does not depend on how a draw is split, the
-sum is elementwise, and moons draws all its angles before any noise.
+Generator's normal and uniform streams do not depend on how a draw is
+split, the sum is elementwise, and moons draws all its angles before any
+noise. A sigma or separation that overflows the features is a ConfigError.
 """
 
 from __future__ import annotations
@@ -243,7 +244,11 @@ def _blob_centers(rng, classes, dim, sigma, separation):
     dmin = dists[~np.eye(classes, dtype=bool)].min()
     target = separation * sigma
     if dmin < target:
-        centers *= target / max(dmin, 1e-9)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            centers *= target / max(dmin, 1e-9)
+        if not np.isfinite(centers).all():
+            raise ConfigError(f"data.synthetic.separation = {separation} with "
+                              f"data.synthetic.sigma = {sigma} overflows the class centers")
     return centers
 
 
@@ -253,14 +258,37 @@ _BLOCK_VALUES = 1 << 16  # float64 values per block: its draw and its means hold
 def _fill(x, means, sigma, rng):
     """Write ``means(rows) + sigma * z`` into ``x`` (an array or a column
     slice of one), one block of rows at a time, with z drawn row-major from
-    ``rng``; ``x`` gets the bits of one full-size draw and sum."""
+    ``rng``; ``x`` gets the bits of one full-size draw and sum. A value that
+    overflows is a ConfigError naming ``sigma``."""
     n, width = x.shape
     step = max(1, _BLOCK_VALUES // width)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        z = rng.normal(size=x[rows].shape)
-        z *= sigma
-        np.add(means(rows), z, out=x[rows])
+    try:
+        with np.errstate(over="raise"):
+            for start in range(0, n, step):
+                rows = slice(start, start + step)
+                z = rng.normal(size=x[rows].shape)
+                z *= sigma
+                np.add(means(rows), z, out=x[rows])
+    except FloatingPointError:
+        raise ConfigError(f"data.synthetic.sigma = {sigma} overflows the features") from None
+
+
+def _moons(x, y, rng):
+    """Write the noise-free moon of each label into ``x``, (n, 2), one
+    block of rows at a time: an angle t drawn uniformly from [0, pi) gives
+    (cos t, sin t) on the upper moon (class 0) and (1 - cos t, 0.5 - sin t)
+    on the lower one (class 1). Cos and sin run over each block's angles
+    into contiguous temporaries. No value moves: a uniform stream does not
+    depend on how its draw is split, and numpy's cos and sin gave every
+    block of 1 to 65536 values the bits of one full-size call, on its
+    AVX-512, AVX2 and baseline x86-64 kernels alike."""
+    step = _BLOCK_VALUES // 2
+    for start in range(0, len(y), step):
+        block = x[start:start + step]
+        t = rng.uniform(0.0, np.pi, size=block.shape[0])
+        block[:, 0] = np.cos(t)
+        block[:, 1] = np.sin(t)
+        np.subtract((1.0, 0.5), block, out=block, where=y[start:start + step, None] == 1)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
@@ -277,9 +305,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     def make(n):
         y = np.arange(n, dtype=np.int64) % spec.classes
         if spec.kind == "moons":  # every angle is drawn before any noise
-            t = rng.uniform(0.0, np.pi, size=n)
-            x = np.stack([np.cos(t), np.sin(t)], axis=1)  # the upper moon; class 1 is lower
-            x[y == 1] = (1.0, 0.5) - x[y == 1]
+            x = np.empty((n, 2))
+            _moons(x, y, rng)
             _fill(x, x.__getitem__, spec.sigma, rng)
         else:
             x = np.empty((n, table.shape[1]))

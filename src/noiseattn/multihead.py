@@ -72,17 +72,20 @@ def _errors(net, features, true_labels) -> tuple[list[float], float]:
     heads of ``net`` (``OneHead`` or ``MultiHeadNetwork``) against true
     labels, (N,) for one head: each head's argmax predictions of the base
     network alone, from one forward-only pass per ``EVAL_CHUNK`` rows (see
-    ``Network.forward``), compared with its label column."""
+    ``Network.forward``), compared with its label column. Each chunk's
+    comparison is written into one preallocated (N,) bool column per head,
+    so no predictions outlive their chunk."""
     n = features.shape[0]
     columns = [] if true_labels is None else label_columns(true_labels)
     if not n or len(columns) != len(net.names) or any(y.shape != (n,) for y in columns):
         got = ("" if true_labels is None else f": one column per head ({len(net.names)}) of "
                f"the {n} feature rows, none empty; got shape {np.shape(true_labels)}")
         raise DataError(f"evaluation needs true labels{got}")
-    chunks = [[probs.argmax(axis=1)
-               for probs in net.forward(features[start:start + EVAL_CHUNK], cache=False)]
-              for start in range(0, n, EVAL_CHUNK)]
-    wrong = [np.concatenate(head) != y for head, y in zip(zip(*chunks), columns)]
+    wrong = [np.empty(n, dtype=bool) for _ in columns]
+    for start in range(0, n, EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        for probs, y, out in zip(net.forward(features[rows], cache=False), columns, wrong):
+            np.not_equal(probs.argmax(axis=1), y[rows], out=out[rows])
     joint = wrong[0]
     for column in wrong[1:]:
         joint = joint | column

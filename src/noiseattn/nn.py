@@ -20,6 +20,16 @@ alone (the conv matmul runs one GEMM per image row), so blocking does not
 change a bit. Dense rows do depend on the number of rows in the matmul,
 so the first Dense and every layer after it see the whole batch.
 
+Activations belong to the network that made them. Dense, Conv2D,
+MaxPool2x2 and ReLU return new arrays and Flatten a view of its input, so
+a ReLU after any layer other than Flatten sees an array the network made,
+and writes ``x * (x > 0)`` into it; a ReLU that may see the caller's batch
+(first, or after Flatten only) returns a new array. ``Network`` decides
+this once, from the specs. It moves no bit: the multiply is the same
+elementwise product, and no layer keeps its own output for backward
+(Dense keeps its input, Conv2D its patch matrix, MaxPool2x2 its index and
+ReLU its mask), so nothing a backward reads is overwritten.
+
 At small channel counts Conv2D's patch copy and bias gradient spend
 their time in numpy's per-inner-loop overhead, not in arithmetic, so each
 takes a form with longer inner loops and the same bits. The patch
@@ -240,6 +250,16 @@ class _ConvLayer:
 
 
 class _ReLULayer:
+    """``x * (x > 0)``. ``Network`` sets ``in_place`` when a layer other
+    than Flatten comes before this one, so that ``x`` is an array the
+    network made; the product is then written into ``x``. It is the same
+    elementwise multiply either way, so signed zeros, NaNs and infinities
+    keep their bits. A ReLU that may see the caller's batch returns a new
+    array."""
+
+    def __init__(self, in_place=False):
+        self.in_place = in_place
+
     def params(self):
         return []
 
@@ -247,7 +267,7 @@ class _ReLULayer:
         mask = x > 0
         if cache:
             self._mask = mask
-        return x * mask
+        return np.multiply(x, mask, out=x) if self.in_place else x * mask
 
     def backward(self, dy, input_grad=True):
         return dy * self._mask if input_grad else None
@@ -354,14 +374,17 @@ def param_count(specs, input_shape) -> tuple[int, tuple[int, ...]]:
     return count, shape
 
 
-def _materialize(spec, net_seed, index, in_shape):
-    """Layer ``index`` of a network seeded ``net_seed``, on inputs of ``in_shape``."""
+def _materialize(spec, net_seed, index, in_shape, owned):
+    """Layer ``index`` of a network seeded ``net_seed``, on inputs of
+    ``in_shape``; ``owned`` says an earlier layer made those inputs."""
     if isinstance(spec, (Dense, Conv2D)):
         rng = np.random.default_rng(entropy_tuple(net_seed, index))
         if isinstance(spec, Dense):
             return _DenseLayer(spec, rng)
         return _ConvLayer(spec, rng, in_shape)
-    return {ReLU: _ReLULayer, MaxPool2x2: _MaxPoolLayer, Flatten: _FlattenLayer}[type(spec)]()
+    if isinstance(spec, ReLU):
+        return _ReLULayer(in_place=owned)
+    return {MaxPool2x2: _MaxPoolLayer, Flatten: _FlattenLayer}[type(spec)]()
 
 
 def _run(layers, x, cache):
@@ -378,7 +401,9 @@ class Network:
     a batch shaped (B, *input_shape) or flat rows (B, prod(input_shape)).
     The layers before the first Dense (Conv2D, ReLU, MaxPool2x2, Flatten)
     form the blocked prefix of a forward-only pass; a network that starts
-    with Dense has none.
+    with Dense has none. A ReLU after any layer other than Flatten works
+    in place, on an array an earlier layer made; the caller's batch is
+    never written (see the module docstring).
     """
 
     def __init__(self, specs, input_shape, seed=0):
@@ -391,10 +416,11 @@ class Network:
         if any(s < 1 for s in self.input_shape):
             raise ConfigError(f"input shape must be positive, got {self.input_shape}")
         self._flat_width = math.prod(self.input_shape)
-        shape, self.layers = self.input_shape, []
+        shape, self.layers, owned = self.input_shape, [], False
         for i, spec in enumerate(self.specs):
             out_shape = _out_shape(spec, shape, i)
-            self.layers.append(_materialize(spec, seed, i, shape))
+            self.layers.append(_materialize(spec, seed, i, shape, owned))
+            owned = owned or not isinstance(spec, Flatten)  # Flatten returns a view of its input
             shape = out_shape
         self.output_shape = shape
         self._params = [p for layer in self.layers for p in layer.params()]

@@ -103,18 +103,20 @@ def snapshot_probs(net, models, features, given_labels):
     ``net.forward`` returns per-attribute probability batches; each sample
     goes through its selected unit of that attribute's model. One
     forward-only pass per ``TEACHER_CHUNK`` rows: its Dense layers see the
-    whole chunk, its conv layers one row block at a time. Deterministic
+    whole chunk, its conv layers one row block at a time. Each chunk's
+    routed rows are written into the preallocated outputs. Deterministic
     for a fixed model. The set must be non-empty and its labels in range,
     as ``run_recursion`` checks.
     """
+    n = features.shape[0]
     columns = label_columns(given_labels)
-    outs: list[list[np.ndarray]] = [[] for _ in models]
-    for start in range(0, features.shape[0], TEACHER_CHUNK):
+    outs = [np.empty((n, model.n_classes)) for model in models]
+    for start in range(0, n, TEACHER_CHUNK):
         rows = slice(start, start + TEACHER_CHUNK)
-        for k, probs in enumerate(net.forward(features[rows], cache=False)):
-            _, out = attention_outputs(probs, columns[k][rows], models[k])
-            outs[k].append(out)
-    return [np.concatenate(chunks, axis=0) for chunks in outs]
+        for probs, y, model, out in zip(net.forward(features[rows], cache=False), columns,
+                                        models, outs):
+            out[rows] = attention_outputs(probs, y[rows], model)[1]
+    return outs
 
 
 def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, *,

@@ -11,9 +11,10 @@ import numpy as np
 
 from noiseattn import (ConfigError, DataError, NAModel, project_column_stochastic,
                        softmax, softmax_backward)
-from noiseattn.attention import na_loss_terms, routed_backward
+from noiseattn.attention import attention_outputs, na_loss_terms, routed_backward
 from noiseattn.data import Dataset, _blob_centers
-from noiseattn.nn import _nll_grad, _picked_nll, check_labels, entropy_tuple
+from noiseattn.nn import (EVAL_CHUNK, TEACHER_CHUNK, _nll_grad, _picked_nll, check_labels,
+                          entropy_tuple, label_columns)
 from noiseattn.training import STREAM_SHUFFLE
 
 
@@ -247,3 +248,29 @@ def synthetic_multi_one_shot(spec, class_counts):
                        labels.copy())
 
     return make(spec.n_train), make(spec.n_test)
+
+
+def errors_by_chunk(net, features, true_labels):
+    """Per-head and joint error of a heads view: each head's argmax
+    predictions of every ``EVAL_CHUNK``-row forward-only pass, joined,
+    then compared with its label column."""
+    n = features.shape[0]
+    chunks = [[probs.argmax(axis=1)
+               for probs in net.forward(features[start:start + EVAL_CHUNK], cache=False)]
+              for start in range(0, n, EVAL_CHUNK)]
+    wrong = [np.concatenate(head) != y
+             for head, y in zip(zip(*chunks), label_columns(true_labels))]
+    joint = np.logical_or.reduce(wrong)
+    return [np.count_nonzero(column) / n for column in wrong], np.count_nonzero(joint) / n
+
+
+def snapshot_probs_by_chunk(net, models, features, given_labels):
+    """Teacher outputs: the routed rows of every ``TEACHER_CHUNK``-row
+    forward-only pass, joined per attribute."""
+    columns = label_columns(given_labels)
+    outs = [[] for _ in models]
+    for start in range(0, features.shape[0], TEACHER_CHUNK):
+        rows = slice(start, start + TEACHER_CHUNK)
+        for k, probs in enumerate(net.forward(features[rows], cache=False)):
+            outs[k].append(attention_outputs(probs, columns[k][rows], models[k])[1])
+    return [np.concatenate(chunks) for chunks in outs]

@@ -1,6 +1,7 @@
 """The config key set and the checks made when a config is built."""
 
 import math
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -158,6 +159,35 @@ class TestSyntheticSpecIsFinite:
         assert cli_main([command, "--config", str(write_config(tmp_path, entries))]) == 2
         assert capsys.readouterr().err == f"error [config] {message}\n"
         assert not (tmp_path / "run").exists()
+
+
+# A finite sigma or separation can still overflow the features; it used to
+# print numpy RuntimeWarnings and end in "features contain non-finite values".
+SYNTHETIC_OVERFLOW = [
+    ({"data.synthetic.sigma": "1e308"},
+     "data.synthetic.separation = 6.0 with data.synthetic.sigma = 1e+308 overflows the "
+     "class centers"),
+    ({"data.synthetic.separation": "1e308", "data.synthetic.dim": "1",
+      "data.synthetic.classes": "10"},
+     "data.synthetic.separation = 1e+308 with data.synthetic.sigma = 1.0 overflows the "
+     "class centers"),
+    ({"data.synthetic.kind": "moons", "data.synthetic.classes": "2",
+      "data.synthetic.sigma": "1e308"},
+     "data.synthetic.sigma = 1e+308 overflows the features"),
+]
+
+
+class TestSyntheticOverflow:
+    @pytest.mark.parametrize("entries, message", SYNTHETIC_OVERFLOW,
+                             ids=["blobs_sigma", "blobs_separation", "moons_sigma"])
+    def test_synth_and_train_exit_2_naming_the_key(self, tmp_path, capsys, entries, message):
+        path = write_config(tmp_path, {**RUN, **entries, "out": str(tmp_path / "run")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing from numpy
+            assert cli_main(["synth", "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"error [config] {message}\n"
+            assert cli_main(["train", "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"error [data] {message}\n"
 
 
 class TestRecursionEpochs:

@@ -286,7 +286,8 @@ def kept_bytes(datasets) -> int:
 class TestGenerationMemory:
     """Writing features in place keeps a generator's traced peak near what
     it returns. The one-shot generators peaked at 1.78x (multi), 1.89x
-    (blobs) and 1.98x (patches) of it."""
+    (blobs) and 1.98x (patches) of it; moons, holding every angle and a
+    full-size cos and sin, at 1.51x."""
 
     def test_multi_peaks_near_what_it_returns(self):
         spec = SyntheticSpec(dim=8, n_train=20_000, n_test=100_000, seed=3)
@@ -296,6 +297,11 @@ class TestGenerationMemory:
 
     def test_blobs_peak_near_what_they_return(self):
         spec = SyntheticSpec(classes=5, dim=24, n_train=100_000, n_test=10, seed=3)
+        out, peak = traced_peak(lambda: generate_synthetic(spec))
+        assert peak <= 1.1 * kept_bytes(out)
+
+    def test_moons_peak_near_what_they_return(self):
+        spec = SyntheticSpec(kind="moons", classes=2, n_train=200_000, n_test=10, seed=3)
         out, peak = traced_peak(lambda: generate_synthetic(spec))
         assert peak <= 1.1 * kept_bytes(out)
 

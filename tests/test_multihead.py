@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, MultiHeadNetwork,
-                       NAModel, Network, ReLU, Trainer, TrainSettings,
+                       NAModel, Network, OneHead, ReLU, Trainer, TrainSettings, evaluate,
                        evaluate_all_metric, generate_synthetic_multi, softmax, softmax_backward)
 from noiseattn import NoiseSpec, SyntheticSpec, inject_noise
 from noiseattn.multihead import _errors
+from noiseattn.nn import EVAL_CHUNK
 from noiseattn.recursion import RecursionSchedule, run_recursion
 from noiseattn.training import _loss_total
 from gradfixtures import grad_check
 from oracles import na_loss, nll_loss, nll_loss_grad
-from oracles import multi_attribute_loss, multi_forward
+from oracles import errors_by_chunk, multi_attribute_loss, multi_forward
 
 
 def small_mh(seed=0, class_counts=(3, 4)):
@@ -144,6 +145,34 @@ def metric(preds, true):
     """``_errors`` of heads that predict ``preds``, against ``true``."""
     rows = np.arange(len(preds), dtype=np.float64)[:, None]
     return _errors(PredictingHeads(preds), rows, true)
+
+
+class TestChunkedEvaluation:
+    """``evaluate`` over three chunks, the last one short, writes each
+    chunk's comparison into its result and gives the bits of the chunks'
+    predictions joined first (``oracles.errors_by_chunk``)."""
+
+    N = 2 * EVAL_CHUNK + 17
+
+    @staticmethod
+    def hexes(errors):
+        per_attr, joint = errors if isinstance(errors, tuple) else ([], errors)
+        return [e.hex() for e in per_attr] + [joint.hex()]
+
+    def test_one_head(self):
+        rng = np.random.default_rng(61)
+        net = OneHead(Network([Dense(6, 16), ReLU(), Dense(16, 3)], (6,), seed=61))
+        x = rng.normal(size=(self.N, 6))
+        y = rng.integers(0, 3, self.N)
+        assert self.hexes(evaluate(net, x, y)) == self.hexes(errors_by_chunk(net, x, y)[1])
+
+    def test_multihead(self):
+        rng = np.random.default_rng(62)
+        net = MultiHeadNetwork(Network([Dense(6, 16), ReLU()], (6,), seed=62),
+                               AttributeSpec([3, 4]), seed=62)
+        x = rng.normal(size=(self.N, 6))
+        y = np.stack([rng.integers(0, 3, self.N), rng.integers(0, 4, self.N)], axis=1)
+        assert self.hexes(evaluate(net, x, y)) == self.hexes(errors_by_chunk(net, x, y))
 
 
 class TestAllMetric:

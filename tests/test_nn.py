@@ -9,8 +9,9 @@ from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, Conv2D, Fla
                        MaxPool2x2, MultiHeadNetwork, NAModel, Network, Parameter, ReLU, SGD,
                        Trainer, TrainSettings, UsageError, load_snapshot, save_snapshot,
                        snapshot_probs, softmax, softmax_backward)
+from noiseattn.harness import evaluate
 from noiseattn.multihead import _errors
-from noiseattn.nn import EPS
+from noiseattn.nn import EPS, EVAL_CHUNK, LayerSpec, _ReLULayer
 from gradfixtures import grad_check, grad_check_classifier
 from oracles import n_params, nll_loss, nll_loss_grad, zero_grad
 from peaks import traced_peak
@@ -224,9 +225,83 @@ class TestPixelTable:
             assert table.tobytes() == first.tobytes()
 
 
+class TestReLUOwnership:
+    """A ReLU writes into its input only when an earlier layer other than
+    Flatten made it; the caller's batch is never written."""
+
+    SHAPE = (3, 4, 2)
+
+    @pytest.mark.parametrize("specs, shape", [
+        ([ReLU(), Dense(24, 3)], (24,)),
+        ([ReLU(), Flatten(), Dense(24, 3)], SHAPE),
+        ([Flatten(), ReLU(), Dense(24, 3)], SHAPE),
+        ([Flatten(), Flatten(), ReLU(), ReLU(), Dense(24, 3)], SHAPE),
+    ], ids=["relu", "relu_flatten", "flatten_relu", "flatten_twice"])
+    def test_the_callers_batch_is_left_as_it_was(self, specs, shape):
+        net = Network(specs, shape, seed=3)
+        rng = np.random.default_rng(3)
+        for batch in (rng.normal(size=(5,) + shape), rng.normal(size=(5, math.prod(shape)))):
+            before = batch.tobytes()
+            for cache in (True, False):
+                net.forward(batch, cache)
+                assert batch.tobytes() == before
+            net.first_non_finite(batch)
+            assert batch.tobytes() == before
+
+    @pytest.mark.parametrize("specs, shape, in_place", [
+        ([ReLU(), Flatten(), ReLU(), Dense(24, 3), ReLU()], SHAPE, [False, True, True]),
+        ([Flatten(), ReLU(), ReLU(), Dense(24, 3)], SHAPE, [False, True]),
+        ([Conv2D(2, 3, 2), ReLU(), MaxPool2x2(), ReLU(), Flatten(), ReLU()], (5, 5, 2),
+         [True] * 3),
+    ])
+    def test_which_relus_work_in_place(self, specs, shape, in_place):
+        net = Network(specs, shape, seed=3)
+        assert [layer.in_place for layer in net.layers
+                if isinstance(layer, _ReLULayer)] == in_place
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_in_place_equals_the_product_bit_for_bit(self, cache):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                      2.2e-308, -2.2e-308, 1.5, -1.5, 1e308, -1e308])
+        x = np.concatenate([x, np.random.default_rng(4).normal(size=50)])
+        arg = x.copy()
+        with np.errstate(invalid="ignore"):  # inf * 0
+            out = _ReLULayer(in_place=True).forward(arg, cache)
+            assert out is arg
+            assert out.tobytes() == (x * (x > 0)).tobytes()
+            assert _ReLULayer().forward(x, cache).tobytes() == out.tobytes()
+
+    # One network per layer kind; each holds that kind after a layer that
+    # makes a new array.
+    KINDS = {
+        Dense: ([Dense(6, 5), Dense(5, 4)], (6,)),
+        Conv2D: ([Conv2D(2, 3, 2), Conv2D(3, 2, 2)], (5, 5, 2)),
+        ReLU: ([Dense(6, 5), ReLU(), ReLU()], (6,)),
+        MaxPool2x2: ([Conv2D(2, 3, 2), MaxPool2x2()], (5, 5, 2)),
+        Flatten: ([Conv2D(2, 3, 2), Flatten()], (5, 5, 2)),
+    }
+
+    def test_the_guard_covers_every_layer_kind(self):
+        assert set(self.KINDS) == set(LayerSpec.__args__)
+
+    @pytest.mark.parametrize("kind", list(KINDS), ids=lambda kind: kind.__name__)
+    def test_no_layer_keeps_its_output(self, kind):
+        """An in-place ReLU overwrites the output of the layer before it, so
+        no layer may keep its output (or a view of it) for backward."""
+        specs, shape = self.KINDS[kind]
+        net = Network(specs, shape, seed=5)
+        x = np.random.default_rng(5).normal(size=(4,) + shape)
+        for layer in net.layers:
+            out = layer.forward(x)
+            kept = [v for v in vars(layer).values() if isinstance(v, np.ndarray)]
+            assert not any(np.shares_memory(v, out) for v in kept)
+            x = out
+
+
 class TestForwardOnlyMemory:
     """The forward-only callers over 2000 rows of the conv_patches network
-    stay far below the 52 MB that one caching pass over the rows takes."""
+    stay far below the 52 MB that one caching pass over the rows takes,
+    and evaluation holds one chunk's activations at a time."""
 
     LIMIT = 16 * 2**20
 
@@ -251,6 +326,20 @@ class TestForwardOnlyMemory:
         trainer, x, y = setup
         peak = traced_peak(lambda: snapshot_probs(trainer.net, trainer.na_models, x, y))[1]
         assert peak < self.LIMIT
+
+    def test_evaluate_holds_one_chunk_of_activations(self):
+        """``evaluate`` of a 20-64-10 MLP over two chunks holds one chunk's
+        hidden activation and ReLU mask and its logits and probabilities:
+        the in-place ReLU keeps no second hidden activation, and each
+        chunk's comparison goes into one bool per row, with no 8-byte
+        predictions."""
+        net = Network([Dense(20, 64), ReLU(), Dense(64, 10)], (20,), seed=6)
+        rng = np.random.default_rng(6)
+        n = 2 * EVAL_CHUNK
+        x = rng.normal(size=(n, 20))
+        y = rng.integers(0, 10, n)
+        bound = EVAL_CHUNK * (64 * 8 + 64 + 2 * 10 * 8)
+        assert traced_peak(lambda: evaluate(net, x, y))[1] < bound
 
 
 class TestSoftmax:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from noiseattn import (ConfigError, DataError, Dense, NAModel, Network, OneHead, ReLU,
+from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, MultiHeadNetwork,
+                       NAModel, Network, OneHead, ReLU,
                        RecursionSchedule, Trainer, TrainSettings, alpha_schedule,
                        attention_outputs, combine_supervisions,
                        generate_synthetic, inject_noise,
@@ -14,7 +15,8 @@ from noiseattn import NoiseSpec, SyntheticSpec, recursion
 from noiseattn.attention import na_loss_terms, project_column_stochastic, routed_backward
 from noiseattn.recursion import soft_attention_outputs, soft_out_grad
 from gradfixtures import grad_check
-from oracles import combine_supervision, na_loss, param_vector
+from noiseattn.nn import TEACHER_CHUNK
+from oracles import combine_supervision, na_loss, param_vector, snapshot_probs_by_chunk
 
 
 class TestAlphaSchedule:
@@ -148,6 +150,30 @@ class TestSnapshot:
         net, model, x, y = self._setup(seed=52)
         out = snapshot_probs(OneHead(net), [model], x, y)[0]
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("class_counts", [(3,), (3, 4)], ids=["one_head", "multihead"])
+    def test_equals_the_chunks_joined(self, class_counts):
+        """Three chunks, the last one short: each chunk's routed rows written
+        into the result have the bits of the chunks' rows joined."""
+        rng = np.random.default_rng(54)
+        n = 2 * TEACHER_CHUNK + 17
+        trunk = Network([Dense(2, 8), ReLU(), Dense(8, 3)], (2,), seed=54)
+        if len(class_counts) == 1:
+            net = OneHead(trunk)
+        else:
+            net = MultiHeadNetwork(trunk, AttributeSpec(list(class_counts)), seed=54)
+        models = []
+        for c in class_counts:
+            model = NAModel(c)
+            model.add_unit().q.data[...] = project_column_stochastic(
+                rng.uniform(size=(c, c)) + 2 * np.eye(c))
+            models.append(model)
+        x = rng.normal(size=(n, 2))
+        y = np.stack([rng.integers(0, c, n) for c in class_counts], axis=1)
+        y = y[:, 0] if len(class_counts) == 1 else y
+        got = snapshot_probs(net, models, x, y)
+        want = snapshot_probs_by_chunk(net, models, x, y)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_chunked_equals_selection_on_full_batch(self, monkeypatch):
         net, model, x, y = self._setup(seed=53)

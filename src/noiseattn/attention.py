@@ -26,21 +26,25 @@ from .nn import Parameter, _picked_nll
 def project_column_stochastic(q):
     """Clamp entries to [0, inf) and renormalize each column to sum 1.
 
-    A column that clamps to all zeros is reset to the identity column for
-    its index; a column holding a NaN comes out all NaN. Columns already
-    on the simplex pass through unchanged.
+    ``q`` is one square matrix or a ``(U, C, C)`` stack of them; each
+    matrix of a stack comes out as it would alone, bit for bit (its rows
+    are summed in the same order, over axis -2). A column that clamps to
+    all zeros is reset to the identity column for its index; a column
+    holding a NaN comes out all NaN. Columns already on the simplex pass
+    through unchanged.
     """
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ConfigError(f"expected a square matrix, got shape {q.shape}")
+    if q.ndim not in (2, 3) or q.shape[-2] != q.shape[-1]:
+        raise ConfigError(f"expected a square matrix or a stack of them, got shape {q.shape}")
     out = np.maximum(q, 0.0)
-    sums = np.add.reduce(out, axis=0)
-    if not np.minimum.reduce(sums) > 0.0:  # a zero or NaN column sum
-        for i in np.flatnonzero(sums <= 0.0):
-            out[:, i] = 0.0
-            out[i, i] = 1.0
-            sums[i] = 1.0
-    out /= sums
+    sums = np.add.reduce(out, axis=-2)
+    if not np.minimum.reduce(sums, axis=None, initial=np.inf) > 0.0:  # a zero or NaN sum
+        mats, cols = out.reshape((-1,) + q.shape[-2:]), sums.reshape(-1, q.shape[-1])
+        for u, i in zip(*np.nonzero(cols <= 0.0)):
+            mats[u, :, i] = 0.0
+            mats[u, i, i] = 1.0
+            cols[u, i] = 1.0
+    out /= sums[..., None, :]
     return out
 
 
@@ -86,11 +90,6 @@ class NAModel:
 
     def learnable_params(self) -> list[Parameter]:
         return [u.q for u in self.units[1:]]
-
-    def project(self):
-        """``project_column_stochastic`` of each learnable Q, in place."""
-        for unit in self.units[1:]:
-            unit.q.data[...] = project_column_stochastic(unit.q.data)
 
     def unit_matrices(self) -> list[np.ndarray]:
         return [unit.q.data.copy() for unit in self.units]

@@ -7,12 +7,20 @@ the snapshot's heads before scoring. Each takes only the flags it reads.
 Exit code 0 on success, 2 for configuration/data/format problems and for
 runs too large for memory, 1 for runtime failures; diagnostics carry the
 failing pipeline stage.
+
+The argparse parser is built on the first ``main`` call and reused by
+every later call in the process: callers that run many commands in one
+process (the benchmark's repeated ``eval``, the test suite) would
+otherwise rebuild seven parsers per call. Parsing never changes the
+parser, and each call parses into a fresh namespace, so no call sees
+another's arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -100,13 +108,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_q(args) -> int:
+    if args.out == "":  # an absent --out means the working directory; an empty one is a slip
+        raise ConfigError("--out: expected an output directory, got ''")
     paths = _export_models(*load_snapshot(args.snapshot), Path(args.out or "."), "q_")
     for csv_path, pgm_path in paths:
         print(f"wrote {csv_path} and {pgm_path}")
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="noiseattn",
         description="Train classifiers robustly on noisy labels with "
@@ -132,8 +144,15 @@ def main(argv=None) -> int:
     add("recurse", _cmd_recurse, "resume recursion from a stage-0 snapshot", *run, "snapshot")
     add("eval", _cmd_eval, "evaluate a snapshot on a test set", "snapshot", "data")
     add("export-q", _cmd_export_q, "export learned units as CSV + PGM", "snapshot", "out")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Parse ``argv`` (default ``sys.argv[1:]``) into a fresh namespace and run
+    its subcommand; returns the exit code. The parser is built once per
+    process (``_parser``), so a caller that runs many commands in one process,
+    such as a benchmark or a test suite, pays for argparse only once."""
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except StageError as exc:

@@ -249,6 +249,8 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     cfg.out_dir = e.get("out", cfg.out_dir)
+    if not cfg.out_dir:  # Path("") is the working directory
+        raise ConfigError("out: expected an output directory, got ''")
 
     attrs = e.get("attributes")
     if attrs:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
-from .attention import NAModel, UnitSchedule, na_loss_terms, routed_backward
+from .attention import (NAModel, UnitSchedule, na_loss_terms, project_column_stochastic,
+                        routed_backward)
 from .nn import (SGD, Network, _nll_grad, check_labels, entropy_tuple, label_columns,
                  softmax, softmax_backward)
 from .recursion import soft_attention_outputs, soft_nll_loss, soft_out_grad
@@ -204,10 +205,18 @@ class Trainer:
             raise DivergenceError(f"non-finite loss {total!r}")  # _epoch adds the batch
         self.net.backward(dlogits)
         self.net_opt.step()
-        for opt, model in zip(self.unit_opts, self.na_models):
+        for opt in self.unit_opts:
             opt.step()
-            model.project()
+        self._project_units()
         return total
+
+    def _project_units(self):
+        """Each model's learnable Qs, which ``unit_opts[k]`` holds back to
+        back in its arena, projected in place as one ``(U, C, C)`` stack."""
+        for opt, model in zip(self.unit_opts, self.na_models):
+            if opt.params:
+                qs = opt._data.reshape(-1, model.n_classes, model.n_classes)
+                qs[...] = project_column_stochastic(qs)
 
     # -- epochs ------------------------------------------------------------
 

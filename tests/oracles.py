@@ -9,8 +9,7 @@ package writes them block by block.
 
 import numpy as np
 
-from noiseattn import (ConfigError, DataError, NAModel, project_column_stochastic,
-                       softmax, softmax_backward)
+from noiseattn import ConfigError, DataError, NAModel, softmax, softmax_backward
 from noiseattn.attention import attention_outputs, na_loss_terms, routed_backward
 from noiseattn.data import Dataset, _blob_centers
 from noiseattn.nn import (EVAL_CHUNK, TEACHER_CHUNK, _nll_grad, _picked_nll, check_labels,
@@ -96,11 +95,25 @@ def uniform_flip_matrix(c: int, rho: float) -> np.ndarray:
     return m
 
 
+def project_matrix(q):
+    """One square matrix clamped to [0, inf), each column divided by its
+    sum; a column that clamps to all zeros becomes the identity column."""
+    out = np.maximum(np.asarray(q, dtype=np.float64), 0.0)
+    sums = out.sum(axis=0)
+    for i in range(out.shape[1]):
+        if sums[i] <= 0.0:
+            out[:, i] = 0.0
+            out[i, i] = 1.0
+            sums[i] = 1.0
+    out /= sums
+    return out
+
+
 def project_units(model: NAModel):
     """Each learnable unit's Q (every unit after unit 0) replaced by
-    ``project_column_stochastic`` of it."""
+    ``project_matrix`` of it, one unit at a time."""
     for unit in model.units[1:]:
-        unit.q.data[...] = project_column_stochastic(unit.q.data)
+        unit.q.data[...] = project_matrix(unit.q.data)
 
 
 def unit_outputs_stacked(probs, model: NAModel):

@@ -16,8 +16,8 @@ from noiseattn.nn import EPS
 from gradfixtures import grad_check
 from oracles import (infer, na_backward, na_loss, nll_loss, nll_loss_grad, param_vector,
                      plain_epochs)
-from oracles import (decay_penalty, na_forward, project_units, routed_backward_masks,
-                     select_unit, unit_outputs_stacked)
+from oracles import (decay_penalty, na_forward, project_matrix, project_units,
+                     routed_backward_masks, select_unit, unit_outputs_stacked)
 
 
 def model_pair(matrices, decays=None):
@@ -267,6 +267,14 @@ class TestProjection:
         clamped = np.maximum(q, 0.0)
         assert project_column_stochastic(q).tobytes() == (clamped / clamped.sum(axis=0)).tobytes()
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (1, 2, 3, 3), (3,)])
+    def test_only_square_matrices_and_stacks_of_them(self, shape):
+        with pytest.raises(ConfigError, match="square matrix"):
+            project_column_stochastic(np.ones(shape))
+
+    def test_an_empty_stack_stays_empty(self):
+        assert project_column_stochastic(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
     def test_projection_output_always_valid(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
@@ -276,33 +284,60 @@ class TestProjection:
             assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def messy_matrices(rng, case, count, c):
+    """``count`` random (c, c) matrices, bent to ``case``: columns that clamp
+    to zeros, non-finite entries, or a NaN column."""
+    scale = 10.0 ** rng.uniform(-3, 3)
+    mats = [rng.normal(scale=scale, size=(c, c)) for _ in range(count)]
+    for q in mats:
+        if case == "zero_columns":
+            q[:, rng.integers(c)] = -np.abs(q[:, 0])
+            q[:, rng.integers(c)] = rng.choice([0.0, -0.0], size=c)
+        elif case == "nonfinite":
+            q[rng.uniform(size=q.shape) < 0.15] = rng.choice([np.nan, np.inf, -np.inf])
+        elif case == "nan_column":
+            q[:, rng.integers(c)] = np.nan
+    return mats
+
+
 class TestFastPathsMatchLoops:
-    """``project``, ``unit_outputs`` and ``routed_backward`` against the
-    per-unit loops in ``oracles``: byte equality. ``project`` is compared
-    with ``project_column_stochastic`` of each learnable unit."""
+    """The trainer's projection, ``unit_outputs`` and ``routed_backward``
+    against the per-unit loops in ``oracles``: byte equality. The trainer
+    projects each model's learnable units as one stack in its unit
+    optimizer's arena; ``project_units`` projects them one at a time."""
 
     CASES = ["random", "zero_columns", "nonfinite", "nan_column"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_in_place_projection(self, case):
         rng = np.random.default_rng(self.CASES.index(case))
-        for _ in range(20):
-            mats = [rng.normal(size=(4, 4)) for _ in range(3)]
-            for q in mats:
-                if case == "zero_columns":
-                    q[:, rng.integers(4)] = -np.abs(q[:, 0])
-                    q[:, rng.integers(4)] = rng.choice([0.0, -0.0], size=4)
-                elif case == "nonfinite":
-                    q[rng.uniform(size=q.shape) < 0.15] = rng.choice([np.nan, np.inf, -np.inf])
-                elif case == "nan_column":
-                    q[:, rng.integers(4)] = np.nan
-            fast, ref = model_pair(mats)
+        for units in [0, 1, 2, 3, 4] * 4:
+            c = int(rng.integers(2, 12))
+            mats = messy_matrices(rng, case, units, c)
+            fast, ref = model_pair(mats) if units else (NAModel(c), NAModel(c))
+            trainer = Trainer(Network([Dense(2, c)], (2,), seed=0), TrainSettings(), [fast])
             arrays = [u.q.data for u in fast.units]
             with np.errstate(invalid="ignore"):
-                fast.project()
+                trainer._project_units()
                 project_units(ref)
             assert_units_equal(fast, ref, "data")
             assert all(u.q.data is a for u, a in zip(fast.units, arrays))
+            assert all(np.shares_memory(u.q.data, trainer.unit_opts[0]._data)
+                       for u in fast.units[1:])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_stack_projects_each_matrix_as_alone(self, case):
+        rng = np.random.default_rng(10 + self.CASES.index(case))
+        for _ in range(40):
+            c = int(rng.integers(2, 12))
+            mats = messy_matrices(rng, case, int(rng.integers(1, 5)), c)
+            stack = np.stack(mats)
+            with np.errstate(invalid="ignore"):
+                projected = project_column_stochastic(stack)
+                alone = [project_column_stochastic(q) for q in mats]
+                oracle = [project_matrix(q) for q in mats]
+            assert projected.tobytes() == np.stack(alone).tobytes() == np.stack(oracle).tobytes()
+            assert stack.tobytes() == np.stack(mats).tobytes()  # the input is left as it is
 
     @pytest.mark.parametrize("seed", range(6))
     def test_routing_and_routed_backward(self, seed):

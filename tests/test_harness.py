@@ -1,6 +1,8 @@
 """Config parsing, snapshots, exports, evaluation, and the experiment driver."""
 
+import argparse
 import re
+import shutil
 import struct
 import typing
 
@@ -15,7 +17,7 @@ from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Co
                        load_snapshot, parse_arch, parse_config_text, parse_input_shape,
                        resolve_data, resume_recursion, run_experiment, save_dataset,
                        save_snapshot, serialize_arch)
-from noiseattn import OneHead, harness
+from noiseattn import OneHead, cli, harness
 from noiseattn.attention import project_column_stochastic
 from noiseattn.cli import main as cli_main
 from noiseattn.config import LAYER_KINDS
@@ -764,9 +766,70 @@ class TestCLI:
                                     "22.9 MiB for an array with shape (3000000, 1)"]
         assert "Traceback" not in err
 
-    def test_missing_file_errors(self, tmp_path):
-        assert cli_main(["eval", "--snapshot", str(tmp_path / "none.nam"),
-                         "--data", str(tmp_path / "none.nld")]) in (1, 2)
+    def test_missing_file_errors(self, tmp_path, capsys):
+        """A missing snapshot or test set is one config error line, exit 2."""
+        snapshot, data = write_single_snapshot(tmp_path), tmp_path / "d.nld"
+        save_dataset(Dataset(np.zeros((3, 2)), [0, 1, 2], 3, true_labels=[0, 1, 2]), data)
+        none_nam, none_nld = tmp_path / "none.nam", tmp_path / "none.nld"
+        cases = [(["eval", "--snapshot", none_nam, "--data", none_nld], "snapshot", none_nam),
+                 (["eval", "--snapshot", none_nam, "--data", data], "snapshot", none_nam),
+                 (["eval", "--snapshot", snapshot, "--data", none_nld], "dataset", none_nld),
+                 (["export-q", "--snapshot", none_nam, "--out", tmp_path / "q"], "snapshot",
+                  none_nam)]
+        for args, kind, path in cases:
+            assert cli_main([str(a) for a in args]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"error [config] cannot read {kind} file {path}: [Errno 2] "
+                f"No such file or directory: '{path}'"]
+            assert captured.out == ""
+        assert not (tmp_path / "q").exists()
+
+    @pytest.mark.parametrize("command", ["train", "recurse", "synth", "inject"])
+    @pytest.mark.parametrize("how", ["config line", "flag"])
+    def test_an_empty_out_is_a_config_error(self, tmp_path, capsys, monkeypatch, command,
+                                            how):
+        """``out =`` in a config or ``--out ''`` would write every artifact
+        into the working directory; each is refused before anything is written."""
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        run = inputs / "run"
+        text = BASE_CFG.format(out=run) + "recursion.iterations = 1\n"
+        if how == "config line":
+            text = text.replace(f"out = {run}", "out =")
+        cfg_path = inputs / "c.cfg"
+        cfg_path.write_text(text)
+        snapshot = inputs / "m.nam"
+        save_snapshot(snapshot, Network(parse_arch("dense:2:12,relu,dense:12:3"), (2,), seed=0),
+                      [NAModel(3)])
+        data = inputs / "train.nld"
+        save_dataset(resolve_data(make_cfg(tmp_path), None)[0], data)
+        extra = {"recurse": ["--snapshot", str(snapshot)], "inject": ["--data", str(data)]}
+        flag = ["--out", ""] if how == "flag" else []
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli_main([command, "--config", str(cfg_path), *flag,
+                         *extra.get(command, [])]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error [config] out: expected an output directory, got ''"]
+        assert captured.out == ""
+        assert list(cwd.iterdir()) == [] and not run.exists()
+
+    def test_export_q_refuses_an_empty_out_and_defaults_to_the_working_directory(
+            self, tmp_path, capsys, monkeypatch):
+        snapshot = write_single_snapshot(tmp_path)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli_main(["export-q", "--snapshot", str(snapshot), "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error [config] --out: expected an output directory, got ''"]
+        assert captured.out == "" and list(cwd.iterdir()) == []
+        assert cli_main(["export-q", "--snapshot", str(snapshot)]) == 0
+        assert sorted(p.name for p in cwd.iterdir()) == ["q_unit01.csv", "q_unit01.pgm"]
 
 
     @pytest.mark.parametrize("command", ["train", "recurse", "synth", "inject", "export-q"])
@@ -786,6 +849,112 @@ class TestCLI:
         assert cli_main([command, *config, "--out", str(afile), *extra]) == 2
         assert "is not a directory" in capsys.readouterr().err
         assert afile.read_text() == "keep"
+
+
+class TestOneParser:
+    """``main`` builds its argparse parser on the first call and reuses it,
+    and every call parses into a fresh namespace."""
+
+    def test_the_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        args = ["export-q", "--snapshot", str(write_single_snapshot(tmp_path)),
+                "--out", str(tmp_path / "q")]
+        assert cli_main(args) == 0
+        assert len(built) == 7  # noiseattn and its six subcommands
+        assert cli_main(args) == 0
+        assert len(built) == 7
+        assert cli._parser() is cli._parser()
+
+    @staticmethod
+    def inputs(tmp_path):
+        """A config, a run's stage-0 and final snapshots and its train and
+        test sets, outside the working directory the commands write into."""
+        inputs = tmp_path / "inputs"
+        cfg_path = inputs / "c.cfg"
+        inputs.mkdir()
+        cfg_path.write_text(BASE_CFG.format(out="out") + "recursion.iterations = 1\n")
+        run_experiment(make_cfg(inputs, extra="recursion.iterations = 1\n"))
+        return cfg_path, inputs / "run"
+
+    @staticmethod
+    def files(root):
+        """Every file under ``root``: relative name -> bytes; report.json
+        without its wall-clock time."""
+        found = {}
+        for path in sorted(root.rglob("*")):
+            if path.is_file():
+                data = path.read_bytes()
+                if path.name == "report.json":
+                    data = re.sub(rb'"wall_clock_s": [0-9.e-]+', b"", data)
+                found[str(path.relative_to(root))] = data
+        return found
+
+    @pytest.mark.parametrize("command", ["synth", "inject", "train", "recurse", "eval",
+                                         "export-q"])
+    def test_a_command_run_twice_gives_the_same_result(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        """The same exit code, stdout, stderr and files both times, with a
+        usage error and ``--help`` between the two calls."""
+        cfg_path, run = self.inputs(tmp_path)
+        config = ["--config", str(cfg_path)]
+        args = {"synth": config,
+                "inject": [*config, "--data", str(run / "train.nld")],
+                "train": config,
+                "recurse": [*config, "--snapshot", str(run / "snapshot_stage0.nam")],
+                "eval": ["--snapshot", str(run / "snapshot_final.nam"),
+                         "--data", str(run / "test.nld")],
+                "export-q": ["--snapshot", str(run / "snapshot_final.nam"), "--out", "out"],
+                }[command]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        results = []
+        for _ in range(2):
+            code = cli_main([command, *args])
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, self.files(cwd)))
+            for path in cwd.iterdir():  # the process stays in cwd
+                shutil.rmtree(path) if path.is_dir() else path.unlink()
+            seed = ["--seed", "9"] if command in ("synth", "inject", "train", "recurse") else []
+            with pytest.raises(SystemExit) as usage:
+                cli_main([command, *args, *seed, "--bogus"])
+            assert usage.value.code == 2
+            with pytest.raises(SystemExit) as shown:
+                cli_main([command, "--help"])
+            assert shown.value.code == 0
+            assert f"usage: noiseattn {command}" in capsys.readouterr().out
+            assert list(cwd.iterdir()) == []
+        assert results[0][0] == 0 and results[0][1] and results[0][2] == ""
+        assert command == "eval" or results[0][3]
+        assert results[1] == results[0]
+
+    def test_a_loader_patched_after_the_first_call_takes_effect(self, tmp_path, capsys,
+                                                                monkeypatch):
+        snapshot, data = write_single_snapshot(tmp_path), tmp_path / "d.nld"
+        save_dataset(Dataset(np.zeros((3, 2)), [0, 1, 2], 3, true_labels=[0, 1, 2]), data)
+        args = ["eval", "--snapshot", str(snapshot), "--data", str(data)]
+        assert cli_main(args) == 0
+        first = capsys.readouterr()
+        for loader in ("load_snapshot", "load_dataset"):
+            def refuse(path, loader=loader):
+                raise FormatError(f"{loader} patched for {path}")
+
+            with monkeypatch.context() as patched:
+                patched.setattr(f"noiseattn.cli.{loader}", refuse)
+                assert cli_main(args) == 2
+            path = snapshot if loader == "load_snapshot" else data
+            assert capsys.readouterr().err == f"error [config] {loader} patched for {path}\n"
+        assert cli_main(args) == 0
+        assert capsys.readouterr() == first
 
 
 class TestLabelBounds:

@@ -14,6 +14,12 @@ process (the benchmark's repeated ``eval``, the test suite) would
 otherwise rebuild seven parsers per call. Parsing never changes the
 parser, and each call parses into a fresh namespace, so no call sees
 another's arguments.
+
+``eval`` of a test set with two full ``EVAL_CHUNK`` chunks or more scores
+its chunks on a thread pool when the process may run on two CPUs (see
+``nn.for_each_chunk``), with the bits of one thread. A chunk that runs out
+of memory is reported once every chunk has finished, as the same one
+config error line.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import AttributeSpec
 from .errors import DataError
-from .nn import EVAL_CHUNK, Dense, Network, entropy_tuple, label_columns, softmax
+from .nn import (EVAL_CHUNK, Dense, Network, entropy_tuple, for_each_chunk, label_columns,
+                 softmax)
 
 
 class MultiHeadNetwork:
@@ -74,7 +75,10 @@ def _errors(net, features, true_labels) -> tuple[list[float], float]:
     network alone, from one forward-only pass per ``EVAL_CHUNK`` rows (see
     ``Network.forward``), compared with its label column. Each chunk's
     comparison is written into one preallocated (N,) bool column per head,
-    so no predictions outlive their chunk."""
+    so no predictions outlive their chunk. ``for_each_chunk`` runs the
+    chunks, on the chunk pool when the rows hold two full chunks and the
+    process has two CPUs; every chunk keeps its rows, so the result has the
+    same bits on any number of threads."""
     n = features.shape[0]
     columns = [] if true_labels is None else label_columns(true_labels)
     if not n or len(columns) != len(net.names) or any(y.shape != (n,) for y in columns):
@@ -82,10 +86,12 @@ def _errors(net, features, true_labels) -> tuple[list[float], float]:
                f"the {n} feature rows, none empty; got shape {np.shape(true_labels)}")
         raise DataError(f"evaluation needs true labels{got}")
     wrong = [np.empty(n, dtype=bool) for _ in columns]
-    for start in range(0, n, EVAL_CHUNK):
-        rows = slice(start, start + EVAL_CHUNK)
+
+    def score(rows):
         for probs, y, out in zip(net.forward(features[rows], cache=False), columns, wrong):
             np.not_equal(probs.argmax(axis=1), y[rows], out=out[rows])
+
+    for_each_chunk(score, n, EVAL_CHUNK)
     joint = wrong[0]
     for column in wrong[1:]:
         joint = joint | column

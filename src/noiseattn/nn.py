@@ -20,6 +20,16 @@ alone (the conv matmul runs one GEMM per image row), so blocking does not
 change a bit. Dense rows do depend on the number of rows in the matmul,
 so the first Dense and every layer after it see the whole batch.
 
+Forward-only passes over separate rows share no state: a pass with
+``cache=False`` reads the layers and rebinds nothing they hold. So
+``for_each_chunk`` may run the evaluator's ``EVAL_CHUNK``-row passes on
+several threads, each into its own rows of a preallocated result. A
+chunk keeps its row count, so its GEMMs and its bits do not depend on
+the thread that runs it. The pool is used only when the rows hold two
+full chunks and the process may run on two CPUs or more; it is made on
+first use, so a process that never evaluates that much starts no thread
+and never imports ``concurrent.futures``.
+
 Activations belong to the network that made them. Dense, Conv2D,
 MaxPool2x2 and ReLU return new arrays and Flatten a view of its input, so
 a ReLU after any layer other than Flatten sees an array the network made,
@@ -50,7 +60,10 @@ values on numpy adds in pairwise blocks, and ``row_sum`` calls its reduce.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +73,70 @@ from .errors import ConfigError, DataError, UsageError
 EPS = 1e-12  # probability clamp applied before any log
 ROW_BLOCK = 256  # rows per block of the layers before the first Dense, forward-only
 TEACHER_CHUNK = 2048  # rows per forward-only pass of recursion.snapshot_probs
-EVAL_CHUNK = 4096  # rows per forward-only pass of multihead._errors, for every heads view
+# Rows per forward-only pass of multihead._errors, for every heads view. for_each_chunk
+# runs the passes on a thread per CPU once the rows hold two full chunks.
+EVAL_CHUNK = 4096
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """The process-wide chunk pool, made on the first parallel
+    ``for_each_chunk``, with at most one thread per CPU."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="noiseattn-chunk")
+
+
+def for_each_chunk(fn, n, chunk):
+    """Call ``fn(rows)`` once for each ``chunk``-row slice of ``range(n)``,
+    the last one short.
+
+    The calls must be independent: each reads shared inputs and writes
+    only its own rows of its results, and none calls ``for_each_chunk``
+    (a pool thread would wait on the pool it occupies). When ``n`` holds
+    at least two full chunks and the process may run on at least two
+    CPUs, they run on the process-wide pool, at most min(CPUs, full
+    chunks) at a time, each under a copy of the caller's context taken at
+    submit time, so the caller's ``np.errstate`` holds in them; otherwise
+    they run inline, in order. Every call has returned before this does;
+    the first failure in chunk order is then raised.
+    """
+    slices = [slice(start, start + chunk) for start in range(0, n, chunk)]
+    workers = min(_cpus(), n // chunk)
+    if workers < 2:
+        for rows in slices:
+            fn(rows)
+        return
+    import queue
+    todo = queue.SimpleQueue()
+    for i in range(len(slices)):
+        todo.put(i)
+    failures = [None] * len(slices)
+
+    def work():
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                fn(slices[i])
+            except BaseException as exc:  # raised in the caller once every chunk is done
+                failures[i] = exc
+
+    tasks = [_pool().submit(contextvars.copy_context().run, work) for _ in range(workers)]
+    for task in tasks:
+        task.result()
+    first = next((exc for exc in failures if exc is not None), None)
+    if first is not None:
+        raise first
 
 
 def entropy_tuple(*parts) -> tuple[int, ...]:
@@ -465,6 +541,12 @@ class Network:
         the layers after it run on the whole batch, because a Dense row's
         bits depend on how many rows its matmul holds. Both give the same
         bits. A ``backward`` after a forward-only pass is a UsageError.
+
+        A forward-only pass rebinds nothing a layer holds (the caches stay
+        as the last training pass left them), so forward-only passes over
+        separate batches may run on separate threads at once
+        (``for_each_chunk``). Their one shared write is ``_forward_done``,
+        and each of them writes the same False.
         """
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim == 2 and len(self.input_shape) > 1:

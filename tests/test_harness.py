@@ -1,10 +1,14 @@
 """Config parsing, snapshots, exports, evaluation, and the experiment driver."""
 
 import argparse
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from noiseattn.cli import main as cli_main
 from noiseattn.config import LAYER_KINDS
 from noiseattn.harness import MetricsLog
 from noiseattn.multihead import _errors
+from noiseattn.nn import EVAL_CHUNK
 from oracles import param_vector
 from peaks import traced_peak
 
@@ -849,6 +854,79 @@ class TestCLI:
         assert cli_main([command, *config, "--out", str(afile), *extra]) == 2
         assert "is not a directory" in capsys.readouterr().err
         assert afile.read_text() == "keep"
+
+
+class TestEvalOnTheChunkPool:
+    """CLI ``eval`` of a test set with two full chunks and more: the same
+    bytes on one CPU (inline) and on two (the chunk pool), and a chunk's
+    refused allocation is one config error line."""
+
+    N = 2 * EVAL_CHUNK + 300
+
+    @classmethod
+    def inputs(cls, tmp_path):
+        """A three-head snapshot and a test set of ``N`` rows whose first
+        feature is the row's index."""
+        view = MultiHeadNetwork(Network([Dense(3, 8), ReLU()], (3,), seed=12),
+                                AttributeSpec([3, 4, 2], ["a", "b", "c"]), seed=12)
+        save_snapshot(tmp_path / "m.nam", view, [NAModel(3), NAModel(4), NAModel(2)])
+        rng = np.random.default_rng(12)
+        x = np.column_stack([np.arange(cls.N), rng.normal(size=(cls.N, 2))])
+        labels = np.stack([rng.integers(0, c, cls.N) for c in (3, 4, 2)], axis=1)
+        save_dataset(Dataset(x, labels, 4, labels), tmp_path / "t.nld")
+        return ["eval", "--snapshot", str(tmp_path / "m.nam"), "--data", str(tmp_path / "t.nld")]
+
+    def test_a_chunk_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("noiseattn.nn._cpus", lambda: 2)
+        forward = MultiHeadNetwork.forward
+
+        def refuse_chunk_1(self, batch, cache=True):
+            if int(batch[0, 0]) // EVAL_CHUNK == 1:
+                raise MemoryError("Unable to allocate 256 KiB for an array with shape (4096, 8)")
+            return forward(self, batch, cache)
+
+        monkeypatch.setattr(MultiHeadNetwork, "forward", refuse_chunk_1)
+        assert cli_main(self.inputs(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error [config] not enough memory: Unable to "
+                                             "allocate 256 KiB for an array with shape (4096, 8)"]
+
+    # CLI eval in a fresh process held to the given CPUs before numpy loads;
+    # stderr says whether the chunk pool ran.
+    CHILD = """
+import os, sys
+os.sched_setaffinity(0, [int(cpu) for cpu in sys.argv[1].split(",")])
+from noiseattn.cli import main
+code = main(sys.argv[2:])
+print("pool" if "concurrent.futures" in sys.modules else "inline", file=sys.stderr)
+raise SystemExit(code)
+"""
+
+    def test_stdout_holds_across_cpus_and_blas_threads(self, tmp_path):
+        """One and two CPUs, each at 1 and 2 BLAS threads, print the same
+        bytes; one CPU evaluates inline and two on the pool."""
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) < 2:
+            pytest.skip("needs two CPUs")
+        args = self.inputs(tmp_path)
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"),
+                                *filter(None, [os.environ.get("PYTHONPATH")])])
+        results = {}
+        for allowed in (cpus[:1], cpus[:2]):
+            for blas in ("1", "2"):
+                proc = subprocess.run(
+                    [sys.executable, "-c", self.CHILD, ",".join(map(str, allowed)), *args],
+                    env={**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": path},
+                    capture_output=True, timeout=120)
+                results[len(allowed), blas] = proc.returncode, proc.stdout, proc.stderr
+        assert {key: (code, err) for key, (code, _, err) in results.items()} == {
+            (n, blas): (0, b"pool\n" if n == 2 else b"inline\n")
+            for n in (1, 2) for blas in ("1", "2")}
+        printed = {out for _, out, _ in results.values()}
+        assert len(printed) == 1
+        assert printed.pop().decode().splitlines()[-1].startswith("test error [ALL]: ")
 
 
 class TestOneParser:

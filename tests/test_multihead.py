@@ -174,6 +174,29 @@ class TestChunkedEvaluation:
         y = np.stack([rng.integers(0, 3, self.N), rng.integers(0, 4, self.N)], axis=1)
         assert self.hexes(evaluate(net, x, y)) == self.hexes(errors_by_chunk(net, x, y))
 
+    # Four chunks, the last one short, on one worker (inline) and on two
+    # (the chunk pool): the thread count moves no bit.
+    N4 = 3 * EVAL_CHUNK + 17
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_head_on_one_or_two_workers(self, monkeypatch, workers):
+        monkeypatch.setattr("noiseattn.nn._cpus", lambda: workers)
+        rng = np.random.default_rng(63)
+        net = OneHead(Network([Dense(6, 16), ReLU(), Dense(16, 3)], (6,), seed=63))
+        x = rng.normal(size=(self.N4, 6))
+        y = rng.integers(0, 3, self.N4)
+        assert self.hexes(evaluate(net, x, y)) == self.hexes(errors_by_chunk(net, x, y)[1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_multihead_on_one_or_two_workers(self, monkeypatch, workers):
+        monkeypatch.setattr("noiseattn.nn._cpus", lambda: workers)
+        rng = np.random.default_rng(64)
+        net = MultiHeadNetwork(Network([Dense(6, 16), ReLU()], (6,), seed=64),
+                               AttributeSpec([3, 4, 5]), seed=64)
+        x = rng.normal(size=(self.N4, 6))
+        y = np.stack([rng.integers(0, c, self.N4) for c in (3, 4, 5)], axis=1)
+        assert self.hexes(evaluate(net, x, y)) == self.hexes(errors_by_chunk(net, x, y))
+
 
 class TestAllMetric:
     def test_perfect_predictor(self):

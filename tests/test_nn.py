@@ -1,17 +1,22 @@
 """Network core: forward passes, losses, SGD, and gradient checking."""
 
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, Conv2D, Flatten,
-                       MaxPool2x2, MultiHeadNetwork, NAModel, Network, Parameter, ReLU, SGD,
-                       Trainer, TrainSettings, UsageError, load_snapshot, save_snapshot,
+                       MaxPool2x2, MultiHeadNetwork, NAModel, Network, OneHead, Parameter, ReLU,
+                       SGD, Trainer, TrainSettings, UsageError, load_snapshot, save_snapshot,
                        snapshot_probs, softmax, softmax_backward)
 from noiseattn.harness import evaluate
 from noiseattn.multihead import _errors
-from noiseattn.nn import EPS, EVAL_CHUNK, LayerSpec, _ReLULayer
+from noiseattn.nn import EPS, EVAL_CHUNK, LayerSpec, _ReLULayer, for_each_chunk
 from gradfixtures import grad_check, grad_check_classifier
 from oracles import n_params, nll_loss, nll_loss_grad, zero_grad
 from peaks import traced_peak
@@ -327,19 +332,161 @@ class TestForwardOnlyMemory:
         peak = traced_peak(lambda: snapshot_probs(trainer.net, trainer.na_models, x, y))[1]
         assert peak < self.LIMIT
 
-    def test_evaluate_holds_one_chunk_of_activations(self):
-        """``evaluate`` of a 20-64-10 MLP over two chunks holds one chunk's
-        hidden activation and ReLU mask and its logits and probabilities:
-        the in-place ReLU keeps no second hidden activation, and each
-        chunk's comparison goes into one bool per row, with no 8-byte
-        predictions."""
+    # One chunk of a 20-64-10 MLP: its hidden activation and ReLU mask, and
+    # its logits and probabilities.
+    CHUNK_BYTES = EVAL_CHUNK * (64 * 8 + 64 + 2 * 10 * 8)
+
+    @staticmethod
+    def two_chunks():
         net = Network([Dense(20, 64), ReLU(), Dense(64, 10)], (20,), seed=6)
         rng = np.random.default_rng(6)
         n = 2 * EVAL_CHUNK
-        x = rng.normal(size=(n, 20))
-        y = rng.integers(0, 10, n)
-        bound = EVAL_CHUNK * (64 * 8 + 64 + 2 * 10 * 8)
-        assert traced_peak(lambda: evaluate(net, x, y))[1] < bound
+        return net, rng.normal(size=(n, 20)), rng.integers(0, 10, n)
+
+    def test_evaluate_holds_one_chunk_of_activations(self, monkeypatch):
+        """``evaluate`` of a 20-64-10 MLP over two chunks on one worker, the
+        inline path, holds one chunk's hidden activation and ReLU mask and
+        its logits and probabilities: the in-place ReLU keeps no second
+        hidden activation, and each chunk's comparison goes into one bool per
+        row, with no 8-byte predictions."""
+        monkeypatch.setattr("noiseattn.nn._cpus", lambda: 1)
+        net, x, y = self.two_chunks()
+        assert traced_peak(lambda: evaluate(net, x, y))[1] < self.CHUNK_BYTES
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_worker_holds_one_chunk(self, monkeypatch, workers):
+        """On the pool each worker holds one chunk's activations at a time;
+        two full chunks take at most two workers, however many CPUs there are."""
+        monkeypatch.setattr("noiseattn.nn._cpus", lambda: workers)
+        net, x, y = self.two_chunks()
+        assert traced_peak(lambda: evaluate(net, x, y))[1] < 2 * self.CHUNK_BYTES
+
+
+class TestChunkPool:
+    """``nn.for_each_chunk``, the evaluator's chunk loop: concurrent only
+    where chunks cannot share a layer's state, every chunk finished before
+    it returns or raises, and the caller's error state in every chunk."""
+
+    # One network holding every layer kind, after a training forward has
+    # left each layer's backward cache in place.
+    SPECS = [Conv2D(1, 2, 3), ReLU(), MaxPool2x2(), Flatten(), Dense(18, 4), ReLU(),
+             Dense(4, 3)]
+
+    def test_a_forward_only_pass_rebinds_no_layer_state(self):
+        """Concurrent chunks share the network, so a forward-only pass may
+        rebind nothing a layer holds; ``Network._forward_done`` is the one
+        write, and every chunk writes the same False."""
+        assert {type(spec) for spec in self.SPECS} == set(LayerSpec.__args__)
+        net = Network(self.SPECS, (8, 8, 1), seed=9)
+        x = np.random.default_rng(9).normal(size=(5, 8, 8, 1))
+        net.forward(x)
+        layers = [dict(vars(layer)) for layer in net.layers]
+        arrays = [(p.data, p.grad) for p in net.parameters()]
+        before = {key: value for key, value in vars(net).items() if key != "_forward_done"}
+        net.forward(x, cache=False)
+        for layer, held in zip(net.layers, layers):
+            assert vars(layer).keys() == held.keys()
+            assert all(vars(layer)[key] is value for key, value in held.items())
+        assert all(p.data is data and p.grad is grad
+                   for p, (data, grad) in zip(net.parameters(), arrays))
+        assert {key: value for key, value in vars(net).items() if key != "_forward_done"} == before
+        assert net._forward_done is False
+
+    @staticmethod
+    def numbered_rows(n):
+        """A 1-3 MLP's heads view and ``n`` rows whose feature is the row's index."""
+        return OneHead(Network([Dense(1, 3)], (1,), seed=8)), np.arange(n, dtype=float)[:, None]
+
+    def test_a_failure_is_raised_after_every_chunk_returns(self, monkeypatch):
+        """Of four chunks on two workers, chunk 1 fails at once, chunk 0 late,
+        and chunk 2 returns after both: the caller gets chunk 0's failure,
+        the first in chunk order, once chunks 2 and 3 have returned."""
+        monkeypatch.setattr("noiseattn.nn._cpus", lambda: 2)
+        net, x = self.numbered_rows(3 * EVAL_CHUNK + 17)
+        forward, returned = net.forward, []
+        delay = {0: 0.3, 2: 0.5}
+
+        def failing(batch, cache=True):
+            chunk = int(batch[0, 0]) // EVAL_CHUNK
+            time.sleep(delay.get(chunk, 0.0))
+            if chunk in (0, 1):
+                raise MemoryError(f"chunk {chunk}")
+            out = forward(batch, cache)
+            returned.append(chunk)
+            return out
+
+        net.forward = failing
+        with pytest.raises(MemoryError, match="chunk 0"):
+            _errors(net, x, np.zeros(len(x), dtype=int))
+        assert sorted(returned) == [2, 3]
+
+    def test_every_chunk_runs_once_under_fast_thread_switches(self, monkeypatch):
+        """More workers than cores take the chunks from one queue while the
+        interpreter switches threads every microsecond: none is lost or
+        taken twice."""
+        monkeypatch.setattr("noiseattn.nn._cpus", lambda: 8)
+        starts, switch = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for_each_chunk(lambda rows: starts.append(rows.start), 5003, 5)
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(starts) == list(range(0, 5003, 5))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_callers_error_state_holds_in_every_chunk(self, monkeypatch, workers):
+        """Logits of +-1e308 overflow in the softmax's max subtraction; under
+        ``np.errstate(over="raise")`` that raises on the pool as inline."""
+        monkeypatch.setattr("noiseattn.nn._cpus", lambda: workers)
+        net = Network([Dense(1, 2)], (1,), seed=0)
+        net.layers[0].w.data[...] = [[1.0, -1.0]]
+        n = 2 * EVAL_CHUNK + 1
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            evaluate(net, np.full((n, 1), 1e308), np.zeros(n, dtype=int))
+
+
+# The package's import, a config build and one data resolution (the set-up
+# path), then an evaluation of one full chunk plus a remainder.
+UNTOUCHED = """
+import sys, threading
+import numpy as np
+import noiseattn, noiseattn.cli
+from noiseattn import Dense, Network, build_config, evaluate, parse_config_text, resolve_data
+cfg = build_config(parse_config_text(sys.argv[1]))
+resolve_data(cfg, None)
+assert "concurrent.futures" not in sys.modules
+threads = threading.active_count()
+net = Network([Dense(20, 64), Dense(64, 10)], (20,), seed=1)
+rng = np.random.default_rng(1)
+evaluate(net, rng.normal(size=(5000, 20)), rng.integers(0, 10, 5000))
+assert "concurrent.futures" not in sys.modules
+assert threading.active_count() == threads
+"""
+
+UNTOUCHED_CFG = """
+seed = 3
+out = run
+data.source = synthetic
+data.synthetic.kind = blobs
+data.synthetic.classes = 10
+data.synthetic.dim = 20
+data.synthetic.n_train = 600
+data.synthetic.n_test = 5000
+arch.input_shape = 20
+arch.layers = dense:20:64,relu,dense:64:10
+"""
+
+
+def test_paths_without_two_full_chunks_start_no_thread():
+    """In a fresh process, neither set-up nor a one-chunk evaluation imports
+    ``concurrent.futures`` or starts a thread, on any number of CPUs."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", UNTOUCHED, UNTOUCHED_CFG],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSoftmax:

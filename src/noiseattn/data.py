@@ -9,6 +9,12 @@ generation peaks near the bytes it keeps. That changes no draw: a
 Generator's normal and uniform streams do not depend on how a draw is
 split, the sum is elementwise, and moons draws all its angles before any
 noise. A sigma or separation that overflows the features is a ConfigError.
+
+A generated set's given labels are its true labels, held as one read-only
+array, so writing into them raises instead of corrupting the truth;
+``inject_noise`` copies before it writes. Nothing but the harness's
+fit/validation split (``harness._split``) writes into a dataset's arrays,
+and it writes only the features of the training set it consumes.
 """
 
 from __future__ import annotations
@@ -293,9 +299,10 @@ def _moons(x, y, rng):
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     """Deterministically generate (train, test) datasets with true labels,
-    which go round-robin over the classes, so they are balanced within 1.
-    Patches are one template image per class plus pixel noise. Features
-    are written in place by ``_fill``."""
+    which go round-robin over the classes, so they are balanced within 1,
+    and are each set's given labels too: one read-only array. Patches are
+    one template image per class plus pixel noise. Features are written
+    in place by ``_fill``."""
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "blobs":
         table = _blob_centers(rng, spec.classes, spec.dim, spec.sigma, spec.separation)
@@ -311,7 +318,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
         else:
             x = np.empty((n, table.shape[1]))
             _fill(x, lambda rows: table[y[rows]], spec.sigma, rng)
-        return Dataset(x, y, spec.classes, y.copy())
+        y.flags.writeable = False
+        return Dataset(x, y, spec.classes, y)
 
     return make(spec.n_train), make(spec.n_test)
 
@@ -320,7 +328,8 @@ def generate_synthetic_multi(spec: SyntheticSpec, class_counts) -> tuple[Dataset
     """Multi-attribute blobs: independent labels, one feature block of
     ``spec.dim`` columns per attribute; ``kind`` and ``classes`` are not read.
     ``class_counts`` (one or more, each >= 2) come from ``AttributeSpec``.
-    All labels are drawn, then each block is written in place by ``_fill``."""
+    All labels are drawn, then each block is written in place by ``_fill``.
+    Each set's labels are one read-only array, its given and true labels."""
     rng = np.random.default_rng(spec.seed)
     centers = [_blob_centers(rng, c_k, spec.dim, spec.sigma, spec.separation)
                for c_k in class_counts]
@@ -332,7 +341,8 @@ def generate_synthetic_multi(spec: SyntheticSpec, class_counts) -> tuple[Dataset
         for k, table in enumerate(centers):
             _fill(x[:, k * spec.dim:(k + 1) * spec.dim],
                   lambda rows: table[labels[rows, k]], spec.sigma, rng)
-        return Dataset(x, labels, max(class_counts), labels.copy())
+        labels.flags.writeable = False
+        return Dataset(x, labels, max(class_counts), labels)
 
     return make(spec.n_train), make(spec.n_test)
 

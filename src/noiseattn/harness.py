@@ -10,9 +10,11 @@ one-head case of the same code path: the heads view (``OneHead`` or
 ``MultiHeadNetwork``) is the model that each dataset must fit, that
 ``evaluate`` scores, that a snapshot is written from and read back as;
 only the snapshot metadata, the flips.csv header, metric names and
-report fields differ by kind. Every artifact is a pure function of
-(config, seed); wall-clock time is kept out of metrics.csv so reruns are
-byte-identical.
+report fields differ by kind. The split into fit and validation rows
+consumes the training set: it moves the fit rows to the front of the
+set's own feature array, so a run holds its training features about
+once, not twice. Every artifact is a pure function of (config, seed);
+wall-clock time is kept out of metrics.csv so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -377,10 +379,21 @@ def _check_fit(view, ds, part):
                 check_labels(column, c, f"{part} {kind} labels{of}")
 
 
+_MOVE_VALUES = 1 << 17  # float64 values per block of rows the split moves: 1 MB
+
+
 def _split(cfg, view, train_ds, test_ds):
     """Check both datasets against the heads of ``view``; returns the fit
     and validation parts as (xt, yt, xv, yv, validation true labels or
-    None)."""
+    None).
+
+    The split consumes the training set: the validation rows are copied
+    out, then the fit rows are moved, in order, to the front of
+    ``train_ds.features``, one block of about 1 MB at a time, and ``xt``
+    is a view of that front. A block never overwrites a row a later block
+    reads, as the fit indices are sorted and the k-th is at least k. So
+    the split holds the validation rows and one block beyond the set, and
+    every value is moved, not computed. Labels are copied."""
     for part, ds in (("train", train_ds), ("test", test_ds)):
         _check_fit(view, ds, part)
     if view.attributes is None and view.class_counts != [train_ds.c]:
@@ -388,8 +401,14 @@ def _split(cfg, view, train_ds, test_ds):
                           f"dataset has {train_ds.c}")
     train_idx, val_idx = split_train_val(train_ds.n, cfg.na.val_fraction, cfg.seed)
     val_true = None if train_ds.true_labels is None else train_ds.true_labels[val_idx]
-    return (train_ds.features[train_idx], train_ds.given_labels[train_idx],
-            train_ds.features[val_idx], train_ds.given_labels[val_idx], val_true)
+    x = train_ds.features
+    xv = x[val_idx]
+    step = max(1, _MOVE_VALUES // train_ds.d)
+    for start in range(0, len(train_idx), step):
+        rows = train_idx[start:start + step]
+        x[start:start + len(rows)] = x[rows]
+    return (x[:len(train_idx)], train_ds.given_labels[train_idx],
+            xv, train_ds.given_labels[val_idx], val_true)
 
 
 def _test_rows(run, view, test_ds, stage_name, iteration, epoch):

@@ -4,7 +4,10 @@ Each outer round t blends the one-hot given labels (weight alpha**t) with
 the previous round's routed predictions into per-sample soft supervisions,
 then retrains on the soft cross-entropy. The teacher outputs are computed
 once per round and frozen. After the supervisions are built, training for
-that round never touches the given labels again.
+that round never touches the given labels again. The supervisions
+overwrite the teacher outputs they are built from, and a round releases
+them once its training ends, so a round holds one (N, C_k) array per
+attribute.
 """
 
 from __future__ import annotations
@@ -32,11 +35,17 @@ def combine_supervisions(given_labels, prev_probs, alpha: float):
     With rows on the simplex the result sums to 1 exactly in exact
     arithmetic; alpha = 0 returns prev_probs unchanged. ``alpha_schedule``
     gives alpha >= 0, and ``run_recursion`` checks the labels.
+    ``prev_probs`` is left as it was.
     """
-    s = np.array(prev_probs, dtype=np.float64)
-    s[np.arange(s.shape[0]), given_labels] += alpha
-    s /= 1.0 + alpha
-    return s
+    return _combine(given_labels, np.array(prev_probs, dtype=np.float64), alpha)
+
+
+def _combine(given_labels, probs, alpha: float):
+    """``combine_supervisions`` written over ``probs``, a float64 array,
+    which it returns."""
+    probs[np.arange(probs.shape[0]), given_labels] += alpha
+    probs /= 1.0 + alpha
+    return probs
 
 
 def soft_nll_loss(attention_probs, supervisions) -> float:
@@ -123,11 +132,12 @@ def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, 
                   val_metric, on_iteration=None):
     """Drive the outer self-distillation rounds that ``schedule`` sets out.
 
-    ``trainer`` owns the network/units being refined in place; supervisions
-    are rebuilt attribute by attribute from ``given_labels`` ((N,) or
-    (N, K)). ``val_metric()`` returns the stopping quantity (lower is
-    better) and is evaluated once at entry (round 0) and after every round.
-    The model left on the trainer after the last round is the final model.
+    ``trainer`` owns the network/units being refined in place; each round's
+    supervisions overwrite its teacher outputs, attribute by attribute, from
+    ``given_labels`` ((N,) or (N, K)), and are released when its training
+    ends. ``val_metric()`` returns the stopping quantity (lower is better)
+    and is evaluated once at entry (round 0) and after every round. The
+    model left on the trainer after the last round is the final model.
     Returns a list of per-round records. The set and its labels are
     checked here, once, before anything is evaluated or trained.
     """
@@ -138,13 +148,13 @@ def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, 
     records = []
     for t in range(1, schedule.iterations + 1):
         alpha = alpha_schedule(t, schedule.alpha_base)
-        teachers = snapshot_probs(trainer.net, trainer.na_models, features, given_labels)
-        supervisions = [combine_supervisions(y, teacher, alpha)
-                        for y, teacher in zip(columns, teachers)]
+        supervisions = [_combine(y, teacher, alpha) for y, teacher in zip(
+            columns, snapshot_probs(trainer.net, trainer.na_models, features, given_labels))]
         losses = []
         for epoch in range(1, schedule.epochs + 1):
             with in_epoch(epoch, of_round=t):
                 losses.append(trainer.train_epoch_soft(features, supervisions))
+        del supervisions  # before the evaluations and the next round's teacher pass
         metric = float(val_metric())
         improvement = history[-1] - metric
         history.append(metric)

@@ -436,3 +436,44 @@ class TestMultiInjection:
         for k in range(2):
             col_differs = np.flatnonzero(noisy.given_labels[:, k] != noisy.true_labels[:, k])
             np.testing.assert_array_equal(flips[k], col_differs)
+
+
+def generated_sets():
+    """(name, dataset) for the train and test set of every generator."""
+    single = {kind: generate_synthetic(SyntheticSpec(kind=kind, classes=2, height=3, width=3,
+                                                     n_train=40, n_test=9, seed=5))
+              for kind in ("blobs", "moons", "patches")}
+    single["multi"] = generate_synthetic_multi(SyntheticSpec(n_train=40, n_test=9, seed=5),
+                                               [3, 4])
+    return [(f"{kind} {part}", ds) for kind, sets in single.items()
+            for part, ds in zip(("train", "test"), sets)]
+
+
+class TestOneLabelArray:
+    """A generated set's given labels are its true labels, one read-only
+    array; injection copies before it writes."""
+
+    @pytest.mark.parametrize("name, ds", generated_sets())
+    def test_a_generated_set_holds_one_read_only_label_array(self, name, ds):
+        assert ds.given_labels is ds.true_labels
+        assert not ds.given_labels.flags.writeable
+        truth = ds.true_labels.copy()
+        with pytest.raises(ValueError):
+            ds.given_labels[0] = 1
+        with pytest.raises(ValueError):
+            ds.given_labels[...] = 0
+        np.testing.assert_array_equal(ds.true_labels, truth)
+
+    @pytest.mark.parametrize("name, ds", generated_sets())
+    def test_injection_returns_writeable_labels_of_its_own(self, name, ds):
+        counts = [3, 4] if ds.k else [ds.c]
+        noisy, _ = inject_noise(ds, NoiseSpec(mode="uniform", rho=(0.5,), seed=6), counts)
+        assert noisy.given_labels is not noisy.true_labels
+        for labels in (noisy.given_labels, noisy.true_labels):
+            assert labels.flags.writeable
+            assert not np.shares_memory(labels, ds.true_labels)
+        assert not np.shares_memory(noisy.given_labels, noisy.true_labels)
+        np.testing.assert_array_equal(noisy.true_labels, ds.true_labels)
+        noisy.given_labels[...] = 0
+        noisy.true_labels[...] = 0
+        assert ds.true_labels.any()  # the generated set keeps its labels

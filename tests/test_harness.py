@@ -20,7 +20,7 @@ from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Co
                        StageError, build_config, evaluate, export_q, load_config, load_q_csv,
                        load_snapshot, parse_arch, parse_config_text, parse_input_shape,
                        resolve_data, resume_recursion, run_experiment, save_dataset,
-                       save_snapshot, serialize_arch)
+                       save_snapshot, serialize_arch, split_train_val)
 from noiseattn import OneHead, cli, harness
 from noiseattn.attention import project_column_stochastic
 from noiseattn.cli import main as cli_main
@@ -654,6 +654,83 @@ class TestRunExperiment:
         scrambled[...] = 0
         test_ds.given_labels = scrambled
         assert evaluate(net, test_ds.features, test_ds.true_labels) == base
+
+
+def split_case(n, d, val_fraction, seed=3):
+    """A config, a one-head view and (train, test) sets of width ``d``."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, size=n)
+    train = Dataset(rng.normal(size=(n, d)), labels, 3, (labels + 1) % 3)
+    test = Dataset(rng.normal(size=(2, d)), [0, 1], 3, [0, 1])
+    cfg = build_config({"seed": str(seed), "na.val_fraction": repr(val_fraction)})
+    return cfg, OneHead(Network([Dense(d, 3)], (d,), seed=0)), train, test
+
+
+class TestSplitInPlace:
+    """``_split`` moves the fit rows to the front of the training features
+    and copies the validation rows out; every part keeps its bytes."""
+
+    def check(self, cfg, view, train, test, train_idx, val_idx):
+        want = (train.features[train_idx].copy(), train.given_labels[train_idx],
+                train.features[val_idx].copy(), train.given_labels[val_idx],
+                train.true_labels[val_idx])
+        features = train.features
+        got = harness._split(cfg, view, train, test)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        xt, _, xv, _, _ = got
+        assert np.shares_memory(xt, features) and xt.flags.c_contiguous
+        assert not np.shares_memory(xv, features)
+
+    @pytest.mark.parametrize("n, d, val_fraction", [
+        (20_000, 24, 0.1), (6000, 20, 0.3), (1000, 144, 1e-4), (500, 6, 0.99), (3, 2, 0.34)])
+    def test_parts_keep_their_bytes(self, n, d, val_fraction):
+        cfg, view, train, test = split_case(n, d, val_fraction)
+        train_idx, val_idx = split_train_val(n, val_fraction, cfg.seed)
+        self.check(cfg, view, train, test, train_idx, val_idx)
+
+    @pytest.mark.parametrize("move_values", [1, 7, 64])
+    @pytest.mark.parametrize("val_at", ["start", "end", "drawn"])
+    def test_fit_rows_in_one_run_or_scattered_in_any_block(self, monkeypatch, move_values,
+                                                           val_at):
+        n, n_val, d = 300, 45, 5
+        runs = {"start": (np.arange(n_val, n), np.arange(n_val)),
+                "end": (np.arange(n - n_val), np.arange(n - n_val, n)),
+                "drawn": split_train_val(n, n_val / n, 3)}
+        train_idx, val_idx = runs[val_at]
+        monkeypatch.setattr(harness, "split_train_val", lambda *args: (train_idx, val_idx))
+        monkeypatch.setattr(harness, "_MOVE_VALUES", move_values)
+        self.check(*split_case(n, d, n_val / n), train_idx, val_idx)
+
+    def test_peaks_at_the_validation_rows_and_one_block(self):
+        """Beyond the validation rows and one block of moved rows, the split
+        holds only index and label arrays: six of n int64 values at most,
+        2.9 MB in all. A split that copies the fit rows out holds 11 MB."""
+        n, d = 12_000, 128
+        cfg, view, train, test = split_case(n, d, 0.1)
+        (_, _, xv, _, _), peak = traced_peak(lambda: harness._split(cfg, view, train, test))
+        assert peak <= xv.nbytes + 8 * harness._MOVE_VALUES + 6 * 8 * n
+
+
+class TestRunMemory:
+    def test_a_run_holds_its_training_features_about_once(self, tmp_path):
+        """A run whose 10.24 MB of training features dominate its memory:
+        the split moves the fit rows within them, and the rounds and the
+        generated labels add little: it peaks at 1.43x the features. A run
+        that copies the fit and validation rows out peaked at 2.42x."""
+        n, d = 40_000, 32
+        cfg = build_config({
+            "seed": "3", "out": str(tmp_path / "run"), "data.source": "synthetic",
+            "data.synthetic.kind": "blobs", "data.synthetic.classes": "3",
+            "data.synthetic.dim": str(d), "data.synthetic.n_train": str(n),
+            "data.synthetic.n_test": "300", "noise.mode": "uniform", "noise.rho": "0.3",
+            "arch.input_shape": str(d), "arch.layers": f"dense:{d}:8,relu,dense:8:3",
+            "opt.batch_size": "256", "na.pretrain_epochs": "1", "na.stage_epochs": "1",
+            "recursion.iterations": "1", "recursion.epochs": "1"})
+        report, peak = traced_peak(lambda: run_experiment(cfg))
+        assert len(report.iterations) == 1
+        assert peak <= 1.5 * n * d * 8
 
 
 class TestCLI:

@@ -31,6 +31,7 @@ PACKAGE = ROOT / "src" / "noiseattn"
 # Public names kept without such a caller, each with its reason.
 ALLOWED = {
     "empirical_transition": "ROADMAP item 2 compares each learned unit with it",
+    "combine_supervisions": "the copying form of the combine run_recursion does in place",
 }
 
 

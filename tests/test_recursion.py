@@ -17,6 +17,7 @@ from noiseattn.recursion import soft_attention_outputs, soft_out_grad
 from gradfixtures import grad_check
 from noiseattn.nn import TEACHER_CHUNK
 from oracles import combine_supervision, na_loss, param_vector, snapshot_probs_by_chunk
+from peaks import traced_peak
 
 
 class TestAlphaSchedule:
@@ -69,6 +70,17 @@ class TestCombineSupervision:
         assert all(b > a for a, b in zip(masses, masses[1:]))
         # closed form (alpha + p) / (1 + alpha)
         np.testing.assert_allclose(masses[2], (0.8 + 0.1) / 1.8, atol=1e-15)
+
+    def test_the_argument_is_left_as_it_was(self):
+        rng = np.random.default_rng(41)
+        prev = rng.dirichlet(np.ones(4), size=50)
+        labels = rng.integers(0, 4, size=50)
+        before = prev.copy()
+        s = combine_supervisions(labels, prev, 0.8)
+        assert prev.tobytes() == before.tobytes()
+        assert not np.shares_memory(s, prev)
+        in_place = recursion._combine(labels, prev, 0.8)
+        assert in_place is prev and in_place.tobytes() == s.tobytes()
 
 
 class TestSoftLoss:
@@ -252,3 +264,18 @@ class TestRunRecursion:
         l1 = [t1.train_epoch_soft(noisy.features, [sup]) for _ in range(3)]
         l2 = [t2.train_epoch_soft(noisy.features, [sup]) for _ in range(3)]
         assert l1 == l2
+
+    def test_a_round_holds_one_supervision_array(self):
+        """Supervisions overwrite the teacher outputs and go before the next
+        teacher pass. Building them as copies beside the teacher outputs,
+        and keeping both into the next round, held 3x the (N, C) array."""
+        n, c = 40_000, 10
+        rng = np.random.default_rng(67)
+        x, y = rng.normal(size=(n, 4)), np.arange(n) % c
+        trainer = Trainer(Network([Dense(4, c)], (4,), seed=67), TrainSettings(batch_size=256),
+                          [NAModel(c)], seed=67)
+        schedule = RecursionSchedule(iterations=2, epochs=1, min_improvement=-1.0)
+        records, peak = traced_peak(lambda: run_recursion(trainer, x, y, schedule,
+                                                          val_metric=lambda: 0.0))
+        assert len(records) == 2
+        assert peak <= 1.5 * n * c * 8

@@ -19,6 +19,7 @@ and it writes only the features of the training set it consumes.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -50,11 +51,20 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2:
+            raise DataError(f"features must be 2-D (N, D), got shape {self.features.shape}")
+        self._check_labels()
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite sum has no NaN or inf
+            finite = np.isfinite(np.add.reduce(self.features, axis=None))
+        if not (finite or np.isfinite(self.features).all()):  # the sum may have overflowed
+            raise DataError("features contain non-finite values")
+
+    def _check_labels(self):
+        """Hold the labels as C-ordered int64 arrays and check them against
+        the features' row count and ``c``; the features are not read."""
         self.given_labels = np.ascontiguousarray(self.given_labels, dtype=np.int64)
         if self.true_labels is not None:
             self.true_labels = np.ascontiguousarray(self.true_labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise DataError(f"features must be 2-D (N, D), got shape {self.features.shape}")
         if self.given_labels.ndim not in (1, 2):
             raise DataError(f"labels must be 1-D or 2-D, got shape {self.given_labels.shape}")
         if self.given_labels.shape[0] != self.features.shape[0]:
@@ -66,10 +76,6 @@ class Dataset:
             if self.true_labels.shape != self.given_labels.shape:
                 raise DataError("true labels must match the given-label shape")
             check_labels(self.true_labels, self.c, "true labels")
-        with np.errstate(over="ignore", invalid="ignore"):  # a finite sum has no NaN or inf
-            finite = np.isfinite(np.add.reduce(self.features, axis=None))
-        if not (finite or np.isfinite(self.features).all()):  # the sum may have overflowed
-            raise DataError("features contain non-finite values")
 
     @property
     def n(self) -> int:
@@ -179,7 +185,9 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec, class_counts) -> tuple[Datas
     """Corrupt each label column of a dataset with true labels, which are
     kept; single-label data is one column. Column i has ``class_counts[i]``
     classes and draws from ``default_rng(entropy_tuple(spec.seed, i))``.
-    Returns the noisy dataset and one flip index array per column."""
+    Returns the noisy dataset and one flip index array per column. It
+    shares the features of ``dataset``, which were checked when that was
+    made, so they are not read again; its labels are checked."""
     if spec.mode == "none":
         raise ConfigError("noise.mode is none; nothing to inject")
     if dataset.true_labels is None:
@@ -196,7 +204,10 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec, class_counts) -> tuple[Datas
         rng = np.random.default_rng(entropy_tuple(spec.seed, i))
         column[...], flips = noisy_labels(column, c, spec, rhos[i], matrix, rng)
         flip_lists.append(flips)
-    return Dataset(dataset.features, given, dataset.c, dataset.true_labels.copy()), flip_lists
+    noisy = copy.copy(dataset)
+    noisy.given_labels, noisy.true_labels = given, dataset.true_labels.copy()
+    noisy._check_labels()
+    return noisy, flip_lists
 
 
 def empirical_transition(true_labels, given_labels, c: int) -> np.ndarray:
@@ -258,7 +269,7 @@ def _blob_centers(rng, classes, dim, sigma, separation):
     return centers
 
 
-_BLOCK_VALUES = 1 << 16  # float64 values per block: its draw and its means hold 1 MB
+_BLOCK_VALUES = 1 << 15  # float64 values per block: its draw and its means hold 512 KB
 
 
 def _fill(x, means, sigma, rng):
@@ -275,6 +286,7 @@ def _fill(x, means, sigma, rng):
                 z = rng.normal(size=x[rows].shape)
                 z *= sigma
                 np.add(means(rows), z, out=x[rows])
+                del z  # else it would stay alive through the next block's draw
     except FloatingPointError:
         raise ConfigError(f"data.synthetic.sigma = {sigma} overflows the features") from None
 

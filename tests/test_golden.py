@@ -96,6 +96,20 @@ CASES["conv_one_channel"] = {**CASES["single_conv"],
 # holds them.
 CASES["multi_three_units"] = {**CASES["multi_attr"], "na.max_units": "3"}
 
+# Ten classes, the paper's CIFAR-10 and SVHN count, on 1350 fit, 150
+# validation and 600 test rows. Training batches stay under nn.SWEEP_ROWS
+# rows, while the validation, teacher and evaluation passes hold more: the
+# case pins both softmax paths for eight classes and more.
+CASES["ten_classes"] = {
+    "data.synthetic.kind": "blobs",
+    "data.synthetic.classes": "10",
+    "data.synthetic.dim": "8",
+    "data.synthetic.n_train": "1500",
+    "data.synthetic.n_test": "600",
+    "arch.input_shape": "8",
+    "arch.layers": "dense:8:16,relu,dense:16:10",
+}
+
 GOLDEN = {
     "single_conv": {
         "metrics.csv": "93980008407273045c39ff0260b35903b6b237559258b392a17e6e1e8b889297",
@@ -126,6 +140,11 @@ GOLDEN = {
         "metrics.csv": "e28f894c0a86559fde8a239731c39f1626330a12b2a0835b2e2cedcb131217a7",
         "snapshot_final.nam": "2b5165a567b98d2961e76ec37ebe4049ddc82cca4866fa14a5c26b8e0eae749c",
         "snapshot_stage0.nam": "6ef2bb9944cf24f51956e8f2480ff5e9ad8c4cc3b871c546d4000a45ceba8d46",
+    },
+    "ten_classes": {
+        "metrics.csv": "a6c1f8df617bc303ff6ed98f4c93c8041cace7772175a7c471f69fcb70182158",
+        "snapshot_final.nam": "994bf33253dd1a549a084019dc902a59cc8710e591ba65217e17d3f6b9d9303f",
+        "snapshot_stage0.nam": "3090b8b436aaa3b99a2c08f62c82b7ec7f72d2430d93fe8766105681243b0e69",
     },
 }
 
@@ -172,6 +191,13 @@ CLI_GOLDEN = {
         "eval stdout": "5a43a2be06c2292141668d2179b1382ce66aa3f29f988936c0a7eda468428c8c",
         "export-q stdout": "ceb7a6f55b75dcfbb658f01674384a163efc7f3030dd7e11d05cb4eb32faa74d",
         "export-q files": "7fd3c2ccf3e0eb448c6f69fec2503c37ffbcf01df6dc28cb1f68d5d2ca6d32de",
+    },
+    "ten_classes": {
+        "recurse/metrics.csv": "b107fd1044b26121671ab8fcb14ec2551b1c8d725b0dcb8f02afa600dd3bce77",
+        "recurse/snapshot_final.nam": "06db1fbe31877438f1153b6326fabe2dc32350d303d53bdfb5deb2cf24ab2c92",
+        "eval stdout": "706771b3d818ae7b2d243f59097de6333e2bbad29bee7db33feb8351d7151f8f",
+        "export-q stdout": "5dfad5f98d3af2396ac90d0644d424228aaec6dc218587bf2d376283bdf3c068",
+        "export-q files": "b8d270fafbf463ec2c50cb5627562200c8dd2cd3f226fca20d513758903da1a5",
     },
 }
 
@@ -343,6 +369,19 @@ FILE_GOLDEN = {
         "synth files": "8693634b4838a21da4701a390683ff7cb000451aa169a6f00babf83acd9ca1c2",
         "inject stdout": "097a03e21f5d94a961b0c69b4f9bc1cc37a1bae4622ea8b7023816c436587035",
         "inject files": "0904c5576311f480fd158c932fdba05b737932c823e0bf18320be117028335c6",
+    },
+    "ten_classes": {
+        "report.json": "ae30bbe281aa03423406ad38414e402ece3c61660700718df5a7d8f9fdba3e1c",
+        "flips.csv": "cd8e57bb306beb1db1c33bd5533fac53e46ca380282bb31aa0edeed432350d01",
+        "train.nld": "6b9abd61999d322d6f4884e441a2f465050f5f9b756b23cda9d4d87c3cdbdcd7",
+        "test.nld": "da6e4b2d037813a94b08617b03f3958e55179e7d8152e080bc8bcf30ac22556d",
+        "noisy_train.nld": "8136f5b456a91a9081dc6bf6580983d642aef5b1b4253c014d12980016880e9c",
+        "q_stage0_*": "2e4b0a08d311c0bd8965d26de8f7af225a728ea19fcc499ceb9543a86a266068",
+        "q_final_*": "6197469f302030b90f762030c1a002551a2841823985e42045ff5a3c7aa1dc32",
+        "synth stdout": "f809833ee833844cef5bc33bfd8f840e5e329021df65b55201e3568ac3e5e7b3",
+        "synth files": "c07ffd9c59ab2b50e3ef85e5e9082fee05f8832f527da49d688a40b857ee5d27",
+        "inject stdout": "555013c2af8960e9d3846c70bdb2c4723b1cf715c843093f8e49e75656387ddc",
+        "inject files": "d621fa6f56ada84dc274b4e654f27927bd46576d99038380efc22097f5a8f951",
     },
 }
 

@@ -13,6 +13,7 @@ from noiseattn.multihead import _errors
 from noiseattn.nn import EVAL_CHUNK
 from noiseattn.recursion import RecursionSchedule, run_recursion
 from noiseattn.training import _loss_total
+import nnref
 from gradfixtures import grad_check
 from oracles import na_loss, nll_loss, nll_loss_grad
 from oracles import errors_by_chunk, multi_attribute_loss, multi_forward
@@ -196,6 +197,21 @@ class TestChunkedEvaluation:
         x = rng.normal(size=(self.N4, 6))
         y = np.stack([rng.integers(0, c, self.N4) for c in (3, 4, 5)], axis=1)
         assert self.hexes(evaluate(net, x, y)) == self.hexes(errors_by_chunk(net, x, y))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ten_classes_on_one_or_two_workers(self, monkeypatch, workers):
+        """Ten classes: softmax runs class-major in the two full chunks and
+        row by row in the 17-row one. The errors are those of the row-path
+        softmax (``nnref.softmax``) over the same chunks."""
+        monkeypatch.setattr("noiseattn.nn._cpus", lambda: workers)
+        rng = np.random.default_rng(65)
+        net = OneHead(Network([Dense(6, 16), ReLU(), Dense(16, 10)], (6,), seed=65))
+        x = rng.normal(size=(self.N, 6))
+        y = rng.integers(0, 10, self.N)
+        preds = [nnref.softmax(net.trunk.forward(x[start:start + EVAL_CHUNK], cache=False))
+                 .argmax(axis=1) for start in range(0, self.N, EVAL_CHUNK)]
+        want = np.count_nonzero(np.concatenate(preds) != y) / self.N
+        assert evaluate(net, x, y).hex() == want.hex()
 
 
 class TestAllMetric:

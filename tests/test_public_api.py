@@ -133,9 +133,11 @@ def test_labels_are_checked_only_where_they_enter():
     split and CLI ``eval``) and each trainer epoch (through
     ``Trainer._columns``, which ``run_recursion`` uses too) check their
     labels; the routing and supervision code inside takes them as they
-    are."""
-    assert callers("check_labels") == {"data.Dataset.__post_init__", "data.noisy_labels",
+    are. A dataset checks its labels in ``Dataset._check_labels``, which
+    ``inject_noise`` calls on its noisy copy without reading the features."""
+    assert callers("check_labels") == {"data.Dataset._check_labels", "data.noisy_labels",
                                        "harness._check_fit", "training.Trainer._columns"}
+    assert callers("_check_labels") == {"data.Dataset.__post_init__", "data.inject_noise"}
     assert callers("_columns") == {"recursion.run_recursion", "training.Trainer.train_epoch",
                                    "training.Trainer.val_loss"}
 

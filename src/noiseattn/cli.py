@@ -15,8 +15,14 @@ otherwise rebuild seven parsers per call. Parsing never changes the
 parser, and each call parses into a fresh namespace, so no call sees
 another's arguments.
 
-``eval`` of a test set with two full ``EVAL_CHUNK`` chunks or more scores
-its chunks on a thread pool when the process may run on two CPUs (see
+``eval`` reads its test set's header, sizes and labels and checks them
+against the snapshot's heads before it scores anything, but never loads
+the features whole: each ``EVAL_CHUNK`` chunk reads and checks its own
+rows from the file (``data.FeatureFile``). So a label that does not fit a
+head is reported before non-finite features anywhere in the file, and a
+non-finite value or a cut in a late chunk is still one config error line,
+with nothing on stdout. A test set with two full chunks or more is scored
+on a thread pool when the process may run on two CPUs (see
 ``nn.for_each_chunk``), with the bits of one thread. A chunk that runs out
 of memory is reported once every chunk has finished, as the same one
 config error line.
@@ -106,7 +112,7 @@ def _cmd_eval(args) -> int:
     if not args.data:
         raise ConfigError("eval needs --data")
     view, _ = load_snapshot(args.snapshot)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, features=False)
     _check_fit(view, dataset, "test")
     _print_errors("test error", evaluate(view, dataset.features, dataset.true_labels),
                   view.attributes)

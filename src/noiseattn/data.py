@@ -15,6 +15,16 @@ array, so writing into them raises instead of corrupting the truth;
 ``inject_noise`` copies before it writes. Nothing but the harness's
 fit/validation split (``harness._split``) writes into a dataset's arrays,
 and it writes only the features of the training set it consumes.
+
+Binary files are read by ``_Reader`` alone, by positional reads
+(``os.preadv``), each checked against the file's size before anything is
+allocated. ``load_dataset`` reads an NLD1 file whole, or, with
+``features=False``, only its header and labels: the features are then a
+``FeatureFile``, which a ``with`` block opens and whose ``[a:b]`` reads
+and checks rows a..b alone. Test sets are scored that way, one
+evaluation chunk at a time, so no run or CLI ``eval`` holds a test set's
+features; a non-finite row there is the ``FormatError`` that loading the
+file whole gives.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import copy
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +46,16 @@ NLD1_VERSION = 1
 _HEADER = struct.Struct("<IIIIIB")  # version, N, D, C, K, has_true_labels
 
 
+_NON_FINITE = "features contain non-finite values"
+_INVALID = "invalid dataset content: "  # a FormatError of a loaded dataset
+
+
+def _all_finite(x) -> bool:
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite sum has no NaN or inf
+        finite = np.isfinite(np.add.reduce(x, axis=None))
+    return bool(finite or np.isfinite(x).all())  # the sum may have overflowed
+
+
 @dataclass
 class Dataset:
     """Features plus given labels, optional hidden true labels.
@@ -42,6 +63,8 @@ class Dataset:
     ``given_labels`` is (N,) for single-label data or (N, K) for
     multi-attribute data; ``c`` is the exclusive upper bound on every
     label value (the max class count in multi-attribute mode).
+    ``features`` is an (N, D) array, checked finite here, or the
+    ``FeatureFile`` of an NLD1 file, whose rows are checked as they are read.
     """
 
     features: np.ndarray
@@ -50,14 +73,14 @@ class Dataset:
     true_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise DataError(f"features must be 2-D (N, D), got shape {self.features.shape}")
+        on_file = isinstance(self.features, FeatureFile)  # its rows are checked as read
+        if not on_file:
+            self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+            if self.features.ndim != 2:
+                raise DataError(f"features must be 2-D (N, D), got shape {self.features.shape}")
         self._check_labels()
-        with np.errstate(over="ignore", invalid="ignore"):  # a finite sum has no NaN or inf
-            finite = np.isfinite(np.add.reduce(self.features, axis=None))
-        if not (finite or np.isfinite(self.features).all()):  # the sum may have overflowed
-            raise DataError("features contain non-finite values")
+        if not (on_file or _all_finite(self.features)):
+            raise DataError(_NON_FINITE)
 
     def _check_labels(self):
         """Hold the labels as C-ordered int64 arrays and check them against
@@ -136,11 +159,16 @@ class NoiseSpec:
 
 
 def load_noise_matrix(path) -> np.ndarray:
-    """Read a transition matrix CSV; it must be square and column-stochastic."""
+    """Read a transition matrix CSV; it must hold values, be square and be
+    column-stochastic."""
     try:
-        t = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data": see below
+            t = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"could not read noise matrix {path!r}: {exc}") from exc
+    if not t.size:
+        raise ConfigError(f"noise matrix {path} holds no values")
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ConfigError(f"transition matrix must be square, got {t.shape}")
     if (t < 0).any() or not np.allclose(t.sum(axis=0), 1.0, atol=1e-9):
@@ -374,17 +402,19 @@ def _write(path, head: bytes, arrays):
 
 
 class _Reader:
-    """Reads a binary file front to back and closes it on every path.
-    Opening checks the magic and the u32 version. Each read is checked
-    against the bytes left (from ``os.fstat``) before anything is
-    allocated, then lands by ``readinto`` in an array that owns its
-    memory. A file that cannot be read, a read past the end or a short
-    read (naming the offset) and trailing bytes are ``FormatError``s."""
+    """Reads a binary file by positional reads and closes it on every path.
+    Opening checks the magic and the u32 version. ``array`` reads on from
+    where the last read ended; ``rows`` reads the rows a caller names of a
+    float64 block, so threads may read one file at once. Each read is
+    checked against the bytes left (from ``os.fstat``) before anything is
+    allocated, then lands by ``os.preadv`` in an array that owns its
+    memory. A file that cannot be read, a read past the end or a short read
+    (naming the offset) and trailing bytes are ``FormatError``s."""
 
     def __init__(self, path, kind: str, magic: bytes, version: int):
         self.kind, self.offset = kind, 0
         try:
-            self.fh = open(path, "rb")
+            self.fh = open(path, "rb", buffering=0)
         except OSError as exc:
             raise FormatError(f"cannot read {kind} file {path}: {exc}") from exc
         try:
@@ -405,17 +435,42 @@ class _Reader:
     def __exit__(self, *exc_info):
         self.fh.close()
 
+    def _claim(self, nbytes: int, offset: int, what: str):
+        if nbytes > self.size - offset:
+            raise FormatError(f"truncated {self.kind} file: needed {nbytes} bytes for {what} "
+                              f"at offset {offset}, have {max(self.size - offset, 0)}")
+
+    def _read(self, count: int, disk: str, offset: int, what: str) -> np.ndarray:
+        """``count`` values of dtype ``disk`` from byte ``offset``, in a fresh array."""
+        self._claim(count * np.dtype(disk).itemsize, offset, what)
+        out = np.empty(count, dtype=disk)
+        buffer, done = memoryview(out).cast("B"), 0
+        while done < out.nbytes:  # one call reads at most about 2 GB
+            got = os.preadv(self.fh.fileno(), [buffer[done:]], offset + done)
+            if not got:
+                raise FormatError(f"short read of {what} at offset {offset}")
+            done += got
+        return out
+
     def array(self, count: int, disk: str, keep, what: str) -> np.ndarray:
         """``count`` values of dtype ``disk``, converted where ``keep`` differs."""
-        nbytes, have = count * np.dtype(disk).itemsize, self.size - self.offset
-        if nbytes > have:
-            raise FormatError(f"truncated {self.kind} file: needed {nbytes} bytes for {what} "
-                              f"at offset {self.offset}, have {have}")
-        out = np.empty(count, dtype=disk)
-        if self.fh.readinto(out) != nbytes:
-            raise FormatError(f"short read of {what} at offset {self.offset}")
-        self.offset += nbytes
+        out = self._read(count, disk, self.offset, what)
+        self.offset += out.nbytes
         return out.astype(keep, copy=False)
+
+    def skip(self, nbytes: int, what: str):
+        self._claim(nbytes, self.offset, what)
+        self.offset += nbytes
+
+    def rows(self, at: int, start: int, stop: int, d: int) -> np.ndarray:
+        """Rows ``start:stop`` of the (N, ``d``) little-endian float64
+        features at byte ``at``, as a fresh float64 array; a non-finite value
+        is the ``FormatError`` that ``load_dataset`` raises for it."""
+        x = self._read((stop - start) * d, "<f8", at + start * d * 8, "features")
+        x = x.astype(np.float64, copy=False).reshape(stop - start, d)
+        if not _all_finite(x):
+            raise FormatError(f"{_INVALID}{_NON_FINITE}")
+        return x
 
     def take(self, count: int, what: str) -> bytes:
         return self.array(count, "u1", np.uint8, what).tobytes()
@@ -427,6 +482,51 @@ class _Reader:
         if self.offset != self.size:
             raise FormatError(f"{self.size - self.offset} unexpected trailing bytes "
                               f"at offset {self.offset}")
+
+
+_FEATURES_AT = len(NLD1_MAGIC) + _HEADER.size  # the byte where NLD1 features start
+
+
+def _open_nld(path) -> tuple[_Reader, tuple]:
+    """An open ``_Reader`` of the NLD1 file ``path`` past its header, and
+    the header's (N, D, C, K, has_true_labels)."""
+    reader = _Reader(path, "dataset", NLD1_MAGIC, NLD1_VERSION)
+    try:
+        header = reader.unpack("<IIIIB", "header")
+        if header[1] == 0:
+            raise FormatError("zero feature columns at offset 12")
+    except BaseException:
+        reader.__exit__()
+        raise
+    return reader, header
+
+
+class FeatureFile:
+    """The (N, D) features of the NLD1 file ``path``, read a block of rows
+    at a time. A ``with`` block opens the file, whose header must still
+    declare N rows of D features; inside it ``self[a:b]`` reads rows a..b
+    by ``_Reader.rows`` into a fresh array, checked finite. The reads are
+    positional, so the evaluator's chunk threads read at once."""
+
+    def __init__(self, path, n: int, d: int):
+        self.path, self.shape, self._reader = path, (n, d), None
+
+    def __enter__(self):
+        reader, (n, d, *_) = _open_nld(self.path)
+        if (n, d) != self.shape:
+            reader.__exit__()
+            raise FormatError(f"dataset file {self.path} now holds {n} rows of {d} "
+                              f"features, not {self.shape[0]} of {self.shape[1]}")
+        self._reader = reader
+        return self
+
+    def __exit__(self, *exc_info):
+        self._reader.__exit__()
+        self._reader = None
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        return self._reader.rows(_FEATURES_AT, start, stop, self.shape[1])
 
 
 def save_dataset(dataset: Dataset, path):
@@ -444,20 +544,24 @@ def save_dataset(dataset: Dataset, path):
     _write(path, head, [(dataset.features, "<f8")] + [(y, "<u4") for y in labels])
 
 
-def load_dataset(path) -> Dataset:
-    """Read an NLD1 file; any structural problem reports its byte offset."""
-    with _Reader(path, "dataset", NLD1_MAGIC, NLD1_VERSION) as reader:
-        n, d, c, k, has_true = reader.unpack("<IIIIB", "header")
-        if d == 0:
-            raise FormatError("zero feature columns at offset 12")
+def load_dataset(path, features: bool = True) -> Dataset:
+    """Read an NLD1 file; any structural problem reports its byte offset.
+    With ``features=False`` the sizes and labels are read and checked, but
+    the features are not read: they are the file's ``FeatureFile``."""
+    reader, (n, d, c, k, has_true) = _open_nld(path)
+    with reader:
         shape = (n, k) if k else (n,)
-        features = reader.array(n * d, "<f8", np.float64, "features").reshape(n, d)
+        if features:
+            x = reader.array(n * d, "<f8", np.float64, "features").reshape(n, d)
+        else:
+            reader.skip(n * d * 8, "features")
+            x = FeatureFile(path, n, d)
         given = reader.array(math.prod(shape), "<u4", np.int64, "given labels").reshape(shape)
         true = None
         if has_true:
             true = reader.array(math.prod(shape), "<u4", np.int64, "true labels").reshape(shape)
         reader.done()
     try:
-        return Dataset(features, given, int(c), true)
+        return Dataset(x, given, int(c), true)
     except DataError as exc:
-        raise FormatError(f"invalid dataset content: {exc}") from exc
+        raise FormatError(f"{_INVALID}{exc}") from exc

@@ -15,10 +15,21 @@ consumes the training set: it moves the fit rows to the front of the
 set's own feature array, so a run holds its training features about
 once, not twice. Every artifact is a pure function of (config, seed);
 wall-clock time is kept out of metrics.csv so reruns are byte-identical.
+
+A test set is scored from its file. Once the data stage has generated and
+saved, or loaded and checked, a run's test set, ``resolve_data`` returns it
+with the ``data.FeatureFile`` of ``test.nld`` or ``data.test_path`` for
+features, and the array dies there. Each evaluation then opens the file,
+and each ``EVAL_CHUNK`` chunk reads, checks and scores only its own rows,
+in the chunks, row order and pool rule of an in-memory evaluation, so no
+bit moves. A run holds its test labels, not its test features. A file
+changed under the run is a ``FormatError`` of the stage that reads it.
+A resumed run of synthetic data has no test file and scores its array.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -34,8 +45,8 @@ from .attention import NAModel
 from .config import (ExperimentConfig, _parse_attributes, parse_arch, parse_config_text,
                      parse_input_shape, serialize_arch, serialize_attributes,
                      serialize_input_shape, validate_paths)
-from .data import (_Reader, _write, generate_synthetic, generate_synthetic_multi, inject_noise,
-                   load_dataset, save_dataset)
+from .data import (FeatureFile, _Reader, _write, generate_synthetic, generate_synthetic_multi,
+                   inject_noise, load_dataset, save_dataset)
 from .errors import (ConfigError, FormatError, NoiseAttnError, StageError, in_epoch,
                      out_of_memory)
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
@@ -77,11 +88,15 @@ class MetricsLog:
 def evaluate(net, features, true_labels):
     """Test error of a ``Network`` or heads view, through the base network
     only: the top-1 error of a ``OneHead``, or (per-attribute errors, joint
-    error) of a ``MultiHeadNetwork``."""
+    error) of a ``MultiHeadNetwork``. ``features`` is an array, or a
+    ``FeatureFile``, which the call opens, so each evaluation chunk reads
+    its own rows of the file."""
     view = as_heads(net)
-    if view.attributes is None:
-        return _errors(view, features, true_labels)[1]
-    return evaluate_all_metric(view, features, true_labels)
+    opened = features if isinstance(features, FeatureFile) else contextlib.nullcontext(features)
+    with opened as rows:
+        if view.attributes is None:
+            return _errors(view, rows, true_labels)[1]
+        return evaluate_all_metric(view, rows, true_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +112,15 @@ def _write_pgm(path, q):
 
 
 def _make_out_dir(path) -> Path:
-    """Create an output directory; a file in its place is a ConfigError."""
+    """Create an output directory; a file in its place, or any path the
+    system refuses (too long, not permitted), is a ConfigError naming it."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"output path {out} is not a directory") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror or exc}") from exc
     return out
 
 
@@ -274,7 +292,11 @@ def _inject_and_save(cfg: ExperimentConfig, dataset, out_dir):
 
 def resolve_data(cfg: ExperimentConfig, out_dir=None):
     """Produce (train, test) datasets per config; optionally save artifacts.
-    Injection corrupts training labels only; test sets keep given = true."""
+    Injection corrupts training labels only; test sets keep given = true.
+    A test set on file, ``data.test_path`` or the ``test.nld`` saved in
+    ``out_dir``, is read and checked whole, then returned with its
+    ``FeatureFile`` for features, so its feature array dies here."""
+    test_path = None
     if cfg.data.source == "synthetic":
         if cfg.attributes is not None:
             train, test = generate_synthetic_multi(cfg.data.synthetic,
@@ -283,10 +305,14 @@ def resolve_data(cfg: ExperimentConfig, out_dir=None):
             train, test = generate_synthetic(cfg.data.synthetic)
         if out_dir is not None:
             save_dataset(train, Path(out_dir) / "train.nld")
-            save_dataset(test, Path(out_dir) / "test.nld")
+            test_path = Path(out_dir) / "test.nld"
+            save_dataset(test, test_path)
     else:
         train = load_dataset(cfg.data.train_path)
-        test = load_dataset(cfg.data.test_path)
+        test_path = cfg.data.test_path
+        test = load_dataset(test_path)
+    if test_path is not None:
+        test.features = FeatureFile(test_path, test.n, test.d)
 
     if cfg.noise.mode != "none":
         train = _inject_and_save(cfg, train, out_dir)[0]

@@ -78,7 +78,8 @@ def _errors(net, features, true_labels) -> tuple[list[float], float]:
     so no predictions outlive their chunk. ``for_each_chunk`` runs the
     chunks, on the chunk pool when the rows hold two full chunks and the
     process has two CPUs; every chunk keeps its rows, so the result has the
-    same bits on any number of threads."""
+    same bits on any number of threads. ``features`` is an (N, D) array or
+    an open ``data.FeatureFile``, whose ``[rows]`` reads the chunk's rows."""
     n = features.shape[0]
     columns = [] if true_labels is None else label_columns(true_labels)
     if not n or len(columns) != len(net.names) or any(y.shape != (n,) for y in columns):

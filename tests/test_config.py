@@ -190,6 +190,29 @@ class TestSyntheticOverflow:
             assert capsys.readouterr().err == f"error [data] {message}\n"
 
 
+class TestEmptyNoiseMatrix:
+    """An empty ``noise.matrix_path`` file used to print numpy's "loadtxt:
+    input contained no data" warning, then a (1, 0) matrix that is not square."""
+
+    @pytest.mark.parametrize("command, stage", [("train", "data"), ("inject", "config")])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, stage):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("")
+        path = write_config(tmp_path, {**RUN, "noise.mode": "matrix",
+                                       "noise.matrix_path": str(matrix),
+                                       "out": str(tmp_path / "run")})
+        data = []
+        if command == "inject":
+            assert cli_main(["synth", "--config", str(path)]) == 0
+            capsys.readouterr()
+            data = ["--data", str(tmp_path / "run" / "train.nld")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing from numpy
+            assert cli_main([command, "--config", str(path), *data]) == 2
+        assert capsys.readouterr().err == (
+            f"error [{stage}] noise matrix {matrix} holds no values\n")
+
+
 class TestRecursionEpochs:
     def test_absent_key_is_the_na_stage_length(self):
         assert build_config({}).recursion.epochs == build_config({}).na.stage_epochs

@@ -151,6 +151,8 @@ class TestNoiseSpec:
         ("0.9,0.5\n0.2,0.5\n", "columns must be stochastic"),
         ("1.2,0.0\n-0.2,1.0\n", "columns must be stochastic"),
         ("a,b\nc,d\n", "could not read noise matrix"),
+        ("", "^noise matrix .*t.csv holds no values$"),
+        ("# a comment only\n", "^noise matrix .*t.csv holds no values$"),
     ])
     def test_matrix_file_checks(self, tmp_path, text, message):
         (tmp_path / "t.csv").write_text(text)

@@ -832,7 +832,7 @@ class TestCLI:
                                                 loader):
         """A subcommand that runs no pipeline stage reports a refused
         allocation as one config error line."""
-        def refuse(*_):
+        def refuse(*_, **__):
             raise MemoryError("Unable to allocate 22.9 MiB for an array with shape (3000000, 1)")
 
         monkeypatch.setattr(f"noiseattn.cli.{loader}", refuse)
@@ -931,6 +931,26 @@ class TestCLI:
         assert cli_main([command, *config, "--out", str(afile), *extra]) == 2
         assert "is not a directory" in capsys.readouterr().err
         assert afile.read_text() == "keep"
+
+    @pytest.mark.parametrize("command", ["train", "recurse", "synth", "inject", "export-q"])
+    def test_an_out_the_system_refuses_exits_2(self, tmp_path, capsys, command):
+        """A name longer than a file system allows used to end in a traceback."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(BASE_CFG.format(out=tmp_path / "unused") + "recursion.iterations = 1\n")
+        data = tmp_path / "train.nld"
+        save_dataset(resolve_data(make_cfg(tmp_path), None)[0], data)
+        snapshot = tmp_path / "m.nam"
+        save_snapshot(snapshot, Network(parse_arch("dense:2:12,relu,dense:12:3"), (2,), seed=0),
+                      [NAModel(3)])
+        extra = {"recurse": ["--snapshot", str(snapshot)], "inject": ["--data", str(data)],
+                 "export-q": ["--snapshot", str(snapshot)]}.get(command, [])
+        config = [] if command == "export-q" else ["--config", str(cfg_path)]
+        out = tmp_path / ("x" * 300)
+        assert cli_main([command, *config, "--out", str(out), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error [config] cannot make output directory {out}: File name too long"]
+        assert captured.out == ""
 
 
 class TestEvalOnTheChunkPool:
@@ -1100,7 +1120,7 @@ class TestOneParser:
         assert cli_main(args) == 0
         first = capsys.readouterr()
         for loader in ("load_snapshot", "load_dataset"):
-            def refuse(path, loader=loader):
+            def refuse(path, *_, loader=loader, **__):
                 raise FormatError(f"{loader} patched for {path}")
 
             with monkeypatch.context() as patched:

@@ -188,10 +188,26 @@ def binary_file_io(node) -> bool:
         isinstance(mode, ast.Constant) and "b" in str(mode.value) for mode in modes)
 
 
+def raw_file_io(node) -> bool:
+    """``os.open`` or an ``os.pread*`` call, by attribute, by name or by
+    ``from os import``."""
+    def raw(name):
+        return name == "open" or name.startswith("pread")
+
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(raw(alias.name) for alias in node.names)
+    if isinstance(node, ast.Attribute):
+        return getattr(node.value, "id", None) == "os" and raw(node.attr)
+    return isinstance(node, ast.Name) and node.id.startswith("pread")
+
+
 def test_one_binary_layer():
     """NLD1 and NAM files are written by ``data._write`` and read by
-    ``data._Reader``; no other code opens a file in binary mode."""
+    ``data._Reader``; no other code opens a file in binary mode, and only
+    the reader makes raw or positional reads."""
     assert functions_where(binary_file_io) == {"data._write", "data._Reader.__init__"}
+    raw = functions_where(raw_file_io)
+    assert raw and {where.rpartition(".")[0] for where in raw} == {"data._Reader"}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

@@ -4,9 +4,12 @@ Subcommands: synth, inject, train, recurse, eval, export-q. The first four
 are driven by a line-based config file, which --seed and --out override;
 eval and export-q read a snapshot, and eval checks its test set against
 the snapshot's heads before scoring. Each takes only the flags it reads.
-Exit code 0 on success, 2 for configuration/data/format problems and for
-runs too large for memory, 1 for runtime failures; diagnostics carry the
-failing pipeline stage.
+Exit code 0 on success, 2 for configuration/data/format problems, for
+runs too large for memory and for a file write the system refuses (a
+full disk, say), 1 for runtime failures; diagnostics carry the failing
+pipeline stage. ``synth``, ``train`` and ``recurse`` stream a generated
+test set into ``test.nld`` a block at a time, so none of them holds its
+features.
 
 The argparse parser is built on the first ``main`` call and reused by
 every later call in the process: callers that run many commands in one

@@ -16,19 +16,30 @@ array, so writing into them raises instead of corrupting the truth;
 fit/validation split (``harness._split``) writes into a dataset's arrays,
 and it writes only the features of the training set it consumes.
 
-Binary files are read by ``_Reader`` alone, by positional reads
-(``os.preadv``), each checked against the file's size before anything is
-allocated. ``load_dataset`` reads an NLD1 file whole, or, with
-``features=False``, only its header and labels: the features are then a
-``FeatureFile``, which a ``with`` block opens and whose ``[a:b]`` reads
-and checks rows a..b alone. Test sets are scored that way, one
-evaluation chunk at a time, so no run or CLI ``eval`` holds a test set's
-features; a non-finite row there is the ``FormatError`` that loading the
-file whole gives.
+Binary files are written by ``_Writer`` alone, by positional writes
+(``os.pwrite``): a write the system refuses, a full disk say, is a
+ConfigError naming the file, and the unfinished file is removed. They are
+read by ``_Reader`` alone, by positional reads (``os.preadv``), each
+checked against the file's size before anything is allocated.
+``load_dataset`` reads an NLD1 file whole, or, with ``features=False``,
+only its header and labels: the features are then a ``FeatureFile``,
+which a ``with`` block opens and whose ``[a:b]`` reads and checks rows
+a..b alone. Test sets are scored that way, one evaluation chunk at a
+time, so no run or CLI ``eval`` holds a test set's features; a non-finite
+row there is the ``FormatError`` that loading the file whole gives.
+
+The data stage streams a generated test set too: given a path, the
+generators write its header and labels, then its features one block of
+about 1 MB at a time, in the draws and the file bytes of the set made in
+memory and saved. A pass after the first (each attribute's columns after
+the first attribute's; the noise of moons after their points) reads each
+block back, fills it and writes it again. So no data stage holds a test
+set's features; training sets, which training needs, stay in memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
 import os
@@ -298,6 +309,7 @@ def _blob_centers(rng, classes, dim, sigma, separation):
 
 
 _BLOCK_VALUES = 1 << 15  # float64 values per block: its draw and its means hold 512 KB
+_STREAM_VALUES = 1 << 17  # float64 values per block of a set streamed to file: 1 MB
 
 
 def _fill(x, means, sigma, rng):
@@ -337,68 +349,142 @@ def _moons(x, y, rng):
         np.subtract((1.0, 0.5), block, out=block, where=y[start:start + step, None] == 1)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
+def _generated(labels, c: int, d: int, passes, path) -> Dataset:
+    """The generated set whose given and true labels are ``labels``, made
+    read-only, and whose (N, ``d``) features ``passes`` write in turn: a
+    pass is called as ``fill(block, rows)`` and writes, in row order, its
+    values of the rows ``rows`` into ``block``, an array of those rows.
+    Without ``path`` the block is the whole feature array. With it, the set
+    is written to the NLD1 file ``path`` in the bytes of ``save_dataset``:
+    header and labels first, then each pass over blocks of about 1 MB of
+    rows, each block after the first pass read back from the file, filled
+    and written again; the features are the file's ``FeatureFile``."""
+    labels.flags.writeable = False
+    n = len(labels)
+    if path is None:
+        x = np.empty((n, d))
+        for fill in passes:
+            fill(x, slice(0, n))
+        return Dataset(x, labels, c, labels)
+    dataset = Dataset(FeatureFile(path, n, d), labels, c, labels)
+    with _Writer(path) as file:
+        end = file.put(0, _nld_head(n, d, c, dataset.k, True)) + n * d * 8
+        for _ in range(2):  # the given labels, then the same true labels
+            end += file.put(end, np.ascontiguousarray(labels, "<u4"))
+        step = max(1, _STREAM_VALUES // d)
+        with dataset.features as features:
+            for k, fill in enumerate(passes):
+                for start in range(0, n, step):
+                    rows = slice(start, min(start + step, n))
+                    block = features[rows] if k else np.zeros((rows.stop - start, d))
+                    fill(block, rows)
+                    file.put(_FEATURES_AT + start * d * 8, np.ascontiguousarray(block, "<f8"))
+                    del block  # else it would stay alive through the next block's read
+    return dataset
+
+
+def generate_synthetic(spec: SyntheticSpec, test_path=None) -> tuple[Dataset, Dataset]:
     """Deterministically generate (train, test) datasets with true labels,
     which go round-robin over the classes, so they are balanced within 1,
     and are each set's given labels too: one read-only array. Patches are
     one template image per class plus pixel noise. Features are written
-    in place by ``_fill``."""
+    in place by ``_fill``; with ``test_path`` the test set streams into that
+    NLD1 file (``_generated``) and its features are the file's."""
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "blobs":
         table = _blob_centers(rng, spec.classes, spec.dim, spec.sigma, spec.separation)
     elif spec.kind == "patches":
         table = rng.normal(size=(spec.classes, spec.height * spec.width))
 
-    def make(n):
+    def make(n, path=None):
         y = np.arange(n, dtype=np.int64) % spec.classes
         if spec.kind == "moons":  # every angle is drawn before any noise
-            x = np.empty((n, 2))
-            _moons(x, y, rng)
-            _fill(x, x.__getitem__, spec.sigma, rng)
-        else:
-            x = np.empty((n, table.shape[1]))
-            _fill(x, lambda rows: table[y[rows]], spec.sigma, rng)
-        y.flags.writeable = False
-        return Dataset(x, y, spec.classes, y)
+            passes = [lambda block, rows: _moons(block, y[rows], rng),
+                      lambda block, rows: _fill(block, block.__getitem__, spec.sigma, rng)]
+            return _generated(y, spec.classes, 2, passes, path)
+        return _generated(y, spec.classes, table.shape[1], [
+            lambda block, rows: _fill(block, lambda r: table[y[rows][r]], spec.sigma, rng)],
+            path)
 
-    return make(spec.n_train), make(spec.n_test)
+    return make(spec.n_train), make(spec.n_test, test_path)
 
 
-def generate_synthetic_multi(spec: SyntheticSpec, class_counts) -> tuple[Dataset, Dataset]:
+def generate_synthetic_multi(spec: SyntheticSpec, class_counts,
+                             test_path=None) -> tuple[Dataset, Dataset]:
     """Multi-attribute blobs: independent labels, one feature block of
     ``spec.dim`` columns per attribute; ``kind`` and ``classes`` are not read.
     ``class_counts`` (one or more, each >= 2) come from ``AttributeSpec``.
-    All labels are drawn, then each block is written in place by ``_fill``.
-    Each set's labels are one read-only array, its given and true labels."""
+    All labels are drawn, then each block is written in place by ``_fill``,
+    one attribute's columns per pass; with ``test_path`` the test set
+    streams into that NLD1 file as in ``generate_synthetic``. Each set's
+    labels are one read-only array, its given and true labels."""
     rng = np.random.default_rng(spec.seed)
     centers = [_blob_centers(rng, c_k, spec.dim, spec.sigma, spec.separation)
                for c_k in class_counts]
 
-    def make(n):
+    def make(n, path=None):
         labels = np.stack([rng.integers(0, c_k, size=n, dtype=np.int64)
                            for c_k in class_counts], axis=1)
-        x = np.empty((n, len(centers) * spec.dim))
-        for k, table in enumerate(centers):
-            _fill(x[:, k * spec.dim:(k + 1) * spec.dim],
-                  lambda rows: table[labels[rows, k]], spec.sigma, rng)
-        labels.flags.writeable = False
-        return Dataset(x, labels, max(class_counts), labels)
+        passes = [lambda block, rows, k=k: _fill(
+                      block[:, k * spec.dim:(k + 1) * spec.dim],
+                      lambda r: centers[k][labels[rows, k][r]], spec.sigma, rng)
+                  for k in range(len(centers))]
+        return _generated(labels, max(class_counts), len(centers) * spec.dim, passes, path)
 
-    return make(spec.n_train), make(spec.n_test)
+    return make(spec.n_train), make(spec.n_test, test_path)
 
 
 # ---------------------------------------------------------------------------
 # Binary files: NLD1 datasets here, NAM snapshots in the harness
 
 
+class _Writer:
+    """Writes a binary file by positional writes (``os.pwrite``) and closes
+    it on every path; a file that an exception leaves unfinished is removed.
+    Opening truncates the file; ``put`` writes a buffer at any offset, so a
+    file may be laid out first and filled after. A file the system will not
+    open or a write it refuses (a full disk, say) is a ConfigError naming
+    the file."""
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            self.fh = open(path, "wb", buffering=0)
+        except OSError as exc:
+            raise self._refused(exc) from exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        self.fh.close()
+        if exc is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self.path)
+
+    def _refused(self, exc: OSError) -> ConfigError:
+        return ConfigError(f"cannot write {self.path}: {exc.strerror or exc}")
+
+    def put(self, offset: int, data) -> int:
+        """Write ``data``, bytes or a C-ordered array in its disk dtype, at
+        byte ``offset``; returns the number of bytes written."""
+        buffer, done = np.frombuffer(data, np.uint8), 0
+        try:
+            while done < buffer.nbytes:  # one call writes at most about 2 GB
+                done += os.pwrite(self.fh.fileno(), buffer[done:], offset + done)
+        except OSError as exc:
+            raise self._refused(exc) from exc
+        return done
+
+
 def _write(path, head: bytes, arrays):
     """Write ``head`` (the magic, the u32 version and the rest of the
     header), then the buffer of each (array, disk dtype) pair straight to
-    the file, so nothing holds a copy of the whole file."""
-    with open(path, "wb") as fh:
-        fh.write(head)
+    the file by ``_Writer``, so nothing holds a copy of the whole file."""
+    with _Writer(path) as file:
+        at = file.put(0, head)
         for array, dtype in arrays:
-            fh.write(np.ascontiguousarray(array, dtype=dtype))
+            at += file.put(at, np.ascontiguousarray(array, dtype=dtype))
 
 
 class _Reader:
@@ -487,6 +573,10 @@ class _Reader:
 _FEATURES_AT = len(NLD1_MAGIC) + _HEADER.size  # the byte where NLD1 features start
 
 
+def _nld_head(n: int, d: int, c: int, k: int, has_true: bool) -> bytes:
+    return NLD1_MAGIC + _HEADER.pack(NLD1_VERSION, n, d, c, k, has_true)
+
+
 def _open_nld(path) -> tuple[_Reader, tuple]:
     """An open ``_Reader`` of the NLD1 file ``path`` past its header, and
     the header's (N, D, C, K, has_true_labels)."""
@@ -539,8 +629,7 @@ def save_dataset(dataset: Dataset, path):
     if dataset.d == 0:
         raise DataError("refusing to save a dataset with zero feature columns")
     labels = [y for y in (dataset.given_labels, dataset.true_labels) if y is not None]
-    head = NLD1_MAGIC + _HEADER.pack(NLD1_VERSION, dataset.n, dataset.d, dataset.c,
-                                     dataset.k, dataset.true_labels is not None)
+    head = _nld_head(dataset.n, dataset.d, dataset.c, dataset.k, dataset.true_labels is not None)
     _write(path, head, [(dataset.features, "<f8")] + [(y, "<u4") for y in labels])
 
 

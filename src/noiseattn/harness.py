@@ -16,15 +16,18 @@ set's own feature array, so a run holds its training features about
 once, not twice. Every artifact is a pure function of (config, seed);
 wall-clock time is kept out of metrics.csv so reruns are byte-identical.
 
-A test set is scored from its file. Once the data stage has generated and
-saved, or loaded and checked, a run's test set, ``resolve_data`` returns it
-with the ``data.FeatureFile`` of ``test.nld`` or ``data.test_path`` for
-features, and the array dies there. Each evaluation then opens the file,
+A test set is scored from its file. The data stage streams a generated
+test set into ``test.nld`` in the output directory, a run's or a
+resume's, one block at a time, and never holds its features; a loaded
+one, ``data.test_path``, is read and checked whole and its array dies
+there. Either way ``resolve_data`` returns it with the file's
+``data.FeatureFile`` for features. Each evaluation then opens the file,
 and each ``EVAL_CHUNK`` chunk reads, checks and scores only its own rows,
 in the chunks, row order and pool rule of an in-memory evaluation, so no
 bit moves. A run holds its test labels, not its test features. A file
-changed under the run is a ``FormatError`` of the stage that reads it.
-A resumed run of synthetic data has no test file and scores its array.
+changed under the run is a ``FormatError`` of the stage that reads it,
+and a write the system refuses is a ``ConfigError`` of the stage that
+writes.
 """
 
 from __future__ import annotations
@@ -293,26 +296,24 @@ def _inject_and_save(cfg: ExperimentConfig, dataset, out_dir):
 def resolve_data(cfg: ExperimentConfig, out_dir=None):
     """Produce (train, test) datasets per config; optionally save artifacts.
     Injection corrupts training labels only; test sets keep given = true.
-    A test set on file, ``data.test_path`` or the ``test.nld`` saved in
-    ``out_dir``, is read and checked whole, then returned with its
-    ``FeatureFile`` for features, so its feature array dies here."""
-    test_path = None
+    With ``out_dir``, a generated test set streams into ``test.nld`` there
+    and a generated training set is saved as ``train.nld``; without it both
+    are arrays. A loaded test set, ``data.test_path``, is read and checked
+    whole, then returned with its ``FeatureFile`` for features, so its
+    feature array dies here."""
     if cfg.data.source == "synthetic":
+        test_path = None if out_dir is None else Path(out_dir) / "test.nld"
         if cfg.attributes is not None:
             train, test = generate_synthetic_multi(cfg.data.synthetic,
-                                                   cfg.attributes.class_counts)
+                                                   cfg.attributes.class_counts, test_path)
         else:
-            train, test = generate_synthetic(cfg.data.synthetic)
+            train, test = generate_synthetic(cfg.data.synthetic, test_path)
         if out_dir is not None:
             save_dataset(train, Path(out_dir) / "train.nld")
-            test_path = Path(out_dir) / "test.nld"
-            save_dataset(test, test_path)
     else:
         train = load_dataset(cfg.data.train_path)
-        test_path = cfg.data.test_path
-        test = load_dataset(test_path)
-    if test_path is not None:
-        test.features = FeatureFile(test_path, test.n, test.d)
+        test = load_dataset(cfg.data.test_path)
+        test.features = FeatureFile(cfg.data.test_path, test.n, test.d)
 
     if cfg.noise.mode != "none":
         train = _inject_and_save(cfg, train, out_dir)[0]
@@ -580,11 +581,13 @@ def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunR
     a full run's recursion and eval stages. The snapshot's arch, input
     shape and classes (attributes) must equal what the config and its data
     describe, else ``ConfigError``; data is re-derived from the config's
-    seeds. The trainer built over the snapshot's models holds the full
-    run's unit arenas, in ``_param_chain`` order, but their velocities
-    restart at zero and the shuffle stream at its first draw, which a full
-    run spends on pretraining: the rounds see other mini-batches, so the
-    result differs from the full run's.
+    seeds and saved in the resume's output directory as a run's is, so its
+    test set streams into ``test.nld`` there. The trainer built over the
+    snapshot's models holds the full run's unit arenas, in
+    ``_param_chain`` order, but their velocities restart at zero and the
+    shuffle stream at its first draw, which a full run spends on
+    pretraining: the rounds see other mini-batches, so the result differs
+    from the full run's.
     """
     if cfg.recursion.iterations < 1:
         raise ConfigError("recursion.iterations must be >= 1 to resume")
@@ -593,7 +596,7 @@ def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunR
         view, models = load_snapshot(snapshot_path)
         _check_snapshot(cfg, view)
         run.stage = "data"
-        train_ds, test_ds = resolve_data(cfg, None)
+        train_ds, test_ds = resolve_data(cfg, run.out)
         split = _split(cfg, view, train_ds, test_ds)
         _finish(run, Trainer(view, cfg.opt, models, seed=cfg.seed), split, test_ds)
     return run.report

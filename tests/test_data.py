@@ -325,6 +325,101 @@ class TestGenerationMemory:
         assert peak <= kept_bytes(out) + 2 * 8 * data._BLOCK_VALUES
 
 
+# (kind, feature width, class counts of a multi-attribute kind)
+STREAMED = [("blobs", 3, None), ("moons", 2, None), ("patches", 6, None),
+            *[(f"multi{k}", 3 * k, [3, 2, 5, 4][:k]) for k in range(1, 5)]]
+
+
+def generator(kind, counts, **fields):
+    """The generator of ``kind``, as a function of the test set's path."""
+    if counts:
+        spec = SyntheticSpec(**{"dim": 3, **fields})
+        return lambda path=None: generate_synthetic_multi(spec, counts, path)
+    spec = SyntheticSpec(**{"kind": kind, "classes": 2 if kind == "moons" else 4, "dim": 3,
+                            "height": 2, "width": 3, **fields})
+    return lambda path=None: generate_synthetic(spec, path)
+
+
+class TestStreamedTestSet:
+    """A test set generated with a path is written to that NLD1 file block
+    by block, each pass after the first reading its blocks back, and is
+    returned with the file's ``FeatureFile``. The file holds the bytes
+    ``save_dataset`` writes of the set generated in memory, at every block
+    boundary, and the training set is the in-memory one."""
+
+    def check(self, tmp_path, kind, width, counts, n, seed):
+        make = generator(kind, counts, n_train=n + 2, n_test=n, seed=seed)
+        (train, test), (want_train, want_test) = make(tmp_path / "t.nld"), make()
+        save_dataset(want_test, tmp_path / "want.nld")
+        assert (tmp_path / "t.nld").read_bytes() == (tmp_path / "want.nld").read_bytes()
+        assert_same_bytes([train], [want_train])
+        assert isinstance(test.features, data.FeatureFile)
+        assert (test.features.path, test.features.shape) == (tmp_path / "t.nld", (n, width))
+        assert test.given_labels is test.true_labels and not test.given_labels.flags.writeable
+        assert test.given_labels.tobytes() == want_test.given_labels.tobytes()
+        assert (test.c, test.k) == (want_test.c, want_test.k)
+
+    @pytest.mark.parametrize("kind, width, counts", STREAMED)
+    def test_small_blocks_write_the_bytes_of_the_in_memory_set(self, tmp_path, monkeypatch,
+                                                                kind, width, counts):
+        monkeypatch.setattr(data, "_STREAM_VALUES", 24)
+        rows = max(1, 24 // width)  # rows per block
+        for n in sorted({1, rows - 1, rows, rows + 1, 3 * rows + 2} - {0}):
+            for seed in range(2):
+                self.check(tmp_path, kind, width, counts, n, seed)
+
+    @pytest.mark.parametrize("kind, width, counts", STREAMED)
+    def test_the_default_block_writes_the_bytes_of_the_in_memory_set(self, tmp_path, kind,
+                                                                     width, counts):
+        rows = data._STREAM_VALUES // width
+        self.check(tmp_path, kind, width, counts, 2 * rows + 1, seed=9)
+
+    def test_a_12_block_multi_test_set_peaks_near_one_block_plus_labels(self, tmp_path):
+        """The stream holds the labels, one block and a draw and its means
+        (``_BLOCK_VALUES`` floats each): 1.57 blocks above the labels, 2.29
+        on a process's first call. In memory the set's 12 blocks of
+        features are held whole."""
+        block, rows = 8 * data._STREAM_VALUES, data._STREAM_VALUES // 24
+        spec = SyntheticSpec(dim=8, n_train=10, n_test=12 * rows, seed=3)
+        (_, test), peak = traced_peak(
+            lambda: generate_synthetic_multi(spec, [3, 4, 6], tmp_path / "t.nld"))
+        assert test.n * test.d * 8 > 11.9 * block
+        assert peak <= test.given_labels.nbytes + 3 * block
+
+
+class TestStreamedOverflow:
+    """A sigma that overflows first in the test set raises the ConfigError of
+    the in-memory set and leaves no file, whether it overflows in the first
+    pass (blobs) or in a pass that reads its blocks back (the noise of
+    moons, the third attribute of multi). Each block is one row; the seeds
+    were picked for where the overflow falls, which ``_fill``'s calls show."""
+
+    @pytest.mark.parametrize("kind, seed, calls", [("blobs", 3, 5), ("moons", 0, 4),
+                                                   ("multi", 29, 11)])
+    def test_the_same_config_error_and_no_file(self, tmp_path, monkeypatch, kind, seed, calls):
+        monkeypatch.setattr(data, "_STREAM_VALUES", 1)
+        fill, made = data._fill, []
+
+        def counted(*args):
+            made.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(data, "_fill", counted)
+        fields = {"sigma": 1e308, "separation": 0.0, "dim": 1, "n_train": 1, "seed": seed}
+        if kind == "multi":  # 3 calls for the training set, 3 per pass over the test set
+            make = generator(kind, [2, 2, 2], n_test=3, **fields)
+        else:  # 1 call for the training set, then 1 per test row
+            make = generator(kind, None, n_test=4, classes=2, **fields)
+        message = "^data.synthetic.sigma = 1e\\+308 overflows the features$"
+        with pytest.raises(ConfigError, match=message):
+            make()
+        made.clear()
+        with pytest.raises(ConfigError, match=message):
+            make(tmp_path / "t.nld")
+        assert len(made) == calls
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFiniteFeatures:
     """Features are checked through their sum, with the element-wise check
     only when the sum is not finite: finite values may sum to an infinity."""

@@ -1,6 +1,7 @@
 """Config parsing, snapshots, exports, evaluation, and the experiment driver."""
 
 import argparse
+import errno
 import os
 import re
 import shutil
@@ -951,6 +952,52 @@ class TestCLI:
         assert captured.err.splitlines() == [
             f"error [config] cannot make output directory {out}: File name too long"]
         assert captured.out == ""
+
+
+class TestRefusedWrites:
+    """A write the system refuses, here a full disk, is one error line that
+    names the file, exit 2, and the unfinished file is removed. ``synth``
+    and ``train`` stream their test set into ``test.nld``, 10 blocks of 8
+    rows here; ``inject`` writes ``noisy_train.nld`` by header, features,
+    given and true labels. The disk fills on the first write of the file or
+    mid-stream, each time after a short write of half a buffer."""
+
+    @staticmethod
+    def fill_disk_at(monkeypatch, at):
+        """``os.pwrite`` writes half the bytes of call ``at`` and refuses
+        every call after it."""
+        pwrite, calls = os.pwrite, []
+
+        def full(fd, data, offset):
+            calls.append(offset)
+            if len(calls) > at:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return pwrite(fd, data[:len(data) // 2] if len(calls) == at else data, offset)
+
+        monkeypatch.setattr(os, "pwrite", full)
+
+    @pytest.mark.parametrize("where", ["first", "mid-stream"])
+    @pytest.mark.parametrize("command, stage, written, mid", [
+        ("synth", "config", "test.nld", 6),  # the third block of features
+        ("train", "data", "test.nld", 6),
+        ("inject", "config", "noisy_train.nld", 2)])  # the features
+    def test_one_error_line_and_exit_2(self, tmp_path, capsys, monkeypatch, command, stage,
+                                       written, mid, where):
+        cfg_path, out = tmp_path / "c.cfg", tmp_path / "out"
+        cfg_path.write_text(BASE_CFG.format(out=out))
+        extra = []
+        if command == "inject":
+            extra = ["--data", str(tmp_path / "train.nld")]
+            save_dataset(resolve_data(make_cfg(tmp_path), None)[0], extra[1])
+        monkeypatch.setattr("noiseattn.data._STREAM_VALUES", 16)
+        self.fill_disk_at(monkeypatch, 1 if where == "first" else mid)
+        assert cli_main([command, "--config", str(cfg_path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error [{stage}] cannot write {out / written}: No space left on device"]
+        assert captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == {
+            "synth": [], "inject": [], "train": ["config_echo.cfg", "metrics.csv"]}[command]
 
 
 class TestEvalOnTheChunkPool:

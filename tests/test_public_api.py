@@ -188,26 +188,29 @@ def binary_file_io(node) -> bool:
         isinstance(mode, ast.Constant) and "b" in str(mode.value) for mode in modes)
 
 
-def raw_file_io(node) -> bool:
-    """``os.open`` or an ``os.pread*`` call, by attribute, by name or by
-    ``from os import``."""
-    def raw(name):
-        return name == "open" or name.startswith("pread")
+RAW_READS = ("open", "pread", "preadv", "preadv2")
+RAW_WRITES = ("write", "writev", "pwrite", "pwritev", "pwritev2")
 
+
+def raw_file_io(node, calls=RAW_READS) -> bool:
+    """A use of ``os.<name>`` for a name in ``calls``, by attribute, by
+    ``from os import`` or, but for the builtin ``open``, by name."""
     if isinstance(node, ast.ImportFrom):
-        return node.module == "os" and any(raw(alias.name) for alias in node.names)
+        return node.module == "os" and any(alias.name in calls for alias in node.names)
     if isinstance(node, ast.Attribute):
-        return getattr(node.value, "id", None) == "os" and raw(node.attr)
-    return isinstance(node, ast.Name) and node.id.startswith("pread")
+        return getattr(node.value, "id", None) == "os" and node.attr in calls
+    return isinstance(node, ast.Name) and node.id != "open" and node.id in calls
 
 
 def test_one_binary_layer():
-    """NLD1 and NAM files are written by ``data._write`` and read by
-    ``data._Reader``; no other code opens a file in binary mode, and only
-    the reader makes raw or positional reads."""
-    assert functions_where(binary_file_io) == {"data._write", "data._Reader.__init__"}
-    raw = functions_where(raw_file_io)
-    assert raw and {where.rpartition(".")[0] for where in raw} == {"data._Reader"}
+    """NLD1 and NAM files are written by ``data._Writer`` and read by
+    ``data._Reader``; no other code opens a file in binary mode, only the
+    reader makes raw or positional reads and only the writer raw or
+    positional writes."""
+    assert functions_where(binary_file_io) == {"data._Writer.__init__", "data._Reader.__init__"}
+    for owner, calls in (("data._Reader", RAW_READS), ("data._Writer", RAW_WRITES)):
+        raw = functions_where(lambda node: raw_file_io(node, calls))
+        assert raw and {where.rpartition(".")[0] for where in raw} == {owner}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

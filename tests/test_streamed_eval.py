@@ -4,14 +4,14 @@
 ``EVAL_CHUNK`` chunk from the file as the chunk is scored. It must give the
 bits of the in-memory evaluation at every chunk boundary, on one CPU and
 on the chunk pool; hold a few chunks of features, not the set; leave no
-file open; and end a file that breaks mid-evaluation in exit 2. A run
-scores its test set from ``test.nld`` or ``data.test_path`` and lets the
-array it generated or loaded die after the data stage.
+file open; and end a file that breaks mid-evaluation in exit 2. A run or
+a resume scores its test set from ``test.nld``, which its data stage
+streams the generated set into, or from ``data.test_path``, whose loaded
+array dies after the data stage.
 """
 
 import os
 import struct
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -110,9 +110,14 @@ class TestMemory:
         assert code == 0
         assert peak < 4 * EVAL_CHUNK * d * 8
 
+    @pytest.mark.parametrize("pipeline", ["run", "resume"])
     @pytest.mark.parametrize("attributes", [None, "a:2,b:3"])
-    def test_the_generated_test_array_is_dead_by_the_first_evaluation(
-            self, tmp_path, monkeypatch, attributes):
+    def test_no_generated_test_array_is_ever_made(self, tmp_path, monkeypatch, attributes,
+                                                  pipeline):
+        """The data stage of a run, and of a resume in its own output
+        directory, streams the generated test set into ``test.nld``: the
+        generator returns that file's ``FeatureFile``, and every evaluation
+        scores it."""
         entries = {"seed": "2", "out": str(tmp_path / "run"), "data.source": "synthetic",
                    "data.synthetic.n_train": "120", "data.synthetic.n_test": "50",
                    "arch.input_shape": "2", "arch.layers": "dense:2:3",
@@ -121,23 +126,33 @@ class TestMemory:
         if attributes:
             entries.update({"attributes": attributes, "arch.input_shape": "4",
                             "arch.layers": "dense:4:5,relu"})
+        cfg = build_config(entries)
+        if pipeline == "resume":
+            run_experiment(cfg)
         name = "generate_synthetic_multi" if attributes else "generate_synthetic"
         generate, test_rows = getattr(harness, name), harness._test_rows
-        arrays, dead = [], []
+        made, scored = [], []
 
         def recording(*args):
             train, test = generate(*args)
-            arrays.append(weakref.ref(test.features))
+            made.append(test.features)
             return train, test
 
         def checking(run, view, test_ds, *args):
-            dead.append(arrays[0]() is None)
+            scored.append(None if test_ds is None else test_ds.features)
             return test_rows(run, view, test_ds, *args)
 
         monkeypatch.setattr(harness, name, recording)
         monkeypatch.setattr(harness, "_test_rows", checking)
-        run_experiment(build_config(entries))
-        assert len(arrays) == 1 and dead == [True] * 3  # stage 0, one round, final
+        if pipeline == "run":
+            run_experiment(cfg)
+        else:
+            harness.resume_recursion(cfg, tmp_path / "run" / "snapshot_stage0.nam",
+                                     tmp_path / "resumed")
+        out = tmp_path / ("run" if pipeline == "run" else "resumed")
+        assert [(type(f), f.path) for f in made] == [(FeatureFile, out / "test.nld")]
+        stage0 = made if pipeline == "run" else []
+        assert scored == [*stage0, made[0], None]  # one round, then the final rows repeat it
 
 
 class TestBrokenFiles:

@@ -15,8 +15,8 @@ from .nn import (EPS, Conv2D, Dense, Flatten, LayerSpec, MaxPool2x2, Network,
                  Parameter, ReLU, SGD, softmax, softmax_backward)
 from .attention import (NAModel, NoiseUnit, UnitSchedule, attention_outputs,
                         project_column_stochastic)
-from .recursion import (RecursionSchedule, alpha_schedule, combine_supervisions,
-                        run_recursion, snapshot_probs, soft_nll_loss)
+from .recursion import (RecursionSchedule, alpha_schedule, run_recursion, snapshot_probs,
+                        soft_nll_loss)
 from .training import OneHead, Trainer, TrainSettings, split_train_val
 from .multihead import MultiHeadNetwork, evaluate_all_metric
 from .data import (Dataset, NoiseSpec, SyntheticSpec, empirical_transition,

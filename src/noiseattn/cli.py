@@ -108,7 +108,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_recurse(args) -> int:
     cfg = _load_config(args)
-    return _finished(resume_recursion(cfg, args.snapshot, args.out), cfg, "recursion")
+    return _finished(resume_recursion(cfg, args.snapshot), cfg, "recursion")
 
 
 def _cmd_eval(args) -> int:

@@ -18,9 +18,10 @@ wall-clock time is kept out of metrics.csv so reruns are byte-identical.
 
 A test set is scored from its file. The data stage streams a generated
 test set into ``test.nld`` in the output directory, a run's or a
-resume's, one block at a time, and never holds its features; a loaded
-one, ``data.test_path``, is read and checked whole and its array dies
-there. Either way ``resolve_data`` returns it with the file's
+resume's, one block at a time; a loaded one, ``data.test_path``, is
+opened as ``noiseattn eval`` opens it and its features are checked one
+``EVAL_CHUNK`` chunk at a time. Either way the data stage never holds
+the test features, and ``resolve_data`` returns the set with the file's
 ``data.FeatureFile`` for features. Each evaluation then opens the file,
 and each ``EVAL_CHUNK`` chunk reads, checks and scores only its own rows,
 in the chunks, row order and pool rule of an in-memory evaluation, so no
@@ -53,7 +54,7 @@ from .data import (FeatureFile, _Reader, _write, generate_synthetic, generate_sy
 from .errors import (ConfigError, FormatError, NoiseAttnError, StageError, in_epoch,
                      out_of_memory)
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
-from .nn import Dense, Network, check_labels, label_columns, param_count
+from .nn import EVAL_CHUNK, Dense, Network, check_labels, label_columns, param_count
 from .recursion import run_recursion
 from .training import OneHead, Trainer, _loss_total, _param_chain, as_heads, split_train_val
 
@@ -274,46 +275,47 @@ def load_snapshot(path):
 
 def _inject_and_save(cfg: ExperimentConfig, dataset, out_dir):
     """Corrupt the given labels per ``cfg.noise``; returns (noisy dataset,
-    flipped indices), one index array per label column. With ``out_dir``,
-    write noisy_train.nld and flips.csv there: ``index`` rows for
+    flipped indices), one index array per label column. Writes
+    noisy_train.nld and flips.csv in ``out_dir``: ``index`` rows for
     single-label data, else ``attribute,index`` rows, one per flip of each
     column."""
     if dataset.k and cfg.attributes is None:
         raise ConfigError("multi-attribute dataset needs an attributes config")
     counts = cfg.attributes.class_counts if dataset.k else [dataset.c]
     noisy, flips = inject_noise(dataset, cfg.noise, counts)
-    if out_dir is not None:
-        save_dataset(noisy, Path(out_dir) / "noisy_train.nld")
-        with open(Path(out_dir) / "flips.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["attribute", "index"] if noisy.k else ["index"])
-            for column, idx in enumerate(flips):
-                rows = idx.tolist()
-                writer.writerows(zip([column] * len(rows), rows) if noisy.k else zip(rows))
+    save_dataset(noisy, Path(out_dir) / "noisy_train.nld")
+    with open(Path(out_dir) / "flips.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["attribute", "index"] if noisy.k else ["index"])
+        for column, idx in enumerate(flips):
+            rows = idx.tolist()
+            writer.writerows(zip([column] * len(rows), rows) if noisy.k else zip(rows))
     return noisy, flips
 
 
-def resolve_data(cfg: ExperimentConfig, out_dir=None):
-    """Produce (train, test) datasets per config; optionally save artifacts.
-    Injection corrupts training labels only; test sets keep given = true.
-    With ``out_dir``, a generated test set streams into ``test.nld`` there
-    and a generated training set is saved as ``train.nld``; without it both
-    are arrays. A loaded test set, ``data.test_path``, is read and checked
-    whole, then returned with its ``FeatureFile`` for features, so its
-    feature array dies here."""
+def resolve_data(cfg: ExperimentConfig, out_dir):
+    """Produce (train, test) datasets per config and save their artifacts
+    in ``out_dir``. Injection corrupts training labels only; test sets keep
+    given = true. A generated test set streams into ``test.nld`` there and
+    a generated training set is saved as ``train.nld``. A loaded test set,
+    ``data.test_path``, is opened as ``noiseattn eval`` opens it, its sizes
+    and labels read and checked, and its features read and checked one
+    ``EVAL_CHUNK`` chunk at a time, so a non-finite one is an error of this
+    stage. Either way the test set's features are its ``FeatureFile``."""
     if cfg.data.source == "synthetic":
-        test_path = None if out_dir is None else Path(out_dir) / "test.nld"
+        test_path = Path(out_dir) / "test.nld"
         if cfg.attributes is not None:
             train, test = generate_synthetic_multi(cfg.data.synthetic,
                                                    cfg.attributes.class_counts, test_path)
         else:
             train, test = generate_synthetic(cfg.data.synthetic, test_path)
-        if out_dir is not None:
-            save_dataset(train, Path(out_dir) / "train.nld")
+        save_dataset(train, Path(out_dir) / "train.nld")
     else:
         train = load_dataset(cfg.data.train_path)
-        test = load_dataset(cfg.data.test_path)
-        test.features = FeatureFile(cfg.data.test_path, test.n, test.d)
+        test = load_dataset(cfg.data.test_path, features=False)
+        with test.features as rows:
+            for start in range(0, test.n, EVAL_CHUNK):
+                rows[start:start + EVAL_CHUNK]  # read to check, then dropped
 
     if cfg.noise.mode != "none":
         train = _inject_and_save(cfg, train, out_dir)[0]
@@ -573,25 +575,25 @@ def _check_snapshot(cfg: ExperimentConfig, view):
                               f"{configured}")
 
 
-def resume_recursion(cfg: ExperimentConfig, snapshot_path, out_dir=None) -> RunReport:
+def resume_recursion(cfg: ExperimentConfig, snapshot_path) -> RunReport:
     """Resume from a stage-0 snapshot and run only the recursion rounds.
 
     ``recursion.iterations`` must be at least 1, checked before anything
     is read or written. Single- and multi-label snapshots take the path of
     a full run's recursion and eval stages. The snapshot's arch, input
     shape and classes (attributes) must equal what the config and its data
-    describe, else ``ConfigError``; data is re-derived from the config's
-    seeds and saved in the resume's output directory as a run's is, so its
-    test set streams into ``test.nld`` there. The trainer built over the
-    snapshot's models holds the full run's unit arenas, in
-    ``_param_chain`` order, but their velocities restart at zero and the
-    shuffle stream at its first draw, which a full run spends on
-    pretraining: the rounds see other mini-batches, so the result differs
-    from the full run's.
+    describe, else ``ConfigError``. The output directory is the config's
+    ``out``, as a run's is, and the data, re-derived from the config's
+    seeds, is saved there as a run's is, so the test set streams into its
+    ``test.nld``. The trainer built over the snapshot's models holds the
+    full run's unit arenas, in ``_param_chain`` order, but their velocities
+    restart at zero and the shuffle stream at its first draw, which a full
+    run spends on pretraining: the rounds see other mini-batches, so the
+    result differs from the full run's.
     """
     if cfg.recursion.iterations < 1:
         raise ConfigError("recursion.iterations must be >= 1 to resume")
-    with _Run(cfg, out_dir or cfg.out_dir, "resume") as run:
+    with _Run(cfg, cfg.out_dir, "resume") as run:
         validate_paths(cfg)
         view, models = load_snapshot(snapshot_path)
         _check_snapshot(cfg, view)

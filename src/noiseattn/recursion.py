@@ -29,20 +29,14 @@ def alpha_schedule(t: int, alpha_base: float) -> float:
     return float(alpha_base) ** int(t)
 
 
-def combine_supervisions(given_labels, prev_probs, alpha: float):
-    """Add alpha to each row's given-label entry, then divide by (1 + alpha).
+def _combine(given_labels, probs, alpha: float):
+    """Add alpha to each row's given-label entry of ``probs``, a float64
+    array, then divide by (1 + alpha), in place; returns ``probs``.
 
     With rows on the simplex the result sums to 1 exactly in exact
-    arithmetic; alpha = 0 returns prev_probs unchanged. ``alpha_schedule``
+    arithmetic; alpha = 0 leaves the rows as they were. ``alpha_schedule``
     gives alpha >= 0, and ``run_recursion`` checks the labels.
-    ``prev_probs`` is left as it was.
     """
-    return _combine(given_labels, np.array(prev_probs, dtype=np.float64), alpha)
-
-
-def _combine(given_labels, probs, alpha: float):
-    """``combine_supervisions`` written over ``probs``, a float64 array,
-    which it returns."""
     probs[np.arange(probs.shape[0]), given_labels] += alpha
     probs /= 1.0 + alpha
     return probs

@@ -56,6 +56,13 @@ def combine_supervision(given_label: int, prev_probs, alpha: float):
     return s
 
 
+def combine_supervisions(given_labels, prev_probs, alpha: float):
+    """``combine_supervision`` of each row of ``prev_probs`` with its given
+    label, as a new (N, C) array; ``prev_probs`` is left as it was."""
+    return np.array([combine_supervision(int(y), p, alpha)
+                     for y, p in zip(given_labels, prev_probs)])
+
+
 def multi_forward(net, batch):
     return net.forward(batch)
 

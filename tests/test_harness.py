@@ -18,10 +18,10 @@ from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Co
                        DivergenceError, Flatten,
                        FormatError, LayerSpec, MaxPool2x2, MultiHeadNetwork, NAModel, Network,
                        ReLU,
-                       StageError, build_config, evaluate, export_q, load_config, load_q_csv,
-                       load_snapshot, parse_arch, parse_config_text, parse_input_shape,
-                       resolve_data, resume_recursion, run_experiment, save_dataset,
-                       save_snapshot, serialize_arch, split_train_val)
+                       StageError, build_config, evaluate, export_q, load_config,
+                       load_dataset, load_q_csv, load_snapshot, parse_arch, parse_config_text,
+                       parse_input_shape, resolve_data, resume_recursion, run_experiment,
+                       save_dataset, save_snapshot, serialize_arch, split_train_val)
 from noiseattn import OneHead, cli, harness
 from noiseattn.attention import project_column_stochastic
 from noiseattn.cli import main as cli_main
@@ -64,6 +64,15 @@ def write_single_snapshot(tmp_path):
 def make_cfg(tmp_path, extra="", name="run"):
     text = BASE_CFG.format(out=tmp_path / name) + extra
     return build_config(parse_config_text(text))
+
+
+def resolved(tmp_path):
+    """(noisy train, test) of ``make_cfg``'s data, both in memory: the data
+    stage runs in its own directory, and its ``test.nld`` is read back whole."""
+    out = tmp_path / "resolved"
+    out.mkdir()
+    train, _ = resolve_data(make_cfg(tmp_path), out)
+    return train, load_dataset(out / "test.nld")
 
 
 class TestConfigParsing:
@@ -632,23 +641,23 @@ class TestRunExperiment:
             return errors[-1]
 
         monkeypatch.setattr(harness, "evaluate", counted)
-        cfg = make_cfg(tmp_path, extra=f"recursion.iterations = {iterations}\n"
-                                       "recursion.epochs = 1\nrecursion.min_improvement = -1\n")
-        report = run_experiment(cfg)
+        extra = (f"recursion.iterations = {iterations}\n"
+                 "recursion.epochs = 1\nrecursion.min_improvement = -1\n")
+        report = run_experiment(make_cfg(tmp_path, extra))
         assert len(errors) == 1 + iterations  # stage 0, then each round; not the final rows
         assert report.test_errors["final"] == errors[-1]
         rows = [line.split(",") for line in (tmp_path / "run" / "metrics.csv").read_text()
                 .splitlines()]
         assert [row[5] for row in rows if row[0] == "final"] == [repr(float(errors[-1]))]
         if iterations:
-            resumed = resume_recursion(cfg, tmp_path / "run" / "snapshot_stage0.nam",
-                                       tmp_path / "resumed")
+            resumed = resume_recursion(make_cfg(tmp_path, extra, name="resumed"),
+                                       tmp_path / "run" / "snapshot_stage0.nam")
             assert len(errors) == 1 + 2 * iterations
             assert resumed.test_errors["final"] == errors[-1]
 
     def test_evaluation_ignores_test_given_labels(self, tmp_path):
-        cfg = make_cfg(tmp_path, name="ev")
-        train_ds, test_ds = resolve_data(cfg, None)
+        cfg = make_cfg(tmp_path)
+        train_ds, test_ds = resolved(tmp_path)
         net = Network(cfg.arch_specs, cfg.arch_input_shape, seed=1)
         base = evaluate(net, test_ds.features, test_ds.true_labels)
         scrambled = test_ds.given_labels.copy()
@@ -886,7 +895,7 @@ class TestCLI:
         save_snapshot(snapshot, Network(parse_arch("dense:2:12,relu,dense:12:3"), (2,), seed=0),
                       [NAModel(3)])
         data = inputs / "train.nld"
-        save_dataset(resolve_data(make_cfg(tmp_path), None)[0], data)
+        save_dataset(resolved(tmp_path)[0], data)
         extra = {"recurse": ["--snapshot", str(snapshot)], "inject": ["--data", str(data)]}
         flag = ["--out", ""] if how == "flag" else []
         cwd = tmp_path / "cwd"
@@ -920,7 +929,7 @@ class TestCLI:
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(BASE_CFG.format(out=tmp_path / "unused") + "recursion.iterations = 1\n")
         data = tmp_path / "train.nld"
-        save_dataset(resolve_data(make_cfg(tmp_path), None)[0], data)
+        save_dataset(resolved(tmp_path)[0], data)
         specs = parse_arch("dense:2:12,relu,dense:12:3")
         snapshot = tmp_path / "m.nam"
         save_snapshot(snapshot, Network(specs, (2,), seed=0), [NAModel(3)])
@@ -939,7 +948,7 @@ class TestCLI:
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(BASE_CFG.format(out=tmp_path / "unused") + "recursion.iterations = 1\n")
         data = tmp_path / "train.nld"
-        save_dataset(resolve_data(make_cfg(tmp_path), None)[0], data)
+        save_dataset(resolved(tmp_path)[0], data)
         snapshot = tmp_path / "m.nam"
         save_snapshot(snapshot, Network(parse_arch("dense:2:12,relu,dense:12:3"), (2,), seed=0),
                       [NAModel(3)])
@@ -988,7 +997,7 @@ class TestRefusedWrites:
         extra = []
         if command == "inject":
             extra = ["--data", str(tmp_path / "train.nld")]
-            save_dataset(resolve_data(make_cfg(tmp_path), None)[0], extra[1])
+            save_dataset(resolved(tmp_path)[0], extra[1])
         monkeypatch.setattr("noiseattn.data._STREAM_VALUES", 16)
         self.fill_disk_at(monkeypatch, 1 if where == "first" else mid)
         assert cli_main([command, "--config", str(cfg_path), *extra]) == 2
@@ -1220,7 +1229,7 @@ na.stage_epochs = 1
         assert not [row for row in rows if row.startswith("pretrain,")]
 
     def test_single_label_test_set_is_checked_against_the_network(self, tmp_path):
-        train, test = resolve_data(make_cfg(tmp_path), None)
+        train, test = resolved(tmp_path)
         true = test.true_labels.copy()
         true[0] = 3  # the network has 3 outputs; the test file declares 4 classes
         save_dataset(train, tmp_path / "train.nld")
@@ -1262,7 +1271,7 @@ class TestFit:
 
     @pytest.mark.parametrize("part", ["train", "test"])
     def test_train_rejects_a_set_of_another_width_in_build(self, tmp_path, capsys, part):
-        sets = dict(zip(("train", "test"), resolve_data(make_cfg(tmp_path), None)))
+        sets = dict(zip(("train", "test"), resolved(tmp_path)))
         ds = sets[part]
         sets[part] = Dataset(np.hstack([ds.features, ds.features[:, :1]]), ds.given_labels,
                              ds.c, ds.true_labels)
@@ -1431,8 +1440,8 @@ class TestStageFailures:
         cfg = make_cfg(tmp_path, extra=self.EXTRA)
         run_experiment(cfg)
         self.fail_in(monkeypatch, RESUME_STAGES, stage, exc)
-        self.check(lambda: resume_recursion(cfg, tmp_path / "run" / "snapshot_stage0.nam",
-                                            tmp_path / "resumed"),
+        resumed = make_cfg(tmp_path, extra=self.EXTRA, name="resumed")
+        self.check(lambda: resume_recursion(resumed, tmp_path / "run" / "snapshot_stage0.nam"),
                    tmp_path / "resumed", stage, exc)
 
 

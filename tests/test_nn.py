@@ -445,15 +445,16 @@ class TestChunkPool:
             evaluate(net, np.full((n, 1), 1e308), np.zeros(n, dtype=int))
 
 
-# The package's import, a config build and one data resolution (the set-up
-# path), then an evaluation of one full chunk plus a remainder.
+# The package's import, a config build and one data resolution into the
+# directory argv[2] (the set-up path), then an evaluation of one full chunk
+# plus a remainder.
 UNTOUCHED = """
 import sys, threading
 import numpy as np
 import noiseattn, noiseattn.cli
 from noiseattn import Dense, Network, build_config, evaluate, parse_config_text, resolve_data
 cfg = build_config(parse_config_text(sys.argv[1]))
-resolve_data(cfg, None)
+resolve_data(cfg, sys.argv[2])
 assert "concurrent.futures" not in sys.modules
 threads = threading.active_count()
 net = Network([Dense(20, 64), Dense(64, 10)], (20,), seed=1)
@@ -477,13 +478,13 @@ arch.layers = dense:20:64,relu,dense:64:10
 """
 
 
-def test_paths_without_two_full_chunks_start_no_thread():
+def test_paths_without_two_full_chunks_start_no_thread(tmp_path):
     """In a fresh process, neither set-up nor a one-chunk evaluation imports
     ``concurrent.futures`` or starts a thread, on any number of CPUs."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"),
                             *filter(None, [os.environ.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-c", UNTOUCHED, UNTOUCHED_CFG],
+    proc = subprocess.run([sys.executable, "-c", UNTOUCHED, UNTOUCHED_CFG, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -31,7 +31,6 @@ PACKAGE = ROOT / "src" / "noiseattn"
 # Public names kept without such a caller, each with its reason.
 ALLOWED = {
     "empirical_transition": "ROADMAP item 2 compares each learned unit with it",
-    "combine_supervisions": "the copying form of the combine run_recursion does in place",
 }
 
 
@@ -211,6 +210,21 @@ def test_one_binary_layer():
     for owner, calls in (("data._Reader", RAW_READS), ("data._Writer", RAW_WRITES)):
         raw = functions_where(lambda node: raw_file_io(node, calls))
         assert raw and {where.rpartition(".")[0] for where in raw} == {owner}
+
+
+def sets_features(node) -> bool:
+    """An assignment to a ``features`` attribute, or its ``setattr``; a write
+    into the array it holds (``x.features[...] = ...``) is neither."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "features" and isinstance(node.ctx, (ast.Store, ast.Del))
+    return (isinstance(node, ast.Call) and names(node.func, "setattr") and len(node.args) > 1
+            and getattr(node.args[1], "value", None) == "features")
+
+
+def test_only_a_dataset_sets_its_features():
+    """A dataset's features are what it was built with, an array or a
+    ``FeatureFile``: no code swaps one for the other after ``__post_init__``."""
+    assert functions_where(sets_features) == {"data.Dataset.__post_init__"}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

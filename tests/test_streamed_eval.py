@@ -6,8 +6,8 @@ bits of the in-memory evaluation at every chunk boundary, on one CPU and
 on the chunk pool; hold a few chunks of features, not the set; leave no
 file open; and end a file that breaks mid-evaluation in exit 2. A run or
 a resume scores its test set from ``test.nld``, which its data stage
-streams the generated set into, or from ``data.test_path``, whose loaded
-array dies after the data stage.
+streams the generated set into, or from ``data.test_path``, which its data
+stage checks chunk by chunk as an evaluation reads it.
 """
 
 import os
@@ -29,6 +29,10 @@ from peaks import traced_peak
 SIZES = [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 2 * EVAL_CHUNK, 2 * EVAL_CHUNK + 1]
 FEATURES_AT = 25  # magic, version and header
 NON_FINITE = "error [config] invalid dataset content: features contain non-finite values\n"
+NLD_RUN = ("seed = 7\nout = {out}\ndata.source = nld\n"
+           "data.train_path = {train}\ndata.test_path = {test}\n"
+           "arch.input_shape = 2\narch.layers = dense:2:3\n"
+           "na.pretrain_epochs = 1\nna.stage_epochs = 1\nrecursion.iterations = 0\n")
 
 
 def case(kind, n, d=3, seed=4):
@@ -110,6 +114,21 @@ class TestMemory:
         assert code == 0
         assert peak < 4 * EVAL_CHUNK * d * 8
 
+    def test_the_data_stage_of_a_loaded_test_set_holds_a_few_chunks(self, tmp_path):
+        """An nld-source data stage opens its test set as ``eval`` does and
+        checks one chunk at a time. Reading the 12-chunk set whole first
+        held all 12 chunks of its features."""
+        n, d = 12 * EVAL_CHUNK, 32
+        rng = np.random.default_rng(1)
+        labels = np.arange(n) % 3
+        save_dataset(Dataset(rng.normal(size=(30, d)), labels[:30], 3), tmp_path / "train.nld")
+        save_dataset(Dataset(rng.normal(size=(n, d)), labels, 3, labels), tmp_path / "test.nld")
+        cfg = build_config({"data.source": "nld", "data.train_path": str(tmp_path / "train.nld"),
+                            "data.test_path": str(tmp_path / "test.nld")})
+        (_, test), peak = traced_peak(lambda: resolve_data(cfg, tmp_path))
+        assert isinstance(test.features, FeatureFile) and test.features.shape == (n, d)
+        assert peak < 4 * EVAL_CHUNK * d * 8
+
     @pytest.mark.parametrize("pipeline", ["run", "resume"])
     @pytest.mark.parametrize("attributes", [None, "a:2,b:3"])
     def test_no_generated_test_array_is_ever_made(self, tmp_path, monkeypatch, attributes,
@@ -147,8 +166,8 @@ class TestMemory:
         if pipeline == "run":
             run_experiment(cfg)
         else:
-            harness.resume_recursion(cfg, tmp_path / "run" / "snapshot_stage0.nam",
-                                     tmp_path / "resumed")
+            harness.resume_recursion(build_config({**entries, "out": str(tmp_path / "resumed")}),
+                                     tmp_path / "run" / "snapshot_stage0.nam")
         out = tmp_path / ("run" if pipeline == "run" else "resumed")
         assert [(type(f), f.path) for f in made] == [(FeatureFile, out / "test.nld")]
         stage0 = made if pipeline == "run" else []
@@ -182,18 +201,12 @@ class TestBrokenFiles:
 
     def test_a_test_file_cut_after_the_data_stage_ends_in_exit_2(self, tmp_path, capsys,
                                                                  monkeypatch):
-        """An nld-source run reads its test set whole in the data stage and
+        """An nld-source run checks its test set in the data stage and
         scores it from the file after training."""
-        cfg_text = ("seed = 7\nout = {out}\ndata.source = nld\n"
-                    "data.train_path = {train}\ndata.test_path = {test}\n"
-                    "arch.input_shape = 2\narch.layers = dense:2:3\n"
-                    "na.pretrain_epochs = 1\nna.stage_epochs = 1\nrecursion.iterations = 0\n")
-        train, test = resolve_data(build_config({"seed": "7", "data.synthetic.n_test": "90"}))
-        save_dataset(train, tmp_path / "train.nld")
-        save_dataset(test, tmp_path / "test.nld")
+        resolve_data(build_config({"seed": "7", "data.synthetic.n_test": "90"}), tmp_path)
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(cfg_text.format(out=tmp_path / "run", train=tmp_path / "train.nld",
-                                       test=tmp_path / "test.nld"))
+        cfg.write_text(NLD_RUN.format(out=tmp_path / "run", train=tmp_path / "train.nld",
+                                      test=tmp_path / "test.nld"))
         split = harness._split
 
         def cut_then_split(*args):
@@ -207,6 +220,30 @@ class TestBrokenFiles:
             f"error [na] truncated dataset file: needed {90 * 16} bytes for features at "
             f"offset {FEATURES_AT}, have {16 * 40}"]
         assert (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("has_true", [True, False], ids=["true labels", "no true labels"])
+    def test_a_nan_in_the_last_chunk_of_a_loaded_test_set_ends_the_data_stage(
+            self, tmp_path, capsys, has_true):
+        """An nld-source run reads every chunk of its test set in the data
+        stage, so a NaN in the last one ends the run there, before
+        pretraining, also when no evaluation would ever read the set."""
+        n = 2 * EVAL_CHUNK + 7
+        rng = np.random.default_rng(6)
+        labels = np.arange(n) % 3
+        save_dataset(Dataset(rng.normal(size=(60, 2)), labels[:60], 3), tmp_path / "train.nld")
+        save_dataset(Dataset(rng.normal(size=(n, 2)), labels, 3, labels if has_true else None),
+                     tmp_path / "test.nld")
+        put_nan(tmp_path / "test.nld", n - 1, 2, column=1)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(NLD_RUN.format(out=tmp_path / "run", train=tmp_path / "train.nld",
+                                      test=tmp_path / "test.nld"))
+        assert cli_main(["train", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error [data] invalid dataset content: features contain non-finite values"]
+        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
+        assert not [row for row in rows if row.startswith("pretrain,")]
 
     def test_a_file_resized_under_a_feature_file_is_a_format_error(self, tmp_path):
         view, models, dataset = case("single", 30)

@@ -25,10 +25,10 @@ rows from the file (``data.FeatureFile``). So a label that does not fit a
 head is reported before non-finite features anywhere in the file, and a
 non-finite value or a cut in a late chunk is still one config error line,
 with nothing on stdout. A test set with two full chunks or more is scored
-on a thread pool when the process may run on two CPUs (see
-``nn.for_each_chunk``), with the bits of one thread. A chunk that runs out
-of memory is reported once every chunk has finished, as the same one
-config error line.
+on the calling thread and a thread pool when the process may run on two
+CPUs (see ``nn.for_each_chunk``), with the bits of one thread. A chunk
+that runs out of memory is reported once every chunk has finished, as the
+same one config error line.
 """
 
 from __future__ import annotations

@@ -16,11 +16,13 @@ array, so writing into them raises instead of corrupting the truth;
 fit/validation split (``harness._split``) writes into a dataset's arrays,
 and it writes only the features of the training set it consumes.
 
-Binary files are written by ``_Writer`` alone, by positional writes
-(``os.pwrite``): a write the system refuses, a full disk say, is a
-ConfigError naming the file, and the unfinished file is removed. They are
-read by ``_Reader`` alone, by positional reads (``os.preadv``), each
-checked against the file's size before anything is allocated.
+Every file the package writes is written by ``_Writer`` alone, by
+positional writes (``os.pwrite``): a write the system refuses, a full disk
+or a directory in the file's place say, is a ConfigError naming the file,
+and the unfinished file is removed. A text artifact is built in memory and
+written whole (``_write_text``). Binary files are read by ``_Reader``
+alone, by positional reads (``os.preadv``), each checked against the
+file's size before anything is allocated.
 ``load_dataset`` reads an NLD1 file whole, or, with ``features=False``,
 only its header and labels: the features are then a ``FeatureFile``,
 which a ``with`` block opens and whose ``[a:b]`` reads and checks rows
@@ -435,11 +437,11 @@ def generate_synthetic_multi(spec: SyntheticSpec, class_counts,
 
 
 # ---------------------------------------------------------------------------
-# Binary files: NLD1 datasets here, NAM snapshots in the harness
+# Written files: NLD1 datasets here, NAM snapshots and text artifacts in the harness
 
 
 class _Writer:
-    """Writes a binary file by positional writes (``os.pwrite``) and closes
+    """Writes a file by positional writes (``os.pwrite``) and closes
     it on every path; a file that an exception leaves unfinished is removed.
     Opening truncates the file; ``put`` writes a buffer at any offset, so a
     file may be laid out first and filled after. A file the system will not
@@ -485,6 +487,11 @@ def _write(path, head: bytes, arrays):
         at = file.put(0, head)
         for array, dtype in arrays:
             at += file.put(at, np.ascontiguousarray(array, dtype=dtype))
+
+
+def _write_text(path, text: str):
+    """Write ``text``, a whole text file built in memory, as UTF-8."""
+    _write(path, text.encode(), ())
 
 
 class _Reader:

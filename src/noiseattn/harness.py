@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 import struct
@@ -49,8 +50,8 @@ from .attention import NAModel
 from .config import (ExperimentConfig, _parse_attributes, parse_arch, parse_config_text,
                      parse_input_shape, serialize_arch, serialize_attributes,
                      serialize_input_shape, validate_paths)
-from .data import (FeatureFile, _Reader, _write, generate_synthetic, generate_synthetic_multi,
-                   inject_noise, load_dataset, save_dataset)
+from .data import (FeatureFile, _Reader, _write, _write_text, generate_synthetic,
+                   generate_synthetic_multi, inject_noise, load_dataset, save_dataset)
 from .errors import (ConfigError, FormatError, NoiseAttnError, StageError, in_epoch,
                      out_of_memory)
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
@@ -78,11 +79,12 @@ class MetricsLog:
         self.rows.append((stage, int(iteration), int(epoch), split, metric, float(value)))
 
     def write(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")  # byte-stable across platforms
-            writer.writerow(self.COLUMNS)
-            for stage, iteration, epoch, split, metric, value in self.rows:
-                writer.writerow([stage, iteration, epoch, split, metric, repr(value)])
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")  # byte-stable across platforms
+        writer.writerow(self.COLUMNS)
+        for stage, iteration, epoch, split, metric, value in self.rows:
+            writer.writerow([stage, iteration, epoch, split, metric, repr(value)])
+        _write_text(path, text.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ def _write_pgm(path, q):
     pixels = np.rint(np.clip(q, 0.0, 1.0) * 255).astype(int)
     lines = ["P2", f"{q.shape[1]} {q.shape[0]}", "255"]
     lines.extend(" ".join(str(v) for v in row) for row in pixels)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _make_out_dir(path) -> Path:
@@ -135,7 +137,8 @@ def export_q(model: NAModel, out_dir, prefix: str = "q_"):
     for m, q in enumerate(model.unit_matrices(), start=1):
         csv_path = out_dir / f"{prefix}unit{m:02d}.csv"
         pgm_path = out_dir / f"{prefix}unit{m:02d}.pgm"
-        np.savetxt(csv_path, q, delimiter=",", fmt="%.17g")
+        row = ",".join(["%.17g"] * q.shape[1]) + "\n"  # as np.savetxt formats a row
+        _write_text(csv_path, "".join(row % tuple(values) for values in q))
         _write_pgm(pgm_path, q)
         paths.append((csv_path, pgm_path))
     return paths
@@ -284,12 +287,13 @@ def _inject_and_save(cfg: ExperimentConfig, dataset, out_dir):
     counts = cfg.attributes.class_counts if dataset.k else [dataset.c]
     noisy, flips = inject_noise(dataset, cfg.noise, counts)
     save_dataset(noisy, Path(out_dir) / "noisy_train.nld")
-    with open(Path(out_dir) / "flips.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attribute", "index"] if noisy.k else ["index"])
-        for column, idx in enumerate(flips):
-            rows = idx.tolist()
-            writer.writerows(zip([column] * len(rows), rows) if noisy.k else zip(rows))
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["attribute", "index"] if noisy.k else ["index"])
+    for column, idx in enumerate(flips):
+        rows = idx.tolist()
+        writer.writerows(zip([column] * len(rows), rows) if noisy.k else zip(rows))
+    _write_text(Path(out_dir) / "flips.csv", text.getvalue())
     return noisy, flips
 
 
@@ -347,7 +351,8 @@ class _Run:
     evaluation. Leaving the ``with`` block writes metrics.csv, then on
     success report.json with the wall-clock time; a package error or a
     MemoryError, after metrics.csv, is raised as a StageError naming the
-    stage. Any other exception passes through and writes nothing."""
+    stage, and so is a refused write of either file, unless the stage
+    failed first. Any other exception passes through and writes nothing."""
 
     def __init__(self, cfg: ExperimentConfig, out, stage: str):
         self.cfg, self.out, self.stage, self.errors = cfg, Path(out), stage, None
@@ -363,12 +368,17 @@ class _Run:
     def __exit__(self, kind, exc, traceback):
         if exc is not None and not isinstance(exc, (NoiseAttnError, MemoryError)):
             return False
-        self.metrics.write(self.out / "metrics.csv")
+        try:
+            self.metrics.write(self.out / "metrics.csv")
+            if exc is None:
+                self.report.wall_clock_s = time.perf_counter() - self.started
+                _write_text(self.out / "report.json", self.report.to_json())
+        except ConfigError as refused:
+            if exc is None:
+                exc = refused
         if exc is not None:
             cause = exc if isinstance(exc, NoiseAttnError) else out_of_memory(exc)
             raise StageError(self.stage, cause) from exc
-        self.report.wall_clock_s = time.perf_counter() - self.started
-        (self.out / "report.json").write_text(self.report.to_json())
         return False
 
 
@@ -376,8 +386,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Execute the full configured pipeline and write all artifacts."""
     with _Run(cfg, cfg.out_dir, "setup") as run:
         validate_paths(cfg)
-        (run.out / "config_echo.cfg").write_text(
-            "".join(f"{k} = {v}\n" for k, v in cfg.echo.items()))
+        _write_text(run.out / "config_echo.cfg",
+                    "".join(f"{k} = {v}\n" for k, v in cfg.echo.items()))
         run.stage = "data"
         train_ds, test_ds = resolve_data(cfg, run.out)
         _run(run, train_ds, test_ds)

@@ -25,10 +25,14 @@ Forward-only passes over separate rows share no state: a pass with
 ``for_each_chunk`` may run the evaluator's ``EVAL_CHUNK``-row passes on
 several threads, each into its own rows of a preallocated result. A
 chunk keeps its row count, so its GEMMs and its bits do not depend on
-the thread that runs it. The pool is used only when the rows hold two
-full chunks and the process may run on two CPUs or more; it is made on
-first use, so a process that never evaluates that much starts no thread
-and never imports ``concurrent.futures``.
+the thread that runs it. The caller takes chunks from the same queue as
+the pool, which holds one thread fewer than the CPUs: the caller's chunks
+reuse its heap, which training and the teacher pass use too, and only the
+pool threads' chunks fill heaps of their own. The
+pool is used only when the rows hold two full chunks and the process may
+run on two CPUs or more; it is made on first use, so a process that
+never evaluates that much starts no thread and never imports
+``concurrent.futures``.
 
 Activations belong to the network that made them. Dense, Conv2D,
 MaxPool2x2 and ReLU return new arrays and Flatten a view of its input, so
@@ -80,7 +84,8 @@ EPS = 1e-12  # probability clamp applied before any log
 ROW_BLOCK = 256  # rows per block of the layers before the first Dense, forward-only
 TEACHER_CHUNK = 2048  # rows per forward-only pass of recursion.snapshot_probs
 # Rows per forward-only pass of multihead._errors, for every heads view. for_each_chunk
-# runs the passes on a thread per CPU once the rows hold two full chunks.
+# runs the passes on the caller and a pool thread per further CPU once the rows hold
+# two full chunks.
 EVAL_CHUNK = 4096
 
 
@@ -95,9 +100,10 @@ def _cpus() -> int:
 @functools.cache
 def _pool():
     """The process-wide chunk pool, made on the first parallel
-    ``for_each_chunk``, with at most one thread per CPU."""
+    ``for_each_chunk``, with one thread fewer than the CPUs: the caller is
+    a worker too."""
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="noiseattn-chunk")
+    return ThreadPoolExecutor(max_workers=_cpus() - 1, thread_name_prefix="noiseattn-chunk")
 
 
 def for_each_chunk(fn, n, chunk):
@@ -108,11 +114,15 @@ def for_each_chunk(fn, n, chunk):
     only its own rows of its results, and none calls ``for_each_chunk``
     (a pool thread would wait on the pool it occupies). When ``n`` holds
     at least two full chunks and the process may run on at least two
-    CPUs, they run on the process-wide pool, at most min(CPUs, full
-    chunks) at a time, each under a copy of the caller's context taken at
-    submit time, so the caller's ``np.errstate`` holds in them; otherwise
-    they run inline, in order. Every call has returned before this does;
-    the first failure in chunk order is then raised.
+    CPUs, min(CPUs, full chunks) workers take the chunks from one queue:
+    the caller and the rest on the process-wide pool, each of those under
+    a copy of the caller's context taken at submit time, so the caller's
+    ``np.errstate`` holds in them; otherwise the calls run inline, in
+    order. Every call has returned before this does; the first failure in
+    chunk order is then raised. One failure is raised before its turn: an
+    interrupt (a ``BaseException`` that is not an ``Exception``, such as
+    ``KeyboardInterrupt``) in a chunk the caller runs empties the queue,
+    and is raised once the pool's current chunks return.
     """
     slices = [slice(start, start + chunk) for start in range(0, n, chunk)]
     workers = min(_cpus(), n // chunk)
@@ -126,20 +136,29 @@ def for_each_chunk(fn, n, chunk):
         todo.put(i)
     failures = [None] * len(slices)
 
-    def work():
-        while True:
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
-                return
+    def take():
+        try:
+            return todo.get_nowait()
+        except queue.Empty:
+            return None
+
+    def work(caller=False):
+        while (i := take()) is not None:
             try:
                 fn(slices[i])
             except BaseException as exc:  # raised in the caller once every chunk is done
+                if caller and not isinstance(exc, Exception):
+                    while take() is not None:  # an interrupt: no worker takes another chunk
+                        pass
+                    raise
                 failures[i] = exc
 
-    tasks = [_pool().submit(contextvars.copy_context().run, work) for _ in range(workers)]
-    for task in tasks:
-        task.result()
+    tasks = [_pool().submit(contextvars.copy_context().run, work) for _ in range(workers - 1)]
+    try:
+        work(caller=True)
+    finally:
+        for task in tasks:
+            task.result()
     first = next((exc for exc in failures if exc is not None), None)
     if first is not None:
         raise first

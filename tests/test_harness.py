@@ -969,15 +969,19 @@ class TestRefusedWrites:
     and ``train`` stream their test set into ``test.nld``, 10 blocks of 8
     rows here; ``inject`` writes ``noisy_train.nld`` by header, features,
     given and true labels. The disk fills on the first write of the file or
-    mid-stream, each time after a short write of half a buffer."""
+    mid-stream, each time after a short write of half a buffer. Every
+    artifact, text or binary, goes through the one writer, so the full disk
+    refuses the file under test alone."""
 
     @staticmethod
-    def fill_disk_at(monkeypatch, at):
-        """``os.pwrite`` writes half the bytes of call ``at`` and refuses
-        every call after it."""
+    def fill_disk_at(monkeypatch, at, path):
+        """``os.pwrite`` to the file ``path`` writes half the bytes of call
+        ``at`` and refuses every call after it; other files are written."""
         pwrite, calls = os.pwrite, []
 
         def full(fd, data, offset):
+            if not (path.exists() and os.path.samestat(os.fstat(fd), os.stat(path))):
+                return pwrite(fd, data, offset)
             calls.append(offset)
             if len(calls) > at:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -999,7 +1003,7 @@ class TestRefusedWrites:
             extra = ["--data", str(tmp_path / "train.nld")]
             save_dataset(resolved(tmp_path)[0], extra[1])
         monkeypatch.setattr("noiseattn.data._STREAM_VALUES", 16)
-        self.fill_disk_at(monkeypatch, 1 if where == "first" else mid)
+        self.fill_disk_at(monkeypatch, 1 if where == "first" else mid, out / written)
         assert cli_main([command, "--config", str(cfg_path), *extra]) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
@@ -1007,6 +1011,51 @@ class TestRefusedWrites:
         assert captured.out == ""
         assert sorted(p.name for p in out.iterdir()) == {
             "synth": [], "inject": [], "train": ["config_echo.cfg", "metrics.csv"]}[command]
+
+    @pytest.mark.parametrize("refusal", ["a directory", "a full disk"])
+    @pytest.mark.parametrize("command, stage, written", [
+        ("train", "setup", "config_echo.cfg"),
+        ("train", "data", "flips.csv"),
+        ("train", "na", "q_stage0_unit01.csv"),
+        ("train", "na", "q_stage0_unit01.pgm"),
+        ("train", "eval", "q_final_unit01.csv"),
+        ("train", "eval", "metrics.csv"),
+        ("train", "eval", "report.json"),
+        ("recurse", "data", "flips.csv"),
+        ("recurse", "eval", "q_final_unit01.pgm"),
+        ("recurse", "eval", "metrics.csv"),
+        ("recurse", "eval", "report.json"),
+        ("inject", "config", "flips.csv"),
+        ("export-q", "config", "q_unit01.csv"),
+        ("export-q", "config", "q_unit01.pgm")])
+    def test_a_refused_text_artifact_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                       command, stage, written, refusal):
+        """Text artifacts go through the same writer: a directory in the
+        file's place, or a full disk at its first write, is one error line
+        naming the file, of the stage that writes it in a run, and exit 2;
+        an unfinished file is removed."""
+        cfg_path, out = tmp_path / "c.cfg", tmp_path / "out"
+        cfg_path.write_text(BASE_CFG.format(out=out) + "recursion.iterations = 1\n")
+        data, snapshot = tmp_path / "train.nld", tmp_path / "m.nam"
+        save_dataset(resolved(tmp_path)[0], data)
+        save_snapshot(snapshot, Network(parse_arch("dense:2:12,relu,dense:12:3"), (2,), seed=0),
+                      [NAModel(3)])
+        args = {"train": ["--config", str(cfg_path)],
+                "recurse": ["--config", str(cfg_path), "--snapshot", str(snapshot)],
+                "inject": ["--config", str(cfg_path), "--data", str(data)],
+                "export-q": ["--snapshot", str(snapshot), "--out", str(out)]}[command]
+        if refusal == "a directory":
+            (out / written).mkdir(parents=True)
+            reason = "Is a directory"
+        else:
+            self.fill_disk_at(monkeypatch, 1, out / written)
+            reason = "No space left on device"
+        assert cli_main([command, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error [{stage}] cannot write {out / written}: {reason}"]
+        assert captured.out == ""
+        assert (out / written).is_dir() == (refusal == "a directory")
 
 
 class TestEvalOnTheChunkPool:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -420,6 +421,36 @@ class TestChunkPool:
             _errors(net, x, np.zeros(len(x), dtype=int))
         assert sorted(returned) == [2, 3]
 
+    def test_an_interrupt_in_the_callers_chunk_takes_no_other_chunk(self, monkeypatch):
+        """Of four chunks on two workers, the calling thread's first chunk
+        raises ``KeyboardInterrupt`` while the pool thread holds another: the
+        interrupt reaches the caller once that chunk has returned, and no
+        worker takes a third chunk."""
+        monkeypatch.setattr("noiseattn.nn._cpus", lambda: 2)
+        net, x = self.numbered_rows(4 * EVAL_CHUNK)
+        forward, caller = net.forward, threading.get_ident()
+        taken, returned, pool_busy = {"caller": [], "pool": []}, [], threading.Event()
+
+        def interrupted(batch, cache=True):
+            chunk = int(batch[0, 0]) // EVAL_CHUNK
+            if threading.get_ident() == caller:
+                taken["caller"].append(chunk)
+                pool_busy.wait(timeout=10)
+                raise KeyboardInterrupt
+            taken["pool"].append(chunk)
+            pool_busy.set()
+            time.sleep(0.3)
+            out = forward(batch, cache)
+            returned.append(chunk)
+            return out
+
+        net.forward = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            _errors(net, x, np.zeros(len(x), dtype=int))
+        assert pool_busy.is_set()
+        assert len(taken["caller"]) == len(taken["pool"]) == 1
+        assert returned == taken["pool"]
+
     def test_every_chunk_runs_once_under_fast_thread_switches(self, monkeypatch):
         """More workers than cores take the chunks from one queue while the
         interpreter switches threads every microsecond: none is lost or
@@ -488,6 +519,72 @@ def test_paths_without_two_full_chunks_start_no_thread(tmp_path):
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# A three-chunk evaluation (two full chunks and a remainder) of a two-head
+# view, at one CPU and then at argv[1] CPUs (``nn._cpus`` patched); prints the
+# digests of the chunks' probabilities and the errors, which must not depend
+# on the CPU count.
+SPLIT = """
+import hashlib, sys, threading, time
+import numpy as np
+import noiseattn.nn
+from noiseattn import AttributeSpec, Dense, MultiHeadNetwork, Network, ReLU, evaluate
+from noiseattn.multihead import _errors
+from noiseattn.nn import EVAL_CHUNK
+
+rng = np.random.default_rng(4)
+n = 2 * EVAL_CHUNK + 123
+x = rng.normal(size=(n, 20))
+y = np.stack([rng.integers(0, 3, n), rng.integers(0, 5, n)], axis=1)
+view = MultiHeadNetwork(Network([Dense(20, 32), ReLU()], (20,), seed=2),
+                        AttributeSpec([3, 5], ["a", "b"]), seed=3)
+forward, chunks = view.forward, {}
+
+def scored(batch, cache=True):
+    on_main = threading.current_thread() is threading.main_thread()
+    if not on_main:
+        time.sleep(0.05)  # the caller's turn comes, however threads are scheduled
+    probs = forward(batch, cache)
+    chunks[hashlib.sha256(batch).hexdigest()] = (
+        on_main, [hashlib.sha256(p).hexdigest() for p in probs])
+    return probs
+
+def chunk_threads():
+    return sum(t.name.startswith("noiseattn-chunk") for t in threading.enumerate())
+
+view.forward = scored
+results = []
+for cpus in (1, int(sys.argv[1])):
+    noiseattn.nn._cpus = lambda: cpus
+    chunks.clear()
+    evaluate(view, x, y)
+    assert len(chunks) == 3
+    assert chunk_threads() == (cpus > 1), chunk_threads()
+    assert any(on_main for on_main, _ in chunks.values())
+    digests = sorted((key, probs) for key, (_, probs) in chunks.items())
+    results.append((repr(_errors(view, x, y)), digests))
+assert results[0] == results[1]
+print(results[1])
+"""
+
+
+def test_a_three_chunk_evaluation_starts_one_thread_beside_the_caller(tmp_path):
+    """In fresh processes at 2 and at 3 CPUs, an evaluation of two full
+    chunks and a remainder starts exactly one ``noiseattn-chunk`` thread and
+    scores at least one chunk on the main thread; each chunk's
+    probabilities and the errors of ``_errors`` have the bits of one CPU."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    printed = []
+    for cpus in ("2", "3"):
+        proc = subprocess.run([sys.executable, "-c", SPLIT, cpus],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
 
 
 class TestSoftmax:

@@ -187,6 +187,20 @@ def binary_file_io(node) -> bool:
         isinstance(mode, ast.Constant) and "b" in str(mode.value) for mode in modes)
 
 
+def file_write(node) -> bool:
+    """A call of ``open`` with a literal mode that writes (holds ``w``,
+    ``a``, ``x`` or ``+``), or of ``write_text``, ``write_bytes``,
+    ``savetxt`` or ``tofile``."""
+    if not isinstance(node, ast.Call):
+        return False
+    if any(names(node.func, name) for name in ("write_text", "write_bytes", "savetxt", "tofile")):
+        return True
+    at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode) or path.open(mode)
+    modes = node.args[at:at + 1] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return names(node.func, "open") and any(
+        isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+") for mode in modes)
+
+
 RAW_READS = ("open", "pread", "preadv", "preadv2")
 RAW_WRITES = ("write", "writev", "pwrite", "pwritev", "pwritev2")
 
@@ -205,8 +219,11 @@ def test_one_binary_layer():
     """NLD1 and NAM files are written by ``data._Writer`` and read by
     ``data._Reader``; no other code opens a file in binary mode, only the
     reader makes raw or positional reads and only the writer raw or
-    positional writes."""
+    positional writes. Text artifacts are written by ``data._Writer`` too:
+    no other code opens a file to write or writes one by ``write_text``,
+    ``write_bytes``, ``savetxt`` or ``tofile``."""
     assert functions_where(binary_file_io) == {"data._Writer.__init__", "data._Reader.__init__"}
+    assert functions_where(file_write) == {"data._Writer.__init__"}
     for owner, calls in (("data._Reader", RAW_READS), ("data._Writer", RAW_WRITES)):
         raw = functions_where(lambda node: raw_file_io(node, calls))
         assert raw and {where.rpartition(".")[0] for where in raw} == {owner}

@@ -117,8 +117,7 @@ def _cmd_eval(args) -> int:
     view, _ = load_snapshot(args.snapshot)
     dataset = load_dataset(args.data, features=False)
     _check_fit(view, dataset, "test")
-    _print_errors("test error", evaluate(view, dataset.features, dataset.true_labels),
-                  view.attributes)
+    _print_errors("test error", evaluate(view, dataset), view.attributes)
     return 0
 
 

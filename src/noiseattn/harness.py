@@ -33,7 +33,6 @@ writes.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -50,14 +49,14 @@ from .attention import NAModel
 from .config import (ExperimentConfig, _parse_attributes, parse_arch, parse_config_text,
                      parse_input_shape, serialize_arch, serialize_attributes,
                      serialize_input_shape, validate_paths)
-from .data import (FeatureFile, _Reader, _write, _write_text, generate_synthetic,
-                   generate_synthetic_multi, inject_noise, load_dataset, save_dataset)
-from .errors import (ConfigError, FormatError, NoiseAttnError, StageError, in_epoch,
+from .data import (_Reader, _write, _write_text, generate_synthetic, generate_synthetic_multi,
+                   inject_noise, load_dataset, save_dataset)
+from .errors import (ConfigError, DataError, FormatError, NoiseAttnError, StageError, in_epoch,
                      out_of_memory)
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
 from .nn import EVAL_CHUNK, Dense, Network, check_labels, label_columns, param_count
 from .recursion import run_recursion
-from .training import OneHead, Trainer, _loss_total, _param_chain, as_heads, split_train_val
+from .training import OneHead, Trainer, _loss_total, _param_chain, split_train_val
 
 SNAPSHOT_MAGIC = b"NAM1"
 SNAPSHOT_VERSION = 1
@@ -91,18 +90,16 @@ class MetricsLog:
 # Evaluation
 
 
-def evaluate(net, features, true_labels):
-    """Test error of a ``Network`` or heads view, through the base network
-    only: the top-1 error of a ``OneHead``, or (per-attribute errors, joint
-    error) of a ``MultiHeadNetwork``. ``features`` is an array, or a
-    ``FeatureFile``, which the call opens, so each evaluation chunk reads
-    its own rows of the file."""
-    view = as_heads(net)
-    opened = features if isinstance(features, FeatureFile) else contextlib.nullcontext(features)
-    with opened as rows:
+def evaluate(view, test_set):
+    """Test error of the heads view ``view`` on the true labels of
+    ``test_set``, through the base network only: the top-1 error of a
+    ``OneHead``, or (per-attribute errors, joint error) of a
+    ``MultiHeadNetwork``. The set's features are its ``FeatureFile``,
+    which the call opens, so each evaluation chunk reads its own rows."""
+    with test_set.features as rows:
         if view.attributes is None:
-            return _errors(view, rows, true_labels)[1]
-        return evaluate_all_metric(view, rows, true_labels)
+            return _errors(view, rows, test_set.true_labels)[1]
+        return evaluate_all_metric(view, rows, test_set.true_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +171,13 @@ def _meta_lines(view, models):
     return "\n".join(lines)
 
 
-def save_snapshot(path, net, models):
+def save_snapshot(path, view, models):
     """Write a NAM snapshot through ``data._write``: magic "NAM1", u32
     version, u32 metadata length, the metadata lines, u64 parameter count,
-    then each parameter as float64 in ``_param_chain`` order. ``net`` is a
-    ``Network`` or a heads view with one model per head; the header's kind,
-    input shape, arch and classes (or attributes) are read from the view,
-    so they describe the parameters written."""
-    view = as_heads(net)
+    then each parameter as float64 in ``_param_chain`` order. ``view`` is a
+    heads view with one model per head; the header's kind, input shape,
+    arch and classes (or attributes) are read from it, so they describe
+    the parameters written."""
     meta = _meta_lines(view, models).encode()
     chain = [p for _, p in _param_chain(view, models)]
     head = (SNAPSHOT_MAGIC + struct.pack("<II", SNAPSHOT_VERSION, len(meta)) + meta
@@ -304,8 +300,9 @@ def resolve_data(cfg: ExperimentConfig, out_dir):
     a generated training set is saved as ``train.nld``. A loaded test set,
     ``data.test_path``, is opened as ``noiseattn eval`` opens it, its sizes
     and labels read and checked, and its features read and checked one
-    ``EVAL_CHUNK`` chunk at a time, so a non-finite one is an error of this
-    stage. Either way the test set's features are its ``FeatureFile``."""
+    ``EVAL_CHUNK`` chunk at a time, so a non-finite one, or a set without
+    rows, is an error of this stage. Either way the test set's features are
+    its ``FeatureFile``."""
     if cfg.data.source == "synthetic":
         test_path = Path(out_dir) / "test.nld"
         if cfg.attributes is not None:
@@ -317,6 +314,8 @@ def resolve_data(cfg: ExperimentConfig, out_dir):
     else:
         train = load_dataset(cfg.data.train_path)
         test = load_dataset(cfg.data.test_path, features=False)
+        if not test.n:
+            raise DataError(f"test set {cfg.data.test_path} holds no rows")
         with test.features as rows:
             for start in range(0, test.n, EVAL_CHUNK):
                 rows[start:start + EVAL_CHUNK]  # read to check, then dropped
@@ -457,7 +456,7 @@ def _test_rows(run, view, test_ds, stage_name, iteration, epoch):
     run, whose errors are (per-attribute errors, joint error). Without
     ``test_ds`` the rows repeat the latest evaluation."""
     if test_ds is not None:
-        run.errors = evaluate(view, test_ds.features, test_ds.true_labels)
+        run.errors = evaluate(view, test_ds)
     if view.attributes is None:
         rows = [("error", run.errors)]
     else:

@@ -79,13 +79,16 @@ def _errors(net, features, true_labels) -> tuple[list[float], float]:
     chunks, on the calling thread and the chunk pool's when the rows hold
     two full chunks and the process has two CPUs; every chunk keeps its
     rows, so the result has the same bits on any number of threads.
-    ``features`` is an (N, D) array or an open ``data.FeatureFile``, whose
-    ``[rows]`` reads the chunk's rows."""
+    ``features`` is the validation rows' (N, D) array or a test set's open
+    ``data.FeatureFile``, whose ``[rows]`` reads the chunk's rows. A set
+    without rows is a ``DataError`` of its own."""
     n = features.shape[0]
+    if not n:
+        raise DataError("the set to evaluate holds no rows")
     columns = [] if true_labels is None else label_columns(true_labels)
-    if not n or len(columns) != len(net.names) or any(y.shape != (n,) for y in columns):
+    if len(columns) != len(net.names) or any(y.shape != (n,) for y in columns):
         got = ("" if true_labels is None else f": one column per head ({len(net.names)}) of "
-               f"the {n} feature rows, none empty; got shape {np.shape(true_labels)}")
+               f"the {n} feature rows; got shape {np.shape(true_labels)}")
         raise DataError(f"evaluation needs true labels{got}")
     wrong = [np.empty(n, dtype=bool) for _ in columns]
 

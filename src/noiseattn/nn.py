@@ -498,18 +498,16 @@ class Network:
     """Feed-forward layer stack with explicit, cached backward passes.
 
     Shape compatibility between consecutive layers is validated at build
-    time; the parameter set is fixed afterwards. ``forward`` accepts either
-    a batch shaped (B, *input_shape) or flat rows (B, prod(input_shape)).
-    The layers before the first Dense (Conv2D, ReLU, MaxPool2x2, Flatten)
-    form the blocked prefix of a forward-only pass; a network that starts
-    with Dense has none. A ReLU after any layer other than Flatten works
-    in place, on an array an earlier layer made; the caller's batch is
-    never written (see the module docstring).
+    time; the parameter set is fixed afterwards. ``input_shape`` is a
+    tuple. ``forward`` takes flat rows, (B, prod(input_shape)), as a
+    dataset holds them. The layers before the first Dense (Conv2D, ReLU,
+    MaxPool2x2, Flatten) form the blocked prefix of a forward-only pass; a
+    network that starts with Dense has none. A ReLU after any layer other
+    than Flatten works in place, on an array an earlier layer made; the
+    caller's batch is never written (see the module docstring).
     """
 
     def __init__(self, specs, input_shape, seed=0):
-        if isinstance(input_shape, int):
-            input_shape = (input_shape,)
         self.specs = tuple(specs)
         if not self.specs:
             raise ConfigError("network has no layers")
@@ -544,11 +542,11 @@ class Network:
                 for name, p in zip("wb", layer.params())]
 
     def first_non_finite(self, batch):
-        """A forward-only pass over the whole of ``batch``, a batch that
-        ``forward`` accepts, one layer at a time; it stops at the first layer
-        whose output holds a NaN or an inf. Returns that layer, as ``layer
-        <index> (<kind>), largest |parameter| <value>``, or None, and the
-        last output."""
+        """A forward-only pass over the whole of ``batch``, flat rows as
+        ``forward`` takes them, one layer at a time; it stops at the first
+        layer whose output holds a NaN or an inf. Returns that layer, as
+        ``layer <index> (<kind>), largest |parameter| <value>``, or None,
+        and the last output."""
         x = np.asarray(batch, dtype=np.float64).reshape((-1,) + self.input_shape)
         for i, (spec, layer) in enumerate(zip(self.specs, self.layers)):
             x = layer.forward(x, False)
@@ -558,7 +556,8 @@ class Network:
         return None, x
 
     def forward(self, batch, cache=True):
-        """The network's output for ``batch``.
+        """The network's output for ``batch``, (B, prod(input_shape)) flat
+        rows, which a multi-axis input shape sees as (B, *input_shape).
 
         With ``cache`` every layer keeps what its backward needs. Without
         it the pass is forward-only: no layer keeps anything, the blocked
@@ -574,14 +573,13 @@ class Network:
         and each of them writes the same False.
         """
         batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim == 2 and len(self.input_shape) > 1:
-            if batch.shape[1] != self._flat_width:
-                raise ConfigError(f"batch width {batch.shape[1]} != input size {self._flat_width}")
-            batch = batch.reshape((batch.shape[0],) + self.input_shape)
-        if batch.ndim != 1 + len(self.input_shape) or batch.shape[1:] != self.input_shape:
-            raise ConfigError(f"batch shape {batch.shape} does not match input {self.input_shape}")
+        if batch.ndim != 2 or batch.shape[1] != self._flat_width:
+            raise ConfigError(f"batch shape {batch.shape} is not rows of {self._flat_width} "
+                              f"values, the input {self.input_shape} flat")
         if batch.shape[0] < 1:
             raise ConfigError("empty batch")
+        if len(self.input_shape) > 1:
+            batch = batch.reshape((batch.shape[0],) + self.input_shape)
         self._forward_done = False
         if cache or not self._block_end:
             out = _run(self.layers, batch, cache)

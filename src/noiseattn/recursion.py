@@ -123,7 +123,7 @@ def snapshot_probs(net, models, features, given_labels):
 
 
 def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, *,
-                  val_metric, on_iteration=None):
+                  val_metric, on_iteration):
     """Drive the outer self-distillation rounds that ``schedule`` sets out.
 
     ``trainer`` owns the network/units being refined in place; each round's
@@ -132,8 +132,9 @@ def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, 
     ends. ``val_metric()`` returns the stopping quantity (lower is better)
     and is evaluated once at entry (round 0) and after every round. The
     model left on the trainer after the last round is the final model.
-    Returns a list of per-round records. The set and its labels are
-    checked here, once, before anything is evaluated or trained.
+    Returns the per-round records, each passed to ``on_iteration`` as its
+    round ends. The set and its labels are checked here, once, before
+    anything is evaluated or trained.
     """
     if features.shape[0] == 0:
         raise DataError("empty dataset")
@@ -155,8 +156,7 @@ def run_recursion(trainer, features, given_labels, schedule: RecursionSchedule, 
         record = {"iteration": t, "alpha": alpha, "train_losses": losses,
                   "val_metric": metric, "improvement": improvement}
         records.append(record)
-        if on_iteration is not None:
-            on_iteration(record)
+        on_iteration(record)
         if improvement < schedule.min_improvement:
             break
     return records

@@ -1,12 +1,12 @@
 """Epoch-level training loops shared by the pipeline stages.
 
-A trainer owns a network whose ``forward`` returns one probability batch
-per attribute, one noise model per attribute, and their optimizers. A
-single-label network is the one-attribute case: ``OneHead`` gives it that
-interface. Per-attribute losses are summed and every head's gradient
-reaches the shared layers. There is one objective: the NLL of each
-label after routing its sample through the unit of the attribute's model
-that makes the label most likely. Pretraining is this objective while
+A trainer owns a heads view, a network whose ``forward`` returns one
+probability batch per attribute, one noise model per attribute, and their
+optimizers. A single-label ``Network`` is the one-attribute case, seen
+through ``OneHead``. Per-attribute losses are summed and every head's
+gradient reaches the shared layers. There is one objective: the NLL of
+each label after routing its sample through the unit of the attribute's
+model that makes the label most likely. Pretraining is this objective while
 each model holds only unit 0, the identity: ``probs @ I`` is exact, so the
 routed loss and gradient are then the plain softmax NLL's, bit for bit.
 """
@@ -90,11 +90,6 @@ class OneHead:
         self.trunk.backward(dlogits_list[0], input_grad=False)
 
 
-def as_heads(net):
-    """``net`` as attribute heads: a plain ``Network`` becomes ``OneHead(net)``."""
-    return OneHead(net) if isinstance(net, Network) else net
-
-
 def _loss_total(losses) -> float:
     """Sequential sum of per-attribute losses. A single loss is returned as
     it is: ``0.0 + -0.0`` is ``+0.0``, so summing would change its sign."""
@@ -148,20 +143,19 @@ def _soft_head(probs, supervisions, model):
 class Trainer:
     """Owns one network, one noise model per attribute, and their optimizers.
 
-    ``net`` is a plain ``Network`` (wrapped in ``OneHead``) or a heads
-    view such as ``MultiHeadNetwork``, whose ``forward`` returns one
-    probability batch per head. ``na_models`` default to one identity-only
-    ``NAModel`` per attribute, so epochs before the first ``add_unit``
-    are pretraining. ``unit_opts[k]`` steps model k's units after unit 0, in
-    ``_param_chain`` order. Labels are (N,) for one attribute or (N, K) for K;
-    each epoch checks them against the heads once, before the first step.
-    Mini-batch order comes from a dedicated shuffle stream seeded by the
-    run seed, so two trainers built with the same seed walk the data in
-    the same order.
+    ``net`` is a heads view, a ``OneHead`` or a ``MultiHeadNetwork``, whose
+    ``forward`` returns one probability batch per head. ``na_models``
+    default to one identity-only ``NAModel`` per attribute, so epochs before
+    the first ``add_unit`` are pretraining. ``unit_opts[k]`` steps model k's
+    units after unit 0, in ``_param_chain`` order. Labels are (N,) for one
+    attribute or (N, K) for K; each epoch checks them against the heads
+    once, before the first step. Mini-batch order comes from a dedicated
+    shuffle stream seeded by the run seed, so two trainers built with the
+    same seed walk the data in the same order.
     """
 
     def __init__(self, net, settings: TrainSettings, na_models=(), seed=0):
-        self.net = as_heads(net)
+        self.net = net
         self.na_models = list(na_models) or [NAModel(c) for c in self.net.class_counts]
         if [m.n_classes for m in self.na_models] != self.net.class_counts:
             raise ConfigError(f"noise models for {[m.n_classes for m in self.na_models]} "

@@ -7,6 +7,8 @@ entries then sit far above the noise floor and the relative-error
 tolerance measures gradient correctness rather than oracle noise.
 """
 
+import math
+
 import numpy as np
 
 from noiseattn import (Conv2D, Dense, Flatten, MaxPool2x2, NAModel, Network, ReLU,
@@ -77,7 +79,7 @@ def build_fixture(seed):
     make_specs, input_shape, c = _ARCHS[seed % len(_ARCHS)]
     net = Network(make_specs(), input_shape, seed=(seed, 77))
     batch = 4 + seed % 3
-    x = rng.normal(size=(batch,) + input_shape)
+    x = rng.normal(size=(batch, math.prod(input_shape)))  # flat rows, as a dataset holds them
     path = seed % 3  # 0 plain, 1 routed hard, 2 soft
 
     if path == 0:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from noiseattn import (ConfigError, Dense, NAModel, Network, NoiseUnit, ReLU,
+from noiseattn import (ConfigError, Dense, NAModel, Network, NoiseUnit, OneHead, ReLU,
                        Trainer, TrainSettings, UnitSchedule, attention_outputs,
                        generate_synthetic,
                        inject_noise,
@@ -315,7 +315,8 @@ class TestFastPathsMatchLoops:
             c = int(rng.integers(2, 12))
             mats = messy_matrices(rng, case, units, c)
             fast, ref = model_pair(mats) if units else (NAModel(c), NAModel(c))
-            trainer = Trainer(Network([Dense(2, c)], (2,), seed=0), TrainSettings(), [fast])
+            trainer = Trainer(OneHead(Network([Dense(2, c)], (2,), seed=0)), TrainSettings(),
+                              [fast])
             arrays = [u.q.data for u in fast.units]
             with np.errstate(invalid="ignore"):
                 trainer._project_units()
@@ -402,7 +403,7 @@ class TestInfer:
         train, test = generate_synthetic(SyntheticSpec(
             kind="blobs", classes=3, dim=2, n_train=400, n_test=200, seed=25))
         net = Network([Dense(2, 16), ReLU(), Dense(16, 3)], (2,), seed=26)
-        trainer = Trainer(net, TrainSettings(lr=0.05, batch_size=32), seed=27)
+        trainer = Trainer(OneHead(net), TrainSettings(lr=0.05, batch_size=32), seed=27)
         for _ in range(40):
             trainer.train_epoch(train.features, train.given_labels)
         preds = infer(net, test.features).argmax(axis=1)
@@ -416,7 +417,8 @@ class TestTrainingInvariants:
         noisy, _ = inject_noise(train, NoiseSpec(mode="uniform", rho=(0.3,), seed=seed + 1), [3])
         net = Network([Dense(2, 12), ReLU(), Dense(12, 3)], (2,), seed=seed)
         model = NAModel(3)
-        trainer = Trainer(net, TrainSettings(lr=0.05, batch_size=32), [model], seed=seed)
+        trainer = Trainer(OneHead(net), TrainSettings(lr=0.05, batch_size=32), [model],
+                          seed=seed)
         schedule = UnitSchedule(pretrain_epochs=1, patience=1, improvement_threshold=1e-3,
                                 max_units=3, init_jitter=1e-3)
         trainer.add_unit(schedule)
@@ -455,7 +457,7 @@ class TestReduction:
         net_na = Network([Dense(2, 10), ReLU(), Dense(10, 3)], (2,), seed=(33, 1))
         plain_losses = plain_epochs(net_plain, settings, noisy.features, noisy.given_labels,
                                     seed=34, epochs=5)
-        na = Trainer(net_na, settings, seed=34)
+        na = Trainer(OneHead(net_na), settings, seed=34)
         assert [m.active_count for m in na.na_models] == [1]
         na_losses = [na.train_epoch(noisy.features, noisy.given_labels) for _ in range(5)]
         assert np.array(na_losses).tobytes() == np.array(plain_losses).tobytes()

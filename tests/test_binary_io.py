@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, Dataset, Dense, FormatError, MultiHeadNetwork, NAModel,
-                       Network, ReLU, load_dataset, load_snapshot, save_dataset, save_snapshot)
+                       Network, OneHead, ReLU, load_dataset, load_snapshot, save_dataset,
+                       save_snapshot)
 from noiseattn.data import _HEADER, NLD1_MAGIC, NLD1_VERSION, _Reader
 from noiseattn.harness import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _meta_lines
-from noiseattn.training import _param_chain, as_heads
+from noiseattn.training import _param_chain
 from peaks import traced_peak
 
 
@@ -38,8 +39,7 @@ def bytearray_nld(dataset):
     return bytes(blob)
 
 
-def bytearray_nam(net, models):
-    view = as_heads(net)
+def bytearray_nam(view, models):
     meta = _meta_lines(view, models).encode()
     chain = [p for _, p in _param_chain(view, models)]
     vec = np.concatenate([p.data.ravel() for p in chain]) if chain else np.zeros(0)
@@ -69,7 +69,7 @@ def models_with_units(class_counts, seed):
 
 
 def views():
-    single = Network([Dense(5, 8), ReLU(), Dense(8, 3)], (5,), seed=4)
+    single = OneHead(Network([Dense(5, 8), ReLU(), Dense(8, 3)], (5,), seed=4))
     multi = MultiHeadNetwork(Network([Dense(4, 6), ReLU()], (4,), seed=5),
                              AttributeSpec([3, 4], ["a", "b"]), seed=6)
     return {"single": (single, models_with_units([3], 7)),
@@ -85,12 +85,12 @@ def test_save_dataset_writes_the_bytearray_bytes(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["single", "multi"])
 def test_save_snapshot_writes_the_bytearray_bytes(tmp_path, kind):
-    net, models = views()[kind]
-    save_snapshot(tmp_path / "s.nam", net, models)
-    assert (tmp_path / "s.nam").read_bytes() == bytearray_nam(net, models)
-    view, loaded = load_snapshot(tmp_path / "s.nam")
-    assert [(name, p.data.tobytes()) for name, p in _param_chain(view, loaded)] == [
-        (name, p.data.tobytes()) for name, p in _param_chain(as_heads(net), models)]
+    view, models = views()[kind]
+    save_snapshot(tmp_path / "s.nam", view, models)
+    assert (tmp_path / "s.nam").read_bytes() == bytearray_nam(view, models)
+    loaded_view, loaded = load_snapshot(tmp_path / "s.nam")
+    assert [(name, p.data.tobytes()) for name, p in _param_chain(loaded_view, loaded)] == [
+        (name, p.data.tobytes()) for name, p in _param_chain(view, models)]
 
 
 def owner(array):

@@ -91,6 +91,13 @@ CASES["conv_blocks"] = {**CASES["single_conv"], "data.synthetic.n_train": "700",
 CASES["conv_one_channel"] = {**CASES["single_conv"],
                              "arch.layers": "conv:1:1:3,relu,pool,flatten,dense:25:4"}
 
+# The single_conv data through two conv layers. Every other case's conv is
+# the first layer, whose backward computes no input gradient; here the
+# second conv's backward scatters its input gradient into the first's
+# output, 36 times in the run.
+CASES["conv_stack"] = {**CASES["single_conv"],
+                       "arch.layers": "conv:1:4:3,relu,conv:4:8:3,relu,pool,flatten,dense:128:4"}
+
 # multi_attr with three units per attribute: each attribute adds two, and the
 # run adds them interleaved (a, b, a, b), not model by model as a snapshot
 # holds them.
@@ -135,6 +142,11 @@ GOLDEN = {
         "metrics.csv": "e897aec86ee824f4b8d0e9b13c3da5675694c3f2e12585b7385cca4ad1ba39e1",
         "snapshot_final.nam": "04ea03fcee54df4b228e75d774c91aee9a28ffac0cdc067b8ae534818f0f79d1",
         "snapshot_stage0.nam": "3d06071f9da9378fc3563a8cdee7f8018def64f85441f71b86c18d98833d6ab8",
+    },
+    "conv_stack": {
+        "metrics.csv": "207baab385b7a1d88a41969d7368662349e995a63f9a83aeeca61180b8af862d",
+        "snapshot_final.nam": "3a1b4586e6aab3c0fa756bb7c442306cb55577c7b9fcec3b3dfd2d98a677004b",
+        "snapshot_stage0.nam": "934508d8545169ae3d6b4885fb9772ed0fc471633e57475537f5bb474f1ad20a",
     },
     "multi_three_units": {
         "metrics.csv": "e28f894c0a86559fde8a239731c39f1626330a12b2a0835b2e2cedcb131217a7",
@@ -184,6 +196,13 @@ CLI_GOLDEN = {
         "eval stdout": "699377512c263a1d7acb6f6c49f21be931f33d1157a485aa3c6bcb3ea1cd1d7f",
         "export-q stdout": "5dfad5f98d3af2396ac90d0644d424228aaec6dc218587bf2d376283bdf3c068",
         "export-q files": "f8e5117ba500820ede6866ddd1b3a9672ffc5a7193d8f4f3d53c18a9b60dc468",
+    },
+    "conv_stack": {
+        "recurse/metrics.csv": "12220c4c6a56079340aee39e0df1013a75b6c26ec4d442b58fee7ab935e10cb9",
+        "recurse/snapshot_final.nam": "3a9ff93c4d8520777c0e1eb0e6362232e4b4e65debb9aa7fbe2f084da4e9940d",
+        "eval stdout": "43f1ad5af175b434238d91dcad8238e35d606939e1690de76cfc6585aefdd479",
+        "export-q stdout": "5dfad5f98d3af2396ac90d0644d424228aaec6dc218587bf2d376283bdf3c068",
+        "export-q files": "703b3f18e3791e01766abf90ad5397c7f0c80f27c599b5a0654c6efb3fdbf84c",
     },
     "multi_three_units": {
         "recurse/metrics.csv": "755d37a7a0ee9ed48de230468a906f85e6f87f8e5591aa9ba39bda0f14a99dac",
@@ -352,6 +371,19 @@ FILE_GOLDEN = {
         "noisy_train.nld": "4b1fd9b939a70382a12ab069910e007ef1c9102986f0df68317c2d94c5ec7f40",
         "q_stage0_*": "b05a4c6f25fe57ce0a4002057a27e8007b0b9d295ce122ec3f7ae5b6c73831a3",
         "q_final_*": "8823f03270c71acd950af489e5044950e531ff3e479a95426bfa9bdc327d71a7",
+        "synth stdout": "0148ec1cae344716a9279165ff392f97fb629784a707bea00d5127453f987610",
+        "synth files": "24fb17b343323a1445051ef0ee15d140cfec25b0bd97ee86947dc61cc4aa03b2",
+        "inject stdout": "603f7d3981fc1c8d90131dd4e197624bf3813763e912dbfb29f4be307641bd8b",
+        "inject files": "c5b53c10c0cac0ca0e9e2ab04274da788a4aa1ff0efe2187cebcfe97407a7839",
+    },
+    "conv_stack": {
+        "report.json": "c4ce53cd91063c7850ea790169b54f56e057ba1a289195d28fe647665b24cef0",
+        "flips.csv": "f38e3089eeff5f73e31fc8ca23439212ee82e272da08f8f5def6d5eaf5fc6661",
+        "train.nld": "65d5c4e448f2165f055ad1e722be18446edf8ba190a8bc4ed67565ff7e71dd4a",
+        "test.nld": "30f86e611e00f838da7eefed45e648135640470d6faaf2435297a87847281a29",
+        "noisy_train.nld": "4b1fd9b939a70382a12ab069910e007ef1c9102986f0df68317c2d94c5ec7f40",
+        "q_stage0_*": "2074127b5f4cf07f83b9abe1f24ac38e85f969c30239995bac27467689b928d2",
+        "q_final_*": "517bc6b3eeee497adee871caa19ce4946826e20a3a5867017c7b172039ce17e0",
         "synth stdout": "0148ec1cae344716a9279165ff392f97fb629784a707bea00d5127453f987610",
         "synth files": "24fb17b343323a1445051ef0ee15d140cfec25b0bd97ee86947dc61cc4aa03b2",
         "inject stdout": "603f7d3981fc1c8d90131dd4e197624bf3813763e912dbfb29f4be307641bd8b",

@@ -29,6 +29,7 @@ from noiseattn.config import LAYER_KINDS
 from noiseattn.harness import MetricsLog
 from noiseattn.multihead import _errors
 from noiseattn.nn import EVAL_CHUNK
+from on_file import on_file
 from oracles import param_vector
 from peaks import traced_peak
 
@@ -55,9 +56,14 @@ na.patience = 2
 """
 
 
+def base_view():
+    """A one-head view of the network ``BASE_CFG`` describes."""
+    return OneHead(Network(parse_arch("dense:2:12,relu,dense:12:3"), (2,), seed=0))
+
+
 def write_single_snapshot(tmp_path):
     path = tmp_path / "m.nam"
-    save_snapshot(path, Network([Dense(2, 3)], (2,), seed=0), [NAModel(3)])
+    save_snapshot(path, OneHead(Network([Dense(2, 3)], (2,), seed=0)), [NAModel(3)])
     return path
 
 
@@ -188,7 +194,7 @@ class TestSnapshots:
         unit = model.add_unit(decay=0.002)
         unit.q.data[...] = project_column_stochastic(rng.uniform(size=(3, 3)))
         path = tmp_path / "m.nam"
-        save_snapshot(path, net, [model])
+        save_snapshot(path, OneHead(net), [model])
         view, (back,) = load_snapshot(path)
         assert view.attributes is None
         np.testing.assert_array_equal(param_vector(view.trunk), param_vector(net))
@@ -223,7 +229,7 @@ class TestSnapshots:
     def test_corrupt_magic(self, tmp_path):
         net = Network([Dense(2, 3)], (2,), seed=0)
         path = tmp_path / "m.nam"
-        save_snapshot(path, net, [NAModel(3)])
+        save_snapshot(path, OneHead(net), [NAModel(3)])
         blob = bytearray(path.read_bytes())
         blob[0] = 0
         path.write_bytes(bytes(blob))
@@ -233,7 +239,7 @@ class TestSnapshots:
     def test_parameter_count_validated(self, tmp_path):
         net = Network([Dense(2, 3)], (2,), seed=0)
         path = tmp_path / "m.nam"
-        save_snapshot(path, net, [NAModel(3)])
+        save_snapshot(path, OneHead(net), [NAModel(3)])
         path.write_bytes(path.read_bytes()[:-8])  # drop one parameter
         with pytest.raises(FormatError):
             load_snapshot(path)
@@ -307,7 +313,7 @@ class TestSnapshots:
         for _ in range(3):
             model.add_unit()
         path = tmp_path / "m.nam"
-        save_snapshot(path, Network([Dense(2, 3)], (2,), seed=0), [model])
+        save_snapshot(path, OneHead(Network([Dense(2, 3)], (2,), seed=0)), [model])
         self.rewrite_meta_line(path, "classes", replacement="classes = 6")
         self.rewrite_meta_line(path, "units", replacement="units = 1")
         self.rewrite_meta_line(path, "decays", replacement="decays = 0.0")
@@ -432,7 +438,7 @@ class TestSnapshots:
         model = NAModel(3)
         model.add_unit(decay=0.002)
         path = tmp_path / "m.nam"
-        save_snapshot(path, Network([Dense(2, 3)], (2,), seed=0), [model])
+        save_snapshot(path, OneHead(Network([Dense(2, 3)], (2,), seed=0)), [model])
         save_dataset(Dataset(np.zeros((3, 2)), [0, 1, 2], 3, [0, 1, 2]), tmp_path / "d.nld")
         assert cli_main(["eval", "--snapshot", str(path), "--data", str(tmp_path / "d.nld")]) == 0
         capsys.readouterr()
@@ -482,41 +488,43 @@ class TestExports:
 
 
 class TestEvaluate:
-    def test_uniform_random_predictor_binomial_oracle(self):
+    """``evaluate`` scores a heads view on a test set read from its file."""
+
+    def test_uniform_random_predictor_binomial_oracle(self, tmp_path):
         # an untrained net is label-independent: error ~ (C-1)/C
-        net = Network([Dense(3, 10)], (3,), seed=9)
         rng = np.random.default_rng(10)
         x = rng.normal(size=(10_000, 3))
         true = rng.integers(0, 10, size=10_000)
-        net2 = Network([Dense(3, 10)], (3,), seed=9)
-        err = evaluate(net2, x, true)
+        net = OneHead(Network([Dense(3, 10)], (3,), seed=9))
+        err = evaluate(net, on_file(tmp_path / "t.nld", x, true))
         assert abs(err - 0.9) <= 0.02
 
-    def test_missing_true_labels(self):
-        net = Network([Dense(2, 2)], (2,), seed=0)
-        with pytest.raises(DataError):
-            evaluate(net, np.zeros((2, 2)), None)
+    def test_missing_true_labels(self, tmp_path):
+        net = OneHead(Network([Dense(2, 2)], (2,), seed=0))
+        with pytest.raises(DataError, match="^evaluation needs true labels$"):
+            evaluate(net, on_file(tmp_path / "t.nld", np.zeros((2, 2)), None))
 
-    def test_perfect_model_zero_error(self):
+    def test_perfect_model_zero_error(self, tmp_path):
         net = Network([Dense(2, 2)], (2,), seed=0)
         net.layers[0].w.data[...] = np.array([[5.0, -5.0], [-5.0, 5.0]])
         x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
-        assert evaluate(net, x, np.array([0, 1, 0])) == 0.0
+        assert evaluate(OneHead(net), on_file(tmp_path / "t.nld", x, np.array([0, 1, 0]))) == 0.0
 
-    def test_one_evaluator_for_every_view(self):
-        """A ``Network`` and its ``OneHead`` give the top-1 error, a
-        ``MultiHeadNetwork`` (per-attribute errors, joint error)."""
+    def test_one_evaluator_for_every_view(self, tmp_path):
+        """A ``OneHead`` gives the top-1 error, a ``MultiHeadNetwork``
+        (per-attribute errors, joint error): the bits ``_errors`` gives on
+        the arrays."""
         rng = np.random.default_rng(14)
         x = rng.normal(size=(300, 2))
-        net = Network([Dense(2, 6), ReLU(), Dense(6, 3)], (2,), seed=3)
+        net = OneHead(Network([Dense(2, 6), ReLU(), Dense(6, 3)], (2,), seed=3))
         y = rng.integers(0, 3, size=300)
-        single = _errors(OneHead(net), x, y)[1]
-        assert evaluate(net, x, y) == evaluate(OneHead(net), x, y) == single
+        single = _errors(net, x, y)[1]
+        assert evaluate(net, on_file(tmp_path / "one.nld", x, y)) == single
         assert 0.0 < single < 1.0
         mh = MultiHeadNetwork(Network([Dense(2, 6), ReLU()], (2,), seed=3),
                               AttributeSpec([3, 4]), seed=3)
         ys = np.stack([rng.integers(0, 3, size=300), rng.integers(0, 4, size=300)], axis=1)
-        assert evaluate(mh, x, ys) == _errors(mh, x, ys)
+        assert evaluate(mh, on_file(tmp_path / "multi.nld", x, ys)) == _errors(mh, x, ys)
 
 
 class TestExtremeValues:
@@ -657,13 +665,13 @@ class TestRunExperiment:
 
     def test_evaluation_ignores_test_given_labels(self, tmp_path):
         cfg = make_cfg(tmp_path)
-        train_ds, test_ds = resolved(tmp_path)
-        net = Network(cfg.arch_specs, cfg.arch_input_shape, seed=1)
-        base = evaluate(net, test_ds.features, test_ds.true_labels)
+        test_ds = resolve_data(cfg, tmp_path)[1]  # scored from test.nld, as in a run
+        net = OneHead(Network(cfg.arch_specs, cfg.arch_input_shape, seed=1))
+        base = evaluate(net, test_ds)
         scrambled = test_ds.given_labels.copy()
         scrambled[...] = 0
         test_ds.given_labels = scrambled
-        assert evaluate(net, test_ds.features, test_ds.true_labels) == base
+        assert evaluate(net, test_ds) == base
 
 
 def split_case(n, d, val_fraction, seed=3):
@@ -892,8 +900,7 @@ class TestCLI:
         cfg_path = inputs / "c.cfg"
         cfg_path.write_text(text)
         snapshot = inputs / "m.nam"
-        save_snapshot(snapshot, Network(parse_arch("dense:2:12,relu,dense:12:3"), (2,), seed=0),
-                      [NAModel(3)])
+        save_snapshot(snapshot, base_view(), [NAModel(3)])
         data = inputs / "train.nld"
         save_dataset(resolved(tmp_path)[0], data)
         extra = {"recurse": ["--snapshot", str(snapshot)], "inject": ["--data", str(data)]}
@@ -930,9 +937,8 @@ class TestCLI:
         cfg_path.write_text(BASE_CFG.format(out=tmp_path / "unused") + "recursion.iterations = 1\n")
         data = tmp_path / "train.nld"
         save_dataset(resolved(tmp_path)[0], data)
-        specs = parse_arch("dense:2:12,relu,dense:12:3")
         snapshot = tmp_path / "m.nam"
-        save_snapshot(snapshot, Network(specs, (2,), seed=0), [NAModel(3)])
+        save_snapshot(snapshot, base_view(), [NAModel(3)])
         afile = tmp_path / "afile"
         afile.write_text("keep")
         extra = {"recurse": ["--snapshot", str(snapshot)], "inject": ["--data", str(data)],
@@ -950,8 +956,7 @@ class TestCLI:
         data = tmp_path / "train.nld"
         save_dataset(resolved(tmp_path)[0], data)
         snapshot = tmp_path / "m.nam"
-        save_snapshot(snapshot, Network(parse_arch("dense:2:12,relu,dense:12:3"), (2,), seed=0),
-                      [NAModel(3)])
+        save_snapshot(snapshot, base_view(), [NAModel(3)])
         extra = {"recurse": ["--snapshot", str(snapshot)], "inject": ["--data", str(data)],
                  "export-q": ["--snapshot", str(snapshot)]}.get(command, [])
         config = [] if command == "export-q" else ["--config", str(cfg_path)]
@@ -1038,8 +1043,7 @@ class TestRefusedWrites:
         cfg_path.write_text(BASE_CFG.format(out=out) + "recursion.iterations = 1\n")
         data, snapshot = tmp_path / "train.nld", tmp_path / "m.nam"
         save_dataset(resolved(tmp_path)[0], data)
-        save_snapshot(snapshot, Network(parse_arch("dense:2:12,relu,dense:12:3"), (2,), seed=0),
-                      [NAModel(3)])
+        save_snapshot(snapshot, base_view(), [NAModel(3)])
         args = {"train": ["--config", str(cfg_path)],
                 "recurse": ["--config", str(cfg_path), "--snapshot", str(snapshot)],
                 "inject": ["--config", str(cfg_path), "--data", str(data)],
@@ -1362,7 +1366,7 @@ class TestResume:
     def test_snapshot_must_match_the_config(self, tmp_path, capsys, key, value, named):
         specs = parse_arch(self.ENTRIES["arch.layers"])
         snapshot = tmp_path / "stage0.nam"
-        save_snapshot(snapshot, Network(specs, (4,), seed=0), [NAModel(4)])
+        save_snapshot(snapshot, OneHead(Network(specs, (4,), seed=0)), [NAModel(4)])
         entries = {**self.ENTRIES, "out": str(tmp_path / "resumed")}
         if key is not None:
             entries[key] = value
@@ -1379,8 +1383,8 @@ class TestResume:
         model = NAModel(4)
         model.add_unit(decay=0.002)
         snapshot = tmp_path / "stage0.nam"
-        save_snapshot(snapshot, Network(parse_arch(self.ENTRIES["arch.layers"]), (4,), seed=0),
-                      [model])
+        save_snapshot(snapshot, OneHead(Network(parse_arch(self.ENTRIES["arch.layers"]), (4,),
+                                                seed=0)), [model])
         TestSnapshots.rewrite_meta_line(snapshot, "decays", replacement="decays = 0.0,nan")
         entries = {**self.ENTRIES, "out": str(tmp_path / "resumed")}
         cfg_path = tmp_path / "c.cfg"
@@ -1396,8 +1400,8 @@ class TestResume:
         model = NAModel(4)
         model.units[0].q.data[...] = np.eye(4)[[1, 0, 3, 2]]
         snapshot = tmp_path / "stage0.nam"
-        save_snapshot(snapshot, Network(parse_arch(self.ENTRIES["arch.layers"]), (4,), seed=0),
-                      [model])
+        save_snapshot(snapshot, OneHead(Network(parse_arch(self.ENTRIES["arch.layers"]), (4,),
+                                                seed=0)), [model])
         entries = {**self.ENTRIES, "out": str(tmp_path / "resumed")}
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))

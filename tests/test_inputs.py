@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noiseattn import (AttributeSpec, Dataset, Dense, ExperimentConfig, MultiHeadNetwork,
-                       NAModel, Network, NoiseAttnError, ReLU, load_config, load_dataset,
+                       NAModel, Network, NoiseAttnError, OneHead, ReLU, load_config, load_dataset,
                        load_snapshot, save_dataset, save_snapshot)
 from noiseattn.cli import main as cli_main
 from peaks import traced_peak
@@ -45,7 +45,7 @@ def artifacts(tmp_path_factory):
                          [[0, 1], [1, 2], [1, 0], [1, 1]]), out / "multi.nld")
     model = NAModel(3)
     model.add_unit(decay=0.002, jitter=0.1, rng=rng)
-    save_snapshot(out / "single.nam", Network([Dense(2, 3)], (2,), seed=0), [model])
+    save_snapshot(out / "single.nam", OneHead(Network([Dense(2, 3)], (2,), seed=0)), [model])
     attrs = AttributeSpec([2, 3], ["a", "b"])
     specs = [Dense(2, 4), ReLU()]
     save_snapshot(out / "multi.nam", MultiHeadNetwork(Network(specs, (2,), seed=0), attrs),

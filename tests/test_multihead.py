@@ -17,6 +17,7 @@ import nnref
 from gradfixtures import grad_check
 from oracles import na_loss, nll_loss, nll_loss_grad
 from oracles import errors_by_chunk, multi_attribute_loss, multi_forward
+from on_file import on_file
 
 
 def small_mh(seed=0, class_counts=(3, 4)):
@@ -149,9 +150,9 @@ def metric(preds, true):
 
 
 class TestChunkedEvaluation:
-    """``evaluate`` over three chunks, the last one short, writes each
-    chunk's comparison into its result and gives the bits of the chunks'
-    predictions joined first (``oracles.errors_by_chunk``)."""
+    """``evaluate`` over three chunks of a test set's file, the last one
+    short, writes each chunk's comparison into its result and gives the bits
+    of the chunks' predictions joined first (``oracles.errors_by_chunk``)."""
 
     N = 2 * EVAL_CHUNK + 17
 
@@ -160,46 +161,50 @@ class TestChunkedEvaluation:
         per_attr, joint = errors if isinstance(errors, tuple) else ([], errors)
         return [e.hex() for e in per_attr] + [joint.hex()]
 
-    def test_one_head(self):
+    def test_one_head(self, tmp_path):
         rng = np.random.default_rng(61)
         net = OneHead(Network([Dense(6, 16), ReLU(), Dense(16, 3)], (6,), seed=61))
         x = rng.normal(size=(self.N, 6))
         y = rng.integers(0, 3, self.N)
-        assert self.hexes(evaluate(net, x, y)) == self.hexes(errors_by_chunk(net, x, y)[1])
+        assert (self.hexes(evaluate(net, on_file(tmp_path / "t.nld", x, y)))
+                == self.hexes(errors_by_chunk(net, x, y)[1]))
 
-    def test_multihead(self):
+    def test_multihead(self, tmp_path):
         rng = np.random.default_rng(62)
         net = MultiHeadNetwork(Network([Dense(6, 16), ReLU()], (6,), seed=62),
                                AttributeSpec([3, 4]), seed=62)
         x = rng.normal(size=(self.N, 6))
         y = np.stack([rng.integers(0, 3, self.N), rng.integers(0, 4, self.N)], axis=1)
-        assert self.hexes(evaluate(net, x, y)) == self.hexes(errors_by_chunk(net, x, y))
+        assert (self.hexes(evaluate(net, on_file(tmp_path / "t.nld", x, y)))
+                == self.hexes(errors_by_chunk(net, x, y)))
 
     # Four chunks, the last one short, on one worker (inline) and on two
     # (the chunk pool): the thread count moves no bit.
     N4 = 3 * EVAL_CHUNK + 17
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_head_on_one_or_two_workers(self, monkeypatch, workers):
+    def test_one_head_on_one_or_two_workers(self, monkeypatch, tmp_path, workers):
         monkeypatch.setattr("noiseattn.nn._cpus", lambda: workers)
         rng = np.random.default_rng(63)
         net = OneHead(Network([Dense(6, 16), ReLU(), Dense(16, 3)], (6,), seed=63))
         x = rng.normal(size=(self.N4, 6))
         y = rng.integers(0, 3, self.N4)
-        assert self.hexes(evaluate(net, x, y)) == self.hexes(errors_by_chunk(net, x, y)[1])
+        assert (self.hexes(evaluate(net, on_file(tmp_path / "t.nld", x, y)))
+                == self.hexes(errors_by_chunk(net, x, y)[1]))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_multihead_on_one_or_two_workers(self, monkeypatch, workers):
+    def test_multihead_on_one_or_two_workers(self, monkeypatch, tmp_path, workers):
         monkeypatch.setattr("noiseattn.nn._cpus", lambda: workers)
         rng = np.random.default_rng(64)
         net = MultiHeadNetwork(Network([Dense(6, 16), ReLU()], (6,), seed=64),
                                AttributeSpec([3, 4, 5]), seed=64)
         x = rng.normal(size=(self.N4, 6))
         y = np.stack([rng.integers(0, c, self.N4) for c in (3, 4, 5)], axis=1)
-        assert self.hexes(evaluate(net, x, y)) == self.hexes(errors_by_chunk(net, x, y))
+        assert (self.hexes(evaluate(net, on_file(tmp_path / "t.nld", x, y)))
+                == self.hexes(errors_by_chunk(net, x, y)))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_ten_classes_on_one_or_two_workers(self, monkeypatch, workers):
+    def test_ten_classes_on_one_or_two_workers(self, monkeypatch, tmp_path, workers):
         """Ten classes: softmax runs class-major in the two full chunks and
         row by row in the 17-row one. The errors are those of the row-path
         softmax (``nnref.softmax``) over the same chunks."""
@@ -211,7 +216,7 @@ class TestChunkedEvaluation:
         preds = [nnref.softmax(net.trunk.forward(x[start:start + EVAL_CHUNK], cache=False))
                  .argmax(axis=1) for start in range(0, self.N, EVAL_CHUNK)]
         want = np.count_nonzero(np.concatenate(preds) != y) / self.N
-        assert evaluate(net, x, y).hex() == want.hex()
+        assert evaluate(net, on_file(tmp_path / "t.nld", x, y)).hex() == want.hex()
 
 
 class TestAllMetric:
@@ -250,7 +255,7 @@ class TestAllMetric:
             metric(np.zeros((3, 2), dtype=int), np.zeros((3, 3), dtype=int))
 
     def test_empty_input(self):
-        with pytest.raises(DataError, match="empty"):
+        with pytest.raises(DataError, match="^the set to evaluate holds no rows$"):
             metric(np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int))
 
 
@@ -286,7 +291,7 @@ class TestTraining:
         records = run_recursion(
             trainer, noisy.features, noisy.given_labels,
             RecursionSchedule(iterations=2, alpha_base=0.8, epochs=2, min_improvement=0.01),
-            val_metric=lambda: next(metrics))
+            val_metric=lambda: next(metrics), on_iteration=lambda record: None)
         assert [r["iteration"] for r in records] == [1, 2]
 
     def test_evaluation_requires_true_labels(self):

@@ -19,6 +19,7 @@ from noiseattn.harness import evaluate
 from noiseattn.multihead import _errors
 from noiseattn.nn import EPS, EVAL_CHUNK, LayerSpec, _ReLULayer, for_each_chunk
 from gradfixtures import grad_check, grad_check_classifier
+from on_file import on_file
 from oracles import n_params, nll_loss, nll_loss_grad, zero_grad
 from peaks import traced_peak
 
@@ -74,11 +75,19 @@ class TestForward:
     def test_conv_pool_flatten_shapes(self):
         net = Network([Conv2D(1, 3, 3), ReLU(), MaxPool2x2(), Flatten(), Dense(12, 2)],
                       (6, 6, 1), seed=0)
-        out = net.forward(np.random.default_rng(1).normal(size=(4, 6, 6, 1)))
-        assert out.shape == (4, 2)
         # flat rows are reshaped to the declared input shape
         flat = np.random.default_rng(2).normal(size=(4, 36))
         assert net.forward(flat).shape == (4, 2)
+
+    @pytest.mark.parametrize("shape", [(4, 6, 6, 1), (4, 35), (36,), (4, 1, 36)])
+    def test_only_flat_rows_of_the_input_width_are_taken(self, shape):
+        """A batch shaped like the input, or rows of another width, is a
+        ConfigError; the forward takes (B, prod(input_shape)) rows only."""
+        net = Network([Conv2D(1, 3, 3), ReLU(), MaxPool2x2(), Flatten(), Dense(12, 2)],
+                      (6, 6, 1), seed=0)
+        with pytest.raises(ConfigError, match=r"^batch shape .* is not rows of 36 values, "
+                                              r"the input \(6, 6, 1\) flat$"):
+            net.forward(np.zeros(shape))
 
     def test_backward_before_forward_is_usage_error(self):
         net = Network([Dense(2, 2)], (2,), seed=0)
@@ -100,7 +109,7 @@ class TestInputGrad:
         net = Network(specs, shape, seed=8)
         rng = np.random.default_rng(9)
         dy = rng.normal(size=(5, 2))
-        net.forward(rng.normal(size=(5,) + shape))
+        net.forward(rng.normal(size=(5, math.prod(shape))))
         assert net.backward(dy).shape == (5,) + shape
         full = [p.grad.copy() for p in net.parameters()]
         zero_grad(net)
@@ -117,7 +126,8 @@ class TestInputGrad:
             net = MultiHeadNetwork(trunk, AttributeSpec([2, 3]), seed=1)
             labels = np.stack([rng.integers(0, 2, 10), rng.integers(0, 3, 10)], axis=1)
         else:
-            trunk = net = Network([Dense(3, 4), ReLU(), Dense(4, 2)], (3,), seed=1)
+            trunk = Network([Dense(3, 4), ReLU(), Dense(4, 2)], (3,), seed=1)
+            net = OneHead(trunk)
             labels = rng.integers(0, 2, 10)
         flags, dfeats = [], []
         first_backward = trunk.layers[0].backward
@@ -166,7 +176,7 @@ class TestForwardOnly:
     @pytest.mark.parametrize("name", sorted(CONV_NETS))
     def test_equals_the_caching_forward_and_keeps_no_cache(self, name, rows):
         specs, shape = CONV_NETS[name]
-        x = np.random.default_rng(rows).normal(size=(rows,) + shape)
+        x = np.random.default_rng(rows).normal(size=(rows, math.prod(shape)))
         fresh = Network(specs, shape, seed=4)
         out = fresh.forward(x, cache=False)
         assert [a for layer in fresh.layers for a in BACKWARD_CACHES if hasattr(layer, a)] == []
@@ -175,7 +185,7 @@ class TestForwardOnly:
     @pytest.mark.parametrize("rows", [255, 513])
     def test_multihead_over_a_conv_trunk(self, rows):
         specs, shape = CONV_NETS["stacked"]
-        x = np.random.default_rng(rows).normal(size=(rows,) + shape)
+        x = np.random.default_rng(rows).normal(size=(rows, math.prod(shape)))
         net = MultiHeadNetwork(Network(specs[:-2], shape, seed=5), AttributeSpec([3, 4]), seed=6)
         cached = net.forward(x)
         blocked = net.forward(x, cache=False)
@@ -184,7 +194,7 @@ class TestForwardOnly:
     def test_backward_after_a_forward_only_pass_is_usage_error(self):
         specs, shape = CONV_NETS["conv_patches"]
         net = Network(specs, shape, seed=0)
-        x = np.zeros((3,) + shape)
+        x = np.zeros((3, math.prod(shape)))
         net.forward(x)
         net.forward(x, cache=False)
         with pytest.raises(UsageError):
@@ -209,14 +219,14 @@ class TestPixelTable:
         rng = np.random.default_rng(12)
         net = Network(specs, shape, seed=4)
         classes = net.out_dim
-        save_snapshot(tmp_path / "net.nam", net, [NAModel(classes)])
+        save_snapshot(tmp_path / "net.nam", OneHead(net), [NAModel(classes)])
         loaded = load_snapshot(tmp_path / "net.nam")[0].trunk
         tables = [(layer._pix, layer._pix.copy()) for used in (net, loaded)
                   for layer in used.layers if hasattr(layer, "_pix")]
         assert len(tables) == 2 * sum(isinstance(spec, Conv2D) for spec in specs)
         for used in (net, loaded):
             for rows, cache in self.PASSES:
-                x = rng.normal(size=(rows,) + shape)
+                x = rng.normal(size=(rows, math.prod(shape)))
                 fresh = Network(specs, shape, seed=4)
                 out = used.forward(x, cache)
                 assert out.tobytes() == fresh.forward(x, cache).tobytes()
@@ -246,13 +256,13 @@ class TestReLUOwnership:
     def test_the_callers_batch_is_left_as_it_was(self, specs, shape):
         net = Network(specs, shape, seed=3)
         rng = np.random.default_rng(3)
-        for batch in (rng.normal(size=(5,) + shape), rng.normal(size=(5, math.prod(shape)))):
-            before = batch.tobytes()
-            for cache in (True, False):
-                net.forward(batch, cache)
-                assert batch.tobytes() == before
-            net.first_non_finite(batch)
+        batch = rng.normal(size=(5, math.prod(shape)))
+        before = batch.tobytes()
+        for cache in (True, False):
+            net.forward(batch, cache)
             assert batch.tobytes() == before
+        net.first_non_finite(batch)
+        assert batch.tobytes() == before
 
     @pytest.mark.parametrize("specs, shape, in_place", [
         ([ReLU(), Flatten(), ReLU(), Dense(24, 3), ReLU()], SHAPE, [False, True, True]),
@@ -317,7 +327,7 @@ class TestForwardOnlyMemory:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2000, math.prod(shape)))
         y = rng.integers(0, 4, 2000)
-        trainer = Trainer(Network(specs, shape, seed=1), TrainSettings(), seed=2)
+        trainer = Trainer(OneHead(Network(specs, shape, seed=1)), TrainSettings(), seed=2)
         return trainer, x, y
 
     def test_errors(self, setup):
@@ -339,20 +349,21 @@ class TestForwardOnlyMemory:
 
     @staticmethod
     def two_chunks():
-        net = Network([Dense(20, 64), ReLU(), Dense(64, 10)], (20,), seed=6)
+        net = OneHead(Network([Dense(20, 64), ReLU(), Dense(64, 10)], (20,), seed=6))
         rng = np.random.default_rng(6)
         n = 2 * EVAL_CHUNK
         return net, rng.normal(size=(n, 20)), rng.integers(0, 10, n)
 
     def test_evaluate_holds_one_chunk_of_activations(self, monkeypatch):
-        """``evaluate`` of a 20-64-10 MLP over two chunks on one worker, the
-        inline path, holds one chunk's hidden activation and ReLU mask and
-        its logits and probabilities: the in-place ReLU keeps no second
-        hidden activation, and each chunk's comparison goes into one bool per
-        row, with no 8-byte predictions."""
+        """The evaluator's chunk loop, ``_errors`` of a 20-64-10 MLP over two
+        chunks of an array on one worker, the inline path, holds one chunk's
+        hidden activation and ReLU mask and its logits and probabilities: the
+        in-place ReLU keeps no second hidden activation, and each chunk's
+        comparison goes into one bool per row, with no 8-byte predictions.
+        (A test set's file adds each chunk's features to that.)"""
         monkeypatch.setattr("noiseattn.nn._cpus", lambda: 1)
         net, x, y = self.two_chunks()
-        assert traced_peak(lambda: evaluate(net, x, y))[1] < self.CHUNK_BYTES
+        assert traced_peak(lambda: _errors(net, x, y))[1] < self.CHUNK_BYTES
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_each_worker_holds_one_chunk(self, monkeypatch, workers):
@@ -360,7 +371,7 @@ class TestForwardOnlyMemory:
         two full chunks take at most two workers, however many CPUs there are."""
         monkeypatch.setattr("noiseattn.nn._cpus", lambda: workers)
         net, x, y = self.two_chunks()
-        assert traced_peak(lambda: evaluate(net, x, y))[1] < 2 * self.CHUNK_BYTES
+        assert traced_peak(lambda: _errors(net, x, y))[1] < 2 * self.CHUNK_BYTES
 
 
 class TestChunkPool:
@@ -379,7 +390,7 @@ class TestChunkPool:
         write, and every chunk writes the same False."""
         assert {type(spec) for spec in self.SPECS} == set(LayerSpec.__args__)
         net = Network(self.SPECS, (8, 8, 1), seed=9)
-        x = np.random.default_rng(9).normal(size=(5, 8, 8, 1))
+        x = np.random.default_rng(9).normal(size=(5, 64))
         net.forward(x)
         layers = [dict(vars(layer)) for layer in net.layers]
         arrays = [(p.data, p.grad) for p in net.parameters()]
@@ -465,32 +476,33 @@ class TestChunkPool:
         assert sorted(starts) == list(range(0, 5003, 5))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_the_callers_error_state_holds_in_every_chunk(self, monkeypatch, workers):
+    def test_the_callers_error_state_holds_in_every_chunk(self, monkeypatch, tmp_path,
+                                                           workers):
         """Logits of +-1e308 overflow in the softmax's max subtraction; under
         ``np.errstate(over="raise")`` that raises on the pool as inline."""
         monkeypatch.setattr("noiseattn.nn._cpus", lambda: workers)
         net = Network([Dense(1, 2)], (1,), seed=0)
         net.layers[0].w.data[...] = [[1.0, -1.0]]
         n = 2 * EVAL_CHUNK + 1
+        test = on_file(tmp_path / "t.nld", np.full((n, 1), 1e308), np.zeros(n, dtype=int))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            evaluate(net, np.full((n, 1), 1e308), np.zeros(n, dtype=int))
+            evaluate(OneHead(net), test)
 
 
 # The package's import, a config build and one data resolution into the
-# directory argv[2] (the set-up path), then an evaluation of one full chunk
-# plus a remainder.
+# directory argv[2] (the set-up path), then an evaluation of its test set,
+# one full chunk plus a remainder.
 UNTOUCHED = """
 import sys, threading
 import numpy as np
 import noiseattn, noiseattn.cli
-from noiseattn import Dense, Network, build_config, evaluate, parse_config_text, resolve_data
+from noiseattn import (Dense, Network, OneHead, build_config, evaluate, parse_config_text,
+                       resolve_data)
 cfg = build_config(parse_config_text(sys.argv[1]))
-resolve_data(cfg, sys.argv[2])
+_, test = resolve_data(cfg, sys.argv[2])
 assert "concurrent.futures" not in sys.modules
 threads = threading.active_count()
-net = Network([Dense(20, 64), Dense(64, 10)], (20,), seed=1)
-rng = np.random.default_rng(1)
-evaluate(net, rng.normal(size=(5000, 20)), rng.integers(0, 10, 5000))
+evaluate(OneHead(Network([Dense(20, 64), Dense(64, 10)], (20,), seed=1)), test)
 assert "concurrent.futures" not in sys.modules
 assert threading.active_count() == threads
 """
@@ -522,14 +534,15 @@ def test_paths_without_two_full_chunks_start_no_thread(tmp_path):
 
 
 # A three-chunk evaluation (two full chunks and a remainder) of a two-head
-# view, at one CPU and then at argv[1] CPUs (``nn._cpus`` patched); prints the
-# digests of the chunks' probabilities and the errors, which must not depend
-# on the CPU count.
+# view, on a test set it saves as argv[2], at one CPU and then at argv[1]
+# CPUs (``nn._cpus`` patched); prints the digests of the chunks'
+# probabilities and the errors, which must not depend on the CPU count.
 SPLIT = """
 import hashlib, sys, threading, time
 import numpy as np
 import noiseattn.nn
-from noiseattn import AttributeSpec, Dense, MultiHeadNetwork, Network, ReLU, evaluate
+from noiseattn import (AttributeSpec, Dataset, Dense, MultiHeadNetwork, Network, ReLU,
+                       evaluate, load_dataset, save_dataset)
 from noiseattn.multihead import _errors
 from noiseattn.nn import EVAL_CHUNK
 
@@ -537,6 +550,8 @@ rng = np.random.default_rng(4)
 n = 2 * EVAL_CHUNK + 123
 x = rng.normal(size=(n, 20))
 y = np.stack([rng.integers(0, 3, n), rng.integers(0, 5, n)], axis=1)
+save_dataset(Dataset(x, y, 5, y), sys.argv[2])
+test = load_dataset(sys.argv[2], features=False)
 view = MultiHeadNetwork(Network([Dense(20, 32), ReLU()], (20,), seed=2),
                         AttributeSpec([3, 5], ["a", "b"]), seed=3)
 forward, chunks = view.forward, {}
@@ -558,7 +573,7 @@ results = []
 for cpus in (1, int(sys.argv[1])):
     noiseattn.nn._cpus = lambda: cpus
     chunks.clear()
-    evaluate(view, x, y)
+    evaluate(view, test)
     assert len(chunks) == 3
     assert chunk_threads() == (cpus > 1), chunk_threads()
     assert any(on_main for on_main, _ in chunks.values())
@@ -579,7 +594,7 @@ def test_a_three_chunk_evaluation_starts_one_thread_beside_the_caller(tmp_path):
                             *filter(None, [os.environ.get("PYTHONPATH")])])
     printed = []
     for cpus in ("2", "3"):
-        proc = subprocess.run([sys.executable, "-c", SPLIT, cpus],
+        proc = subprocess.run([sys.executable, "-c", SPLIT, cpus, str(tmp_path / "t.nld")],
                               env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -732,7 +747,7 @@ class TestGradCheck:
         net = Network([Conv2D(1, 2, 3), ReLU(), MaxPool2x2(), Flatten(), Dense(8, 3)],
                       (6, 6, 1), seed=15)
         rng = np.random.default_rng(16)
-        err = grad_check_classifier(net, rng.normal(size=(3, 6, 6, 1)),
+        err = grad_check_classifier(net, rng.normal(size=(3, 36)),
                                     rng.integers(0, 3, size=3))
         assert err <= 1e-6
 
@@ -740,7 +755,7 @@ class TestGradCheck:
         net = Network([Conv2D(2, 3, 3, stride=2), ReLU(), Flatten(), Dense(12, 2)],
                       (5, 5, 2), seed=17)
         rng = np.random.default_rng(18)
-        err = grad_check_classifier(net, rng.normal(size=(3, 5, 5, 2)),
+        err = grad_check_classifier(net, rng.normal(size=(3, 50)),
                                     rng.integers(0, 2, size=3))
         assert err <= 1e-6
 

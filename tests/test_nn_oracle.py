@@ -53,7 +53,7 @@ def conv_outputs(shape, spread=False):
     layer = net.layers[0]
     layer.b.data[...] = rng.normal(size=cout)
     x = rng.normal(size=(b, h, w, cin))
-    y = net.forward(x)
+    y = net.forward(x.reshape(len(x), -1))  # the rows a dataset holds
     dy = rng.normal(size=y.shape)
     if spread:
         dy *= 10.0 ** rng.integers(-8, 8, size=y.shape)
@@ -89,7 +89,7 @@ def test_conv_without_input_grad_keeps_parameter_grads(shape):
     net = Network([Conv2D(cin, cout, k, stride=s)], (h, w, cin), seed=1)
     layer = net.layers[0]
     x = rng.normal(size=(b, h, w, cin))
-    y = net.forward(x)
+    y = net.forward(x.reshape(len(x), -1))  # the rows a dataset holds
     dy = rng.normal(size=y.shape)
     net.backward(dy)
     full = layer.w.grad.copy(), layer.b.grad.copy()
@@ -106,7 +106,7 @@ def test_conv_without_input_grad_keeps_parameter_grads(shape):
 
 def pool_case(x, dy):
     net = Network([MaxPool2x2()], x.shape[1:], seed=0)
-    y = net.forward(x)
+    y = net.forward(x.reshape(len(x), -1))  # the rows a dataset holds
     dx = net.backward(dy)
     y_ref, arg = pool_forward(x)
     assert_bytes_equal(y, y_ref)

@@ -3,8 +3,8 @@ every name a module imports is used in that module, labels are checked
 only where they enter, class-axis sums go through ``nn.row_sum``,
 binary files go through one writer and one reader, one function gives
 the order of a model's parameters, unit 0 is the identity by its
-position alone, and every stage of a pipeline runs as a direct child of
-the pipeline's function.
+position alone, an entry point takes one form of its input, and every
+stage of a pipeline runs as a direct child of the pipeline's function.
 
 The names checked are those in ``noiseattn.__all__`` and, in every module
 of the package, each public module-level function, each class and each
@@ -169,10 +169,26 @@ def test_class_axis_sums_go_through_row_sum():
 
 
 def test_one_evaluator_branches_on_the_kind():
-    """Callers evaluate a model through ``harness.evaluate``, which takes any
-    network or heads view; it alone picks the multi-attribute metric."""
+    """Callers evaluate a model through ``harness.evaluate``, which takes a
+    heads view; it alone picks the multi-attribute metric."""
     assert callers("evaluate_all_metric") == referrers("evaluate_all_metric") == {
         "harness.evaluate"}
+
+
+def isinstance_of_network(node) -> bool:
+    """A call of ``isinstance`` whose class argument names ``Network``,
+    alone or in a tuple."""
+    return (isinstance(node, ast.Call) and names(node.func, "isinstance") and len(node.args) > 1
+            and any(names(part, "Network") for part in ast.walk(node.args[1])))
+
+
+def test_entry_points_take_one_form():
+    """An entry point takes one form of its input, so none tells a plain
+    ``Network`` from a heads view, and none wraps an array in a
+    ``contextlib.nullcontext`` to pass it where a ``FeatureFile`` goes."""
+    assert functions_where(isinstance_of_network) == set()
+    assert functions_where(lambda node: names(node, "nullcontext")
+                           or getattr(node, "name", None) == "nullcontext") == set()
 
 
 def binary_file_io(node) -> bool:

@@ -116,7 +116,7 @@ class TestSoftLoss:
     def test_malformed_supervisions_rejected_before_any_step(self, supervisions):
         """The trainer takes one (N, C_k) array per head, checked once at entry."""
         net = Network([Dense(2, 3)], (2,), seed=0)
-        trainer = Trainer(net, TrainSettings(batch_size=8), [NAModel(3)], seed=0)
+        trainer = Trainer(OneHead(net), TrainSettings(batch_size=8), [NAModel(3)], seed=0)
         before = param_vector(net)
         with pytest.raises(DataError, match=r"one array per head, shaped \[\(20, 3\)\]"):
             trainer.train_epoch_soft(np.zeros((20, 2)), supervisions)
@@ -202,7 +202,7 @@ def _noisy_blobs(seed, n_train=300):
 
 class TestRunRecursion:
     def _trainer(self, noisy, seed=60):
-        net = Network([Dense(2, 12), ReLU(), Dense(12, 3)], (2,), seed=seed)
+        net = OneHead(Network([Dense(2, 12), ReLU(), Dense(12, 3)], (2,), seed=seed))
         model = NAModel(3)
         trainer = Trainer(net, TrainSettings(lr=0.05, batch_size=32), [model], seed=seed)
         for _ in range(5):
@@ -216,7 +216,7 @@ class TestRunRecursion:
         records = run_recursion(trainer, noisy.features, noisy.given_labels,
                                 RecursionSchedule(iterations=0, alpha_base=0.8, epochs=3,
                                                   min_improvement=0.0),
-                                val_metric=lambda: 1.0)
+                                val_metric=lambda: 1.0, on_iteration=lambda record: None)
         assert records == []
         np.testing.assert_array_equal(param_vector(trainer.net.trunk), before)
 
@@ -226,7 +226,8 @@ class TestRunRecursion:
         with pytest.raises(DataError):
             run_recursion(trainer, noisy.features[:0], noisy.given_labels[:0],
                           RecursionSchedule(iterations=1, alpha_base=0.8, epochs=1,
-                                            min_improvement=0.0), val_metric=lambda: 1.0)
+                                            min_improvement=0.0), val_metric=lambda: 1.0,
+                          on_iteration=lambda record: None)
 
     def test_early_stop_on_limited_improvement(self):
         noisy, _ = _noisy_blobs(63)
@@ -234,18 +235,20 @@ class TestRunRecursion:
         records = run_recursion(trainer, noisy.features, noisy.given_labels,
                                 RecursionSchedule(iterations=5, alpha_base=0.8, epochs=1,
                                                   min_improvement=10.0),
-                                val_metric=lambda: 0.5)
+                                val_metric=lambda: 0.5, on_iteration=lambda record: None)
         assert len(records) == 1  # flat metric can never improve by 10
 
     def test_runs_all_iterations_when_improving(self):
         noisy, _ = _noisy_blobs(64)
         trainer = self._trainer(noisy)
         metric_values = iter([0.5, 0.4, 0.3, 0.2])
+        seen = []
         records = run_recursion(trainer, noisy.features, noisy.given_labels,
                                 RecursionSchedule(iterations=3, alpha_base=0.8, epochs=1,
                                                   min_improvement=0.05),
-                                val_metric=lambda: next(metric_values))
+                                val_metric=lambda: next(metric_values), on_iteration=seen.append)
         assert [r["iteration"] for r in records] == [1, 2, 3]
+        assert seen == records  # each round's record, as the round ends
         assert records[0]["alpha"] == 0.8
         np.testing.assert_allclose(records[2]["alpha"], 0.8 ** 3, rtol=1e-12)
 
@@ -269,10 +272,10 @@ class TestRunRecursion:
         n, c = 40_000, 10
         rng = np.random.default_rng(67)
         x, y = rng.normal(size=(n, 4)), np.arange(n) % c
-        trainer = Trainer(Network([Dense(4, c)], (4,), seed=67), TrainSettings(batch_size=256),
-                          [NAModel(c)], seed=67)
+        trainer = Trainer(OneHead(Network([Dense(4, c)], (4,), seed=67)),
+                          TrainSettings(batch_size=256), [NAModel(c)], seed=67)
         schedule = RecursionSchedule(iterations=2, epochs=1, min_improvement=-1.0)
-        records, peak = traced_peak(lambda: run_recursion(trainer, x, y, schedule,
-                                                          val_metric=lambda: 0.0))
+        records, peak = traced_peak(lambda: run_recursion(
+            trainer, x, y, schedule, val_metric=lambda: 0.0, on_iteration=lambda record: None))
         assert len(records) == 2
         assert peak <= 1.5 * n * c * 8

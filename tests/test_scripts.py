@@ -39,5 +39,62 @@ def test_stage_peaks_refuses_an_unknown_workload():
 
 
 def test_the_package_imports_no_script():
+    scripts = sorted(path.stem for path in (ROOT / "scripts").glob("*.py"))
+    assert scripts == ["src_lines", "stage_peaks"]
     for path in (ROOT / "src").rglob("*.py"):
-        assert "stage_peaks" not in path.read_text(), path
+        assert not [name for name in scripts if name in path.read_text()], path
+
+
+FIXTURE = {
+    "a.py": '''"""Module docstring,
+over two lines."""
+
+# a comment-only line
+import os
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self):
+        """Method docstring,
+
+        over three lines."""
+        return os.sep  # a trailing comment keeps its line
+''',
+    "b.py": '''def f():
+    """One line."""
+
+        # an indented comment
+    x = 1
+    return x
+''',
+    "notes.txt": "not python\n",
+}
+
+
+def counts(stdout):
+    """The rows ``src_lines.py`` prints: name -> (lines, code lines)."""
+    return {name: (int(lines), int(code))
+            for name, lines, code in (row.split() for row in stdout.splitlines())}
+
+
+def test_src_lines_counts_a_fixture_package(tmp_path):
+    """Lines are every line of a module; code lines leave out blank lines,
+    comment-only lines and the lines of module, class and function
+    docstrings. Only ``*.py`` files count, in name order, then the total."""
+    for name, text in FIXTURE.items():
+        (tmp_path / name).write_text(text)
+    proc = run_script("src_lines.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert [row.split()[0] for row in proc.stdout.splitlines()] == ["a.py", "b.py", "total"]
+    assert counts(proc.stdout) == {"a.py": (15, 4), "b.py": (6, 3), "total": (21, 7)}
+
+
+def test_src_lines_total_is_the_sum_of_the_package_modules():
+    proc = run_script("src_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = counts(proc.stdout)
+    total = rows.pop("total")
+    assert "__init__.py" in rows and "harness.py" in rows
+    assert total == tuple(map(sum, zip(*rows.values())))

@@ -24,6 +24,7 @@ from noiseattn.cli import main as cli_main
 from noiseattn.cli import _print_errors
 from noiseattn.data import FeatureFile, _Reader
 from noiseattn.nn import EVAL_CHUNK
+from on_file import in_memory
 from peaks import traced_peak
 
 SIZES = [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 2 * EVAL_CHUNK, 2 * EVAL_CHUNK + 1]
@@ -83,16 +84,16 @@ class TestStreamedEqualsInMemory:
             return rows(reader, at, start, stop, d)
 
         monkeypatch.setattr(_Reader, "rows", recording)
-        streamed = evaluate(view, on_file.features, on_file.true_labels)
+        streamed = evaluate(view, on_file)
         assert sorted(read) == [(s, min(s + EVAL_CHUNK, n)) for s in range(0, n, EVAL_CHUNK)]
-        assert streamed == evaluate(view, dataset.features, dataset.true_labels)
+        assert streamed == in_memory(view, dataset.features, dataset.true_labels)
 
     @pytest.mark.parametrize("kind", ["single", "multi"])
     def test_cli_eval_prints_the_in_memory_errors(self, tmp_path, capsys, kind):
         view, models, dataset = case(kind, 2 * EVAL_CHUNK + 1)
         assert cli_main(eval_args(tmp_path, view, models, dataset)) == 0
         printed = capsys.readouterr().out
-        _print_errors("test error", evaluate(view, dataset.features, dataset.true_labels),
+        _print_errors("test error", in_memory(view, dataset.features, dataset.true_labels),
                       view.attributes)
         assert printed == capsys.readouterr().out
 
@@ -245,13 +246,44 @@ class TestBrokenFiles:
         rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
         assert not [row for row in rows if row.startswith("pretrain,")]
 
+    @pytest.mark.parametrize("has_true", [True, False], ids=["true labels", "no true labels"])
+    def test_a_loaded_test_set_without_rows_ends_the_data_stage(self, tmp_path, capsys,
+                                                                has_true):
+        """Such a set used to pass the data stage; the run trained, then
+        failed at the first evaluation with an error that asked for true
+        labels. Now the data stage names the empty set, before pretraining."""
+        rng = np.random.default_rng(7)
+        labels = np.arange(200) % 3
+        save_dataset(Dataset(rng.normal(size=(200, 2)), labels, 3), tmp_path / "train.nld")
+        none = np.zeros(0, int)
+        save_dataset(Dataset(np.zeros((0, 2)), none, 3, none if has_true else None),
+                     tmp_path / "test.nld")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(NLD_RUN.format(out=tmp_path / "run", train=tmp_path / "train.nld",
+                                      test=tmp_path / "test.nld"))
+        assert cli_main(["train", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error [data] test set {tmp_path / 'test.nld'} holds no rows"]
+        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
+        assert not [row for row in rows if row.startswith("pretrain,")]
+
+    @pytest.mark.parametrize("kind", ["single", "multi"])
+    def test_cli_eval_of_a_set_without_rows_says_it_is_empty(self, tmp_path, capsys, kind):
+        view, models, dataset = case(kind, 0)
+        assert cli_main(eval_args(tmp_path, view, models, dataset)) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error [config] the set to evaluate holds no rows\n")
+
     def test_a_file_resized_under_a_feature_file_is_a_format_error(self, tmp_path):
         view, models, dataset = case("single", 30)
         args = eval_args(tmp_path, view, models, dataset)
         on_file = load_dataset(args[-1], features=False)
         save_dataset(Dataset(np.zeros((31, 3)), np.zeros(31, int), 4), args[-1])
         with pytest.raises(FormatError, match="now holds 31 rows of 3 features, not 30 of 3$"):
-            evaluate(view, on_file.features, on_file.true_labels)
+            evaluate(view, on_file)
 
 
 def load_error(path) -> str:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from noiseattn import (AttributeSpec, ConfigError, DataError, Dense, DivergenceError,
-                       MultiHeadNetwork, NAModel, Network, RecursionSchedule, ReLU, StageError,
-                       Trainer, TrainSettings, UnitSchedule, build_config, run_experiment,
-                       run_recursion, split_train_val)
+                       MultiHeadNetwork, NAModel, Network, OneHead, RecursionSchedule, ReLU,
+                       StageError, Trainer, TrainSettings, UnitSchedule, build_config,
+                       run_experiment, run_recursion, split_train_val)
 from noiseattn.nn import entropy_tuple
 from noiseattn.training import STREAM_SHUFFLE, _param_chain
 
@@ -19,12 +19,12 @@ SETTINGS = TrainSettings(lr=0.05, batch_size=16)
 
 
 def plain_trainer():
-    net = Network([Dense(4, 8), ReLU(), Dense(8, 3)], (4,), seed=1)
+    net = OneHead(Network([Dense(4, 8), ReLU(), Dense(8, 3)], (4,), seed=1))
     return Trainer(net, SETTINGS, seed=2)
 
 
 def na_trainer():
-    net = Network([Dense(4, 8), ReLU(), Dense(8, 3)], (4,), seed=1)
+    net = OneHead(Network([Dense(4, 8), ReLU(), Dense(8, 3)], (4,), seed=1))
     trainer = Trainer(net, SETTINGS, [NAModel(3)], seed=2)
     trainer.add_unit(UnitSchedule(init_jitter=1e-2))
     return trainer
@@ -80,12 +80,13 @@ class TestLabelsCheckedPerEpoch:
         metric_calls = []
         with pytest.raises(DataError, match=r"labels must lie in \[0, "):
             run_recursion(trainer, x, labels, RecursionSchedule(iterations=2, epochs=1),
-                          val_metric=lambda: metric_calls.append(1) or 0.0)
+                          val_metric=lambda: metric_calls.append(1) or 0.0,
+                          on_iteration=lambda record: None)
         assert metric_calls == []
         assert state(trainer).tobytes() == before.tobytes()
 
     def test_noise_models_must_match_the_heads(self):
-        net = Network([Dense(4, 3)], (4,), seed=1)
+        net = OneHead(Network([Dense(4, 3)], (4,), seed=1))
         with pytest.raises(ConfigError, match="do not match heads"):
             Trainer(net, SETTINGS, [NAModel(4)])
 
@@ -222,7 +223,7 @@ class TestDivergence:
                                                       r"batch 1 of 3; first non-finite parameter: "
                                                       r"layer 2 w$"):
                 run_recursion(trainer, x, labels, RecursionSchedule(iterations=3, epochs=2),
-                              val_metric=val_metric)
+                              val_metric=val_metric, on_iteration=lambda record: None)
 
     def test_run_names_stage_and_epoch(self, tmp_path):
         """A learning rate of 1e300 makes the validation pass after the first

@@ -4,7 +4,8 @@ All generation and injection is a pure function of (inputs, seed). The
 uniform injector flips an exact rounded fraction of samples, chosen
 without replacement, and a flipped sample never keeps its true label,
 so the noise level is the exact fraction of mislabeled samples.
-Synthetic features are written in place, one block of rows at a time, so
+Synthetic features are written in place, one block of rows at a time
+(``_generated`` walks them, ``_fill`` and ``_moons`` fill one), so
 generation peaks near the bytes it keeps. That changes no draw: a
 Generator's normal and uniform streams do not depend on how a draw is
 split, the sum is elementwise, and moons draws all its angles before any
@@ -13,8 +14,8 @@ noise. A sigma or separation that overflows the features is a ConfigError.
 A generated set's given labels are its true labels, held as one read-only
 array, so writing into them raises instead of corrupting the truth;
 ``inject_noise`` copies before it writes. Nothing but the harness's
-fit/validation split (``harness._split``) writes into a dataset's arrays,
-and it writes only the features of the training set it consumes.
+fit/validation split writes into a dataset's arrays (``_move_rows``), and
+only into the features of the training set it consumes.
 
 Every file the package writes is written by ``_Writer`` alone, by
 positional writes (``os.pwrite``): a write the system refuses, a full disk
@@ -31,11 +32,11 @@ time, so no run or CLI ``eval`` holds a test set's features; a non-finite
 row there is the ``FormatError`` that loading the file whole gives.
 
 The data stage streams a generated test set too: given a path, the
-generators write its header and labels, then its features one block of
-about 1 MB at a time, in the draws and the file bytes of the set made in
-memory and saved. A pass after the first (each attribute's columns after
-the first attribute's; the noise of moons after their points) reads each
-block back, fills it and writes it again. So no data stage holds a test
+generators write its header and labels, then its features one block at
+a time, in the draws and the file bytes of the set made in memory and
+saved. A pass after the first (each attribute's columns after the first
+attribute's; the noise of moons after their points) reads each block
+back, fills it and writes it again. So no data stage holds a test
 set's features; training sets, which training needs, stay in memory.
 """
 
@@ -310,88 +311,96 @@ def _blob_centers(rng, classes, dim, sigma, separation):
     return centers
 
 
-_BLOCK_VALUES = 1 << 15  # float64 values per block: its draw and its means hold 512 KB
-_STREAM_VALUES = 1 << 17  # float64 values per block of a set streamed to file: 1 MB
+_BLOCK_VALUES = 1 << 15  # float64 values per block of rows the data stage writes: 256 KB
+
+
+def _blocks(n: int, width: int):
+    """The row slices of ``n`` rows of ``width`` values, in order, in blocks
+    of ``_BLOCK_VALUES`` values (one row at least), made as they are walked."""
+    step = max(1, _BLOCK_VALUES // width)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 def _fill(x, means, sigma, rng):
-    """Write ``means(rows) + sigma * z`` into ``x`` (an array or a column
-    slice of one), one block of rows at a time, with z drawn row-major from
-    ``rng``; ``x`` gets the bits of one full-size draw and sum. A value that
-    overflows is a ConfigError naming ``sigma``."""
-    n, width = x.shape
-    step = max(1, _BLOCK_VALUES // width)
+    """Write ``means + sigma * z`` into ``x``, one block of rows or a column
+    slice of one, with z drawn row-major from ``rng``; over the blocks of a
+    set in order, that is the bits of one full-size draw and sum. A value
+    that overflows is a ConfigError naming ``sigma``."""
     try:
         with np.errstate(over="raise"):
-            for start in range(0, n, step):
-                rows = slice(start, start + step)
-                z = rng.normal(size=x[rows].shape)
-                z *= sigma
-                np.add(means(rows), z, out=x[rows])
-                del z  # else it would stay alive through the next block's draw
+            z = rng.normal(size=x.shape)
+            z *= sigma
+            np.add(means, z, out=x)
     except FloatingPointError:
         raise ConfigError(f"data.synthetic.sigma = {sigma} overflows the features") from None
 
 
 def _moons(x, y, rng):
-    """Write the noise-free moon of each label into ``x``, (n, 2), one
-    block of rows at a time: an angle t drawn uniformly from [0, pi) gives
-    (cos t, sin t) on the upper moon (class 0) and (1 - cos t, 0.5 - sin t)
-    on the lower one (class 1). Cos and sin run over each block's angles
-    into contiguous temporaries. No value moves: a uniform stream does not
-    depend on how its draw is split, and numpy's cos and sin gave every
-    block of 1 to 65536 values the bits of one full-size call, on its
-    AVX-512, AVX2 and baseline x86-64 kernels alike."""
-    step = _BLOCK_VALUES // 2
-    for start in range(0, len(y), step):
-        block = x[start:start + step]
-        t = rng.uniform(0.0, np.pi, size=block.shape[0])
-        block[:, 0] = np.cos(t)
-        block[:, 1] = np.sin(t)
-        np.subtract((1.0, 0.5), block, out=block, where=y[start:start + step, None] == 1)
+    """Write the noise-free moon of each label of ``y`` into ``x``, one
+    block of rows of two columns: an angle t drawn uniformly from [0, pi)
+    gives (cos t, sin t) on the upper moon (class 0) and (1 - cos t,
+    0.5 - sin t) on the lower one (class 1). Cos and sin run over the
+    block's angles into contiguous temporaries. No value moves: a uniform
+    stream does not depend on how its draw is split, and numpy's cos and sin
+    gave every block of 1 to 65536 values the bits of one full-size call,
+    on its AVX-512, AVX2 and baseline x86-64 kernels alike."""
+    t = rng.uniform(0.0, np.pi, size=len(y))
+    x[:, 0] = np.cos(t)
+    x[:, 1] = np.sin(t)
+    np.subtract((1.0, 0.5), x, out=x, where=y[:, None] == 1)
 
 
 def _generated(labels, c: int, d: int, passes, path) -> Dataset:
     """The generated set whose given and true labels are ``labels``, made
     read-only, and whose (N, ``d``) features ``passes`` write in turn: a
-    pass is called as ``fill(block, rows)`` and writes, in row order, its
-    values of the rows ``rows`` into ``block``, an array of those rows.
-    Without ``path`` the block is the whole feature array. With it, the set
-    is written to the NLD1 file ``path`` in the bytes of ``save_dataset``:
-    header and labels first, then each pass over blocks of about 1 MB of
-    rows, each block after the first pass read back from the file, filled
-    and written again; the features are the file's ``FeatureFile``."""
+    pass is called on each row block (``_blocks``) in order, as
+    ``fill(block, rows)``, and writes its values of the rows ``rows`` into
+    ``block``. Without ``path`` the block is a view of the feature array.
+    With it, the set is written to the NLD1 file ``path`` in the bytes of
+    ``save_dataset``: header and labels first, then each block, zeroed in
+    the first pass and read back from the file after it, filled and written
+    again; the features are the file's ``FeatureFile``."""
     labels.flags.writeable = False
     n = len(labels)
     if path is None:
         x = np.empty((n, d))
         for fill in passes:
-            fill(x, slice(0, n))
+            for rows in _blocks(n, d):
+                fill(x[rows], rows)
         return Dataset(x, labels, c, labels)
     dataset = Dataset(FeatureFile(path, n, d), labels, c, labels)
     with _Writer(path) as file:
         end = file.put(0, _nld_head(n, d, c, dataset.k, True)) + n * d * 8
         for _ in range(2):  # the given labels, then the same true labels
             end += file.put(end, np.ascontiguousarray(labels, "<u4"))
-        step = max(1, _STREAM_VALUES // d)
         with dataset.features as features:
             for k, fill in enumerate(passes):
-                for start in range(0, n, step):
-                    rows = slice(start, min(start + step, n))
-                    block = features[rows] if k else np.zeros((rows.stop - start, d))
+                for rows in _blocks(n, d):
+                    block = features[rows] if k else np.zeros((rows.stop - rows.start, d))
                     fill(block, rows)
-                    file.put(_FEATURES_AT + start * d * 8, np.ascontiguousarray(block, "<f8"))
+                    file.put(_FEATURES_AT + rows.start * d * 8,
+                             np.ascontiguousarray(block, "<f8"))
                     del block  # else it would stay alive through the next block's read
     return dataset
+
+
+def _move_rows(x, rows):
+    """Move the rows ``rows`` of ``x`` (sorted indices, the k-th at least
+    k) in order to the front of ``x``, one block at a time; returns that
+    front. No block overwrites a row a later block reads."""
+    for block in _blocks(len(rows), x.shape[1]):
+        x[block] = x[rows[block]]
+    return x[:len(rows)]
 
 
 def generate_synthetic(spec: SyntheticSpec, test_path=None) -> tuple[Dataset, Dataset]:
     """Deterministically generate (train, test) datasets with true labels,
     which go round-robin over the classes, so they are balanced within 1,
     and are each set's given labels too: one read-only array. Patches are
-    one template image per class plus pixel noise. Features are written
-    in place by ``_fill``; with ``test_path`` the test set streams into that
-    NLD1 file (``_generated``) and its features are the file's."""
+    one template image per class plus pixel noise. ``_fill`` writes each
+    block (``_generated``) from its rows' class means, or for moons from the
+    points ``_moons`` wrote first; with ``test_path`` the test set streams
+    into that NLD1 file and its features are the file's."""
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "blobs":
         table = _blob_centers(rng, spec.classes, spec.dim, spec.sigma, spec.separation)
@@ -402,11 +411,10 @@ def generate_synthetic(spec: SyntheticSpec, test_path=None) -> tuple[Dataset, Da
         y = np.arange(n, dtype=np.int64) % spec.classes
         if spec.kind == "moons":  # every angle is drawn before any noise
             passes = [lambda block, rows: _moons(block, y[rows], rng),
-                      lambda block, rows: _fill(block, block.__getitem__, spec.sigma, rng)]
+                      lambda block, rows: _fill(block, block, spec.sigma, rng)]
             return _generated(y, spec.classes, 2, passes, path)
         return _generated(y, spec.classes, table.shape[1], [
-            lambda block, rows: _fill(block, lambda r: table[y[rows][r]], spec.sigma, rng)],
-            path)
+            lambda block, rows: _fill(block, table[y[rows]], spec.sigma, rng)], path)
 
     return make(spec.n_train), make(spec.n_test, test_path)
 
@@ -416,10 +424,10 @@ def generate_synthetic_multi(spec: SyntheticSpec, class_counts,
     """Multi-attribute blobs: independent labels, one feature block of
     ``spec.dim`` columns per attribute; ``kind`` and ``classes`` are not read.
     ``class_counts`` (one or more, each >= 2) come from ``AttributeSpec``.
-    All labels are drawn, then each block is written in place by ``_fill``,
-    one attribute's columns per pass; with ``test_path`` the test set
-    streams into that NLD1 file as in ``generate_synthetic``. Each set's
-    labels are one read-only array, its given and true labels."""
+    All labels are drawn, then ``_fill`` writes each block (``_generated``),
+    one attribute's columns from its centers per pass; with ``test_path``
+    the test set streams into that NLD1 file as in ``generate_synthetic``.
+    Each set's labels are one read-only array, its given and true labels."""
     rng = np.random.default_rng(spec.seed)
     centers = [_blob_centers(rng, c_k, spec.dim, spec.sigma, spec.separation)
                for c_k in class_counts]
@@ -427,9 +435,8 @@ def generate_synthetic_multi(spec: SyntheticSpec, class_counts,
     def make(n, path=None):
         labels = np.stack([rng.integers(0, c_k, size=n, dtype=np.int64)
                            for c_k in class_counts], axis=1)
-        passes = [lambda block, rows, k=k: _fill(
-                      block[:, k * spec.dim:(k + 1) * spec.dim],
-                      lambda r: centers[k][labels[rows, k][r]], spec.sigma, rng)
+        passes = [lambda block, rows, k=k: _fill(block[:, k * spec.dim:(k + 1) * spec.dim],
+                                                 centers[k][labels[rows, k]], spec.sigma, rng)
                   for k in range(len(centers))]
         return _generated(labels, max(class_counts), len(centers) * spec.dim, passes, path)
 

@@ -49,8 +49,8 @@ from .attention import NAModel
 from .config import (ExperimentConfig, _parse_attributes, parse_arch, parse_config_text,
                      parse_input_shape, serialize_arch, serialize_attributes,
                      serialize_input_shape, validate_paths)
-from .data import (_Reader, _write, _write_text, generate_synthetic, generate_synthetic_multi,
-                   inject_noise, load_dataset, save_dataset)
+from .data import (_move_rows, _Reader, _write, _write_text, generate_synthetic,
+                   generate_synthetic_multi, inject_noise, load_dataset, save_dataset)
 from .errors import (ConfigError, DataError, FormatError, NoiseAttnError, StageError, in_epoch,
                      out_of_memory)
 from .multihead import MultiHeadNetwork, _errors, evaluate_all_metric
@@ -300,9 +300,10 @@ def resolve_data(cfg: ExperimentConfig, out_dir):
     a generated training set is saved as ``train.nld``. A loaded test set,
     ``data.test_path``, is opened as ``noiseattn eval`` opens it, its sizes
     and labels read and checked, and its features read and checked one
-    ``EVAL_CHUNK`` chunk at a time, so a non-finite one, or a set without
-    rows, is an error of this stage. Either way the test set's features are
-    its ``FeatureFile``."""
+    ``EVAL_CHUNK`` chunk at a time, so a non-finite one is an error of this
+    stage; so is a loaded training or test set without rows, before any
+    noise is injected. Either way the test set's features are its
+    ``FeatureFile``."""
     if cfg.data.source == "synthetic":
         test_path = Path(out_dir) / "test.nld"
         if cfg.attributes is not None:
@@ -314,8 +315,10 @@ def resolve_data(cfg: ExperimentConfig, out_dir):
     else:
         train = load_dataset(cfg.data.train_path)
         test = load_dataset(cfg.data.test_path, features=False)
-        if not test.n:
-            raise DataError(f"test set {cfg.data.test_path} holds no rows")
+        for part, ds, path in (("train", train, cfg.data.train_path),
+                               ("test", test, cfg.data.test_path)):
+            if not ds.n:
+                raise DataError(f"{part} set {path} holds no rows")
         with test.features as rows:
             for start in range(0, test.n, EVAL_CHUNK):
                 rows[start:start + EVAL_CHUNK]  # read to check, then dropped
@@ -417,21 +420,17 @@ def _check_fit(view, ds, part):
                 check_labels(column, c, f"{part} {kind} labels{of}")
 
 
-_MOVE_VALUES = 1 << 17  # float64 values per block of rows the split moves: 1 MB
-
-
 def _split(cfg, view, train_ds, test_ds):
     """Check both datasets against the heads of ``view``; returns the fit
     and validation parts as (xt, yt, xv, yv, validation true labels or
     None).
 
     The split consumes the training set: the validation rows are copied
-    out, then the fit rows are moved, in order, to the front of
-    ``train_ds.features``, one block of about 1 MB at a time, and ``xt``
-    is a view of that front. A block never overwrites a row a later block
-    reads, as the fit indices are sorted and the k-th is at least k. So
-    the split holds the validation rows and one block beyond the set, and
-    every value is moved, not computed. Labels are copied."""
+    out, then ``data._move_rows`` moves the fit rows, whose indices are
+    sorted, in order to the front of ``train_ds.features``, one data-stage
+    block at a time, and ``xt`` is a view of that front. So the split holds
+    the validation rows and one block beyond the set, and every value is
+    moved, not computed. Labels are copied."""
     for part, ds in (("train", train_ds), ("test", test_ds)):
         _check_fit(view, ds, part)
     if view.attributes is None and view.class_counts != [train_ds.c]:
@@ -439,13 +438,8 @@ def _split(cfg, view, train_ds, test_ds):
                           f"dataset has {train_ds.c}")
     train_idx, val_idx = split_train_val(train_ds.n, cfg.na.val_fraction, cfg.seed)
     val_true = None if train_ds.true_labels is None else train_ds.true_labels[val_idx]
-    x = train_ds.features
-    xv = x[val_idx]
-    step = max(1, _MOVE_VALUES // train_ds.d)
-    for start in range(0, len(train_idx), step):
-        rows = train_idx[start:start + step]
-        x[start:start + len(rows)] = x[rows]
-    return (x[:len(train_idx)], train_ds.given_labels[train_idx],
+    xv = train_ds.features[val_idx]
+    return (_move_rows(train_ds.features, train_idx), train_ds.given_labels[train_idx],
             xv, train_ds.given_labels[val_idx], val_true)
 
 

@@ -362,7 +362,7 @@ class TestStreamedTestSet:
     @pytest.mark.parametrize("kind, width, counts", STREAMED)
     def test_small_blocks_write_the_bytes_of_the_in_memory_set(self, tmp_path, monkeypatch,
                                                                 kind, width, counts):
-        monkeypatch.setattr(data, "_STREAM_VALUES", 24)
+        monkeypatch.setattr(data, "_BLOCK_VALUES", 24)
         rows = max(1, 24 // width)  # rows per block
         for n in sorted({1, rows - 1, rows, rows + 1, 3 * rows + 2} - {0}):
             for seed in range(2):
@@ -371,20 +371,60 @@ class TestStreamedTestSet:
     @pytest.mark.parametrize("kind, width, counts", STREAMED)
     def test_the_default_block_writes_the_bytes_of_the_in_memory_set(self, tmp_path, kind,
                                                                      width, counts):
-        rows = data._STREAM_VALUES // width
+        rows = data._BLOCK_VALUES // width
         self.check(tmp_path, kind, width, counts, 2 * rows + 1, seed=9)
 
     def test_a_12_block_multi_test_set_peaks_near_one_block_plus_labels(self, tmp_path):
-        """The stream holds the labels, one block and a draw and its means
-        (``_BLOCK_VALUES`` floats each): 1.57 blocks above the labels, 2.29
-        on a process's first call. In memory the set's 12 blocks of
-        features are held whole."""
-        block, rows = 8 * data._STREAM_VALUES, data._STREAM_VALUES // 24
+        """The stream holds the labels, one block, one attribute's draw and
+        its means (a third of a block each) and numpy's index buffers: 1.96
+        blocks above the labels. A process's first Generator also imports
+        about 0.75 MB of modules. In memory the set's 12 blocks of features
+        are held whole."""
+        block, rows = 8 * data._BLOCK_VALUES, data._BLOCK_VALUES // 24
         spec = SyntheticSpec(dim=8, n_train=10, n_test=12 * rows, seed=3)
         (_, test), peak = traced_peak(
             lambda: generate_synthetic_multi(spec, [3, 4, 6], tmp_path / "t.nld"))
         assert test.n * test.d * 8 > 11.9 * block
         assert peak <= test.given_labels.nbytes + 3 * block
+
+
+class TestOneBlockWalk:
+    """``_generated`` alone walks a generated set's row blocks: in memory
+    and streamed to file, each pass in turn is handed the same blocks of
+    ``_BLOCK_VALUES`` values, in row order."""
+
+    @pytest.mark.parametrize("kind, width, counts", STREAMED)
+    def test_every_pass_gets_the_same_blocks_on_both_paths(self, tmp_path, monkeypatch,
+                                                           kind, width, counts):
+        monkeypatch.setattr(data, "_BLOCK_VALUES", 24)
+        generated, calls = data._generated, []
+
+        def recorded(labels, c, d, passes, path):
+            seen = []
+            calls.append(seen)
+
+            def wrap(k, fill):
+                def call(block, rows):
+                    seen.append((k, rows.start, rows.stop, block.shape))
+                    fill(block, rows)
+                return call
+
+            return generated(labels, c, d, [wrap(k, fill) for k, fill in enumerate(passes)],
+                             path)
+
+        monkeypatch.setattr(data, "_generated", recorded)
+        rows = max(1, 24 // width)  # rows per block
+        passes = len(counts) if counts else 1 + (kind == "moons")
+        for n in sorted({1, rows - 1, rows, rows + 1, 3 * rows + 2} - {0}):
+            calls.clear()
+            make = generator(kind, counts, n_train=n + 2, n_test=n, seed=0)
+            make()
+            make(tmp_path / "t.nld")
+            in_memory, streamed = calls[:2], calls[2:]  # (train, test) each
+            assert streamed == in_memory
+            blocks = [(start, min(start + rows, n)) for start in range(0, n, rows)]
+            assert in_memory[1] == [(k, a, b, (b - a, width))
+                                    for k in range(passes) for a, b in blocks]
 
 
 class TestStreamedOverflow:
@@ -397,7 +437,7 @@ class TestStreamedOverflow:
     @pytest.mark.parametrize("kind, seed, calls", [("blobs", 3, 5), ("moons", 0, 4),
                                                    ("multi", 29, 11)])
     def test_the_same_config_error_and_no_file(self, tmp_path, monkeypatch, kind, seed, calls):
-        monkeypatch.setattr(data, "_STREAM_VALUES", 1)
+        monkeypatch.setattr(data, "_BLOCK_VALUES", 1)
         fill, made = data._fill, []
 
         def counted(*args):

@@ -22,7 +22,7 @@ from noiseattn import (AttributeSpec, ConfigError, DataError, Dataset, Dense, Co
                        load_dataset, load_q_csv, load_snapshot, parse_arch, parse_config_text,
                        parse_input_shape, resolve_data, resume_recursion, run_experiment,
                        save_dataset, save_snapshot, serialize_arch, split_train_val)
-from noiseattn import OneHead, cli, harness
+from noiseattn import OneHead, cli, data, harness
 from noiseattn.attention import project_column_stochastic
 from noiseattn.cli import main as cli_main
 from noiseattn.config import LAYER_KINDS
@@ -708,9 +708,9 @@ class TestSplitInPlace:
         train_idx, val_idx = split_train_val(n, val_fraction, cfg.seed)
         self.check(cfg, view, train, test, train_idx, val_idx)
 
-    @pytest.mark.parametrize("move_values", [1, 7, 64])
+    @pytest.mark.parametrize("block_values", [1, 7, 64])
     @pytest.mark.parametrize("val_at", ["start", "end", "drawn"])
-    def test_fit_rows_in_one_run_or_scattered_in_any_block(self, monkeypatch, move_values,
+    def test_fit_rows_in_one_run_or_scattered_in_any_block(self, monkeypatch, block_values,
                                                            val_at):
         n, n_val, d = 300, 45, 5
         runs = {"start": (np.arange(n_val, n), np.arange(n_val)),
@@ -718,7 +718,7 @@ class TestSplitInPlace:
                 "drawn": split_train_val(n, n_val / n, 3)}
         train_idx, val_idx = runs[val_at]
         monkeypatch.setattr(harness, "split_train_val", lambda *args: (train_idx, val_idx))
-        monkeypatch.setattr(harness, "_MOVE_VALUES", move_values)
+        monkeypatch.setattr(data, "_BLOCK_VALUES", block_values)
         self.check(*split_case(n, d, n_val / n), train_idx, val_idx)
 
     def test_peaks_at_the_validation_rows_and_one_block(self):
@@ -728,7 +728,7 @@ class TestSplitInPlace:
         n, d = 12_000, 128
         cfg, view, train, test = split_case(n, d, 0.1)
         (_, _, xv, _, _), peak = traced_peak(lambda: harness._split(cfg, view, train, test))
-        assert peak <= xv.nbytes + 8 * harness._MOVE_VALUES + 6 * 8 * n
+        assert peak <= xv.nbytes + 8 * data._BLOCK_VALUES + 6 * 8 * n
 
 
 class TestRunMemory:
@@ -1007,7 +1007,7 @@ class TestRefusedWrites:
         if command == "inject":
             extra = ["--data", str(tmp_path / "train.nld")]
             save_dataset(resolved(tmp_path)[0], extra[1])
-        monkeypatch.setattr("noiseattn.data._STREAM_VALUES", 16)
+        monkeypatch.setattr("noiseattn.data._BLOCK_VALUES", 16)
         self.fill_disk_at(monkeypatch, 1 if where == "first" else mid, out / written)
         assert cli_main([command, "--config", str(cfg_path), *extra]) == 2
         captured = capsys.readouterr()

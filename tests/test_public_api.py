@@ -1,7 +1,8 @@
 """Every public name of the package has a caller outside the tests,
 every name a module imports is used in that module, labels are checked
 only where they enter, class-axis sums go through ``nn.row_sum``,
-binary files go through one writer and one reader, one function gives
+binary files go through one writer and one reader, the data stage walks
+row blocks in one place with one block size, one function gives
 the order of a model's parameters, unit 0 is the identity by its
 position alone, an entry point takes one form of its input, and every
 stage of a pipeline runs as a direct child of the pipeline's function.
@@ -243,6 +244,28 @@ def test_one_binary_layer():
     for owner, calls in (("data._Reader", RAW_READS), ("data._Writer", RAW_WRITES)):
         raw = functions_where(lambda node: raw_file_io(node, calls))
         assert raw and {where.rpartition(".")[0] for where in raw} == {owner}
+
+
+def test_one_block_walk_in_the_data_stage():
+    """``data._generated`` and ``data._move_rows`` walk a set's row blocks
+    (``data._blocks``); ``_fill`` and ``_moons`` hold no loop, so they fill
+    the one block they are handed; and ``data._BLOCK_VALUES`` is the one
+    module-level block size, so a second walk cannot come back unnoticed."""
+    assert callers("_blocks") == {"data._generated", "data._move_rows"}
+    tree = ast.parse((PACKAGE / "data.py").read_text())
+    fills = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in ("_fill", "_moons")}
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    assert {name: any(isinstance(inner, loops) for inner in ast.walk(node))
+            for name, node in fills.items()} == {"_fill": False, "_moons": False}
+    sizes = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            sizes |= {f"{path.stem}.{name.id}" for target in targets if target is not None
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and name.id.endswith("_VALUES")}
+    assert sizes == {"data._BLOCK_VALUES"}
 
 
 def sets_features(node) -> bool:

@@ -269,6 +269,31 @@ class TestBrokenFiles:
         rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
         assert not [row for row in rows if row.startswith("pretrain,")]
 
+    @pytest.mark.parametrize("noise", ["none", "uniform"])
+    def test_a_loaded_training_set_without_rows_ends_the_data_stage(self, tmp_path, capsys,
+                                                                    noise):
+        """Such a set used to pass the data stage, its noisy copy and flips
+        written when noise was injected; the build stage then blamed
+        ``val_fraction``. Now the data stage names the empty set, before
+        any injection."""
+        none = np.zeros(0, int)
+        save_dataset(Dataset(np.zeros((0, 2)), none, 3, none), tmp_path / "train.nld")
+        labels = np.arange(5) % 3
+        save_dataset(Dataset(np.ones((5, 2)), labels, 3, labels), tmp_path / "test.nld")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(NLD_RUN.format(out=tmp_path / "run", train=tmp_path / "train.nld",
+                                      test=tmp_path / "test.nld")
+                       + f"noise.mode = {noise}\nnoise.rho = 0.2\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error [data] train set {tmp_path / 'train.nld'} holds no rows"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "config_echo.cfg", "metrics.csv"]
+        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
+        assert not [row for row in rows if row.startswith("pretrain,")]
+
     @pytest.mark.parametrize("kind", ["single", "multi"])
     def test_cli_eval_of_a_set_without_rows_says_it_is_empty(self, tmp_path, capsys, kind):
         view, models, dataset = case(kind, 0)

@@ -4,22 +4,22 @@ Blank lines and ``#`` comments are ignored; keys are dotted, values are
 scalars or comma-separated lists. Unknown or duplicate keys are errors,
 so typos fail fast; so is a value that does not parse as its key's type,
 or a NaN (one rule, ``_Entries._parse``). The keys of a section are the
-fields of its dataclass, which holds their defaults: ``opt.*``
-TrainSettings, ``na.*`` UnitSchedule, ``recursion.*`` RecursionSchedule,
-``data.synthetic.*`` SyntheticSpec and ``noise.*`` NoiseSpec, which also
-check their ranges and seeds, so code past the config takes them as given;
-and ``data.*`` DataConfig. build_config checks
-``data.source`` (an nld source needs both data paths) and, against the
-attributes, ``noise.rho``, ``noise.per_class`` and a synthetic ``kind``;
-it reads the rest: ``seed``, ``out``, ``attributes`` (an AttributeSpec,
-defined here, which checks names and class counts) and ``arch.*``
-(tokens of the LAYER_KINDS).
+fields of its dataclass, which holds their defaults and is read by one
+reader, ``_section``: ``data.*`` DataConfig, ``data.synthetic.*``
+SyntheticSpec, ``noise.*`` NoiseSpec, ``opt.*`` TrainSettings, ``na.*``
+UnitSchedule and ``recursion.*`` RecursionSchedule. Each checks its own
+ranges, seeds and (DataConfig) that an nld source names both data paths,
+so code past the config takes them as given. build_config checks what
+spans sections: ``noise.rho``, ``noise.per_class`` and a synthetic
+``kind`` against the attributes. It reads the rest: ``seed``, ``out``,
+``attributes`` (an AttributeSpec, defined here, which checks names and
+class counts) and ``arch.*`` (tokens of the LAYER_KINDS).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, astuple, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +113,15 @@ def serialize_arch(specs) -> str:
 @dataclass
 class DataConfig:
     source: str = "synthetic"  # synthetic | nld
-    train_path: str | None = None
-    test_path: str | None = None
+    train_path: str = ""
+    test_path: str = ""
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
+
+    def __post_init__(self):  # each message starts with the field it checks
+        if self.source not in ("synthetic", "nld"):
+            raise ConfigError(f"source must be synthetic or nld, got {self.source!r}")
+        if self.source == "nld" and not (self.train_path and self.test_path):
+            raise ConfigError("source = nld needs data.train_path and data.test_path")
 
 
 @dataclass
@@ -160,17 +166,6 @@ class _Entries:
         if parse is not int and np.isnan(value).any():
             raise ConfigError(f"{key}: NaN is not a valid value")
         return value
-
-    def get_int(self, key, default=None):
-        return self._parse(key, default, int, "an integer")
-
-    def get_float(self, key, default=None):
-        return self._parse(key, default, float, "a number")
-
-    def get_floats(self, key, default=None):
-        def parse(raw):
-            return tuple(float(p) for p in raw.split(",") if p.strip())
-        return self._parse(key, default, parse, "comma-separated numbers")
 
     def reject_unknown(self):
         unknown = sorted(set(self.entries) - self.used)
@@ -223,18 +218,34 @@ def serialize_attributes(attributes) -> str | None:
     return ",".join(f"{n}:{c}" for n, c in zip(attributes.names, attributes.class_counts))
 
 
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in raw.split(",") if p.strip())
+
+
+# How a key is parsed, by the type of its field's class default.
+_PARSERS = {int: (int, "an integer"), float: (float, "a number"),
+            tuple: (_floats, "comma-separated numbers")}
+
+
 def _section(e: _Entries, prefix: str, cls, **defaults):
     """Build the dataclass of one config section from its ``prefix.<field>``
-    keys, each read as the type of the class default (a string, a float or
-    else an integer); ``defaults`` replace class defaults by field name.
-    A range error names the full key."""
+    keys, each read as the type of the field's class default: a string, or
+    through ``_Entries._parse`` an int, a float or a tuple of floats. A
+    dataclass-valued field is its own section, ``prefix.<field>.*``.
+    ``defaults`` replace class defaults by field name (for a section
+    field, a dict of its own defaults). A range error names the full key:
+    the class's message starts with the field it checks."""
     base = cls()
     values = {}
     for f in fields(cls):
-        default = getattr(base, f.name)
-        get = (e.get if isinstance(default, str)
-               else e.get_float if isinstance(default, float) else e.get_int)
-        values[f.name] = get(f"{prefix}.{f.name}", defaults.get(f.name, default))
+        key, default = f"{prefix}.{f.name}", getattr(base, f.name)
+        if is_dataclass(default):
+            values[f.name] = _section(e, key, type(default), **defaults.get(f.name, {}))
+        elif isinstance(default, str):
+            values[f.name] = e.get(key, defaults.get(f.name, default))
+        else:
+            values[f.name] = e._parse(key, defaults.get(f.name, default),
+                                      *_PARSERS[type(default)])
     try:
         return cls(**values)
     except ConfigError as exc:
@@ -243,58 +254,43 @@ def _section(e: _Entries, prefix: str, cls, **defaults):
 
 def build_config(entries: dict[str, str]) -> ExperimentConfig:
     e = _Entries(entries)
-    cfg = ExperimentConfig(echo=dict(entries))
-
-    cfg.seed = e.get_int("seed", 0)
-    if cfg.seed < 0:
+    seed = e._parse("seed", 0, *_PARSERS[int])
+    if seed < 0:
         raise ConfigError("seed must be non-negative")
-    cfg.out_dir = e.get("out", cfg.out_dir)
-    if not cfg.out_dir:  # Path("") is the working directory
+    out_dir = e.get("out", ExperimentConfig.out_dir)
+    if not out_dir:  # Path("") is the working directory
         raise ConfigError("out: expected an output directory, got ''")
 
     attrs = e.get("attributes")
-    if attrs:
-        cfg.attributes = _parse_attributes(attrs)
+    attributes = _parse_attributes(attrs) if attrs else None
 
-    # data
-    d = cfg.data
-    d.source = e.get("data.source", d.source)
-    if d.source not in ("synthetic", "nld"):
-        raise ConfigError(f"data.source must be synthetic or nld, got {d.source!r}")
-    d.train_path = e.get("data.train_path", d.train_path)
-    d.test_path = e.get("data.test_path", d.test_path)
-    if d.source == "nld" and not (d.train_path and d.test_path):
-        raise ConfigError("data.source = nld needs data.train_path and data.test_path")
-    d.synthetic = _section(e, "data.synthetic", SyntheticSpec, seed=(cfg.seed, 31))
-    if cfg.attributes is not None and d.source == "synthetic" and d.synthetic.kind != "blobs":
+    data = _section(e, "data", DataConfig, synthetic={"seed": (seed, 31)})
+    if attributes is not None and data.source == "synthetic" and data.synthetic.kind != "blobs":
         raise ConfigError(f"data.synthetic.kind must be blobs with attributes, "
-                          f"got {d.synthetic.kind!r}")
+                          f"got {data.synthetic.kind!r}")
 
-    cfg.noise = NoiseSpec(
-        mode=e.get("noise.mode", "none"), rho=e.get_floats("noise.rho", (0.0,)),
-        matrix_path=e.get("noise.matrix_path"), per_class=e.get_floats("noise.per_class"),
-        seed=e.get_int("noise.seed", (cfg.seed, 37)))
-    if cfg.noise.mode != "none":
-        cfg.noise.rhos(1 if cfg.attributes is None else len(cfg.attributes.class_counts))
-    if (cfg.noise.mode == "per_class" and cfg.attributes is not None
-            and set(cfg.attributes.class_counts) != {len(cfg.noise.per_class)}):
-        raise ConfigError(f"noise.per_class has {len(cfg.noise.per_class)} rates, the "
-                          f"attributes have {cfg.attributes.class_counts} classes")
+    noise = _section(e, "noise", NoiseSpec, seed=(seed, 37))
+    if noise.mode != "none":
+        noise.rhos(1 if attributes is None else len(attributes.class_counts))
+    if (noise.mode == "per_class" and attributes is not None
+            and set(attributes.class_counts) != {len(noise.per_class)}):
+        raise ConfigError(f"noise.per_class has {len(noise.per_class)} rates, the "
+                          f"attributes have {attributes.class_counts} classes")
 
     # architecture
     shape_raw = e.get("arch.input_shape")
-    if shape_raw is not None:
-        cfg.arch_input_shape = parse_input_shape(shape_raw)
+    input_shape = None if shape_raw is None else parse_input_shape(shape_raw)
     layers_raw = e.get("arch.layers")
-    if layers_raw is not None:
-        cfg.arch_specs = parse_arch(layers_raw)
+    specs = None if layers_raw is None else parse_arch(layers_raw)
 
-    cfg.opt = _section(e, "opt", TrainSettings)
-    cfg.na = _section(e, "na", UnitSchedule)
-    cfg.recursion = _section(e, "recursion", RecursionSchedule, epochs=cfg.na.stage_epochs)
+    opt = _section(e, "opt", TrainSettings)
+    na = _section(e, "na", UnitSchedule)
+    recursion = _section(e, "recursion", RecursionSchedule, epochs=na.stage_epochs)
 
     e.reject_unknown()
-    return cfg
+    return ExperimentConfig(seed, out_dir, data, noise, arch_input_shape=input_shape,
+                            arch_specs=specs, opt=opt, na=na, recursion=recursion,
+                            attributes=attributes, echo=dict(entries))
 
 
 def load_config(path, overrides=None) -> ExperimentConfig:
@@ -312,5 +308,5 @@ def validate_paths(cfg: ExperimentConfig):
     for label, p in (("data.train_path", cfg.data.train_path),
                      ("data.test_path", cfg.data.test_path),
                      ("noise.matrix_path", cfg.noise.matrix_path)):
-        if p is not None and not Path(p).exists():
+        if p and not Path(p).exists():
             raise ConfigError(f"{label}: no such file {p!r}")

@@ -138,31 +138,33 @@ class NoiseSpec:
     transition matrix in the CSV file ``matrix_path``) and "per_class"
     (uniform flips at the rate ``per_class`` gives each true class).
     ``rho`` holds one rate for every label column or one per column, and
-    column i draws from ``seed`` and i. Construction makes every check
-    that needs no data; each message starts with the key it checks.
+    column i draws from ``seed`` and i. An unset ``matrix_path`` is "" and
+    unset ``per_class`` rates are (). Construction makes every check that
+    needs no data; each message starts with the field it checks, which the
+    config reader prefixes with ``noise.``.
     """
 
     mode: str = "none"
     rho: tuple[float, ...] = (0.0,)
-    matrix_path: str | None = None
-    per_class: tuple[float, ...] | None = None
+    matrix_path: str = ""
+    per_class: tuple[float, ...] = ()
     seed: int | tuple = 0
 
     def __post_init__(self):
         if self.mode not in ("none", "uniform", "matrix", "per_class"):
-            raise ConfigError(f"noise.mode must be none, uniform, matrix or per_class, "
+            raise ConfigError(f"mode must be none, uniform, matrix or per_class, "
                               f"got {self.mode!r}")
-        if self.mode == "per_class" and self.per_class is None:
-            raise ConfigError("noise.per_class is needed in per_class mode")
-        if self.mode == "matrix" and self.matrix_path is None:
-            raise ConfigError("noise.matrix_path is needed in matrix mode")
+        if self.mode == "per_class" and not self.per_class:
+            raise ConfigError("per_class is needed in per_class mode")
+        if self.mode == "matrix" and not self.matrix_path:
+            raise ConfigError("matrix_path is needed in matrix mode")
         rates = {"uniform": ("rho", self.rho), "per_class": ("per_class", self.per_class)}
         key, values = rates.get(self.mode, ("", ()))
         for value in values:
             if not 0.0 <= value < 1.0:
-                raise ConfigError(f"noise.{key} must lie in [0, 1), got {value}")
+                raise ConfigError(f"{key} must lie in [0, 1), got {value}")
         if min(entropy_tuple(self.seed)) < 0:
-            raise ConfigError(f"noise.seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def rhos(self, columns: int) -> tuple[float, ...]:
         """One rho per label column; a single rho serves every column."""

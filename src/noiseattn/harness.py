@@ -410,7 +410,7 @@ def _check_fit(view, ds, part):
     if ds.d != width:
         raise ConfigError(f"{part} set has {ds.d} feature columns, network input "
                           f"{serialize_input_shape(view.trunk.input_shape)} takes {width}")
-    k = 0 if view.attributes is None else len(view.names)
+    k = len(view.heads)
     if ds.k != k:
         raise ConfigError(f"{part} set has {ds.k} attribute columns, the model has {k}")
     for kind, labels in (("given", ds.given_labels), ("true", ds.true_labels)):
@@ -565,13 +565,14 @@ def _save_stage(run, view, models, tag):
 
 
 def _check_snapshot(cfg: ExperimentConfig, view):
-    """A resumed snapshot's view must hold the network the config describes."""
+    """A resumed snapshot's view must hold the network the config describes;
+    a single-label side has attributes ``none``."""
     _check_arch(cfg)
     echoes = [("arch", serialize_arch(view.trunk.specs), serialize_arch(cfg.arch_specs)),
               ("input_shape", serialize_input_shape(view.trunk.input_shape),
                serialize_input_shape(cfg.arch_input_shape)),
-              ("attributes", serialize_attributes(view.attributes),
-               serialize_attributes(cfg.attributes))]
+              ("attributes", serialize_attributes(view.attributes) or "none",
+               serialize_attributes(cfg.attributes) or "none")]
     for key, snapped, configured in echoes:
         if snapped != configured:
             raise ConfigError(f"snapshot {key} {snapped} does not match the config's "

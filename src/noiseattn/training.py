@@ -68,6 +68,7 @@ class OneHead:
 
     names = ("",)
     attributes = None
+    heads = ()  # no head layers past the trunk
 
     def __init__(self, trunk: Network):
         self.trunk = trunk
@@ -120,7 +121,7 @@ def _non_finite_output(view, batch) -> str:
         return "; the input holds a non-finite value"
     with np.errstate(all="ignore"):
         where, feats = view.trunk.first_non_finite(batch)
-        for name, head in zip(view.names, getattr(view, "heads", ())):
+        for name, head in zip(view.names, view.heads):
             if where is None and (found := head.first_non_finite(feats)[0]):
                 where = f"head {name} {found}"
     return "" if where is None else f"; first non-finite output: {where}"

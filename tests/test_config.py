@@ -6,8 +6,8 @@ from dataclasses import fields
 
 import pytest
 
-from noiseattn import (AttributeSpec, ConfigError, RecursionSchedule, UnitSchedule, build_config,
-                       config)
+from noiseattn import (AttributeSpec, ConfigError, NoiseSpec, RecursionSchedule, SyntheticSpec,
+                       TrainSettings, UnitSchedule, build_config, config)
 from noiseattn.cli import main as cli_main
 
 # Every key build_config accepts, each with a valid value.
@@ -76,10 +76,14 @@ class TestKeySet:
         assert cfg.echo == KEYS
 
     def test_na_and_recursion_keys_are_the_section_fields(self):
-        assert {f"na.{f.name}" for f in fields(UnitSchedule)} == {
-            key for key in KEYS if key.startswith("na.")}
-        assert {f"recursion.{f.name}" for f in fields(RecursionSchedule)} == {
-            key for key in KEYS if key.startswith("recursion.")}
+        """The keys of each section, ``opt``, ``na``, ``recursion``,
+        ``noise``, ``data`` and ``data.synthetic``, are its dataclass's
+        fields; ``data.synthetic`` is a section of its own."""
+        for prefix, cls in (("opt", TrainSettings), ("na", UnitSchedule),
+                            ("recursion", RecursionSchedule), ("noise", NoiseSpec),
+                            ("data", config.DataConfig), ("data.synthetic", SyntheticSpec)):
+            assert {f"{prefix}.{f.name}" for f in fields(cls)} - {"data.synthetic"} == {
+                key for key in KEYS if key.rpartition(".")[0] == prefix}
 
 
 class TestNaN:
@@ -311,6 +315,18 @@ class TestChecksAtLoad:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error [config] ") and key in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("mode, key", [("per_class", "per_class"),
+                                           ("matrix", "matrix_path")])
+    def test_an_empty_noise_value_is_refused_at_load(self, tmp_path, capsys, mode, key):
+        """Such a value used to pass the load and fail in the data stage,
+        after ``train.nld`` and ``test.nld`` were written."""
+        entries = {**RUN, "noise.mode": mode, f"noise.{key}": "", "out": str(tmp_path / "run")}
+        code = cli_main(["train", "--config", str(write_config(tmp_path, entries))])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error [config] noise.{key} is needed in "
+                                           f"{mode} mode\n")
         assert not (tmp_path / "run").exists()
 
     def test_inject_exits_2_on_a_negative_noise_seed(self, tmp_path, capsys):

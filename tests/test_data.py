@@ -124,14 +124,16 @@ class TestInjectNoise:
 
 class TestNoiseSpec:
     @pytest.mark.parametrize("kwargs, message", [
-        ({"mode": "bogus"}, "noise.mode must be none, uniform, matrix or per_class"),
-        ({"mode": "uniform", "rho": (0.1, 1.5)}, r"noise.rho must lie in \[0, 1\), got 1.5$"),
-        ({"mode": "uniform", "rho": (-0.1,)}, r"noise.rho must lie in \[0, 1\), got -0.1$"),
-        ({"mode": "per_class"}, "noise.per_class is needed"),
-        ({"mode": "per_class", "per_class": (0.1, 1.0)}, r"noise.per_class .* got 1.0$"),
-        ({"mode": "matrix"}, "noise.matrix_path is needed"),
+        ({"mode": "bogus"}, "^mode must be none, uniform, matrix or per_class"),
+        ({"mode": "uniform", "rho": (0.1, 1.5)}, r"^rho must lie in \[0, 1\), got 1.5$"),
+        ({"mode": "uniform", "rho": (-0.1,)}, r"^rho must lie in \[0, 1\), got -0.1$"),
+        ({"mode": "per_class"}, "^per_class is needed in per_class mode$"),
+        ({"mode": "per_class", "per_class": (0.1, 1.0)}, r"^per_class .* got 1.0$"),
+        ({"mode": "matrix"}, "^matrix_path is needed in matrix mode$"),
     ])
     def test_data_free_checks_name_their_key(self, kwargs, message):
+        """Each message starts with the field it checks; the config reader
+        prefixes it with ``noise.``."""
         with pytest.raises(ConfigError, match=message):
             NoiseSpec(**kwargs)
 

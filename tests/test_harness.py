@@ -1377,6 +1377,27 @@ class TestResume:
         assert (named or "") in capsys.readouterr().err
         assert (tmp_path / "resumed" / "snapshot_final.nam").exists() == (named is None)
 
+    @pytest.mark.parametrize("multi_snapshot, attributes, named", [
+        (False, "a:2,b:2", "none does not match the config's a:2,b:2"),
+        (True, None, "a:3,b:4 does not match the config's none"),
+    ], ids=["single_snapshot", "multi_snapshot"])
+    def test_a_snapshot_of_the_other_kind_names_the_single_label_side(
+            self, tmp_path, capsys, multi_snapshot, attributes, named):
+        """The single-label side used to print as Python's ``None``."""
+        trunk = Network(parse_arch(self.ENTRIES["arch.layers"]), (4,), seed=0)
+        view = (MultiHeadNetwork(trunk, AttributeSpec([3, 4], ["a", "b"]), seed=0)
+                if multi_snapshot else OneHead(trunk))
+        snapshot = tmp_path / "stage0.nam"
+        save_snapshot(snapshot, view, [NAModel(c) for c in view.class_counts])
+        entries = {**self.ENTRIES, "out": str(tmp_path / "resumed")}
+        if attributes is not None:
+            entries["attributes"] = attributes
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        assert cli_main(["recurse", "--config", str(cfg_path), "--snapshot", str(snapshot)]) == 2
+        assert capsys.readouterr().err == f"error [resume] snapshot attributes {named}\n"
+        assert not (tmp_path / "resumed" / "snapshot_final.nam").exists()
+
     def test_a_non_finite_decay_exits_2_before_the_rounds(self, tmp_path, capsys):
         """Such a snapshot used to load, and the first round then diverged
         with exit 1."""

@@ -2,10 +2,11 @@
 every name a module imports is used in that module, labels are checked
 only where they enter, class-axis sums go through ``nn.row_sum``,
 binary files go through one writer and one reader, the data stage walks
-row blocks in one place with one block size, one function gives
-the order of a model's parameters, unit 0 is the identity by its
-position alone, an entry point takes one form of its input, and every
-stage of a pipeline runs as a direct child of the pipeline's function.
+row blocks in one place with one block size, config sections are read
+by one reader, one function gives the order of a model's parameters,
+unit 0 is the identity by its position alone, an entry point takes one
+form of its input, and every stage of a pipeline runs as a direct child
+of the pipeline's function.
 
 The names checked are those in ``noiseattn.__all__`` and, in every module
 of the package, each public module-level function, each class and each
@@ -266,6 +267,22 @@ def test_one_block_walk_in_the_data_stage():
                       for name in ast.walk(target)
                       if isinstance(name, ast.Name) and name.id.endswith("_VALUES")}
     assert sizes == {"data._BLOCK_VALUES"}
+
+
+def passes_a_section_key(node) -> bool:
+    """A call with a literal argument that is a key of a config section."""
+    section_key = re.compile(r"(opt|na|recursion|data|noise)\.[\w.]+")
+    return isinstance(node, ast.Call) and any(
+        isinstance(arg, ast.Constant) and section_key.fullmatch(str(arg.value))
+        for arg in [*node.args, *(keyword.value for keyword in node.keywords)])
+
+
+def test_build_config_reads_no_section_key_by_hand():
+    """``config._section`` reads every key of a section as its dataclass's
+    field, so ``build_config`` names none of those keys in a call; a key
+    read by hand would be parsed and checked in a second place."""
+    assert "config.build_config" not in functions_where(passes_a_section_key)
+    assert "config.build_config" in callers("_section")
 
 
 def sets_features(node) -> bool:
